@@ -52,6 +52,8 @@ struct TraceEvent {
   uint64_t Address = 0;
   bool IsWrite = false;
   uint32_t LatencyCycles = 0;
+
+  friend bool operator==(const TraceEvent &, const TraceEvent &) = default;
 };
 
 /// The serializable content of a `cheetah-trace-v1` file: the recording
@@ -66,10 +68,11 @@ struct TraceData {
   /// same bytes).
   std::string serialize() const;
 
-  /// Parses \p Text into \p Out. \returns false with a descriptive
-  /// \p Error — unsupported schema, malformed JSON with byte offset,
-  /// missing/mistyped fields with the event index — on any surprise.
-  /// Never asserts or crashes on hostile input.
+  /// Parses \p Text into \p Out in a single pass, without a document tree.
+  /// \returns false with a descriptive \p Error — unsupported schema,
+  /// malformed JSON with byte offset, missing/mistyped/out-of-range fields
+  /// with the event index — on any surprise. Never asserts or crashes on
+  /// hostile input.
   static bool parse(const std::string &Text, TraceData &Out,
                     std::string &Error);
 };

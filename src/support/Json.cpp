@@ -1,4 +1,4 @@
-//===- support/Json.cpp - Minimal JSON writer and parser ------------------===//
+//===- support/Json.cpp - Minimal JSON writer and reader ------------------===//
 //
 // Part of the Cheetah reproduction. MIT license.
 //
@@ -9,23 +9,30 @@
 #include "support/Assert.h"
 #include "support/StringUtils.h"
 
-#include <cctype>
 #include <charconv>
-#include <clocale>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 
 using namespace cheetah;
+
+/// 2^64: the first double no uint64_t can hold.
+static constexpr double TwoPow64 = 18446744073709551616.0;
 
 //===----------------------------------------------------------------------===//
 // Writer
 //===----------------------------------------------------------------------===//
 
-std::string cheetah::jsonEscape(const std::string &Text) {
-  std::string Out;
-  Out.reserve(Text.size());
-  for (unsigned char C : Text) {
+/// Appends \p Text to \p Out with JSON string escaping, copying the runs
+/// between escaped characters in one piece.
+static void appendEscaped(std::string &Out, std::string_view Text) {
+  static constexpr char Hex[] = "0123456789abcdef";
+  size_t Run = 0;
+  for (size_t I = 0; I < Text.size(); ++I) {
+    unsigned char C = static_cast<unsigned char>(Text[I]);
+    if (C >= 0x20 && C != '"' && C != '\\')
+      continue;
+    Out.append(Text.data() + Run, I - Run);
+    Run = I + 1;
     switch (C) {
     case '"':
       Out += "\\\"";
@@ -48,13 +55,19 @@ std::string cheetah::jsonEscape(const std::string &Text) {
     case '\t':
       Out += "\\t";
       break;
-    default:
-      if (C < 0x20)
-        Out += formatString("\\u%04x", C);
-      else
-        Out += static_cast<char>(C);
+    default: {
+      const char Escape[] = {'\\', 'u', '0', '0', Hex[C >> 4], Hex[C & 15]};
+      Out.append(Escape, sizeof(Escape));
+    }
     }
   }
+  Out.append(Text.data() + Run, Text.size() - Run);
+}
+
+std::string cheetah::jsonEscape(std::string_view Text) {
+  std::string Out;
+  Out.reserve(Text.size());
+  appendEscaped(Out, Text);
   return Out;
 }
 
@@ -69,6 +82,12 @@ void JsonWriter::separate() {
       Out += ',';
     NeedComma.back() = true;
   }
+}
+
+void JsonWriter::quoted(std::string_view Text) {
+  Out += '"';
+  appendEscaped(Out, Text);
+  Out += '"';
 }
 
 void JsonWriter::beginObject() {
@@ -95,23 +114,18 @@ void JsonWriter::endArray() {
   Out += ']';
 }
 
-void JsonWriter::key(const std::string &Name) {
+void JsonWriter::key(std::string_view Name) {
   CHEETAH_ASSERT(!PendingKey, "key() twice without a value");
   separate();
-  Out += '"';
-  Out += jsonEscape(Name);
-  Out += "\":";
+  quoted(Name);
+  Out += ':';
   PendingKey = true;
 }
 
-void JsonWriter::value(const std::string &Text) {
+void JsonWriter::value(std::string_view Text) {
   separate();
-  Out += '"';
-  Out += jsonEscape(Text);
-  Out += '"';
+  quoted(Text);
 }
-
-void JsonWriter::value(const char *Text) { value(std::string(Text)); }
 
 void JsonWriter::value(double Number) {
   separate();
@@ -120,7 +134,6 @@ void JsonWriter::value(double Number) {
     Out += "null";
     return;
   }
-#if defined(__cpp_lib_to_chars)
   // Shortest exact representation, locale-independent — printf %g honors
   // LC_NUMERIC and would emit "1,5" inside a host application that set a
   // European locale (the LD_PRELOAD deployment cannot control that).
@@ -128,32 +141,20 @@ void JsonWriter::value(double Number) {
   auto [End, Ec] = std::to_chars(Buffer, Buffer + sizeof(Buffer), Number);
   CHEETAH_ASSERT(Ec == std::errc(), "double did not fit to_chars buffer");
   Out.append(Buffer, End);
-#else
-  // Fallback: shortest of %.15g/%.16g/%.17g that parses back exactly,
-  // with the locale's decimal point normalized to '.'.
-  std::string Text;
-  for (int Precision = 15; Precision <= 17; ++Precision) {
-    Text = formatString("%.*g", Precision, Number);
-    if (std::strtod(Text.c_str(), nullptr) == Number)
-      break;
-  }
-  if (const char *Point = std::localeconv()->decimal_point)
-    if (*Point && *Point != '.')
-      for (char &C : Text)
-        if (C == *Point)
-          C = '.';
-  Out += Text;
-#endif
 }
 
 void JsonWriter::value(uint64_t Number) {
   separate();
-  Out += formatString("%llu", static_cast<unsigned long long>(Number));
+  char Buffer[20];
+  auto [End, Ec] = std::to_chars(Buffer, Buffer + sizeof(Buffer), Number);
+  Out.append(Buffer, End);
 }
 
 void JsonWriter::value(int64_t Number) {
   separate();
-  Out += formatString("%lld", static_cast<long long>(Number));
+  char Buffer[20];
+  auto [End, Ec] = std::to_chars(Buffer, Buffer + sizeof(Buffer), Number);
+  Out.append(Buffer, End);
 }
 
 void JsonWriter::value(bool Flag) {
@@ -167,244 +168,357 @@ void JsonWriter::null() {
 }
 
 //===----------------------------------------------------------------------===//
-// Parser
+// Reader
 //===----------------------------------------------------------------------===//
 
-namespace cheetah {
+JsonReader::Token JsonReader::fail(const char *Message) {
+  Error = formatString("JSON error at offset %zu: %s",
+                       static_cast<size_t>(Pos - Begin), Message);
+  State = Expect::Failed;
+  return Token::Error;
+}
 
-/// Recursive-descent parser over the whole input string.
-class JsonParser {
-public:
-  JsonParser(const std::string &Text, std::string &Error)
-      : Text(Text), Error(Error) {}
+void JsonReader::skipSpace() {
+  while (Pos != Limit &&
+         (*Pos == ' ' || *Pos == '\t' || *Pos == '\n' || *Pos == '\r'))
+    ++Pos;
+}
 
-  bool run(JsonValue &Result) {
-    skipSpace();
-    if (!parseValue(Result, 0))
-      return false;
-    skipSpace();
-    if (Pos != Text.size())
-      return fail("trailing characters after document");
-    return true;
-  }
-
-private:
-  static constexpr unsigned MaxDepth = 128;
-
-  bool fail(const std::string &Message) {
-    Error = formatString("JSON error at offset %zu: %s", Pos,
-                         Message.c_str());
-    return false;
-  }
-
-  void skipSpace() {
-    while (Pos < Text.size() &&
-           (Text[Pos] == ' ' || Text[Pos] == '\t' || Text[Pos] == '\n' ||
-            Text[Pos] == '\r'))
-      ++Pos;
-  }
-
-  bool consume(char C) {
-    if (Pos < Text.size() && Text[Pos] == C) {
-      ++Pos;
-      return true;
+JsonReader::Token JsonReader::next() {
+  // Whitespace is skipped before every structural check, so each error
+  // names the first significant byte it could not accept.
+  skipSpace();
+  switch (State) {
+  case Expect::Value:
+    return value();
+  case Expect::FirstElement:
+    if (Pos != Limit && *Pos == ']')
+      return closeContainer(Token::EndArray);
+    return value();
+  case Expect::FirstMember:
+    if (Pos != Limit && *Pos == '}')
+      return closeContainer(Token::EndObject);
+    return member();
+  case Expect::Separator:
+    if (Depth == 0) {
+      if (Pos != Limit)
+        return fail("trailing characters after document");
+      State = Expect::Done;
+      return Token::End;
     }
-    return false;
-  }
-
-  bool literal(const char *Word) {
-    size_t Len = std::strlen(Word);
-    if (Text.compare(Pos, Len, Word) != 0)
-      return fail(formatString("expected '%s'", Word));
-    Pos += Len;
-    return true;
-  }
-
-  bool parseValue(JsonValue &Out, unsigned Depth) {
-    if (Depth > MaxDepth)
-      return fail("nesting too deep");
-    if (Pos >= Text.size())
-      return fail("unexpected end of input");
-    switch (Text[Pos]) {
-    case '{':
-      return parseObject(Out, Depth);
-    case '[':
-      return parseArray(Out, Depth);
-    case '"':
-      Out.NodeKind = JsonValue::Kind::String;
-      return parseString(Out.StringValue);
-    case 't':
-      Out.NodeKind = JsonValue::Kind::Bool;
-      Out.BoolValue = true;
-      return literal("true");
-    case 'f':
-      Out.NodeKind = JsonValue::Kind::Bool;
-      Out.BoolValue = false;
-      return literal("false");
-    case 'n':
-      Out.NodeKind = JsonValue::Kind::Null;
-      return literal("null");
-    default:
-      return parseNumber(Out);
-    }
-  }
-
-  bool parseObject(JsonValue &Out, unsigned Depth) {
-    Out.NodeKind = JsonValue::Kind::Object;
-    ++Pos; // '{'
-    skipSpace();
-    if (consume('}'))
-      return true;
-    for (;;) {
-      skipSpace();
-      std::string Key;
-      if (Pos >= Text.size() || Text[Pos] != '"')
-        return fail("expected object key");
-      if (!parseString(Key))
-        return false;
-      skipSpace();
-      if (!consume(':'))
-        return fail("expected ':' after key");
-      skipSpace();
-      JsonValue Member;
-      if (!parseValue(Member, Depth + 1))
-        return false;
-      Out.Members.emplace_back(std::move(Key), std::move(Member));
-      skipSpace();
-      if (consume('}'))
-        return true;
-      if (!consume(','))
+    if (InObject[Depth - 1]) {
+      if (Pos != Limit && *Pos == '}')
+        return closeContainer(Token::EndObject);
+      if (Pos == Limit || *Pos != ',')
         return fail("expected ',' or '}' in object");
-    }
-  }
-
-  bool parseArray(JsonValue &Out, unsigned Depth) {
-    Out.NodeKind = JsonValue::Kind::Array;
-    ++Pos; // '['
-    skipSpace();
-    if (consume(']'))
-      return true;
-    for (;;) {
-      skipSpace();
-      JsonValue Element;
-      if (!parseValue(Element, Depth + 1))
-        return false;
-      Out.Elements.push_back(std::move(Element));
-      skipSpace();
-      if (consume(']'))
-        return true;
-      if (!consume(','))
-        return fail("expected ',' or ']' in array");
-    }
-  }
-
-  bool parseString(std::string &Out) {
-    ++Pos; // opening quote
-    Out.clear();
-    while (Pos < Text.size()) {
-      char C = Text[Pos++];
-      if (C == '"')
-        return true;
-      if (C != '\\') {
-        Out += C;
-        continue;
-      }
-      if (Pos >= Text.size())
-        break;
-      char Escape = Text[Pos++];
-      switch (Escape) {
-      case '"':
-      case '\\':
-      case '/':
-        Out += Escape;
-        break;
-      case 'b':
-        Out += '\b';
-        break;
-      case 'f':
-        Out += '\f';
-        break;
-      case 'n':
-        Out += '\n';
-        break;
-      case 'r':
-        Out += '\r';
-        break;
-      case 't':
-        Out += '\t';
-        break;
-      case 'u': {
-        if (Pos + 4 > Text.size())
-          return fail("truncated \\u escape");
-        unsigned Code = 0;
-        for (int I = 0; I < 4; ++I) {
-          char H = Text[Pos++];
-          Code <<= 4;
-          if (H >= '0' && H <= '9')
-            Code |= H - '0';
-          else if (H >= 'a' && H <= 'f')
-            Code |= H - 'a' + 10;
-          else if (H >= 'A' && H <= 'F')
-            Code |= H - 'A' + 10;
-          else
-            return fail("bad hex digit in \\u escape");
-        }
-        // UTF-8 encode the BMP code point (surrogate pairs unsupported —
-        // Cheetah never emits them; decode as-is for robustness).
-        if (Code < 0x80) {
-          Out += static_cast<char>(Code);
-        } else if (Code < 0x800) {
-          Out += static_cast<char>(0xC0 | (Code >> 6));
-          Out += static_cast<char>(0x80 | (Code & 0x3F));
-        } else {
-          Out += static_cast<char>(0xE0 | (Code >> 12));
-          Out += static_cast<char>(0x80 | ((Code >> 6) & 0x3F));
-          Out += static_cast<char>(0x80 | (Code & 0x3F));
-        }
-        break;
-      }
-      default:
-        return fail("unknown escape character");
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  bool parseNumber(JsonValue &Out) {
-    size_t Start = Pos;
-    // JSON numbers never start with '+' (only exponents may carry it);
-    // strtod would accept it, so reject before the scan.
-    if (Pos < Text.size() && Text[Pos] == '+')
-      return fail("expected a value");
-    consume('-');
-    while (Pos < Text.size() &&
-           (std::isdigit(static_cast<unsigned char>(Text[Pos])) ||
-            Text[Pos] == '.' || Text[Pos] == 'e' || Text[Pos] == 'E' ||
-            Text[Pos] == '+' || Text[Pos] == '-'))
       ++Pos;
-    if (Pos == Start)
-      return fail("expected a value");
-    std::string Number = Text.substr(Start, Pos - Start);
-    char *End = nullptr;
-    double Value = std::strtod(Number.c_str(), &End);
-    if (End != Number.c_str() + Number.size())
-      return fail("malformed number");
-    Out.NodeKind = JsonValue::Kind::Number;
-    Out.NumberValue = Value;
+      skipSpace();
+      return member();
+    }
+    if (Pos != Limit && *Pos == ']')
+      return closeContainer(Token::EndArray);
+    if (Pos == Limit || *Pos != ',')
+      return fail("expected ',' or ']' in array");
+    ++Pos;
+    skipSpace();
+    return value();
+  case Expect::Done:
+    return Token::End;
+  case Expect::Failed:
+    return Token::Error;
+  }
+  CHEETAH_UNREACHABLE("bad JsonReader state");
+}
+
+JsonReader::Token JsonReader::member() {
+  if (Pos == Limit || *Pos != '"')
+    return fail("expected object key");
+  if (!scanString())
+    return Token::Error;
+  skipSpace();
+  if (Pos == Limit || *Pos != ':')
+    return fail("expected ':' after key");
+  ++Pos;
+  State = Expect::Value;
+  return Token::Key;
+}
+
+bool JsonReader::skipContainer() {
+  for (unsigned Outer = Depth - 1; Depth > Outer;)
+    if (next() == Token::Error)
+      return false;
+  return true;
+}
+
+JsonReader::Token JsonReader::closeContainer(Token T) {
+  ++Pos;
+  --Depth;
+  State = Expect::Separator;
+  return T;
+}
+
+JsonReader::Token JsonReader::value() {
+  // Depth counts the containers enclosing this value.
+  if (Depth > MaxDepth)
+    return fail("nesting too deep");
+  if (Pos == Limit)
+    return fail("unexpected end of input");
+  switch (*Pos) {
+  case '{':
+    ++Pos;
+    InObject[Depth++] = true;
+    State = Expect::FirstMember;
+    return Token::BeginObject;
+  case '[':
+    ++Pos;
+    InObject[Depth++] = false;
+    State = Expect::FirstElement;
+    return Token::BeginArray;
+  case '"':
+    if (!scanString())
+      return Token::Error;
+    State = Expect::Separator;
+    return Token::String;
+  case 't':
+    BoolValue = true;
+    return literal("true", Token::Bool);
+  case 'f':
+    BoolValue = false;
+    return literal("false", Token::Bool);
+  case 'n':
+    return literal("null", Token::Null);
+  default:
+    return scanNumber();
+  }
+}
+
+JsonReader::Token JsonReader::literal(const char *Word, Token T) {
+  std::string_view Expected(Word);
+  if (static_cast<size_t>(Limit - Pos) < Expected.size() ||
+      std::string_view(Pos, Expected.size()) != Expected)
+    return fail(formatString("expected '%s'", Word).c_str());
+  Pos += Expected.size();
+  State = Expect::Separator;
+  return T;
+}
+
+bool JsonReader::scanString() {
+  const char *Start = ++Pos; // opening quote
+  while (Pos != Limit && *Pos != '"' && *Pos != '\\')
+    ++Pos;
+  if (Pos != Limit && *Pos == '"') {
+    // No escapes: the token is a view into the input.
+    Text = std::string_view(Start, Pos - Start);
+    ++Pos;
     return true;
   }
+  Unescaped.assign(Start, Pos);
+  while (Pos != Limit) {
+    char C = *Pos++;
+    if (C == '"') {
+      Text = Unescaped;
+      return true;
+    }
+    if (C != '\\') {
+      Unescaped += C;
+      continue;
+    }
+    if (Pos == Limit)
+      break;
+    char Escape = *Pos++;
+    switch (Escape) {
+    case '"':
+    case '\\':
+    case '/':
+      Unescaped += Escape;
+      break;
+    case 'b':
+      Unescaped += '\b';
+      break;
+    case 'f':
+      Unescaped += '\f';
+      break;
+    case 'n':
+      Unescaped += '\n';
+      break;
+    case 'r':
+      Unescaped += '\r';
+      break;
+    case 't':
+      Unescaped += '\t';
+      break;
+    case 'u': {
+      if (Limit - Pos < 4) {
+        fail("truncated \\u escape");
+        return false;
+      }
+      unsigned Code = 0;
+      for (int I = 0; I < 4; ++I) {
+        char H = *Pos++;
+        Code <<= 4;
+        if (H >= '0' && H <= '9')
+          Code |= H - '0';
+        else if (H >= 'a' && H <= 'f')
+          Code |= H - 'a' + 10;
+        else if (H >= 'A' && H <= 'F')
+          Code |= H - 'A' + 10;
+        else {
+          fail("bad hex digit in \\u escape");
+          return false;
+        }
+      }
+      // UTF-8 encode the BMP code point (surrogate pairs unsupported —
+      // Cheetah never emits them; decode as-is for robustness).
+      if (Code < 0x80) {
+        Unescaped += static_cast<char>(Code);
+      } else if (Code < 0x800) {
+        Unescaped += static_cast<char>(0xC0 | (Code >> 6));
+        Unescaped += static_cast<char>(0x80 | (Code & 0x3F));
+      } else {
+        Unescaped += static_cast<char>(0xE0 | (Code >> 12));
+        Unescaped += static_cast<char>(0x80 | ((Code >> 6) & 0x3F));
+        Unescaped += static_cast<char>(0x80 | (Code & 0x3F));
+      }
+      break;
+    }
+    default:
+      fail("unknown escape character");
+      return false;
+    }
+  }
+  fail("unterminated string");
+  return false;
+}
 
-  const std::string &Text;
-  std::string &Error;
-  size_t Pos = 0;
-};
+/// The value strtod gives a number outside the double range, which
+/// from_chars reports as an error instead: ±inf on overflow, ±0 on
+/// underflow. The two lie hundreds of decimal orders apart, so the decimal
+/// exponent of the leading digit of \p First..\p Last (a complete number
+/// token) tells them apart.
+static double outOfRangeValue(const char *First, const char *Last) {
+  bool Negative = *First == '-';
+  const char *P = First + Negative;
+  int64_t Magnitude = 0;
+  bool Significant = false, Fraction = false;
+  for (; P != Last && *P != 'e' && *P != 'E'; ++P) {
+    if (*P == '.') {
+      Fraction = true;
+      continue;
+    }
+    if (!Significant && *P == '0') {
+      // A leading zero lowers the magnitude only after the point.
+      Magnitude -= Fraction;
+      continue;
+    }
+    Significant = true;
+    Magnitude += !Fraction;
+  }
+  if (P != Last) {
+    ++P; // 'e' or 'E', followed by at least one digit
+    bool NegativeExponent = *P == '-';
+    if (*P == '-' || *P == '+')
+      ++P;
+    int64_t Exponent = 0;
+    for (; P != Last; ++P)
+      if (Exponent < (int64_t(1) << 50)) // saturate: only the sign matters
+        Exponent = Exponent * 10 + (*P - '0');
+    Magnitude += NegativeExponent ? -Exponent : Exponent;
+  }
+  double Value = Magnitude > 0 ? std::numeric_limits<double>::infinity() : 0.0;
+  return Negative ? -Value : Value;
+}
 
-} // namespace cheetah
+JsonReader::Token JsonReader::scanNumber() {
+  auto IsDigit = [](char C) { return C >= '0' && C <= '9'; };
+  auto InNumber = [&](char C) {
+    return IsDigit(C) || C == '.' || C == 'e' || C == 'E' || C == '+' ||
+           C == '-';
+  };
+  const char *Start = Pos;
+  // JSON numbers never start with '+' (only exponents may carry it).
+  if (*Pos == '+')
+    return fail("expected a value");
+  // Fast path: a plain integer below 10^15 converts to a double exactly,
+  // so it needs no decimal-to-binary rounding.
+  uint64_t Integer = 0;
+  while (Pos != Limit && IsDigit(*Pos))
+    Integer = Integer * 10 + (*Pos++ - '0');
+  if (Pos != Start && Pos - Start <= 15 && (Pos == Limit || !InNumber(*Pos))) {
+    NumberValue = static_cast<double>(Integer);
+    State = Expect::Separator;
+    return Token::Number;
+  }
+  while (Pos != Limit && InNumber(*Pos))
+    ++Pos;
+  if (Pos == Start)
+    return fail("expected a value");
+  // from_chars, unlike strtod, ignores LC_NUMERIC: a host that set a
+  // comma-decimal locale must not turn "1.5" into a malformed number.
+  auto [End, Ec] = std::from_chars(Start, Pos, NumberValue);
+  if (Ec == std::errc::invalid_argument || End != Pos)
+    return fail("malformed number");
+  if (Ec == std::errc::result_out_of_range)
+    NumberValue = outOfRangeValue(Start, Pos);
+  State = Expect::Separator;
+  return Token::Number;
+}
 
-bool JsonValue::parse(const std::string &Text, JsonValue &Result,
+//===----------------------------------------------------------------------===//
+// Document tree
+//===----------------------------------------------------------------------===//
+
+bool JsonValue::build(JsonReader &Reader, JsonReader::Token First) {
+  using Token = JsonReader::Token;
+  switch (First) {
+  case Token::BeginObject:
+    NodeKind = Kind::Object;
+    for (;;) {
+      Token T = Reader.next();
+      if (T == Token::EndObject)
+        return true;
+      if (T != Token::Key)
+        return false;
+      Members.emplace_back(std::string(Reader.string()), JsonValue());
+      if (!Members.back().second.build(Reader, Reader.next()))
+        return false;
+    }
+  case Token::BeginArray:
+    NodeKind = Kind::Array;
+    for (;;) {
+      Token T = Reader.next();
+      if (T == Token::EndArray)
+        return true;
+      if (!Elements.emplace_back().build(Reader, T))
+        return false;
+    }
+  case Token::String:
+    NodeKind = Kind::String;
+    StringValue = Reader.string();
+    return true;
+  case Token::Number:
+    NodeKind = Kind::Number;
+    NumberValue = Reader.number();
+    return true;
+  case Token::Bool:
+    NodeKind = Kind::Bool;
+    BoolValue = Reader.boolean();
+    return true;
+  case Token::Null:
+    return true;
+  default:
+    return false; // Token::Error: the reader holds the message
+  }
+}
+
+bool JsonValue::parse(std::string_view Text, JsonValue &Result,
                       std::string &Error) {
   Result = JsonValue();
-  return JsonParser(Text, Error).run(Result);
+  JsonReader Reader(Text);
+  if (Result.build(Reader, Reader.next()) &&
+      Reader.next() == JsonReader::Token::End)
+    return true;
+  Error = Reader.error();
+  return false;
 }
 
 bool JsonValue::asBool() const {
@@ -420,6 +534,7 @@ double JsonValue::asNumber() const {
 uint64_t JsonValue::asUint() const {
   double N = asNumber();
   CHEETAH_ASSERT(N >= 0, "negative number read as unsigned");
+  CHEETAH_ASSERT(N < TwoPow64, "number beyond uint64 read as unsigned");
   // Integer tokens below 2^53 parse exactly; truncation is the identity on
   // them, whereas adding 0.5 would round odd values >= 2^52 up by one.
   return static_cast<uint64_t>(N);
@@ -452,6 +567,20 @@ size_t JsonValue::size() const {
 // Kind-checked field access
 //===----------------------------------------------------------------------===//
 
+bool cheetah::jsonNumberToUint(double Number, const char *Name,
+                               uint64_t &Out, std::string &Error) {
+  if (Number < 0) {
+    Error = formatString("field '%s' is negative", Name);
+    return false;
+  }
+  if (Number >= TwoPow64) {
+    Error = formatString("field '%s' is out of range", Name);
+    return false;
+  }
+  Out = static_cast<uint64_t>(Number);
+  return true;
+}
+
 bool cheetah::jsonFieldString(const JsonValue &Object, const char *Name,
                               std::string &Out, std::string &Error) {
   const JsonValue *Field = Object.find(Name);
@@ -470,13 +599,7 @@ bool cheetah::jsonFieldUint(const JsonValue &Object, const char *Name,
     Error = formatString("field '%s' missing or not a number", Name);
     return false;
   }
-  // asUint() asserts on negatives; a hostile document must error instead.
-  if (Field->asNumber() < 0) {
-    Error = formatString("field '%s' is negative", Name);
-    return false;
-  }
-  Out = Field->asUint();
-  return true;
+  return jsonNumberToUint(Field->asNumber(), Name, Out, Error);
 }
 
 bool cheetah::jsonFieldBool(const JsonValue &Object, const char *Name,

@@ -33,6 +33,10 @@
 ///  - ReportHistory::parse (the cheetah-history-v1 store behind
 ///    cheetah-trend) under the same hostile treatment, plus
 ///    duplicate-run-id injection;
+///  - the single-pass TraceData::parse against a tree-based reference
+///    reading: pristine, truncated and mutated traces, and traces with
+///    reordered members, whitespace, repeated and unknown members, must
+///    give the same acceptance, events and error string;
 ///  - the batch sample decoder (both kernels) against the per-sample decode
 ///    formula: fuzzed geometries/addresses/access widths, plus an
 ///    exhaustive sweep of every address x access width over a small
@@ -60,6 +64,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <vector>
@@ -1122,13 +1127,126 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HistoryStoreFuzzTest,
                          ::testing::Range<uint64_t>(1, 5));
 
 //===----------------------------------------------------------------------===//
-// TraceData::parse under fuzz: loud errors, never a crash
+// TraceData::parse under fuzz, against a tree-based reference
 //===----------------------------------------------------------------------===//
 
+/// The tree-based reading of a cheetah-trace-v1 document that the
+/// single-pass decoder replaced: the whole document into a JsonValue, then
+/// each field through the kind-checked jsonField* accessors. It is the
+/// oracle for TraceData::parse — same accepted documents, same values,
+/// same error string.
+bool referenceTraceParse(const std::string &Text, pmu::TraceData &Out,
+                         std::string &Error) {
+  JsonValue Root;
+  if (!JsonValue::parse(Text, Root, Error))
+    return false;
+  if (!Root.isObject()) {
+    Error = "trace document is not a JSON object";
+    return false;
+  }
+
+  std::string Schema;
+  if (!jsonFieldString(Root, "schema", Schema, Error))
+    return false;
+  if (Schema != "cheetah-trace-v1") {
+    Error = "unsupported schema '" + Schema + "' (expected cheetah-trace-v1)";
+    return false;
+  }
+
+  pmu::TraceData Parsed;
+  if (!jsonFieldUint(Root, "sampling_period", Parsed.SamplingPeriod, Error) ||
+      !jsonFieldUint(Root, "run_cycles", Parsed.RunCycles, Error))
+    return false;
+  if (Parsed.SamplingPeriod < 1) {
+    Error = "sampling_period must be at least 1";
+    return false;
+  }
+
+  const JsonValue *Events = Root.find("events");
+  if (!Events || !Events->isArray()) {
+    Error = "missing or non-array 'events'";
+    return false;
+  }
+
+  for (size_t I = 0; I < Events->elements().size(); ++I) {
+    const JsonValue &Node = Events->elements()[I];
+    std::string At = "event " + std::to_string(I) + ": ";
+    if (!Node.isObject()) {
+      Error = At + "not a JSON object";
+      return false;
+    }
+    std::string Kind;
+    if (!jsonFieldString(Node, "k", Kind, Error)) {
+      Error = At + Error;
+      return false;
+    }
+
+    pmu::TraceEvent Event;
+    uint64_t Tid = 0, Time = 0;
+    if (Kind == "ts" || Kind == "te") {
+      Event.K = Kind == "ts" ? pmu::TraceEvent::Kind::ThreadStart
+                             : pmu::TraceEvent::Kind::ThreadEnd;
+      if (!jsonFieldUint(Node, "tid", Tid, Error) ||
+          !jsonFieldBool(Node, "main", Event.IsMain, Error) ||
+          !jsonFieldUint(Node, "t", Time, Error)) {
+        Error = At + Error;
+        return false;
+      }
+    } else if (Kind == "s") {
+      Event.K = pmu::TraceEvent::Kind::SamplePoint;
+      uint64_t Latency = 0;
+      if (!jsonFieldUint(Node, "a", Event.Address, Error) ||
+          !jsonFieldUint(Node, "tid", Tid, Error) ||
+          !jsonFieldBool(Node, "w", Event.IsWrite, Error) ||
+          !jsonFieldUint(Node, "l", Latency, Error) ||
+          !jsonFieldUint(Node, "t", Time, Error)) {
+        Error = At + Error;
+        return false;
+      }
+      if (Latency > UINT32_MAX) {
+        Error = At + "latency exceeds 32 bits";
+        return false;
+      }
+      Event.LatencyCycles = static_cast<uint32_t>(Latency);
+    } else {
+      Error = At + "unknown event kind '" + Kind + "'";
+      return false;
+    }
+    if (Tid > UINT32_MAX) {
+      Error = At + "tid exceeds 32 bits";
+      return false;
+    }
+    Event.Tid = static_cast<ThreadId>(Tid);
+    Event.Time = Time;
+    Parsed.Events.push_back(Event);
+  }
+
+  Out = std::move(Parsed);
+  return true;
+}
+
+/// Parses \p Text with TraceData::parse and the reference, and expects the
+/// two to agree on acceptance, on every decoded field and on the error
+/// string. \returns whether TraceData::parse accepted it.
+bool parsersAgree(const std::string &Text) {
+  pmu::TraceData Fast, Reference;
+  std::string FastError, ReferenceError;
+  bool FastOk = pmu::TraceData::parse(Text, Fast, FastError);
+  bool ReferenceOk = referenceTraceParse(Text, Reference, ReferenceError);
+  EXPECT_EQ(FastOk, ReferenceOk) << "document: " << Text.substr(0, 400);
+  EXPECT_EQ(FastError, ReferenceError) << "document: " << Text.substr(0, 400);
+  EXPECT_EQ(Fast.SamplingPeriod, Reference.SamplingPeriod);
+  EXPECT_EQ(Fast.RunCycles, Reference.RunCycles);
+  EXPECT_TRUE(Fast.Events == Reference.Events)
+      << "document: " << Text.substr(0, 400);
+  if (!FastOk)
+    EXPECT_FALSE(FastError.empty());
+  return FastOk;
+}
+
 /// A small but real trace: a main-thread lifecycle bracketing a random
-/// mix of child lifecycles and sample points, rendered through the
-/// production serializer.
-std::string renderFuzzTrace(SplitMix64 &Rng) {
+/// mix of child lifecycles and sample points.
+pmu::TraceData makeFuzzTrace(SplitMix64 &Rng) {
   pmu::TraceData Data;
   Data.SamplingPeriod = 1 + Rng.nextBelow(1 << 16);
   Data.RunCycles = Rng.nextBelow(1 << 30);
@@ -1162,7 +1280,138 @@ std::string renderFuzzTrace(SplitMix64 &Rng) {
   End.IsMain = true;
   End.Time = Data.RunCycles;
   Data.Events.push_back(End);
-  return Data.serialize();
+  return Data;
+}
+
+/// Writes \p Data as a cheetah-trace-v1 document the way some other
+/// writer might: members in random order, whitespace between tokens, keys
+/// and numbers spelled differently, members repeated after their first
+/// occurrence (which must win), and members no reader knows (which must be
+/// ignored). Both parsers must read it back as \p Data.
+class TraceVariantWriter {
+public:
+  explicit TraceVariantWriter(SplitMix64 &Rng) : Rng(Rng) {}
+
+  std::string write(const pmu::TraceData &Data) {
+    std::string Events = "[";
+    for (size_t I = 0; I < Data.Events.size(); ++I) {
+      Events += (I ? "," : "") + space();
+      Events += event(Data.Events[I]) + space();
+    }
+    Events += "]";
+    return space() +
+           object({{"schema", "\"cheetah-trace-v1\""},
+                   {"sampling_period", number(Data.SamplingPeriod)},
+                   {"run_cycles", number(Data.RunCycles)},
+                   {"events", Events}}) +
+           space();
+  }
+
+private:
+  using Members = std::vector<std::pair<std::string, std::string>>;
+
+  std::string event(const pmu::TraceEvent &Event) {
+    switch (Event.K) {
+    case pmu::TraceEvent::Kind::ThreadStart:
+    case pmu::TraceEvent::Kind::ThreadEnd:
+      return object(
+          {{"k", Event.K == pmu::TraceEvent::Kind::ThreadStart ? "\"ts\""
+                                                               : "\"te\""},
+           {"tid", number(Event.Tid)},
+           {"main", Event.IsMain ? "true" : "false"},
+           {"t", number(Event.Time)}});
+    case pmu::TraceEvent::Kind::SamplePoint:
+      return object({{"k", "\"s\""},
+                     {"a", number(Event.Address)},
+                     {"tid", number(Event.Tid)},
+                     {"w", Event.IsWrite ? "true" : "false"},
+                     {"l", number(Event.LatencyCycles)},
+                     {"t", number(Event.Time)}});
+    }
+    return "";
+  }
+
+  /// \p Fields shuffled, with repeats placed after the original and
+  /// unknown members anywhere.
+  std::string object(Members Fields) {
+    for (size_t I = Fields.size(); I > 1; --I)
+      std::swap(Fields[I - 1], Fields[Rng.nextBelow(I)]);
+    for (size_t I = 0, Originals = Fields.size(); I < Originals; ++I) {
+      if (!Rng.nextBool(0.1))
+        continue;
+      std::string Name = Fields[I].first;
+      size_t First = std::find_if(Fields.begin(), Fields.end(),
+                                  [&](const auto &F) { return F.first == Name; }) -
+                     Fields.begin();
+      size_t At = First + 1 + Rng.nextBelow(Fields.size() - First);
+      Fields.insert(Fields.begin() + At, {Name, junk()});
+    }
+    if (Rng.nextBool(0.3))
+      Fields.insert(Fields.begin() + Rng.nextBelow(Fields.size() + 1),
+                    {Rng.nextBool(0.5) ? "x" : "events_v2", junk()});
+    std::string Out = "{";
+    for (size_t I = 0; I < Fields.size(); ++I)
+      Out += (I ? "," : "") + space() + "\"" + key(Fields[I].first) + "\"" +
+             space() + ":" + space() + Fields[I].second + space();
+    return Out + "}";
+  }
+
+  /// \p Name, sometimes with its first letter as a \u escape.
+  std::string key(const std::string &Name) {
+    if (!Rng.nextBool(0.05))
+      return Name;
+    char Escape[7];
+    std::snprintf(Escape, sizeof(Escape), "\\u%04x", Name[0]);
+    return Escape + Name.substr(1);
+  }
+
+  /// \p N, sometimes spelled with a fraction or an exponent.
+  std::string number(uint64_t N) {
+    std::string Digits = std::to_string(N);
+    switch (Rng.nextBelow(8)) {
+    case 0:
+      return Digits + ".0";
+    case 1:
+      return Digits + "e0";
+    case 2:
+      return Digits + ".25"; // truncates to N
+    default:
+      return Digits;
+    }
+  }
+
+  std::string space() {
+    static const char *Spaces[] = {"", "", "", " ", "\n", "\t", "\r\n  "};
+    return Spaces[Rng.nextBelow(std::size(Spaces))];
+  }
+
+  std::string junk() {
+    static const char *Values[] = {
+        "\"ts\"", "-1",     "1e20",  "1e999", "0.5",           "true",
+        "null",   "[1,{\"k\":\"s\"}]", "{\"a\":[]}", "\"\\u0041\"", "4294967296"};
+    return Values[Rng.nextBelow(std::size(Values))];
+  }
+
+  SplitMix64 &Rng;
+};
+
+/// Random byte edits (flip/insert/erase) of \p Text.
+std::string mutate(std::string Text, SplitMix64 &Rng) {
+  switch (Rng.nextBelow(3)) {
+  case 0:
+    if (!Text.empty())
+      Text[Rng.nextBelow(Text.size())] = static_cast<char>(Rng.nextBelow(256));
+    break;
+  case 1:
+    Text.insert(Rng.nextBelow(Text.size() + 1), 1,
+                static_cast<char>(Rng.nextBelow(256)));
+    break;
+  default:
+    if (!Text.empty())
+      Text.erase(Rng.nextBelow(Text.size()), 1);
+    break;
+  }
+  return Text;
 }
 
 class TraceFuzzTest : public ::testing::TestWithParam<uint64_t> {};
@@ -1170,43 +1419,22 @@ class TraceFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(TraceFuzzTest, HostileTraceInputNeverCrashes) {
   SplitMix64 Rng(GetParam() ^ 0x7ACE);
   for (int Doc = 0; Doc < 8; ++Doc) {
-    std::string Text = renderFuzzTrace(Rng);
+    pmu::TraceData Data = makeFuzzTrace(Rng);
+    std::string Text = Data.serialize();
 
     // The pristine trace parses and re-serializes byte-identically.
     pmu::TraceData Trace;
     std::string Error;
     ASSERT_TRUE(pmu::TraceData::parse(Text, Trace, Error)) << Error;
     EXPECT_EQ(Trace.serialize(), Text);
+    EXPECT_TRUE(parsersAgree(Text));
 
     // Truncations at every bounded prefix: error, never crash.
-    for (size_t Cut = 0; Cut < Text.size(); Cut += 7) {
-      pmu::TraceData Partial;
-      if (!pmu::TraceData::parse(Text.substr(0, Cut), Partial, Error))
-        EXPECT_FALSE(Error.empty());
-    }
-    // Random byte mutations (flip/insert/erase): error or parse, never a
-    // crash.
-    for (int Mutation = 0; Mutation < 60; ++Mutation) {
-      std::string Mutated = Text;
-      switch (Rng.nextBelow(3)) {
-      case 0:
-        if (!Mutated.empty())
-          Mutated[Rng.nextBelow(Mutated.size())] =
-              static_cast<char>(Rng.nextBelow(256));
-        break;
-      case 1:
-        Mutated.insert(Rng.nextBelow(Mutated.size() + 1), 1,
-                       static_cast<char>(Rng.nextBelow(256)));
-        break;
-      default:
-        if (!Mutated.empty())
-          Mutated.erase(Rng.nextBelow(Mutated.size()), 1);
-        break;
-      }
-      pmu::TraceData Fuzzed;
-      if (!pmu::TraceData::parse(Mutated, Fuzzed, Error))
-        EXPECT_FALSE(Error.empty());
-    }
+    for (size_t Cut = 0; Cut < Text.size(); Cut += 7)
+      parsersAgree(Text.substr(0, Cut));
+    // Random byte mutations: error or parse, never a crash.
+    for (int Mutation = 0; Mutation < 60; ++Mutation)
+      parsersAgree(mutate(Text, Rng));
 
     // Version mismatches fail loudly by name.
     for (const char *Schema : {"cheetah-trace-v0", "cheetah-report-v4"}) {
@@ -1214,11 +1442,83 @@ TEST_P(TraceFuzzTest, HostileTraceInputNeverCrashes) {
       size_t Pos = Mismatched.find("cheetah-trace-v1");
       ASSERT_NE(Pos, std::string::npos);
       Mismatched.replace(Pos, 16, Schema);
+      EXPECT_FALSE(parsersAgree(Mismatched));
       pmu::TraceData Rejected;
       EXPECT_FALSE(pmu::TraceData::parse(Mismatched, Rejected, Error));
       EXPECT_NE(Error.find("unsupported schema"), std::string::npos);
     }
   }
+}
+
+TEST_P(TraceFuzzTest, ParserMatchesTheTreeReferenceOnAnyLayout) {
+  SplitMix64 Rng(GetParam() ^ 0x1A70);
+  TraceVariantWriter Writer(Rng);
+  for (int Doc = 0; Doc < 8; ++Doc) {
+    pmu::TraceData Data = makeFuzzTrace(Rng);
+    for (int Variant = 0; Variant < 4; ++Variant) {
+      std::string Text = Writer.write(Data);
+      // Layout does not matter: the variant reads back as the data.
+      pmu::TraceData Parsed;
+      std::string Error;
+      ASSERT_TRUE(pmu::TraceData::parse(Text, Parsed, Error))
+          << Error << "\ndocument: " << Text.substr(0, 400);
+      EXPECT_EQ(Parsed.SamplingPeriod, Data.SamplingPeriod);
+      EXPECT_EQ(Parsed.RunCycles, Data.RunCycles);
+      EXPECT_TRUE(Parsed.Events == Data.Events);
+      EXPECT_EQ(Parsed.serialize(), Data.serialize());
+      EXPECT_TRUE(parsersAgree(Text));
+
+      for (size_t Cut = 0; Cut < Text.size(); Cut += 11)
+        parsersAgree(Text.substr(0, Cut));
+      for (int Mutation = 0; Mutation < 40; ++Mutation) {
+        std::string Mutated = mutate(Text, Rng);
+        for (int More = Rng.nextBelow(3); More > 0; --More)
+          Mutated = mutate(Mutated, Rng);
+        parsersAgree(Mutated);
+      }
+    }
+  }
+}
+
+TEST(TraceFuzzTest, ParserMatchesTheTreeReferenceOnHandWrittenCases) {
+  const std::string Head =
+      R"({"schema":"cheetah-trace-v1","sampling_period":64,"run_cycles":9,)";
+  const std::string Cases[] = {
+      "", "[]", "5", "\"x\"", "{}", "{} x", "[1,}",
+      R"({"schema":1})",
+      R"({"schema":"cheetah-trace-v1"})",
+      R"({"events":[],"schema":"cheetah-trace-v1","sampling_period":1})",
+      R"({"schema":"cheetah-trace-v1","sampling_period":-1,"run_cycles":1})",
+      R"({"schema":"cheetah-trace-v1","sampling_period":1e20,"run_cycles":1})",
+      R"({"schema":"cheetah-trace-v1","sampling_period":1,"run_cycles":1e999})",
+      R"({"schema":"cheetah-trace-v1","sampling_period":0.5,"run_cycles":1,"events":[]})",
+      // Semantic errors lose to a syntax error later in the document.
+      R"({"schema":"cheetah-trace-v2","sampling_period":1,"run_cycles":1,"events":[} )",
+      // The header outranks a bad event, wherever the header sits.
+      R"({"events":[{"k":"zz"}],"schema":"cheetah-trace-v1","run_cycles":1})",
+      Head + R"("events":{}})",
+      Head + R"("events":[],"events":5})",
+      Head + R"("events":5,"events":[]})",
+      Head + R"("events":[1]})",
+      Head + R"("events":[{"k":"zz"},{"k":"s"}]})",
+      Head + R"("events":[{"k":5}]})",
+      Head + R"("events":[{"k":"s","k":"ts","a":1,"tid":2,"w":true,"l":3,"t":4}]})",
+      Head + R"("events":[{"k":"ts","k":"s","tid":2,"main":false,"t":4}]})",
+      Head + R"("events":[{"k":"ts","tid":2,"main":1,"t":4}]})",
+      Head + R"("events":[{"k":"s","a":-0,"tid":2,"w":true,"l":3,"t":4.9}]})",
+      Head + R"("events":[{"k":"s","a":1,"tid":1e20,"w":true,"l":3,"t":4}]})",
+      Head + R"("events":[{"k":"s","a":1,"tid":2,"w":true,"l":3,"t":1e999}]})",
+      Head + R"("events":[{"k":"s","a":18446744073709551615,"tid":2,"w":true,"l":3,"t":4}]})",
+      Head + R"("events":[{"k":"s","a":18446744073709549568,"tid":2,"w":true,"l":3,"t":4}]})",
+      Head + R"("events":[{"k":"s","a":1,"tid":4294967296,"w":true,"l":3,"t":4}]})",
+      Head + R"("events":[{"k":"s","a":1,"tid":2,"w":true,"l":4294967296,"t":4}]})",
+      Head + R"("events":[{"k":"s","a":1,"tid":2,"w":true,"l":-3,"t":4}]})",
+      Head + R"("events":[{"k":"te","tid":1,"main":true,"t":2,"a":"junk"}]})",
+      Head + R"("events":[{"k":"s","a":1,"tid":2,"w":true,"l":3,"t":4}],"x":[}]})",
+      Head + R"("events":[{"k":"q\u00e9","a":1}]})",
+  };
+  for (const std::string &Text : Cases)
+    parsersAgree(Text);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceFuzzTest,

@@ -13,7 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <clocale>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <string_view>
 #include <vector>
 
 using namespace cheetah;
@@ -469,6 +474,35 @@ TEST(JsonWriterTest, LargeCountersExact) {
   EXPECT_EQ(Out, "9007199254740992");
 }
 
+TEST(JsonWriterTest, IntegersAtTheirLimits) {
+  std::string Out;
+  JsonWriter Writer(Out);
+  Writer.beginArray();
+  Writer.value(UINT64_MAX);
+  Writer.value(INT64_MIN);
+  Writer.value(INT64_MAX);
+  Writer.value(0);
+  Writer.value(-1);
+  Writer.value(0u);
+  Writer.endArray();
+  EXPECT_EQ(Out, "[18446744073709551615,-9223372036854775808,"
+                 "9223372036854775807,0,-1,0]");
+}
+
+TEST(JsonWriterTest, EscapesKeysAndStringsInPlace) {
+  std::string Out;
+  JsonWriter Writer(Out);
+  Writer.beginObject();
+  Writer.member("plain", "text");
+  Writer.member(std::string_view("k\"ey"), std::string("a\x01\x1f\\/\t"));
+  Writer.key(std::string("v"));
+  Writer.value(std::string_view("\r\n\b\f"));
+  Writer.endObject();
+  EXPECT_EQ(Out, "{\"plain\":\"text\",\"k\\\"ey\":\"a\\u0001\\u001f\\\\/\\t\","
+                 "\"v\":\"\\r\\n\\b\\f\"}");
+  EXPECT_EQ(jsonEscape(std::string_view("\x7f\xc3\xa9")), "\x7f\xc3\xa9");
+}
+
 //===----------------------------------------------------------------------===//
 // JSON parser
 //===----------------------------------------------------------------------===//
@@ -513,6 +547,47 @@ TEST(JsonParserTest, RejectsMalformedDocuments) {
   EXPECT_NE(Error.find("JSON error"), std::string::npos);
 }
 
+TEST(JsonParserTest, ErrorsNameTheOffendingByte) {
+  // The exact messages and offsets are part of every tool's error output.
+  const std::pair<const char *, const char *> Cases[] = {
+      {"", "JSON error at offset 0: unexpected end of input"},
+      {"  {\"a\" 1}", "JSON error at offset 7: expected ':' after key"},
+      {"{\"a\":1,}", "JSON error at offset 7: expected object key"},
+      {"{,}", "JSON error at offset 1: expected object key"},
+      {"[1 2]", "JSON error at offset 3: expected ',' or ']' in array"},
+      {"{\"a\":1 \"b\"}", "JSON error at offset 7: expected ',' or '}' in object"},
+      {"[1,]", "JSON error at offset 3: expected a value"},
+      {"+1", "JSON error at offset 0: expected a value"},
+      {"[1e5.5]", "JSON error at offset 6: malformed number"},
+      {"-", "JSON error at offset 1: malformed number"},
+      {"tru", "JSON error at offset 0: expected 'true'"},
+      {"[nul]", "JSON error at offset 1: expected 'null'"},
+      {"\"abc", "JSON error at offset 4: unterminated string"},
+      {"\"a\\", "JSON error at offset 3: unterminated string"},
+      {"\"\\u12", "JSON error at offset 3: truncated \\u escape"},
+      {"\"\\u12zz\"", "JSON error at offset 6: bad hex digit in \\u escape"},
+      {"\"\\q\"", "JSON error at offset 3: unknown escape character"},
+      {"{} x", "JSON error at offset 3: trailing characters after document"},
+  };
+  for (const auto &[Input, Message] : Cases) {
+    JsonValue Document;
+    std::string Error;
+    EXPECT_FALSE(JsonValue::parse(Input, Document, Error)) << Input;
+    EXPECT_EQ(Error, Message) << Input;
+  }
+  // Depth: 128 nested containers hold a scalar; a 129th level does not.
+  JsonValue Document;
+  std::string Error;
+  EXPECT_TRUE(JsonValue::parse(std::string(128, '[') + "1" +
+                                   std::string(128, ']'),
+                               Document, Error))
+      << Error;
+  EXPECT_FALSE(JsonValue::parse(std::string(129, '[') + "1" +
+                                    std::string(129, ']'),
+                                Document, Error));
+  EXPECT_EQ(Error, "JSON error at offset 129: nesting too deep");
+}
+
 TEST(JsonParserTest, RoundTripsWriterOutput) {
   std::string Out;
   JsonWriter Writer(Out);
@@ -527,6 +602,242 @@ TEST(JsonParserTest, RoundTripsWriterOutput) {
   EXPECT_EQ(Document.find("name")->asString(), "weird\"chars\\\n");
   EXPECT_EQ(Document.find("count")->asUint(), 1234567890123ull);
   EXPECT_EQ(Document.find("ratio")->asNumber(), 0.125);
+}
+
+//===----------------------------------------------------------------------===//
+// JSON reader
+//===----------------------------------------------------------------------===//
+
+TEST(JsonReaderTest, YieldsTokensInDocumentOrder) {
+  using Token = JsonReader::Token;
+  std::string Text = R"( {"a": [1, "x\n", true, null], "bA": {}} )";
+  JsonReader Reader(Text);
+  EXPECT_EQ(Reader.next(), Token::BeginObject);
+  ASSERT_EQ(Reader.next(), Token::Key);
+  EXPECT_EQ(Reader.string(), "a");
+  // Text without escapes is a view into the document itself.
+  EXPECT_EQ(Reader.string().data(), Text.data() + Text.find('a'));
+  EXPECT_EQ(Reader.next(), Token::BeginArray);
+  ASSERT_EQ(Reader.next(), Token::Number);
+  EXPECT_EQ(Reader.number(), 1.0);
+  ASSERT_EQ(Reader.next(), Token::String);
+  EXPECT_EQ(Reader.string(), "x\n");
+  ASSERT_EQ(Reader.next(), Token::Bool);
+  EXPECT_TRUE(Reader.boolean());
+  EXPECT_EQ(Reader.next(), Token::Null);
+  EXPECT_EQ(Reader.next(), Token::EndArray);
+  ASSERT_EQ(Reader.next(), Token::Key);
+  EXPECT_EQ(Reader.string(), "bA");
+  EXPECT_EQ(Reader.next(), Token::BeginObject);
+  EXPECT_EQ(Reader.next(), Token::EndObject);
+  EXPECT_EQ(Reader.next(), Token::EndObject);
+  EXPECT_EQ(Reader.next(), Token::End);
+  EXPECT_EQ(Reader.next(), Token::End);
+}
+
+TEST(JsonReaderTest, SkipConsumesWholeValuesAndErrorsStick) {
+  using Token = JsonReader::Token;
+  JsonReader Reader(R"({"skip": {"a": [1, {"b": [2]}]}, "n": 3, "keep": 4})");
+  EXPECT_EQ(Reader.next(), Token::BeginObject);
+  EXPECT_EQ(Reader.next(), Token::Key);
+  EXPECT_TRUE(Reader.skip(Reader.next()));
+  EXPECT_EQ(Reader.next(), Token::Key);
+  EXPECT_TRUE(Reader.skip(Reader.next())); // a scalar: nothing more
+  ASSERT_EQ(Reader.next(), Token::Key);
+  EXPECT_EQ(Reader.string(), "keep");
+  ASSERT_EQ(Reader.next(), Token::Number);
+  EXPECT_EQ(Reader.number(), 4.0);
+  EXPECT_EQ(Reader.next(), Token::EndObject);
+  EXPECT_EQ(Reader.next(), Token::End);
+
+  JsonReader Bad("[1, [2, }]");
+  EXPECT_EQ(Bad.next(), Token::BeginArray);
+  EXPECT_EQ(Bad.next(), Token::Number);
+  EXPECT_FALSE(Bad.skip(Bad.next()));
+  EXPECT_EQ(Bad.error(), "JSON error at offset 8: expected a value");
+  EXPECT_EQ(Bad.next(), Token::Error);
+  EXPECT_EQ(Bad.next(), Token::Error);
+}
+
+/// Bit-exact double comparison: tells -0 from 0.
+bool sameBits(double A, double B) {
+  return std::memcmp(&A, &B, sizeof(double)) == 0;
+}
+
+/// Parses \p Text as a one-number document.
+bool parseNumber(const std::string &Text, double &Out) {
+  JsonValue Document;
+  std::string Error;
+  if (!JsonValue::parse(Text, Document, Error) ||
+      Document.kind() != JsonValue::Kind::Number)
+    return false;
+  Out = Document.asNumber();
+  return true;
+}
+
+TEST(JsonReaderTest, NumberTable) {
+  const double Inf = std::numeric_limits<double>::infinity();
+  const std::pair<std::string, double> Accepted[] = {
+      {"0", 0.0},
+      {"-0", -0.0},
+      {"1.5", 1.5},
+      {"-2.5e2", -250.0},
+      {"1E+5", 1e5},
+      {"00012", 12.0},
+      {".5", 0.5},
+      {"1.", 1.0},
+      {"-.5", -0.5},
+      {"0.1", 0.1},
+      {"123456789012345", 123456789012345.0},
+      {"9007199254740993", 9007199254740992.0}, // rounds to even
+      {"18446744073709551615", 18446744073709551616.0},
+      {"1.7976931348623157e308", 1.7976931348623157e308},
+      {"4.9e-324", 4.9406564584124654e-324},
+      {"1e999", Inf},
+      {"-1e999", -Inf},
+      {"1" + std::string(400, '0'), Inf},
+      {"1e-999", 0.0},
+      {"-1e-999", -0.0},
+      {"0." + std::string(400, '0') + "1", 0.0},
+      {"2.4703282292062327e-324", 0.0},
+  };
+  for (const auto &[Text, Want] : Accepted) {
+    double Got = 0;
+    ASSERT_TRUE(parseNumber(Text, Got)) << Text;
+    EXPECT_TRUE(sameBits(Got, Want)) << Text << " gave " << Got;
+  }
+  for (const char *Text : {"+1", "1e", "1e+", "-", ".", "e5", "1.2.3", "--1",
+                           "-+1", "1-2", "0x10", "inf", "-inf", "nan"}) {
+    double Got = 0;
+    EXPECT_FALSE(parseNumber(Text, Got)) << Text;
+  }
+}
+
+TEST(JsonReaderTest, NumbersMatchStrtodInTheCLocale) {
+  // Every string of up to five characters over the number alphabet: the
+  // reader accepts exactly what strtod consumed whole (bar a leading '+',
+  // which JSON forbids), with the same bits.
+  ASSERT_STREQ(std::setlocale(LC_NUMERIC, nullptr), "C");
+  const std::string Alphabet = "019-+.e";
+  std::vector<std::string> Level = {""};
+  for (int Length = 1; Length <= 5; ++Length) {
+    std::vector<std::string> Longer;
+    for (const std::string &Prefix : Level)
+      for (char C : Alphabet)
+        Longer.push_back(Prefix + C);
+    for (const std::string &Text : Longer) {
+      char *End = nullptr;
+      double Want = std::strtod(Text.c_str(), &End);
+      bool WantOk = Text[0] != '+' && End == Text.c_str() + Text.size();
+      double Got = 0;
+      bool GotOk = parseNumber(Text, Got);
+      ASSERT_EQ(GotOk, WantOk) << Text;
+      if (WantOk)
+        ASSERT_TRUE(sameBits(Got, Want)) << Text;
+    }
+    Level = std::move(Longer);
+  }
+}
+
+/// Switches LC_NUMERIC for the scope of a test and restores it after.
+class NumericLocale {
+public:
+  NumericLocale() : Saved(std::setlocale(LC_NUMERIC, nullptr)) {}
+  ~NumericLocale() { std::setlocale(LC_NUMERIC, Saved.c_str()); }
+  bool trySet(const char *Name) {
+    return std::setlocale(LC_NUMERIC, Name) &&
+           *std::localeconv()->decimal_point == ',';
+  }
+
+private:
+  std::string Saved;
+};
+
+TEST(JsonReaderTest, NumbersIgnoreACommaDecimalLocale) {
+  // An LD_PRELOAD host may have set a comma-decimal locale; strtod would
+  // then reject "1.5" as a malformed number.
+  NumericLocale Locale;
+  const char *Found = nullptr;
+  for (const char *Name : {"de_DE.UTF-8", "de_DE.utf8", "de_DE", "fr_FR.UTF-8",
+                           "fr_FR.utf8", "fr_FR", "nl_NL.UTF-8", "ru_RU.UTF-8"})
+    if (Locale.trySet(Name)) {
+      Found = Name;
+      break;
+    }
+  if (!Found)
+    GTEST_SKIP() << "no comma-decimal locale (de_DE, fr_FR, nl_NL, ru_RU) "
+                    "is installed";
+  JsonValue Document;
+  std::string Error;
+  ASSERT_TRUE(JsonValue::parse("[1.5, -2.25e1, 1e999]", Document, Error))
+      << Found << ": " << Error;
+  EXPECT_EQ(Document.elements()[0].asNumber(), 1.5);
+  EXPECT_EQ(Document.elements()[1].asNumber(), -22.5);
+  EXPECT_TRUE(std::isinf(Document.elements()[2].asNumber()));
+  std::string Out;
+  JsonWriter(Out).value(1.5);
+  EXPECT_EQ(Out, "1.5");
+}
+
+//===----------------------------------------------------------------------===//
+// Kind-checked field access
+//===----------------------------------------------------------------------===//
+
+TEST(JsonFieldTest, UintRejectsNegativeAndOutOfRange) {
+  JsonValue Document;
+  std::string Error;
+  ASSERT_TRUE(JsonValue::parse(
+      R"({"max": 18446744073709549568, "frac": 2.9, "zero": -0,)"
+      R"( "neg": -1, "big": 1e20, "inf": 1e999, "two64": 18446744073709551616,)"
+      R"( "rounds_up": 18446744073709551615, "s": "7"})",
+      Document, Error))
+      << Error;
+  uint64_t Value = 0;
+  // The largest double below 2^64 is still a counter; fractions truncate.
+  ASSERT_TRUE(jsonFieldUint(Document, "max", Value, Error)) << Error;
+  EXPECT_EQ(Value, 18446744073709549568ull);
+  ASSERT_TRUE(jsonFieldUint(Document, "frac", Value, Error)) << Error;
+  EXPECT_EQ(Value, 2u);
+  ASSERT_TRUE(jsonFieldUint(Document, "zero", Value, Error)) << Error;
+  EXPECT_EQ(Value, 0u);
+
+  const std::pair<const char *, const char *> Rejected[] = {
+      {"neg", "field 'neg' is negative"},
+      {"big", "field 'big' is out of range"},
+      {"inf", "field 'inf' is out of range"},
+      {"two64", "field 'two64' is out of range"},
+      {"rounds_up", "field 'rounds_up' is out of range"},
+      {"s", "field 's' missing or not a number"},
+      {"missing", "field 'missing' missing or not a number"},
+  };
+  for (const auto &[Name, Message] : Rejected) {
+    EXPECT_FALSE(jsonFieldUint(Document, Name, Value, Error)) << Name;
+    EXPECT_EQ(Error, Message);
+  }
+}
+
+TEST(JsonFieldTest, KindMismatchesNameTheField) {
+  JsonValue Document;
+  std::string Error;
+  ASSERT_TRUE(JsonValue::parse(R"({"s": "x", "b": true, "d": 1e999})",
+                               Document, Error))
+      << Error;
+  std::string Text;
+  bool Flag = false;
+  double Number = 0;
+  EXPECT_TRUE(jsonFieldString(Document, "s", Text, Error));
+  EXPECT_EQ(Text, "x");
+  EXPECT_FALSE(jsonFieldString(Document, "b", Text, Error));
+  EXPECT_EQ(Error, "field 'b' missing or not a string");
+  EXPECT_TRUE(jsonFieldBool(Document, "b", Flag, Error));
+  EXPECT_TRUE(Flag);
+  EXPECT_FALSE(jsonFieldBool(Document, "s", Flag, Error));
+  EXPECT_EQ(Error, "field 's' missing or not a boolean");
+  // A double field may be infinite; only counters need a range.
+  EXPECT_TRUE(jsonFieldDouble(Document, "d", Number, Error));
+  EXPECT_TRUE(std::isinf(Number));
+  EXPECT_FALSE(jsonFieldDouble(Document, "s", Number, Error));
+  EXPECT_EQ(Error, "field 's' missing or not a number");
 }
 
 } // namespace

@@ -128,6 +128,44 @@ TEST(TraceDataTest, ParseErrorsAreLoudAndNamed) {
       R"({"k":"s","a":1,"tid":4294967296,"w":true,"l":1,"t":1}]})",
       Parsed, Error));
   EXPECT_NE(Error.find("tid exceeds 32 bits"), std::string::npos) << Error;
+
+  // Numbers at or beyond 2^64 (inf included) are rejected by name, never
+  // cast to a counter.
+  EXPECT_FALSE(pmu::TraceData::parse(
+      R"({"schema":"cheetah-trace-v1","sampling_period":64,)"
+      R"("run_cycles":1,"events":[)"
+      R"({"k":"s","a":1,"tid":1e20,"w":true,"l":1,"t":1}]})",
+      Parsed, Error));
+  EXPECT_EQ(Error, "event 0: field 'tid' is out of range");
+  EXPECT_FALSE(pmu::TraceData::parse(
+      R"({"schema":"cheetah-trace-v1","sampling_period":64,)"
+      R"("run_cycles":1,"events":[{"k":"ts","tid":0,"main":true,"t":0},)"
+      R"({"k":"s","a":1,"tid":1,"w":true,"l":1,"t":1e999}]})",
+      Parsed, Error));
+  EXPECT_EQ(Error, "event 1: field 't' is out of range");
+  EXPECT_FALSE(pmu::TraceData::parse(
+      R"({"schema":"cheetah-trace-v1","sampling_period":64,)"
+      R"("run_cycles":18446744073709551616,"events":[]})",
+      Parsed, Error));
+  EXPECT_EQ(Error, "field 'run_cycles' is out of range");
+}
+
+TEST(TraceDataTest, ParseAcceptsAnyMemberOrderAndWhitespace) {
+  // Another writer's layout: members reordered, whitespace between
+  // tokens, a repeated member (the first wins) and an unknown one.
+  pmu::TraceData Parsed;
+  std::string Error;
+  ASSERT_TRUE(pmu::TraceData::parse(
+      "{ \"events\" : [ {\"t\":4096, \"l\":120, \"k\":\"s\", \"w\":true,\n"
+      "  \"tid\":3, \"a\":545460846608, \"tid\":9, \"note\":[1, {}]} ],\n"
+      "  \"run_cycles\": 987654, \"sampling_period\": 512,\n"
+      "  \"schema\": \"cheetah-trace-v1\" }\n",
+      Parsed, Error))
+      << Error;
+  EXPECT_EQ(Parsed.SamplingPeriod, 512u);
+  EXPECT_EQ(Parsed.RunCycles, 987654u);
+  ASSERT_EQ(Parsed.Events.size(), 1u);
+  EXPECT_TRUE(Parsed.Events[0] == sampleTrace().Events[1]);
 }
 
 //===----------------------------------------------------------------------===//
