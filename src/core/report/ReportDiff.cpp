@@ -10,139 +10,15 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <limits>
-#include <map>
 
 using namespace cheetah;
 using namespace cheetah::core;
 
 namespace {
 
-// Kind-checked field access (jsonField*) lives in support/Json.h; the
-// identity/matching layer (disambiguateKeys, matchFindings,
-// improvementString) in FindingMatch.h — both shared with ReportHistory.
-
-/// Optional improvement factor: v3 findings carry `predictedImprovement`;
-/// v2 line findings fall back to `assessment.improvement_factor`; v2 page
-/// findings have neither.
-void readImprovement(const JsonValue &Finding, DiffFinding &Out) {
-  const JsonValue *Factor = Finding.find("predictedImprovement");
-  if (!Factor || Factor->kind() != JsonValue::Kind::Number) {
-    const JsonValue *Impact = Finding.find("assessment");
-    if (Impact && Impact->isObject())
-      Factor = Impact->find("improvement_factor");
-  }
-  if (Factor && Factor->kind() == JsonValue::Kind::Number) {
-    Out.Improvement = Factor->asNumber();
-    Out.HasImprovement = true;
-  }
-}
-
-bool parseLineFinding(const JsonValue &Node, DiffFinding &Out,
-                      std::string &Error) {
-  if (!Node.isObject()) {
-    Error = "finding is not an object";
-    return false;
-  }
-  const JsonValue *Object = Node.find("object");
-  if (!Object || !Object->isObject()) {
-    Error = "finding without an 'object' member";
-    return false;
-  }
-  std::string Kind, Name;
-  if (!jsonFieldString(*Object, "kind", Kind, Error) ||
-      !jsonFieldString(*Object, "name", Name, Error))
-    return false;
-  if (Name.empty()) {
-    // Anonymous ranges have no stable name; their start address is the
-    // best identity available (they rarely survive a relayout anyway).
-    uint64_t Start = 0;
-    if (!jsonFieldUint(*Object, "start", Start, Error))
-      return false;
-    Name = formatString("@0x%llx", static_cast<unsigned long long>(Start));
-  }
-  Out.Key = "line:" + Kind + ":" + Name;
-  Out.IsPage = false;
-  if (!jsonFieldString(Node, "sharing", Out.Sharing, Error) ||
-      !jsonFieldBool(Node, "significant", Out.Significant, Error) ||
-      !jsonFieldUint(Node, "accesses", Out.Accesses, Error) ||
-      !jsonFieldUint(Node, "invalidations", Out.Invalidations, Error))
-    return false;
-  readImprovement(Node, Out);
-  return true;
-}
-
-bool parsePageFinding(const JsonValue &Node, DiffFinding &Out,
-                      std::string &Error) {
-  if (!Node.isObject()) {
-    Error = "page finding is not an object";
-    return false;
-  }
-  const JsonValue *Objects = Node.find("objects");
-  if (!Objects || !Objects->isArray()) {
-    Error = "page finding without an 'objects' array";
-    return false;
-  }
-  std::string Site;
-  for (const JsonValue &Name : Objects->elements()) {
-    if (Name.kind() != JsonValue::Kind::String) {
-      Error = "page finding 'objects' entry is not a string";
-      return false;
-    }
-    if (!Site.empty())
-      Site += "+";
-    Site += Name.asString();
-  }
-  if (Site.empty()) {
-    uint64_t Page = 0;
-    if (!jsonFieldUint(Node, "page", Page, Error))
-      return false;
-    Site = formatString("@0x%llx", static_cast<unsigned long long>(Page));
-  }
-  Out.Key = "page:" + Site;
-  Out.IsPage = true;
-  if (!jsonFieldString(Node, "sharing", Out.Sharing, Error) ||
-      !jsonFieldBool(Node, "significant", Out.Significant, Error) ||
-      !jsonFieldUint(Node, "accesses", Out.Accesses, Error) ||
-      !jsonFieldUint(Node, "invalidations", Out.Invalidations, Error) ||
-      !jsonFieldUint(Node, "remote_accesses", Out.RemoteAccesses, Error))
-    return false;
-  // v4 only: the distance breakdown. Optional (v2/v3 findings predate it),
-  // but when present it must be well-formed — a malformed bucket is a
-  // hostile document, not a skippable detail.
-  if (const JsonValue *Buckets = Node.find("remote_by_distance")) {
-    if (!Buckets->isArray()) {
-      Error = "'remote_by_distance' is not an array";
-      return false;
-    }
-    for (size_t I = 0; I < Buckets->size(); ++I) {
-      const JsonValue &Entry = Buckets->elements()[I];
-      if (!Entry.isObject()) {
-        Error = formatString("remote_by_distance[%zu] is not an object", I);
-        return false;
-      }
-      RemoteDistanceStats Bucket;
-      uint64_t Distance = 0;
-      if (!jsonFieldUint(Entry, "distance", Distance, Error) ||
-          !jsonFieldUint(Entry, "accesses", Bucket.Accesses, Error) ||
-          !jsonFieldUint(Entry, "cycles", Bucket.Cycles, Error)) {
-        Error = formatString("remote_by_distance[%zu]: ", I) + Error;
-        return false;
-      }
-      // Distances come from a validated topology; a value the uint32
-      // field cannot hold is a hostile document, not truncation material.
-      if (Distance > std::numeric_limits<uint32_t>::max()) {
-        Error = formatString(
-            "remote_by_distance[%zu]: field 'distance' is out of range", I);
-        return false;
-      }
-      Bucket.Distance = static_cast<uint32_t>(Distance);
-      Out.RemoteByDistance.push_back(Bucket);
-    }
-  }
-  readImprovement(Node, Out);
-  return true;
-}
+// The identity/matching layer (disambiguateKeys, matchFindings,
+// improvementString) lives in FindingMatch.h, shared with ReportHistory;
+// parseReport's single-pass decoder in ReportDecode.cpp.
 
 void writeDiffFinding(JsonWriter &Writer, const DiffFinding &Finding) {
   Writer.beginObject();
@@ -232,84 +108,6 @@ void appendTextSection(std::string &Out, const char *Title,
 }
 
 } // namespace
-
-bool cheetah::core::parseReport(const std::string &Text, ParsedReport &Out,
-                                std::string &Error) {
-  Out = ParsedReport();
-  JsonValue Document;
-  if (!JsonValue::parse(Text, Document, Error)) {
-    Error = "invalid JSON: " + Error;
-    return false;
-  }
-  if (!Document.isObject()) {
-    Error = "report is not a JSON object";
-    return false;
-  }
-  if (!jsonFieldString(Document, "schema", Out.Schema, Error))
-    return false;
-  if (Out.Schema != "cheetah-report-v2" &&
-      Out.Schema != "cheetah-report-v3" &&
-      Out.Schema != "cheetah-report-v4") {
-    // The loud version gate: v1 (and anything unknown) must be rejected,
-    // not silently half-read.
-    Error = formatString(
-        "unsupported schema '%s' (cheetah-diff reads cheetah-report-v2, "
-        "cheetah-report-v3, and cheetah-report-v4)",
-        Out.Schema.c_str());
-    return false;
-  }
-
-  const JsonValue *Run = Document.find("run");
-  if (!Run || !Run->isObject()) {
-    Error = "report without a 'run' object";
-    return false;
-  }
-  if (!jsonFieldString(*Run, "workload", Out.Workload, Error) ||
-      !jsonFieldUint(*Run, "threads", Out.Threads, Error) ||
-      !jsonFieldBool(*Run, "fix_applied", Out.FixApplied, Error) ||
-      !jsonFieldString(*Run, "granularity", Out.Granularity, Error))
-    return false;
-
-  const JsonValue *Summary = Document.find("summary");
-  if (!Summary || !Summary->isObject() ||
-      !jsonFieldUint(*Summary, "app_runtime_cycles", Out.AppRuntimeCycles,
-                 Error)) {
-    Error = "report without a usable 'summary' object: " + Error;
-    return false;
-  }
-
-  const JsonValue *Findings = Document.find("findings");
-  if (!Findings || !Findings->isArray()) {
-    Error = "report without a 'findings' array";
-    return false;
-  }
-  for (size_t I = 0; I < Findings->size(); ++I) {
-    DiffFinding Finding;
-    if (!parseLineFinding(Findings->elements()[I], Finding, Error)) {
-      Error = formatString("findings[%zu]: ", I) + Error;
-      return false;
-    }
-    Out.Findings.push_back(std::move(Finding));
-  }
-
-  const JsonValue *Pages = Document.find("pageFindings");
-  if (!Pages || !Pages->isArray()) {
-    Error = "report without a 'pageFindings' array";
-    return false;
-  }
-  for (size_t I = 0; I < Pages->size(); ++I) {
-    DiffFinding Finding;
-    if (!parsePageFinding(Pages->elements()[I], Finding, Error)) {
-      Error = formatString("pageFindings[%zu]: ", I) + Error;
-      return false;
-    }
-    Out.PageFindings.push_back(std::move(Finding));
-  }
-
-  disambiguateKeys(Out.Findings);
-  disambiguateKeys(Out.PageFindings);
-  return true;
-}
 
 ReportDiffResult cheetah::core::diffReports(const ParsedReport &Old,
                                             const ParsedReport &New) {

@@ -49,8 +49,9 @@ struct ParsedReport {
 /// only; anything else — including v1, whose consumers this
 /// version-gating contract exists for — fails with a descriptive
 /// \p Error. Malformed JSON, wrong value kinds, and missing required
-/// fields also fail loudly; this function never crashes on hostile input
-/// (the fuzz suite pins that).
+/// fields also fail loudly, leaving \p Out empty; this function never
+/// crashes on hostile input (the fuzz suite pins that). The document is
+/// read in one pass, with no tree (ReportDecode.cpp).
 bool parseReport(const std::string &Text, ParsedReport &Out,
                  std::string &Error);
 

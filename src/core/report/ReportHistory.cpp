@@ -412,6 +412,8 @@ bool ReportHistory::parse(const std::string &Text, ReportHistory &Out,
     return false;
   }
 
+  // Filled on the side so a failed parse leaves Out empty.
+  ReportHistory Parsed;
   const JsonValue *Runs = Document.find("runs");
   if (!Runs || !Runs->isArray()) {
     Error = "history store without a 'runs' array";
@@ -445,13 +447,13 @@ bool ReportHistory::parse(const std::string &Text, ReportHistory &Out,
       Error = formatString("runs[%zu]: run id must not be empty", I);
       return false;
     }
-    for (const HistoryRunInfo &Seen : Out.Runs)
+    for (const HistoryRunInfo &Seen : Parsed.Runs)
       if (Seen.Id == Info.Id) {
         Error = formatString("runs[%zu]: duplicate run id '%s'", I,
                              Info.Id.c_str());
         return false;
       }
-    Out.Runs.push_back(std::move(Info));
+    Parsed.Runs.push_back(std::move(Info));
   }
 
   const JsonValue *Series = Document.find("series");
@@ -476,7 +478,7 @@ bool ReportHistory::parse(const std::string &Text, ReportHistory &Out,
       Error = formatString("series[%zu]: key must not be empty", I);
       return false;
     }
-    if (Out.seriesFor(S.Key)) {
+    if (Parsed.seriesFor(S.Key)) {
       Error = formatString("series[%zu]: duplicate key '%s'", I,
                            S.Key.c_str());
       return false;
@@ -490,146 +492,17 @@ bool ReportHistory::parse(const std::string &Text, ReportHistory &Out,
       TrendPoint Point;
       const TrendPoint *Previous = S.Points.empty() ? nullptr
                                                     : &S.Points.back();
-      if (!parsePoint(Points->elements()[P], S.IsPage, Out.Runs.size(),
+      if (!parsePoint(Points->elements()[P], S.IsPage, Parsed.Runs.size(),
                       Previous, Point, Error)) {
         Error = formatString("series[%zu].points[%zu]: ", I, P) + Error;
         return false;
       }
       S.Points.push_back(std::move(Point));
     }
-    Out.Series.push_back(std::move(S));
+    Parsed.Series.push_back(std::move(S));
   }
+  Out = std::move(Parsed);
   return true;
-}
-
-//===----------------------------------------------------------------------===//
-// Run-document ingestion (reports and diff outputs)
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Rebuilds the NEW run's findings from one section ("findings" or
-/// "pageFindings") of a cheetah-diff-v1 document. Added entries carry
-/// full counters; matched entries only identity and improvement (the
-/// diff schema stores no more).
-bool readDiffSection(const JsonValue &Document, const char *Name,
-                     bool IsPage, std::vector<DiffFinding> &Out,
-                     std::string &Error) {
-  const JsonValue *Section = Document.find(Name);
-  if (!Section || !Section->isObject()) {
-    Error = formatString("diff without a '%s' section", Name);
-    return false;
-  }
-  const JsonValue *Added = Section->find("added");
-  const JsonValue *Matched = Section->find("matched");
-  if (!Added || !Added->isArray() || !Matched || !Matched->isArray()) {
-    Error = formatString("'%s' section without added/matched arrays", Name);
-    return false;
-  }
-  for (size_t I = 0; I < Added->size(); ++I) {
-    const JsonValue &Node = Added->elements()[I];
-    DiffFinding Finding;
-    Finding.IsPage = IsPage;
-    bool Ok =
-        Node.isObject() && jsonFieldString(Node, "key", Finding.Key, Error) &&
-        jsonFieldString(Node, "sharing", Finding.Sharing, Error) &&
-        jsonFieldBool(Node, "significant", Finding.Significant, Error) &&
-        jsonFieldUint(Node, "accesses", Finding.Accesses, Error) &&
-        jsonFieldUint(Node, "invalidations", Finding.Invalidations, Error);
-    if (Ok && IsPage)
-      Ok = jsonFieldUint(Node, "remote_accesses", Finding.RemoteAccesses,
-                         Error);
-    if (!Ok) {
-      if (!Node.isObject())
-        Error = "entry is not an object";
-      Error = formatString("%s.added[%zu]: ", Name, I) + Error;
-      return false;
-    }
-    if (const JsonValue *Factor = Node.find("predictedImprovement")) {
-      if (Factor->kind() != JsonValue::Kind::Number) {
-        Error = formatString(
-            "%s.added[%zu]: 'predictedImprovement' is not a number", Name, I);
-        return false;
-      }
-      Finding.Improvement = Factor->asNumber();
-      Finding.HasImprovement = true;
-    }
-    Out.push_back(std::move(Finding));
-  }
-  for (size_t I = 0; I < Matched->size(); ++I) {
-    const JsonValue &Node = Matched->elements()[I];
-    DiffFinding Finding;
-    Finding.IsPage = IsPage;
-    bool Ok = Node.isObject() &&
-              jsonFieldString(Node, "key", Finding.Key, Error) &&
-              jsonFieldBool(Node, "new_significant", Finding.Significant,
-                            Error);
-    if (!Ok) {
-      if (!Node.isObject())
-        Error = "entry is not an object";
-      Error = formatString("%s.matched[%zu]: ", Name, I) + Error;
-      return false;
-    }
-    if (const JsonValue *Factor = Node.find("new_improvement")) {
-      if (Factor->kind() != JsonValue::Kind::Number) {
-        Error = formatString(
-            "%s.matched[%zu]: 'new_improvement' is not a number", Name, I);
-        return false;
-      }
-      Finding.Improvement = Factor->asNumber();
-      Finding.HasImprovement = true;
-    }
-    Out.push_back(std::move(Finding));
-  }
-  return true;
-}
-
-bool parseDiffNewRun(const JsonValue &Document, ParsedReport &Out,
-                     std::string &Error) {
-  Out = ParsedReport();
-  Out.Schema = "cheetah-diff-v1";
-  const JsonValue *New = Document.find("new");
-  if (!New || !New->isObject()) {
-    Error = "diff without a 'new' run object";
-    return false;
-  }
-  if (!jsonFieldString(*New, "workload", Out.Workload, Error) ||
-      !jsonFieldUint(*New, "threads", Out.Threads, Error) ||
-      !jsonFieldBool(*New, "fix_applied", Out.FixApplied, Error) ||
-      !jsonFieldString(*New, "granularity", Out.Granularity, Error) ||
-      !jsonFieldUint(*New, "app_runtime_cycles", Out.AppRuntimeCycles,
-                     Error)) {
-    Error = "diff 'new' run: " + Error;
-    return false;
-  }
-  // Keys in a diff document already carry their "#N" ordinals; they must
-  // not be disambiguated a second time.
-  if (!readDiffSection(Document, "findings", /*IsPage=*/false, Out.Findings,
-                       Error) ||
-      !readDiffSection(Document, "pageFindings", /*IsPage=*/true,
-                       Out.PageFindings, Error))
-    return false;
-  return true;
-}
-
-} // namespace
-
-bool cheetah::core::parseRunDocument(const std::string &Text,
-                                     ParsedReport &Out, std::string &Error) {
-  JsonValue Document;
-  if (!JsonValue::parse(Text, Document, Error)) {
-    Error = "invalid JSON: " + Error;
-    return false;
-  }
-  if (Document.isObject()) {
-    const JsonValue *Schema = Document.find("schema");
-    if (Schema && Schema->kind() == JsonValue::Kind::String &&
-        Schema->asString() == "cheetah-diff-v1")
-      return parseDiffNewRun(Document, Out, Error);
-  }
-  // Everything else goes through the report parser, whose version gate
-  // produces the loud unsupported-schema error.
-  return parseReport(Text, Out, Error);
 }
 
 //===----------------------------------------------------------------------===//

@@ -162,8 +162,8 @@ public:
 
   /// Parses a serialized store. Loud-error contract: version gate on
   /// `cheetah-history-v1`, kind-checked fields, duplicate run ids and
-  /// out-of-range / non-increasing point indices rejected; never crashes
-  /// on hostile input (the fuzz suite pins that).
+  /// out-of-range / non-increasing point indices rejected, leaving \p Out
+  /// empty; never crashes on hostile input (the fuzz suite pins that).
   static bool parse(const std::string &Text, ReportHistory &Out,
                     std::string &Error);
 
@@ -178,7 +178,8 @@ private:
 /// `cheetah-diff-v1` document, whose NEW side is extracted as the run
 /// (added findings carry full counters; matched ones only their
 /// improvement, the diff schema stores no more). Same loud-error
-/// contract as parseReport.
+/// contract as parseReport, and the same single pass: the schema picks
+/// the reading after the document has been read once.
 bool parseRunDocument(const std::string &Text, ParsedReport &Out,
                       std::string &Error);
 

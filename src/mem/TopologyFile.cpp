@@ -6,12 +6,12 @@
 
 #include "mem/TopologyFile.h"
 
+#include "support/FileIO.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 using namespace cheetah;
 
@@ -187,22 +187,9 @@ bool cheetah::parseTopologyText(const std::string &Text,
 
 bool cheetah::loadTopologyFile(const std::string &Path,
                                NumaTopologySpec &Spec, std::string &Error) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File) {
-    Error = formatString("cannot open '%s' for reading", Path.c_str());
-    return false;
-  }
   std::string Text;
-  char Buffer[1 << 14];
-  size_t Read;
-  while ((Read = std::fread(Buffer, 1, sizeof(Buffer), File)) > 0)
-    Text.append(Buffer, Read);
-  bool Ok = !std::ferror(File);
-  std::fclose(File);
-  if (!Ok) {
-    Error = formatString("failed reading '%s'", Path.c_str());
+  if (!readFile(Path, Text, Error))
     return false;
-  }
   if (!parseTopologyText(Text, Spec, Error)) {
     Error = formatString("%s: ", Path.c_str()) + Error;
     return false;

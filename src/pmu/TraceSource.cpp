@@ -6,10 +6,10 @@
 
 #include "pmu/TraceSource.h"
 
+#include "support/FileIO.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
 
-#include <cstdio>
 
 using namespace cheetah;
 using namespace cheetah::pmu;
@@ -67,43 +67,6 @@ namespace {
 
 using Token = JsonReader::Token;
 
-/// The first occurrence of one object member, as the decoder met it; later
-/// occurrences are ignored, as JsonValue::find ignores them.
-struct Slot {
-  bool Seen = false;
-  Token Kind = Token::Null;
-  double Number = 0.0;
-  bool Flag = false;
-
-  void record(Token T, const JsonReader &Reader) {
-    if (Seen)
-      return;
-    Seen = true;
-    Kind = T;
-    Number = T == Token::Number ? Reader.number() : 0.0;
-    Flag = T == Token::Bool && Reader.boolean();
-  }
-
-  /// The member as a counter, with jsonFieldUint's checks and messages.
-  bool toUint(const char *Name, uint64_t &Out, std::string &Error) const {
-    if (Kind != Token::Number) {
-      Error = formatString("field '%s' missing or not a number", Name);
-      return false;
-    }
-    return jsonNumberToUint(Number, Name, Out, Error);
-  }
-
-  /// The member as a flag, with jsonFieldBool's check and message.
-  bool toBool(const char *Name, bool &Out, std::string &Error) const {
-    if (Kind != Token::Bool) {
-      Error = formatString("field '%s' missing or not a boolean", Name);
-      return false;
-    }
-    Out = Flag;
-    return true;
-  }
-};
-
 /// Single-pass cheetah-trace-v1 decoder: fills TraceEvents straight from
 /// JsonReader tokens, with no document tree. It accepts exactly what the
 /// tree-based reading accepted — members in any order, first occurrence
@@ -130,7 +93,7 @@ private:
   /// first bad event's error. \returns false on a syntax error.
   bool decodeEvent(size_t Index, TraceEvent &Event);
   /// Checks the event's members in the tree-based reading's order.
-  bool finishEvent(KindName Kind, const Slot (&Fields)[NumFields],
+  bool finishEvent(KindName Kind, const JsonField (&Fields)[NumFields],
                    TraceEvent &Event, std::string &Error) const;
 
   JsonReader Reader;
@@ -142,65 +105,40 @@ private:
 };
 
 bool TraceDecoder::decode(TraceData &Out, std::string &Error) {
-  Token T = Reader.next();
-  if (T != Token::BeginObject) {
-    if (!Reader.skip(T) || Reader.next() != Token::End)
-      Error = Reader.error();
-    else
-      Error = "trace document is not a JSON object";
-    return false;
-  }
-
   TraceData Parsed;
-  Slot Schema, Period, Cycles, Events;
+  JsonField Schema, Period, Cycles, Events;
   std::string SchemaText;
-  for (;;) {
-    T = Reader.next();
-    if (T == Token::EndObject)
-      break;
-    if (T != Token::Key) {
-      Error = Reader.error();
-      return false;
-    }
-    std::string_view Key = Reader.string();
-    Slot *Member = Key == "schema"            ? &Schema
-                   : Key == "sampling_period" ? &Period
-                   : Key == "run_cycles"      ? &Cycles
-                   : Key == "events"          ? &Events
-                                              : nullptr;
-    T = Reader.next();
-    if (Member && !Member->Seen) {
-      Member->record(T, Reader);
-      if (Member == &Schema && T == Token::String)
-        SchemaText = Reader.string();
-      if (Member == &Events && T == Token::BeginArray) {
+  bool IsObject = false;
+  bool Ok = Reader.readDocument(IsObject, [&](std::string_view Key) {
+    if (Key == "schema")
+      return Schema.read(Reader, &SchemaText);
+    if (Key == "sampling_period")
+      return Period.read(Reader);
+    if (Key == "run_cycles")
+      return Cycles.read(Reader);
+    if (Key == "events")
+      return Events.read(Reader, Token::BeginArray, [&] {
         // The serializer writes each sample event in at least 46 bytes
         // (lifecycle events are a few per thread), so its traces fit
         // without regrowing.
         Parsed.Events.reserve(TextSize / 46);
-        if (!decodeEvents(Parsed.Events)) {
-          Error = Reader.error();
-          return false;
-        }
-        continue;
-      }
-    }
-    if (!Reader.skip(T)) {
-      Error = Reader.error();
-      return false;
-    }
-  }
-  if (Reader.next() != Token::End) {
+        return decodeEvents(Parsed.Events);
+      });
+    return Reader.skip(Reader.next());
+  });
+  if (!Ok) {
     Error = Reader.error();
+    return false;
+  }
+  if (!IsObject) {
+    Error = "trace document is not a JSON object";
     return false;
   }
 
   // Version first: a wrong schema must be the error even if the rest of
   // the document happens to look structurally plausible.
-  if (Schema.Kind != Token::String) {
-    Error = "field 'schema' missing or not a string";
+  if (!Schema.checkString("schema", Error))
     return false;
-  }
   if (SchemaText != TraceSchema) {
     Error = "unsupported schema '" + SchemaText + "' (expected " +
             std::string(TraceSchema) + ")";
@@ -213,7 +151,7 @@ bool TraceDecoder::decode(TraceData &Out, std::string &Error) {
     Error = "sampling_period must be at least 1";
     return false;
   }
-  if (Events.Kind != Token::BeginArray) {
+  if (!Events.is(Token::BeginArray)) {
     Error = "missing or non-array 'events'";
     return false;
   }
@@ -226,35 +164,21 @@ bool TraceDecoder::decode(TraceData &Out, std::string &Error) {
 }
 
 bool TraceDecoder::decodeEvents(std::vector<TraceEvent> &Events) {
-  for (size_t Index = 0;; ++Index) {
-    Token T = Reader.next();
-    if (T == Token::EndArray)
-      return true;
+  return Reader.readElements([&](size_t Index, Token T) {
     // After the first bad event the rest need only be well-formed.
     if (EventError.empty()) {
-      if (T == Token::BeginObject) {
-        if (!decodeEvent(Index, Events.emplace_back()))
-          return false;
-        continue;
-      }
-      if (T != Token::Error)
-        EventError = "event " + std::to_string(Index) + ": not a JSON object";
+      if (T == Token::BeginObject)
+        return decodeEvent(Index, Events.emplace_back());
+      EventError = "event " + std::to_string(Index) + ": not a JSON object";
     }
-    if (!Reader.skip(T))
-      return false;
-  }
+    return Reader.skip(T);
+  });
 }
 
 bool TraceDecoder::decodeEvent(size_t Index, TraceEvent &Event) {
   KindName Kind = KindName::Missing;
-  Slot Fields[NumFields];
-  for (;;) {
-    Token T = Reader.next();
-    if (T == Token::EndObject)
-      break;
-    if (T != Token::Key)
-      return false;
-    std::string_view Key = Reader.string();
+  JsonField Fields[NumFields];
+  bool Ok = Reader.readMembers([&](std::string_view Key) {
     int F = Key == "k"      ? K
             : Key == "tid"  ? Tid
             : Key == "main" ? Main
@@ -263,8 +187,8 @@ bool TraceDecoder::decodeEvent(size_t Index, TraceEvent &Event) {
             : Key == "w"    ? Write
             : Key == "l"    ? Latency
                             : -1;
-    T = Reader.next();
-    if (F == K && !Fields[K].Seen && T == Token::String) {
+    Token T = Reader.next();
+    if (F == K && !Fields[K].seen() && T == Token::String) {
       std::string_view Name = Reader.string();
       Kind = Name == "s"    ? KindName::Sample
              : Name == "ts" ? KindName::ThreadStart
@@ -275,17 +199,16 @@ bool TraceDecoder::decodeEvent(size_t Index, TraceEvent &Event) {
     }
     if (F >= 0)
       Fields[F].record(T, Reader);
-    if (!Reader.skip(T))
-      return false;
-  }
+    return Reader.skip(T);
+  });
   std::string Error;
-  if (!finishEvent(Kind, Fields, Event, Error))
+  if (Ok && !finishEvent(Kind, Fields, Event, Error))
     EventError = "event " + std::to_string(Index) + ": " + Error;
-  return true;
+  return Ok;
 }
 
 bool TraceDecoder::finishEvent(KindName Kind,
-                               const Slot (&Fields)[NumFields],
+                               const JsonField (&Fields)[NumFields],
                                TraceEvent &Event, std::string &Error) const {
   uint64_t EventTid = 0;
   switch (Kind) {
@@ -340,57 +263,6 @@ bool TraceData::parse(const std::string &Text, TraceData &Out,
 // TraceSource
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Writes \p Text to \p Path. \returns false with \p Error on I/O failure.
-bool writeTraceFile(const std::string &Path, const std::string &Text,
-                    std::string &Error) {
-  std::FILE *File = std::fopen(Path.c_str(), "w");
-  if (!File) {
-    Error = "cannot open '" + Path + "' for writing";
-    return false;
-  }
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), File);
-  bool Closed = std::fclose(File) == 0;
-  if (Written != Text.size() || !Closed) {
-    Error = "short write to '" + Path + "'";
-    return false;
-  }
-  return true;
-}
-
-/// Reads all of \p Path into \p Out. \returns false with \p Error when the
-/// file cannot be opened or read.
-bool readTraceFile(const std::string &Path, std::string &Out,
-                   std::string &Error) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File) {
-    Error = "cannot open trace file '" + Path + "'";
-    return false;
-  }
-  // Size the buffer once and read the file in one call. Input without a
-  // size (a pipe) arrives through the chunked loop below instead.
-  if (std::fseek(File, 0, SEEK_END) == 0) {
-    long Size = std::ftell(File);
-    std::rewind(File);
-    if (Size > 0) {
-      Out.resize(static_cast<size_t>(Size));
-      Out.resize(std::fread(Out.data(), 1, Out.size(), File));
-    }
-  }
-  char Buffer[1 << 16];
-  size_t Read;
-  while ((Read = std::fread(Buffer, 1, sizeof(Buffer), File)) > 0)
-    Out.append(Buffer, Read);
-  bool Ok = !std::ferror(File);
-  std::fclose(File);
-  if (!Ok)
-    Error = "read error on trace file '" + Path + "'";
-  return Ok;
-}
-
-} // namespace
-
 TraceSource::TraceSource(std::unique_ptr<SampleSource> Inner, std::string Path,
                          uint64_t SamplingPeriod)
     : Inner(std::move(Inner)), Path(std::move(Path)) {
@@ -414,7 +286,7 @@ SourceStatus TraceSource::start() {
   // Replay mode: the whole trace is materialized up front so a parse error
   // surfaces here, before any event reaches the sink.
   std::string Text, Error;
-  if (!readTraceFile(Path, Text, Error))
+  if (!readFile(Path, Text, Error))
     return {false, Error};
   if (!TraceData::parse(Text, Data, Error))
     return {false, "'" + Path + "': " + Error};
@@ -450,7 +322,7 @@ SourceStatus TraceSource::stop() {
   if (Path.empty())
     return {true, ""}; // in-memory recording: nothing to flush
   std::string Error;
-  if (!writeTraceFile(Path, Data.serialize(), Error))
+  if (!writeFile(Path, Data.serialize(), Error))
     return {false, Error};
   return {true, ""};
 }

@@ -550,7 +550,7 @@ const std::vector<JsonValue> &JsonValue::elements() const {
   return Elements;
 }
 
-const JsonValue *JsonValue::find(const std::string &Name) const {
+const JsonValue *JsonValue::find(std::string_view Name) const {
   if (NodeKind != Kind::Object)
     return nullptr;
   for (const auto &[Key, Value] : Members)
@@ -581,13 +581,19 @@ bool cheetah::jsonNumberToUint(double Number, const char *Name,
   return true;
 }
 
+/// The error of a member that is absent or of the wrong kind, \p What
+/// naming the kind expected ("a string").
+static bool kindMismatch(const char *Name, const char *What,
+                         std::string &Error) {
+  Error = formatString("field '%s' missing or not %s", Name, What);
+  return false;
+}
+
 bool cheetah::jsonFieldString(const JsonValue &Object, const char *Name,
                               std::string &Out, std::string &Error) {
   const JsonValue *Field = Object.find(Name);
-  if (!Field || Field->kind() != JsonValue::Kind::String) {
-    Error = formatString("field '%s' missing or not a string", Name);
-    return false;
-  }
+  if (!Field || Field->kind() != JsonValue::Kind::String)
+    return kindMismatch(Name, "a string", Error);
   Out = Field->asString();
   return true;
 }
@@ -595,20 +601,16 @@ bool cheetah::jsonFieldString(const JsonValue &Object, const char *Name,
 bool cheetah::jsonFieldUint(const JsonValue &Object, const char *Name,
                             uint64_t &Out, std::string &Error) {
   const JsonValue *Field = Object.find(Name);
-  if (!Field || Field->kind() != JsonValue::Kind::Number) {
-    Error = formatString("field '%s' missing or not a number", Name);
-    return false;
-  }
+  if (!Field || Field->kind() != JsonValue::Kind::Number)
+    return kindMismatch(Name, "a number", Error);
   return jsonNumberToUint(Field->asNumber(), Name, Out, Error);
 }
 
 bool cheetah::jsonFieldBool(const JsonValue &Object, const char *Name,
                             bool &Out, std::string &Error) {
   const JsonValue *Field = Object.find(Name);
-  if (!Field || Field->kind() != JsonValue::Kind::Bool) {
-    Error = formatString("field '%s' missing or not a boolean", Name);
-    return false;
-  }
+  if (!Field || Field->kind() != JsonValue::Kind::Bool)
+    return kindMismatch(Name, "a boolean", Error);
   Out = Field->asBool();
   return true;
 }
@@ -616,10 +618,31 @@ bool cheetah::jsonFieldBool(const JsonValue &Object, const char *Name,
 bool cheetah::jsonFieldDouble(const JsonValue &Object, const char *Name,
                               double &Out, std::string &Error) {
   const JsonValue *Field = Object.find(Name);
-  if (!Field || Field->kind() != JsonValue::Kind::Number) {
-    Error = formatString("field '%s' missing or not a number", Name);
-    return false;
-  }
+  if (!Field || Field->kind() != JsonValue::Kind::Number)
+    return kindMismatch(Name, "a number", Error);
   Out = Field->asNumber();
+  return true;
+}
+
+//===----------------------------------------------------------------------===//
+// Streaming member capture
+//===----------------------------------------------------------------------===//
+
+bool JsonField::checkString(const char *Name, std::string &Error) const {
+  return Kind == JsonReader::Token::String ||
+         kindMismatch(Name, "a string", Error);
+}
+
+bool JsonField::toUint(const char *Name, uint64_t &Out,
+                       std::string &Error) const {
+  if (Kind != JsonReader::Token::Number)
+    return kindMismatch(Name, "a number", Error);
+  return jsonNumberToUint(Number, Name, Out, Error);
+}
+
+bool JsonField::toBool(const char *Name, bool &Out, std::string &Error) const {
+  if (Kind != JsonReader::Token::Bool)
+    return kindMismatch(Name, "a boolean", Error);
+  Out = Flag;
   return true;
 }

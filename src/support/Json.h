@@ -8,8 +8,9 @@
 /// A dependency-free JSON toolkit sized for Cheetah's needs: a streaming
 /// writer the report pipeline uses to serialize findings incrementally
 /// (one finding at a time, no document tree in memory), a pull reader that
-/// holds the one JSON grammar, and a small document tree built on that
-/// reader for the tests and multi-run tooling that read reports back. Both
+/// holds the one JSON grammar, the JsonField member capture the
+/// single-pass trace, report and history decoders are built from, and a
+/// small document tree on the same reader for topology files and tests. Both
 /// directions cover the full JSON grammar and are locale-independent;
 /// numbers are stored as doubles (exact for the counter magnitudes Cheetah
 /// emits, < 2^53).
@@ -117,6 +118,45 @@ public:
     return First != Token::Error;
   }
 
+  /// After BeginObject: calls \p Member(Key) once per member, in document
+  /// order. Member must consume the member's value — next(), then skip()
+  /// or decode a container — and return false on a syntax error.
+  /// \returns false on a syntax error.
+  template <typename Fn> bool readMembers(Fn &&Member) {
+    for (;;) {
+      Token T = next();
+      if (T == Token::EndObject)
+        return true;
+      if (T != Token::Key || !Member(string()))
+        return false;
+    }
+  }
+
+  /// Reads the whole document, calling \p Member(Key) for each member of
+  /// the root as readMembers() does when the root is an object, and sets
+  /// \p IsObject to whether it was. \returns false on a syntax error
+  /// anywhere in the document.
+  template <typename Fn> bool readDocument(bool &IsObject, Fn &&Member) {
+    Token T = next();
+    IsObject = T == Token::BeginObject;
+    bool Ok = IsObject ? readMembers(Member) : skip(T);
+    return Ok && next() == Token::End;
+  }
+
+  /// After BeginArray: calls \p Element(Index, First) once per element,
+  /// First being the element's first token. Element must consume the rest
+  /// of the element and return false on a syntax error. \returns false on
+  /// a syntax error.
+  template <typename Fn> bool readElements(Fn &&Element) {
+    for (size_t Index = 0;; ++Index) {
+      Token T = next();
+      if (T == Token::EndArray)
+        return true;
+      if (T == Token::Error || !Element(Index, T))
+        return false;
+    }
+  }
+
   /// The Key or String token's decoded text; valid until the next call.
   std::string_view string() const { return Text; }
   /// The Number token's value.
@@ -194,7 +234,7 @@ public:
 
   /// Object member lookup (the first member of that name); nullptr when
   /// absent (or not an object).
-  const JsonValue *find(const std::string &Name) const;
+  const JsonValue *find(std::string_view Name) const;
   /// Number of object members / array elements.
   size_t size() const;
 
@@ -234,6 +274,69 @@ bool jsonFieldBool(const JsonValue &Object, const char *Name, bool &Out,
                    std::string &Error);
 bool jsonFieldDouble(const JsonValue &Object, const char *Name, double &Out,
                      std::string &Error);
+
+/// The first occurrence of one object member, as a single-pass decoder
+/// reading JsonReader tokens met it: the value's kind and, for a scalar,
+/// its value. Later occurrences are ignored, as JsonValue::find ignores
+/// them. The checks apply the jsonField* rules and messages, so a decoder
+/// built on JsonField accepts and rejects exactly what a tree-based
+/// reading through jsonField* does, with the same words.
+class JsonField {
+public:
+  /// Records the value whose first token \p T was just read, unless an
+  /// earlier occurrence was recorded; a string value is copied to \p Text
+  /// when given. A container is recorded by kind only: the caller decodes
+  /// or skips it. \returns whether this was the first occurrence.
+  bool record(JsonReader::Token T, const JsonReader &Reader,
+              std::string *Text = nullptr) {
+    if (Seen)
+      return false;
+    Seen = true;
+    Kind = T;
+    if (T == JsonReader::Token::Number)
+      Number = Reader.number();
+    else if (T == JsonReader::Token::Bool)
+      Flag = Reader.boolean();
+    else if (T == JsonReader::Token::String && Text)
+      *Text = Reader.string();
+    return true;
+  }
+
+  /// Reads the member value that follows a Key token and records it.
+  /// \returns false on a syntax error.
+  bool read(JsonReader &Reader, std::string *Text = nullptr) {
+    JsonReader::Token T = Reader.next();
+    record(T, Reader, Text);
+    return Reader.skip(T);
+  }
+
+  /// read() for a member holding a container: when this is the first
+  /// occurrence and the value opens with \p Open, \p Decode() reads the
+  /// container from after its opening token instead of it being skipped.
+  template <typename Fn>
+  bool read(JsonReader &Reader, JsonReader::Token Open, Fn &&Decode) {
+    JsonReader::Token T = Reader.next();
+    if (record(T, Reader) && T == Open)
+      return Decode();
+    return Reader.skip(T);
+  }
+
+  bool seen() const { return Seen; }
+  bool is(JsonReader::Token T) const { return Kind == T; }
+  double number() const { return Number; }
+
+  /// jsonFieldString's check; the text went to record()'s \p Text.
+  bool checkString(const char *Name, std::string &Error) const;
+  bool toUint(const char *Name, uint64_t &Out, std::string &Error) const;
+  bool toBool(const char *Name, bool &Out, std::string &Error) const;
+
+private:
+  bool Seen = false;
+  bool Flag = false;
+  /// End while absent: no value has that kind.
+  JsonReader::Token Kind = JsonReader::Token::End;
+  double Number = 0.0;
+};
 
 } // namespace cheetah
 

@@ -28,11 +28,15 @@
 ///    measured runtime, never removes more than the measured on-object
 ///    cycles, improves (> 1) only when removable excess exists, and is
 ///    monotone in the remote fraction;
-///  - ReportDiff::parseReport against truncated/mutated/version-mismatched
-///    report documents: loud errors, never a crash;
+///  - the single-pass parseReport and parseRunDocument (reports and
+///    cheetah-diff-v1 documents) against the tree-based readings they
+///    replaced: pristine, truncated, mutated, re-laid-out and hostile
+///    documents must give the same verdict, values and error string; plus
+///    version mismatches;
 ///  - ReportHistory::parse (the cheetah-history-v1 store behind
-///    cheetah-trend) under the same hostile treatment, plus
-///    duplicate-run-id injection;
+///    cheetah-trend) under fuzz: truncated, mutated and hostile stores
+///    fail loudly, never crash; re-laid-out stores read back unchanged;
+///    version mismatches and duplicate-run-id injection are rejected;
 ///  - the single-pass TraceData::parse against a tree-based reference
 ///    reading: pristine, truncated and mutated traces, and traces with
 ///    reordered members, whitespace, repeated and unknown members, must
@@ -59,11 +63,13 @@
 #include "sim/Simulator.h"
 #include "support/Json.h"
 #include "support/Random.h"
+#include "support/StringUtils.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <map>
 #include <set>
@@ -925,6 +931,537 @@ TEST(PageAssessPropertyTest, ImprovementMonotoneInRemoteFraction) {
 }
 
 //===----------------------------------------------------------------------===//
+// Tree-based references for the single-pass document decoders
+//===----------------------------------------------------------------------===//
+
+// The readings parseReport and parseRunDocument replaced: the whole document into a JsonValue, then each field through
+// the kind-checked jsonField* accessors. They are the oracles for the
+// decoders — same accepted documents, same values, same error string.
+// (One message differs from the replaced code: a missing 'summary' object
+// no longer appends whatever the caller's error string held before.)
+
+/// Optional improvement factor: v3 findings carry `predictedImprovement`;
+/// v2 line findings fall back to `assessment.improvement_factor`; v2 page
+/// findings have neither.
+void referenceImprovement(const JsonValue &Finding, core::DiffFinding &Out) {
+  const JsonValue *Factor = Finding.find("predictedImprovement");
+  if (!Factor || Factor->kind() != JsonValue::Kind::Number) {
+    const JsonValue *Impact = Finding.find("assessment");
+    if (Impact && Impact->isObject())
+      Factor = Impact->find("improvement_factor");
+  }
+  if (Factor && Factor->kind() == JsonValue::Kind::Number) {
+    Out.Improvement = Factor->asNumber();
+    Out.HasImprovement = true;
+  }
+}
+
+bool referenceBuckets(const JsonValue &Node,
+                      std::vector<RemoteDistanceStats> &Out,
+                      std::string &Error) {
+  const JsonValue *Buckets = Node.find("remote_by_distance");
+  if (!Buckets)
+    return true;
+  if (!Buckets->isArray()) {
+    Error = "'remote_by_distance' is not an array";
+    return false;
+  }
+  for (size_t I = 0; I < Buckets->size(); ++I) {
+    const JsonValue &Entry = Buckets->elements()[I];
+    if (!Entry.isObject()) {
+      Error = formatString("remote_by_distance[%zu] is not an object", I);
+      return false;
+    }
+    RemoteDistanceStats Bucket;
+    uint64_t Distance = 0;
+    if (!jsonFieldUint(Entry, "distance", Distance, Error) ||
+        !jsonFieldUint(Entry, "accesses", Bucket.Accesses, Error) ||
+        !jsonFieldUint(Entry, "cycles", Bucket.Cycles, Error)) {
+      Error = formatString("remote_by_distance[%zu]: ", I) + Error;
+      return false;
+    }
+    if (Distance > UINT32_MAX) {
+      Error = formatString(
+          "remote_by_distance[%zu]: field 'distance' is out of range", I);
+      return false;
+    }
+    Bucket.Distance = static_cast<uint32_t>(Distance);
+    Out.push_back(Bucket);
+  }
+  return true;
+}
+
+bool referenceLineFinding(const JsonValue &Node, core::DiffFinding &Out,
+                          std::string &Error) {
+  if (!Node.isObject()) {
+    Error = "finding is not an object";
+    return false;
+  }
+  const JsonValue *Object = Node.find("object");
+  if (!Object || !Object->isObject()) {
+    Error = "finding without an 'object' member";
+    return false;
+  }
+  std::string Kind, Name;
+  if (!jsonFieldString(*Object, "kind", Kind, Error) ||
+      !jsonFieldString(*Object, "name", Name, Error))
+    return false;
+  if (Name.empty()) {
+    uint64_t Start = 0;
+    if (!jsonFieldUint(*Object, "start", Start, Error))
+      return false;
+    Name = formatString("@0x%llx", static_cast<unsigned long long>(Start));
+  }
+  Out.Key = "line:" + Kind + ":" + Name;
+  Out.IsPage = false;
+  if (!jsonFieldString(Node, "sharing", Out.Sharing, Error) ||
+      !jsonFieldBool(Node, "significant", Out.Significant, Error) ||
+      !jsonFieldUint(Node, "accesses", Out.Accesses, Error) ||
+      !jsonFieldUint(Node, "invalidations", Out.Invalidations, Error))
+    return false;
+  referenceImprovement(Node, Out);
+  return true;
+}
+
+bool referencePageFinding(const JsonValue &Node, core::DiffFinding &Out,
+                          std::string &Error) {
+  if (!Node.isObject()) {
+    Error = "page finding is not an object";
+    return false;
+  }
+  const JsonValue *Objects = Node.find("objects");
+  if (!Objects || !Objects->isArray()) {
+    Error = "page finding without an 'objects' array";
+    return false;
+  }
+  std::string Site;
+  for (const JsonValue &Name : Objects->elements()) {
+    if (Name.kind() != JsonValue::Kind::String) {
+      Error = "page finding 'objects' entry is not a string";
+      return false;
+    }
+    if (!Site.empty())
+      Site += "+";
+    Site += Name.asString();
+  }
+  if (Site.empty()) {
+    uint64_t Page = 0;
+    if (!jsonFieldUint(Node, "page", Page, Error))
+      return false;
+    Site = formatString("@0x%llx", static_cast<unsigned long long>(Page));
+  }
+  Out.Key = "page:" + Site;
+  Out.IsPage = true;
+  if (!jsonFieldString(Node, "sharing", Out.Sharing, Error) ||
+      !jsonFieldBool(Node, "significant", Out.Significant, Error) ||
+      !jsonFieldUint(Node, "accesses", Out.Accesses, Error) ||
+      !jsonFieldUint(Node, "invalidations", Out.Invalidations, Error) ||
+      !jsonFieldUint(Node, "remote_accesses", Out.RemoteAccesses, Error) ||
+      !referenceBuckets(Node, Out.RemoteByDistance, Error))
+    return false;
+  referenceImprovement(Node, Out);
+  return true;
+}
+
+bool referenceParseReport(const std::string &Text, core::ParsedReport &Out,
+                          std::string &Error) {
+  Out = core::ParsedReport();
+  JsonValue Document;
+  if (!JsonValue::parse(Text, Document, Error)) {
+    Error = "invalid JSON: " + Error;
+    return false;
+  }
+  if (!Document.isObject()) {
+    Error = "report is not a JSON object";
+    return false;
+  }
+  if (!jsonFieldString(Document, "schema", Out.Schema, Error))
+    return false;
+  if (Out.Schema != "cheetah-report-v2" &&
+      Out.Schema != "cheetah-report-v3" &&
+      Out.Schema != "cheetah-report-v4") {
+    Error = formatString(
+        "unsupported schema '%s' (cheetah-diff reads cheetah-report-v2, "
+        "cheetah-report-v3, and cheetah-report-v4)",
+        Out.Schema.c_str());
+    return false;
+  }
+  const JsonValue *Run = Document.find("run");
+  if (!Run || !Run->isObject()) {
+    Error = "report without a 'run' object";
+    return false;
+  }
+  if (!jsonFieldString(*Run, "workload", Out.Workload, Error) ||
+      !jsonFieldUint(*Run, "threads", Out.Threads, Error) ||
+      !jsonFieldBool(*Run, "fix_applied", Out.FixApplied, Error) ||
+      !jsonFieldString(*Run, "granularity", Out.Granularity, Error))
+    return false;
+  const JsonValue *Summary = Document.find("summary");
+  if (!Summary || !Summary->isObject()) {
+    Error = "report without a usable 'summary' object";
+    return false;
+  }
+  if (!jsonFieldUint(*Summary, "app_runtime_cycles", Out.AppRuntimeCycles,
+                     Error)) {
+    Error = "report without a usable 'summary' object: " + Error;
+    return false;
+  }
+  const JsonValue *Findings = Document.find("findings");
+  if (!Findings || !Findings->isArray()) {
+    Error = "report without a 'findings' array";
+    return false;
+  }
+  for (size_t I = 0; I < Findings->size(); ++I) {
+    core::DiffFinding Finding;
+    if (!referenceLineFinding(Findings->elements()[I], Finding, Error)) {
+      Error = formatString("findings[%zu]: ", I) + Error;
+      return false;
+    }
+    Out.Findings.push_back(std::move(Finding));
+  }
+  const JsonValue *Pages = Document.find("pageFindings");
+  if (!Pages || !Pages->isArray()) {
+    Error = "report without a 'pageFindings' array";
+    return false;
+  }
+  for (size_t I = 0; I < Pages->size(); ++I) {
+    core::DiffFinding Finding;
+    if (!referencePageFinding(Pages->elements()[I], Finding, Error)) {
+      Error = formatString("pageFindings[%zu]: ", I) + Error;
+      return false;
+    }
+    Out.PageFindings.push_back(std::move(Finding));
+  }
+  core::disambiguateKeys(Out.Findings);
+  core::disambiguateKeys(Out.PageFindings);
+  return true;
+}
+
+bool referenceDiffSection(const JsonValue &Document, const char *Name,
+                          bool IsPage, std::vector<core::DiffFinding> &Out,
+                          std::string &Error) {
+  const JsonValue *Section = Document.find(Name);
+  if (!Section || !Section->isObject()) {
+    Error = formatString("diff without a '%s' section", Name);
+    return false;
+  }
+  const JsonValue *Added = Section->find("added");
+  const JsonValue *Matched = Section->find("matched");
+  if (!Added || !Added->isArray() || !Matched || !Matched->isArray()) {
+    Error = formatString("'%s' section without added/matched arrays", Name);
+    return false;
+  }
+  for (size_t I = 0; I < Added->size(); ++I) {
+    const JsonValue &Node = Added->elements()[I];
+    core::DiffFinding Finding;
+    Finding.IsPage = IsPage;
+    bool Ok =
+        Node.isObject() && jsonFieldString(Node, "key", Finding.Key, Error) &&
+        jsonFieldString(Node, "sharing", Finding.Sharing, Error) &&
+        jsonFieldBool(Node, "significant", Finding.Significant, Error) &&
+        jsonFieldUint(Node, "accesses", Finding.Accesses, Error) &&
+        jsonFieldUint(Node, "invalidations", Finding.Invalidations, Error);
+    if (Ok && IsPage)
+      Ok = jsonFieldUint(Node, "remote_accesses", Finding.RemoteAccesses,
+                         Error);
+    if (!Ok) {
+      if (!Node.isObject())
+        Error = "entry is not an object";
+      Error = formatString("%s.added[%zu]: ", Name, I) + Error;
+      return false;
+    }
+    if (const JsonValue *Factor = Node.find("predictedImprovement")) {
+      if (Factor->kind() != JsonValue::Kind::Number) {
+        Error = formatString(
+            "%s.added[%zu]: 'predictedImprovement' is not a number", Name, I);
+        return false;
+      }
+      Finding.Improvement = Factor->asNumber();
+      Finding.HasImprovement = true;
+    }
+    Out.push_back(std::move(Finding));
+  }
+  for (size_t I = 0; I < Matched->size(); ++I) {
+    const JsonValue &Node = Matched->elements()[I];
+    core::DiffFinding Finding;
+    Finding.IsPage = IsPage;
+    bool Ok = Node.isObject() &&
+              jsonFieldString(Node, "key", Finding.Key, Error) &&
+              jsonFieldBool(Node, "new_significant", Finding.Significant,
+                            Error);
+    if (!Ok) {
+      if (!Node.isObject())
+        Error = "entry is not an object";
+      Error = formatString("%s.matched[%zu]: ", Name, I) + Error;
+      return false;
+    }
+    if (const JsonValue *Factor = Node.find("new_improvement")) {
+      if (Factor->kind() != JsonValue::Kind::Number) {
+        Error = formatString(
+            "%s.matched[%zu]: 'new_improvement' is not a number", Name, I);
+        return false;
+      }
+      Finding.Improvement = Factor->asNumber();
+      Finding.HasImprovement = true;
+    }
+    Out.push_back(std::move(Finding));
+  }
+  return true;
+}
+
+bool referenceParseRunDocument(const std::string &Text,
+                               core::ParsedReport &Out, std::string &Error) {
+  JsonValue Document;
+  if (!JsonValue::parse(Text, Document, Error)) {
+    Error = "invalid JSON: " + Error;
+    return false;
+  }
+  const JsonValue *Schema = Document.find("schema");
+  if (!Schema || Schema->kind() != JsonValue::Kind::String ||
+      Schema->asString() != "cheetah-diff-v1")
+    return referenceParseReport(Text, Out, Error);
+
+  Out = core::ParsedReport();
+  Out.Schema = "cheetah-diff-v1";
+  const JsonValue *New = Document.find("new");
+  if (!New || !New->isObject()) {
+    Error = "diff without a 'new' run object";
+    return false;
+  }
+  if (!jsonFieldString(*New, "workload", Out.Workload, Error) ||
+      !jsonFieldUint(*New, "threads", Out.Threads, Error) ||
+      !jsonFieldBool(*New, "fix_applied", Out.FixApplied, Error) ||
+      !jsonFieldString(*New, "granularity", Out.Granularity, Error) ||
+      !jsonFieldUint(*New, "app_runtime_cycles", Out.AppRuntimeCycles,
+                     Error)) {
+    Error = "diff 'new' run: " + Error;
+    return false;
+  }
+  return referenceDiffSection(Document, "findings", /*IsPage=*/false,
+                              Out.Findings, Error) &&
+         referenceDiffSection(Document, "pageFindings", /*IsPage=*/true,
+                              Out.PageFindings, Error);
+}
+
+/// Every decoded value, doubles bit-exactly, as one comparable string.
+std::string describeBuckets(const std::vector<RemoteDistanceStats> &Buckets) {
+  std::string Out;
+  for (const RemoteDistanceStats &B : Buckets)
+    Out += formatString(" [%u %llu %llu]", B.Distance,
+                        static_cast<unsigned long long>(B.Accesses),
+                        static_cast<unsigned long long>(B.Cycles));
+  return Out;
+}
+
+std::string describe(const core::ParsedReport &Report) {
+  std::string Out = formatString(
+      "%s|%s|%llu|%d|%s|%llu\n", Report.Schema.c_str(),
+      Report.Workload.c_str(), static_cast<unsigned long long>(Report.Threads),
+      Report.FixApplied, Report.Granularity.c_str(),
+      static_cast<unsigned long long>(Report.AppRuntimeCycles));
+  for (const auto *List : {&Report.Findings, &Report.PageFindings})
+    for (const core::DiffFinding &F : *List)
+      Out += formatString("%s|%s|%d|%d|%a|%d|%llu|%llu|%llu|", F.Key.c_str(),
+                          F.Sharing.c_str(), F.IsPage, F.Significant,
+                          F.Improvement, F.HasImprovement,
+                          static_cast<unsigned long long>(F.Accesses),
+                          static_cast<unsigned long long>(F.Invalidations),
+                          static_cast<unsigned long long>(F.RemoteAccesses)) +
+             describeBuckets(F.RemoteByDistance) + "\n";
+  return Out;
+}
+
+/// Expects a decoder and its reference to agree on \p Text: the same
+/// verdict, the same error string and, when both accept, the same
+/// described values. \returns whether the decoder accepted.
+bool verdictsAgree(const std::string &Text, bool FastOk,
+                   const std::string &FastError, const std::string &FastValues,
+                   bool ReferenceOk, const std::string &ReferenceError,
+                   const std::string &ReferenceValues) {
+  EXPECT_EQ(FastOk, ReferenceOk) << "document: " << Text.substr(0, 600);
+  EXPECT_EQ(FastError, ReferenceError) << "document: " << Text.substr(0, 600);
+  if (FastOk && ReferenceOk) {
+    EXPECT_EQ(FastValues, ReferenceValues);
+  }
+  if (!FastOk) {
+    EXPECT_FALSE(FastError.empty());
+  }
+  return FastOk;
+}
+
+bool reportParsersAgree(const std::string &Text) {
+  core::ParsedReport Fast, Reference;
+  std::string FastError, ReferenceError;
+  bool FastOk = core::parseReport(Text, Fast, FastError);
+  bool ReferenceOk = referenceParseReport(Text, Reference, ReferenceError);
+  return verdictsAgree(Text, FastOk, FastError, describe(Fast), ReferenceOk,
+                       ReferenceError, describe(Reference));
+}
+
+bool runDocumentParsersAgree(const std::string &Text) {
+  core::ParsedReport Fast, Reference;
+  std::string FastError, ReferenceError;
+  bool FastOk = core::parseRunDocument(Text, Fast, FastError);
+  bool ReferenceOk =
+      referenceParseRunDocument(Text, Reference, ReferenceError);
+  return verdictsAgree(Text, FastOk, FastError, describe(Fast), ReferenceOk,
+                       ReferenceError, describe(Reference));
+}
+
+/// Random byte edits (flip/insert/erase) of \p Text.
+std::string mutate(std::string Text, SplitMix64 &Rng) {
+  switch (Rng.nextBelow(3)) {
+  case 0:
+    if (!Text.empty())
+      Text[Rng.nextBelow(Text.size())] = static_cast<char>(Rng.nextBelow(256));
+    break;
+  case 1:
+    Text.insert(Rng.nextBelow(Text.size() + 1), 1,
+                static_cast<char>(Rng.nextBelow(256)));
+    break;
+  default:
+    if (!Text.empty())
+      Text.erase(Rng.nextBelow(Text.size()), 1);
+    break;
+  }
+  return Text;
+}
+
+/// Rewrites a valid JSON document the way some other writer might: members
+/// in random order, whitespace between tokens, keys with their first
+/// letter as a \u escape, integers spelled with a fraction or an exponent,
+/// members repeated after their first occurrence (which must win), and
+/// members no reader knows (which must be ignored). Every reader must read
+/// the rewrite as the original. A hostile writer also drops members and
+/// replaces values with junk, so readers fail — and must fail alike.
+class JsonVariantWriter {
+public:
+  JsonVariantWriter(SplitMix64 &Rng, bool Hostile = false)
+      : Rng(Rng), Hostile(Hostile) {}
+
+  std::string write(const std::string &Document) {
+    JsonReader Reader(Document);
+    std::string Out = value(Reader, Reader.next());
+    EXPECT_EQ(Reader.next(), JsonReader::Token::End) << Reader.error();
+    return space() + Out + space();
+  }
+
+private:
+  using Token = JsonReader::Token;
+  using Members = std::vector<std::pair<std::string, std::string>>;
+
+  std::string value(JsonReader &Reader, Token T) {
+    switch (T) {
+    case Token::BeginObject: {
+      Members Fields;
+      for (Token K = Reader.next(); K == Token::Key; K = Reader.next()) {
+        std::string Name(Reader.string());
+        std::string Value = value(Reader, Reader.next());
+        if (Hostile && Rng.nextBool(0.03))
+          continue; // dropped
+        if (Hostile && Rng.nextBool(0.03))
+          Value = junk();
+        Fields.push_back({std::move(Name), std::move(Value)});
+      }
+      return object(std::move(Fields));
+    }
+    case Token::BeginArray: {
+      std::string Out = "[";
+      size_t I = 0;
+      for (Token E = Reader.next(); E != Token::EndArray && E != Token::Error;
+           E = Reader.next()) {
+        std::string Element = value(Reader, E);
+        if (Hostile && Rng.nextBool(0.02))
+          Element = junk();
+        Out += (I++ ? "," : "") + space() + Element + space();
+      }
+      return Out + "]";
+    }
+    case Token::String:
+      return "\"" + jsonEscape(Reader.string()) + "\"";
+    case Token::Number:
+      return number(Reader.number());
+    case Token::Bool:
+      return Reader.boolean() ? "true" : "false";
+    default:
+      return "null";
+    }
+  }
+
+  /// \p Fields shuffled, with repeats placed after the original and
+  /// unknown members anywhere.
+  std::string object(Members Fields) {
+    for (size_t I = Fields.size(); I > 1; --I)
+      std::swap(Fields[I - 1], Fields[Rng.nextBelow(I)]);
+    for (size_t I = 0, Originals = Fields.size(); I < Originals; ++I) {
+      if (!Rng.nextBool(0.1))
+        continue;
+      std::string Name = Fields[I].first;
+      size_t First = std::find_if(Fields.begin(), Fields.end(),
+                                  [&](const auto &F) { return F.first == Name; }) -
+                     Fields.begin();
+      size_t At = First + 1 + Rng.nextBelow(Fields.size() - First);
+      Fields.insert(Fields.begin() + At, {Name, junk()});
+    }
+    if (Rng.nextBool(0.3))
+      Fields.insert(Fields.begin() + Rng.nextBelow(Fields.size() + 1),
+                    {Rng.nextBool(0.5) ? "x" : "extra_v2", junk()});
+    std::string Out = "{";
+    for (size_t I = 0; I < Fields.size(); ++I)
+      Out += (I ? "," : "") + space() + "\"" + key(Fields[I].first) + "\"" +
+             space() + ":" + space() + Fields[I].second + space();
+    return Out + "}";
+  }
+
+  /// \p Name escaped, sometimes with its first letter as a \u escape.
+  std::string key(const std::string &Name) {
+    std::string Escaped = jsonEscape(Name);
+    if (Name.empty() || Escaped[0] == '\\' || !Rng.nextBool(0.05))
+      return Escaped;
+    char Escape[7];
+    std::snprintf(Escape, sizeof(Escape), "\\u%04x",
+                  static_cast<unsigned char>(Name[0]));
+    return Escape + Escaped.substr(1);
+  }
+
+  /// \p Value in its shortest exact spelling; an integer sometimes with a
+  /// fraction or an exponent.
+  std::string number(double Value) {
+    char Buffer[32];
+    auto [End, Ec] = std::to_chars(Buffer, Buffer + sizeof(Buffer), Value);
+    std::string Digits(Buffer, End);
+    if (Digits.find_first_of(".eE") != std::string::npos)
+      return Digits;
+    switch (Rng.nextBelow(8)) {
+    case 0:
+      return Digits + ".0";
+    case 1:
+      return Digits + "e0";
+    case 2:
+      return Digits + "E+00";
+    default:
+      return Digits;
+    }
+  }
+
+  std::string space() {
+    static const char *Spaces[] = {"", "", "", " ", "\n", "\t", "\r\n  "};
+    return Spaces[Rng.nextBelow(std::size(Spaces))];
+  }
+
+  std::string junk() {
+    static const char *Values[] = {
+        "\"ts\"", "-1",   "1e20",         "1e999",      "0.5",
+        "true",   "null", "[1,{\"k\":\"s\"}]", "{\"a\":[]}", "\"\\u0041\"",
+        "4294967296", "\"\"", "[]", "{}", "18446744073709551616"};
+    return Values[Rng.nextBelow(std::size(Values))];
+  }
+
+  SplitMix64 &Rng;
+  bool Hostile;
+};
+
+//===----------------------------------------------------------------------===//
 // ReportDiff::parseReport under fuzz: loud errors, never a crash
 //===----------------------------------------------------------------------===//
 
@@ -941,7 +1478,9 @@ std::string renderFuzzReport(SplitMix64 &Rng) {
   size_t Findings = Rng.nextBelow(3);
   for (size_t I = 0; I < Findings; ++I) {
     core::FalseSharingReport Report;
-    Report.Object.IsHeap = false;
+    // Mostly named globals; sometimes an anonymous range, whose identity
+    // is its start address.
+    Report.Object.IsHeap = Rng.nextBool(0.2);
     Report.Object.GlobalName = "g" + std::to_string(Rng.nextBelow(3));
     Report.Object.Start = 0x1000 * (1 + Rng.nextBelow(64));
     Report.Object.Size = 64 + Rng.nextBelow(512);
@@ -961,7 +1500,7 @@ std::string renderFuzzReport(SplitMix64 &Rng) {
     Report.Invalidations = Rng.nextBelow(500);
     Report.Impact.ImprovementFactor =
         1.0 + static_cast<double>(Rng.nextBelow(300)) / 100.0;
-    if (Rng.nextBool(0.7))
+    for (size_t O = Rng.nextBelow(3); O > 0; --O)
       Report.Objects.push_back("o" + std::to_string(Rng.nextBelow(3)));
     // v4 distance buckets, sometimes, so the fuzz exercises the new
     // remote_by_distance parsing too.
@@ -978,6 +1517,39 @@ std::string renderFuzzReport(SplitMix64 &Rng) {
   return Out;
 }
 
+/// A cheetah-diff-v1 document between two fuzz reports.
+std::string renderFuzzDiff(SplitMix64 &Rng) {
+  core::ParsedReport Old, New;
+  std::string Error;
+  EXPECT_TRUE(core::parseReport(renderFuzzReport(Rng), Old, Error)) << Error;
+  EXPECT_TRUE(core::parseReport(renderFuzzReport(Rng), New, Error)) << Error;
+  return core::formatDiffJson(core::diffReports(Old, New),
+                              Rng.nextBool(0.5) ? 1.5 : 0.0);
+}
+
+/// Feeds \p Text, its bounded truncations, random byte mutations of it,
+/// and layout variants — benign and hostile — of it to \p Agree, which
+/// runs one decoder against its reference. Benign variants must read back
+/// exactly as \p Text does.
+template <typename AgreeFn>
+void checkAgainstReference(const std::string &Text, SplitMix64 &Rng,
+                           AgreeFn &&Agree) {
+  EXPECT_TRUE(Agree(Text));
+  for (size_t Cut = 0; Cut < Text.size(); Cut += 7)
+    Agree(Text.substr(0, Cut));
+  for (int Mutation = 0; Mutation < 40; ++Mutation)
+    Agree(mutate(Text, Rng));
+  JsonVariantWriter Benign(Rng), Hostile(Rng, /*Hostile=*/true);
+  for (int Variant = 0; Variant < 3; ++Variant) {
+    std::string Layout = Benign.write(Text);
+    EXPECT_TRUE(Agree(Layout)) << Layout.substr(0, 600);
+    for (int Mutation = 0; Mutation < 20; ++Mutation)
+      Agree(mutate(Layout, Rng));
+    for (int Attack = 0; Attack < 10; ++Attack)
+      Agree(Hostile.write(Text));
+  }
+}
+
 class ReportDiffFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ReportDiffFuzzTest, HostileReportInputNeverCrashes) {
@@ -985,39 +1557,14 @@ TEST_P(ReportDiffFuzzTest, HostileReportInputNeverCrashes) {
   for (int Doc = 0; Doc < 10; ++Doc) {
     std::string Text = renderFuzzReport(Rng);
 
-    // The pristine document parses.
+    // The pristine document parses; truncated, mutated and re-laid-out
+    // ones get the reference's verdict, values and error string, through
+    // both entry points.
     core::ParsedReport Report;
     std::string Error;
     ASSERT_TRUE(core::parseReport(Text, Report, Error)) << Error;
-
-    // Truncations at every bounded prefix: error, never crash.
-    for (size_t Cut = 0; Cut < Text.size(); Cut += 7) {
-      core::ParsedReport Partial;
-      if (!core::parseReport(Text.substr(0, Cut), Partial, Error))
-        EXPECT_FALSE(Error.empty());
-    }
-    // Random byte mutations (flip/insert/erase).
-    for (int Mutation = 0; Mutation < 60; ++Mutation) {
-      std::string Mutated = Text;
-      switch (Rng.nextBelow(3)) {
-      case 0:
-        if (!Mutated.empty())
-          Mutated[Rng.nextBelow(Mutated.size())] =
-              static_cast<char>(Rng.nextBelow(256));
-        break;
-      case 1:
-        Mutated.insert(Rng.nextBelow(Mutated.size() + 1), 1,
-                       static_cast<char>(Rng.nextBelow(256)));
-        break;
-      default:
-        if (!Mutated.empty())
-          Mutated.erase(Rng.nextBelow(Mutated.size()), 1);
-        break;
-      }
-      core::ParsedReport Fuzzed;
-      if (!core::parseReport(Mutated, Fuzzed, Error))
-        EXPECT_FALSE(Error.empty());
-    }
+    checkAgainstReference(Text, Rng, reportParsersAgree);
+    checkAgainstReference(Text, Rng, runDocumentParsersAgree);
 
     // Version mismatches fail loudly by name.
     for (const char *Schema : {"cheetah-report-v1", "cheetah-report-v9"}) {
@@ -1025,10 +1572,119 @@ TEST_P(ReportDiffFuzzTest, HostileReportInputNeverCrashes) {
       size_t Pos = Mismatched.find("cheetah-report-v4");
       ASSERT_NE(Pos, std::string::npos);
       Mismatched.replace(Pos, 17, Schema);
+      EXPECT_FALSE(reportParsersAgree(Mismatched));
       core::ParsedReport Rejected;
       EXPECT_FALSE(core::parseReport(Mismatched, Rejected, Error));
       EXPECT_NE(Error.find("unsupported schema"), std::string::npos);
     }
+  }
+}
+
+TEST_P(ReportDiffFuzzTest, DiffDocumentsMatchTheTreeReference) {
+  SplitMix64 Rng(GetParam() ^ 0xD1FD);
+  for (int Doc = 0; Doc < 6; ++Doc) {
+    std::string Text = renderFuzzDiff(Rng);
+    core::ParsedReport Run;
+    std::string Error;
+    ASSERT_TRUE(core::parseRunDocument(Text, Run, Error)) << Error;
+    EXPECT_EQ(Run.Schema, "cheetah-diff-v1");
+    checkAgainstReference(Text, Rng, runDocumentParsersAgree);
+    // parseReport reads no diff: it rejects one by its schema.
+    EXPECT_FALSE(reportParsersAgree(Text));
+  }
+}
+
+TEST(ReportDiffFuzzTest, ParsersMatchTheTreeReferenceOnHandWrittenCases) {
+  const std::string Head =
+      R"({"schema":"cheetah-report-v4","run":{"workload":"w","threads":2,)"
+      R"("fix_applied":false,"granularity":"line"},)"
+      R"("summary":{"app_runtime_cycles":9},)";
+  const std::string Line =
+      R"({"object":{"kind":"global","name":"g"},"sharing":"false-sharing",)"
+      R"("significant":true,"accesses":5,"invalidations":1})";
+  const std::string Page =
+      R"({"objects":["a","b"],"sharing":"true-sharing","significant":false,)"
+      R"("accesses":5,"invalidations":1,"remote_accesses":2})";
+  const std::string DiffHead =
+      R"({"schema":"cheetah-diff-v1","new":{"workload":"w","threads":2,)"
+      R"("fix_applied":true,"granularity":"page","app_runtime_cycles":3},)";
+  const std::string Cases[] = {
+      "", "[]", "5", "{}", "{} x", "[1,}", R"({"schema":1})",
+      R"({"schema":"cheetah-report-v4"})",
+      // Semantic errors lose to a syntax error later in the document.
+      R"({"schema":"cheetah-report-v1","findings":[} )",
+      // The schema outranks everything, wherever it sits.
+      R"({"findings":[5],"pageFindings":{},"schema":"cheetah-report-v3"})",
+      Head + R"("findings":[],"pageFindings":[]})",
+      Head + R"("findings":[],"pageFindings":[],"summary":5})",
+      R"({"schema":"cheetah-report-v4","run":{"workload":"w","threads":2,)"
+      R"("fix_applied":false,"granularity":"line"},"findings":[],)"
+      R"("pageFindings":[]})",
+      R"({"schema":"cheetah-report-v4","run":{"workload":"w","threads":2,)"
+      R"("fix_applied":false,"granularity":"line"},"summary":{},)"
+      R"("findings":[],"pageFindings":[]})",
+      R"({"schema":"cheetah-report-v4","run":{"workload":"w","threads":1e20,)"
+      R"("fix_applied":false,"granularity":"line"}})",
+      Head + R"("findings":{},"pageFindings":[]})",
+      Head + R"("findings":[],"findings":5,"pageFindings":[]})",
+      Head + R"("findings":[1,{}],"pageFindings":[]})",
+      Head + R"("findings":[)" + Line + "," + Line + R"(],"pageFindings":[]})",
+      Head + R"("findings":[{"object":{"kind":"range","name":""},)"
+             R"("sharing":"s","significant":true,"accesses":1,)"
+             R"("invalidations":0}],"pageFindings":[]})",
+      Head + R"("findings":[{"object":{"kind":"range","name":"","start":4096},)"
+             R"("sharing":"s","significant":true,"accesses":1,)"
+             R"("invalidations":0,"predictedImprovement":"x",)"
+             R"("assessment":{"improvement_factor":1.25}}],"pageFindings":[]})",
+      Head + R"("findings":[{"object":{"kind":"heap","name":"f:1"},)"
+             R"("sharing":"s","significant":true,"accesses":1,)"
+             R"("invalidations":0,"assessment":{"improvement_factor":"y"}}],)"
+             R"("pageFindings":[]})",
+      Head + R"("findings":[)" + Line + R"(],"pageFindings":[)" + Page + "," +
+          Page + "]}",
+      Head + R"("findings":[],"pageFindings":[{"objects":[],"page":1e999,)"
+             R"("sharing":"s","significant":true,"accesses":1,)"
+             R"("invalidations":0,"remote_accesses":0}]})",
+      Head + R"("findings":[],"pageFindings":[{"objects":["",""],"page":64,)"
+             R"("sharing":"s","significant":true,"accesses":1,)"
+             R"("invalidations":0,"remote_accesses":0}]})",
+      Head + R"("findings":[],"pageFindings":[{"objects":["a",7],)"
+             R"("sharing":"s"}]})",
+      Head + R"("findings":[],"pageFindings":[{"objects":["a"],)"
+             R"("sharing":"s","significant":true,"accesses":1,)"
+             R"("invalidations":0,"remote_accesses":0,)"
+             R"("remote_by_distance":{}}]})",
+      Head + R"("findings":[],"pageFindings":[{"objects":["a"],)"
+             R"("sharing":"s","significant":true,"accesses":1,)"
+             R"("invalidations":0,"remote_accesses":0,"remote_by_distance":)"
+             R"([{"distance":20,"accesses":1,"cycles":2},5,)"
+             R"({"distance":4294967296,"accesses":1,"cycles":2}]}]})",
+      Head + R"("findings":[],"pageFindings":[{"objects":["a"],)"
+             R"("sharing":"s","significant":true,"accesses":1,)"
+             R"("invalidations":0,"remote_accesses":0,"remote_by_distance":)"
+             R"([{"distance":4294967296,"accesses":1,"cycles":2}]}]})",
+      DiffHead + R"("findings":{"added":[],"matched":[]},)"
+                 R"("pageFindings":{"added":[],"matched":[]}})",
+      DiffHead + R"("findings":[],"pageFindings":{"added":[],"matched":[]}})",
+      DiffHead + R"("findings":{"added":[]},"pageFindings":{}})",
+      R"({"schema":"cheetah-diff-v1","new":{"workload":"w"}})",
+      R"({"schema":"cheetah-diff-v1","new":[]})",
+      DiffHead + R"("findings":{"added":[{"key":"k","sharing":"s",)"
+                 R"("significant":true,"accesses":1,"invalidations":2,)"
+                 R"("predictedImprovement":"z"}],"matched":[5]},)"
+                 R"("pageFindings":{"added":[],"matched":[]}})",
+      DiffHead + R"("findings":{"added":[],"matched":[{"key":"k",)"
+                 R"("new_significant":true,"new_improvement":2.5},)"
+                 R"({"key":"q","new_significant":false,"new_improvement":[]}]},)"
+                 R"("pageFindings":{"added":[],"matched":[]}})",
+      DiffHead + R"("findings":{"added":[],"matched":[]},)"
+                 R"("pageFindings":{"added":[{"key":"p","sharing":"s",)"
+                 R"("significant":true,"accesses":1,"invalidations":2}],)"
+                 R"("matched":[]}})",
+  };
+  for (const std::string &Text : Cases) {
+    reportParsersAgree(Text);
+    runDocumentParsersAgree(Text);
   }
 }
 
@@ -1069,35 +1725,31 @@ TEST_P(HistoryStoreFuzzTest, HostileStoreInputNeverCrashes) {
     ASSERT_TRUE(core::ReportHistory::parse(Text, Store, Error)) << Error;
     EXPECT_EQ(Store.serialize(), Text);
 
-    // Truncations at every bounded prefix: error, never crash.
-    for (size_t Cut = 0; Cut < Text.size(); Cut += 7) {
-      core::ReportHistory Partial;
-      if (!core::ReportHistory::parse(Text.substr(0, Cut), Partial, Error))
+    // Truncated, mutated and hostile stores: error or parse, never a
+    // crash, and a failure always says why.
+    auto Parse = [&](const std::string &Variant) {
+      core::ReportHistory Parsed;
+      bool Ok = core::ReportHistory::parse(Variant, Parsed, Error);
+      if (!Ok) {
         EXPECT_FALSE(Error.empty());
-    }
-    // Random byte mutations (flip/insert/erase): error or parse, never a
-    // crash. (No byte-stability claim here — a mutation can insert
-    // benign whitespace that parses but is not canonical.)
-    for (int Mutation = 0; Mutation < 60; ++Mutation) {
-      std::string Mutated = Text;
-      switch (Rng.nextBelow(3)) {
-      case 0:
-        if (!Mutated.empty())
-          Mutated[Rng.nextBelow(Mutated.size())] =
-              static_cast<char>(Rng.nextBelow(256));
-        break;
-      case 1:
-        Mutated.insert(Rng.nextBelow(Mutated.size() + 1), 1,
-                       static_cast<char>(Rng.nextBelow(256)));
-        break;
-      default:
-        if (!Mutated.empty())
-          Mutated.erase(Rng.nextBelow(Mutated.size()), 1);
-        break;
+        EXPECT_TRUE(Parsed.runs().empty() && Parsed.series().empty());
       }
-      core::ReportHistory Fuzzed;
-      if (!core::ReportHistory::parse(Mutated, Fuzzed, Error))
-        EXPECT_FALSE(Error.empty());
+      return Ok;
+    };
+    for (size_t Cut = 0; Cut < Text.size(); Cut += 7)
+      Parse(Text.substr(0, Cut));
+    for (int Mutation = 0; Mutation < 60; ++Mutation)
+      Parse(mutate(Text, Rng));
+    // Another writer's layout of the same store reads back as the store.
+    JsonVariantWriter Benign(Rng), Hostile(Rng, /*Hostile=*/true);
+    for (int Variant = 0; Variant < 3; ++Variant) {
+      std::string Layout = Benign.write(Text);
+      core::ReportHistory Relaid;
+      ASSERT_TRUE(core::ReportHistory::parse(Layout, Relaid, Error))
+          << Error << "\n" << Layout.substr(0, 600);
+      EXPECT_EQ(Relaid.serialize(), Text);
+      for (int Attack = 0; Attack < 10; ++Attack)
+        Parse(Hostile.write(Text));
     }
 
     // Version mismatches fail loudly by name.
@@ -1283,137 +1935,6 @@ pmu::TraceData makeFuzzTrace(SplitMix64 &Rng) {
   return Data;
 }
 
-/// Writes \p Data as a cheetah-trace-v1 document the way some other
-/// writer might: members in random order, whitespace between tokens, keys
-/// and numbers spelled differently, members repeated after their first
-/// occurrence (which must win), and members no reader knows (which must be
-/// ignored). Both parsers must read it back as \p Data.
-class TraceVariantWriter {
-public:
-  explicit TraceVariantWriter(SplitMix64 &Rng) : Rng(Rng) {}
-
-  std::string write(const pmu::TraceData &Data) {
-    std::string Events = "[";
-    for (size_t I = 0; I < Data.Events.size(); ++I) {
-      Events += (I ? "," : "") + space();
-      Events += event(Data.Events[I]) + space();
-    }
-    Events += "]";
-    return space() +
-           object({{"schema", "\"cheetah-trace-v1\""},
-                   {"sampling_period", number(Data.SamplingPeriod)},
-                   {"run_cycles", number(Data.RunCycles)},
-                   {"events", Events}}) +
-           space();
-  }
-
-private:
-  using Members = std::vector<std::pair<std::string, std::string>>;
-
-  std::string event(const pmu::TraceEvent &Event) {
-    switch (Event.K) {
-    case pmu::TraceEvent::Kind::ThreadStart:
-    case pmu::TraceEvent::Kind::ThreadEnd:
-      return object(
-          {{"k", Event.K == pmu::TraceEvent::Kind::ThreadStart ? "\"ts\""
-                                                               : "\"te\""},
-           {"tid", number(Event.Tid)},
-           {"main", Event.IsMain ? "true" : "false"},
-           {"t", number(Event.Time)}});
-    case pmu::TraceEvent::Kind::SamplePoint:
-      return object({{"k", "\"s\""},
-                     {"a", number(Event.Address)},
-                     {"tid", number(Event.Tid)},
-                     {"w", Event.IsWrite ? "true" : "false"},
-                     {"l", number(Event.LatencyCycles)},
-                     {"t", number(Event.Time)}});
-    }
-    return "";
-  }
-
-  /// \p Fields shuffled, with repeats placed after the original and
-  /// unknown members anywhere.
-  std::string object(Members Fields) {
-    for (size_t I = Fields.size(); I > 1; --I)
-      std::swap(Fields[I - 1], Fields[Rng.nextBelow(I)]);
-    for (size_t I = 0, Originals = Fields.size(); I < Originals; ++I) {
-      if (!Rng.nextBool(0.1))
-        continue;
-      std::string Name = Fields[I].first;
-      size_t First = std::find_if(Fields.begin(), Fields.end(),
-                                  [&](const auto &F) { return F.first == Name; }) -
-                     Fields.begin();
-      size_t At = First + 1 + Rng.nextBelow(Fields.size() - First);
-      Fields.insert(Fields.begin() + At, {Name, junk()});
-    }
-    if (Rng.nextBool(0.3))
-      Fields.insert(Fields.begin() + Rng.nextBelow(Fields.size() + 1),
-                    {Rng.nextBool(0.5) ? "x" : "events_v2", junk()});
-    std::string Out = "{";
-    for (size_t I = 0; I < Fields.size(); ++I)
-      Out += (I ? "," : "") + space() + "\"" + key(Fields[I].first) + "\"" +
-             space() + ":" + space() + Fields[I].second + space();
-    return Out + "}";
-  }
-
-  /// \p Name, sometimes with its first letter as a \u escape.
-  std::string key(const std::string &Name) {
-    if (!Rng.nextBool(0.05))
-      return Name;
-    char Escape[7];
-    std::snprintf(Escape, sizeof(Escape), "\\u%04x", Name[0]);
-    return Escape + Name.substr(1);
-  }
-
-  /// \p N, sometimes spelled with a fraction or an exponent.
-  std::string number(uint64_t N) {
-    std::string Digits = std::to_string(N);
-    switch (Rng.nextBelow(8)) {
-    case 0:
-      return Digits + ".0";
-    case 1:
-      return Digits + "e0";
-    case 2:
-      return Digits + ".25"; // truncates to N
-    default:
-      return Digits;
-    }
-  }
-
-  std::string space() {
-    static const char *Spaces[] = {"", "", "", " ", "\n", "\t", "\r\n  "};
-    return Spaces[Rng.nextBelow(std::size(Spaces))];
-  }
-
-  std::string junk() {
-    static const char *Values[] = {
-        "\"ts\"", "-1",     "1e20",  "1e999", "0.5",           "true",
-        "null",   "[1,{\"k\":\"s\"}]", "{\"a\":[]}", "\"\\u0041\"", "4294967296"};
-    return Values[Rng.nextBelow(std::size(Values))];
-  }
-
-  SplitMix64 &Rng;
-};
-
-/// Random byte edits (flip/insert/erase) of \p Text.
-std::string mutate(std::string Text, SplitMix64 &Rng) {
-  switch (Rng.nextBelow(3)) {
-  case 0:
-    if (!Text.empty())
-      Text[Rng.nextBelow(Text.size())] = static_cast<char>(Rng.nextBelow(256));
-    break;
-  case 1:
-    Text.insert(Rng.nextBelow(Text.size() + 1), 1,
-                static_cast<char>(Rng.nextBelow(256)));
-    break;
-  default:
-    if (!Text.empty())
-      Text.erase(Rng.nextBelow(Text.size()), 1);
-    break;
-  }
-  return Text;
-}
-
 class TraceFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(TraceFuzzTest, HostileTraceInputNeverCrashes) {
@@ -1452,11 +1973,15 @@ TEST_P(TraceFuzzTest, HostileTraceInputNeverCrashes) {
 
 TEST_P(TraceFuzzTest, ParserMatchesTheTreeReferenceOnAnyLayout) {
   SplitMix64 Rng(GetParam() ^ 0x1A70);
-  TraceVariantWriter Writer(Rng);
+  JsonVariantWriter Writer(Rng), Hostile(Rng, /*Hostile=*/true);
   for (int Doc = 0; Doc < 8; ++Doc) {
     pmu::TraceData Data = makeFuzzTrace(Rng);
+    // Dropped members and junk values (fractions, 1e20, 2^64...) must
+    // fail, or read, alike.
+    for (int Attack = 0; Attack < 10; ++Attack)
+      parsersAgree(Hostile.write(Data.serialize()));
     for (int Variant = 0; Variant < 4; ++Variant) {
-      std::string Text = Writer.write(Data);
+      std::string Text = Writer.write(Data.serialize());
       // Layout does not matter: the variant reads back as the data.
       pmu::TraceData Parsed;
       std::string Error;

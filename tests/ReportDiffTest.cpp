@@ -195,6 +195,46 @@ TEST(ReportDiffParseTest, MissingSectionsFailLoudly) {
   EXPECT_NE(Error.find("run"), std::string::npos);
 }
 
+TEST(ReportDiffParseTest, MissingSummaryErrorCarriesNoStaleText) {
+  // The caller's error string may hold an earlier failure; a missing
+  // summary must not append it to its own message.
+  std::string Text = renderDocument({}, {});
+  size_t Pos = Text.find("\"summary\"");
+  ASSERT_NE(Pos, std::string::npos);
+  Text.replace(Pos, std::string("\"summary\"").size(), "\"summery\"");
+  ParsedReport Report;
+  std::string Error = "earlier failure";
+  EXPECT_FALSE(parseReport(Text, Report, Error));
+  EXPECT_EQ(Error, "report without a usable 'summary' object");
+
+  Text = renderDocument({}, {});
+  Pos = Text.find("\"app_runtime_cycles\":1000000");
+  ASSERT_NE(Pos, std::string::npos);
+  Text.replace(Pos, std::string("\"app_runtime_cycles\":1000000").size(),
+               "\"app_runtime_cycles\":-1");
+  EXPECT_FALSE(parseReport(Text, Report, Error));
+  EXPECT_EQ(Error, "report without a usable 'summary' object: field "
+                   "'app_runtime_cycles' is negative");
+}
+
+TEST(ReportDiffParseTest, FailedParseLeavesNoPartialReport) {
+  std::string Text = renderDocument(
+      {{syntheticLineFinding("hot_global", 1.7), true}},
+      {{syntheticPageFinding("numa_slots", 0x40000000, 2.5), true}});
+  ParsedReport Report = mustParse(Text);
+  ASSERT_EQ(Report.Findings.size(), 1u);
+  size_t Pos = Text.find("\"remote_accesses\":800");
+  ASSERT_NE(Pos, std::string::npos);
+  Text.replace(Pos, std::string("\"remote_accesses\":800").size(),
+               "\"remote_accesses\":true");
+  std::string Error;
+  EXPECT_FALSE(parseReport(Text, Report, Error));
+  EXPECT_EQ(Error, "pageFindings[0]: field 'remote_accesses' missing or not "
+                   "a number");
+  EXPECT_TRUE(Report.Schema.empty());
+  EXPECT_TRUE(Report.Findings.empty());
+}
+
 //===----------------------------------------------------------------------===//
 // diffReports matching and gate semantics
 //===----------------------------------------------------------------------===//

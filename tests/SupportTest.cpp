@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/CommandLine.h"
+#include "support/FileIO.h"
 #include "support/Generator.h"
 #include "support/Json.h"
 #include "support/Random.h"
@@ -17,9 +18,13 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <limits>
+#include <map>
 #include <string_view>
 #include <vector>
+
+#include <unistd.h>
 
 using namespace cheetah;
 
@@ -605,6 +610,54 @@ TEST(JsonParserTest, RoundTripsWriterOutput) {
 }
 
 //===----------------------------------------------------------------------===//
+// Whole-file reads and writes
+//===----------------------------------------------------------------------===//
+
+TEST(FileIOTest, WriteThenReadRoundTripsBytesAndReplaces) {
+  std::string Path =
+      (std::filesystem::temp_directory_path() /
+       ("cheetah-fileio-" + std::to_string(::getpid()) + ".bin"))
+          .string();
+  std::string Bytes;
+  for (int I = 0; I < 200000; ++I)
+    Bytes += static_cast<char>(I * 7919 % 256); // NULs included
+  std::string Error, Read = "stale";
+  ASSERT_TRUE(writeFile(Path, Bytes, Error)) << Error;
+  bool Missing = true;
+  ASSERT_TRUE(readFile(Path, Read, Error, &Missing)) << Error;
+  EXPECT_EQ(Read, Bytes);
+  EXPECT_FALSE(Missing);
+
+  // A shorter write replaces the file; an empty one empties it.
+  ASSERT_TRUE(writeFile(Path, "short", Error)) << Error;
+  ASSERT_TRUE(readFile(Path, Read, Error)) << Error;
+  EXPECT_EQ(Read, "short");
+  ASSERT_TRUE(writeFile(Path, "", Error)) << Error;
+  ASSERT_TRUE(readFile(Path, Read, Error)) << Error;
+  EXPECT_EQ(Read, "");
+  std::filesystem::remove(Path);
+  EXPECT_FALSE(readFile(Path, Read, Error, &Missing));
+  EXPECT_TRUE(Missing);
+}
+
+TEST(FileIOTest, FailuresNameTheFile) {
+  std::string Dir = std::filesystem::temp_directory_path().string();
+  std::string Missing = Dir + "/cheetah-fileio-missing-" +
+                        std::to_string(::getpid()) + "/x.json";
+  std::string Out, Error;
+  bool Absent = false;
+  EXPECT_FALSE(readFile(Missing, Out, Error, &Absent));
+  EXPECT_EQ(Error, "cannot open '" + Missing + "' for reading");
+  EXPECT_TRUE(Absent);
+  EXPECT_FALSE(writeFile(Missing, "x", Error));
+  EXPECT_EQ(Error, "cannot open '" + Missing + "' for writing");
+  // A directory exists but reads as no document.
+  EXPECT_FALSE(readFile(Dir, Out, Error, &Absent));
+  EXPECT_EQ(Error, "failed reading '" + Dir + "'");
+  EXPECT_FALSE(Absent);
+}
+
+//===----------------------------------------------------------------------===//
 // JSON reader
 //===----------------------------------------------------------------------===//
 
@@ -657,6 +710,44 @@ TEST(JsonReaderTest, SkipConsumesWholeValuesAndErrorsStick) {
   EXPECT_EQ(Bad.error(), "JSON error at offset 8: expected a value");
   EXPECT_EQ(Bad.next(), Token::Error);
   EXPECT_EQ(Bad.next(), Token::Error);
+}
+
+TEST(JsonReaderTest, ReadMembersAndElementsWalkOneLevel) {
+  using Token = JsonReader::Token;
+  JsonReader Reader(R"({"a": [1, {"x": 2}, "s"], "b": {"c": true}, "d": 3})");
+  bool IsObject = false;
+  std::vector<std::string> Keys;
+  std::vector<Token> Firsts;
+  EXPECT_TRUE(Reader.readDocument(IsObject, [&](std::string_view Key) {
+    Keys.emplace_back(Key);
+    Token T = Reader.next();
+    if (T != Token::BeginArray)
+      return Reader.skip(T);
+    return Reader.readElements([&](size_t Index, Token First) {
+      EXPECT_EQ(Index, Firsts.size());
+      Firsts.push_back(First);
+      return Reader.skip(First);
+    });
+  }));
+  EXPECT_TRUE(IsObject);
+  EXPECT_EQ(Keys, (std::vector<std::string>{"a", "b", "d"}));
+  EXPECT_EQ(Firsts, (std::vector<Token>{Token::Number, Token::BeginObject,
+                                        Token::String}));
+
+  // Any other root is read past whole; syntax errors anywhere fail.
+  JsonReader Array("[1, {}]");
+  EXPECT_TRUE(Array.readDocument(IsObject, [](std::string_view) {
+    ADD_FAILURE() << "an array has no members";
+    return false;
+  }));
+  EXPECT_FALSE(IsObject);
+  for (const char *Broken : {R"({"a": [1,]})", R"({"a": 1} x)", "[1", ""}) {
+    JsonReader Reader(Broken);
+    EXPECT_FALSE(Reader.readDocument(
+        IsObject, [&](std::string_view) { return Reader.skip(Reader.next()); }))
+        << Broken;
+    EXPECT_NE(Reader.error().find("JSON error at offset"), std::string::npos);
+  }
 }
 
 /// Bit-exact double comparison: tells -0 from 0.
@@ -838,6 +929,62 @@ TEST(JsonFieldTest, KindMismatchesNameTheField) {
   EXPECT_TRUE(std::isinf(Number));
   EXPECT_FALSE(jsonFieldDouble(Document, "s", Number, Error));
   EXPECT_EQ(Error, "field 's' missing or not a number");
+}
+
+TEST(JsonFieldTest, StreamedFieldsKeepTheFirstOccurrenceAndTheMessages) {
+  using Token = JsonReader::Token;
+  std::string Text =
+      R"({"n": 7, "n": "x", "s": "\u0041b", "b": false, "o": {"k": 1},)"
+      R"( "big": 1e20, "neg": -1, "arr": [1, 2]})";
+  JsonValue Tree;
+  std::string Error;
+  ASSERT_TRUE(JsonValue::parse(Text, Tree, Error)) << Error;
+
+  JsonReader Reader(Text);
+  std::map<std::string, JsonField> Fields;
+  std::string S;
+  int Decoded = 0;
+  bool IsObject = false;
+  ASSERT_TRUE(Reader.readDocument(IsObject, [&](std::string_view Key) {
+    JsonField &Field = Fields[std::string(Key)];
+    if (Key == "s")
+      return Field.read(Reader, &S);
+    return Field.read(Reader, Token::BeginArray, [&] {
+      ++Decoded;
+      return Reader.skip(Token::BeginArray);
+    });
+  })) << Reader.error();
+  EXPECT_EQ(S, "Ab");
+  EXPECT_EQ(Decoded, 1); // the container callback ran for "arr" only
+  EXPECT_TRUE(Fields["n"].is(Token::Number));
+  EXPECT_EQ(Fields["n"].number(), 7.0); // the later "x" is ignored
+  EXPECT_TRUE(Fields["o"].is(Token::BeginObject));
+  EXPECT_FALSE(Fields["missing"].seen());
+
+  // Every check gives jsonField*'s verdict and message.
+  for (const char *Name : {"n", "s", "b", "o", "big", "neg", "missing"}) {
+    uint64_t TreeUint = 0, StreamUint = 0;
+    bool TreeFlag = false, StreamFlag = false;
+    std::string TreeText, TreeError, StreamError;
+    EXPECT_EQ(Fields[Name].toUint(Name, StreamUint, StreamError),
+              jsonFieldUint(Tree, Name, TreeUint, TreeError))
+        << Name;
+    EXPECT_EQ(StreamError, TreeError);
+    EXPECT_EQ(StreamUint, TreeUint);
+    StreamError.clear();
+    TreeError.clear();
+    EXPECT_EQ(Fields[Name].toBool(Name, StreamFlag, StreamError),
+              jsonFieldBool(Tree, Name, TreeFlag, TreeError))
+        << Name;
+    EXPECT_EQ(StreamError, TreeError);
+    EXPECT_EQ(StreamFlag, TreeFlag);
+    StreamError.clear();
+    TreeError.clear();
+    EXPECT_EQ(Fields[Name].checkString(Name, StreamError),
+              jsonFieldString(Tree, Name, TreeText, TreeError))
+        << Name;
+    EXPECT_EQ(StreamError, TreeError);
+  }
 }
 
 } // namespace

@@ -180,6 +180,16 @@ TEST(TraceSourceTest, MissingFileFailsStartWithReason) {
       << Status.Reason;
 }
 
+TEST(TraceSourceTest, DirectoryFailsStartInsteadOfAborting) {
+  // A directory opens for reading, and its seek offsets are no size: the
+  // read must fail loudly, not size a buffer from them.
+  pmu::TraceSource Replay(::testing::TempDir());
+  pmu::SourceStatus Status = Replay.start();
+  EXPECT_FALSE(Status.Available);
+  EXPECT_NE(Status.Reason.find("failed reading"), std::string::npos)
+      << Status.Reason;
+}
+
 TEST(TraceSourceTest, MalformedFileFailsStartNamingThePath) {
   std::string Path = ::testing::TempDir() + "malformed.trace";
   std::FILE *File = std::fopen(Path.c_str(), "w");

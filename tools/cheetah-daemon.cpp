@@ -41,6 +41,7 @@
 #include "interpose/Preload.h"
 #include "pmu/TraceSource.h"
 #include "support/CommandLine.h"
+#include "support/FileIO.h"
 
 #include <cstdio>
 #include <map>
@@ -52,36 +53,6 @@
 using namespace cheetah;
 
 namespace {
-
-/// Writes \p Text to \p Path. \returns false on I/O failure.
-bool writeFile(const std::string &Path, const std::string &Text) {
-  std::FILE *File = std::fopen(Path.c_str(), "w");
-  if (!File) {
-    std::fprintf(stderr, "error: cannot open '%s' for writing\n",
-                 Path.c_str());
-    return false;
-  }
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), File);
-  bool Closed = std::fclose(File) == 0;
-  bool Ok = Written == Text.size() && Closed;
-  if (!Ok)
-    std::fprintf(stderr, "error: short write to '%s'\n", Path.c_str());
-  return Ok;
-}
-
-/// Reads the whole of \p Path into \p Out. \returns false on I/O failure.
-bool readFile(const std::string &Path, std::string &Out) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File)
-    return false;
-  char Buffer[1 << 16];
-  size_t Read;
-  while ((Read = std::fread(Buffer, 1, sizeof(Buffer), File)) > 0)
-    Out.append(Buffer, Read);
-  bool Ok = !std::ferror(File);
-  std::fclose(File);
-  return Ok;
-}
 
 /// Buckets a trace's sample stream per issuing thread — the shape the
 /// epoch replay loop feeds to per-thread interpose buffers. Lifecycle
@@ -219,16 +190,20 @@ int main(int Argc, char **Argv) {
                static_cast<unsigned long long>(Trace->runCycles()),
                static_cast<long long>(Epochs));
 
-  // Resume an existing store so restarted daemons keep appending.
+  // Resume an existing store so restarted daemons keep appending. Only a
+  // store that is not there at all starts empty: one that cannot be read
+  // must not be replaced by a fresh one.
   core::ReportHistory History;
-  {
-    std::string Text;
-    if (readFile(StorePath, Text) &&
-        !core::ReportHistory::parse(Text, History, Error)) {
-      std::fprintf(stderr, "error: %s: %s\n", StorePath.c_str(),
-                   Error.c_str());
+  std::string StoreText;
+  bool StoreMissing = false;
+  if (!readFile(StorePath, StoreText, Error, &StoreMissing)) {
+    if (!StoreMissing) {
+      std::fprintf(stderr, "error: %s\n", Error.c_str());
       return 1;
     }
+  } else if (!core::ReportHistory::parse(StoreText, History, Error)) {
+    std::fprintf(stderr, "error: %s: %s\n", StorePath.c_str(), Error.c_str());
+    return 1;
   }
 
   driver::PreloadProfilerBridge Bridge(Profiler);
@@ -294,11 +269,12 @@ int main(int Argc, char **Argv) {
     }
     // The store is rewritten after every epoch so trend tooling reads a
     // complete, valid ledger at any point in the daemon's life.
-    if (!writeFile(StorePath, History.serialize()))
+    if (!writeFile(StorePath, History.serialize(), Error) ||
+        (!SnapshotDir.empty() &&
+         !writeFile(SnapshotDir + "/" + RunId + ".json", ReportText, Error))) {
+      std::fprintf(stderr, "error: %s\n", Error.c_str());
       return 1;
-    if (!SnapshotDir.empty() &&
-        !writeFile(SnapshotDir + "/" + RunId + ".json", ReportText))
-      return 1;
+    }
 
     std::fprintf(
         stderr,

@@ -29,55 +29,12 @@
 
 #include "core/report/ReportDiff.h"
 #include "support/CommandLine.h"
+#include "support/FileIO.h"
 
 #include <cstdio>
 #include <string>
 
 using namespace cheetah;
-
-namespace {
-
-/// Reads the whole of \p Path into \p Out. \returns false on I/O failure.
-bool readFile(const std::string &Path, std::string &Out) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File) {
-    std::fprintf(stderr, "error: cannot open '%s' for reading\n",
-                 Path.c_str());
-    return false;
-  }
-  char Buffer[1 << 16];
-  size_t Read;
-  while ((Read = std::fread(Buffer, 1, sizeof(Buffer), File)) > 0)
-    Out.append(Buffer, Read);
-  bool Ok = !std::ferror(File);
-  std::fclose(File);
-  if (!Ok)
-    std::fprintf(stderr, "error: failed reading '%s'\n", Path.c_str());
-  return Ok;
-}
-
-/// Writes \p Text to \p Path ("" or "-" = stdout). \returns false on I/O
-/// failure.
-bool writeOutput(const std::string &Path, const std::string &Text) {
-  if (Path.empty() || Path == "-") {
-    std::fputs(Text.c_str(), stdout);
-    return true;
-  }
-  std::FILE *File = std::fopen(Path.c_str(), "w");
-  if (!File) {
-    std::fprintf(stderr, "error: cannot open '%s' for writing\n",
-                 Path.c_str());
-    return false;
-  }
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), File);
-  bool Closed = std::fclose(File) == 0;
-  bool Ok = Written == Text.size() && Closed;
-  if (!Ok)
-    std::fprintf(stderr, "error: short write to '%s'\n", Path.c_str());
-  return Ok;
-}
-
-} // namespace
 
 int main(int Argc, char **Argv) {
   FlagSet Flags;
@@ -119,8 +76,10 @@ int main(int Argc, char **Argv) {
   for (int I = 0; I < 2; ++I) {
     const std::string &Path = Flags.positional()[I];
     std::string Text;
-    if (!readFile(Path, Text))
+    if (!readFile(Path, Text, Error)) {
+      std::fprintf(stderr, "error: %s\n", Error.c_str());
       return 1;
+    }
     if (!core::parseReport(Text, Reports[I], Error)) {
       std::fprintf(stderr, "error: %s: %s\n", Path.c_str(), Error.c_str());
       return 1;
@@ -132,8 +91,10 @@ int main(int Argc, char **Argv) {
   std::string Rendered = Format == "json"
                              ? core::formatDiffJson(Diff, Gate)
                              : core::formatDiffText(Diff, Gate);
-  if (!writeOutput(Flags.getString("output"), Rendered))
+  if (!writeFileOrStdout(Flags.getString("output"), Rendered, Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
     return 1;
+  }
 
   if (Gate > 0.0) {
     size_t Regressions = core::gateRegressions(Diff, Gate).size();

@@ -30,37 +30,13 @@
 #include "driver/ProfileSession.h"
 #include "driver/SessionOptions.h"
 #include "support/CommandLine.h"
+#include "support/FileIO.h"
 #include "support/StringUtils.h"
 
 #include <cstdio>
 #include <memory>
 
 using namespace cheetah;
-
-namespace {
-
-/// Writes \p Text to \p Path ("" or "-" = stdout). \returns false on I/O
-/// failure.
-bool writeOutput(const std::string &Path, const std::string &Text) {
-  if (Path.empty() || Path == "-") {
-    std::fputs(Text.c_str(), stdout);
-    return true;
-  }
-  std::FILE *File = std::fopen(Path.c_str(), "w");
-  if (!File) {
-    std::fprintf(stderr, "error: cannot open '%s' for writing\n",
-                 Path.c_str());
-    return false;
-  }
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), File);
-  bool Closed = std::fclose(File) == 0;
-  bool Ok = Written == Text.size() && Closed;
-  if (!Ok)
-    std::fprintf(stderr, "error: short write to '%s'\n", Path.c_str());
-  return Ok;
-}
-
-} // namespace
 
 int main(int Argc, char **Argv) {
   FlagSet Flags;
@@ -219,8 +195,10 @@ int main(int Argc, char **Argv) {
   bool ReportOnStdout = OutputPath.empty() || OutputPath == "-";
   if (!Json && ReportOnStdout)
     std::fputs("\n", stdout); // separate the banner from the report
-  if (!writeOutput(OutputPath, ReportText))
+  if (!writeFileOrStdout(OutputPath, ReportText, Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
     return 1;
+  }
 
   if (Flags.getBool("native")) {
     driver::SessionConfig Native = Config;

@@ -41,6 +41,7 @@
 
 #include "core/report/ReportHistory.h"
 #include "support/CommandLine.h"
+#include "support/FileIO.h"
 
 #include <cstdio>
 #include <string>
@@ -48,50 +49,6 @@
 using namespace cheetah;
 
 namespace {
-
-/// Reads the whole of \p Path into \p Out. \returns false on I/O failure.
-bool readFile(const std::string &Path, std::string &Out) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File) {
-    std::fprintf(stderr, "error: cannot open '%s' for reading\n",
-                 Path.c_str());
-    return false;
-  }
-  char Buffer[1 << 16];
-  size_t Read;
-  while ((Read = std::fread(Buffer, 1, sizeof(Buffer), File)) > 0)
-    Out.append(Buffer, Read);
-  bool Ok = !std::ferror(File);
-  std::fclose(File);
-  if (!Ok)
-    std::fprintf(stderr, "error: failed reading '%s'\n", Path.c_str());
-  return Ok;
-}
-
-/// \returns true when \p Path names an existing readable file.
-bool fileExists(const std::string &Path) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File)
-    return false;
-  std::fclose(File);
-  return true;
-}
-
-/// Writes \p Text to \p Path. \returns false on I/O failure.
-bool writeFile(const std::string &Path, const std::string &Text) {
-  std::FILE *File = std::fopen(Path.c_str(), "w");
-  if (!File) {
-    std::fprintf(stderr, "error: cannot open '%s' for writing\n",
-                 Path.c_str());
-    return false;
-  }
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), File);
-  bool Closed = std::fclose(File) == 0;
-  bool Ok = Written == Text.size() && Closed;
-  if (!Ok)
-    std::fprintf(stderr, "error: short write to '%s'\n", Path.c_str());
-  return Ok;
-}
 
 int usage(const FlagSet &Flags) {
   std::fputs(Flags.usage("cheetah-trend append|show [flags] [REPORT...]")
@@ -104,17 +61,16 @@ int usage(const FlagSet &Flags) {
 /// append (MustExist false) and an error for show.
 bool loadStore(const std::string &Path, bool MustExist,
                core::ReportHistory &History) {
-  if (!fileExists(Path)) {
-    if (!MustExist)
+  std::string Text, Error;
+  bool Missing = false;
+  if (!readFile(Path, Text, Error, &Missing)) {
+    // Only a store that is not there at all starts empty: one that cannot
+    // be read must not be replaced by a fresh one.
+    if (Missing && !MustExist)
       return true;
-    std::fprintf(stderr, "error: cannot open '%s' for reading\n",
-                 Path.c_str());
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
     return false;
   }
-  std::string Text;
-  if (!readFile(Path, Text))
-    return false;
-  std::string Error;
   if (!core::ReportHistory::parse(Text, History, Error)) {
     std::fprintf(stderr, "error: %s: %s\n", Path.c_str(), Error.c_str());
     return false;
@@ -144,8 +100,10 @@ int runAppend(const FlagSet &Flags,
 
   for (const std::string &Path : Reports) {
     std::string Text, Error;
-    if (!readFile(Path, Text))
+    if (!readFile(Path, Text, Error)) {
+      std::fprintf(stderr, "error: %s\n", Error.c_str());
       return 1;
+    }
     core::ParsedReport Report;
     if (!core::parseRunDocument(Text, Report, Error)) {
       std::fprintf(stderr, "error: %s: %s\n", Path.c_str(), Error.c_str());
@@ -168,8 +126,11 @@ int runAppend(const FlagSet &Flags,
                 static_cast<unsigned long long>(
                     History.runs().back().MatchedFindings));
   }
-  if (!writeFile(StorePath, History.serialize()))
+  std::string Error;
+  if (!writeFile(StorePath, History.serialize(), Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
     return 1;
+  }
   return 0;
 }
 
