@@ -11,26 +11,21 @@
 /// "handling of each sampled memory access" overhead the paper discusses in
 /// Section 4.1.
 ///
-/// The *_ThreadedIngest benchmarks drive the same detection hot path from
-/// 1..8 concurrent threads; compare their aggregate items_per_second to see
-/// the multi-threaded ingestion scaling. BM_ThreadedIngest runs the
-/// build's native path (lock-free CAS by default, striped-mutex when
-/// configured with -DCHEETAH_LOCKED_TABLE=ON), while
-/// BM_ThreadedIngestStripedLock wraps the same detector in a PR-1-style
-/// 64-stripe mutex harness inside the benchmark, and
-/// BM_ThreadedIngestSharded drives the epoch-sharded accumulation path
-/// (stage-1 gate + per-thread shard record + quiesce merge) — so a single
-/// run reports shared, locked, and sharded throughput side by side at
-/// every thread count without rebuilding.
+/// The *_ThreadedIngest benchmarks drive the same lock-free detection hot
+/// path from 1..8 concurrent threads; compare their aggregate
+/// items_per_second to see the multi-threaded ingestion scaling.
 ///
 /// `micro_hotpath --emit-ingest-json=PATH` skips google-benchmark and runs
-/// the dedicated ingest sweep instead: shared vs locked vs sharded vs
-/// batched (the staged handleBatch pipeline) at 1..8 threads, the
-/// single-threaded trace-replay delivery row (BM_TraceReplay's sweep
-/// counterpart), plus the decode dimension — the scalar and SIMD
-/// sample-decode kernels at batch sizes 1/16/64/256 — written as the
-/// machine-readable `BENCH_ingest.json` (samples/sec/core) that tracks
-/// the ingestion-throughput trajectory across PRs.
+/// the dedicated ingest sweep instead at 1..4 threads: per-sample
+/// (handleSample) and batched (the staged handleBatch pipeline) ingestion
+/// over per-thread slices, batched-hot (the same batches, with a share of
+/// every thread's samples on a two-line hot set all threads write — the
+/// contended case per-grain runs exist for), the single-threaded
+/// trace-replay delivery row (BM_TraceReplay's sweep counterpart), plus
+/// the decode dimension — the scalar and SIMD sample-decode kernels at
+/// batch sizes 1/16/64/256 — written as the machine-readable
+/// `BENCH_ingest.json` (samples/sec/core) that tracks the
+/// ingestion-throughput trajectory across PRs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,7 +51,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -154,8 +148,8 @@ void BM_DetectorHandleBatch(benchmark::State &State) {
 }
 BENCHMARK(BM_DetectorHandleBatch);
 
-/// One continuous-profiling epoch boundary under a byte budget: quiesce,
-/// rank every materialized grain coldest-first, evict down to the budget,
+/// One continuous-profiling epoch boundary under a byte budget: rank
+/// every materialized grain coldest-first, evict down to the budget,
 /// reclaim, then re-materialize a fresh working set for the next
 /// iteration. This is the daemon's per-epoch maintenance cost — the price
 /// of bounded memory, paid outside the ingest hot path.
@@ -179,7 +173,6 @@ void BM_EvictionEpochBoundary(benchmark::State &State) {
       Detect.handleSample(Sample, true);
     }
     State.ResumeTiming();
-    Detect.quiesce();
     benchmark::DoNotOptimize(Shadow.enforceBudget());
   }
   State.SetItemsProcessed(State.iterations() * GrainsPerEpoch);
@@ -281,105 +274,6 @@ void BM_ThreadedIngest(benchmark::State &State) {
 }
 BENCHMARK(BM_ThreadedIngest)->ThreadRange(1, 8)->UseRealTime();
 
-/// The PR-1 locked design, reproduced in-harness: the same detector calls,
-/// serialized by a 64-stripe mutex array keyed by line index exactly as
-/// ShadowMemory::lineLock used to do. Comparing this row against
-/// BM_ThreadedIngest at the same thread count is the locked-vs-lock-free
-/// A/B the CHEETAH_LOCKED_TABLE toggle exists for, without rebuilding.
-void BM_ThreadedIngestStripedLock(benchmark::State &State) {
-  static IngestHarness *Harness = nullptr;
-  static std::mutex *Stripes = nullptr;
-  constexpr size_t StripeCount = 64;
-  if (State.thread_index() == 0) {
-    Harness = new IngestHarness(LinesPerIngestThread * State.threads());
-    Stripes = new std::mutex[StripeCount];
-  }
-
-  uint64_t SliceBase =
-      0x4000'0000 +
-      uint64_t(State.thread_index()) * LinesPerIngestThread * 64;
-  SplitMix64 Rng(300 + State.thread_index());
-  pmu::Sample Sample;
-  for (auto _ : State) {
-    Sample.Address =
-        SliceBase + Rng.nextBelow(LinesPerIngestThread) * 64 +
-        Rng.nextBelow(16) * 4;
-    Sample.Tid =
-        static_cast<ThreadId>(State.thread_index() * 4 + Rng.nextBelow(4));
-    Sample.IsWrite = Rng.nextBool(0.7);
-    Sample.LatencyCycles = 40;
-    uint64_t Line = Sample.Address >> 6;
-    std::lock_guard<std::mutex> Lock(
-        Stripes[(Line * 0x9e3779b97f4a7c15ull) >> 58]);
-    benchmark::DoNotOptimize(Harness->Detect.handleSample(Sample, true));
-  }
-  State.SetItemsProcessed(State.iterations());
-
-  if (State.thread_index() == 0) {
-    delete Harness;
-    Harness = nullptr;
-    delete[] Stripes;
-    Stripes = nullptr;
-  }
-}
-BENCHMARK(BM_ThreadedIngestStripedLock)->ThreadRange(1, 8)->UseRealTime();
-
-/// One sample through the epoch-sharded accumulation path, in-harness:
-/// the same stage-1 susceptibility gate and detail materialization the
-/// detector's line stage runs, with the additive record going to this
-/// thread's shard instead of the shared atomics. Callers quiesce() the
-/// table at the epoch boundary.
-inline void ingestSampleSharded(IngestHarness &Harness,
-                                const pmu::Sample &Sample) {
-  uint32_t Writes = Sample.IsWrite
-                        ? Harness.Shadow.noteWrite(Sample.Address)
-                        : Harness.Shadow.writeCount(Sample.Address);
-  if (Writes <= core::DetectorConfig{}.WriteThreshold)
-    return;
-  uint64_t Base = Harness.Shadow.lineBase(Sample.Address);
-  core::CacheLineInfo &Info = Harness.Shadow.materializeDetail(Base);
-  Harness.Shadow.recordSharded(
-      Base, Info, Sample.Tid, Sample.Tid,
-      Sample.IsWrite ? AccessKind::Write : AccessKind::Read,
-      Harness.Geometry.wordInLine(Sample.Address), /*Span=*/1,
-      Sample.LatencyCycles);
-}
-
-/// The CHEETAH_SHARDED_TABLE ingestion design, runnable from any build:
-/// per-thread shard accumulation with zero cross-thread CAS traffic
-/// beyond the shared two-entry table transition, merged back once at the
-/// end of the run. Compare against BM_ThreadedIngest (shared atomics) and
-/// BM_ThreadedIngestStripedLock (PR-1 mutexes) at the same thread count.
-void BM_ThreadedIngestSharded(benchmark::State &State) {
-  static IngestHarness *Harness = nullptr;
-  if (State.thread_index() == 0)
-    Harness = new IngestHarness(LinesPerIngestThread * State.threads());
-
-  uint64_t SliceBase =
-      0x4000'0000 +
-      uint64_t(State.thread_index()) * LinesPerIngestThread * 64;
-  SplitMix64 Rng(700 + State.thread_index());
-  pmu::Sample Sample;
-  for (auto _ : State) {
-    Sample.Address =
-        SliceBase + Rng.nextBelow(LinesPerIngestThread) * 64 +
-        Rng.nextBelow(16) * 4;
-    Sample.Tid =
-        static_cast<ThreadId>(State.thread_index() * 4 + Rng.nextBelow(4));
-    Sample.IsWrite = Rng.nextBool(0.7);
-    Sample.LatencyCycles = 40;
-    ingestSampleSharded(*Harness, Sample);
-  }
-  State.SetItemsProcessed(State.iterations());
-
-  if (State.thread_index() == 0) {
-    Harness->Shadow.quiesce(); // the epoch merge is part of the design
-    delete Harness;
-    Harness = nullptr;
-  }
-}
-BENCHMARK(BM_ThreadedIngestSharded)->ThreadRange(1, 8)->UseRealTime();
-
 //===----------------------------------------------------------------------===//
 // Page-granularity (NUMA) hot path
 //===----------------------------------------------------------------------===//
@@ -428,9 +322,7 @@ BENCHMARK(BM_PageInfoContended)->ThreadRange(1, 8)->UseRealTime();
 
 /// Aggregate ingest throughput with the page stage on (line + page): the
 /// page-mode counterpart of BM_ThreadedIngest, comparable row-for-row to
-/// measure what the second granularity costs, in both CHEETAH_LOCKED_TABLE
-/// build modes (the locked build serializes page detail through the
-/// striped page mutexes exactly like the line path).
+/// measure what the second granularity costs.
 void BM_ThreadedIngestPageMode(benchmark::State &State) {
   struct PageHarness {
     NumaTopology Topology{2, 4096};
@@ -590,17 +482,22 @@ struct IngestSweepRow {
   double Seconds = 0.0;
 };
 
+/// Share of each batched-hot thread's samples that land on the shared
+/// two-line hot set (the e2e hot_line workload sends about 40% of its
+/// samples to one or two hot lines).
+constexpr double HotShare = 0.4;
+
 /// Runs \p SamplesPerThread samples on each of \p Threads threads through
 /// one ingestion mode and returns the timed row. Sample generation and
-/// slice layout match the BM_ThreadedIngest* benchmarks; all threads
-/// start on a barrier so the wall-clock window covers only ingestion
-/// (plus, for the sharded mode, the epoch merge — it is part of that
-/// design's cost).
+/// slice layout match the BM_ThreadedIngest benchmarks; batched-hot sends
+/// HotShare of the samples to the first two lines of thread 0's slice
+/// instead, which every thread reads and writes. All threads start on a
+/// barrier so the wall-clock window covers only ingestion.
 IngestSweepRow runIngestSweep(const std::string &Mode, unsigned Threads,
                               uint64_t SamplesPerThread) {
   IngestHarness Harness(LinesPerIngestThread * Threads);
-  constexpr size_t StripeCount = 64;
-  std::vector<std::mutex> Stripes(StripeCount);
+  const bool Batched = Mode != "per-sample";
+  const bool Hot = Mode == "batched-hot";
 
   std::atomic<bool> Go{false};
   std::vector<std::thread> Workers;
@@ -608,46 +505,36 @@ IngestSweepRow runIngestSweep(const std::string &Mode, unsigned Threads,
     Workers.emplace_back([&, T] {
       SplitMix64 Rng(900 + T);
       uint64_t SliceBase = 0x4000'0000 + uint64_t(T) * LinesPerIngestThread * 64;
-      pmu::Sample Sample;
-      while (!Go.load(std::memory_order_acquire)) {
-      }
-      if (Mode == "batched") {
-        // The staged pipeline: identical sample stream, delivered in
-        // 256-sample batches through handleBatch.
-        std::vector<pmu::Sample> Batch(core::DecodedBatch::Capacity);
-        for (uint64_t I = 0; I < SamplesPerThread;) {
-          size_t N = static_cast<size_t>(
-              std::min<uint64_t>(Batch.size(), SamplesPerThread - I));
-          for (size_t J = 0; J < N; ++J) {
-            Batch[J].Address = SliceBase +
-                               Rng.nextBelow(LinesPerIngestThread) * 64 +
-                               Rng.nextBelow(16) * 4;
-            Batch[J].Tid = static_cast<ThreadId>(T * 4 + Rng.nextBelow(4));
-            Batch[J].IsWrite = Rng.nextBool(0.7);
-            Batch[J].LatencyCycles = 40;
-          }
-          benchmark::DoNotOptimize(
-              Harness.Detect.handleBatch(Batch.data(), N, true));
-          I += N;
-        }
-        return;
-      }
-      for (uint64_t I = 0; I < SamplesPerThread; ++I) {
-        Sample.Address = SliceBase + Rng.nextBelow(LinesPerIngestThread) * 64 +
-                         Rng.nextBelow(16) * 4;
+      auto Next = [&](pmu::Sample &Sample) {
+        uint64_t Line =
+            Hot && Rng.nextBool(HotShare)
+                ? 0x4000'0000 + Rng.nextBelow(2) * 64
+                : SliceBase + Rng.nextBelow(LinesPerIngestThread) * 64;
+        Sample.Address = Line + Rng.nextBelow(16) * 4;
         Sample.Tid = static_cast<ThreadId>(T * 4 + Rng.nextBelow(4));
         Sample.IsWrite = Rng.nextBool(0.7);
         Sample.LatencyCycles = 40;
-        if (Mode == "shared") {
-          benchmark::DoNotOptimize(Harness.Detect.handleSample(Sample, true));
-        } else if (Mode == "locked") {
-          uint64_t Line = Sample.Address >> 6;
-          std::lock_guard<std::mutex> Lock(
-              Stripes[(Line * 0x9e3779b97f4a7c15ull) >> 58]);
-          benchmark::DoNotOptimize(Harness.Detect.handleSample(Sample, true));
-        } else {
-          ingestSampleSharded(Harness, Sample);
+      };
+      std::vector<pmu::Sample> Batch(core::DecodedBatch::Capacity);
+      while (!Go.load(std::memory_order_acquire)) {
+      }
+      if (!Batched) {
+        for (uint64_t I = 0; I < SamplesPerThread; ++I) {
+          Next(Batch[0]);
+          benchmark::DoNotOptimize(Harness.Detect.handleSample(Batch[0], true));
         }
+        return;
+      }
+      // The staged pipeline: the same kind of stream, delivered in
+      // 256-sample batches through handleBatch.
+      for (uint64_t I = 0; I < SamplesPerThread;) {
+        size_t N = static_cast<size_t>(
+            std::min<uint64_t>(Batch.size(), SamplesPerThread - I));
+        for (size_t J = 0; J < N; ++J)
+          Next(Batch[J]);
+        benchmark::DoNotOptimize(
+            Harness.Detect.handleBatch(Batch.data(), N, true));
+        I += N;
       }
     });
 
@@ -655,8 +542,6 @@ IngestSweepRow runIngestSweep(const std::string &Mode, unsigned Threads,
   Go.store(true, std::memory_order_release);
   for (std::thread &Worker : Workers)
     Worker.join();
-  if (Mode == "sharded")
-    Harness.Shadow.quiesce();
   auto End = std::chrono::steady_clock::now();
 
   IngestSweepRow Row;
@@ -747,23 +632,23 @@ IngestSweepRow runReplaySweep(uint64_t TotalSamples) {
   return Row;
 }
 
-/// Writes the shared/locked/sharded/batched x 1..8-thread sweep, the
+/// Writes the per-sample/batched/batched-hot x 1..4-thread sweep, the
 /// single-threaded trace-replay row, plus the decode-kernel dimension to
-/// \p Path as the `cheetah-bench-ingest-v3` document. \returns false on
+/// \p Path as the `cheetah-bench-ingest-v4` document. \returns false on
 /// I/O failure.
 bool emitIngestJson(const std::string &Path) {
   constexpr uint64_t SamplesPerThread = 1'000'000;
   std::vector<IngestSweepRow> Rows;
-  for (const char *Mode : {"shared", "locked", "sharded", "batched"})
-    for (unsigned Threads = 1; Threads <= 8; ++Threads) {
+  for (const char *Mode : {"per-sample", "batched", "batched-hot"})
+    for (unsigned Threads = 1; Threads <= 4; ++Threads) {
       Rows.push_back(runIngestSweep(Mode, Threads, SamplesPerThread));
-      std::fprintf(stderr, "%-7s %u threads: %.1fM samples/sec/core\n",
+      std::fprintf(stderr, "%-11s %u threads: %.1fM samples/sec/core\n",
                    Mode, Threads,
                    static_cast<double>(Rows.back().Samples) /
                        Rows.back().Seconds / Threads / 1e6);
     }
   Rows.push_back(runReplaySweep(SamplesPerThread));
-  std::fprintf(stderr, "replay  1 threads: %.1fM samples/sec/core\n",
+  std::fprintf(stderr, "replay      1 threads: %.1fM samples/sec/core\n",
                static_cast<double>(Rows.back().Samples) /
                    Rows.back().Seconds / 1e6);
 
@@ -781,16 +666,12 @@ bool emitIngestJson(const std::string &Path) {
   std::string Text;
   JsonWriter Writer(Text);
   Writer.beginObject();
-  Writer.member("schema", "cheetah-bench-ingest-v3");
-#if CHEETAH_SHARDED_TABLE
-  Writer.member("build_mode", "sharded-table");
-#elif CHEETAH_LOCKED_TABLE
-  Writer.member("build_mode", "locked-table");
-#else
-  Writer.member("build_mode", "lock-free");
-#endif
+  Writer.member("schema", "cheetah-bench-ingest-v4");
+  Writer.member("hardware_threads",
+                static_cast<uint64_t>(std::thread::hardware_concurrency()));
   Writer.member("samples_per_thread", SamplesPerThread);
   Writer.member("lines_per_thread", LinesPerIngestThread);
+  Writer.member("hot_share", HotShare);
   Writer.member("simd_available", core::BatchDecoder::simdAvailable());
   Writer.member("decode_kernel",
                 core::decodeKernelName(
@@ -839,16 +720,6 @@ bool emitIngestJson(const std::string &Path) {
 } // namespace
 
 int main(int argc, char **argv) {
-  // Announce the build's detection mode so sweeps over both
-  // CHEETAH_LOCKED_TABLE configurations label their output unambiguously.
-  // On stderr: stdout must stay parseable under --benchmark_format=json.
-#if CHEETAH_LOCKED_TABLE
-  std::fprintf(stderr,
-               "cheetah detect mode: locked-table (PR-1 striped mutexes)\n");
-#else
-  std::fprintf(stderr,
-               "cheetah detect mode: lock-free (packed CAS table)\n");
-#endif
   // The dedicated ingest sweep replaces the google-benchmark run when
   // requested: deterministic sample streams, explicit timing, one JSON
   // document for the checked-in trajectory.

@@ -37,9 +37,6 @@ uint64_t FullTracker::onMemoryAccess(ThreadId Tid, const MemoryAccess &Access,
 
 std::vector<FullTrackerFinding>
 FullTracker::findings(uint64_t MinInvalidations) {
-  // Fold any per-thread shards back before scanning detail (no-op in the
-  // shared-table builds).
-  Detect.quiesce();
   std::vector<FullTrackerFinding> Findings;
   Shadow.forEachDetail(
       [&](uint64_t LineBase, const core::CacheLineInfo &Info) {

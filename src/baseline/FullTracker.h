@@ -61,8 +61,7 @@ public:
               const FullTrackerConfig &Config);
 
   /// Per-line findings with at least \p MinInvalidations, sorted by
-  /// invalidation count (highest first). Quiesces the detector first so
-  /// sharded-build accumulation is folded back before the scan.
+  /// invalidation count (highest first).
   std::vector<FullTrackerFinding> findings(uint64_t MinInvalidations = 1);
 
   /// Total accesses instrumented.

@@ -216,19 +216,14 @@ ReportRunStats Profiler::runStats(uint64_t AppRuntime) const {
 
 ProfileResult Profiler::finish(const sim::SimulationResult &Run,
                                ReportSink *Sink) {
-  // Epoch quiesce before any grain is read: in the sharded build this
-  // folds every per-thread shard back into the shared tables (and proves
-  // conservation); in the other builds it is a cheap no-op. The simulator
-  // has joined every thread by now, so no ingestion races the merge.
-  Detect.quiesce();
+  // The simulator has joined every thread by now, so no ingestion races
+  // the report.
   return buildReport(Run.TotalCycles, Sink);
 }
 
 ProfileResult Profiler::snapshotEpoch(uint64_t AppRuntime, ReportSink *Sink) {
   // Same fence as finish(): the caller guarantees no ingestion threads are
-  // in flight, so the shard merge (sharded build) and the eviction sweep
-  // below never race sample delivery.
-  Detect.quiesce();
+  // in flight, so the eviction sweep below never races sample delivery.
   // Report first over the full epoch state, then trim: the snapshot the
   // caller streams out sees every grain that was live this epoch; only the
   // *next* epoch pays the eviction.

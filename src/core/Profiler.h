@@ -142,8 +142,8 @@ public:
   ProfileResult finish(const sim::SimulationResult &Run,
                        ReportSink *Sink = nullptr);
 
-  /// Continuous-session epoch boundary: quiesce, build and (optionally)
-  /// stream a complete report over everything currently live — identical
+  /// Continuous-session epoch boundary: build and (optionally) stream a
+  /// complete report over everything currently live — identical
   /// in shape to a finish() report — then enforce the shadow byte budgets,
   /// evicting cold grains and folding their counters into the per-stage
   /// residue so the next epoch starts under budget. The caller must
@@ -173,8 +173,8 @@ public:
   /// Batched sample ingestion, safe to call from many application threads
   /// concurrently: per-thread registry and serial-latency bookkeeping is
   /// accumulated per batch and applied under one short lock, while the
-  /// detection hot path (atomic write counters + striped line locks) runs
-  /// without any profiler-wide serialization. This is what the per-thread
+  /// lock-free detection hot path runs without any profiler-wide
+  /// serialization. This is what the per-thread
   /// sample buffers of the interpose runtime drain into; synchronous
   /// backends deliver batches of one.
   void ingestBatch(const pmu::Sample *Samples, size_t Count) override;
@@ -189,7 +189,7 @@ public:
 
 private:
   /// Shared body of finish()/snapshotEpoch(): assess, build, and stream
-  /// the report over the quiesced tables. Caller quiesces first.
+  /// the report over the tables. No ingestion may be in flight.
   ProfileResult buildReport(uint64_t AppRuntime, ReportSink *Sink);
 
   ProfilerConfig Config;

@@ -11,7 +11,7 @@
 /// the granularity-generic GrainInfo: the actors are threads, the buckets
 /// are the line's 4-byte words, and there are no per-grain extras. See
 /// GrainInfo.h for the machinery (two-entry invalidation table, per-bucket
-/// histogram, per-thread EQ.2 accumulators, shard records).
+/// histogram, per-thread EQ.2 accumulators, batch runs).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -22,28 +22,98 @@ namespace {
 /// access arrives, near enough that the prefetched line is still cached.
 constexpr size_t PrefetchDistance = 8;
 
+/// Terminates a grain's chain of kept samples in BatchScratch::Next.
+constexpr uint32_t EndOfRun = ~uint32_t(0);
+
 /// Per-ingesting-thread scratch behind the staged batch pipeline: decoded
 /// line coordinates plus the per-stage working arrays. Thread-local so
 /// concurrent batch deliveries never share it and no batch allocates.
 struct BatchScratch {
+  static constexpr size_t Capacity = DecodedBatch::Capacity;
+  /// Open-addressed grain map slots: twice the chunk size keeps the load
+  /// factor at or below one half.
+  static constexpr unsigned SlotBits = 9;
+  static_assert((size_t(1) << SlotBits) >= 2 * Capacity);
+
   DecodedBatch Decode;
   /// Post-sample stage-1 write counts (0 for uncovered samples).
-  uint32_t Writes[DecodedBatch::Capacity];
+  uint32_t Writes[Capacity];
   /// Indices of samples that survived the susceptibility filter.
-  uint32_t Kept[DecodedBatch::Capacity];
-  /// Detail pointers for the kept samples (nullptr until materialized).
-  void *Infos[DecodedBatch::Capacity];
+  uint32_t Kept[Capacity];
   /// 1 once any grain stage recorded the sample.
-  uint8_t Recorded[DecodedBatch::Capacity];
+  uint8_t Recorded[Capacity];
   /// Page-stage prepare results (node of the accessing thread, settled
   /// first-touch home).
-  NodeId Node[DecodedBatch::Capacity];
-  NodeId Home[DecodedBatch::Capacity];
+  NodeId Node[Capacity];
+  NodeId Home[Capacity];
+
+  /// Survivors grouped by grain. Groups are numbered in first-appearance
+  /// order; each chains its survivors (indices into Kept) in batch order
+  /// from Head through Next to EndOfRun.
+  uint32_t Next[Capacity];
+  uint32_t Head[Capacity];
+  uint32_t Tail[Capacity];
+  /// Per group: the grain's detail pointer (nullptr until materialized).
+  void *Infos[Capacity];
+
+  /// Grain base address -> group, valid only where Stamp matches the
+  /// current grouping pass, so the map is not cleared between passes.
+  struct GrainSlot {
+    uint64_t Grain = 0;
+    uint32_t Stamp = 0;
+    uint32_t Group = 0;
+  };
+  GrainSlot Slots[size_t(1) << SlotBits];
+  uint32_t Stamp = 0;
 };
 
 BatchScratch &batchScratch() {
   static thread_local BatchScratch Scratch;
   return Scratch;
+}
+
+/// The calling thread's reusable run accumulator for one grain kind.
+template <typename RunT> RunT &grainRun() {
+  static thread_local RunT Run;
+  return Run;
+}
+
+/// Groups the first \p NumKept survivors in \p Scratch by grain, keeping
+/// batch order within each grain. \returns the number of groups.
+template <typename TableT>
+size_t groupByGrain(const TableT &Table, const pmu::Sample *Samples,
+                    BatchScratch &Scratch, size_t NumKept) {
+  if (++Scratch.Stamp == 0) {
+    // The stamp wrapped: forget every slot once, then start again at 1.
+    for (BatchScratch::GrainSlot &Slot : Scratch.Slots)
+      Slot.Stamp = 0;
+    Scratch.Stamp = 1;
+  }
+  constexpr uint64_t Mask = (uint64_t(1) << BatchScratch::SlotBits) - 1;
+  size_t NumGroups = 0;
+  for (size_t J = 0; J < NumKept; ++J) {
+    uint64_t Grain = Table.grainBase(Samples[Scratch.Kept[J]].Address);
+    // Fibonacci hashing: the product's top bits mix every address bit.
+    uint64_t Index =
+        (Grain * 0x9e3779b97f4a7c15ull) >> (64 - BatchScratch::SlotBits);
+    BatchScratch::GrainSlot *Slot = &Scratch.Slots[Index];
+    while (Slot->Stamp == Scratch.Stamp && Slot->Grain != Grain) {
+      Index = (Index + 1) & Mask;
+      Slot = &Scratch.Slots[Index];
+    }
+    Scratch.Next[J] = EndOfRun;
+    if (Slot->Stamp != Scratch.Stamp) {
+      *Slot = {Grain, Scratch.Stamp, static_cast<uint32_t>(NumGroups)};
+      Scratch.Head[NumGroups] = static_cast<uint32_t>(J);
+      Scratch.Tail[NumGroups] = static_cast<uint32_t>(J);
+      ++NumGroups;
+      continue;
+    }
+    uint32_t Group = Slot->Group;
+    Scratch.Next[Scratch.Tail[Group]] = static_cast<uint32_t>(J);
+    Scratch.Tail[Group] = static_cast<uint32_t>(J);
+  }
+  return NumGroups;
 }
 
 } // namespace
@@ -88,10 +158,17 @@ struct Detector::LineStage {
     return {Sample.Tid, Batch->Bucket[I], Batch->Span[I], {}};
   }
 
-  void tally(bool Invalidation, const Decoded &) {
-    if (Invalidation)
-      D.Invalidations.fetch_add(1, std::memory_order_relaxed);
-    D.SamplesRecorded.fetch_add(1, std::memory_order_relaxed);
+  // Tallies for one stage call, published to the detector's shared
+  // counters once by commit().
+  uint64_t Recorded = 0;
+  uint64_t Invalidations = 0;
+
+  void tally(const Decoded &) { ++Recorded; }
+  void commit() {
+    if (Invalidations)
+      D.Invalidations.fetch_add(Invalidations, std::memory_order_relaxed);
+    if (Recorded)
+      D.SamplesRecorded.fetch_add(Recorded, std::memory_order_relaxed);
   }
 };
 
@@ -153,12 +230,23 @@ struct Detector::PageStage {
     return decode(Sample, Prep{Nodes[I], Homes[I]});
   }
 
-  void tally(bool Invalidation, const Decoded &A) {
-    if (Invalidation)
-      D.PageInvalidations.fetch_add(1, std::memory_order_relaxed);
-    if (A.Ctx.Remote)
-      D.RemoteSamples.fetch_add(1, std::memory_order_relaxed);
-    D.PageSamplesRecorded.fetch_add(1, std::memory_order_relaxed);
+  // Tallies for one stage call, published to the detector's shared
+  // counters once by commit().
+  uint64_t Recorded = 0;
+  uint64_t Invalidations = 0;
+  uint64_t Remote = 0;
+
+  void tally(const Decoded &A) {
+    ++Recorded;
+    Remote += A.Ctx.Remote;
+  }
+  void commit() {
+    if (Invalidations)
+      D.PageInvalidations.fetch_add(Invalidations, std::memory_order_relaxed);
+    if (Remote)
+      D.RemoteSamples.fetch_add(Remote, std::memory_order_relaxed);
+    if (Recorded)
+      D.PageSamplesRecorded.fetch_add(Recorded, std::memory_order_relaxed);
   }
 };
 
@@ -186,14 +274,12 @@ bool Detector::runGrainStage(Stage &S, const pmu::Sample &Sample,
   }
 
   auto Decoded = S.decode(Sample, Prep);
-  // The table dispatches to the build's ingestion mode: the default
-  // lock-free shared path, the striped-mutex A/B path, or the per-thread
-  // shard path merged at quiesce().
-  bool Invalidation = Table.record(
-      Sample.Address, *Info, Sample.Tid, Decoded.Actor,
+  S.Invalidations += Info->record(
+      Sample.Tid, Decoded.Actor,
       Sample.IsWrite ? AccessKind::Write : AccessKind::Read, Decoded.Bucket,
       Decoded.Span, Sample.LatencyCycles, Decoded.Ctx);
-  S.tally(Invalidation, Decoded);
+  S.tally(Decoded);
+  S.commit();
   return true;
 }
 
@@ -239,36 +325,63 @@ size_t Detector::runGrainStageBatch(Stage &S, const pmu::Sample *Samples,
                static_cast<uint8_t>(Scratch.Writes[I] > Threshold);
   }
 
-  // Lookup sweep: resolve the survivors' detail pointers with the slot
+  // Grouping sweep: chain the survivors by grain, in batch order.
+  size_t NumGroups = groupByGrain(Table, Samples, Scratch, NumKept);
+
+  // Lookup sweep: resolve each grain's detail pointer once, with the slot
   // array prefetched ahead (distance-pipelined — the first few iterations
   // pay their miss, the rest overlap).
-  for (size_t J = 0; J < NumKept; ++J) {
-    size_t Ahead = J + PrefetchDistance;
-    if (Ahead < NumKept)
-      Table.prefetchDetail(Samples[Scratch.Kept[Ahead]].Address);
-    Scratch.Infos[J] = Table.detail(Samples[Scratch.Kept[J]].Address);
+  for (size_t G = 0; G < NumGroups; ++G) {
+    size_t Ahead = G + PrefetchDistance;
+    if (Ahead < NumGroups)
+      Table.prefetchDetail(
+          Samples[Scratch.Kept[Scratch.Head[Ahead]]].Address);
+    Scratch.Infos[G] =
+        Table.detail(Samples[Scratch.Kept[Scratch.Head[G]]].Address);
   }
 
-  // Record sweep: prefetch the grain records themselves ahead, then run
-  // the mode-dispatched record in original batch order (per-grain record
-  // order is what keeps reports byte-identical with per-sample delivery).
-  for (size_t J = 0; J < NumKept; ++J) {
-    size_t Ahead = J + PrefetchDistance;
-    if (Ahead < NumKept && Scratch.Infos[Ahead])
+  // Record sweep, one grain at a time, with the grain records prefetched
+  // ahead. A grain's state depends only on its own access sequence, so
+  // taking grains in first-appearance order while keeping batch order
+  // within each grain leaves every grain exactly as per-sample delivery
+  // would. A grain with one survivor records straight into its atomics;
+  // a run of several is summed in this thread's accumulator and folded in
+  // once, so contended grains take one set of atomic updates per run.
+  auto &Run = grainRun<typename InfoT::Run>();
+  for (size_t G = 0; G < NumGroups; ++G) {
+    size_t Ahead = G + PrefetchDistance;
+    if (Ahead < NumGroups && Scratch.Infos[Ahead])
       support::prefetchForWrite(Scratch.Infos[Ahead]);
-    size_t I = Scratch.Kept[J];
-    const pmu::Sample &Sample = Samples[I];
-    auto *Info = static_cast<InfoT *>(Scratch.Infos[J]);
+    uint32_t J = Scratch.Head[G];
+    auto *Info = static_cast<InfoT *>(Scratch.Infos[G]);
     if (!Info)
-      Info = &Table.materializeDetail(Sample.Address);
-    auto Decoded = S.decodeAt(I, Sample);
-    bool Invalidation = Table.record(
-        Sample.Address, *Info, Sample.Tid, Decoded.Actor,
-        Sample.IsWrite ? AccessKind::Write : AccessKind::Read, Decoded.Bucket,
-        Decoded.Span, Sample.LatencyCycles, Decoded.Ctx);
-    S.tally(Invalidation, Decoded);
-    Recorded[I] = 1;
+      Info = &Table.materializeDetail(Samples[Scratch.Kept[J]].Address);
+    if (Scratch.Next[J] == EndOfRun) {
+      size_t I = Scratch.Kept[J];
+      const pmu::Sample &Sample = Samples[I];
+      auto Decoded = S.decodeAt(I, Sample);
+      S.Invalidations += Info->record(
+          Sample.Tid, Decoded.Actor,
+          Sample.IsWrite ? AccessKind::Write : AccessKind::Read,
+          Decoded.Bucket, Decoded.Span, Sample.LatencyCycles, Decoded.Ctx);
+      S.tally(Decoded);
+      continue;
+    }
+    Run.begin(Info->bucketCount());
+    for (; J != EndOfRun; J = Scratch.Next[J]) {
+      size_t I = Scratch.Kept[J];
+      const pmu::Sample &Sample = Samples[I];
+      auto Decoded = S.decodeAt(I, Sample);
+      Run.add(Sample.Tid, Decoded.Actor,
+              Sample.IsWrite ? AccessKind::Write : AccessKind::Read,
+              Decoded.Bucket, Decoded.Span, Sample.LatencyCycles, Decoded.Ctx);
+      S.tally(Decoded);
+    }
+    S.Invalidations += Info->recordRun(Run);
   }
+  S.commit();
+  for (size_t J = 0; J < NumKept; ++J)
+    Recorded[Scratch.Kept[J]] = 1;
   return NumKept;
 }
 
@@ -330,33 +443,6 @@ bool Detector::handleSample(const pmu::Sample &Sample, bool InParallelPhase,
   LineStage Stage{*this, AccessBytes};
   bool LineRecorded = runGrainStage(Stage, Sample, InParallelPhase);
   return LineRecorded || PageRecorded;
-}
-
-void Detector::quiesce() {
-  MergedLines += Shadow.quiesce();
-  if (Pages)
-    MergedPages += Pages->quiesce();
-#if CHEETAH_SHARDED_TABLE
-  // In the sharded build every detailed record went through a shard, so
-  // the cumulative merge totals must conserve exactly against the shared
-  // counters the detector kept alongside — the proof that no sample was
-  // lost between a shard and the shared table.
-  CHEETAH_ASSERT(MergedLines.Accesses ==
-                     SamplesRecorded.load(std::memory_order_relaxed),
-                 "sharded merge lost line samples");
-  CHEETAH_ASSERT(MergedLines.Invalidations ==
-                     Invalidations.load(std::memory_order_relaxed),
-                 "sharded merge lost line invalidations");
-  CHEETAH_ASSERT(MergedPages.Accesses ==
-                     PageSamplesRecorded.load(std::memory_order_relaxed),
-                 "sharded merge lost page samples");
-  CHEETAH_ASSERT(MergedPages.Invalidations ==
-                     PageInvalidations.load(std::memory_order_relaxed),
-                 "sharded merge lost cross-node invalidations");
-  CHEETAH_ASSERT(MergedPages.RemoteAccesses ==
-                     RemoteSamples.load(std::memory_order_relaxed),
-                 "sharded merge lost remote samples");
-#endif
 }
 
 std::vector<GrainStageSummary> Detector::stageSummaries() const {

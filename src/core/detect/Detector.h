@@ -11,17 +11,14 @@
 /// a future third grain slots in the same way): maintain the stage-1 write
 /// counters, materialize detailed tracking for susceptible grains (write
 /// count above threshold), decode the sample into the grain's actor/bucket
-/// coordinates, and record it through the table's build-configured
-/// ingestion mode. Detailed tracking is gated to parallel phases to avoid
-/// reporting initialize-then-share objects as shared (Section 2.4).
+/// coordinates, and record it into the grain. Detailed tracking is gated
+/// to parallel phases to avoid reporting initialize-then-share objects as
+/// shared (Section 2.4).
 ///
-/// handleSample is safe to call from many ingesting threads concurrently
-/// and, in the default build, entirely lock-free. Building with
-/// -DCHEETAH_LOCKED_TABLE=ON restores the PR-1 striped grain mutexes for
-/// A/B benchmarking; -DCHEETAH_SHARDED_TABLE=ON routes detailed recording
-/// into per-thread shards instead, which quiesce() folds back into the
-/// shared tables — proving, in that build, that the merge conserved every
-/// sample against the detector's own shared counters.
+/// handleSample and handleBatch are safe to call from many ingesting
+/// threads concurrently, and entirely lock-free. Every grain and counter
+/// update is applied as soon as the call returns: nothing needs folding
+/// back before the tables are read.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -122,10 +119,14 @@ public:
   /// (coverage + line coordinates via the runtime-dispatched SIMD kernel),
   /// a software-prefetched stage-1 write-counter sweep, a branchless
   /// susceptibility filter that keeps cold samples from ever dereferencing
-  /// grain details, and a distance-pipelined lookup + record sweep over
-  /// the survivors. Semantically identical to calling handleSample on each
-  /// sample in order, and equally thread-safe — concurrent ingesters may
-  /// deliver batches simultaneously.
+  /// grain details, a grouping of the survivors by grain, and
+  /// distance-pipelined lookup + record sweeps over the grains. A grain hit
+  /// several times in one chunk records the whole run with one fold of its
+  /// summed statistics, and the detector's counters are added once per
+  /// chunk. Delivered serially, the result is identical
+  /// to calling handleSample on each sample in order; it is equally
+  /// thread-safe — concurrent ingesters may deliver batches
+  /// simultaneously.
   /// \returns the number of samples recorded in detailed tracking (at
   /// either granularity).
   size_t handleBatch(const pmu::Sample *Samples, size_t Count,
@@ -134,22 +135,7 @@ public:
   /// The decode kernel the batch pipeline dispatches to (bench/tests).
   DecodeKernel decodeKernel() const { return LineDecoder.kernel(); }
 
-  /// Epoch quiesce: folds every per-thread table shard back into the
-  /// shared tables. Must not run concurrently with handleSample — the
-  /// caller provides the happens-before edge (thread join / batch flush).
-  /// A no-op source of work in unsharded builds (no shards ever register
-  /// through the detector), and cheap either way.
-  ///
-  /// In the CHEETAH_SHARDED_TABLE build this also *proves conservation*:
-  /// the cumulative merged totals must equal the detector's shared
-  /// counters, or the merge lost samples and an assertion fires.
-  void quiesce();
-
-  /// Cumulative merge totals across every quiesce() so far (tests).
-  const GrainMergeStats &lineMergeStats() const { return MergedLines; }
-  const GrainMergeStats &pageMergeStats() const { return MergedPages; }
-
-  /// Snapshot of the counters (consistent enough once ingestion quiesces).
+  /// Snapshot of the counters (consistent once ingestion stops).
   DetectorStats stats() const {
     DetectorStats Result;
     Result.SamplesSeen = SamplesSeen.load(std::memory_order_relaxed);
@@ -185,7 +171,7 @@ private:
   /// counting, stage-specific preparation (runs before the phase gate —
   /// e.g. first-touch home publication), the parallel-phase gate,
   /// susceptibility-thresholded materialization, sample decoding into
-  /// actor/bucket coordinates, and the mode-dispatched record.
+  /// actor/bucket coordinates, and the record.
   /// \returns true if the sample reached detailed tracking.
   template <typename Stage>
   bool runGrainStage(Stage &S, const pmu::Sample &Sample,
@@ -193,8 +179,9 @@ private:
 
   /// The batched counterpart: one grain stage's pipeline over a decoded
   /// chunk (stage-1 counter sweep with prefetch, branchless filter,
-  /// prefetched lookup and record sweeps). Marks recorded samples in
-  /// \p Recorded and returns how many this stage recorded.
+  /// grouping by grain, prefetched lookup and per-grain record sweeps).
+  /// Marks recorded samples in \p Recorded and returns how many this stage
+  /// recorded.
   template <typename Stage>
   size_t runGrainStageBatch(Stage &S, const pmu::Sample *Samples,
                             size_t Count, const uint8_t *Covered,
@@ -212,10 +199,6 @@ private:
   std::atomic<uint64_t> PageSamplesRecorded{0};
   std::atomic<uint64_t> PageInvalidations{0};
   std::atomic<uint64_t> RemoteSamples{0};
-  /// Cumulative quiesce() merge totals, per stage. Only quiesce() mutates
-  /// these, under its single-caller contract.
-  GrainMergeStats MergedLines;
-  GrainMergeStats MergedPages;
   /// Vector decoder over the line geometry and the shadow regions (the
   /// page table's coverage is identical by the attach contract).
   BatchDecoder LineDecoder;

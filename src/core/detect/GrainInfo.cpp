@@ -113,15 +113,15 @@ void AtomicBucketStats::record(uint32_t Actor, AccessKind Kind,
                                          std::memory_order_relaxed))
     First = Actor;
   // On CAS failure `First` holds the actor that won the publication race.
-  if (First != Actor)
+  if (First != Actor && !MultiActor.load(std::memory_order_relaxed))
     MultiActor.store(true, std::memory_order_relaxed);
 }
 
-void AtomicBucketStats::merge(const ShardBucketStats &Bucket) {
-  if (Bucket.Reads == 0 && Bucket.Writes == 0)
-    return; // untouched in this shard
-  Reads.fetch_add(Bucket.Reads, std::memory_order_relaxed);
-  Writes.fetch_add(Bucket.Writes, std::memory_order_relaxed);
+void AtomicBucketStats::merge(const RunBucketStats &Bucket) {
+  if (Bucket.Reads)
+    Reads.fetch_add(Bucket.Reads, std::memory_order_relaxed);
+  if (Bucket.Writes)
+    Writes.fetch_add(Bucket.Writes, std::memory_order_relaxed);
   if (Bucket.Cycles)
     Cycles.fetch_add(Bucket.Cycles, std::memory_order_relaxed);
   uint32_t First = FirstActor.load(std::memory_order_relaxed);
@@ -129,7 +129,9 @@ void AtomicBucketStats::merge(const ShardBucketStats &Bucket) {
       FirstActor.compare_exchange_strong(First, Bucket.FirstActor,
                                          std::memory_order_relaxed))
     First = Bucket.FirstActor;
-  if (First != Bucket.FirstActor || Bucket.MultiActor)
+  // A run whose actors all match the bucket's first actor changes nothing.
+  if ((First != Bucket.FirstActor || Bucket.MultiActor) &&
+      !MultiActor.load(std::memory_order_relaxed))
     MultiActor.store(true, std::memory_order_relaxed);
 }
 
@@ -143,9 +145,22 @@ WordStats AtomicBucketStats::snapshot() const {
   return Result;
 }
 
-void PageShardExtras::record(NodeId Node, AccessKind Kind,
-                             uint64_t LatencyCycles,
-                             const PageAccessContext &Ctx) {
+void PageRunExtras::reset() {
+  for (uint32_t I = 0; I < NodeCount; ++I) {
+    NodeId Node = Nodes[I];
+    NodeAccesses[Node] = 0;
+    NodeWrites[Node] = 0;
+    NodeCycles[Node] = 0;
+  }
+  NodeCount = 0;
+  RemoteAccesses = 0;
+  RemoteCycles = 0;
+  Remote.clear();
+}
+
+void PageRunExtras::record(NodeId Node, AccessKind Kind,
+                           uint64_t LatencyCycles,
+                           const PageAccessContext &Ctx) {
   CHEETAH_ASSERT(Node < NumaTopology::MaxNodes, "node id out of range");
   if (Ctx.Remote) {
     RemoteAccesses += 1;
@@ -163,6 +178,8 @@ void PageShardExtras::record(NodeId Node, AccessKind Kind,
     It->Accesses += 1;
     It->Cycles += LatencyCycles;
   }
+  if (NodeAccesses[Node] == 0)
+    Nodes[NodeCount++] = Node;
   NodeAccesses[Node] += 1;
   if (Kind == AccessKind::Write)
     NodeWrites[Node] += 1;
@@ -198,19 +215,22 @@ void PageGrainExtras::record(NodeId Node, AccessKind Kind,
   NodeCycles[Node].fetch_add(LatencyCycles, std::memory_order_relaxed);
 }
 
-void PageGrainExtras::merge(const PageShardExtras &Shard) {
-  RemoteAccesses.fetch_add(Shard.RemoteAccesses, std::memory_order_relaxed);
-  RemoteCycles.fetch_add(Shard.RemoteCycles, std::memory_order_relaxed);
-  for (const RemoteDistanceStats &Slot : Shard.Remote)
+void PageGrainExtras::merge(const PageRunExtras &Run) {
+  if (Run.RemoteAccesses) {
+    RemoteAccesses.fetch_add(Run.RemoteAccesses, std::memory_order_relaxed);
+    RemoteCycles.fetch_add(Run.RemoteCycles, std::memory_order_relaxed);
+  }
+  for (const RemoteDistanceStats &Slot : Run.Remote)
     bucketRemote(Slot.Distance, Slot.Accesses, Slot.Cycles);
-  for (uint32_t N = 0; N < NumaTopology::MaxNodes; ++N) {
-    if (Shard.NodeAccesses[N])
-      NodeAccesses[N].fetch_add(Shard.NodeAccesses[N],
-                                std::memory_order_relaxed);
-    if (Shard.NodeWrites[N])
-      NodeWrites[N].fetch_add(Shard.NodeWrites[N], std::memory_order_relaxed);
-    if (Shard.NodeCycles[N])
-      NodeCycles[N].fetch_add(Shard.NodeCycles[N], std::memory_order_relaxed);
+  for (uint32_t I = 0; I < Run.NodeCount; ++I) {
+    NodeId Node = Run.Nodes[I];
+    NodeAccesses[Node].fetch_add(Run.NodeAccesses[Node],
+                                 std::memory_order_relaxed);
+    if (Run.NodeWrites[Node])
+      NodeWrites[Node].fetch_add(Run.NodeWrites[Node],
+                                 std::memory_order_relaxed);
+    NodeCycles[Node].fetch_add(Run.NodeCycles[Node],
+                               std::memory_order_relaxed);
   }
 }
 

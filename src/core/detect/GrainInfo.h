@@ -23,19 +23,16 @@
 ///
 /// Every mutable field is a relaxed atomic and the table transition is a
 /// single-word CAS, so `record` is lock-free from any number of ingesting
-/// threads. Readers that run after ingestion quiesces (report generation,
+/// threads. Readers that run after ingestion stops (report generation,
 /// tests) take plain value snapshots.
 ///
-/// Each grain additionally knows how to accumulate into and merge from a
-/// per-thread **shard record** (`GrainShardRecord<Traits>`): plain,
-/// single-writer fields a thread fills without any cross-thread CAS
-/// traffic, folded back into the shared atomics at epoch quiesce. Only the
-/// additive statistics shard; the two-entry table stays shared because the
-/// invalidation decision depends on the global interleaving of actors,
-/// which is also what makes the merge *provable* — merged totals must
-/// conserve against the shared-table counters. The shard machinery is
-/// always compiled; `CHEETAH_SHARDED_TABLE` only switches the detector's
-/// ingestion dispatch onto it.
+/// A grain hit by several samples of one batch chunk takes them as a
+/// **run** (`GrainRun<Traits>`): the ingesting thread sums the run's
+/// additive statistics into plain fields, then `recordRun` applies the
+/// run's two-entry table transitions in order and folds the sums into the
+/// shared atomics once. A grain's state depends
+/// only on its own access sequence, so a run recorded this way leaves the
+/// grain exactly as per-sample `record` calls in the same order would.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -121,7 +118,7 @@ public:
   }
 
   /// Bulk variant: accumulates \p Accesses accesses and \p Cycles cycles in
-  /// one claim — how a merged shard folds its per-thread totals back in.
+  /// one claim — how a run folds its per-thread totals in.
   void add(ThreadId Tid, uint64_t Accesses, uint64_t Cycles);
 
   /// Value snapshot of every claimed slot, ordered by thread id.
@@ -149,11 +146,11 @@ private:
   Chunk First;
 };
 
-/// One bucket's single-writer accumulation inside a shard: the plain-field
-/// mirror of AtomicBucketStats. FirstActor/MultiActor are tracked per
-/// shard and reconciled at merge (first merged shard to publish wins,
-/// disagreement marks the bucket multi-actor).
-struct ShardBucketStats {
+/// One bucket's accumulation inside a run: the plain-field mirror of
+/// AtomicBucketStats. FirstActor/MultiActor are tracked per run and
+/// reconciled when the run is folded (a grain bucket without a first actor
+/// takes the run's; disagreement marks the bucket multi-actor).
+struct RunBucketStats {
   uint64_t Reads = 0;
   uint64_t Writes = 0;
   uint64_t Cycles = 0;
@@ -171,6 +168,8 @@ struct ShardBucketStats {
     else if (FirstActor != Actor)
       MultiActor = true;
   }
+
+  uint64_t accesses() const { return Reads + Writes; }
 };
 
 /// Atomic backing store for one histogram bucket (per-word at line
@@ -184,7 +183,7 @@ struct AtomicBucketStats {
   std::atomic<bool> MultiActor{false};
 
   void record(uint32_t Actor, AccessKind Kind, uint64_t LatencyCycles);
-  void merge(const ShardBucketStats &Bucket);
+  void merge(const RunBucketStats &Bucket);
   WordStats snapshot() const;
 };
 
@@ -212,11 +211,10 @@ struct PageAccessContext {
   uint32_t Distance = 0;
 };
 
-/// Line-grain shard extras: nothing beyond the generic shard fields.
-struct LineShardExtras {
+/// Line-grain run extras: nothing beyond the generic run fields.
+struct LineRunExtras {
+  void reset() {}
   void record(uint32_t, AccessKind, uint64_t, const LineAccessContext &) {}
-  uint64_t remoteAccesses() const { return 0; }
-  size_t heapBytes() const { return 0; }
 };
 
 /// Line-grain per-grain extras: empty (overlaid via [[no_unique_address]]
@@ -224,28 +222,30 @@ struct LineShardExtras {
 /// the shadow-bytes accounting the goldens embed depends on it).
 struct LineGrainExtras {
   void record(uint32_t, AccessKind, uint64_t, const LineAccessContext &) {}
-  void merge(const LineShardExtras &) {}
+  void merge(const LineRunExtras &) {}
   uint64_t remoteAccesses() const { return 0; }
 };
 
-/// Page-grain shard extras: single-writer mirrors of the remote-traffic
-/// totals, per-node accumulators, and distance buckets.
-struct PageShardExtras {
+/// Page-grain run extras: plain mirrors of the remote-traffic totals,
+/// per-node accumulators, and distance buckets. The node arrays are dense
+/// by node id, but only the nodes listed in Nodes are live, so reset and
+/// merge cost the nodes the run touched.
+struct PageRunExtras {
   uint64_t RemoteAccesses = 0;
   uint64_t RemoteCycles = 0;
   uint64_t NodeAccesses[NumaTopology::MaxNodes] = {};
   uint64_t NodeWrites[NumaTopology::MaxNodes] = {};
   uint64_t NodeCycles[NumaTopology::MaxNodes] = {};
+  /// The nodes the run touched, in first-touch order.
+  NodeId Nodes[NumaTopology::MaxNodes] = {};
+  uint32_t NodeCount = 0;
   /// Remote traffic per crossed distance, in arrival order (at most
   /// MaxNodes - 1 distinct distances exist under a settled home).
   std::vector<RemoteDistanceStats> Remote;
 
+  void reset();
   void record(NodeId Node, AccessKind Kind, uint64_t LatencyCycles,
               const PageAccessContext &Ctx);
-  uint64_t remoteAccesses() const { return RemoteAccesses; }
-  size_t heapBytes() const {
-    return Remote.capacity() * sizeof(RemoteDistanceStats);
-  }
 };
 
 /// Page-grain per-grain extras: everything the NUMA story needs beyond the
@@ -276,7 +276,7 @@ struct PageGrainExtras {
 
   void record(NodeId Node, AccessKind Kind, uint64_t LatencyCycles,
               const PageAccessContext &Ctx);
-  void merge(const PageShardExtras &Shard);
+  void merge(const PageRunExtras &Run);
 
   uint64_t remoteAccesses() const {
     return RemoteAccesses.load(std::memory_order_relaxed);
@@ -299,7 +299,7 @@ struct LineGrainTraits {
   using ActorId = ThreadId;
   using Context = LineAccessContext;
   using Extras = LineGrainExtras;
-  using ShardExtras = LineShardExtras;
+  using RunExtras = LineRunExtras;
   static constexpr const char *Name = "line";
   static constexpr const char *BucketRangeMsg = "word index outside line";
   static constexpr const char *SpanMsg = "access must cover at least one word";
@@ -311,25 +311,91 @@ struct PageGrainTraits {
   using ActorId = NodeId;
   using Context = PageAccessContext;
   using Extras = PageGrainExtras;
-  using ShardExtras = PageShardExtras;
+  using RunExtras = PageRunExtras;
   static constexpr const char *Name = "page";
   static constexpr const char *BucketRangeMsg = "line index outside page";
   static constexpr const char *SpanMsg = "access must cover at least one line";
 };
 
-/// One grain's single-writer accumulation inside a per-thread shard: plain
-/// fields only, keyed by grain base address in the owning shard's map.
-/// Buckets are sized lazily on first touch so untouched grains cost one
-/// map node, not a full histogram.
-template <typename Traits> struct GrainShardRecord {
-  uint64_t Accesses = 0;
+template <typename Traits> class GrainInfo;
+
+/// One grain's run of samples from one batch chunk, accumulated on the
+/// ingesting thread in plain fields: the run's table inputs in order plus
+/// its additive statistics. GrainInfo::recordRun applies the inputs to
+/// the two-entry table and folds the sums into the shared atomics once.
+/// Meant to be reused: begin() clears only what the previous run touched,
+/// and the dense bucket array only grows, so steady-state runs allocate
+/// nothing.
+template <typename Traits> class GrainRun {
+public:
+  using ActorId = typename Traits::ActorId;
+  using Context = typename Traits::Context;
+
+  /// Empties the run for a grain of \p BucketCount buckets.
+  void begin(uint64_t BucketCount) {
+    for (uint32_t B : Touched)
+      Buckets[B] = RunBucketStats();
+    Touched.clear();
+    if (Buckets.size() < BucketCount)
+      Buckets.resize(BucketCount);
+    this->BucketCount = BucketCount;
+    Inputs.clear();
+    Threads.clear();
+    Writes = 0;
+    Cycles = 0;
+    Extras.reset();
+  }
+
+  /// Adds one sampled access to the run; the arguments are those of
+  /// GrainInfo::record.
+  void add(ThreadId Tid, ActorId Actor, AccessKind Kind, uint64_t BucketIndex,
+           uint64_t BucketSpan, uint64_t LatencyCycles,
+           const Context &Ctx = {}) {
+    CHEETAH_ASSERT(BucketIndex < BucketCount, Traits::BucketRangeMsg);
+    CHEETAH_ASSERT(BucketSpan >= 1, Traits::SpanMsg);
+    Inputs.push_back({Actor, Kind});
+    Writes += Kind == AccessKind::Write;
+    Cycles += LatencyCycles;
+    Extras.record(Actor, Kind, LatencyCycles, Ctx);
+
+    uint64_t End = std::min<uint64_t>(BucketIndex + BucketSpan, BucketCount);
+    for (uint64_t B = BucketIndex; B < End; ++B) {
+      RunBucketStats &Bucket = Buckets[B];
+      if (Bucket.accesses() == 0)
+        Touched.push_back(static_cast<uint32_t>(B));
+      Bucket.record(Actor, Kind, B == BucketIndex ? LatencyCycles : 0);
+    }
+
+    // Thread populations per run are tiny (usually one): linear search.
+    auto It = std::find_if(
+        Threads.begin(), Threads.end(),
+        [Tid](const ThreadLineStats &Slot) { return Slot.Tid == Tid; });
+    if (It == Threads.end()) {
+      Threads.push_back({Tid, 1, LatencyCycles});
+    } else {
+      It->Accesses += 1;
+      It->Cycles += LatencyCycles;
+    }
+  }
+
+  /// Number of accesses in the run.
+  size_t size() const { return Inputs.size(); }
+
+private:
+  friend class GrainInfo<Traits>;
+
+  /// The run's two-entry table inputs (actor, kind), in order.
+  std::vector<CacheLineTable::Entry> Inputs;
   uint64_t Writes = 0;
   uint64_t Cycles = 0;
-  uint64_t Invalidations = 0;
-  std::vector<ShardBucketStats> Buckets;
-  /// Sorted by tid; thread populations per grain are tiny.
+  uint64_t BucketCount = 0;
+  /// Dense by bucket index; only the buckets listed in Touched are live.
+  std::vector<RunBucketStats> Buckets;
+  /// The buckets the run touched, in first-touch order.
+  std::vector<uint32_t> Touched;
+  /// Per-thread sums, in first-appearance order.
   std::vector<ThreadLineStats> Threads;
-  [[no_unique_address]] typename Traits::ShardExtras Extras;
+  [[no_unique_address]] typename Traits::RunExtras Extras;
 };
 
 /// Everything Cheetah tracks about one susceptible grain, parameterized by
@@ -338,7 +404,7 @@ template <typename Traits> class GrainInfo {
 public:
   using ActorId = typename Traits::ActorId;
   using Context = typename Traits::Context;
-  using ShardRecord = GrainShardRecord<Traits>;
+  using Run = GrainRun<Traits>;
 
   explicit GrainInfo(uint64_t BucketsPerGrain)
       : Buckets(std::make_unique<AtomicBucketStats[]>(BucketsPerGrain)),
@@ -377,60 +443,29 @@ public:
     return Invalidation;
   }
 
-  /// Sharded-mode record: the invalidation decision still goes through the
-  /// shared two-entry table (it depends on the global actor interleaving,
-  /// which no per-thread shard can see alone), but every additive
-  /// statistic lands in \p Record — plain fields only this thread writes,
-  /// with no cross-thread CAS traffic. Fold back with mergeShard at epoch
-  /// quiesce.
-  bool recordShard(ShardRecord &Record, ThreadId Tid, ActorId Actor,
-                   AccessKind Kind, uint64_t BucketIndex, uint64_t BucketSpan,
-                   uint64_t LatencyCycles, const Context &Ctx = {}) {
-    CHEETAH_ASSERT(BucketIndex < BucketCount, Traits::BucketRangeMsg);
-    CHEETAH_ASSERT(BucketSpan >= 1, Traits::SpanMsg);
-
-    bool Invalidation = Table.recordAccess(Actor, Kind);
-    if (Invalidation)
-      ++Record.Invalidations;
-
-    ++Record.Accesses;
-    if (Kind == AccessKind::Write)
-      ++Record.Writes;
-    Record.Cycles += LatencyCycles;
-    Record.Extras.record(Actor, Kind, LatencyCycles, Ctx);
-
-    if (Record.Buckets.empty())
-      Record.Buckets.resize(BucketCount);
-    uint64_t End = std::min<uint64_t>(BucketIndex + BucketSpan, BucketCount);
-    for (uint64_t B = BucketIndex; B < End; ++B)
-      Record.Buckets[B].record(Actor, Kind, B == BucketIndex ? LatencyCycles : 0);
-
-    auto It = std::lower_bound(
-        Record.Threads.begin(), Record.Threads.end(), Tid,
-        [](const ThreadLineStats &Slot, ThreadId T) { return Slot.Tid < T; });
-    if (It == Record.Threads.end() || It->Tid != Tid)
-      It = Record.Threads.insert(It, ThreadLineStats{Tid, 0, 0});
-    It->Accesses += 1;
-    It->Cycles += LatencyCycles;
-    return Invalidation;
-  }
-
-  /// Folds one shard's accumulation back into the shared atomics. Callers
-  /// serialize merges against ingestion (epoch quiesce); merging itself may
-  /// race other readers safely since every target is atomic.
-  void mergeShard(const ShardRecord &Record) {
-    CHEETAH_ASSERT(Record.Buckets.empty() ||
-                       Record.Buckets.size() == BucketCount,
-                   "shard bucket count does not match the grain");
-    Invalidations.fetch_add(Record.Invalidations, std::memory_order_relaxed);
-    Accesses.fetch_add(Record.Accesses, std::memory_order_relaxed);
-    Writes.fetch_add(Record.Writes, std::memory_order_relaxed);
-    Cycles.fetch_add(Record.Cycles, std::memory_order_relaxed);
-    ExtraStats.merge(Record.Extras);
-    for (size_t B = 0; B < Record.Buckets.size(); ++B)
-      Buckets[B].merge(Record.Buckets[B]);
-    for (const ThreadLineStats &Thread : Record.Threads)
+  /// Records a whole run of accesses to this grain: the two-entry table
+  /// takes the run's accesses one transition at a time, in order (other
+  /// threads' transitions may interleave, as with record), and the run's
+  /// sums fold into the shared atomics once. Lock-free, like record.
+  /// \returns the run's invalidation count.
+  uint64_t recordRun(const Run &R) {
+    CHEETAH_ASSERT(R.BucketCount == BucketCount,
+                   "run bucket count does not match the grain");
+    uint64_t RunInvalidations = 0;
+    for (const CacheLineTable::Entry &Input : R.Inputs)
+      RunInvalidations += Table.recordAccess(Input.Tid, Input.Kind);
+    if (RunInvalidations)
+      Invalidations.fetch_add(RunInvalidations, std::memory_order_relaxed);
+    Accesses.fetch_add(R.size(), std::memory_order_relaxed);
+    if (R.Writes)
+      Writes.fetch_add(R.Writes, std::memory_order_relaxed);
+    Cycles.fetch_add(R.Cycles, std::memory_order_relaxed);
+    ExtraStats.merge(R.Extras);
+    for (uint32_t B : R.Touched)
+      Buckets[B].merge(R.Buckets[B]);
+    for (const ThreadLineStats &Thread : R.Threads)
       ThreadStats.add(Thread.Tid, Thread.Accesses, Thread.Cycles);
+    return RunInvalidations;
   }
 
   /// Invalidation count (the significance signal).
@@ -446,7 +481,7 @@ public:
   uint64_t cycles() const { return Cycles.load(std::memory_order_relaxed); }
 
   /// Value snapshot of the per-bucket statistics, one entry per bucket of
-  /// the grain (consistent once ingestion quiesces).
+  /// the grain (consistent once ingestion stops).
   std::vector<WordStats> buckets() const {
     std::vector<WordStats> Result;
     Result.reserve(BucketCount);
@@ -476,6 +511,9 @@ public:
     Result.Threads = threads();
     return Result;
   }
+
+  /// Buckets per grain (words of a line, lines of a page).
+  uint64_t bucketCount() const { return BucketCount; }
 
   /// Access to the invalidation table (tests). This is the packed
   /// single-word CAS state machine from CacheLineTable.h, storing actor

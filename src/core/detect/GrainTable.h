@@ -16,26 +16,9 @@
 ///    first-touch placement policy,
 ///  - a lazily materialized `InfoT` pointer for susceptible grains.
 ///
-/// All of it is lock-free in the default build: counters are relaxed
-/// atomics, homes and details are CAS-published (losing allocators delete
-/// their copy), and a materialized GrainInfo is internally lock-free.
-/// Building with -DCHEETAH_LOCKED_TABLE=ON restores the PR-1 striped grain
-/// mutexes around detail mutation for A/B benchmarking.
-///
-/// ## Epoch-sharded ingestion
-///
-/// The table also owns the **per-thread shard registry**: each ingesting OS
-/// thread lazily registers a shard (a map from grain base to a plain-field
-/// GrainShardRecord) and accumulates into it with zero cross-thread CAS
-/// traffic; `quiesce()` folds every shard back into the shared atomics in
-/// deterministic order (shards by registration order, grains by address)
-/// and reports merge totals so callers can prove conservation against the
-/// shared-table counters. Shards key on the *ingesting OS thread*, not the
-/// sample's tid — several OS threads may legitimately deliver samples
-/// carrying the same simulated tid, and single-writer shard ownership must
-/// hold regardless. The machinery is always compiled (benchmarks and the
-/// merge-conservation tests exercise it in every build);
-/// -DCHEETAH_SHARDED_TABLE=ON merely routes `record()` through it.
+/// All of it is lock-free: counters are relaxed atomics, homes and details
+/// are CAS-published (losing allocators delete their copy), and a
+/// materialized GrainInfo is internally lock-free.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,14 +34,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
-
-#if CHEETAH_LOCKED_TABLE
-#include <array>
-#include <bit>
-#endif
 
 namespace cheetah {
 namespace core {
@@ -67,29 +43,6 @@ namespace core {
 struct ShadowRegion {
   uint64_t Base = 0;
   uint64_t Size = 0;
-};
-
-/// What one quiesce() folded back into the shared table — the evidence the
-/// conservation proof checks against the detector's own counters.
-struct GrainMergeStats {
-  uint64_t Shards = 0;  ///< shards visited (including empty ones)
-  uint64_t Records = 0; ///< per-grain shard records merged
-  uint64_t Accesses = 0;
-  uint64_t Writes = 0;
-  uint64_t Cycles = 0;
-  uint64_t Invalidations = 0;
-  uint64_t RemoteAccesses = 0;
-
-  GrainMergeStats &operator+=(const GrainMergeStats &Other) {
-    Shards += Other.Shards;
-    Records += Other.Records;
-    Accesses += Other.Accesses;
-    Writes += Other.Writes;
-    Cycles += Other.Cycles;
-    Invalidations += Other.Invalidations;
-    RemoteAccesses += Other.RemoteAccesses;
-    return *this;
-  }
 };
 
 /// Counters folded out of evicted grains — the per-stage residue a
@@ -105,27 +58,12 @@ struct GrainEvictionStats {
   uint64_t RemoteAccesses = 0;
 };
 
-namespace detail {
-/// Globally unique id per GrainTable instance, never reused — what makes
-/// the per-thread shard cache safe against table destruction (a stale
-/// cache entry can never match a new table).
-uint64_t nextGrainRegistryId();
-/// Thread-local lookup of this thread's shard for the table \p RegistryId;
-/// nullptr on miss (including after eviction, which just re-registers).
-void *cachedShardFor(uint64_t RegistryId);
-/// Stores \p Shard as this thread's entry for \p RegistryId.
-void cacheShard(uint64_t RegistryId, void *Shard);
-} // namespace detail
-
 /// Flat-array grain metadata over a set of monitored regions,
 /// parameterized by the detailed record type and whether first-touch homes
 /// are tracked. ShadowMemory and PageTable are thin instantiations.
 template <typename InfoT, bool TrackHomes> class GrainTable {
 public:
   using Info = InfoT;
-  using ActorId = typename InfoT::ActorId;
-  using Context = typename InfoT::Context;
-  using ShardRecord = typename InfoT::ShardRecord;
 
   /// \p EmptyRegionMsg / \p AlignmentMsg are the assertion texts for the
   /// two region-validation failures, so each instantiation keeps its
@@ -134,8 +72,7 @@ public:
              std::vector<ShadowRegion> Regions, const char *EmptyRegionMsg,
              const char *AlignmentMsg)
       : GrainShift(GrainShift), GrainSize(uint64_t(1) << GrainShift),
-        BucketsPerGrain(BucketsPerGrain),
-        RegistryId(detail::nextGrainRegistryId()) {
+        BucketsPerGrain(BucketsPerGrain) {
     for (const ShadowRegion &Region : Regions) {
       CHEETAH_ASSERT(Region.Size > 0, EmptyRegionMsg);
       CHEETAH_ASSERT((Region.Base & (GrainSize - 1)) == 0, AlignmentMsg);
@@ -312,96 +249,9 @@ public:
     }
   }
 
-#if CHEETAH_LOCKED_TABLE
-  /// The PR-1 striped lock serializing mutation of \p Address's grain
-  /// detail. Only exists in the locked A/B build; the default ingestion
-  /// path is lock-free and this member is compiled out.
-  std::mutex &grainLock(uint64_t Address) {
-    // Fibonacci hash of the grain index spreads adjacent grains across
-    // stripes; the top bits of the product index the stripe array.
-    static_assert((LockStripeCount & (LockStripeCount - 1)) == 0,
-                  "stripe count must be a power of two");
-    constexpr unsigned Shift = 64 - std::bit_width(LockStripeCount - 1);
-    uint64_t Grain = Address >> GrainShift;
-    return LockStripes[(Grain * 0x9e3779b97f4a7c15ull) >> Shift];
-  }
-#endif
-
   /// First byte address of the grain containing \p Address.
   uint64_t grainBase(uint64_t Address) const {
     return Address & ~(GrainSize - 1);
-  }
-
-  /// Records one decoded sample into \p Info through the build's configured
-  /// ingestion mode: per-thread shard (CHEETAH_SHARDED_TABLE), striped
-  /// mutex (CHEETAH_LOCKED_TABLE), or the default lock-free shared path.
-  bool record(uint64_t Address, InfoT &Info, ThreadId Tid, ActorId Actor,
-              AccessKind Kind, uint64_t Bucket, uint64_t Span,
-              uint64_t LatencyCycles, const Context &Ctx = {}) {
-#if CHEETAH_SHARDED_TABLE
-    return recordSharded(Address, Info, Tid, Actor, Kind, Bucket, Span,
-                         LatencyCycles, Ctx);
-#else
-#if CHEETAH_LOCKED_TABLE
-    std::lock_guard<std::mutex> Lock(grainLock(Address));
-#else
-    (void)Address;
-#endif
-    return Info.record(Tid, Actor, Kind, Bucket, Span, LatencyCycles, Ctx);
-#endif
-  }
-
-  /// The sharded ingestion path, callable in every build (benchmarks and
-  /// conservation tests A/B it against the shared path): accumulates into
-  /// this OS thread's shard with no cross-thread CAS traffic beyond the
-  /// shared two-entry table transition. \p Info must be the materialized
-  /// detail for \p Address's grain.
-  bool recordSharded(uint64_t Address, InfoT &Info, ThreadId Tid,
-                     ActorId Actor, AccessKind Kind, uint64_t Bucket,
-                     uint64_t Span, uint64_t LatencyCycles,
-                     const Context &Ctx = {}) {
-    ShardRecord &Record = localShard().Records[grainBase(Address)];
-    return Info.recordShard(Record, Tid, Actor, Kind, Bucket, Span,
-                            LatencyCycles, Ctx);
-  }
-
-  /// Epoch quiesce: folds every shard back into the shared atomics and
-  /// empties the shards, so successive epochs merge only their deltas.
-  /// Deterministic — shards merge in registration order, grains in address
-  /// order. Must not run concurrently with sharded ingestion; the caller
-  /// provides the happens-before edge (thread join / phase barrier).
-  GrainMergeStats quiesce() {
-    GrainMergeStats Stats;
-    std::lock_guard<std::mutex> Lock(ShardMutex);
-    for (auto &ShardPtr : Shards) {
-      ++Stats.Shards;
-      std::vector<uint64_t> Bases;
-      Bases.reserve(ShardPtr->Records.size());
-      for (const auto &Entry : ShardPtr->Records)
-        Bases.push_back(Entry.first);
-      std::sort(Bases.begin(), Bases.end());
-      for (uint64_t Base : Bases) {
-        const ShardRecord &Record = ShardPtr->Records[Base];
-        InfoT *Info = detail(Base);
-        CHEETAH_ASSERT(Info != nullptr,
-                       "shard record for an unmaterialized grain");
-        Info->mergeShard(Record);
-        ++Stats.Records;
-        Stats.Accesses += Record.Accesses;
-        Stats.Writes += Record.Writes;
-        Stats.Cycles += Record.Cycles;
-        Stats.Invalidations += Record.Invalidations;
-        Stats.RemoteAccesses += Record.Extras.remoteAccesses();
-      }
-      ShardPtr->Records.clear();
-    }
-    return Stats;
-  }
-
-  /// Number of registered per-thread shards (tests/benchmarks).
-  size_t shardCount() const {
-    std::lock_guard<std::mutex> Lock(ShardMutex);
-    return Shards.size();
   }
 
   /// Invokes \p Fn(grainBaseAddress, homeNode, info) for every
@@ -447,7 +297,7 @@ public:
 
   //===--------------------------------------------------------------------===//
   // Bounded-memory continuous operation: byte budget, cold-grain eviction,
-  // epoch-quiesce-fenced reclamation.
+  // epoch-fenced reclamation.
   //===--------------------------------------------------------------------===//
 
   /// Installs the byte budget enforceBudget() trims to (0 = unbounded,
@@ -468,18 +318,17 @@ public:
   size_t byteBudget() const { return ByteBudget; }
 
   /// Counters folded out of evicted grains so far. Stable between epoch
-  /// boundaries; read it after quiesce()/enforceBudget() for a consistent
+  /// boundaries; read it after enforceBudget() for a consistent
   /// conservation check (residue + live counters == totals ever recorded).
   const GrainEvictionStats &evictedResidue() const { return Residue; }
 
   /// Total heap bytes behind this table — the denominator the eviction
   /// budget is enforced against. Unlike metadataBytes() (the
   /// report-visible shadow-bytes number, which intentionally keeps its
-  /// historical meaning), this also counts the sharded-mode shard records,
-  /// the budgeted-mode epoch baselines, and any not-yet-reclaimed retired
-  /// infos. Must not race sharded ingestion (same fence as quiesce()).
+  /// historical meaning), this also counts the budgeted-mode epoch
+  /// baselines and any not-yet-reclaimed retired infos.
   size_t footprintBytes() const {
-    size_t Bytes = metadataBytes() + shardBytes();
+    size_t Bytes = metadataBytes();
     for (const Slab &Region : Slabs)
       if (Region.EpochWrites)
         Bytes += Region.Grains * sizeof(uint32_t);
@@ -488,36 +337,10 @@ public:
     return Bytes;
   }
 
-  /// Heap bytes behind the per-thread shard registry, by allocation-size
-  /// arithmetic: each shard's map (hash-bucket array plus one node —
-  /// key/value pair and chain pointer — per record) and each record's
-  /// vector capacities. Same fence contract as quiesce().
-  size_t shardBytes() const {
-    std::lock_guard<std::mutex> Lock(ShardMutex);
-    size_t Bytes = 0;
-    for (const auto &ShardPtr : Shards) {
-      Bytes += sizeof(Shard);
-      Bytes += ShardPtr->Records.bucket_count() * sizeof(void *);
-      for (const auto &Entry : ShardPtr->Records)
-        Bytes += shardRecordBytes(Entry.second);
-    }
-    return Bytes;
-  }
-
-  /// Allocation-size arithmetic for one shard record: the map node (pair
-  /// plus the chain pointer every node-based unordered_map carries) and
-  /// the capacities of its lazily sized vectors.
-  static size_t shardRecordBytes(const ShardRecord &Record) {
-    return sizeof(std::pair<const uint64_t, ShardRecord>) + sizeof(void *) +
-           Record.Buckets.capacity() * sizeof(Record.Buckets[0]) +
-           Record.Threads.capacity() * sizeof(Record.Threads[0]) +
-           Record.Extras.heapBytes();
-  }
-
   /// Best-effort trim to the byte budget; a no-op when unbudgeted or
-  /// already under budget. Must run under the same fence as quiesce() —
-  /// no ingestion in flight — typically right after it at an epoch
-  /// boundary.
+  /// already under budget. Must run with no ingestion in flight — the
+  /// caller provides the fence (thread join / batch flush), typically at
+  /// an epoch boundary.
   ///
   /// Grains are ranked coldest-first by writes since the previous epoch
   /// boundary (ties: fewer lifetime accesses, then lower address, so the
@@ -604,7 +427,7 @@ public:
     return Evicted;
   }
 
-  /// Deletes every retired info. Only call inside the quiesce-fenced
+  /// Deletes every retired info. Only call inside the ingestion-fenced
   /// window (enforceBudget does; the destructor too). \returns how many
   /// records were reclaimed.
   size_t reclaimRetired() {
@@ -637,12 +460,6 @@ private:
     return reinterpret_cast<InfoT *>(static_cast<uintptr_t>(1));
   }
 
-  /// One OS thread's accumulation epoch: only its owner writes Records
-  /// during ingestion; quiesce() reads after the owner synchronized.
-  struct Shard {
-    std::unordered_map<uint64_t, ShardRecord> Records;
-  };
-
   const Slab *slabFor(uint64_t Address) const {
     for (const Slab &Region : Slabs)
       if (Address >= Region.Base && Address < Region.Base + Region.Size)
@@ -657,43 +474,18 @@ private:
     return static_cast<size_t>((Address - Region.Base) >> GrainShift);
   }
 
-  /// This OS thread's shard for this table, registering one on first use
-  /// (or after cache eviction — a thread may own several shards of one
-  /// table; single-writer ownership holds either way).
-  Shard &localShard() {
-    if (void *Cached = detail::cachedShardFor(RegistryId))
-      return *static_cast<Shard *>(Cached);
-    auto Fresh = std::make_unique<Shard>();
-    Shard *Raw = Fresh.get();
-    {
-      std::lock_guard<std::mutex> Lock(ShardMutex);
-      Shards.push_back(std::move(Fresh));
-    }
-    detail::cacheShard(RegistryId, Raw);
-    return *Raw;
-  }
-
   unsigned GrainShift;
   uint64_t GrainSize;
   uint64_t BucketsPerGrain;
-  uint64_t RegistryId;
   std::vector<Slab> Slabs;
-#if CHEETAH_LOCKED_TABLE
-  static constexpr size_t LockStripeCount = 64;
-  std::array<std::mutex, LockStripeCount> LockStripes;
-#endif
   std::atomic<size_t> MaterializedCount{0};
-  /// Guards shard registration and merge; never taken on the per-sample
-  /// ingestion path (the thread-local cache short-circuits it).
-  mutable std::mutex ShardMutex;
-  std::vector<std::unique_ptr<Shard>> Shards;
   /// Byte budget for enforceBudget (0 = unbounded). Plain: installed
   /// before ingestion, read only at fenced epoch boundaries.
   size_t ByteBudget = 0;
   /// Counters folded out of evicted grains; mutated only under the
   /// enforceBudget fence.
   GrainEvictionStats Residue;
-  /// Evicted infos awaiting reclamation — the epoch-quiesce-fenced free
+  /// Evicted infos awaiting reclamation — the epoch-fenced free
   /// list. Normally drained before enforceBudget returns; never touched
   /// while ingestion threads are in flight.
   std::vector<InfoT *> Retired;

@@ -42,12 +42,6 @@ public:
                    "cache lines must fit inside pages");
   }
 
-#if CHEETAH_LOCKED_TABLE
-  /// Striped lock serializing mutation of \p Address's page detail —
-  /// the locked A/B build only.
-  std::mutex &pageLock(uint64_t Address) { return grainLock(Address); }
-#endif
-
   /// First byte address of the page containing \p Address.
   uint64_t pageBase(uint64_t Address) const {
     return Topology.pageBase(Address);

@@ -9,9 +9,7 @@
 /// to its cache line's metadata via bit shifting, possible because the heap
 /// arena and global segment ranges are known up front. A thin line-grain
 /// instantiation of the generic GrainTable — see GrainTable.h for the slab
-/// layout, lock-free publication discipline, table-mode dispatch
-/// (default / CHEETAH_LOCKED_TABLE / CHEETAH_SHARDED_TABLE), and the
-/// epoch-shard registry.
+/// layout, the lock-free publication discipline, and the byte budget.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,17 +31,6 @@ public:
                    std::move(Regions), "empty shadow region",
                    "shadow region must be line-aligned"),
         Geometry(Geometry) {}
-
-#if CHEETAH_LOCKED_TABLE
-  /// The PR-1 striped lock serializing mutation of \p Address's line
-  /// detail (locked A/B build only).
-  std::mutex &lineLock(uint64_t Address) { return grainLock(Address); }
-#endif
-
-  /// First byte address of the line containing \p Address.
-  uint64_t lineBase(uint64_t Address) const {
-    return Geometry.lineBase(Address);
-  }
 
   /// Invokes \p Fn(lineBaseAddress, info) for every materialized line.
   template <typename Function> void forEachDetail(Function Fn) const {

@@ -10,6 +10,7 @@
 #include "support/Assert.h"
 
 #include <algorithm>
+#include <atomic>
 #include <shared_mutex>
 
 using namespace cheetah;
@@ -24,9 +25,11 @@ namespace driver {
 /// holds the gate shared and checks Accepting; closing the gate takes it
 /// exclusive, which both waits out in-flight deliveries and makes every
 /// later one drop its batch instead of mutating tables being snapshotted.
+/// Dropped samples are counted, so none vanishes silently.
 struct IngestGate {
   std::shared_mutex Mutex;
   bool Accepting = true;
+  std::atomic<uint64_t> Dropped{0};
 };
 } // namespace driver
 } // namespace cheetah
@@ -43,8 +46,11 @@ PreloadProfilerBridge::PreloadProfilerBridge(core::Profiler &Profiler)
   interpose::setSampleSink(
       [&Profiler, SinkGate](const pmu::Sample *Samples, size_t Count) {
         std::shared_lock<std::shared_mutex> Lock(SinkGate->Mutex);
-        if (!SinkGate->Accepting)
-          return; // late delivery after finish() began: drop
+        if (!SinkGate->Accepting) {
+          // Late delivery after finish() began: drop, but count it.
+          SinkGate->Dropped.fetch_add(Count, std::memory_order_relaxed);
+          return;
+        }
         Profiler.ingestBatch(Samples, Count);
       });
   Profiler.threadStarted(/*Tid=*/0, /*IsMain=*/true, /*Now=*/0);
@@ -60,6 +66,10 @@ PreloadProfilerBridge::~PreloadProfilerBridge() {
 void PreloadProfilerBridge::closeGate() {
   std::unique_lock<std::shared_mutex> Lock(Gate->Mutex);
   Gate->Accepting = false;
+}
+
+uint64_t PreloadProfilerBridge::droppedSamples() const {
+  return Gate->Dropped.load(std::memory_order_relaxed);
 }
 
 uint64_t PreloadProfilerBridge::elapsedCycles() const {

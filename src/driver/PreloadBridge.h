@@ -58,10 +58,16 @@ public:
   /// still-attached threads and the main thread, and finalizes reports.
   /// The bridge is inert afterwards. \p Sink streams findings as in
   /// Profiler::finish. Samples delivered by a still-running interposed
-  /// thread after the final flush are dropped behind the ingest gate (and
-  /// the gate close waits out deliveries already in flight), so nothing
-  /// mutates the tables while they are being snapshotted.
+  /// thread after the final flush are dropped behind the ingest gate and
+  /// counted in droppedSamples() (the gate close waits out deliveries
+  /// already in flight), so nothing mutates the tables while they are
+  /// being snapshotted.
   core::ProfileResult finish(core::ReportSink *Sink = nullptr);
+
+  /// Samples dropped at the closed ingest gate: delivered by a straggler
+  /// thread after finish() (or destruction) began. They never reach the
+  /// profiler, so they are not in finish()'s SamplesDelivered.
+  uint64_t droppedSamples() const;
 
   /// Cycles elapsed since the bridge was created (TSC delta).
   uint64_t elapsedCycles() const;

@@ -47,6 +47,9 @@ constexpr size_t SampleBatchCapacity = 256;
 struct ThreadSampleBuffer {
   std::mutex Lock;
   std::vector<pmu::Sample> Samples;
+  /// Samples this thread has recorded, counted under Lock so the hot path
+  /// never touches a process-global counter; summary() sums them.
+  uint64_t Recorded = 0;
 };
 
 /// Global interposition state. Counters are atomics: the wrappers run on
@@ -59,7 +62,6 @@ struct RuntimeState {
   std::atomic<uint64_t> ThreadsCreated{0};
   std::atomic<uint64_t> ThreadsJoined{0};
   std::atomic<uint64_t> SamplesCollected{0};
-  std::atomic<uint64_t> SamplesBuffered{0};
   std::atomic<uint64_t> SamplesIngested{0};
   uint64_t StartTimestamp = 0;
   bool PmuAvailable = false;
@@ -169,7 +171,6 @@ void cheetah::interpose::setSampleSink(SampleBatchSink Sink) {
 }
 
 void cheetah::interpose::recordSample(const pmu::Sample &Sample) {
-  RuntimeState &State = state();
   ThreadSampleBuffer &Buffer = threadBuffer();
   std::vector<pmu::Sample> Full;
   {
@@ -177,10 +178,10 @@ void cheetah::interpose::recordSample(const pmu::Sample &Sample) {
     if (Buffer.Samples.capacity() < SampleBatchCapacity)
       Buffer.Samples.reserve(SampleBatchCapacity);
     Buffer.Samples.push_back(Sample);
+    ++Buffer.Recorded;
     if (Buffer.Samples.size() >= SampleBatchCapacity)
       Full.swap(Buffer.Samples);
   }
-  State.SamplesBuffered.fetch_add(1, std::memory_order_relaxed);
   if (!Full.empty()) {
     deliverBatch(Full);
     // deliverBatch cleared Full but kept its 256-slot storage; hand it back
@@ -289,7 +290,13 @@ InterposeSummary cheetah::interpose::summary() {
   Result.ThreadsCreated = State.ThreadsCreated.load();
   Result.ThreadsJoined = State.ThreadsJoined.load();
   Result.SamplesCollected = State.SamplesCollected.load();
-  Result.SamplesBuffered = State.SamplesBuffered.load();
+  {
+    std::lock_guard<std::mutex> Lock(State.BuffersMutex);
+    for (const auto &Buffer : State.Buffers) {
+      std::lock_guard<std::mutex> BufferLock(Buffer->Lock);
+      Result.SamplesBuffered += Buffer->Recorded;
+    }
+  }
   Result.SamplesIngested = State.SamplesIngested.load();
   Result.PmuAvailable = State.PmuAvailable;
   Result.PmuStatus = State.PmuStatus;
@@ -307,7 +314,6 @@ void cheetah::interpose::resetForTesting() {
   State.ThreadsCreated = 0;
   State.ThreadsJoined = 0;
   State.SamplesCollected = 0;
-  State.SamplesBuffered = 0;
   State.SamplesIngested = 0;
   State.PmuAvailable = false;
   State.PmuStatus.clear();
@@ -322,6 +328,7 @@ void cheetah::interpose::resetForTesting() {
   for (const auto &Buffer : State.Buffers) {
     std::lock_guard<std::mutex> BufferLock(Buffer->Lock);
     Buffer->Samples.clear();
+    Buffer->Recorded = 0;
   }
 }
 

@@ -316,9 +316,6 @@ TEST(BatchDecodeTest, HandleBatchMatchesHandleSampleAtLineGranularity) {
   size_t GotRecorded =
       Got.handleBatch(Stream.data(), Stream.size(), /*InParallelPhase=*/true);
 
-  Want.quiesce();
-  Got.quiesce();
-
   EXPECT_EQ(GotRecorded, WantRecorded);
   DetectorStats WantStats = Want.stats(), GotStats = Got.stats();
   EXPECT_EQ(GotStats.SamplesSeen, WantStats.SamplesSeen);
@@ -366,9 +363,6 @@ TEST(BatchDecodeTest, HandleBatchMatchesHandleSampleAtPageGranularity) {
   Detector Got(Geometry, GotShadow, Config);
   Got.attachPageTable(GotPages, Topology);
   Got.handleBatch(Stream.data(), Stream.size(), /*InParallelPhase=*/true);
-
-  Want.quiesce();
-  Got.quiesce();
 
   DetectorStats WantStats = Want.stats(), GotStats = Got.stats();
   EXPECT_EQ(GotStats.SamplesSeen, WantStats.SamplesSeen);

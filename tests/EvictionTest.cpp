@@ -11,9 +11,7 @@
 /// evicted residue plus live counters equals a never-evicted run's totals,
 /// golden byte-identity of snapshots whose budget is never hit, and the
 /// multi-epoch soak that holds footprintBytes() under budget while
-/// ingesting far more distinct grains than the budget can hold. Runs in
-/// all three table modes (lock-free / CHEETAH_LOCKED_TABLE /
-/// CHEETAH_SHARDED_TABLE) via the CI matrix.
+/// ingesting far more distinct grains than the budget can hold.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,10 +83,9 @@ TEST(EvictionFootprintTest, LineSlabArraysCountedExactly) {
                                sizeof(std::atomic<CacheLineInfo *>));
   EXPECT_EQ(Shadow.metadataBytes(), SlabBytes);
 
-  // The budget denominator is the metadata plus shard-registry overhead
-  // (zero records yet) — never less than the slab arrays the budget can
-  // never trim away.
-  EXPECT_EQ(Shadow.footprintBytes(), SlabBytes + Shadow.shardBytes());
+  // The budget denominator is the metadata — never less than the slab
+  // arrays the budget can never trim away.
+  EXPECT_EQ(Shadow.footprintBytes(), SlabBytes);
 
   // Installing a budget allocates the per-grain epoch-write baselines,
   // and the denominator must charge for them too.
@@ -109,7 +106,7 @@ TEST(EvictionFootprintTest, PageSlabArraysIncludeHomes) {
       Grains * (sizeof(std::atomic<uint32_t>) +
                 sizeof(std::atomic<PageInfo *>) + sizeof(std::atomic<NodeId>));
   EXPECT_EQ(Pages.metadataBytes(), SlabBytes);
-  EXPECT_EQ(Pages.footprintBytes(), SlabBytes + Pages.shardBytes());
+  EXPECT_EQ(Pages.footprintBytes(), SlabBytes);
 }
 
 TEST(EvictionFootprintTest, MaterializedInfoBytesMatchArithmetic) {
@@ -124,37 +121,12 @@ TEST(EvictionFootprintTest, MaterializedInfoBytesMatchArithmetic) {
   for (size_t I = 0; I < Tracked; ++I)
     for (ThreadId Tid = 0; Tid < 2; ++Tid)
       Detect.handleSample(makeSample(RegionBase + I * 64, Tid, true), true);
-  Detect.quiesce(); // sharded build: fold shards into the grains
 
   EXPECT_EQ(Shadow.materializedGrains(), Tracked);
   size_t SlabBytes = (Size / 64) * (sizeof(std::atomic<uint32_t>) +
                                     sizeof(std::atomic<CacheLineInfo *>));
   EXPECT_EQ(Shadow.metadataBytes(), SlabBytes + liveTotals(Shadow).InfoBytes);
 }
-
-#if CHEETAH_SHARDED_TABLE
-TEST(EvictionFootprintTest, ShardRecordsCountedAndDroppedAtQuiesce) {
-  CacheGeometry Geometry{64};
-  ShadowMemory Shadow{Geometry, {{RegionBase, 1 << 16}}};
-  DetectorConfig Config;
-  Config.WriteThreshold = 0;
-  Detector Detect{Geometry, Shadow, Config};
-
-  size_t Before = Shadow.shardBytes();
-  for (size_t I = 0; I < 64; ++I)
-    Detect.handleSample(makeSample(RegionBase + I * 64, 0, true), true);
-  // 64 live shard records: at least one map node each must be charged.
-  size_t Loaded = Shadow.shardBytes();
-  EXPECT_GE(Loaded, Before + 64 * sizeof(std::pair<const uint64_t,
-                                                   uint64_t>));
-  EXPECT_EQ(Shadow.footprintBytes(),
-            Shadow.metadataBytes() + Shadow.shardBytes());
-
-  // Quiesce folds and clears the records; only container overhead stays.
-  Detect.quiesce();
-  EXPECT_LT(Shadow.shardBytes(), Loaded);
-}
-#endif
 
 //===----------------------------------------------------------------------===//
 // Conservation: residue + live state == a never-evicted run's totals.
@@ -190,8 +162,6 @@ TEST(EvictionConservationTest, ResiduePlusLiveEqualsUnboundedTotals) {
       DetectUnbounded.handleSample(Sample, true);
       DetectBounded.handleSample(Sample, true);
     }
-    DetectUnbounded.quiesce();
-    DetectBounded.quiesce();
     EXPECT_GT(Bounded.enforceBudget(), 0u);
   }
 
@@ -305,14 +275,12 @@ TEST(EvictionSoakTest, FootprintStaysUnderBudgetAcrossTenEpochs) {
   constexpr size_t GrainsPerEpoch = 256;
   constexpr int Epochs = 10;
 
-  // Prime one epoch to measure the irreducible floor (slab arrays, epoch
-  // baselines, shard container overhead at steady-state record count),
-  // then budget a small slack above it: every later epoch must evict
-  // nearly everything it materialized to fit.
+  // Prime one epoch to measure the irreducible floor (slab arrays and
+  // epoch baselines), then budget a small slack above it: every later
+  // epoch must evict nearly everything it materialized to fit.
   for (size_t I = 0; I < GrainsPerEpoch; ++I)
     for (ThreadId Tid = 0; Tid < 2; ++Tid)
       Detect.handleSample(makeSample(RegionBase + I * 64, Tid, true), true);
-  Detect.quiesce();
   Shadow.setByteBudget(1); // allocate the epoch baselines
   size_t Floor = Shadow.footprintBytes() - liveTotals(Shadow).InfoBytes;
   size_t Budget = Floor + 4096;
@@ -330,8 +298,7 @@ TEST(EvictionSoakTest, FootprintStaysUnderBudgetAcrossTenEpochs) {
         Detect.handleSample(makeSample(RegionBase + Grain * 64, Tid, true),
                             true);
     }
-    Detect.quiesce();
-    Shadow.enforceBudget();
+      Shadow.enforceBudget();
     EXPECT_LE(Shadow.footprintBytes(), Budget) << "epoch " << Epoch;
     uint64_t Residue = Shadow.evictedResidue().Grains;
     EXPECT_GT(Residue, LastResidue) << "epoch " << Epoch;
@@ -352,7 +319,6 @@ TEST(EvictionDecayTest, EvictedGrainReadsUnmaterializedAndReEarnsTracking) {
 
   Detect.handleSample(makeSample(RegionBase, 0, true), true);
   Detect.handleSample(makeSample(RegionBase, 1, true), true);
-  Detect.quiesce();
   ASSERT_NE(Shadow.detail(RegionBase), nullptr);
   ASSERT_EQ(Shadow.materializedGrains(), 1u);
 
@@ -368,7 +334,6 @@ TEST(EvictionDecayTest, EvictedGrainReadsUnmaterializedAndReEarnsTracking) {
 
   // Traffic returning to the decayed grain re-materializes it fresh.
   Detect.handleSample(makeSample(RegionBase, 0, true), true);
-  Detect.quiesce();
   ASSERT_NE(Shadow.detail(RegionBase), nullptr);
   EXPECT_EQ(Shadow.detail(RegionBase)->accesses(), 1u);
   EXPECT_EQ(Shadow.materializedGrains(), 1u);

@@ -7,8 +7,8 @@
 /// \file
 /// Byte-exact differential gate for the JSON report pipeline: every
 /// registered workload's `cheetah-report-v4` document must match its
-/// checked-in golden under tests/goldens/, in every table-mode build
-/// (shared, CHEETAH_LOCKED_TABLE, CHEETAH_SHARDED_TABLE). This is the
+/// checked-in golden under tests/goldens/, with either decode kernel
+/// (-DCHEETAH_FORCE_SCALAR=ON compiles the AVX2 one out). This is the
 /// executable form of the refactor contract — the granularity-generic
 /// detection core and any ingestion-mode change must be observationally
 /// invisible at the report boundary, down to the last byte.

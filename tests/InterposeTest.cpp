@@ -153,10 +153,13 @@ TEST_F(InterposeTest, BridgeFinishRacesRecordingThreadSafely) {
   // Regression test for the finish()-vs-straggler race: the interpose
   // runtime copies the sample sink under its lock but *calls* it unlocked,
   // so a thread still hammering recordSample/flushThreadSamples could
-  // deliver a batch into the profiler while finish() was quiescing and
-  // building the report. The bridge's ingest gate must drain in-flight
-  // deliveries and drop every later one. Run under TSan this test fails
-  // without the gate; in any build it must not crash or assert.
+  // deliver a batch into the profiler while finish() was building the
+  // report. The bridge's ingest gate must drain in-flight deliveries and
+  // drop every later one. Run under TSan this test fails without the gate;
+  // in any build it must not crash or assert. No sample may vanish either:
+  // each one the hammer recorded was delivered before finish() closed the
+  // gate, dropped (and counted) at the closed gate, or parked after the
+  // sink was removed.
   constexpr int Rounds = 6;
   for (int Round = 0; Round < Rounds; ++Round) {
     resetForTesting();
@@ -168,6 +171,7 @@ TEST_F(InterposeTest, BridgeFinishRacesRecordingThreadSafely) {
       Bridge.attachThread(1);
       std::atomic<bool> Hammering{false};
       std::atomic<bool> Stop{false};
+      uint64_t Recorded = 0;
       std::thread Hammer([&] {
         threadAttach();
         while (!Stop.load(std::memory_order_acquire)) {
@@ -177,6 +181,7 @@ TEST_F(InterposeTest, BridgeFinishRacesRecordingThreadSafely) {
           Sample.IsWrite = true;
           Sample.LatencyCycles = 40;
           recordSample(Sample);
+          ++Recorded;
           flushThreadSamples();
           Hammering.store(true, std::memory_order_release);
         }
@@ -185,9 +190,19 @@ TEST_F(InterposeTest, BridgeFinishRacesRecordingThreadSafely) {
         std::this_thread::yield();
       // Finish mid-hammer: deliveries already inside the sink drain,
       // everything after bounces off the closed gate.
-      Bridge.finish();
+      core::ProfileResult Result = Bridge.finish();
       Stop.store(true, std::memory_order_release);
       Hammer.join();
+
+      // Samples flushed after finish() removed the sink were parked; a
+      // counting sink installed now receives them.
+      uint64_t Parked = 0;
+      setSampleSink(
+          [&Parked](const pmu::Sample *, size_t Count) { Parked += Count; });
+      EXPECT_EQ(Recorded,
+                Result.SamplesDelivered + Bridge.droppedSamples() + Parked)
+          << "round " << Round;
+      setSampleSink({});
     }
   }
 }

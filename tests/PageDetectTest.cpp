@@ -276,9 +276,6 @@ TEST(PageDetectorTest, SerialPhaseSetsHomesButRecordsNoDetail) {
   DetectorStats Stats = H.Detect.stats();
   EXPECT_EQ(Stats.PageSamplesRecorded, 1u);
   EXPECT_EQ(Stats.RemoteSamples, 1u);
-  // Fold any per-thread shards back before reading detail (no-op in the
-  // shared-table builds).
-  H.Detect.quiesce();
   const PageInfo *Info = H.Pages.detail(RegionBase);
   ASSERT_NE(Info, nullptr);
   EXPECT_EQ(Info->remoteAccesses(), 1u);
@@ -299,9 +296,6 @@ TEST(PageDetectorTest, CrossNodeHammerCountsPageInvalidations) {
   DetectorStats Stats = H.Detect.stats();
   EXPECT_EQ(Stats.PageSamplesRecorded, 100u);
   EXPECT_GT(Stats.PageInvalidations, 90u); // ping-pong: ~every write
-  // Fold any per-thread shards back before reading detail (no-op in the
-  // shared-table builds).
-  H.Detect.quiesce();
   const PageInfo *Info = H.Pages.detail(RegionBase);
   ASSERT_NE(Info, nullptr);
   EXPECT_EQ(Info->nodeCount(), 2u);

@@ -44,7 +44,11 @@
 ///  - the batch sample decoder (both kernels) against the per-sample decode
 ///    formula: fuzzed geometries/addresses/access widths, plus an
 ///    exhaustive sweep of every address x access width over a small
-///    geometry where enumeration is affordable.
+///    geometry where enumeration is affordable;
+///  - the batch pipeline's per-grain runs against per-sample delivery:
+///    batches drawn from a small hot address pool, so most grains repeat
+///    within a chunk, must leave every line and page grain, home, write
+///    counter and detector counter exactly as handleSample does.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -594,10 +598,6 @@ TEST(PagePropertyTest, ConcurrentHammerMatchesSequentialTotalsPerPage) {
                               Offset / 64, Sample.LatencyCycles,
                               Node != Home->second);
   }
-
-  // Fold any per-thread shards back before reading detail (no-op in the
-  // shared-table builds).
-  Detect.quiesce();
 
   EXPECT_EQ(Table.materializedPages(), References.size());
   for (const auto &[Page, Reference] : References) {
@@ -2179,6 +2179,167 @@ TEST(BatchDecodeFuzzTest, ExhaustiveSmallGeometrySweep) {
     }
   }
 }
+
+//===----------------------------------------------------------------------===//
+// Batched per-grain runs vs per-sample delivery, on a hot address pool
+//===----------------------------------------------------------------------===//
+
+void expectGrainsMatch(const core::GrainSnapshot &Got,
+                       const core::GrainSnapshot &Want,
+                       const std::string &Grain) {
+  EXPECT_EQ(Got.Accesses, Want.Accesses) << Grain;
+  EXPECT_EQ(Got.Writes, Want.Writes) << Grain;
+  EXPECT_EQ(Got.Cycles, Want.Cycles) << Grain;
+  EXPECT_EQ(Got.Invalidations, Want.Invalidations) << Grain;
+  ASSERT_EQ(Got.Buckets.size(), Want.Buckets.size()) << Grain;
+  for (size_t B = 0; B < Want.Buckets.size(); ++B) {
+    const core::WordStats &G = Got.Buckets[B], &W = Want.Buckets[B];
+    EXPECT_EQ(G.Reads, W.Reads) << Grain << " bucket " << B;
+    EXPECT_EQ(G.Writes, W.Writes) << Grain << " bucket " << B;
+    EXPECT_EQ(G.Cycles, W.Cycles) << Grain << " bucket " << B;
+    EXPECT_EQ(G.FirstThread, W.FirstThread) << Grain << " bucket " << B;
+    EXPECT_EQ(G.MultiThread, W.MultiThread) << Grain << " bucket " << B;
+  }
+  ASSERT_EQ(Got.Threads.size(), Want.Threads.size()) << Grain;
+  for (size_t T = 0; T < Want.Threads.size(); ++T) {
+    EXPECT_EQ(Got.Threads[T].Tid, Want.Threads[T].Tid) << Grain;
+    EXPECT_EQ(Got.Threads[T].Accesses, Want.Threads[T].Accesses) << Grain;
+    EXPECT_EQ(Got.Threads[T].Cycles, Want.Threads[T].Cycles) << Grain;
+  }
+}
+
+class GrainRunFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(GrainRunFuzzTest, HandleBatchMatchesHandleSampleOnAHotPool) {
+  // Batches drawn mostly from a small pool of hot addresses, so most
+  // grains repeat within a chunk and take the batch pipeline's per-grain
+  // run path; the rest are cold singletons, uncovered samples, and serial
+  // batches that only count writes and publish homes. Default thresholds
+  // make grains materialize mid-chunk, several tids per batch span all
+  // four nodes of an asymmetric topology (remote samples at three
+  // distances), and access widths up to 32 bytes mark several words. The
+  // batch detector must end field for field where per-sample delivery of
+  // the same stream ends.
+  constexpr uint64_t PageBytes = 4096;
+  constexpr uint64_t Pages = 8;
+  constexpr uint64_t Base = 0x4000'0000;
+  NumaTopologySpec Spec;
+  Spec.Nodes = 4;
+  Spec.Distances = {{0, 16, 32, 48}, {16, 0, 48, 32}, {32, 48, 0, 16},
+                    {48, 32, 16, 0}};
+  NumaTopology Topology;
+  std::string Error;
+  ASSERT_TRUE(NumaTopology::fromSpec(Spec, Topology, Error)) << Error;
+  CacheGeometry Geometry(64);
+  core::DetectorConfig Config;
+  Config.TrackPages = true;
+
+  struct Side {
+    core::ShadowMemory Shadow;
+    core::PageTable Table;
+    core::Detector Detect;
+    Side(const CacheGeometry &Geometry, const NumaTopology &Topology,
+         const core::DetectorConfig &Config)
+        : Shadow(Geometry, {{Base, Pages * PageBytes}}),
+          Table(Topology, Geometry, {{Base, Pages * PageBytes}}),
+          Detect(Geometry, Shadow, Config) {
+      Detect.attachPageTable(Table, Topology);
+    }
+  };
+  Side Want(Geometry, Topology, Config), Got(Geometry, Topology, Config);
+
+  SplitMix64 Rng(GetParam() ^ 0x6A41);
+  std::vector<uint64_t> Pool(4 + Rng.nextBelow(12));
+  for (uint64_t &Address : Pool)
+    Address = Base + Rng.nextBelow(Pages * PageBytes);
+  const uint8_t Widths[] = {1, 4, 8, 16, 32};
+  for (int Round = 0; Round < 40; ++Round) {
+    bool Parallel = Round >= 3 && !Rng.nextBool(0.1);
+    uint8_t AccessBytes = Widths[Rng.nextBelow(5)];
+    std::vector<pmu::Sample> Batch(1 + Rng.nextBelow(600));
+    for (pmu::Sample &Sample : Batch) {
+      double Draw = Rng.nextDouble();
+      Sample.Address = Draw < 0.75   ? Pool[Rng.nextBelow(Pool.size())]
+                       : Draw < 0.95 ? Base + Rng.nextBelow(Pages * PageBytes)
+                                     : Rng.nextBelow(Base);
+      Sample.Tid = static_cast<ThreadId>(Rng.nextBelow(8));
+      Sample.IsWrite = Rng.nextBool(0.5);
+      Sample.LatencyCycles = 5 + static_cast<uint32_t>(Rng.nextBelow(100));
+    }
+    size_t WantRecorded = 0;
+    for (const pmu::Sample &Sample : Batch)
+      WantRecorded += Want.Detect.handleSample(Sample, Parallel, AccessBytes);
+    EXPECT_EQ(Got.Detect.handleBatch(Batch.data(), Batch.size(), Parallel,
+                                     AccessBytes),
+              WantRecorded)
+        << "round " << Round;
+  }
+
+  core::DetectorStats WantStats = Want.Detect.stats();
+  core::DetectorStats GotStats = Got.Detect.stats();
+  EXPECT_GT(WantStats.Invalidations, 0u);
+  EXPECT_GT(WantStats.RemoteSamples, 0u);
+  EXPECT_EQ(GotStats.SamplesSeen, WantStats.SamplesSeen);
+  EXPECT_EQ(GotStats.SamplesFiltered, WantStats.SamplesFiltered);
+  EXPECT_EQ(GotStats.SamplesRecorded, WantStats.SamplesRecorded);
+  EXPECT_EQ(GotStats.Invalidations, WantStats.Invalidations);
+  EXPECT_EQ(GotStats.PageSamplesRecorded, WantStats.PageSamplesRecorded);
+  EXPECT_EQ(GotStats.PageInvalidations, WantStats.PageInvalidations);
+  EXPECT_EQ(GotStats.RemoteSamples, WantStats.RemoteSamples);
+  EXPECT_EQ(Got.Shadow.materializedLines(), Want.Shadow.materializedLines());
+  EXPECT_EQ(Got.Table.materializedPages(), Want.Table.materializedPages());
+
+  for (uint64_t Line = Base; Line < Base + Pages * PageBytes; Line += 64) {
+    std::string Where = "line +" + std::to_string(Line - Base);
+    EXPECT_EQ(Got.Shadow.writeCount(Line), Want.Shadow.writeCount(Line))
+        << Where;
+    const core::CacheLineInfo *W = Want.Shadow.detail(Line);
+    const core::CacheLineInfo *G = Got.Shadow.detail(Line);
+    ASSERT_EQ(G != nullptr, W != nullptr) << Where;
+    if (W)
+      expectGrainsMatch(G->snapshot(Line), W->snapshot(Line), Where);
+  }
+  for (uint64_t Page = Base; Page < Base + Pages * PageBytes;
+       Page += PageBytes) {
+    std::string Where = "page +" + std::to_string(Page - Base);
+    EXPECT_EQ(Got.Table.homeNode(Page), Want.Table.homeNode(Page)) << Where;
+    EXPECT_EQ(Got.Table.writeCount(Page), Want.Table.writeCount(Page))
+        << Where;
+    const core::PageInfo *W = Want.Table.detail(Page);
+    const core::PageInfo *G = Got.Table.detail(Page);
+    ASSERT_EQ(G != nullptr, W != nullptr) << Where;
+    if (!W)
+      continue;
+    expectGrainsMatch(G->snapshot(Page), W->snapshot(Page), Where);
+    core::PageNumaEvidence GotNuma = G->numaEvidence();
+    core::PageNumaEvidence WantNuma = W->numaEvidence();
+    EXPECT_EQ(GotNuma.RemoteAccesses, WantNuma.RemoteAccesses) << Where;
+    EXPECT_EQ(GotNuma.RemoteCycles, WantNuma.RemoteCycles) << Where;
+    EXPECT_EQ(GotNuma.NodesObserved, WantNuma.NodesObserved) << Where;
+    ASSERT_EQ(GotNuma.RemoteByDistance.size(),
+              WantNuma.RemoteByDistance.size())
+        << Where;
+    for (size_t D = 0; D < WantNuma.RemoteByDistance.size(); ++D) {
+      const RemoteDistanceStats &G = GotNuma.RemoteByDistance[D];
+      const RemoteDistanceStats &W = WantNuma.RemoteByDistance[D];
+      EXPECT_EQ(G.Distance, W.Distance) << Where;
+      EXPECT_EQ(G.Accesses, W.Accesses) << Where;
+      EXPECT_EQ(G.Cycles, W.Cycles) << Where;
+    }
+    ASSERT_EQ(GotNuma.Nodes.size(), WantNuma.Nodes.size()) << Where;
+    for (size_t N = 0; N < WantNuma.Nodes.size(); ++N) {
+      const core::NodePageStats &G = GotNuma.Nodes[N];
+      const core::NodePageStats &W = WantNuma.Nodes[N];
+      EXPECT_EQ(G.Node, W.Node) << Where;
+      EXPECT_EQ(G.Accesses, W.Accesses) << Where;
+      EXPECT_EQ(G.Writes, W.Writes) << Where;
+      EXPECT_EQ(G.Cycles, W.Cycles) << Where;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GrainRunFuzzTest,
+                         ::testing::Range<uint64_t>(1, 9));
 
 TEST(JsonFuzzTest, HostileHandWrittenInputsErrorCleanly) {
   // Inputs chosen to hit every parser failure edge, including the

@@ -27,6 +27,7 @@
 #include <atomic>
 #include <map>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -75,11 +76,10 @@ TEST(ThreadedIngestTest, DisjointLinePartitionsMatchSerialReference) {
   for (uint64_t Line = 0; Line < NumLines; ++Line)
     for (const pmu::Sample &Sample : lineStream(Line, SamplesPerLine))
       SerialDetect.handleSample(Sample, /*InParallelPhase=*/true);
-  SerialDetect.quiesce();
 
   // Parallel run: lines are partitioned over 8 ingest threads, so each
   // line's stream keeps its order while the threads race on the shared
-  // shadow arrays, stripe locks, and detector counters.
+  // shadow arrays and detector counters.
   ShadowMemory Shadow(Geometry, {{RegionBase, NumLines * LineSize}});
   Detector Detect(Geometry, Shadow, Config);
   std::vector<std::thread> Threads;
@@ -91,11 +91,6 @@ TEST(ThreadedIngestTest, DisjointLinePartitionsMatchSerialReference) {
     });
   for (std::thread &Thread : Threads)
     Thread.join();
-  // Epoch boundary: folds per-thread shards back in the sharded build
-  // (and proves merge conservation there); no-op otherwise. With it, the
-  // per-line comparison below doubles as the sharded-vs-serial
-  // equivalence check.
-  Detect.quiesce();
 
   DetectorStats Serial = SerialDetect.stats();
   DetectorStats Parallel = Detect.stats();
@@ -125,10 +120,10 @@ TEST(ThreadedIngestTest, DisjointLinePartitionsMatchSerialReference) {
 TEST(ThreadedIngestTest, BatchedDisjointLinePartitionsMatchSerialReference) {
   // The handleBatch mirror of the test above: the same per-line streams,
   // but each ingest thread delivers its lines in whole batches through the
-  // staged pipeline (SIMD decode, branchless stage-1 sweep, prefetched
-  // lookups). Eight threads race on the shared write counters, stripe
-  // locks, and per-thread decode scratch; the result must still equal a
-  // serial per-sample reference, line for line.
+  // staged pipeline (SIMD decode, branchless stage-1 sweep, per-grain
+  // runs, prefetched lookups). Eight threads race on the shared write
+  // counters and detector counters, each with its own decode scratch; the
+  // result must still equal a serial per-sample reference, line for line.
   constexpr uint64_t NumLines = 512;
   constexpr unsigned SamplesPerLine = 48;
   CacheGeometry Geometry(LineSize);
@@ -139,7 +134,6 @@ TEST(ThreadedIngestTest, BatchedDisjointLinePartitionsMatchSerialReference) {
   for (uint64_t Line = 0; Line < NumLines; ++Line)
     for (const pmu::Sample &Sample : lineStream(Line, SamplesPerLine))
       SerialDetect.handleSample(Sample, /*InParallelPhase=*/true);
-  SerialDetect.quiesce();
 
   ShadowMemory Shadow(Geometry, {{RegionBase, NumLines * LineSize}});
   Detector Detect(Geometry, Shadow, Config);
@@ -154,7 +148,6 @@ TEST(ThreadedIngestTest, BatchedDisjointLinePartitionsMatchSerialReference) {
     });
   for (std::thread &Thread : Threads)
     Thread.join();
-  Detect.quiesce();
 
   DetectorStats Serial = SerialDetect.stats();
   DetectorStats Parallel = Detect.stats();
@@ -213,7 +206,6 @@ TEST(ThreadedIngestTest, ContendedLinesLoseNoSamples) {
     });
   for (std::thread &Thread : Threads)
     Thread.join();
-  Detect.quiesce();
 
   constexpr uint64_t Total = uint64_t(IngestThreads) * SamplesPerThread;
   DetectorStats Stats = Detect.stats();
@@ -337,7 +329,6 @@ TEST(ThreadedIngestTest, SingleSharedLineDetectorHammer) {
     });
   for (std::thread &Thread : Threads)
     Thread.join();
-  Detect.quiesce();
 
   constexpr uint64_t Total = uint64_t(IngestThreads) * SamplesPerThread;
   DetectorStats Stats = Detect.stats();
@@ -401,7 +392,6 @@ TEST(ThreadedIngestTest, SingleSharedPageHammerAcrossNodesLosesNoUpdates) {
     });
   for (std::thread &Thread : Threads)
     Thread.join();
-  Detect.quiesce();
 
   constexpr uint64_t Total = uint64_t(IngestThreads) * SamplesPerThread;
   DetectorStats Stats = Detect.stats();
@@ -451,231 +441,226 @@ TEST(ThreadedIngestTest, SingleSharedPageHammerAcrossNodesLosesNoUpdates) {
 }
 
 //===----------------------------------------------------------------------===//
-// Epoch-sharded ingestion: the recordSharded()/quiesce() path is compiled
-// in every build, so these tests A/B it against the shared lock-free path
-// everywhere — not only when CHEETAH_SHARDED_TABLE routes record() to it.
+// Batched runs under contention: 4 threads deliver whole batches that all
+// land on two shared lines of one shared page, so every chunk records its
+// grains as multi-sample runs folded in at once while the other threads
+// fold theirs into the same grains. Whatever the interleaving, every
+// additive field must conserve exactly against the input streams.
 //===----------------------------------------------------------------------===//
 
-TEST(ShardedIngestTest, MergeConservesEveryCounterAcrossEpochs) {
-  // 8 OS threads hammer ONE line through their per-thread shards; the
-  // merge totals reported by quiesce() must conserve exactly what the
-  // threads issued, and a second epoch must fold only its delta.
-  constexpr unsigned SamplesPerThread = 20000;
-  constexpr uint64_t WordsPerLine = 16;
-  CacheGeometry Geometry(LineSize);
-  ShadowMemory Shadow(Geometry, {{RegionBase, LineSize}});
+/// One bucket's expected totals, summed from the input streams.
+struct BucketTotals {
+  uint64_t Reads = 0;
+  uint64_t Writes = 0;
+  uint64_t Cycles = 0;
+  std::set<uint32_t> Actors;
+};
 
-  std::atomic<uint64_t> WritesIssued{0}, Invalidations{0};
-  std::vector<std::thread> Threads;
-  for (unsigned T = 0; T < IngestThreads; ++T)
-    Threads.emplace_back([&, T] {
-      SplitMix64 Rng(0x5A4D ^ T);
-      uint64_t LocalWrites = 0, LocalInvalidations = 0;
-      for (unsigned I = 0; I < SamplesPerThread; ++I) {
-        AccessKind Kind =
-            Rng.nextBool(0.5) ? AccessKind::Write : AccessKind::Read;
-        LocalWrites += Kind == AccessKind::Write ? 1 : 0;
-        CacheLineInfo &Info = Shadow.materializeDetail(RegionBase);
-        LocalInvalidations += Shadow.recordSharded(
-            RegionBase, Info, static_cast<ThreadId>(T),
-            /*Actor=*/static_cast<ThreadId>(T), Kind,
-            Rng.nextBelow(WordsPerLine), /*Span=*/1, /*LatencyCycles=*/10);
-      }
-      WritesIssued.fetch_add(LocalWrites);
-      Invalidations.fetch_add(LocalInvalidations);
-    });
-  for (std::thread &Thread : Threads)
-    Thread.join();
+/// One grain's expected additive totals, summed from the input streams.
+struct GrainTotals {
+  uint64_t Accesses = 0;
+  uint64_t Writes = 0;
+  uint64_t Cycles = 0;
+  std::vector<BucketTotals> Buckets;
+  std::map<ThreadId, ThreadLineStats> Threads;
 
-  // Before the merge, only the shared two-entry table has moved: the
-  // additive counters still read zero.
-  const CacheLineInfo *Info = Shadow.detail(RegionBase);
-  ASSERT_NE(Info, nullptr);
-  EXPECT_EQ(Info->accesses(), 0u);
-  EXPECT_EQ(Shadow.shardCount(), size_t(IngestThreads));
+  explicit GrainTotals(size_t BucketCount) : Buckets(BucketCount) {}
 
-  constexpr uint64_t Total = uint64_t(IngestThreads) * SamplesPerThread;
-  GrainMergeStats Merge = Shadow.quiesce();
-  EXPECT_EQ(Merge.Shards, uint64_t(IngestThreads));
-  EXPECT_EQ(Merge.Records, uint64_t(IngestThreads)); // one grain per shard
-  EXPECT_EQ(Merge.Accesses, Total);
-  EXPECT_EQ(Merge.Writes, WritesIssued.load());
-  EXPECT_EQ(Merge.Cycles, Total * 10);
-  EXPECT_EQ(Merge.Invalidations, Invalidations.load());
-  EXPECT_EQ(Merge.RemoteAccesses, 0u); // lines have no remote dimension
-
-  // The folded-back shared state conserves the population too.
-  EXPECT_EQ(Info->accesses(), Total);
-  EXPECT_EQ(Info->writes(), WritesIssued.load());
-  EXPECT_EQ(Info->cycles(), Total * 10);
-  EXPECT_EQ(Info->invalidations(), Invalidations.load());
-  uint64_t WordAccesses = 0;
-  for (const WordStats &Word : Info->words())
-    WordAccesses += Word.accesses();
-  EXPECT_EQ(WordAccesses, Total);
-  std::vector<ThreadLineStats> PerThread = Info->threads();
-  ASSERT_EQ(PerThread.size(), size_t(IngestThreads));
-  for (const ThreadLineStats &Stats : PerThread)
-    EXPECT_EQ(Stats.Accesses, SamplesPerThread) << "tid " << Stats.Tid;
-
-  // Shards were emptied: an immediate re-quiesce merges nothing.
-  GrainMergeStats Empty = Shadow.quiesce();
-  EXPECT_EQ(Empty.Records, 0u);
-  EXPECT_EQ(Empty.Accesses, 0u);
-
-  // Epoch two, from a ninth ingesting thread (main): the merge reports
-  // only the delta, and the shared totals advance by exactly that much.
-  constexpr uint64_t ExtraSamples = 100;
-  CacheLineInfo &Detail = Shadow.materializeDetail(RegionBase);
-  for (uint64_t I = 0; I < ExtraSamples; ++I)
-    Shadow.recordSharded(RegionBase, Detail, /*Tid=*/0, /*Actor=*/0,
-                         AccessKind::Write, /*Bucket=*/I % WordsPerLine,
-                         /*Span=*/1, /*LatencyCycles=*/10);
-  GrainMergeStats Second = Shadow.quiesce();
-  EXPECT_EQ(Second.Shards, uint64_t(IngestThreads) + 1);
-  EXPECT_EQ(Second.Records, 1u);
-  EXPECT_EQ(Second.Accesses, ExtraSamples);
-  EXPECT_EQ(Info->accesses(), Total + ExtraSamples);
-}
-
-TEST(ShardedIngestTest, MergedOutputMatchesSharedTableSampleForSample) {
-  // Disjoint line partitions make every per-line history deterministic, so
-  // the sharded-mode merge output must equal the shared lock-free path
-  // field for field — counters, invalidations, word histograms (including
-  // first-thread/multi-thread bits), and per-thread totals.
-  constexpr uint64_t NumLines = 64;
-  constexpr unsigned SamplesPerLine = 64;
-  CacheGeometry Geometry(LineSize);
-  ShadowMemory Shared(Geometry, {{RegionBase, NumLines * LineSize}});
-  ShadowMemory Sharded(Geometry, {{RegionBase, NumLines * LineSize}});
-
-  // Reference: the same per-line streams through the shared path, serially.
-  for (uint64_t Line = 0; Line < NumLines; ++Line) {
-    uint64_t Base = RegionBase + Line * LineSize;
-    CacheLineInfo &Info = Shared.materializeDetail(Base);
-    for (const pmu::Sample &Sample : lineStream(Line, SamplesPerLine))
-      Info.recordAccess(Sample.Tid,
-                        Sample.IsWrite ? AccessKind::Write : AccessKind::Read,
-                        (Sample.Address - Base) / 4, /*WordSpan=*/1,
-                        Sample.LatencyCycles);
+  void add(ThreadId Tid, uint32_t Actor, bool IsWrite, uint64_t Bucket,
+           uint64_t Span, uint64_t Latency) {
+    ++Accesses;
+    Writes += IsWrite;
+    Cycles += Latency;
+    for (uint64_t B = Bucket; B < Bucket + Span; ++B) {
+      (IsWrite ? Buckets[B].Writes : Buckets[B].Reads) += 1;
+      Buckets[B].Cycles += B == Bucket ? Latency : 0;
+      Buckets[B].Actors.insert(Actor);
+    }
+    ThreadLineStats &Slot = Threads[Tid];
+    Slot.Tid = Tid;
+    Slot.Accesses += 1;
+    Slot.Cycles += Latency;
   }
+};
 
-  // Candidate: identical streams through 8 ingest threads' shards.
-  std::vector<std::thread> Threads;
-  for (unsigned T = 0; T < IngestThreads; ++T)
-    Threads.emplace_back([&, T] {
-      for (uint64_t Line = T; Line < NumLines; Line += IngestThreads) {
-        uint64_t Base = RegionBase + Line * LineSize;
-        CacheLineInfo &Info = Sharded.materializeDetail(Base);
-        for (const pmu::Sample &Sample : lineStream(Line, SamplesPerLine))
-          Sharded.recordSharded(Base, Info, Sample.Tid, Sample.Tid,
-                                Sample.IsWrite ? AccessKind::Write
-                                               : AccessKind::Read,
-                                (Sample.Address - Base) / 4, /*Span=*/1,
-                                Sample.LatencyCycles);
-      }
-    });
-  for (std::thread &Thread : Threads)
-    Thread.join();
-  Sharded.quiesce();
-
-  for (uint64_t Line = 0; Line < NumLines; ++Line) {
-    uint64_t Base = RegionBase + Line * LineSize;
-    const CacheLineInfo *Want = Shared.detail(Base);
-    const CacheLineInfo *Got = Sharded.detail(Base);
-    ASSERT_NE(Want, nullptr);
-    ASSERT_NE(Got, nullptr);
-    GrainSnapshot WantSnap = Want->snapshot(Base);
-    GrainSnapshot GotSnap = Got->snapshot(Base);
-    EXPECT_EQ(GotSnap.Accesses, WantSnap.Accesses) << "line " << Line;
-    EXPECT_EQ(GotSnap.Writes, WantSnap.Writes) << "line " << Line;
-    EXPECT_EQ(GotSnap.Cycles, WantSnap.Cycles) << "line " << Line;
-    EXPECT_EQ(GotSnap.Invalidations, WantSnap.Invalidations)
-        << "line " << Line;
-    ASSERT_EQ(GotSnap.Buckets.size(), WantSnap.Buckets.size());
-    for (size_t W = 0; W < WantSnap.Buckets.size(); ++W) {
-      EXPECT_EQ(GotSnap.Buckets[W].Reads, WantSnap.Buckets[W].Reads)
-          << "line " << Line << " word " << W;
-      EXPECT_EQ(GotSnap.Buckets[W].Writes, WantSnap.Buckets[W].Writes)
-          << "line " << Line << " word " << W;
-      EXPECT_EQ(GotSnap.Buckets[W].Cycles, WantSnap.Buckets[W].Cycles)
-          << "line " << Line << " word " << W;
-      EXPECT_EQ(GotSnap.Buckets[W].FirstThread, WantSnap.Buckets[W].FirstThread)
-          << "line " << Line << " word " << W;
-      EXPECT_EQ(GotSnap.Buckets[W].MultiThread, WantSnap.Buckets[W].MultiThread)
-          << "line " << Line << " word " << W;
+void expectConserved(const GrainSnapshot &Got, const GrainTotals &Want,
+                     const char *Grain) {
+  EXPECT_EQ(Got.Accesses, Want.Accesses) << Grain;
+  EXPECT_EQ(Got.Writes, Want.Writes) << Grain;
+  EXPECT_EQ(Got.Cycles, Want.Cycles) << Grain;
+  EXPECT_GT(Got.Invalidations, 0u) << Grain;
+  EXPECT_LE(Got.Invalidations, Got.Writes) << Grain;
+  ASSERT_EQ(Got.Buckets.size(), Want.Buckets.size()) << Grain;
+  for (size_t B = 0; B < Want.Buckets.size(); ++B) {
+    const WordStats &Bucket = Got.Buckets[B];
+    const BucketTotals &Expected = Want.Buckets[B];
+    EXPECT_EQ(Bucket.Reads, Expected.Reads) << Grain << " bucket " << B;
+    EXPECT_EQ(Bucket.Writes, Expected.Writes) << Grain << " bucket " << B;
+    EXPECT_EQ(Bucket.Cycles, Expected.Cycles) << Grain << " bucket " << B;
+    // Which actor came first depends on the interleaving; whether a
+    // second distinct actor touched the bucket does not.
+    EXPECT_EQ(Bucket.MultiThread, Expected.Actors.size() > 1)
+        << Grain << " bucket " << B;
+    uint32_t OnlyActor =
+        Expected.Actors.size() == 1 ? *Expected.Actors.begin() : NoActor;
+    if (Expected.Actors.size() <= 1) {
+      EXPECT_EQ(Bucket.FirstThread, OnlyActor) << Grain << " bucket " << B;
     }
-    // Thread slots may surface in chain order vs merge order; compare as
-    // tid-sorted sets.
-    auto ByTid = [](const ThreadLineStats &A, const ThreadLineStats &B) {
-      return A.Tid < B.Tid;
-    };
-    std::sort(WantSnap.Threads.begin(), WantSnap.Threads.end(), ByTid);
-    std::sort(GotSnap.Threads.begin(), GotSnap.Threads.end(), ByTid);
-    ASSERT_EQ(GotSnap.Threads.size(), WantSnap.Threads.size());
-    for (size_t S = 0; S < WantSnap.Threads.size(); ++S) {
-      EXPECT_EQ(GotSnap.Threads[S].Tid, WantSnap.Threads[S].Tid);
-      EXPECT_EQ(GotSnap.Threads[S].Accesses, WantSnap.Threads[S].Accesses);
-      EXPECT_EQ(GotSnap.Threads[S].Cycles, WantSnap.Threads[S].Cycles);
-    }
+  }
+  ASSERT_EQ(Got.Threads.size(), Want.Threads.size()) << Grain;
+  for (const ThreadLineStats &Thread : Got.Threads) {
+    auto It = Want.Threads.find(Thread.Tid);
+    ASSERT_NE(It, Want.Threads.end()) << Grain << " tid " << Thread.Tid;
+    EXPECT_EQ(Thread.Accesses, It->second.Accesses)
+        << Grain << " tid " << Thread.Tid;
+    EXPECT_EQ(Thread.Cycles, It->second.Cycles)
+        << Grain << " tid " << Thread.Tid;
   }
 }
 
-TEST(ShardedIngestTest, PageMergeConservesRemoteEvidence) {
-  // Page-grain shards carry NUMA extras; the merge must conserve remote
-  // accesses/cycles and per-node populations across an 8-thread hammer on
-  // one page split over two nodes.
-  constexpr unsigned SamplesPerThread = 10000;
+TEST(ThreadedIngestTest, BatchedRunsOnSharedGrainsConserveEveryField) {
+  constexpr unsigned HammerThreads = 4;
+  constexpr unsigned BatchesPerThread = 100;
+  constexpr size_t BatchSize = 256;
   constexpr uint64_t PageSize = 4096;
+  constexpr uint64_t WordsPerLine = LineSize / 4;
   NumaTopology Topology(2, PageSize);
   CacheGeometry Geometry(LineSize);
+  ShadowMemory Shadow(Geometry, {{RegionBase, PageSize}});
   PageTable Pages(Topology, Geometry, {{RegionBase, PageSize}});
+  DetectorConfig Config;
+  Config.WriteThreshold = 0;
+  Config.TrackPages = true;
+  Config.PageWriteThreshold = 0;
+  Detector Detect(Geometry, Shadow, Config);
+  Detect.attachPageTable(Pages, Topology);
 
-  // Settle the home deterministically before the threads race.
-  ASSERT_EQ(Pages.noteTouch(RegionBase, /*Node=*/0), 0u);
+  // The page's first two lines are the hot set.
+  const uint64_t Lines[2] = {RegionBase, RegionBase + LineSize};
+  GrainTotals LineWant[2] = {GrainTotals(WordsPerLine),
+                             GrainTotals(WordsPerLine)};
+  GrainTotals PageWant(PageSize / LineSize);
+  std::map<NodeId, NodePageStats> NodeWant;
+  uint64_t RemoteWant = 0, RemoteCyclesWant = 0;
 
-  std::atomic<uint64_t> RemoteIssued{0};
-  std::vector<std::thread> Threads;
-  for (unsigned T = 0; T < IngestThreads; ++T)
-    Threads.emplace_back([&, T] {
-      SplitMix64 Rng(0x9A6E5A4D ^ T);
-      NodeId Node = T % 2;
-      bool Remote = Node != 0;
-      for (unsigned I = 0; I < SamplesPerThread; ++I) {
-        PageInfo &Info = Pages.materializeDetail(RegionBase);
-        Pages.recordSharded(RegionBase, Info, static_cast<ThreadId>(T), Node,
-                            Rng.nextBool(0.5) ? AccessKind::Write
-                                              : AccessKind::Read,
-                            /*Bucket=*/Rng.nextBelow(PageSize / LineSize),
-                            /*Span=*/1, /*LatencyCycles=*/25,
-                            {Remote, Remote ? 1u : 0u});
+  struct Batch {
+    std::vector<pmu::Sample> Samples;
+    uint8_t AccessBytes = 4;
+  };
+  auto Expect = [&](const pmu::Sample &Sample, uint8_t AccessBytes) {
+    size_t L = Sample.Address >= Lines[1] ? 1 : 0;
+    uint64_t Offset = Sample.Address - Lines[L];
+    uint64_t LastByte = std::min<uint64_t>(Offset + AccessBytes - 1,
+                                           LineSize - 1);
+    uint64_t Word = Offset / 4;
+    LineWant[L].add(Sample.Tid, Sample.Tid, Sample.IsWrite, Word,
+                    LastByte / 4 - Word + 1, Sample.LatencyCycles);
+    NodeId Node = Topology.nodeOf(Sample.Tid);
+    PageWant.add(Sample.Tid, Node, Sample.IsWrite, L, 1,
+                 Sample.LatencyCycles);
+    NodePageStats &PerNode = NodeWant[Node];
+    PerNode.Node = Node;
+    PerNode.Accesses += 1;
+    PerNode.Writes += Sample.IsWrite;
+    PerNode.Cycles += Sample.LatencyCycles;
+    // Main primes the page from node 0, which makes node 0 its home.
+    if (Node != 0) {
+      ++RemoteWant;
+      RemoteCyclesWant += Sample.LatencyCycles;
+    }
+  };
+
+  // Prime: main writes both lines before the hammer starts, so no read is
+  // filtered for arriving ahead of its grain's first write.
+  std::vector<pmu::Sample> Prime(2);
+  for (size_t L = 0; L < 2; ++L) {
+    Prime[L].Address = Lines[L];
+    Prime[L].Tid = 0;
+    Prime[L].IsWrite = true;
+    Prime[L].LatencyCycles = 30;
+    Expect(Prime[L], 4);
+  }
+  Detect.handleBatch(Prime.data(), Prime.size(), /*InParallelPhase=*/true);
+
+  // Each hammer thread's batches, generated up front: several tids (on
+  // both nodes) per batch, reads and writes, multi-word spans.
+  std::vector<std::vector<Batch>> Streams(HammerThreads);
+  for (unsigned T = 0; T < HammerThreads; ++T) {
+    SplitMix64 Rng(0xBA7C4 ^ T);
+    for (unsigned B = 0; B < BatchesPerThread; ++B) {
+      Batch Next;
+      Next.AccessBytes = static_cast<uint8_t>(4u << Rng.nextBelow(3));
+      Next.Samples.resize(BatchSize);
+      for (pmu::Sample &Sample : Next.Samples) {
+        Sample.Address =
+            Lines[Rng.nextBelow(2)] + Rng.nextBelow(WordsPerLine) * 4;
+        Sample.Tid = static_cast<ThreadId>(1 + Rng.nextBelow(8));
+        Sample.IsWrite = Rng.nextBool(0.6);
+        Sample.LatencyCycles = 10 + static_cast<uint32_t>(Rng.nextBelow(40));
+        Expect(Sample, Next.AccessBytes);
       }
-      if (Remote)
-        RemoteIssued.fetch_add(SamplesPerThread);
+      Streams[T].push_back(std::move(Next));
+    }
+  }
+
+  std::atomic<bool> Go{false};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < HammerThreads; ++T)
+    Threads.emplace_back([&, T] {
+      while (!Go.load(std::memory_order_acquire))
+        std::this_thread::yield();
+      for (const Batch &Next : Streams[T])
+        Detect.handleBatch(Next.Samples.data(), Next.Samples.size(),
+                           /*InParallelPhase=*/true, Next.AccessBytes);
     });
+  Go.store(true, std::memory_order_release);
   for (std::thread &Thread : Threads)
     Thread.join();
 
-  constexpr uint64_t Total = uint64_t(IngestThreads) * SamplesPerThread;
-  GrainMergeStats Merge = Pages.quiesce();
-  EXPECT_EQ(Merge.Accesses, Total);
-  EXPECT_EQ(Merge.RemoteAccesses, RemoteIssued.load());
+  constexpr uint64_t Total =
+      2 + uint64_t(HammerThreads) * BatchesPerThread * BatchSize;
+  DetectorStats Stats = Detect.stats();
+  EXPECT_EQ(Stats.SamplesSeen, Total);
+  EXPECT_EQ(Stats.SamplesFiltered, 0u);
+  EXPECT_EQ(Stats.SamplesRecorded, Total);
+  EXPECT_EQ(Stats.PageSamplesRecorded, Total);
+  EXPECT_EQ(Stats.RemoteSamples, RemoteWant);
 
-  const PageInfo *Info = Pages.detail(RegionBase);
-  ASSERT_NE(Info, nullptr);
-  EXPECT_EQ(Info->accesses(), Total);
-  EXPECT_EQ(Info->remoteAccesses(), RemoteIssued.load());
-  EXPECT_EQ(Info->remoteCycles(), RemoteIssued.load() * 25);
-  EXPECT_EQ(Info->nodeCount(), 2u);
-  std::vector<NodePageStats> Nodes = Info->nodes();
-  ASSERT_EQ(Nodes.size(), 2u);
-  for (const NodePageStats &Node : Nodes)
-    EXPECT_EQ(Node.Accesses, Total / 2) << "node " << Node.Node;
-  std::vector<RemoteDistanceStats> ByDistance = Info->remoteByDistance();
-  ASSERT_EQ(ByDistance.size(), 1u); // all remote traffic crossed distance 1
-  EXPECT_EQ(ByDistance[0].Distance, 1u);
-  EXPECT_EQ(ByDistance[0].Accesses, RemoteIssued.load());
-  EXPECT_EQ(ByDistance[0].Cycles, RemoteIssued.load() * 25);
+  // Line grains: every additive field conserves, and the grains'
+  // invalidations sum to the detector's counter.
+  uint64_t LineInvalidations = 0;
+  for (size_t L = 0; L < 2; ++L) {
+    const CacheLineInfo *Info = Shadow.detail(Lines[L]);
+    ASSERT_NE(Info, nullptr);
+    expectConserved(Info->snapshot(Lines[L]), LineWant[L],
+                    L == 0 ? "line 0" : "line 1");
+    EXPECT_EQ(Shadow.writeCount(Lines[L]), LineWant[L].Writes);
+    LineInvalidations += Info->invalidations();
+  }
+  EXPECT_EQ(LineInvalidations, Stats.Invalidations);
+
+  // The page grain, with its NUMA extras.
+  const PageInfo *Page = Pages.detail(RegionBase);
+  ASSERT_NE(Page, nullptr);
+  EXPECT_EQ(Pages.homeNode(RegionBase), 0u);
+  expectConserved(Page->snapshot(RegionBase), PageWant, "page");
+  EXPECT_EQ(Pages.writeCount(RegionBase), PageWant.Writes);
+  EXPECT_EQ(Page->invalidations(), Stats.PageInvalidations);
+  EXPECT_EQ(Page->remoteAccesses(), RemoteWant);
+  EXPECT_EQ(Page->remoteCycles(), RemoteCyclesWant);
+  std::vector<RemoteDistanceStats> ByDistance = Page->remoteByDistance();
+  ASSERT_EQ(ByDistance.size(), 1u);
+  EXPECT_EQ(ByDistance[0].Distance, NumaTopology::DefaultRemoteDistance);
+  EXPECT_EQ(ByDistance[0].Accesses, RemoteWant);
+  EXPECT_EQ(ByDistance[0].Cycles, RemoteCyclesWant);
+  std::vector<NodePageStats> Nodes = Page->nodes();
+  ASSERT_EQ(Nodes.size(), NodeWant.size());
+  for (const NodePageStats &Node : Nodes) {
+    const NodePageStats &Want = NodeWant[Node.Node];
+    EXPECT_EQ(Node.Accesses, Want.Accesses) << "node " << Node.Node;
+    EXPECT_EQ(Node.Writes, Want.Writes) << "node " << Node.Node;
+    EXPECT_EQ(Node.Cycles, Want.Cycles) << "node " << Node.Node;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -245,7 +245,7 @@ int main(int Argc, char **Argv) {
     for (ThreadId Tid : ChildTids)
       Bridge.detachThread(static_cast<ThreadId>(Epoch) * Stride + Tid);
 
-    // Epoch boundary: quiesce, stream the full snapshot, then trim the
+    // Epoch boundary: stream the full snapshot, then trim the
     // shadow tables back under budget for the next epoch. Every replay
     // thread is joined, so the snapshot races nothing.
     std::string ReportText;
