@@ -148,36 +148,85 @@ void BM_DetectorHandleBatch(benchmark::State &State) {
 }
 BENCHMARK(BM_DetectorHandleBatch);
 
+/// The live working set of the epoch-boundary benchmarks: 1024 grains
+/// spread evenly over a line table of State.range(0) MiB, one write each
+/// (threshold 0 materializes on the first). A walk over every slot instead
+/// of the live ones shows up as time growing with the region.
+constexpr size_t LiveGrainsPerEpoch = 1024;
+constexpr uint64_t EpochRegionBase = 0x40000000;
+
+uint64_t epochRegionBytes(const benchmark::State &State) {
+  return static_cast<uint64_t>(State.range(0)) << 20;
+}
+
+void materializeLiveSet(core::Detector &Detect, uint64_t RegionBytes,
+                        SplitMix64 &Rng) {
+  uint64_t Stride = RegionBytes / LiveGrainsPerEpoch;
+  for (size_t I = 0; I < LiveGrainsPerEpoch; ++I) {
+    pmu::Sample Sample;
+    Sample.Address = EpochRegionBase + I * Stride;
+    Sample.Tid = static_cast<ThreadId>(Rng.nextBelow(8));
+    Sample.IsWrite = true;
+    Sample.LatencyCycles = 40;
+    Detect.handleSample(Sample, true);
+  }
+}
+
 /// One continuous-profiling epoch boundary under a byte budget: rank
 /// every materialized grain coldest-first, evict down to the budget,
 /// reclaim, then re-materialize a fresh working set for the next
 /// iteration. This is the daemon's per-epoch maintenance cost — the price
-/// of bounded memory, paid outside the ingest hot path.
+/// of bounded memory, paid outside the ingest hot path. The epoch-write
+/// roll still visits every slot, so this grows with the region.
 void BM_EvictionEpochBoundary(benchmark::State &State) {
   CacheGeometry Geometry(64);
-  core::ShadowMemory Shadow(Geometry, {{0x40000000, 1 << 20}});
+  core::ShadowMemory Shadow(Geometry,
+                            {{EpochRegionBase, epochRegionBytes(State)}});
   core::DetectorConfig Config;
   Config.WriteThreshold = 0;
   core::Detector Detect(Geometry, Shadow, Config);
   Shadow.setByteBudget(1); // below the slab floor: every epoch evicts all
   SplitMix64 Rng(11);
-  constexpr size_t GrainsPerEpoch = 1024;
   for (auto _ : State) {
     State.PauseTiming();
-    for (size_t I = 0; I < GrainsPerEpoch; ++I) {
-      pmu::Sample Sample;
-      Sample.Address = 0x40000000 + Rng.nextBelow(GrainsPerEpoch) * 64;
-      Sample.Tid = static_cast<ThreadId>(Rng.nextBelow(8));
-      Sample.IsWrite = true;
-      Sample.LatencyCycles = 40;
-      Detect.handleSample(Sample, true);
-    }
+    materializeLiveSet(Detect, epochRegionBytes(State), Rng);
     State.ResumeTiming();
     benchmark::DoNotOptimize(Shadow.enforceBudget());
   }
-  State.SetItemsProcessed(State.iterations() * GrainsPerEpoch);
+  State.SetItemsProcessed(State.iterations() * LiveGrainsPerEpoch);
 }
-BENCHMARK(BM_EvictionEpochBoundary);
+BENCHMARK(BM_EvictionEpochBoundary)
+    ->ArgName("region_mib")
+    ->Arg(1)
+    ->Arg(16)
+    ->Arg(64);
+
+/// The report side of an epoch boundary over the same live set: every
+/// detail record enumerated (what buildReport does), then shadowBytes()
+/// and footprintBytes() (what runStats does). These walks follow the
+/// live-grain bitmap, so the region size adds only the scan of its words
+/// (one per 64 slots), not a visit to every slot.
+void BM_ReportWalk(benchmark::State &State) {
+  CacheGeometry Geometry(64);
+  core::ShadowMemory Shadow(Geometry,
+                            {{EpochRegionBase, epochRegionBytes(State)}});
+  core::DetectorConfig Config;
+  Config.WriteThreshold = 0;
+  core::Detector Detect(Geometry, Shadow, Config);
+  SplitMix64 Rng(11);
+  materializeLiveSet(Detect, epochRegionBytes(State), Rng);
+  for (auto _ : State) {
+    uint64_t Accesses = 0;
+    Shadow.forEachDetail([&](uint64_t, const core::CacheLineInfo &Info) {
+      Accesses += Info.accesses();
+    });
+    benchmark::DoNotOptimize(Accesses);
+    benchmark::DoNotOptimize(Shadow.shadowBytes());
+    benchmark::DoNotOptimize(Shadow.footprintBytes());
+  }
+  State.SetItemsProcessed(State.iterations() * LiveGrainsPerEpoch);
+}
+BENCHMARK(BM_ReportWalk)->ArgName("region_mib")->Arg(1)->Arg(16)->Arg(64);
 
 void BM_HeapAllocateFree(benchmark::State &State) {
   CacheGeometry Geometry(64);

@@ -16,9 +16,18 @@
 ///    first-touch placement policy,
 ///  - a lazily materialized `InfoT` pointer for susceptible grains.
 ///
+/// Beside the per-grain arrays each slab keeps a live-grain bitmap, one bit
+/// per grain, set while the grain's detail is materialized. Only the few
+/// susceptible grains are ever live, so the epoch-boundary walks (report
+/// enumeration, byte accounting, eviction ranking, teardown) scan the
+/// bitmap's nonzero words instead of every slot: O(range/64 + live), not
+/// O(range).
+///
 /// All of it is lock-free: counters are relaxed atomics, homes and details
 /// are CAS-published (losing allocators delete their copy), and a
-/// materialized GrainInfo is internally lock-free.
+/// materialized GrainInfo is internally lock-free. A live bit changes only
+/// with a winning detail publication or an eviction, never on a plain
+/// sample.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +41,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -93,6 +103,11 @@ public:
         if constexpr (TrackHomes)
           NewSlab.Homes[I].store(NoNode, std::memory_order_relaxed);
       }
+      NewSlab.LiveWords = (NewSlab.Grains + 63) / 64;
+      NewSlab.Live =
+          std::make_unique<std::atomic<uint64_t>[]>(NewSlab.LiveWords);
+      for (size_t W = 0; W < NewSlab.LiveWords; ++W)
+        NewSlab.Live[W].store(0, std::memory_order_relaxed);
       Slabs.push_back(std::move(NewSlab));
     }
   }
@@ -100,11 +115,9 @@ public:
   ~GrainTable() {
     reclaimRetired();
     for (Slab &Region : Slabs)
-      for (size_t I = 0; I < Region.Grains; ++I) {
-        InfoT *Info = Region.Details[I].load(std::memory_order_relaxed);
-        if (Info != evictedMark())
-          delete Info;
-      }
+      forEachLive(Region, [&](size_t I) {
+        delete Region.Details[I].load(std::memory_order_relaxed);
+      });
   }
 
   GrainTable(const GrainTable &) = delete;
@@ -227,8 +240,8 @@ public:
   InfoT &materializeDetail(uint64_t Address) {
     Slab *Region = slabFor(Address);
     CHEETAH_ASSERT(Region != nullptr, "materialize outside monitored regions");
-    std::atomic<InfoT *> &Slot =
-        Region->Details[grainIndexIn(*Region, Address)];
+    size_t Index = grainIndexIn(*Region, Address);
+    std::atomic<InfoT *> &Slot = Region->Details[Index];
     InfoT *Existing = Slot.load(std::memory_order_acquire);
     if (Existing && Existing != evictedMark())
       return *Existing;
@@ -237,7 +250,8 @@ public:
       if (Slot.compare_exchange_weak(Existing, Fresh,
                                      std::memory_order_acq_rel,
                                      std::memory_order_acquire)) {
-        MaterializedCount.fetch_add(1, std::memory_order_relaxed);
+        // Null->info and Evicted->info alike: the grain is live again.
+        setLive(*Region, Index, true);
         return *Fresh;
       }
       if (Existing && Existing != evictedMark()) {
@@ -255,30 +269,38 @@ public:
   }
 
   /// Invokes \p Fn(grainBaseAddress, homeNode, info) for every
-  /// materialized grain; home is NoNode when homes are untracked. Evicted
-  /// grains are skipped (their counters live in the residue).
+  /// materialized grain, slab by slab in ascending address order; home is
+  /// NoNode when homes are untracked. Evicted grains are skipped (their
+  /// counters live in the residue). Follows the live bitmap, so it costs
+  /// O(range/64 + live). Requires the ingestion fence: a grain published
+  /// concurrently may or may not be visited.
   template <typename Function> void forEachGrain(Function Fn) const {
     for (const Slab &Region : Slabs)
-      for (size_t I = 0; I < Region.Grains; ++I) {
-        const InfoT *Info = Region.Details[I].load(std::memory_order_acquire);
-        if (Info && Info != evictedMark())
-          Fn(Region.Base + (static_cast<uint64_t>(I) << GrainShift),
-             Region.Homes ? Region.Homes[I].load(std::memory_order_relaxed)
-                          : NoNode,
-             *Info);
-      }
+      forEachLive(Region, [&](size_t I) {
+        Fn(Region.Base + (static_cast<uint64_t>(I) << GrainShift),
+           Region.Homes ? Region.Homes[I].load(std::memory_order_relaxed)
+                        : NoNode,
+           *Region.Details[I].load(std::memory_order_acquire));
+      });
   }
 
-  /// Number of grains with materialized detail (O(1): maintained as a
-  /// counter on publication, not by scanning the slabs).
+  /// Number of grains with materialized detail: the live bitmap's
+  /// population count.
   size_t materializedGrains() const {
-    return MaterializedCount.load(std::memory_order_relaxed);
+    size_t Count = 0;
+    for (const Slab &Region : Slabs)
+      for (size_t W = 0; W < Region.LiveWords; ++W)
+        if (uint64_t Bits = Region.Live[W].load(std::memory_order_relaxed))
+          Count += static_cast<size_t>(std::popcount(Bits));
+    return Count;
   }
 
   /// Bytes of shadow metadata currently allocated: the flat per-grain slab
   /// arrays (write counters, detail pointers, homes when tracked) plus the
   /// exact footprint of every materialized info record, so the memory
-  /// ablation reports honest numbers.
+  /// ablation reports honest numbers. This is the report-visible
+  /// shadow-bytes figure, so the live bitmap is left out of it (it is in
+  /// footprintBytes()). Requires the ingestion fence, like forEachGrain.
   size_t metadataBytes() const {
     size_t Bytes = 0;
     for (const Slab &Region : Slabs) {
@@ -286,11 +308,11 @@ public:
       if (Region.Homes)
         Bytes += Region.Grains * sizeof(std::atomic<NodeId>);
       Bytes += Region.Grains * sizeof(std::atomic<InfoT *>);
-      for (size_t I = 0; I < Region.Grains; ++I) {
-        const InfoT *Info = Region.Details[I].load(std::memory_order_acquire);
-        if (Info && Info != evictedMark())
-          Bytes += Info->footprintBytes();
-      }
+      forEachLive(Region, [&](size_t I) {
+        Bytes += Region.Details[I]
+                     .load(std::memory_order_acquire)
+                     ->footprintBytes();
+      });
     }
     return Bytes;
   }
@@ -325,13 +347,16 @@ public:
   /// Total heap bytes behind this table — the denominator the eviction
   /// budget is enforced against. Unlike metadataBytes() (the
   /// report-visible shadow-bytes number, which intentionally keeps its
-  /// historical meaning), this also counts the budgeted-mode epoch
-  /// baselines and any not-yet-reclaimed retired infos.
+  /// historical meaning), this also counts the live bitmaps, the
+  /// budgeted-mode epoch baselines and any not-yet-reclaimed retired
+  /// infos.
   size_t footprintBytes() const {
     size_t Bytes = metadataBytes();
-    for (const Slab &Region : Slabs)
+    for (const Slab &Region : Slabs) {
+      Bytes += Region.LiveWords * sizeof(std::atomic<uint64_t>);
       if (Region.EpochWrites)
         Bytes += Region.Grains * sizeof(uint32_t);
+    }
     for (const InfoT *Info : Retired)
       Bytes += Info->footprintBytes();
     return Bytes;
@@ -368,10 +393,8 @@ public:
       };
       std::vector<Candidate> Candidates;
       for (Slab &Region : Slabs)
-        for (size_t I = 0; I < Region.Grains; ++I) {
+        forEachLive(Region, [&](size_t I) {
           InfoT *Info = Region.Details[I].load(std::memory_order_acquire);
-          if (!Info || Info == evictedMark())
-            continue;
           uint32_t Writes =
               Region.WriteCounts[I].load(std::memory_order_relaxed);
           uint32_t Baseline =
@@ -380,7 +403,7 @@ public:
               {Writes >= Baseline ? Writes - Baseline : 0, Info->accesses(),
                Region.Base + (static_cast<uint64_t>(I) << GrainShift),
                &Region, I});
-        }
+        });
       std::sort(Candidates.begin(), Candidates.end(),
                 [](const Candidate &A, const Candidate &B) {
                   if (A.EpochWrites != B.EpochWrites)
@@ -410,7 +433,7 @@ public:
         Residue.RemoteAccesses += Info->remoteAccesses();
         Victim.Region->WriteCounts[Victim.Index].store(
             0, std::memory_order_relaxed);
-        MaterializedCount.fetch_sub(1, std::memory_order_relaxed);
+        setLive(*Victim.Region, Victim.Index, false);
         Footprint -= Info->footprintBytes();
         Retired.push_back(Info);
         ++Evicted;
@@ -418,6 +441,9 @@ public:
     }
     // Roll the coldness window: next epoch's ranking measures write
     // traffic from this boundary on (evicted grains restart at zero).
+    // This is the one walk over every slot, and on purpose: a grain that
+    // is not live now may materialize next epoch, and ranking it exactly
+    // then needs its write count at this boundary.
     for (Slab &Region : Slabs)
       if (Region.EpochWrites)
         for (size_t I = 0; I < Region.Grains; ++I)
@@ -446,6 +472,11 @@ private:
     std::unique_ptr<std::atomic<uint32_t>[]> WriteCounts; // one per grain
     std::unique_ptr<std::atomic<NodeId>[]> Homes; // first-touch (TrackHomes)
     std::unique_ptr<std::atomic<InfoT *>[]> Details; // one per grain
+    /// Live-grain bitmap, bit I of word I/64 per grain: set while
+    /// Details[I] holds an info. Set by the winning publication in
+    /// materializeDetail, cleared by eviction.
+    std::unique_ptr<std::atomic<uint64_t>[]> Live;
+    size_t LiveWords = 0;
     /// Per-grain write-count baseline at the previous epoch boundary — the
     /// coldness ranking's reference point. Allocated only when a byte
     /// budget is installed; written solely under the enforceBudget fence.
@@ -474,11 +505,30 @@ private:
     return static_cast<size_t>((Address - Region.Base) >> GrainShift);
   }
 
+  /// Sets or clears grain \p Index's live bit. Release, so a walk that
+  /// sees the bit also sees the publication that preceded it.
+  static void setLive(Slab &Region, size_t Index, bool IsLive) {
+    uint64_t Bit = uint64_t(1) << (Index % 64);
+    if (IsLive)
+      Region.Live[Index / 64].fetch_or(Bit, std::memory_order_release);
+    else
+      Region.Live[Index / 64].fetch_and(~Bit, std::memory_order_release);
+  }
+
+  /// Invokes \p Fn(index) for every live grain of \p Region, in ascending
+  /// index order, skipping empty bitmap words.
+  template <typename Function>
+  static void forEachLive(const Slab &Region, Function Fn) {
+    for (size_t W = 0; W < Region.LiveWords; ++W)
+      for (uint64_t Bits = Region.Live[W].load(std::memory_order_acquire);
+           Bits; Bits &= Bits - 1)
+        Fn(W * 64 + static_cast<size_t>(std::countr_zero(Bits)));
+  }
+
   unsigned GrainShift;
   uint64_t GrainSize;
   uint64_t BucketsPerGrain;
   std::vector<Slab> Slabs;
-  std::atomic<size_t> MaterializedCount{0};
   /// Byte budget for enforceBudget (0 = unbounded). Plain: installed
   /// before ingestion, read only at fenced epoch boundaries.
   size_t ByteBudget = 0;

@@ -65,7 +65,8 @@ public:
     });
   }
 
-  /// Number of pages with materialized detail (O(1) counter).
+  /// Number of pages with materialized detail (the live bitmap's
+  /// population count).
   size_t materializedPages() const { return materializedGrains(); }
 
   /// Bytes of page-table metadata currently allocated: the flat per-page

@@ -39,7 +39,8 @@ public:
     });
   }
 
-  /// Number of lines with materialized detail (O(1) counter).
+  /// Number of lines with materialized detail (the live bitmap's
+  /// population count).
   size_t materializedLines() const { return materializedGrains(); }
 
   /// Bytes of shadow metadata currently allocated: the flat per-line slab

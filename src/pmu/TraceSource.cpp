@@ -259,6 +259,84 @@ bool TraceData::parse(const std::string &Text, TraceData &Out,
   return TraceDecoder(Text).decode(Out, Error);
 }
 
+namespace {
+
+/// Checks the thread-lifecycle contract a replayed stream must keep for
+/// the profiler's thread registry and phase tracker, which assert on it:
+///  - exactly one main-thread start, before every other lifecycle event;
+///  - each tid starts at most once;
+///  - every tid (starts and samples) is below the number of start events —
+///    recorders number threads densely, so this bounds the registry;
+///  - an end names a started, unfinished tid with the same main flag, at a
+///    time no earlier than its start;
+///  - no start or end follows the main thread's end.
+/// \returns false with an "event N: ..." \p Error on the first violation.
+bool checkLifecycle(const std::vector<TraceEvent> &Events,
+                    std::string &Error) {
+  size_t Starts = 0;
+  for (const TraceEvent &Event : Events)
+    Starts += Event.K == TraceEvent::Kind::ThreadStart;
+  struct Lifetime {
+    bool Started = false;
+    bool Finished = false;
+    bool IsMain = false;
+    uint64_t Start = 0;
+  };
+  std::vector<Lifetime> Threads(Starts);
+  bool MainStarted = false, MainFinished = false;
+
+  for (size_t I = 0; I < Events.size(); ++I) {
+    const TraceEvent &Event = Events[I];
+    bool Known = Event.Tid < Starts;
+    if (Known && Event.K == TraceEvent::Kind::SamplePoint)
+      continue;
+    auto Fail = [&](const std::string &What) {
+      Error = "event " + std::to_string(I) + ": " + What;
+      return false;
+    };
+    std::string Name = "thread " + std::to_string(Event.Tid);
+    bool IsEnd = Event.K == TraceEvent::Kind::ThreadEnd;
+    if (IsEnd && !(Known && Threads[Event.Tid].Started))
+      return Fail(Name + " ends without starting");
+    if (!Known)
+      return Fail("tid " + std::to_string(Event.Tid) +
+                  " is not below the trace's " + std::to_string(Starts) +
+                  " thread starts");
+    if (MainFinished)
+      return Fail(Name + " lifecycle event after the main thread's end");
+
+    Lifetime &Thread = Threads[Event.Tid];
+    if (!IsEnd) {
+      if (Event.IsMain && MainStarted)
+        return Fail("second main-thread start");
+      if (!Event.IsMain && !MainStarted)
+        return Fail(Name + " starts before the main thread");
+      if (Thread.Started)
+        return Fail(Name + " starts twice");
+      Thread = {true, false, Event.IsMain, Event.Time};
+      MainStarted |= Event.IsMain;
+      continue;
+    }
+    if (Thread.Finished)
+      return Fail(Name + " ends twice");
+    if (Thread.IsMain != Event.IsMain)
+      return Fail(Name + " ends with a different main flag than it started");
+    if (Event.Time < Thread.Start)
+      return Fail(Name + " ends at cycle " + std::to_string(Event.Time) +
+                  ", before its start at cycle " +
+                  std::to_string(Thread.Start));
+    Thread.Finished = true;
+    MainFinished = Event.IsMain;
+  }
+  if (!MainStarted) {
+    Error = "no main-thread start event";
+    return false;
+  }
+  return true;
+}
+
+} // namespace
+
 //===----------------------------------------------------------------------===//
 // TraceSource
 //===----------------------------------------------------------------------===//
@@ -288,7 +366,10 @@ SourceStatus TraceSource::start() {
   std::string Text, Error;
   if (!readFile(Path, Text, Error))
     return {false, Error};
-  if (!TraceData::parse(Text, Data, Error))
+  // The document decoder accepts any event order; replay additionally
+  // needs a lifecycle the profiler can follow.
+  if (!TraceData::parse(Text, Data, Error) ||
+      !checkLifecycle(Data.Events, Error))
     return {false, "'" + Path + "': " + Error};
   Started = true;
   return {true, ""};

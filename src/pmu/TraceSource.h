@@ -11,10 +11,13 @@
 /// samples, in delivery order — into a versioned `cheetah-trace-v1` JSON
 /// file while forwarding everything to the outer sink unchanged. In replay
 /// mode it parses such a file (loudly: schema mismatches, truncation, and
-/// field-kind surprises are descriptive errors, never crashes) and feeds
-/// the recorded stream back through the same sink shape deterministically:
-/// lifecycle events in place, samples as batches of one, exactly as the
-/// simulator's synchronous sampling trap delivered them.
+/// field-kind surprises are descriptive errors, never crashes), checks
+/// that its thread lifecycle is one the profiler can follow (one main
+/// thread started first, each thread started once and ended at most once,
+/// dense tids), and feeds the recorded stream back through the same sink
+/// shape deterministically: lifecycle events in place, samples as batches
+/// of one, exactly as the simulator's synchronous sampling trap delivered
+/// them.
 ///
 /// Because detection is delivery-order-sensitive, a replayed trace must
 /// produce a byte-identical `cheetah-report-v4` to the live run that
@@ -89,7 +92,8 @@ public:
   TraceSource(std::unique_ptr<SampleSource> Inner, std::string Path,
               uint64_t SamplingPeriod);
 
-  /// Replay mode: start() parses \p Path, drain() delivers the stream.
+  /// Replay mode: start() parses \p Path and checks its thread lifecycle
+  /// ("'PATH': event N: ..." on a violation), drain() delivers the stream.
   explicit TraceSource(std::string Path);
 
   // SampleSource implementation.

@@ -11,7 +11,8 @@
 /// evicted residue plus live counters equals a never-evicted run's totals,
 /// golden byte-identity of snapshots whose budget is never hit, and the
 /// multi-epoch soak that holds footprintBytes() under budget while
-/// ingesting far more distinct grains than the budget can hold.
+/// ingesting far more distinct grains than the budget can hold. The
+/// live-grain bitmap's walks are checked against a probe of every slot.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,9 +84,12 @@ TEST(EvictionFootprintTest, LineSlabArraysCountedExactly) {
                                sizeof(std::atomic<CacheLineInfo *>));
   EXPECT_EQ(Shadow.metadataBytes(), SlabBytes);
 
-  // The budget denominator is the metadata — never less than the slab
-  // arrays the budget can never trim away.
-  EXPECT_EQ(Shadow.footprintBytes(), SlabBytes);
+  // The budget denominator is the metadata plus the live-grain bitmap (one
+  // bit per grain, in 64-bit words) — never less than the slab arrays the
+  // budget can never trim away. The report-visible metadata leaves the
+  // bitmap out.
+  size_t BitmapBytes = (Grains + 63) / 64 * sizeof(uint64_t);
+  EXPECT_EQ(Shadow.footprintBytes(), SlabBytes + BitmapBytes);
 
   // Installing a budget allocates the per-grain epoch-write baselines,
   // and the denominator must charge for them too.
@@ -106,7 +110,8 @@ TEST(EvictionFootprintTest, PageSlabArraysIncludeHomes) {
       Grains * (sizeof(std::atomic<uint32_t>) +
                 sizeof(std::atomic<PageInfo *>) + sizeof(std::atomic<NodeId>));
   EXPECT_EQ(Pages.metadataBytes(), SlabBytes);
-  EXPECT_EQ(Pages.footprintBytes(), SlabBytes);
+  size_t BitmapBytes = (Grains + 63) / 64 * sizeof(uint64_t);
+  EXPECT_EQ(Pages.footprintBytes(), SlabBytes + BitmapBytes);
 }
 
 TEST(EvictionFootprintTest, MaterializedInfoBytesMatchArithmetic) {
@@ -126,6 +131,143 @@ TEST(EvictionFootprintTest, MaterializedInfoBytesMatchArithmetic) {
   size_t SlabBytes = (Size / 64) * (sizeof(std::atomic<uint32_t>) +
                                     sizeof(std::atomic<CacheLineInfo *>));
   EXPECT_EQ(Shadow.metadataBytes(), SlabBytes + liveTotals(Shadow).InfoBytes);
+}
+
+//===----------------------------------------------------------------------===//
+// The live-grain bitmap: every walk that follows it must agree with a probe
+// of every slot, through materialization, eviction and re-materialization.
+//===----------------------------------------------------------------------===//
+
+/// Records one write from \p Tid, so footprints differ between grains (a
+/// ninth distinct thread allocates a per-thread stats overflow block).
+void touch(CacheLineInfo &Info, ThreadId Tid) {
+  Info.recordAccess(Tid, AccessKind::Write, 0, 1, 10);
+}
+void touch(PageInfo &Info, ThreadId Tid) {
+  Info.recordAccess(Tid, /*Node=*/0, AccessKind::Write, 0, 10,
+                    /*Remote=*/false);
+}
+
+/// Checks the bitmap-driven walks of \p Table against an oracle that
+/// probes detail() on every grain of \p Regions. \p SlabBytesPerGrain is
+/// what the flat per-grain arrays cost; a budget must be installed, so the
+/// epoch baselines are allocated.
+template <typename TableT>
+void expectWalksMatchProbe(const TableT &Table,
+                           const std::vector<ShadowRegion> &Regions,
+                           uint64_t GrainSize, size_t SlabBytesPerGrain) {
+  std::vector<uint64_t> Probed;
+  size_t Grains = 0, BitmapBytes = 0, InfoBytes = 0;
+  for (const ShadowRegion &Region : Regions) {
+    size_t RegionGrains = Region.Size / GrainSize;
+    Grains += RegionGrains;
+    BitmapBytes += (RegionGrains + 63) / 64 * sizeof(uint64_t);
+    for (size_t I = 0; I < RegionGrains; ++I)
+      if (const auto *Info = Table.detail(Region.Base + I * GrainSize)) {
+        Probed.push_back(Region.Base + I * GrainSize);
+        InfoBytes += Info->footprintBytes();
+      }
+  }
+
+  // The population count first: a stale bit would make the walks below
+  // dereference an evicted slot.
+  ASSERT_EQ(Table.materializedGrains(), Probed.size());
+  std::vector<uint64_t> Walked;
+  Table.forEachGrain([&](uint64_t Base, NodeId, const auto &Info) {
+    if (!Walked.empty())
+      EXPECT_LT(Walked.back(), Base);
+    EXPECT_EQ(&Info, Table.detail(Base));
+    Walked.push_back(Base);
+  });
+  EXPECT_EQ(Walked, Probed);
+  size_t SlabBytes = Grains * SlabBytesPerGrain;
+  EXPECT_EQ(Table.metadataBytes(), SlabBytes + InfoBytes);
+  EXPECT_EQ(Table.footprintBytes(), SlabBytes + InfoBytes + BitmapBytes +
+                                        Grains * sizeof(uint32_t));
+}
+
+/// Random materializations, stage-1 writes and budget enforcement at
+/// several budgets over two regions, checking the walks after every step.
+/// Half the materializations go back to an evicted grain.
+template <typename TableT>
+void runBitmapDifferential(TableT &Table,
+                           const std::vector<ShadowRegion> &Regions,
+                           uint64_t GrainSize, size_t SlabBytesPerGrain,
+                           uint64_t Seed) {
+  SplitMix64 Rng(Seed);
+  auto RandomGrain = [&] {
+    const ShadowRegion &Region = Regions[Rng.nextBelow(Regions.size())];
+    return Region.Base + Rng.nextBelow(Region.Size / GrainSize) * GrainSize;
+  };
+  Table.setByteBudget(size_t(1) << 40);
+  size_t Floor = Table.footprintBytes();
+  std::vector<uint64_t> Evicted;
+  size_t Evictions = 0, Rematerialized = 0;
+  for (int Step = 0; Step < 400; ++Step) {
+    uint64_t Op = Rng.nextBelow(10);
+    if (Op < 6) {
+      uint64_t Base = RandomGrain();
+      if (!Evicted.empty() && Rng.nextBool(0.5)) {
+        Base = Evicted[Rng.nextBelow(Evicted.size())];
+        Rematerialized += Table.detail(Base) == nullptr;
+      }
+      auto &Info = Table.materializeDetail(Base + Rng.nextBelow(GrainSize));
+      for (uint64_t Touches = Rng.nextBelow(12); Touches > 0; --Touches)
+        touch(Info, static_cast<ThreadId>(Rng.nextBelow(12)));
+    } else if (Op < 8) {
+      for (uint64_t Writes = 1 + Rng.nextBelow(4); Writes > 0; --Writes)
+        Table.noteWrite(RandomGrain());
+    } else {
+      // Unbounded, a little slack, a lot of slack, or below the floor.
+      const size_t Budgets[] = {0, Floor + 2048, Floor + 65536, 1};
+      Table.setByteBudget(Budgets[Rng.nextBelow(4)]);
+      std::vector<uint64_t> Before;
+      Table.forEachGrain([&](uint64_t Base, NodeId, const auto &) {
+        Before.push_back(Base);
+      });
+      Evictions += Table.enforceBudget();
+      for (uint64_t Base : Before)
+        if (!Table.detail(Base))
+          Evicted.push_back(Base);
+    }
+    expectWalksMatchProbe(Table, Regions, GrainSize, SlabBytesPerGrain);
+    if (::testing::Test::HasFailure())
+      return;
+  }
+  // The sequence must have exercised what it claims to.
+  EXPECT_GT(Evictions, 0u);
+  EXPECT_GT(Rematerialized, 0u);
+}
+
+TEST(LiveGrainBitmapTest, LineTableWalksMatchSlotProbe) {
+  CacheGeometry Geometry{64};
+  // Grain counts that are not multiples of 64 exercise each slab's last,
+  // partial bitmap word.
+  std::vector<ShadowRegion> Regions = {{RegionBase, 200 * 64},
+                                       {RegionBase + (1 << 20), 130 * 64}};
+  for (uint64_t Seed = 1; Seed <= 4; ++Seed) {
+    ShadowMemory Shadow{Geometry, Regions};
+    runBitmapDifferential(Shadow, Regions, 64,
+                          sizeof(std::atomic<uint32_t>) +
+                              sizeof(std::atomic<CacheLineInfo *>),
+                          Seed);
+  }
+}
+
+TEST(LiveGrainBitmapTest, PageTableWalksMatchSlotProbe) {
+  constexpr uint64_t PageSize = 4096;
+  NumaTopology Topology(2, PageSize);
+  CacheGeometry Geometry{64};
+  std::vector<ShadowRegion> Regions = {
+      {RegionBase, 150 * PageSize}, {RegionBase + (1 << 24), 70 * PageSize}};
+  for (uint64_t Seed = 1; Seed <= 4; ++Seed) {
+    PageTable Pages(Topology, Geometry, Regions);
+    runBitmapDifferential(Pages, Regions, PageSize,
+                          sizeof(std::atomic<uint32_t>) +
+                              sizeof(std::atomic<PageInfo *>) +
+                              sizeof(std::atomic<NodeId>),
+                          Seed);
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -40,7 +40,9 @@
 ///  - the single-pass TraceData::parse against a tree-based reference
 ///    reading: pristine, truncated and mutated traces, and traces with
 ///    reordered members, whitespace, repeated and unknown members, must
-///    give the same acceptance, events and error string;
+///    give the same acceptance, events and error string; and replay of
+///    traces with duplicated, dropped, swapped and retimed thread
+///    lifecycle events must either replay or be rejected, never abort;
 ///  - the batch sample decoder (both kernels) against the per-sample decode
 ///    formula: fuzzed geometries/addresses/access widths, plus an
 ///    exhaustive sweep of every address x access width over a small
@@ -65,6 +67,7 @@
 #include "pmu/SimPmu.h"
 #include "pmu/TraceSource.h"
 #include "sim/Simulator.h"
+#include "support/FileIO.h"
 #include "support/Json.h"
 #include "support/Random.h"
 #include "support/StringUtils.h"
@@ -2044,6 +2047,118 @@ TEST(TraceFuzzTest, ParserMatchesTheTreeReferenceOnHandWrittenCases) {
   };
   for (const std::string &Text : Cases)
     parsersAgree(Text);
+}
+
+/// A trace whose lifecycle replay accepts: the main thread starts first,
+/// children start in tid order and end in a random order, the main thread
+/// ends last, and samples from started threads fall in between.
+pmu::TraceData makeLifecycleTrace(SplitMix64 &Rng, uint64_t HeapBase) {
+  pmu::TraceData Data;
+  Data.SamplingPeriod = 64;
+  uint64_t Now = 0;
+  auto Lifecycle = [&](pmu::TraceEvent::Kind K, ThreadId Tid) {
+    pmu::TraceEvent Event;
+    Event.K = K;
+    Event.Tid = Tid;
+    Event.IsMain = Tid == 0;
+    Event.Time = Now += 1 + Rng.nextBelow(1000);
+    Data.Events.push_back(Event);
+  };
+  auto Samples = [&](ThreadId Threads) {
+    for (uint64_t N = Rng.nextBelow(6); N > 0; --N) {
+      pmu::TraceEvent Event;
+      Event.K = pmu::TraceEvent::Kind::SamplePoint;
+      Event.Tid = static_cast<ThreadId>(Rng.nextBelow(Threads));
+      Event.Time = Now;
+      Event.Address = HeapBase + Rng.nextBelow(4096);
+      Event.IsWrite = Rng.nextBool(0.5);
+      Event.LatencyCycles = static_cast<uint32_t>(Rng.nextBelow(500));
+      Data.Events.push_back(Event);
+    }
+  };
+  ThreadId Children = static_cast<ThreadId>(1 + Rng.nextBelow(4));
+  Lifecycle(pmu::TraceEvent::Kind::ThreadStart, 0);
+  Samples(1);
+  for (ThreadId Tid = 1; Tid <= Children; ++Tid)
+    Lifecycle(pmu::TraceEvent::Kind::ThreadStart, Tid);
+  Samples(Children + 1);
+  std::vector<ThreadId> Ends;
+  for (ThreadId Tid = 1; Tid <= Children; ++Tid)
+    Ends.insert(Ends.begin() + Rng.nextBelow(Ends.size() + 1), Tid);
+  for (ThreadId Tid : Ends) {
+    Lifecycle(pmu::TraceEvent::Kind::ThreadEnd, Tid);
+    Samples(Children + 1);
+  }
+  Lifecycle(pmu::TraceEvent::Kind::ThreadEnd, 0);
+  Data.RunCycles = Now;
+  return Data;
+}
+
+/// One lifecycle mutation: duplicate, drop, swap with any event, or
+/// retime a thread start or end.
+void mutateLifecycle(pmu::TraceData &Data, SplitMix64 &Rng) {
+  std::vector<size_t> Edges;
+  for (size_t I = 0; I < Data.Events.size(); ++I)
+    if (Data.Events[I].K != pmu::TraceEvent::Kind::SamplePoint)
+      Edges.push_back(I);
+  if (Edges.empty())
+    return;
+  size_t Edge = Edges[Rng.nextBelow(Edges.size())];
+  std::vector<pmu::TraceEvent> &Events = Data.Events;
+  switch (Rng.nextBelow(4)) {
+  case 0:
+    Events.insert(Events.begin() + Rng.nextBelow(Events.size() + 1),
+                  Events[Edge]);
+    break;
+  case 1:
+    Events.erase(Events.begin() + Edge);
+    break;
+  case 2:
+    std::swap(Events[Edge], Events[Rng.nextBelow(Events.size())]);
+    break;
+  default:
+    Events[Edge].Time = Rng.nextBelow(Data.RunCycles + 1);
+    break;
+  }
+}
+
+TEST_P(TraceFuzzTest, HostileLifecycleIsRejectedOrReplayedNeverAborts) {
+  SplitMix64 Rng(GetParam() ^ 0x11FE);
+  auto Workload = workloads::createWorkload("histogram");
+  ASSERT_NE(Workload, nullptr);
+  driver::SessionConfig Config;
+  Config.Workload.Threads = 2;
+  Config.Backend = driver::SampleBackend::TraceReplay;
+  Config.ReplayTracePath =
+      ::testing::TempDir() + "lifecycle_fuzz_" +
+      std::to_string(GetParam()) + ".trace";
+  size_t Rejected = 0, Replayed = 0;
+  for (int Doc = 0; Doc < 24; ++Doc) {
+    pmu::TraceData Data =
+        makeLifecycleTrace(Rng, Config.Profiler.HeapArenaBase);
+    // The pristine trace first, then one to three mutations of it.
+    int Mutations = Doc % 4;
+    for (int M = 0; M < Mutations; ++M)
+      mutateLifecycle(Data, Rng);
+    std::string Error;
+    ASSERT_TRUE(writeFile(Config.ReplayTracePath, Data.serialize(), Error))
+        << Error;
+    // An abort here takes the whole binary down: the verdict is only ever
+    // "replayed" or "rejected with the offending event named".
+    driver::SessionResult Result;
+    if (driver::runSession(*Workload, Config, nullptr, Result, Error)) {
+      ++Replayed;
+      continue;
+    }
+    ++Rejected;
+    EXPECT_NE(Mutations, 0) << "a pristine trace was rejected: " << Error;
+    EXPECT_TRUE(Error.find("': event ") != std::string::npos ||
+                Error.find("no main-thread start") != std::string::npos)
+        << Error;
+  }
+  // Both verdicts must occur, or the mutations test nothing.
+  EXPECT_GT(Rejected, 0u);
+  EXPECT_GT(Replayed, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceFuzzTest,

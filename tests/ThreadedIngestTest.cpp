@@ -710,6 +710,63 @@ TEST(ThreadedIngestTest, ProfilerBatchedIngestKeepsPerThreadTotals) {
 }
 
 //===----------------------------------------------------------------------===//
+// The live-grain bitmap: racing publications of shared grains leave each
+// live grain enumerated exactly once, across eviction rounds.
+//===----------------------------------------------------------------------===//
+
+TEST(ThreadedIngestTest, RacedMaterializationsEnumerateEachLiveGrainOnce) {
+  constexpr unsigned HammerThreads = 4;
+  constexpr size_t NumLines = 1024;
+  constexpr int Rounds = 8;
+  CacheGeometry Geometry(LineSize);
+  ShadowMemory Shadow(Geometry, {{RegionBase, NumLines * LineSize}});
+  Shadow.setByteBudget(size_t(1) << 40);
+  const size_t Floor = Shadow.footprintBytes();
+
+  for (int Round = 0; Round < Rounds; ++Round) {
+    // Every thread publishes the same shared set, each from its own
+    // starting point, so one grain and one bitmap word are raced at once.
+    std::vector<uint64_t> Shared;
+    for (size_t Line = 0; Line < NumLines; ++Line)
+      if ((Line * 7 + Round) % 3 != 0)
+        Shared.push_back(RegionBase + Line * LineSize);
+    std::atomic<unsigned> Ready{0};
+    std::vector<std::thread> Threads;
+    for (unsigned T = 0; T < HammerThreads; ++T)
+      Threads.emplace_back([&, T] {
+        Ready.fetch_add(1);
+        while (Ready.load() < HammerThreads)
+          std::this_thread::yield();
+        size_t Offset = T * Shared.size() / HammerThreads;
+        for (size_t I = 0; I < Shared.size(); ++I)
+          Shadow.materializeDetail(Shared[(I + Offset) % Shared.size()]);
+      });
+    for (std::thread &Thread : Threads)
+      Thread.join();
+
+    std::vector<unsigned> Hits(NumLines, 0);
+    Shadow.forEachDetail([&](uint64_t Base, const CacheLineInfo &) {
+      ++Hits[(Base - RegionBase) / LineSize];
+    });
+    size_t Live = 0;
+    for (size_t Line = 0; Line < NumLines; ++Line) {
+      bool IsLive = Shadow.detail(RegionBase + Line * LineSize) != nullptr;
+      Live += IsLive;
+      ASSERT_EQ(Hits[Line], IsLive ? 1u : 0u)
+          << "round " << Round << ", line " << Line;
+    }
+    for (uint64_t Address : Shared)
+      ASSERT_NE(Shadow.detail(Address), nullptr) << "round " << Round;
+    EXPECT_EQ(Shadow.materializedLines(), Live);
+
+    // Evict about half of the live bytes; the next round re-publishes
+    // many of the evicted grains.
+    Shadow.setByteBudget(Floor + (Shadow.footprintBytes() - Floor) / 2);
+    EXPECT_GT(Shadow.enforceBudget(), 0u) << "round " << Round;
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Interpose: per-thread buffers drain every sample into the sink exactly
 // once, no matter which thread recorded it.
 //===----------------------------------------------------------------------===//

@@ -7,15 +7,17 @@
 /// \file
 /// The `cheetah-trace-v1` backend end to end: TraceData's deterministic
 /// serialize/parse round trip, the loud-error parser contract on hostile
-/// input, the in-memory record tee, and the payoff gate — a recorded
+/// input, the in-memory record tee, the payoff gate — a recorded
 /// workload run replayed through `runSession` must reproduce the live
-/// run's `cheetah-report-v4` byte for byte.
+/// run's `cheetah-report-v4` byte for byte — and replay's refusal of
+/// thread lifecycles the profiler cannot follow.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/report/ReportSink.h"
 #include "driver/ProfileSession.h"
 #include "pmu/TraceSource.h"
+#include "support/FileIO.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
@@ -394,6 +396,123 @@ TEST(TraceReplayTest, ReplayHeaderOverridesRunInfoSamplingPeriod) {
       driver::runSession(*Workload, Replay, &ReplaySink, Replayed, Error))
       << Error;
   EXPECT_NE(ReplayText.find("\"sampling_period\":256"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Replay rejects hostile thread lifecycles with an error, never an abort
+//===----------------------------------------------------------------------===//
+
+driver::SessionConfig histogramConfig() {
+  driver::SessionConfig Config;
+  Config.Workload.Threads = 2;
+  return Config;
+}
+
+/// A recorded two-thread histogram run: the main thread's start, two child
+/// starts, samples, two child ends and the main thread's end.
+pmu::TraceData recordedHistogramTrace() {
+  auto Workload = workloads::createWorkload("histogram");
+  driver::SessionConfig Record = histogramConfig();
+  Record.RecordTracePath = ::testing::TempDir() + "histogram.trace";
+  driver::SessionResult Result;
+  std::string Error, Text;
+  pmu::TraceData Data;
+  EXPECT_TRUE(driver::runSession(*Workload, Record, nullptr, Result, Error))
+      << Error;
+  EXPECT_TRUE(readFile(Record.RecordTracePath, Text, Error) &&
+              pmu::TraceData::parse(Text, Data, Error))
+      << Error;
+  return Data;
+}
+
+/// Index of the lifecycle event of kind \p K for \p Tid.
+size_t lifecycleEvent(const pmu::TraceData &Data, pmu::TraceEvent::Kind K,
+                      ThreadId Tid) {
+  for (size_t I = 0; I < Data.Events.size(); ++I)
+    if (Data.Events[I].K == K && Data.Events[I].Tid == Tid)
+      return I;
+  ADD_FAILURE() << "trace has no such lifecycle event for thread " << Tid;
+  return 0;
+}
+
+pmu::TraceEvent lifecycle(pmu::TraceEvent::Kind K, ThreadId Tid, bool IsMain,
+                          uint64_t Time) {
+  pmu::TraceEvent Event;
+  Event.K = K;
+  Event.Tid = Tid;
+  Event.IsMain = IsMain;
+  Event.Time = Time;
+  return Event;
+}
+
+/// Replays \p Data through runSession and expects it refused, naming the
+/// file, event \p Index and \p Why.
+void expectReplayRejected(const pmu::TraceData &Data, size_t Index,
+                          const std::string &Why) {
+  std::string Path = ::testing::TempDir() + "hostile_lifecycle.trace";
+  std::string Error;
+  ASSERT_TRUE(writeFile(Path, Data.serialize(), Error)) << Error;
+  driver::SessionConfig Replay = histogramConfig();
+  Replay.Backend = driver::SampleBackend::TraceReplay;
+  Replay.ReplayTracePath = Path;
+  driver::SessionResult Result;
+  EXPECT_FALSE(driver::runSession(*workloads::createWorkload("histogram"),
+                                  Replay, nullptr, Result, Error));
+  EXPECT_NE(Error.find("'" + Path + "': event " + std::to_string(Index) +
+                       ": "),
+            std::string::npos)
+      << Error;
+  EXPECT_NE(Error.find(Why), std::string::npos) << Error;
+}
+
+TEST(TraceLifecycleTest, DuplicatedThreadStartIsRejected) {
+  pmu::TraceData Data = recordedHistogramTrace();
+  size_t Start =
+      lifecycleEvent(Data, pmu::TraceEvent::Kind::ThreadStart, /*Tid=*/1);
+  Data.Events.insert(Data.Events.begin() + Start + 1, Data.Events[Start]);
+  expectReplayRejected(Data, Start + 1, "thread 1 starts twice");
+}
+
+TEST(TraceLifecycleTest, SecondMainThreadStartIsRejected) {
+  pmu::TraceData Data = recordedHistogramTrace();
+  size_t Start =
+      lifecycleEvent(Data, pmu::TraceEvent::Kind::ThreadStart, /*Tid=*/1);
+  Data.Events.insert(Data.Events.begin() + Start,
+                     lifecycle(pmu::TraceEvent::Kind::ThreadStart, 3,
+                               /*IsMain=*/true, Data.Events[Start].Time));
+  expectReplayRejected(Data, Start, "second main-thread start");
+}
+
+TEST(TraceLifecycleTest, EndOfNeverStartedThreadIsRejected) {
+  pmu::TraceData Data = recordedHistogramTrace();
+  size_t End =
+      lifecycleEvent(Data, pmu::TraceEvent::Kind::ThreadEnd, /*Tid=*/1);
+  Data.Events.insert(Data.Events.begin() + End,
+                     lifecycle(pmu::TraceEvent::Kind::ThreadEnd, 5,
+                               /*IsMain=*/false, Data.Events[End].Time));
+  expectReplayRejected(Data, End, "thread 5 ends without starting");
+}
+
+TEST(TraceLifecycleTest, EndBeforeStartIsRejected) {
+  pmu::TraceData Data = recordedHistogramTrace();
+  size_t Start =
+      lifecycleEvent(Data, pmu::TraceEvent::Kind::ThreadStart, /*Tid=*/1);
+  size_t End =
+      lifecycleEvent(Data, pmu::TraceEvent::Kind::ThreadEnd, /*Tid=*/1);
+  ASSERT_GT(Data.Events[Start].Time, 0u);
+  Data.Events[End].Time = Data.Events[Start].Time - 1;
+  expectReplayRejected(Data, End, "before its start");
+}
+
+TEST(TraceLifecycleTest, HugeThreadIdIsRejected) {
+  pmu::TraceData Data = recordedHistogramTrace();
+  size_t Start =
+      lifecycleEvent(Data, pmu::TraceEvent::Kind::ThreadStart, /*Tid=*/2);
+  Data.Events.insert(Data.Events.begin() + Start,
+                     lifecycle(pmu::TraceEvent::Kind::ThreadStart,
+                               4000000000u, /*IsMain=*/false,
+                               Data.Events[Start].Time));
+  expectReplayRejected(Data, Start, "tid 4000000000 is not below");
 }
 
 } // namespace
