@@ -53,8 +53,8 @@ struct DiffFinding {
   uint64_t Invalidations = 0;
   /// Page findings only.
   uint64_t RemoteAccesses = 0;
-  /// Remote traffic by crossed node-pair distance; only v4 page findings
-  /// carry it (empty otherwise).
+  /// Remote traffic by crossed node-pair distance; only page findings of
+  /// v4 and later documents carry it (empty otherwise).
   std::vector<RemoteDistanceStats> RemoteByDistance;
 };
 

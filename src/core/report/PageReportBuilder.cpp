@@ -61,8 +61,9 @@ PageReportBuilder::buildReport(const GrainSnapshot &Page, NodeId Home,
     Entry.MultiNode = Lines[L].MultiThread;
     Report.Lines.push_back(Entry);
 
-    // Attribute the touched line to its owning object so the finding names
-    // what to move, not just a raw page address.
+    // Attribute every touched line, not only the rows the table keeps, to
+    // its owning object so the finding names what to move, not just a raw
+    // page address.
     uint64_t LineAddress = Page.Base + Entry.Offset;
     std::string Name;
     if (const runtime::HeapObject *Object = Heap.objectAt(LineAddress)) {
@@ -78,13 +79,12 @@ PageReportBuilder::buildReport(const GrainSnapshot &Page, NodeId Home,
       Report.Objects.push_back(Name);
   }
 
-  // Hottest lines first for the placement-guidance table.
-  std::sort(Report.Lines.begin(), Report.Lines.end(),
-            [](const PageLineEntry &A, const PageLineEntry &B) {
-              if (A.Reads + A.Writes != B.Reads + B.Writes)
-                return A.Reads + A.Writes > B.Reads + B.Writes;
-              return A.Offset < B.Offset;
-            });
+  // The placement-guidance table keeps only its hottest rows.
+  Report.LinesTotal = Report.Lines.size();
+  size_t Kept = std::min(Report.Lines.size(), ReportTableRows);
+  std::partial_sort(Report.Lines.begin(), Report.Lines.begin() + Kept,
+                    Report.Lines.end(), hotterFirst<PageLineEntry>);
+  Report.Lines.resize(Kept);
 
   // The per-thread evidence EQ.2 consumes, plus the remote totals the
   // EQ.1 local baseline is derived from.

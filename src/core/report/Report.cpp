@@ -97,9 +97,12 @@ std::string cheetah::core::formatReport(const FalseSharingReport &Report,
                         : formatString("thread %u", Word.FirstThread)});
     }
     Out += Table.render();
-    if (Limit < Report.Words.size())
-      Out += formatString("... %zu more words elided\n",
-                          Report.Words.size() - Limit);
+    // Elided rows count from the uncut total; a report built by hand may
+    // leave it at 0.
+    uint64_t Total = std::max<uint64_t>(Report.WordsTotal, Report.Words.size());
+    if (Limit < Total)
+      Out += formatString("... %llu more words elided\n",
+                          static_cast<unsigned long long>(Total - Limit));
   }
   return Out;
 }
@@ -173,9 +176,10 @@ cheetah::core::formatPageReport(const PageSharingReport &Report,
                         : formatString("node %u", Line.FirstNode)});
     }
     Out += Table.render();
-    if (Limit < Report.Lines.size())
-      Out += formatString("... %zu more lines elided\n",
-                          Report.Lines.size() - Limit);
+    uint64_t Total = std::max<uint64_t>(Report.LinesTotal, Report.Lines.size());
+    if (Limit < Total)
+      Out += formatString("... %llu more lines elided\n",
+                          static_cast<unsigned long long>(Total - Limit));
   }
   return Out;
 }

@@ -19,12 +19,27 @@
 #include "core/detect/SharingClassifier.h"
 #include "mem/NumaTopology.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace cheetah {
 namespace core {
+
+/// Rows kept in each finding's word or line table. The hottest words are
+/// what a programmer pads around (the paper's Figure 5 lists a handful),
+/// so the builders cut every table to this many and the text formatter
+/// lists this many by default.
+constexpr size_t ReportTableRows = 16;
+
+/// The order of word and line tables: access count descending, then
+/// offset ascending, so the rows a cut keeps never depend on how a sort
+/// breaks ties.
+template <typename Entry> bool hotterFirst(const Entry &A, const Entry &B) {
+  uint64_t CountA = A.Reads + A.Writes, CountB = B.Reads + B.Writes;
+  return CountA != CountB ? CountA > CountB : A.Offset < B.Offset;
+}
 
 /// Identity of a reported object.
 struct ReportedObject {
@@ -69,8 +84,11 @@ struct FalseSharingReport {
   /// Fraction of accesses on words shared by multiple threads.
   double SharedWordFraction = 0.0;
   Assessment Impact;
-  /// Hottest words (by access count), for padding guidance.
+  /// The ReportTableRows hottest words, in hotterFirst order, for padding
+  /// guidance.
   std::vector<WordReportEntry> Words;
+  /// Touched words before the cut, so at least Words.size().
+  uint64_t WordsTotal = 0;
 };
 
 /// One cache line of a page's per-line breakdown (the page-granularity
@@ -118,8 +136,11 @@ struct PageSharingReport {
   Assessment Impact;
   /// Names of the objects overlapping the page (heap callsites / globals).
   std::vector<std::string> Objects;
-  /// Hottest lines (by access count), for placement guidance.
+  /// The ReportTableRows hottest lines, in hotterFirst order, for placement
+  /// guidance.
   std::vector<PageLineEntry> Lines;
+  /// Touched lines before the cut, so at least Lines.size().
+  uint64_t LinesTotal = 0;
 
   double remoteFraction() const {
     return SampledAccesses ? static_cast<double>(RemoteAccesses) /
@@ -132,8 +153,8 @@ struct PageSharingReport {
 struct ReportFormatOptions {
   /// Include the per-word table.
   bool ShowWords = true;
-  /// Maximum words listed (hottest first); 0 = all.
-  size_t MaxWords = 16;
+  /// Maximum words (or lines) listed, hottest first; 0 = every kept row.
+  size_t MaxWords = ReportTableRows;
   /// Mirror the paper's hexadecimal counters (Figure 5 prints
   /// "invalidations 27f ... totalThreadsAccesses 12e1").
   bool HexCounters = false;

@@ -183,12 +183,14 @@ ReportBuilder::buildReport(const ObjectAggregate &Aggregate,
 
   Report.Impact = Assess.assess(Aggregate.Profile, AppRuntime);
 
-  // Hottest words first for the padding-guidance table.
-  Report.Words = Aggregate.Words;
-  std::sort(Report.Words.begin(), Report.Words.end(),
-            [](const WordReportEntry &A, const WordReportEntry &B) {
-              return A.Reads + A.Writes > B.Reads + B.Writes;
-            });
+  // The padding-guidance table: only its hottest rows are selected, so a
+  // large object's thousands of touched words are neither copied nor
+  // fully sorted.
+  Report.WordsTotal = Aggregate.Words.size();
+  Report.Words.resize(std::min(Aggregate.Words.size(), ReportTableRows));
+  std::partial_sort_copy(Aggregate.Words.begin(), Aggregate.Words.end(),
+                         Report.Words.begin(), Report.Words.end(),
+                         hotterFirst<WordReportEntry>);
   return Report;
 }
 

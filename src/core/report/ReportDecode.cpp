@@ -498,7 +498,7 @@ public:
            SchemaText == "cheetah-diff-v1";
   }
 
-  /// The cheetah-report-v2..v4 reading.
+  /// The cheetah-report-v2..v5 reading.
   bool finishReport(ParsedReport &Out, std::string &Error) {
     if (!IsObject) {
       Error = "report is not a JSON object";
@@ -509,12 +509,14 @@ public:
     Out.Schema = SchemaText;
     if (Out.Schema != "cheetah-report-v2" &&
         Out.Schema != "cheetah-report-v3" &&
-        Out.Schema != "cheetah-report-v4") {
+        Out.Schema != "cheetah-report-v4" &&
+        Out.Schema != "cheetah-report-v5") {
       // The loud version gate: v1 (and anything unknown) must be rejected,
-      // not silently half-read.
+      // not silently half-read. v5 differs from v4 only in the word and
+      // line tables, which this reading skips.
       Error = formatString(
           "unsupported schema '%s' (cheetah-diff reads cheetah-report-v2, "
-          "cheetah-report-v3, and cheetah-report-v4)",
+          "cheetah-report-v3, cheetah-report-v4, and cheetah-report-v5)",
           Out.Schema.c_str());
       return false;
     }

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Comparison tooling over serialized `cheetah-report-v2`/`v3`/`v4` JSON
+/// Comparison tooling over serialized `cheetah-report-v2` to `v5` JSON
 /// documents, the library behind the `cheetah-diff` CLI: parse two runs'
 /// reports back (failing loudly on v1 or unknown schemas — never
 /// crashing on hostile input), match findings across the runs by
@@ -45,13 +45,13 @@ struct ParsedReport {
 };
 
 /// Parses a serialized cheetah report into \p Out. Accepts schemas
-/// `cheetah-report-v2`, `cheetah-report-v3`, and `cheetah-report-v4`
-/// only; anything else — including v1, whose consumers this
-/// version-gating contract exists for — fails with a descriptive
-/// \p Error. Malformed JSON, wrong value kinds, and missing required
-/// fields also fail loudly, leaving \p Out empty; this function never
-/// crashes on hostile input (the fuzz suite pins that). The document is
-/// read in one pass, with no tree (ReportDecode.cpp).
+/// `cheetah-report-v2`, `cheetah-report-v3`, `cheetah-report-v4`, and
+/// `cheetah-report-v5` only; anything else — including v1, whose
+/// consumers this version-gating contract exists for — fails with a
+/// descriptive \p Error. Malformed JSON, wrong value kinds, and missing
+/// required fields also fail loudly, leaving \p Out empty; this function
+/// never crashes on hostile input (the fuzz suite pins that). The document
+/// is read in one pass, with no tree (ReportDecode.cpp).
 bool parseReport(const std::string &Text, ParsedReport &Out,
                  std::string &Error);
 

@@ -46,7 +46,7 @@ struct HistoryRunInfo {
   uint64_t Threads = 0;
   bool FixApplied = false;
   std::string Granularity;
-  /// Schema of the ingested document ("cheetah-report-v4",
+  /// Schema of the ingested document ("cheetah-report-v5",
   /// "cheetah-diff-v1", ...), kept for provenance.
   std::string SourceSchema;
   uint64_t AppRuntimeCycles = 0;
@@ -70,7 +70,7 @@ struct TrendPoint {
   uint64_t Invalidations = 0;
   /// Page findings only.
   uint64_t RemoteAccesses = 0;
-  /// v4 page findings only.
+  /// Page findings of v4 and later documents only.
   std::vector<RemoteDistanceStats> RemoteByDistance;
 };
 
@@ -174,7 +174,7 @@ private:
   std::vector<TrendSeries> Series;
 };
 
-/// Parses one ingestible document: a `cheetah-report-v2..v4` report, or a
+/// Parses one ingestible document: a `cheetah-report-v2..v5` report, or a
 /// `cheetah-diff-v1` document, whose NEW side is extracted as the run
 /// (added findings carry full counters; matched ones only their
 /// improvement, the diff schema stores no more). Same loud-error

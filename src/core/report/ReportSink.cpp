@@ -8,8 +8,6 @@
 
 #include "support/StringUtils.h"
 
-#include <algorithm>
-
 using namespace cheetah;
 using namespace cheetah::core;
 
@@ -80,7 +78,7 @@ void TextReportSink::endRun(const ReportRunStats &Stats) {
 void JsonReportSink::beginRun(const ReportRunInfo &Info) {
   InPageArray = false;
   Writer.beginObject();
-  Writer.member("schema", "cheetah-report-v4");
+  Writer.member("schema", "cheetah-report-v5");
   Writer.key("run");
   Writer.beginObject();
   Writer.member("tool", Info.Tool);
@@ -142,13 +140,12 @@ void JsonReportSink::finding(const FalseSharingReport &Report,
 
   writeAssessment(Report.Impact);
 
+  // The builder already cut the table to its hottest rows; words_total
+  // says how many there were.
+  Writer.member("words_total", Report.WordsTotal);
   Writer.key("words");
   Writer.beginArray();
-  size_t Limit = Opts.MaxWords == 0
-                     ? Report.Words.size()
-                     : std::min(Opts.MaxWords, Report.Words.size());
-  for (size_t I = 0; I < Limit; ++I) {
-    const WordReportEntry &Word = Report.Words[I];
+  for (const WordReportEntry &Word : Report.Words) {
     Writer.beginObject();
     Writer.member("offset", Word.Offset);
     Writer.member("reads", Word.Reads);
@@ -227,13 +224,10 @@ void JsonReportSink::pageFinding(const PageSharingReport &Report,
     Writer.value(Name);
   Writer.endArray();
 
+  Writer.member("lines_total", Report.LinesTotal);
   Writer.key("lines");
   Writer.beginArray();
-  size_t Limit = Opts.MaxWords == 0
-                     ? Report.Lines.size()
-                     : std::min(Opts.MaxWords, Report.Lines.size());
-  for (size_t I = 0; I < Limit; ++I) {
-    const PageLineEntry &Line = Report.Lines[I];
+  for (const PageLineEntry &Line : Report.Lines) {
     Writer.beginObject();
     Writer.member("offset", Line.Offset);
     Writer.member("reads", Line.Reads);

@@ -10,7 +10,7 @@
 /// generation pushes findings through a ReportSink one object at a time as
 /// the builder finalizes them. Two implementations ship: TextReportSink
 /// renders the paper's Figure-5 text format, JsonReportSink emits a stable
-/// machine-readable schema (`cheetah-report-v4`) consumed by the
+/// machine-readable schema (`cheetah-report-v5`) consumed by the
 /// multi-run comparison tooling in ReportDiff.h / `cheetah-diff`. Both
 /// append to a caller-owned string so the caller chooses the final
 /// destination (stdout, a file, a golden-test buffer).
@@ -146,7 +146,7 @@ private:
 ///
 /// \code{.json}
 /// {
-///   "schema": "cheetah-report-v4",
+///   "schema": "cheetah-report-v5",
 ///   "run": { "tool", "workload", "threads", "scale", "line_size",
 ///            "sampling_period", "seed", "fix_applied", "numa_nodes",
 ///            "page_size", "granularity" },
@@ -162,6 +162,7 @@ private:
 ///                     "real_runtime_cycles", "predicted_runtime_cycles",
 ///                     "average_nofs_latency", "used_default_latency",
 ///                     "fork_join_model" },
+///     "words_total",
 ///     "words": [ { "offset", "reads", "writes", "cycles", "first_thread",
 ///                  "multi_thread" } ]
 ///   } ],
@@ -179,6 +180,7 @@ private:
 ///                     "average_nofs_latency", "used_default_latency",
 ///                     "fork_join_model" },
 ///     "objects": [ "name" ],
+///     "lines_total",
 ///     "lines": [ { "offset", "reads", "writes", "cycles", "first_node",
 ///                  "multi_node" } ]
 ///   } ],
@@ -208,21 +210,19 @@ private:
 /// traffic crossed); the version string changed so that `v3` consumers
 /// pinning the schema id fail loudly instead of silently reading findings
 /// whose remote costs — and therefore ordering — now depend on the
-/// topology's distance matrix. `cheetah-diff` accepts v2, v3, and v4.
-/// Within v4 the summary `eviction` object was added under the
-/// fields-only-ever-added rule: it appears only when a bounded-memory run
-/// actually evicted grains, so its absence means every grain is still live.
+/// topology's distance matrix. Within v4 the summary `eviction` object was
+/// added under the fields-only-ever-added rule: it appears only when a
+/// bounded-memory run actually evicted grains, so its absence means every
+/// grain is still live. `cheetah-report-v5` is `v4` plus `words_total` and
+/// `lines_total`, with each `words`/`lines` table cut to its
+/// ReportTableRows (16) hottest rows, hottest first and then by offset;
+/// the totals count the rows before the cut. v4 listed every touched word
+/// and line, so the version string changed: a v4 consumer summing a table
+/// must fail loudly, not read a cut table as a whole one. `cheetah-diff`
+/// and `cheetah-trend` accept v2 through v5.
 class JsonReportSink : public ReportSink {
 public:
-  struct Options {
-    /// Cap on per-finding word entries (hottest first); 0 = all.
-    size_t MaxWords = 0;
-  };
-
-  explicit JsonReportSink(std::string &Out)
-      : JsonReportSink(Out, Options()) {}
-  JsonReportSink(std::string &Out, const Options &Opts)
-      : Out(Out), Opts(Opts), Writer(Out) {}
+  explicit JsonReportSink(std::string &Out) : Out(Out), Writer(Out) {}
 
   void beginRun(const ReportRunInfo &Info) override;
   void finding(const FalseSharingReport &Report, bool Significant) override;
@@ -239,7 +239,6 @@ private:
   void startPageArray();
 
   std::string &Out;
-  Options Opts;
   JsonWriter Writer;
   bool InPageArray = false;
 };

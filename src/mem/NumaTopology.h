@@ -53,7 +53,7 @@ inline constexpr NodeId NoNode = ~static_cast<NodeId>(0);
 
 /// Remote traffic bucketed by the node-pair distance it crossed: the
 /// per-finding `remoteByDistance` evidence the detector records and the
-/// report schema (cheetah-report-v4) exposes.
+/// report schema (cheetah-report-v4 and later) exposes.
 struct RemoteDistanceStats {
   /// SLIT-style node-pair distance (accessor node to page home).
   uint32_t Distance = 0;

@@ -9,7 +9,9 @@
 #include <cerrno>
 #include <cstdio>
 
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 using namespace cheetah;
 
@@ -47,15 +49,48 @@ bool cheetah::readFile(const std::string &Path, std::string &Out,
 
 bool cheetah::writeFile(const std::string &Path, std::string_view Text,
                         std::string &Error) {
-  std::FILE *File = std::fopen(Path.c_str(), "w");
-  if (!File) {
+  // A regular file, or nothing yet, is replaced whole: the bytes go to a
+  // temp file beside it, reach the disk, and the temp file is renamed over
+  // the target. A reader, or a restart after a kill at any point, finds
+  // the old bytes or the new ones, never a truncated file. Anything else
+  // at the path (a symlink such as /dev/stdout, a device, a FIFO) cannot
+  // be replaced and is written in place.
+  struct stat Target {};
+  bool Exists = ::lstat(Path.c_str(), &Target) == 0;
+  bool Replace = !Exists || S_ISREG(Target.st_mode);
+  std::string Temp =
+      Replace ? Path + ".tmp" + std::to_string(::getpid()) : Path;
+  int Fd = ::open(Temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                  0666);
+  if (Fd < 0) {
     Error = "cannot open '" + Path + "' for writing";
     return false;
   }
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), File);
-  bool Closed = std::fclose(File) == 0;
-  if (Written != Text.size() || !Closed) {
+  bool Written = true;
+  std::string_view Rest = Text;
+  while (Written && !Rest.empty()) {
+    ssize_t Wrote = ::write(Fd, Rest.data(), Rest.size());
+    if (Wrote > 0)
+      Rest.remove_prefix(static_cast<size_t>(Wrote));
+    else // Only an interrupted write is retried.
+      Written = Wrote < 0 && errno == EINTR;
+  }
+  // The temp file takes the target's mode, and reaches the disk before
+  // the rename can expose it.
+  if (Replace && Written && Exists)
+    Written = ::fchmod(Fd, Target.st_mode & 07777) == 0;
+  if (Replace && Written)
+    Written = ::fsync(Fd) == 0;
+  Written = ::close(Fd) == 0 && Written;
+  if (!Written) {
+    if (Replace)
+      ::unlink(Temp.c_str());
     Error = "short write to '" + Path + "'";
+    return false;
+  }
+  if (Replace && ::rename(Temp.c_str(), Path.c_str()) != 0) {
+    ::unlink(Temp.c_str());
+    Error = "cannot replace '" + Path + "'";
     return false;
   }
   return true;

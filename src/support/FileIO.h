@@ -25,8 +25,14 @@ namespace cheetah {
 bool readFile(const std::string &Path, std::string &Out, std::string &Error,
               bool *Missing = nullptr);
 
-/// Replaces the contents of \p Path with \p Text. \returns false with
-/// \p Error when the file cannot be opened or fully written.
+/// Replaces the contents of \p Path with \p Text. A regular file (or a
+/// new one) is replaced atomically, keeping its mode: the text is written
+/// and synced to a temp file in the same directory, which is then renamed
+/// over \p Path, so a reader or a restart after a kill sees the old
+/// contents or the new ones. Anything else at \p Path (a symlink, a device,
+/// a FIFO) is written in place. \returns false with \p Error when the file
+/// cannot be opened, fully written or replaced; \p Path is then unchanged
+/// unless it was written in place.
 bool writeFile(const std::string &Path, std::string_view Text,
                std::string &Error);
 

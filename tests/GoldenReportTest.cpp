@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Byte-exact differential gate for the JSON report pipeline: every
-/// registered workload's `cheetah-report-v4` document must match its
+/// registered workload's `cheetah-report-v5` document must match its
 /// checked-in golden under tests/goldens/, with either decode kernel
 /// (-DCHEETAH_FORCE_SCALAR=ON compiles the AVX2 one out). This is the
 /// executable form of the refactor contract — the granularity-generic

@@ -1082,10 +1082,11 @@ bool referenceParseReport(const std::string &Text, core::ParsedReport &Out,
     return false;
   if (Out.Schema != "cheetah-report-v2" &&
       Out.Schema != "cheetah-report-v3" &&
-      Out.Schema != "cheetah-report-v4") {
+      Out.Schema != "cheetah-report-v4" &&
+      Out.Schema != "cheetah-report-v5") {
     Error = formatString(
         "unsupported schema '%s' (cheetah-diff reads cheetah-report-v2, "
-        "cheetah-report-v3, and cheetah-report-v4)",
+        "cheetah-report-v3, cheetah-report-v4, and cheetah-report-v5)",
         Out.Schema.c_str());
     return false;
   }
@@ -1491,6 +1492,12 @@ std::string renderFuzzReport(SplitMix64 &Rng) {
     Report.Invalidations = Rng.nextBelow(500);
     Report.Impact.ImprovementFactor =
         1.0 + static_cast<double>(Rng.nextBelow(300)) / 100.0;
+    // A few kept word rows and their uncut total, which every reading
+    // skips.
+    for (size_t W = Rng.nextBelow(3); W > 0; --W)
+      Report.Words.push_back({4 * W, Rng.nextBelow(100), Rng.nextBelow(100),
+                              Rng.nextBelow(5000), 1, Rng.nextBool(0.5)});
+    Report.WordsTotal = Report.Words.size() + Rng.nextBelow(40);
     Sink.finding(Report, Rng.nextBool(0.5));
   }
   size_t Pages = Rng.nextBelow(3);
@@ -1512,12 +1519,28 @@ std::string renderFuzzReport(SplitMix64 &Rng) {
       Report.RemoteByDistance.push_back(
           {static_cast<uint32_t>(10 + 10 * B), Rng.nextBelow(1000),
            Rng.nextBelow(50000)});
+    for (size_t L = Rng.nextBelow(3); L > 0; --L)
+      Report.Lines.push_back({64 * L, Rng.nextBelow(100), Rng.nextBelow(100),
+                              Rng.nextBelow(5000), 0, Rng.nextBool(0.5)});
+    Report.LinesTotal = Report.Lines.size() + Rng.nextBelow(40);
     Sink.pageFinding(Report, Rng.nextBool(0.5));
   }
   core::ReportRunStats Stats;
   Stats.AppRuntime = Rng.nextBelow(1000000);
   Sink.endRun(Stats);
   return Out;
+}
+
+/// \p Text, a v5 report, relabeled as the v4 document it would have been:
+/// the schema string, and no words_total/lines_total members.
+std::string downgradeToV4(std::string Text) {
+  for (const char *Member : {"\"words_total\":", "\"lines_total\":"})
+    for (size_t At = Text.find(Member); At != std::string::npos;
+         At = Text.find(Member))
+      Text.erase(At, Text.find(',', At) - At + 1);
+  size_t Pos = Text.find("cheetah-report-v5");
+  EXPECT_NE(Pos, std::string::npos);
+  return Text.replace(Pos, 17, "cheetah-report-v4");
 }
 
 /// A cheetah-diff-v1 document between two fuzz reports.
@@ -1558,7 +1581,11 @@ class ReportDiffFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(ReportDiffFuzzTest, HostileReportInputNeverCrashes) {
   SplitMix64 Rng(GetParam() ^ 0xD1FF);
   for (int Doc = 0; Doc < 10; ++Doc) {
+    // Documents alternate between v5 and v4, so both readings stay under
+    // the fuzz.
     std::string Text = renderFuzzReport(Rng);
+    if (Doc % 2)
+      Text = downgradeToV4(Text);
 
     // The pristine document parses; truncated, mutated and re-laid-out
     // ones get the reference's verdict, values and error string, through
@@ -1566,15 +1593,18 @@ TEST_P(ReportDiffFuzzTest, HostileReportInputNeverCrashes) {
     core::ParsedReport Report;
     std::string Error;
     ASSERT_TRUE(core::parseReport(Text, Report, Error)) << Error;
+    EXPECT_EQ(Report.Schema,
+              Doc % 2 ? "cheetah-report-v4" : "cheetah-report-v5");
     checkAgainstReference(Text, Rng, reportParsersAgree);
     checkAgainstReference(Text, Rng, runDocumentParsersAgree);
 
-    // Version mismatches fail loudly by name.
-    for (const char *Schema : {"cheetah-report-v1", "cheetah-report-v9"}) {
+    // Version mismatches, either side of the accepted range, fail loudly
+    // by name.
+    for (const char *Schema : {"cheetah-report-v1", "cheetah-report-v6"}) {
       std::string Mismatched = Text;
-      size_t Pos = Mismatched.find("cheetah-report-v4");
+      size_t Pos = Mismatched.find(Report.Schema);
       ASSERT_NE(Pos, std::string::npos);
-      Mismatched.replace(Pos, 17, Schema);
+      Mismatched.replace(Pos, Report.Schema.size(), Schema);
       EXPECT_FALSE(reportParsersAgree(Mismatched));
       core::ParsedReport Rejected;
       EXPECT_FALSE(core::parseReport(Mismatched, Rejected, Error));
@@ -1602,6 +1632,10 @@ TEST(ReportDiffFuzzTest, ParsersMatchTheTreeReferenceOnHandWrittenCases) {
       R"({"schema":"cheetah-report-v4","run":{"workload":"w","threads":2,)"
       R"("fix_applied":false,"granularity":"line"},)"
       R"("summary":{"app_runtime_cycles":9},)";
+  const std::string V5Head =
+      R"({"schema":"cheetah-report-v5","run":{"workload":"w","threads":2,)"
+      R"("fix_applied":false,"granularity":"both"},)"
+      R"("summary":{"app_runtime_cycles":9},)";
   const std::string Line =
       R"({"object":{"kind":"global","name":"g"},"sharing":"false-sharing",)"
       R"("significant":true,"accesses":5,"invalidations":1})";
@@ -1614,6 +1648,7 @@ TEST(ReportDiffFuzzTest, ParsersMatchTheTreeReferenceOnHandWrittenCases) {
   const std::string Cases[] = {
       "", "[]", "5", "{}", "{} x", "[1,}", R"({"schema":1})",
       R"({"schema":"cheetah-report-v4"})",
+      R"({"schema":"cheetah-report-v6"})",
       // Semantic errors lose to a syntax error later in the document.
       R"({"schema":"cheetah-report-v1","findings":[} )",
       // The schema outranks everything, wherever it sits.
@@ -1632,6 +1667,14 @@ TEST(ReportDiffFuzzTest, ParsersMatchTheTreeReferenceOnHandWrittenCases) {
       Head + R"("findings":[],"findings":5,"pageFindings":[]})",
       Head + R"("findings":[1,{}],"pageFindings":[]})",
       Head + R"("findings":[)" + Line + "," + Line + R"(],"pageFindings":[]})",
+      // v5 tables and their totals, well-formed or not, are read past.
+      V5Head + R"("findings":[{"object":{"kind":"global","name":"g"},)"
+               R"("sharing":"s","significant":true,"accesses":5,)"
+               R"("invalidations":1,"words_total":40,"words":[{"offset":0,)"
+               R"("reads":1,"writes":2}]}],"pageFindings":[{"objects":["a"],)"
+               R"("sharing":"s","significant":true,"accesses":1,)"
+               R"("invalidations":0,"remote_accesses":0,"lines_total":"x",)"
+               R"("lines":5}]})",
       Head + R"("findings":[{"object":{"kind":"range","name":""},)"
              R"("sharing":"s","significant":true,"accesses":1,)"
              R"("invalidations":0}],"pageFindings":[]})",

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The multi-run comparison layer behind `cheetah-diff`: parseReport's
-/// schema version gate (v2/v3 in, v1 and garbage out — loudly),
+/// schema version gate (v2 to v5 in, v1 and garbage out — loudly),
 /// site-identity matching across runs with relocated objects, the
 /// regression-gate semantics CI anchors on, and byte-stability goldens
 /// for both output formats (two independently produced profiler runs of
@@ -102,16 +102,28 @@ ParsedReport mustParse(const std::string &Text) {
   return Report;
 }
 
+/// \p Text relabeled as a v4 document: the schema string, and no
+/// words_total/lines_total members.
+std::string downgradeToV4(std::string Text) {
+  for (const char *Member : {"\"words_total\":", "\"lines_total\":"})
+    for (size_t At = Text.find(Member); At != std::string::npos;
+         At = Text.find(Member))
+      Text.erase(At, Text.find(',', At) - At + 1);
+  size_t Pos = Text.find("cheetah-report-v5");
+  EXPECT_NE(Pos, std::string::npos);
+  return Text.replace(Pos, 17, "cheetah-report-v4");
+}
+
 //===----------------------------------------------------------------------===//
 // parseReport: schema gate and field extraction
 //===----------------------------------------------------------------------===//
 
-TEST(ReportDiffParseTest, ReadsV4DocumentsEndToEnd) {
+TEST(ReportDiffParseTest, ReadsV5DocumentsEndToEnd) {
   std::string Text = renderDocument(
       {{syntheticLineFinding("hot_global", 1.7), true}},
       {{syntheticPageFinding("numa_slots", 0x40000000, 2.5), true}});
   ParsedReport Report = mustParse(Text);
-  EXPECT_EQ(Report.Schema, "cheetah-report-v4");
+  EXPECT_EQ(Report.Schema, "cheetah-report-v5");
   EXPECT_EQ(Report.Workload, "synthetic");
   EXPECT_EQ(Report.AppRuntimeCycles, 1000000u);
   ASSERT_EQ(Report.Findings.size(), 1u);
@@ -129,9 +141,9 @@ TEST(ReportDiffParseTest, RejectsV1AndUnknownSchemas) {
   for (const char *Schema : {"cheetah-report-v1", "cheetah-report-v99",
                              "not-a-cheetah-report"}) {
     std::string Mutated = Text;
-    size_t Pos = Mutated.find("cheetah-report-v4");
+    size_t Pos = Mutated.find("cheetah-report-v5");
     ASSERT_NE(Pos, std::string::npos);
-    Mutated.replace(Pos, std::string("cheetah-report-v4").size(), Schema);
+    Mutated.replace(Pos, std::string("cheetah-report-v5").size(), Schema);
     ParsedReport Report;
     std::string Error;
     EXPECT_FALSE(parseReport(Mutated, Report, Error)) << Schema;
@@ -147,8 +159,8 @@ TEST(ReportDiffParseTest, AcceptsV2WithoutPageImprovement) {
   // HasImprovement=false.
   std::string Text = renderDocument(
       {}, {{syntheticPageFinding("numa_slots", 0x40000000, 2.5), true}});
-  size_t Pos = Text.find("cheetah-report-v4");
-  Text.replace(Pos, std::string("cheetah-report-v4").size(),
+  size_t Pos = Text.find("cheetah-report-v5");
+  Text.replace(Pos, std::string("cheetah-report-v5").size(),
                "cheetah-report-v2");
   ParsedReport Report = mustParse(Text);
   EXPECT_EQ(Report.Schema, "cheetah-report-v2");
@@ -317,12 +329,12 @@ TEST(ReportDiffGateTest, GrowthAndGateCrossingTrip) {
 
 TEST(ReportDiffGateTest, V2BaselineWithoutImprovementDoesNotTrip) {
   // Old run from a v2 producer: its page findings carry no improvement
-  // factor. Matching them against an unchanged v4 finding above the gate
+  // factor. Matching them against an unchanged v5 finding above the gate
   // must not read as "crossed the gate" — that would fail every
-  // v2 -> v4 CI transition spuriously.
+  // v2 -> v5 CI transition spuriously.
   std::string OldText = renderDocument(
       {}, {{syntheticPageFinding("blocks", 0x1000, 1.9), true}});
-  size_t Schema = OldText.find("cheetah-report-v4");
+  size_t Schema = OldText.find("cheetah-report-v5");
   OldText.replace(Schema, 17, "cheetah-report-v2");
   size_t Improvement = OldText.find("\"predictedImprovement\":1.9,");
   ASSERT_NE(Improvement, std::string::npos);
@@ -383,6 +395,37 @@ TEST(ReportDiffGoldenTest, TextAndJsonOutputsAreByteStable) {
   EXPECT_FALSE(formatDiffText(First, 1.1).empty());
 }
 
+TEST(ReportDiffTest, V4AndV5ReportsOfOneRunMatchEveryFinding) {
+  // The same profile read once as the v5 document it is and once
+  // downgraded to v4: v5 changed only the word and line tables, which no
+  // finding key or counter reads, so every finding of both granularities
+  // matches its twin with an unchanged factor.
+  std::string Text = profileToJson(false);
+  ParsedReport Old = mustParse(downgradeToV4(Text));
+  ParsedReport New = mustParse(Text);
+  EXPECT_EQ(Old.Schema, "cheetah-report-v4");
+  EXPECT_EQ(New.Schema, "cheetah-report-v5");
+  ASSERT_FALSE(New.PageFindings.empty());
+
+  ReportDiffResult Diff = diffReports(Old, New);
+  EXPECT_TRUE(Diff.Added.empty());
+  EXPECT_TRUE(Diff.Removed.empty());
+  EXPECT_TRUE(Diff.PageAdded.empty());
+  EXPECT_TRUE(Diff.PageRemoved.empty());
+  EXPECT_EQ(Diff.Matched.size(), New.Findings.size());
+  EXPECT_EQ(Diff.PageMatched.size(), New.PageFindings.size());
+  for (const auto *Matched : {&Diff.Matched, &Diff.PageMatched})
+    for (const MatchedFinding &Pair : *Matched) {
+      SCOPED_TRACE(Pair.New.Key);
+      EXPECT_EQ(Pair.improvementDelta(), 0.0);
+      EXPECT_EQ(Pair.Old.Significant, Pair.New.Significant);
+      EXPECT_EQ(Pair.Old.Accesses, Pair.New.Accesses);
+      EXPECT_EQ(Pair.Old.Invalidations, Pair.New.Invalidations);
+      EXPECT_EQ(Pair.Old.RemoteAccesses, Pair.New.RemoteAccesses);
+    }
+  EXPECT_TRUE(gateRegressions(Diff, 1.0).empty());
+}
+
 TEST(ReportDiffGoldenTest, TextGoldenForSyntheticPair) {
   ParsedReport Old = mustParse(renderDocument(
       {{syntheticLineFinding("hot_global", 1.5), true}},
@@ -392,7 +435,7 @@ TEST(ReportDiffGoldenTest, TextGoldenForSyntheticPair) {
   std::string Expected =
       "cheetah-diff: synthetic (4 threads, fix off) -> synthetic "
       "(4 threads, fix on)\n"
-      "schema cheetah-report-v4 -> cheetah-report-v4, runtime 1000000 -> "
+      "schema cheetah-report-v5 -> cheetah-report-v5, runtime 1000000 -> "
       "1000000 cycles\n"
       "== line findings: 0 added, 1 removed, 0 matched ==\n"
       "  removed  line:global:hot_global#0  false-sharing  improvement "

@@ -16,6 +16,8 @@
 
 #include "core/report/ReportHistory.h"
 #include "core/report/ReportSink.h"
+#include "driver/ProfileSession.h"
+#include "mem/NumaTopology.h"
 #include "support/Json.h"
 
 #include <gtest/gtest.h>
@@ -193,6 +195,60 @@ TEST(ReportHistoryAppendTest, EmptyAndDuplicateRunIdsRejectedAtomically) {
   // The failed appends left no trace.
   EXPECT_EQ(History.runs().size(), 1u);
   EXPECT_EQ(History.seriesFor("page:blocks#0")->Points.size(), 1u);
+}
+
+TEST(ReportHistoryAppendTest, V4ThenV5OfOneRunMatchesEveryFinding) {
+  // A store begun under v4 keeps its series across the upgrade: one
+  // profile appended as the v4 document it would have been (no table
+  // totals), then as the v5 document it is, matches every finding of both
+  // granularities, and each run records the schema it came from.
+  auto Workload = workloads::createWorkload("numa_interleaved");
+  ASSERT_NE(Workload, nullptr);
+  driver::SessionConfig Config;
+  Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(256);
+  Config.Profiler.Topology = NumaTopology(2, 4096);
+  Config.Profiler.Detect.TrackPages = true;
+  Config.Workload.Threads = 8;
+  Config.Workload.Scale = 0.5;
+  Config.Workload.NumaNodes = 2;
+  std::string Text;
+  JsonReportSink Sink(Text);
+  driver::runWorkload(*Workload, Config, &Sink);
+  std::string V4 = Text;
+  for (const char *Member : {"\"words_total\":", "\"lines_total\":"})
+    for (size_t At = V4.find(Member); At != std::string::npos;
+         At = V4.find(Member))
+      V4.erase(At, V4.find(',', At) - At + 1);
+  size_t Pos = V4.find("cheetah-report-v5");
+  ASSERT_NE(Pos, std::string::npos);
+  V4.replace(Pos, 17, "cheetah-report-v4");
+
+  ReportHistory History;
+  mustAppend(History, V4, "v4");
+  mustAppend(History, Text, "v5");
+  ASSERT_EQ(History.runs().size(), 2u);
+  const HistoryRunInfo &First = History.runs()[0];
+  const HistoryRunInfo &Second = History.runs()[1];
+  EXPECT_EQ(First.SourceSchema, "cheetah-report-v4");
+  EXPECT_EQ(Second.SourceSchema, "cheetah-report-v5");
+  ParsedReport Run = mustParse(Text);
+  ASSERT_FALSE(Run.PageFindings.empty());
+  EXPECT_EQ(First.NewFindings,
+            Run.Findings.size() + Run.PageFindings.size());
+  EXPECT_EQ(Second.MatchedFindings, First.NewFindings);
+  EXPECT_EQ(Second.NewFindings, 0u);
+  EXPECT_EQ(Second.ResolvedFindings, 0u);
+  for (const TrendSeries &Series : History.series()) {
+    ASSERT_EQ(Series.Points.size(), 2u) << Series.Key;
+    EXPECT_EQ(Series.Points[0].Improvement, Series.Points[1].Improvement);
+    EXPECT_EQ(Series.Points[0].Accesses, Series.Points[1].Accesses);
+  }
+  // The serialized store keeps each run's provenance.
+  std::string Stored = History.serialize();
+  EXPECT_NE(Stored.find(R"("source_schema":"cheetah-report-v4")"),
+            std::string::npos);
+  EXPECT_NE(Stored.find(R"("source_schema":"cheetah-report-v5")"),
+            std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//

@@ -10,17 +10,20 @@
 /// golden test runs a known simulated workload, parses the emitted
 /// document with the support-layer parser, and round-trips every summary
 /// counter and per-finding field against the in-memory ProfileResult —
-/// the schema (`cheetah-report-v4`) is a compatibility contract for
+/// the schema (`cheetah-report-v5`) is a compatibility contract for
 /// multi-run comparison tooling (`cheetah-diff`), so key names are pinned
 /// here. The schema *version* is pinned just as hard: v2 added the
 /// pageFindings sections, v3 added their assessment and the top-level
 /// predictedImprovement factors, v4 added the per-page-finding
-/// remote_by_distance breakdown, and consumers built against superseded
-/// versions must fail loudly on the version string rather than silently
-/// ignore (or misorder) the new data.
+/// remote_by_distance breakdown, v5 cut the word and line tables to their
+/// hottest rows and added their totals, and consumers built against
+/// superseded versions must fail loudly on the version string rather than
+/// silently ignore (or misread) the new data. The builders' cut itself is
+/// tested on synthetic grain snapshots.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "core/report/PageReportBuilder.h"
 #include "core/report/ReportBuilder.h"
 #include "core/report/ReportSink.h"
 #include "driver/ProfileSession.h"
@@ -60,7 +63,7 @@ TEST(JsonReportGoldenTest, DocumentParsesAndRoundTripsCounters) {
 
   // Schema identity.
   ASSERT_NE(Document.find("schema"), nullptr);
-  EXPECT_EQ(Document.find("schema")->asString(), "cheetah-report-v4");
+  EXPECT_EQ(Document.find("schema")->asString(), "cheetah-report-v5");
 
   // Run identification written by the driver's beginRun.
   const JsonValue *Run = Document.find("run");
@@ -144,10 +147,15 @@ TEST(JsonReportGoldenTest, DocumentParsesAndRoundTripsCounters) {
                 Expected.Impact.ImprovementFactor, 1e-12);
     if (Finding.find("significant")->asBool())
       ++SignificantSeen;
-    // Word entries mirror the hottest-first report words.
+    // Word entries mirror the hottest-first report words, at most
+    // ReportTableRows of them, next to the uncut total.
     const JsonValue *Words = Finding.find("words");
     ASSERT_NE(Words, nullptr);
     ASSERT_EQ(Words->size(), Expected.Words.size());
+    EXPECT_LE(Words->size(), ReportTableRows);
+    ASSERT_NE(Finding.find("words_total"), nullptr);
+    EXPECT_EQ(Finding.find("words_total")->asUint(), Expected.WordsTotal);
+    EXPECT_GE(Expected.WordsTotal, Expected.Words.size());
     for (size_t W = 0; W < Words->size(); ++W) {
       EXPECT_EQ(Words->elements()[W].find("reads")->asUint(),
                 Expected.Words[W].Reads);
@@ -201,11 +209,24 @@ TEST(JsonReportGoldenTest, SchemaVersionGatesV3Consumers) {
   std::string Error;
   ASSERT_TRUE(JsonValue::parse(JsonText, Document, Error)) << Error;
   ASSERT_NE(Document.find("schema"), nullptr);
+  EXPECT_NE(Document.find("schema")->asString(), "cheetah-report-v3");
+}
+
+TEST(JsonReportGoldenTest, SchemaVersionGatesV4Consumers) {
+  // v5 cut every word and line table to its hottest rows: a consumer
+  // pinning "cheetah-report-v4" that sums a table (or counts its rows)
+  // must reject the document rather than read a cut table as a whole one.
+  std::string JsonText;
+  runKnownWorkload(JsonText);
+  JsonValue Document;
+  std::string Error;
+  ASSERT_TRUE(JsonValue::parse(JsonText, Document, Error)) << Error;
+  ASSERT_NE(Document.find("schema"), nullptr);
   const std::string &Schema = Document.find("schema")->asString();
-  // A strict v3 consumer must fail loudly here...
-  EXPECT_NE(Schema, "cheetah-report-v3");
+  // A strict v4 consumer must fail loudly here...
+  EXPECT_NE(Schema, "cheetah-report-v4");
   // ...and the version that replaced it is pinned exactly.
-  EXPECT_EQ(Schema, "cheetah-report-v4");
+  EXPECT_EQ(Schema, "cheetah-report-v5");
 }
 
 /// A deterministic page-granularity run over the node-interleaved NUMA
@@ -281,6 +302,10 @@ TEST(JsonReportGoldenTest, PageFindingsRoundTripAgainstProfileResult) {
     const JsonValue *Lines = Finding.find("lines");
     ASSERT_NE(Lines, nullptr);
     ASSERT_EQ(Lines->size(), Expected.Lines.size());
+    EXPECT_LE(Lines->size(), ReportTableRows);
+    ASSERT_NE(Finding.find("lines_total"), nullptr);
+    EXPECT_EQ(Finding.find("lines_total")->asUint(), Expected.LinesTotal);
+    EXPECT_GE(Expected.LinesTotal, Expected.Lines.size());
     for (size_t L = 0; L < Lines->size(); ++L) {
       EXPECT_EQ(Lines->elements()[L].find("offset")->asUint(),
                 Expected.Lines[L].Offset);
@@ -411,22 +436,36 @@ TEST(ReportSinkTest, JsonEscapesHostileObjectNames) {
             Report.Object.GlobalName);
 }
 
-TEST(ReportSinkTest, JsonMaxWordsCapsHottestFirst) {
+TEST(ReportSinkTest, JsonWritesTheKeptRowsAndTheirTotals) {
+  // The builders cut the tables; the sink writes every row they kept, in
+  // their order, and the uncut totals beside them.
   std::string Out;
-  JsonReportSink::Options Options;
-  Options.MaxWords = 1;
-  JsonReportSink Sink(Out, Options);
+  JsonReportSink Sink(Out);
   Sink.beginRun(ReportRunInfo{});
-  Sink.finding(makeSyntheticReport(), true);
+  FalseSharingReport Report = makeSyntheticReport();
+  Report.WordsTotal = 40;
+  Sink.finding(Report, true);
+  PageSharingReport Page;
+  Page.Lines.push_back({128, 3, 4, 700, 1, false});
+  Page.LinesTotal = 20;
+  Sink.pageFinding(Page, false);
   Sink.endRun(ReportRunStats{});
 
   JsonValue Document;
   std::string Error;
   ASSERT_TRUE(JsonValue::parse(Out, Document, Error)) << Error;
-  const JsonValue *Words =
-      Document.find("findings")->elements()[0].find("words");
-  ASSERT_EQ(Words->size(), 1u);
+  const JsonValue &Finding = Document.find("findings")->elements()[0];
+  EXPECT_EQ(Finding.find("words_total")->asUint(), 40u);
+  const JsonValue *Words = Finding.find("words");
+  ASSERT_EQ(Words->size(), 2u);
   EXPECT_EQ(Words->elements()[0].find("reads")->asUint(), 500u);
+  EXPECT_EQ(Words->elements()[1].find("offset")->asUint(), 64u);
+  const JsonValue &PageFinding =
+      Document.find("pageFindings")->elements()[0];
+  EXPECT_EQ(PageFinding.find("lines_total")->asUint(), 20u);
+  const JsonValue *Lines = PageFinding.find("lines");
+  ASSERT_EQ(Lines->size(), 1u);
+  EXPECT_EQ(Lines->elements()[0].find("offset")->asUint(), 128u);
 }
 
 TEST(ReportSinkTest, TextSinkFiltersInsignificantByDefault) {
@@ -452,6 +491,128 @@ TEST(ReportSinkTest, TextSinkIncludesInsignificantWhenAsked) {
   Sink.endRun(ReportRunStats{});
   EXPECT_NE(Out.find("alloc.c:42"), std::string::npos);
   EXPECT_NE(Out.find("false-sharing"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// The builders' table cut, on synthetic grain snapshots
+//===----------------------------------------------------------------------===//
+
+/// What the builders read around a snapshot: an empty heap, a data segment
+/// for the globals a test defines, and an assessor over no threads.
+struct BuilderWorld {
+  static constexpr uint64_t SegmentBase = 0x10000000;
+
+  CacheGeometry Geometry;
+  runtime::HeapAllocator Heap{0x40000000, 1 << 20, Geometry};
+  runtime::GlobalRegistry Globals{SegmentBase, 1 << 20, Geometry};
+  runtime::CallsiteTable Callsites;
+  SharingClassifier Classifier;
+  runtime::ThreadRegistry Registry;
+  runtime::PhaseTracker Phases;
+  Assessor Assess{Registry, Phases, AssessorConfig{}};
+};
+
+/// A snapshot of the grain at \p Base whose bucket I was written
+/// Counts[I] times by thread 1 (0 = untouched).
+GrainSnapshot makeSnapshot(uint64_t Base, const std::vector<uint64_t> &Counts) {
+  GrainSnapshot Snapshot;
+  Snapshot.Base = Base;
+  Snapshot.Buckets.resize(Counts.size());
+  for (size_t I = 0; I < Counts.size(); ++I) {
+    if (Counts[I] == 0)
+      continue;
+    Snapshot.Buckets[I].Writes = Counts[I];
+    Snapshot.Buckets[I].Cycles = 10 * Counts[I];
+    Snapshot.Buckets[I].FirstThread = 1;
+    Snapshot.Accesses += Counts[I];
+  }
+  Snapshot.Writes = Snapshot.Accesses;
+  Snapshot.Cycles = 10 * Snapshot.Accesses;
+  Snapshot.Threads.push_back({1, Snapshot.Accesses, Snapshot.Cycles});
+  return Snapshot;
+}
+
+TEST(ReportBuilderTest, KeepsTheSixteenHottestWordsAndCountsEveryWord) {
+  // One three-line global with 40 touched words: 12 hot ones at odd word
+  // indices 17..39 (counts 100 down to 89), 8 tied at 50 — rows 12..19,
+  // straddling the cut — and 20 touched once. Lines are added last line
+  // first, so the tied words reach the builder out of offset order.
+  BuilderWorld World;
+  uint64_t Base = World.Globals.defineAligned("g", 3 * 64);
+  ASSERT_EQ(Base, BuilderWorld::SegmentBase);
+  std::vector<uint64_t> Counts(48, 0);
+  for (size_t I = 0; I < 40; ++I)
+    Counts[I] = 1;
+  for (size_t Hot = 0; Hot < 12; ++Hot)
+    Counts[39 - 2 * Hot] = 100 - Hot;
+  for (size_t Tied : {30, 28, 26, 24, 9, 7, 5, 3})
+    Counts[Tied] = 50;
+
+  ReportBuilder Builder(World.Heap, World.Globals, World.Callsites,
+                        World.Classifier, World.Geometry, ReportGate{});
+  for (size_t Line = 3; Line-- > 0;) {
+    auto First = Counts.begin() + 16 * Line;
+    Builder.addLine(makeSnapshot(Base + 64 * Line,
+                                 std::vector<uint64_t>(First, First + 16)));
+  }
+  ReportBuilder::Output Built = Builder.finalize(World.Assess, 1000000);
+  ASSERT_EQ(Built.AllInstances.size(), 1u);
+  const FalseSharingReport &Report = Built.AllInstances.front();
+
+  EXPECT_EQ(Report.WordsTotal, 40u);
+  ASSERT_EQ(Report.Words.size(), ReportTableRows);
+  // Hottest first; among the tied words, the lowest offsets fill the last
+  // four rows.
+  std::vector<uint64_t> Want;
+  for (size_t Hot = 0; Hot < 12; ++Hot)
+    Want.push_back(4 * (39 - 2 * Hot));
+  for (uint64_t Word : {3, 5, 7, 9})
+    Want.push_back(4 * Word);
+  for (size_t Row = 0; Row < ReportTableRows; ++Row) {
+    EXPECT_EQ(Report.Words[Row].Offset, Want[Row]) << "row " << Row;
+    EXPECT_EQ(Report.Words[Row].Writes, Counts[Want[Row] / 4]);
+  }
+
+  std::string Text = formatReport(Report);
+  EXPECT_NE(Text.find("... 24 more words elided"), std::string::npos) << Text;
+}
+
+TEST(PageReportBuilderTest, NamesEveryObjectOnThePageBeforeTheCut) {
+  // A page holding "hot" (lines 0..18) and "cold" (line 19). Twenty lines
+  // are touched: hot's lines 0..15 at counts 100 down to 85, cold's only
+  // line at 50 (the 17th hottest), hot's lines 16..18 at 10. The table
+  // keeps hot's 16 lines, yet the finding still names both objects, so
+  // its site key (and so its assessment) is the uncut page's.
+  BuilderWorld World;
+  uint64_t Hot = World.Globals.defineAligned("hot", 19 * 64);
+  uint64_t Cold = World.Globals.defineAligned("cold", 64);
+  ASSERT_EQ(Hot, BuilderWorld::SegmentBase);
+  ASSERT_EQ(Cold, Hot + 19 * 64);
+  std::vector<uint64_t> Counts(64, 0);
+  for (size_t Line = 0; Line < 16; ++Line)
+    Counts[Line] = 100 - Line;
+  Counts[16] = Counts[17] = Counts[18] = 10;
+  Counts[19] = 50;
+
+  NumaTopology Topology(2, 4096);
+  PageReportBuilder Builder(World.Heap, World.Globals, World.Callsites,
+                            World.Classifier, Topology, World.Geometry,
+                            PageReportGate{});
+  PageNumaEvidence Numa;
+  Numa.NodesObserved = 1;
+  Builder.addPage(makeSnapshot(Hot, Counts), /*Home=*/0, Numa);
+  PageReportBuilder::Output Built = Builder.finalize(World.Assess, 1000000);
+  ASSERT_EQ(Built.AllInstances.size(), 1u);
+  const PageSharingReport &Report = Built.AllInstances.front();
+
+  EXPECT_EQ(Report.Objects, (std::vector<std::string>{"hot", "cold"}));
+  EXPECT_EQ(Report.LinesTotal, 20u);
+  ASSERT_EQ(Report.Lines.size(), ReportTableRows);
+  for (size_t Row = 0; Row < ReportTableRows; ++Row)
+    EXPECT_EQ(Report.Lines[Row].Offset, 64 * Row) << "row " << Row;
+
+  std::string Text = formatPageReport(Report);
+  EXPECT_NE(Text.find("... 4 more lines elided"), std::string::npos) << Text;
 }
 
 //===----------------------------------------------------------------------===//

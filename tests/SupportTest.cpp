@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <clocale>
 #include <cmath>
 #include <cstdlib>
@@ -24,6 +25,8 @@
 #include <string_view>
 #include <vector>
 
+#include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace cheetah;
@@ -642,19 +645,100 @@ TEST(FileIOTest, WriteThenReadRoundTripsBytesAndReplaces) {
 
 TEST(FileIOTest, FailuresNameTheFile) {
   std::string Dir = std::filesystem::temp_directory_path().string();
-  std::string Missing = Dir + "/cheetah-fileio-missing-" +
-                        std::to_string(::getpid()) + "/x.json";
+  std::string MissingDir =
+      Dir + "/cheetah-fileio-missing-" + std::to_string(::getpid());
+  std::string Missing = MissingDir + "/x.json";
   std::string Out, Error;
   bool Absent = false;
   EXPECT_FALSE(readFile(Missing, Out, Error, &Absent));
   EXPECT_EQ(Error, "cannot open '" + Missing + "' for reading");
   EXPECT_TRUE(Absent);
+  // A write into a missing directory fails and creates nothing.
   EXPECT_FALSE(writeFile(Missing, "x", Error));
   EXPECT_EQ(Error, "cannot open '" + Missing + "' for writing");
+  EXPECT_FALSE(std::filesystem::exists(MissingDir));
   // A directory exists but reads as no document.
   EXPECT_FALSE(readFile(Dir, Out, Error, &Absent));
   EXPECT_EQ(Error, "failed reading '" + Dir + "'");
   EXPECT_FALSE(Absent);
+}
+
+/// A fresh empty directory under the system temp directory, removed with
+/// everything in it when the test ends.
+struct ScratchDir {
+  std::filesystem::path Path;
+
+  explicit ScratchDir(const std::string &Name)
+      : Path(std::filesystem::temp_directory_path() /
+             (Name + "-" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(Path);
+    std::filesystem::create_directory(Path);
+  }
+  ~ScratchDir() { std::filesystem::remove_all(Path); }
+  ScratchDir(const ScratchDir &) = delete;
+  ScratchDir &operator=(const ScratchDir &) = delete;
+
+  /// Names of the entries in the directory, sorted.
+  std::vector<std::string> entries() const {
+    std::vector<std::string> Names;
+    for (const auto &Entry : std::filesystem::directory_iterator(Path))
+      Names.push_back(Entry.path().filename().string());
+    std::sort(Names.begin(), Names.end());
+    return Names;
+  }
+};
+
+TEST(FileIOTest, ReplacingKeepsTheModeAndLeavesNoTempFile) {
+  ScratchDir Dir("cheetah-fileio-replace");
+  std::string Path = (Dir.Path / "store.json").string();
+  using std::filesystem::perms;
+  const perms Mode = perms::owner_read | perms::owner_write | perms::group_read;
+  std::string Error, Read;
+  ASSERT_TRUE(writeFile(Path, "first", Error)) << Error;
+  std::filesystem::permissions(Path, Mode);
+  ASSERT_TRUE(writeFile(Path, "second, longer", Error)) << Error;
+  ASSERT_TRUE(readFile(Path, Read, Error)) << Error;
+  EXPECT_EQ(Read, "second, longer");
+  EXPECT_EQ(std::filesystem::status(Path).permissions(), Mode);
+  EXPECT_EQ(Dir.entries(), std::vector<std::string>{"store.json"});
+}
+
+TEST(FileIOTest, AWriterKilledMidWriteLeavesTheOldOrTheNewBytes) {
+  // A child rewrites a multi-megabyte file in a loop, alternating two
+  // contents, and is SIGKILLed at a random moment, 50 times. Whatever the
+  // moment, the file must hold one of the two contents whole: a write
+  // that truncated the file first would leave a prefix behind.
+  ScratchDir Dir("cheetah-fileio-kill");
+  std::string Path = (Dir.Path / "store.json").string();
+  std::string Old(3 << 20, 'o'), New((2 << 20) + 12345, 'n');
+  std::string Error, Read;
+  ASSERT_TRUE(writeFile(Path, Old, Error)) << Error;
+  SplitMix64 Rng(0x5EED);
+  unsigned Torn = 0, SawNew = 0;
+  for (int Kill = 0; Kill < 50; ++Kill) {
+    pid_t Child = ::fork();
+    ASSERT_GE(Child, 0);
+    if (Child == 0) {
+      std::string Ignored;
+      for (uint64_t Round = 0;; ++Round)
+        writeFile(Path, Round % 2 ? Old : New, Ignored);
+    }
+    ::usleep(static_cast<useconds_t>(Rng.nextBelow(50000)));
+    ::kill(Child, SIGKILL);
+    int Status = 0;
+    ASSERT_EQ(::waitpid(Child, &Status, 0), Child);
+    ASSERT_TRUE(readFile(Path, Read, Error)) << Error;
+    if (Read != Old && Read != New)
+      ++Torn;
+    SawNew += Read == New;
+    // A killed writer may leave its temp file; the next writer does not
+    // need it.
+    for (const std::string &Name : Dir.entries())
+      if (Name != "store.json")
+        std::filesystem::remove(Dir.Path / Name);
+  }
+  EXPECT_EQ(Torn, 0u) << "kills that left a partial file";
+  EXPECT_GT(SawNew, 0u) << "no write completed before a kill";
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,7 +9,7 @@
 /// serialize/parse round trip, the loud-error parser contract on hostile
 /// input, the in-memory record tee, the payoff gate — a recorded
 /// workload run replayed through `runSession` must reproduce the live
-/// run's `cheetah-report-v4` byte for byte — and replay's refusal of
+/// run's `cheetah-report-v5` byte for byte — and replay's refusal of
 /// thread lifecycles the profiler cannot follow.
 ///
 //===----------------------------------------------------------------------===//

@@ -7,7 +7,7 @@
 /// \file
 /// The always-on half of the fleet-service story: one long-lived profiler
 /// instance observing a workload's sample stream epoch after epoch under a
-/// fixed shadow-memory byte budget, emitting a complete `cheetah-report-v4`
+/// fixed shadow-memory byte budget, emitting a complete `cheetah-report-v5`
 /// snapshot at every epoch boundary and appending each one into a
 /// `cheetah-history-v1` store — so `cheetah-trend show`/`--gate` works live
 /// against a running daemon, and week-long attaches cannot grow without
@@ -268,7 +268,9 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     // The store is rewritten after every epoch so trend tooling reads a
-    // complete, valid ledger at any point in the daemon's life.
+    // complete, valid ledger at any point in the daemon's life: writeFile
+    // replaces it atomically, so neither a reader nor a restart after a
+    // kill ever sees a partial store.
     if (!writeFile(StorePath, History.serialize(), Error) ||
         (!SnapshotDir.empty() &&
          !writeFile(SnapshotDir + "/" + RunId + ".json", ReportText, Error))) {

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Compares two `cheetah-report-v2`/`v3`/`v4` JSON reports (as written by
+/// Compares two `cheetah-report-v2` to `v5` JSON reports (as written by
 /// `cheetah-profile --format=json`): findings are matched by site/page
 /// identity and classified as added, removed, or matched (with the
 /// predicted-improvement delta). With `--gate=<factor>` the tool becomes a

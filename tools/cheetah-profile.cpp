@@ -7,7 +7,7 @@
 /// \file
 /// Command-line front end: run any modeled workload under the Cheetah
 /// profiler and stream its report — Figure-5 text or machine-readable JSON
-/// (`cheetah-report-v4`, diffable with `cheetah-diff`) — optionally
+/// (`cheetah-report-v5`, diffable with `cheetah-diff`) — optionally
 /// comparing against the padded ("fixed") variant and against a native
 /// (unprofiled) run. Flag validation lives in driver/SessionOptions.h so
 /// bad values (and hostile `--numa-topology` files) exit 1 with an error

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Fleet-scale operation of the report pipeline: folds an ordered
-/// sequence of `cheetah-report-v2..v4` reports (or `cheetah-diff-v1`
+/// sequence of `cheetah-report-v2..v5` reports (or `cheetah-diff-v1`
 /// documents) into one versioned `cheetah-history-v1` store, then
 /// answers trend questions over it — the N-run generalization of
 /// `cheetah-diff`'s single-pair gate.
