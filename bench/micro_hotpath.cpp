@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// google-benchmark micro-costs of the operations on Cheetah's per-sample
-/// hot path (shadow lookup, two-entry table update, detailed line record,
+/// google-benchmark micro-costs of the operations on Cheetah's sample hot
+/// path (shadow lookup, two-entry table update, detailed line record,
 /// heap allocation, coherence step). These bound the constant behind the
 /// "handling of each sampled memory access" overhead the paper discusses in
 /// Section 4.1.
@@ -16,13 +16,12 @@
 /// items_per_second to see the multi-threaded ingestion scaling.
 ///
 /// `micro_hotpath --emit-ingest-json=PATH` skips google-benchmark and runs
-/// the dedicated ingest sweep instead at 1..4 threads: per-sample
-/// (handleSample) and batched (the staged handleBatch pipeline) ingestion
-/// over per-thread slices, batched-hot (the same batches, with a share of
-/// every thread's samples on a two-line hot set all threads write — the
-/// contended case per-grain runs exist for), the single-threaded
-/// trace-replay delivery row (BM_TraceReplay's sweep counterpart), plus
-/// the decode dimension — the scalar and SIMD sample-decode kernels at
+/// the dedicated ingest sweep instead at 1..4 threads: batched ingestion
+/// (the staged handleBatch pipeline) over per-thread slices, batched-hot
+/// (the same batches, with a share of every thread's samples on a two-line
+/// hot set all threads write — the contended case per-grain runs exist
+/// for), the single-threaded trace-replay delivery row (BM_TraceReplay's
+/// sweep counterpart), plus the decode dimension — the sample decoder at
 /// batch sizes 1/16/64/256 — written as the machine-readable
 /// `BENCH_ingest.json` (samples/sec/core) that tracks the
 /// ingestion-throughput trajectory across PRs.
@@ -40,9 +39,9 @@
 #include "pmu/TraceSource.h"
 #include "runtime/HeapAllocator.h"
 #include "sim/CoherenceModel.h"
-#include "support/Random.h"
-
+#include "support/FileIO.h"
 #include "support/Json.h"
+#include "support/Random.h"
 
 #include <benchmark/benchmark.h>
 
@@ -106,27 +105,9 @@ void BM_ShadowWriteCount(benchmark::State &State) {
 }
 BENCHMARK(BM_ShadowWriteCount);
 
-void BM_DetectorHandleSample(benchmark::State &State) {
-  CacheGeometry Geometry(64);
-  core::ShadowMemory Shadow(Geometry, {{0x40000000, 1 << 20}});
-  core::DetectorConfig Config;
-  core::Detector Detect(Geometry, Shadow, Config);
-  SplitMix64 Rng(3);
-  pmu::Sample Sample;
-  for (auto _ : State) {
-    Sample.Address = 0x40000000 + (Rng.nextBelow(256) * 8);
-    Sample.Tid = static_cast<ThreadId>(Rng.nextBelow(16));
-    Sample.IsWrite = Rng.nextBool(0.7);
-    Sample.LatencyCycles = 40;
-    benchmark::DoNotOptimize(Detect.handleSample(Sample, true));
-  }
-}
-BENCHMARK(BM_DetectorHandleSample);
-
-/// The same detection hot path through the staged batch pipeline — vector
-/// decode, prefetched stage-1 sweep, branchless filter, prefetched detail
-/// lookups — over full 256-sample chunks. Compare items_per_second against
-/// BM_DetectorHandleSample for the batching win.
+/// The detection hot path through the staged batch pipeline — decode,
+/// prefetched stage-1 sweep, branchless filter, prefetched detail lookups —
+/// over full 256-sample chunks.
 void BM_DetectorHandleBatch(benchmark::State &State) {
   CacheGeometry Geometry(64);
   core::ShadowMemory Shadow(Geometry, {{0x40000000, 1 << 20}});
@@ -162,14 +143,14 @@ uint64_t epochRegionBytes(const benchmark::State &State) {
 void materializeLiveSet(core::Detector &Detect, uint64_t RegionBytes,
                         SplitMix64 &Rng) {
   uint64_t Stride = RegionBytes / LiveGrainsPerEpoch;
+  std::vector<pmu::Sample> Samples(LiveGrainsPerEpoch);
   for (size_t I = 0; I < LiveGrainsPerEpoch; ++I) {
-    pmu::Sample Sample;
-    Sample.Address = EpochRegionBase + I * Stride;
-    Sample.Tid = static_cast<ThreadId>(Rng.nextBelow(8));
-    Sample.IsWrite = true;
-    Sample.LatencyCycles = 40;
-    Detect.handleSample(Sample, true);
+    Samples[I].Address = EpochRegionBase + I * Stride;
+    Samples[I].Tid = static_cast<ThreadId>(Rng.nextBelow(8));
+    Samples[I].IsWrite = true;
+    Samples[I].LatencyCycles = 40;
   }
+  Detect.handleBatch(Samples.data(), Samples.size(), true);
 }
 
 /// One continuous-profiling epoch boundary under a byte budget: rank
@@ -290,8 +271,21 @@ struct IngestHarness {
 
 constexpr uint64_t LinesPerIngestThread = 4096;
 
+/// Fills \p Batch with samples over the ingesting thread's own slice of
+/// the monitored region, issued by four simulated threads per ingester.
+void fillSliceBatch(std::vector<pmu::Sample> &Batch, uint64_t SliceBase,
+                    unsigned Ingester, SplitMix64 &Rng) {
+  for (pmu::Sample &Sample : Batch) {
+    Sample.Address = SliceBase + Rng.nextBelow(LinesPerIngestThread) * 64 +
+                     Rng.nextBelow(16) * 4;
+    Sample.Tid = static_cast<ThreadId>(Ingester * 4 + Rng.nextBelow(4));
+    Sample.IsWrite = Rng.nextBool(0.7);
+    Sample.LatencyCycles = 40;
+  }
+}
+
 /// Aggregate sample-ingest throughput: each thread feeds the shared
-/// detector samples over its own slice of the monitored region (the
+/// detector full batches over its own slice of the monitored region (the
 /// realistic deployment shape — application threads mostly touch their own
 /// data, while all profiler metadata stays shared).
 void BM_ThreadedIngest(benchmark::State &State) {
@@ -303,18 +297,13 @@ void BM_ThreadedIngest(benchmark::State &State) {
       0x4000'0000 +
       uint64_t(State.thread_index()) * LinesPerIngestThread * 64;
   SplitMix64 Rng(100 + State.thread_index());
-  pmu::Sample Sample;
+  std::vector<pmu::Sample> Batch(pmu::SampleBatchCapacity);
   for (auto _ : State) {
-    Sample.Address =
-        SliceBase + Rng.nextBelow(LinesPerIngestThread) * 64 +
-        Rng.nextBelow(16) * 4;
-    Sample.Tid =
-        static_cast<ThreadId>(State.thread_index() * 4 + Rng.nextBelow(4));
-    Sample.IsWrite = Rng.nextBool(0.7);
-    Sample.LatencyCycles = 40;
-    benchmark::DoNotOptimize(Harness->Detect.handleSample(Sample, true));
+    fillSliceBatch(Batch, SliceBase, State.thread_index(), Rng);
+    benchmark::DoNotOptimize(
+        Harness->Detect.handleBatch(Batch.data(), Batch.size(), true));
   }
-  State.SetItemsProcessed(State.iterations());
+  State.SetItemsProcessed(State.iterations() * Batch.size());
 
   if (State.thread_index() == 0) {
     delete Harness;
@@ -399,18 +388,13 @@ void BM_ThreadedIngestPageMode(benchmark::State &State) {
       0x4000'0000 +
       uint64_t(State.thread_index()) * LinesPerIngestThread * 64;
   SplitMix64 Rng(500 + State.thread_index());
-  pmu::Sample Sample;
+  std::vector<pmu::Sample> Batch(pmu::SampleBatchCapacity);
   for (auto _ : State) {
-    Sample.Address =
-        SliceBase + Rng.nextBelow(LinesPerIngestThread) * 64 +
-        Rng.nextBelow(16) * 4;
-    Sample.Tid =
-        static_cast<ThreadId>(State.thread_index() * 4 + Rng.nextBelow(4));
-    Sample.IsWrite = Rng.nextBool(0.7);
-    Sample.LatencyCycles = 40;
-    benchmark::DoNotOptimize(Harness->Detect.handleSample(Sample, true));
+    fillSliceBatch(Batch, SliceBase, State.thread_index(), Rng);
+    benchmark::DoNotOptimize(
+        Harness->Detect.handleBatch(Batch.data(), Batch.size(), true));
   }
-  State.SetItemsProcessed(State.iterations());
+  State.SetItemsProcessed(State.iterations() * Batch.size());
 
   if (State.thread_index() == 0) {
     delete Harness;
@@ -497,15 +481,14 @@ struct DetectorSink : pmu::SampleSink {
   void threadStarted(ThreadId, bool, uint64_t) override {}
   void threadFinished(ThreadId, bool, uint64_t) override {}
   void ingestBatch(const pmu::Sample *Samples, size_t Count) override {
-    for (size_t I = 0; I < Count; ++I)
-      benchmark::DoNotOptimize(Detect.handleSample(Samples[I], true));
+    benchmark::DoNotOptimize(Detect.handleBatch(Samples, Count, true));
   }
 };
 
 /// Replay delivery cost: one pass of an in-memory `cheetah-trace-v1`
-/// event stream through the SampleSink shape into the detector —
-/// batches of one in recorded order, exactly what `--backend=trace:FILE`
-/// pays per sample on top of the detection work itself.
+/// event stream through the SampleSink shape into the detector — batches
+/// in recorded order, exactly what `--backend=trace:FILE` pays on top of
+/// the detection work itself.
 void BM_TraceReplay(benchmark::State &State) {
   constexpr uint64_t SampleCount = 4096;
   pmu::TraceSource Tee(std::make_unique<NullSource>(), /*Path=*/"",
@@ -545,7 +528,6 @@ constexpr double HotShare = 0.4;
 IngestSweepRow runIngestSweep(const std::string &Mode, unsigned Threads,
                               uint64_t SamplesPerThread) {
   IngestHarness Harness(LinesPerIngestThread * Threads);
-  const bool Batched = Mode != "per-sample";
   const bool Hot = Mode == "batched-hot";
 
   std::atomic<bool> Go{false};
@@ -564,18 +546,10 @@ IngestSweepRow runIngestSweep(const std::string &Mode, unsigned Threads,
         Sample.IsWrite = Rng.nextBool(0.7);
         Sample.LatencyCycles = 40;
       };
-      std::vector<pmu::Sample> Batch(core::DecodedBatch::Capacity);
+      std::vector<pmu::Sample> Batch(pmu::SampleBatchCapacity);
       while (!Go.load(std::memory_order_acquire)) {
       }
-      if (!Batched) {
-        for (uint64_t I = 0; I < SamplesPerThread; ++I) {
-          Next(Batch[0]);
-          benchmark::DoNotOptimize(Harness.Detect.handleSample(Batch[0], true));
-        }
-        return;
-      }
-      // The staged pipeline: the same kind of stream, delivered in
-      // 256-sample batches through handleBatch.
+      // The staged pipeline, in the backends' 256-sample batches.
       for (uint64_t I = 0; I < SamplesPerThread;) {
         size_t N = static_cast<size_t>(
             std::min<uint64_t>(Batch.size(), SamplesPerThread - I));
@@ -601,11 +575,8 @@ IngestSweepRow runIngestSweep(const std::string &Mode, unsigned Threads,
   return Row;
 }
 
-/// One row of the decode-kernel sweep: the \p Kernel decode path at
-/// \p Batch samples per decode() call.
+/// One row of the decode sweep: \p Batch samples per decode() call.
 struct DecodeSweepRow {
-  std::string Kernel;    // requested: "scalar" or "simd"
-  std::string Effective; // kernel actually dispatched to
   size_t Batch = 0;
   uint64_t Samples = 0;
   double Seconds = 0.0;
@@ -613,17 +584,12 @@ struct DecodeSweepRow {
 
 /// Times the pure decode front (coverage + word/span arithmetic) over a
 /// pregenerated sample stream at one batch size, single-threaded — the
-/// isolated kernel cost behind the batched mode's first stage. The "simd"
-/// request silently degrades to scalar when the AVX2 kernel is compiled
-/// out or unsupported (the Effective field records what actually ran), so
-/// the sweep emits the same row set in every build.
-DecodeSweepRow runDecodeSweep(const std::string &Kernel, size_t Batch,
-                              uint64_t TotalSamples) {
+/// isolated cost behind the batched mode's first stage.
+DecodeSweepRow runDecodeSweep(size_t Batch, uint64_t TotalSamples) {
   CacheGeometry Geometry(64);
   std::vector<core::ShadowRegion> Regions{
       {0x4000'0000, LinesPerIngestThread * 64}};
-  core::BatchDecoder Decoder(Geometry, Regions,
-                             /*ForceScalar=*/Kernel == "scalar");
+  core::BatchDecoder Decoder(Geometry, Regions);
 
   SplitMix64 Rng(1200);
   std::vector<pmu::Sample> Samples(core::DecodedBatch::Capacity);
@@ -648,8 +614,6 @@ DecodeSweepRow runDecodeSweep(const std::string &Kernel, size_t Batch,
   auto End = std::chrono::steady_clock::now();
 
   DecodeSweepRow Row;
-  Row.Kernel = Kernel;
-  Row.Effective = core::decodeKernelName(Decoder.kernel());
   Row.Batch = Batch;
   Row.Samples = Done;
   Row.Seconds = std::chrono::duration<double>(End - Start).count();
@@ -681,14 +645,18 @@ IngestSweepRow runReplaySweep(uint64_t TotalSamples) {
   return Row;
 }
 
-/// Writes the per-sample/batched/batched-hot x 1..4-thread sweep, the
-/// single-threaded trace-replay row, plus the decode-kernel dimension to
-/// \p Path as the `cheetah-bench-ingest-v4` document. \returns false on
-/// I/O failure.
+/// Writes the batched/batched-hot x 1..4-thread sweep, the
+/// single-threaded trace-replay row, plus the decode dimension to \p Path
+/// as the `cheetah-bench-ingest-v5` document. \returns false on I/O
+/// failure.
 bool emitIngestJson(const std::string &Path) {
   constexpr uint64_t SamplesPerThread = 1'000'000;
+  // One untimed pass at the widest thread count first: otherwise the first
+  // mode's multi-thread rows pay for growing the allocator's per-thread
+  // arenas, at about half the throughput of the same rows run later.
+  runIngestSweep("batched", 4, SamplesPerThread);
   std::vector<IngestSweepRow> Rows;
-  for (const char *Mode : {"per-sample", "batched", "batched-hot"})
+  for (const char *Mode : {"batched", "batched-hot"})
     for (unsigned Threads = 1; Threads <= 4; ++Threads) {
       Rows.push_back(runIngestSweep(Mode, Threads, SamplesPerThread));
       std::fprintf(stderr, "%-11s %u threads: %.1fM samples/sec/core\n",
@@ -703,28 +671,22 @@ bool emitIngestJson(const std::string &Path) {
 
   constexpr uint64_t DecodeSamples = 64'000'000;
   std::vector<DecodeSweepRow> DecodeRows;
-  for (const char *Kernel : {"scalar", "simd"})
-    for (size_t Batch : {size_t(1), size_t(16), size_t(64), size_t(256)}) {
-      DecodeRows.push_back(runDecodeSweep(Kernel, Batch, DecodeSamples));
-      std::fprintf(stderr, "decode %-6s (%s) batch %-3zu: %.0fM samples/sec\n",
-                   Kernel, DecodeRows.back().Effective.c_str(), Batch,
-                   static_cast<double>(DecodeRows.back().Samples) /
-                       DecodeRows.back().Seconds / 1e6);
-    }
+  for (size_t Batch : {size_t(1), size_t(16), size_t(64), size_t(256)}) {
+    DecodeRows.push_back(runDecodeSweep(Batch, DecodeSamples));
+    std::fprintf(stderr, "decode batch %-3zu: %.0fM samples/sec\n", Batch,
+                 static_cast<double>(DecodeRows.back().Samples) /
+                     DecodeRows.back().Seconds / 1e6);
+  }
 
   std::string Text;
   JsonWriter Writer(Text);
   Writer.beginObject();
-  Writer.member("schema", "cheetah-bench-ingest-v4");
+  Writer.member("schema", "cheetah-bench-ingest-v5");
   Writer.member("hardware_threads",
                 static_cast<uint64_t>(std::thread::hardware_concurrency()));
   Writer.member("samples_per_thread", SamplesPerThread);
   Writer.member("lines_per_thread", LinesPerIngestThread);
   Writer.member("hot_share", HotShare);
-  Writer.member("simd_available", core::BatchDecoder::simdAvailable());
-  Writer.member("decode_kernel",
-                core::decodeKernelName(
-                    core::BatchDecoder(CacheGeometry(64), {}).kernel()));
   Writer.key("results");
   Writer.beginArray();
   for (const IngestSweepRow &Row : Rows) {
@@ -743,8 +705,6 @@ bool emitIngestJson(const std::string &Path) {
   for (const DecodeSweepRow &Row : DecodeRows) {
     Writer.beginObject();
     Writer.member("mode", "decode");
-    Writer.member("kernel", Row.Kernel);
-    Writer.member("effective_kernel", Row.Effective);
     Writer.member("batch", static_cast<uint64_t>(Row.Batch));
     Writer.member("samples", Row.Samples);
     Writer.member("seconds", Row.Seconds);
@@ -756,14 +716,12 @@ bool emitIngestJson(const std::string &Path) {
   Writer.endObject();
   Text += "\n";
 
-  std::FILE *File = std::fopen(Path.c_str(), "w");
-  if (!File) {
-    std::fprintf(stderr, "error: cannot open '%s' for writing\n",
-                 Path.c_str());
+  std::string Error;
+  if (!writeFile(Path, Text, Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
     return false;
   }
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), File);
-  return Written == Text.size() && std::fclose(File) == 0;
+  return true;
 }
 
 } // namespace

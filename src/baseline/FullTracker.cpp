@@ -30,8 +30,10 @@ uint64_t FullTracker::onMemoryAccess(ThreadId Tid, const MemoryAccess &Access,
   Sample.IsWrite = Access.isWrite();
   Sample.LatencyCycles = static_cast<uint32_t>(Result.LatencyCycles);
   Sample.Timestamp = Now;
-  // Predator-like tools analyze every access with no phase awareness.
-  Detect.handleSample(Sample, /*InParallelPhase=*/true, Access.Size);
+  // Predator-like tools analyze every access with no phase awareness. The
+  // access width changes from one access to the next, so each is its own
+  // batch.
+  Detect.handleBatch(&Sample, 1, /*InParallelPhase=*/true, Access.Size);
   return Config.PerAccessCycles;
 }
 

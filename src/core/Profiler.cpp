@@ -83,45 +83,31 @@ void Profiler::threadFinished(ThreadId Tid, bool IsMain, uint64_t EndCycle) {
     Phases.threadFinished(Tid, EndCycle);
 }
 
-void Profiler::handleSample(const pmu::Sample &Sample) {
-  ingestBatch(&Sample, 1);
-}
-
 void Profiler::ingestBatch(const pmu::Sample *Samples, size_t Count) {
   if (Count == 0)
     return;
   SamplesIngested.fetch_add(Count, std::memory_order_relaxed);
 
-  if (Count == 1) {
-    // Single-sample fast path (the simulator's per-sample handler): one
-    // short critical section for the bookkeeping, detection outside it.
-    const pmu::Sample &Sample = Samples[0];
-    bool InParallel;
-    {
-      std::lock_guard<std::mutex> Lock(IngestMutex);
-      InParallel = Phases.inParallelPhase();
-      // Every thread records its own samples (F_SETOWN_EX-style dispatch).
-      if (Threads.known(Sample.Tid))
-        Threads.recordSample(Sample.Tid, Sample.LatencyCycles);
-      if (!InParallel && Shadow.covers(Sample.Address)) {
-        // Serial-phase samples have no false sharing: their latencies
-        // approximate AverCycles_nofs for EQ.1.
-        SerialLatency.add(Sample.LatencyCycles);
-        ++SerialSampleCount;
-      }
-    }
-    Detect.handleSample(Sample, InParallel);
-    return;
-  }
-
   // Phase state is read once per batch: sampling is statistical, so a batch
   // straddling a phase boundary attributes its samples to the phase active
-  // at drain time, matching what per-sample delivery would have seen within
-  // one signal handler.
+  // at drain time. The simulated PMU and trace replay hand over their
+  // batches before every lifecycle event, so theirs never straddle one.
   bool InParallel;
   {
     std::lock_guard<std::mutex> Lock(IngestMutex);
     InParallel = Phases.inParallelPhase();
+    if (!InParallel) {
+      // Serial-phase samples have no false sharing: their latencies
+      // approximate AverCycles_nofs for EQ.1. They are added one by one in
+      // sample order, so the average does not depend on how the stream was
+      // split into batches. Only one thread runs in a serial phase, so the
+      // lock is uncontended.
+      for (size_t I = 0; I < Count; ++I)
+        if (Shadow.covers(Samples[I].Address)) {
+          SerialLatency.add(Samples[I].LatencyCycles);
+          ++SerialSampleCount;
+        }
+    }
   }
 
   // Every thread records its own samples (F_SETOWN_EX-style dispatch), so a
@@ -135,22 +121,14 @@ void Profiler::ingestBatch(const pmu::Sample *Samples, size_t Count) {
   constexpr size_t MaxBatchTids = 16;
   TidTotals Totals[MaxBatchTids];
   size_t NumTids = 0;
-  OnlineStats BatchSerial;
-  uint64_t BatchSerialCount = 0;
 
-  auto FlushBookkeeping = [&] {
+  auto FlushTotals = [&] {
     std::lock_guard<std::mutex> Lock(IngestMutex);
     for (size_t I = 0; I < NumTids; ++I)
       if (Threads.known(Totals[I].Tid))
         Threads.recordSamples(Totals[I].Tid, Totals[I].Count,
                               Totals[I].Cycles);
     NumTids = 0;
-    if (BatchSerialCount) {
-      SerialLatency.merge(BatchSerial);
-      SerialSampleCount += BatchSerialCount;
-      BatchSerial = OnlineStats();
-      BatchSerialCount = 0;
-    }
   };
 
   for (size_t I = 0; I < Count; ++I) {
@@ -165,27 +143,19 @@ void Profiler::ingestBatch(const pmu::Sample *Samples, size_t Count) {
         // a batch carrying more than MaxBatchTids distinct threads costs
         // extra lock acquisitions, never dropped samples (guarded by the
         // 32-tid conservation test).
-        FlushBookkeeping();
+        FlushTotals();
         T = 0;
       }
       Totals[NumTids++] = TidTotals{Sample.Tid, 0, 0};
     }
     ++Totals[T].Count;
     Totals[T].Cycles += Sample.LatencyCycles;
-
-    if (!InParallel && Shadow.covers(Sample.Address)) {
-      // Serial-phase samples have no false sharing: their latencies
-      // approximate AverCycles_nofs for EQ.1.
-      BatchSerial.add(Sample.LatencyCycles);
-      ++BatchSerialCount;
-    }
   }
-  FlushBookkeeping();
+  FlushTotals();
 
   // Detection runs over the whole batch through the staged pipeline:
-  // vector decode, prefetched stage-1 counting, branchless filtering, and
-  // prefetched detail lookups — semantically identical to per-sample
-  // handleSample delivery, outside the ingest lock.
+  // decode, prefetched stage-1 counting, branchless filtering, and
+  // prefetched detail lookups, outside the ingest lock.
   Detect.handleBatch(Samples, Count, InParallel);
 }
 

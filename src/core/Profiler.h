@@ -156,10 +156,6 @@ public:
   /// Run-level stats in sink form (valid after ingestion quiesces).
   ReportRunStats runStats(uint64_t AppRuntime) const;
 
-  /// Feeds one sample directly (used by tests and ablations).
-  /// Equivalent to ingestBatch(&Sample, 1).
-  void handleSample(const pmu::Sample &Sample);
-
   // pmu::SampleSink implementation — the only way samples and thread
   // lifecycle reach the profiler, whichever backend produces them.
 
@@ -171,12 +167,14 @@ public:
   void threadFinished(ThreadId Tid, bool IsMain, uint64_t EndCycle) override;
 
   /// Batched sample ingestion, safe to call from many application threads
-  /// concurrently: per-thread registry and serial-latency bookkeeping is
-  /// accumulated per batch and applied under one short lock, while the
-  /// lock-free detection hot path runs without any profiler-wide
-  /// serialization. This is what the per-thread
-  /// sample buffers of the interpose runtime drain into; synchronous
-  /// backends deliver batches of one.
+  /// concurrently: per-thread registry totals are accumulated per batch
+  /// and applied under one short lock, serial-phase latencies are added
+  /// one by one in sample order, and the lock-free detection hot path runs
+  /// without any profiler-wide serialization. Every backend delivers
+  /// here: the interpose runtime's per-thread buffers, the perf_event ring
+  /// drains, and the simulated PMU and trace replay, whose batches of at
+  /// most pmu::SampleBatchCapacity never span a lifecycle event. The
+  /// report does not depend on how a stream is split into batches.
   void ingestBatch(const pmu::Sample *Samples, size_t Count) override;
 
   /// Current phase state (exposed for tests).

@@ -1,4 +1,4 @@
-//===- core/detect/BatchDecode.cpp - Vectorized sample decode -------------===//
+//===- core/detect/BatchDecode.cpp - Batched sample decode ----------------===//
 //
 // Part of the Cheetah reproduction. MIT license.
 //
@@ -7,68 +7,29 @@
 #include "core/detect/BatchDecode.h"
 
 #include "support/Assert.h"
-#include "support/CpuFeatures.h"
-
-#if defined(__x86_64__) && !defined(CHEETAH_FORCE_SCALAR)
-#define CHEETAH_HAVE_AVX2_KERNEL 1
-#include <immintrin.h>
-#endif
 
 using namespace cheetah;
 using namespace cheetah::core;
 
-// The word-bucket computation below shifts by 2 instead of dividing so the
-// SIMD and scalar kernels share one shape; it is only correct for the
-// paper's fixed 4-byte word granularity.
+// The word-bucket computation below shifts by 2 instead of dividing; it is
+// only correct for the paper's fixed 4-byte word granularity.
 static_assert(WordSize == 4, "batch decode assumes 4-byte words");
 
-const char *cheetah::core::decodeKernelName(DecodeKernel Kernel) {
-  return Kernel == DecodeKernel::Avx2 ? "avx2" : "scalar";
-}
-
 BatchDecoder::BatchDecoder(const CacheGeometry &Geometry,
-                           std::vector<ShadowRegion> Regions, bool ForceScalar)
-    : LineMask(Geometry.lineSize() - 1), Regions(std::move(Regions)),
-      Kernel(DecodeKernel::Scalar) {
-#if CHEETAH_HAVE_AVX2_KERNEL
-  if (!ForceScalar && support::cpuHasAvx2())
-    Kernel = DecodeKernel::Avx2;
-#else
-  (void)ForceScalar;
-#endif
-}
-
-bool BatchDecoder::simdAvailable() {
-#if CHEETAH_HAVE_AVX2_KERNEL
-  return support::cpuHasAvx2();
-#else
-  return false;
-#endif
-}
+                           std::vector<ShadowRegion> Regions)
+    : LineMask(Geometry.lineSize() - 1), Regions(std::move(Regions)) {}
 
 void BatchDecoder::decode(const pmu::Sample *Samples, size_t Count,
                           uint8_t AccessBytes, DecodedBatch &Out) const {
   CHEETAH_ASSERT(Count <= DecodedBatch::Capacity,
                  "decode chunk exceeds the batch scratch capacity");
-#if CHEETAH_HAVE_AVX2_KERNEL
-  if (Kernel == DecodeKernel::Avx2) {
-    decodeAvx2(Samples, Count, AccessBytes, Out);
-    return;
-  }
-#endif
-  decodeScalar(Samples, 0, Count, AccessBytes, Out);
-}
-
-void BatchDecoder::decodeScalar(const pmu::Sample *Samples, size_t Begin,
-                                size_t Count, uint8_t AccessBytes,
-                                DecodedBatch &Out) const {
   const uint64_t Bytes = AccessBytes ? AccessBytes : 1;
-  for (size_t I = Begin; I < Count; ++I) {
+  for (size_t I = 0; I < Count; ++I) {
     uint64_t Address = Samples[I].Address;
     uint64_t Offset = Address & LineMask;
     uint64_t Word = Offset >> 2;
-    // Branchless clamp of the access's last byte to the line end: a
-    // straddling access contributes words only within its first line.
+    // Clamp the access's last byte to the line end: a straddling access
+    // contributes words only within its first line.
     uint64_t LastByte = Offset + Bytes - 1;
     if (LastByte > LineMask)
       LastByte = LineMask;
@@ -82,73 +43,3 @@ void BatchDecoder::decodeScalar(const pmu::Sample *Samples, size_t Begin,
     Out.Covered[I] = Covered;
   }
 }
-
-#if CHEETAH_HAVE_AVX2_KERNEL
-
-/// Four samples per step: addresses gathered straight out of the AoS batch
-/// (stride sizeof(pmu::Sample)), decoded with the same mask/shift/clamp
-/// arithmetic as the scalar kernel so results are bit-identical, and packed
-/// down to the 32-bit SoA outputs.
-__attribute__((target("avx2"))) void
-BatchDecoder::decodeAvx2(const pmu::Sample *Samples, size_t Count,
-                         uint8_t AccessBytes, DecodedBatch &Out) const {
-  const uint64_t Bytes = AccessBytes ? AccessBytes : 1;
-  const __m256i Mask = _mm256_set1_epi64x(static_cast<long long>(LineMask));
-  const __m256i BytesM1 = _mm256_set1_epi64x(static_cast<long long>(Bytes - 1));
-  const __m256i One = _mm256_set1_epi64x(1);
-  const __m256i SignFlip = _mm256_set1_epi64x(
-      static_cast<long long>(0x8000'0000'0000'0000ull));
-  constexpr long long Stride = sizeof(pmu::Sample);
-  const __m256i GatherOffsets =
-      _mm256_set_epi64x(3 * Stride, 2 * Stride, 1 * Stride, 0);
-  // Lane selector packing the low 32 bits of each 64-bit lane into the
-  // lower 128 bits.
-  const __m256i PackLow32 = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
-
-  size_t I = 0;
-  for (; I + 4 <= Count; I += 4) {
-    const long long *AddressBase =
-        reinterpret_cast<const long long *>(&Samples[I].Address);
-    __m256i Address =
-        _mm256_i64gather_epi64(AddressBase, GatherOffsets, /*scale=*/1);
-
-    __m256i Offset = _mm256_and_si256(Address, Mask);
-    __m256i Word = _mm256_srli_epi64(Offset, 2);
-    // LastByte = min(Offset + Bytes - 1, LineMask). Both operands are far
-    // below 2^63, so the signed compare is exact.
-    __m256i LastByte = _mm256_add_epi64(Offset, BytesM1);
-    __m256i Straddles = _mm256_cmpgt_epi64(LastByte, Mask);
-    LastByte = _mm256_blendv_epi8(LastByte, Mask, Straddles);
-    __m256i Span = _mm256_add_epi64(
-        _mm256_sub_epi64(_mm256_srli_epi64(LastByte, 2), Word), One);
-
-    // Coverage: unsigned (Address - Base) < Size per region, via the
-    // sign-bit flip that turns AVX2's signed 64-bit compare unsigned.
-    __m256i Covered = _mm256_setzero_si256();
-    for (const ShadowRegion &Region : Regions) {
-      __m256i Delta = _mm256_sub_epi64(
-          Address, _mm256_set1_epi64x(static_cast<long long>(Region.Base)));
-      __m256i InRegion = _mm256_cmpgt_epi64(
-          _mm256_xor_si256(
-              _mm256_set1_epi64x(static_cast<long long>(Region.Size)),
-              SignFlip),
-          _mm256_xor_si256(Delta, SignFlip));
-      Covered = _mm256_or_si256(Covered, InRegion);
-    }
-
-    _mm_storeu_si128(
-        reinterpret_cast<__m128i *>(&Out.Bucket[I]),
-        _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(Word, PackLow32)));
-    _mm_storeu_si128(
-        reinterpret_cast<__m128i *>(&Out.Span[I]),
-        _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(Span, PackLow32)));
-    int CoveredLanes = _mm256_movemask_pd(_mm256_castsi256_pd(Covered));
-    Out.Covered[I + 0] = static_cast<uint8_t>(CoveredLanes & 1);
-    Out.Covered[I + 1] = static_cast<uint8_t>((CoveredLanes >> 1) & 1);
-    Out.Covered[I + 2] = static_cast<uint8_t>((CoveredLanes >> 2) & 1);
-    Out.Covered[I + 3] = static_cast<uint8_t>((CoveredLanes >> 3) & 1);
-  }
-  decodeScalar(Samples, I, Count, AccessBytes, Out);
-}
-
-#endif // CHEETAH_HAVE_AVX2_KERNEL

@@ -1,21 +1,16 @@
-//===- core/detect/BatchDecode.h - Vectorized sample decode -----*- C++ -*-===//
+//===- core/detect/BatchDecode.h - Batched sample decode --------*- C++ -*-===//
 //
 // Part of the Cheetah reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The data-parallel front of the batched ingestion pipeline: turns a batch
-/// of pmu::Sample records into struct-of-arrays decoded line coordinates —
+/// The front of the batched ingestion pipeline: turns a batch of
+/// pmu::Sample records into struct-of-arrays decoded line coordinates —
 /// per sample a monitored-region coverage flag, the 4-byte word bucket, and
-/// the word span with branchless end-of-line clamping for line-straddling
-/// accesses. Decoding is pure integer arithmetic over the sample addresses,
-/// so it vectorizes: a runtime-dispatched AVX2 kernel processes four
-/// samples per step (gathered straight out of the AoS batch), with a
-/// bit-identical scalar fallback for other CPUs. Building with
-/// -DCHEETAH_FORCE_SCALAR=ON compiles the AVX2 kernel out entirely, which
-/// makes kernel equivalence an executable gate: the forced-scalar build
-/// must reproduce every golden report byte for byte.
+/// the word span with end-of-line clamping for line-straddling accesses.
+/// Decoding is plain integer arithmetic over the sample addresses, one
+/// scalar loop over the chunk.
 ///
 /// The decoded arrays feed Detector::handleBatch's later stages: the
 /// coverage flags gate the stage-1 write-count sweep, and bucket/span are
@@ -36,63 +31,39 @@
 namespace cheetah {
 namespace core {
 
-/// Which decode kernel a BatchDecoder dispatches to. Selected once at
-/// construction; never per batch.
-enum class DecodeKernel { Scalar, Avx2 };
-
-/// \returns the kernel's stable display name ("scalar" / "avx2").
-const char *decodeKernelName(DecodeKernel Kernel);
-
 /// Struct-of-arrays decoded records for one sample chunk. Fixed capacity so
 /// the scratch lives in per-thread storage with zero per-batch allocation;
 /// callers chunk larger batches.
 struct DecodedBatch {
-  static constexpr size_t Capacity = 256;
+  static constexpr size_t Capacity = pmu::SampleBatchCapacity;
 
   /// 1 if the sample address falls inside a monitored region, else 0.
   uint8_t Covered[Capacity];
   /// Index of the access's first 4-byte word within its cache line.
   uint32_t Bucket[Capacity];
   /// Number of words the access covers, clamped at the line end (a
-  /// straddling access marks words only to the end of its first line,
-  /// exactly like the per-sample decode).
+  /// straddling access marks words only to the end of its first line).
   uint32_t Span[Capacity];
 };
 
 /// Decodes sample batches over one line geometry and one set of monitored
-/// regions. Construction picks the widest kernel the CPU supports (unless
-/// \p ForceScalar or the CHEETAH_FORCE_SCALAR build); decode() then
-/// dispatches with no per-call probing.
+/// regions.
 class BatchDecoder {
 public:
   BatchDecoder(const CacheGeometry &Geometry,
-               std::vector<ShadowRegion> Regions, bool ForceScalar = false);
-
-  /// \returns true if the AVX2 kernel is compiled in and this CPU runs it.
-  static bool simdAvailable();
-
-  /// The kernel decode() dispatches to.
-  DecodeKernel kernel() const { return Kernel; }
+               std::vector<ShadowRegion> Regions);
 
   /// Decodes \p Count samples (at most DecodedBatch::Capacity) into \p Out.
   /// \p AccessBytes is the access width shared by the batch; 0 is treated
-  /// as a 1-byte access, matching the per-sample decode.
+  /// as a 1-byte access.
   void decode(const pmu::Sample *Samples, size_t Count, uint8_t AccessBytes,
               DecodedBatch &Out) const;
 
 private:
-  void decodeScalar(const pmu::Sample *Samples, size_t Begin, size_t Count,
-                    uint8_t AccessBytes, DecodedBatch &Out) const;
-#if defined(__x86_64__) && !defined(CHEETAH_FORCE_SCALAR)
-  void decodeAvx2(const pmu::Sample *Samples, size_t Count,
-                  uint8_t AccessBytes, DecodedBatch &Out) const;
-#endif
-
   /// lineSize() - 1: both the offset-in-line mask and the last valid byte
   /// offset the straddling clamp saturates to.
   uint64_t LineMask;
   std::vector<ShadowRegion> Regions;
-  DecodeKernel Kernel;
 };
 
 } // namespace core

@@ -7,7 +7,7 @@
 #include "core/detect/Detector.h"
 
 #include "support/Assert.h"
-#include "support/CpuFeatures.h"
+#include "support/Prefetch.h"
 
 #include <algorithm>
 #include <type_traits>
@@ -122,11 +122,9 @@ size_t groupByGrain(const TableT &Table, const pmu::Sample *Samples,
 /// words, and an access wider than a word spans several buckets.
 struct Detector::LineStage {
   Detector &D;
-  uint8_t AccessBytes;
-  /// Vector-decoded coordinates when running under the batch pipeline.
-  const DecodedBatch *Batch = nullptr;
+  /// The chunk's decoded line coordinates.
+  const DecodedBatch &Batch;
 
-  struct Prep {};
   struct Decoded {
     ThreadId Actor;
     uint64_t Bucket;
@@ -137,25 +135,13 @@ struct Detector::LineStage {
   ShadowMemory &table() { return D.Shadow; }
   uint32_t threshold() const { return D.Config.WriteThreshold; }
 
-  Prep prepare(const pmu::Sample &) { return {}; }
-
-  Decoded decode(const pmu::Sample &Sample, const Prep &) {
-    uint64_t WordIndex = D.Geometry.wordInLine(Sample.Address);
-    uint64_t LastByte = D.Geometry.offsetInLine(Sample.Address) +
-                        (AccessBytes ? AccessBytes : 1) - 1;
-    if (LastByte >= D.Geometry.lineSize())
-      LastByte = D.Geometry.lineSize() - 1; // clamp straddling accesses
-    uint64_t WordSpan = LastByte / WordSize - WordIndex + 1;
-    return {Sample.Tid, WordIndex, WordSpan, {}};
-  }
-
-  // Batch pipeline hooks: stage-1 state to pull ahead of the counter
-  // sweep, per-sample preparation (none at line grain), and the decoded
-  // coordinates — already computed data-parallel for the whole chunk.
+  // Pipeline hooks: stage-1 state to pull ahead of the counter sweep,
+  // per-sample preparation (none at line grain), and the decoded
+  // coordinates — already computed for the whole chunk by the decoder.
   void prefetchStage1(uint64_t Address) { D.Shadow.prefetchWriteCounter(Address); }
   void prepareAt(size_t, const pmu::Sample &) {}
   Decoded decodeAt(size_t I, const pmu::Sample &Sample) {
-    return {Sample.Tid, Batch->Bucket[I], Batch->Span[I], {}};
+    return {Sample.Tid, Batch.Bucket[I], Batch.Span[I], {}};
   }
 
   // Tallies for one stage call, published to the detector's shared
@@ -178,15 +164,11 @@ struct Detector::LineStage {
 /// policy being modeled.
 struct Detector::PageStage {
   Detector &D;
-  /// Batch-pipeline prepare results, stored per sample index (the scratch
-  /// Node/Home arrays) so decodeAt can run in a later sweep.
-  NodeId *Nodes = nullptr;
-  NodeId *Homes = nullptr;
+  /// Preparation results, stored per sample index (the scratch Node/Home
+  /// arrays) so decodeAt can run in a later sweep.
+  NodeId *Nodes;
+  NodeId *Homes;
 
-  struct Prep {
-    NodeId Node;
-    NodeId Home;
-  };
   struct Decoded {
     NodeId Actor;
     uint64_t Bucket;
@@ -197,37 +179,26 @@ struct Detector::PageStage {
   PageTable &table() { return *D.Pages; }
   uint32_t threshold() const { return D.Config.PageWriteThreshold; }
 
-  Prep prepare(const pmu::Sample &Sample) {
-    NodeId Node = D.Topology->nodeOf(Sample.Tid);
-    NodeId Home = D.Pages->noteTouch(Sample.Address, Node);
-    return {Node, Home};
-  }
-
-  Decoded decode(const pmu::Sample &Sample, const Prep &P) {
-    bool Remote = P.Node != P.Home;
-    // Which node pair the sample crossed: the distance evidence behind the
-    // remoteByDistance report breakdown and the distance-weighted page
-    // assessment. Local samples cross nothing.
-    uint32_t Distance = Remote ? D.Topology->distance(P.Node, P.Home) : 0;
-    return {P.Node, D.Pages->lineIndexInPage(Sample.Address), 1,
-            {Remote, Distance}};
-  }
-
-  // Batch pipeline hooks. Preparation (first-touch home publication) runs
-  // in the stage-1 sweep for every covered sample regardless of phase,
-  // exactly like the per-sample path: homes are a placement property, not
-  // a sharing observation.
+  // Pipeline hooks. Preparation (first-touch home publication) runs in the
+  // stage-1 sweep for every covered sample regardless of phase: homes are a
+  // placement property, not a sharing observation.
   void prefetchStage1(uint64_t Address) {
     D.Pages->prefetchWriteCounter(Address);
     D.Pages->prefetchHome(Address);
   }
   void prepareAt(size_t I, const pmu::Sample &Sample) {
-    Prep P = prepare(Sample);
-    Nodes[I] = P.Node;
-    Homes[I] = P.Home;
+    Nodes[I] = D.Topology->nodeOf(Sample.Tid);
+    Homes[I] = D.Pages->noteTouch(Sample.Address, Nodes[I]);
   }
   Decoded decodeAt(size_t I, const pmu::Sample &Sample) {
-    return decode(Sample, Prep{Nodes[I], Homes[I]});
+    NodeId Node = Nodes[I], Home = Homes[I];
+    bool Remote = Node != Home;
+    // Which node pair the sample crossed: the distance evidence behind the
+    // remoteByDistance report breakdown and the distance-weighted page
+    // assessment. Local samples cross nothing.
+    uint32_t Distance = Remote ? D.Topology->distance(Node, Home) : 0;
+    return {Node, D.Pages->lineIndexInPage(Sample.Address), 1,
+            {Remote, Distance}};
   }
 
   // Tallies for one stage call, published to the detector's shared
@@ -249,39 +220,6 @@ struct Detector::PageStage {
       D.PageSamplesRecorded.fetch_add(Recorded, std::memory_order_relaxed);
   }
 };
-
-template <typename Stage>
-bool Detector::runGrainStage(Stage &S, const pmu::Sample &Sample,
-                             bool InParallelPhase) {
-  auto &Table = S.table();
-
-  // Stage 1: cheap write counting on every covered sample. This is what
-  // makes write-once memory never pay for detailed tracking. Atomic, so
-  // concurrent ingesters never lose a count.
-  uint32_t GrainWrites = Sample.IsWrite ? Table.noteWrite(Sample.Address)
-                                        : Table.writeCount(Sample.Address);
-  auto Prep = S.prepare(Sample);
-
-  if (Config.OnlyParallelPhases && !InParallelPhase)
-    return false;
-
-  // Stage 2: detailed tracking only for susceptible grains.
-  auto *Info = Table.detail(Sample.Address);
-  if (!Info) {
-    if (GrainWrites <= S.threshold())
-      return false;
-    Info = &Table.materializeDetail(Sample.Address);
-  }
-
-  auto Decoded = S.decode(Sample, Prep);
-  S.Invalidations += Info->record(
-      Sample.Tid, Decoded.Actor,
-      Sample.IsWrite ? AccessKind::Write : AccessKind::Read, Decoded.Bucket,
-      Decoded.Span, Sample.LatencyCycles, Decoded.Ctx);
-  S.tally(Decoded);
-  S.commit();
-  return true;
-}
 
 template <typename Stage>
 size_t Detector::runGrainStageBatch(Stage &S, const pmu::Sample *Samples,
@@ -314,9 +252,9 @@ size_t Detector::runGrainStageBatch(Stage &S, const pmu::Sample *Samples,
   // Branchless stage-1 filter: compact the survivors' indices without a
   // single data-dependent branch, and without loading any detail pointer —
   // cold samples never dereference the shadow. The count-only predicate is
-  // exactly the per-sample detail-or-threshold check because write counts
-  // are monotone: a grain's detail exists iff some earlier sample already
-  // saw its count above the threshold.
+  // exactly the detail-or-threshold check because write counts are
+  // monotone: a grain's detail exists iff some earlier sample already saw
+  // its count above the threshold.
   const uint32_t Threshold = S.threshold();
   size_t NumKept = 0;
   for (size_t I = 0; I < Count; ++I) {
@@ -343,10 +281,11 @@ size_t Detector::runGrainStageBatch(Stage &S, const pmu::Sample *Samples,
   // Record sweep, one grain at a time, with the grain records prefetched
   // ahead. A grain's state depends only on its own access sequence, so
   // taking grains in first-appearance order while keeping batch order
-  // within each grain leaves every grain exactly as per-sample delivery
-  // would. A grain with one survivor records straight into its atomics;
-  // a run of several is summed in this thread's accumulator and folded in
-  // once, so contended grains take one set of atomic updates per run.
+  // within each grain leaves every grain exactly as recording the samples
+  // one by one would. A grain with one survivor records straight into its
+  // atomics; a run of several is summed in this thread's accumulator and
+  // folded in once, so contended grains take one set of atomic updates per
+  // run.
   auto &Run = grainRun<typename InfoT::Run>();
   for (size_t G = 0; G < NumGroups; ++G) {
     size_t Ahead = G + PrefetchDistance;
@@ -393,8 +332,8 @@ size_t Detector::handleBatch(const pmu::Sample *Samples, size_t Count,
     size_t Chunk = std::min(Count - Offset, DecodedBatch::Capacity);
     const pmu::Sample *ChunkSamples = Samples + Offset;
 
-    // Vector decode of the whole chunk: coverage flags plus word/span line
-    // coordinates, through the runtime-dispatched kernel.
+    // Decode of the whole chunk: coverage flags plus word/span line
+    // coordinates.
     LineDecoder.decode(ChunkSamples, Chunk, AccessBytes, Scratch.Decode);
 
     SamplesSeen.fetch_add(Chunk, std::memory_order_relaxed);
@@ -413,7 +352,7 @@ size_t Detector::handleBatch(const pmu::Sample *Samples, size_t Count,
                          InParallelPhase, Scratch.Recorded);
     }
     if (Config.TrackLines) {
-      LineStage Stage{*this, AccessBytes, &Scratch.Decode};
+      LineStage Stage{*this, Scratch.Decode};
       runGrainStageBatch(Stage, ChunkSamples, Chunk, Scratch.Decode.Covered,
                          InParallelPhase, Scratch.Recorded);
     }
@@ -421,28 +360,6 @@ size_t Detector::handleBatch(const pmu::Sample *Samples, size_t Count,
       TotalRecorded += Scratch.Recorded[I];
   }
   return TotalRecorded;
-}
-
-bool Detector::handleSample(const pmu::Sample &Sample, bool InParallelPhase,
-                            uint8_t AccessBytes) {
-  SamplesSeen.fetch_add(1, std::memory_order_relaxed);
-  if (!Shadow.covers(Sample.Address)) {
-    // Kernel, libraries, stack: Cheetah filters these out (Section 4.1).
-    SamplesFiltered.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-
-  bool PageRecorded = false;
-  if (Pages && Config.TrackPages) {
-    PageStage Stage{*this};
-    PageRecorded = runGrainStage(Stage, Sample, InParallelPhase);
-  }
-  if (!Config.TrackLines)
-    return PageRecorded;
-
-  LineStage Stage{*this, AccessBytes};
-  bool LineRecorded = runGrainStage(Stage, Sample, InParallelPhase);
-  return LineRecorded || PageRecorded;
 }
 
 std::vector<GrainStageSummary> Detector::stageSummaries() const {

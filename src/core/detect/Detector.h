@@ -15,7 +15,8 @@
 /// to parallel phases to avoid reporting initialize-then-share objects as
 /// shared (Section 2.4).
 ///
-/// handleSample and handleBatch are safe to call from many ingesting
+/// handleBatch is the only way samples reach the shadow tables; a single
+/// sample is a batch of one. It is safe to call from many ingesting
 /// threads concurrently, and entirely lock-free. Every grain and counter
 /// update is applied as soon as the call returns: nothing needs folding
 /// back before the tables are read.
@@ -94,46 +95,36 @@ class Detector {
 public:
   Detector(const CacheGeometry &Geometry, ShadowMemory &Shadow,
            const DetectorConfig &Config)
-      : Geometry(Geometry), Shadow(Shadow), Config(Config),
+      : Shadow(Shadow), Config(Config),
         LineDecoder(Geometry, Shadow.regions()) {}
 
   /// Enables the page-granularity stage: samples additionally update
   /// \p PageTable, with thread ids mapped to NUMA nodes through
   /// \p Topology. Both must outlive the detector. Call before ingestion
-  /// starts (not thread-safe against concurrent handleSample).
+  /// starts (not thread-safe against concurrent handleBatch).
   void attachPageTable(PageTable &Table, const NumaTopology &T) {
     Pages = &Table;
     Topology = &T;
   }
 
-  /// Processes one PMU sample. \p InParallelPhase reflects the phase
-  /// tracker's state at delivery time. \p AccessBytes is the access width
-  /// for word marking. Thread-safe.
-  /// \returns true if the sample was recorded in detailed tracking (at
-  /// either granularity).
-  bool handleSample(const pmu::Sample &Sample, bool InParallelPhase,
-                    uint8_t AccessBytes = 4);
-
-  /// Processes \p Count samples through the staged, data-parallel batch
-  /// pipeline — per grain stage: vector decode of the whole chunk
-  /// (coverage + line coordinates via the runtime-dispatched SIMD kernel),
-  /// a software-prefetched stage-1 write-counter sweep, a branchless
-  /// susceptibility filter that keeps cold samples from ever dereferencing
-  /// grain details, a grouping of the survivors by grain, and
-  /// distance-pipelined lookup + record sweeps over the grains. A grain hit
-  /// several times in one chunk records the whole run with one fold of its
-  /// summed statistics, and the detector's counters are added once per
-  /// chunk. Delivered serially, the result is identical
-  /// to calling handleSample on each sample in order; it is equally
-  /// thread-safe — concurrent ingesters may deliver batches
-  /// simultaneously.
+  /// Processes \p Count samples through the staged batch pipeline, in
+  /// chunks of DecodedBatch::Capacity — per grain stage: decode of the
+  /// whole chunk (coverage + line coordinates), a software-prefetched
+  /// stage-1 write-counter sweep, a branchless susceptibility filter that
+  /// keeps cold samples from ever dereferencing grain details, a grouping
+  /// of the survivors by grain, and distance-pipelined lookup + record
+  /// sweeps over the grains. A grain hit several times in one chunk records
+  /// the whole run with one fold of its summed statistics, and the
+  /// detector's counters are added once per chunk. Every grain ends exactly
+  /// as recording the samples one by one in order would leave it, so how a
+  /// stream is split into batches never shows. \p InParallelPhase reflects
+  /// the phase tracker's state at delivery time; \p AccessBytes is the
+  /// access width for word marking, shared by the batch. Thread-safe:
+  /// concurrent ingesters may deliver batches simultaneously.
   /// \returns the number of samples recorded in detailed tracking (at
   /// either granularity).
   size_t handleBatch(const pmu::Sample *Samples, size_t Count,
                      bool InParallelPhase, uint8_t AccessBytes = 4);
-
-  /// The decode kernel the batch pipeline dispatches to (bench/tests).
-  DecodeKernel decodeKernel() const { return LineDecoder.kernel(); }
 
   /// Snapshot of the counters (consistent once ingestion stops).
   DetectorStats stats() const {
@@ -167,27 +158,18 @@ private:
   struct LineStage;
   struct PageStage;
 
-  /// One grain stage's pipeline over one covered sample: stage-1 write
-  /// counting, stage-specific preparation (runs before the phase gate —
-  /// e.g. first-touch home publication), the parallel-phase gate,
-  /// susceptibility-thresholded materialization, sample decoding into
-  /// actor/bucket coordinates, and the record.
-  /// \returns true if the sample reached detailed tracking.
-  template <typename Stage>
-  bool runGrainStage(Stage &S, const pmu::Sample &Sample,
-                     bool InParallelPhase);
-
-  /// The batched counterpart: one grain stage's pipeline over a decoded
-  /// chunk (stage-1 counter sweep with prefetch, branchless filter,
-  /// grouping by grain, prefetched lookup and per-grain record sweeps).
-  /// Marks recorded samples in \p Recorded and returns how many this stage
-  /// recorded.
+  /// One grain stage's pipeline over a decoded chunk: stage-1 write
+  /// counting with prefetch plus stage-specific preparation (runs before
+  /// the phase gate — e.g. first-touch home publication), the
+  /// parallel-phase gate, the branchless susceptibility filter, grouping by
+  /// grain, and the prefetched lookup, materialization and per-grain record
+  /// sweeps. Marks recorded samples in \p Recorded and returns how many
+  /// this stage recorded.
   template <typename Stage>
   size_t runGrainStageBatch(Stage &S, const pmu::Sample *Samples,
                             size_t Count, const uint8_t *Covered,
                             bool InParallelPhase, uint8_t *Recorded);
 
-  CacheGeometry Geometry;
   ShadowMemory &Shadow;
   DetectorConfig Config;
   PageTable *Pages = nullptr;
@@ -199,8 +181,8 @@ private:
   std::atomic<uint64_t> PageSamplesRecorded{0};
   std::atomic<uint64_t> PageInvalidations{0};
   std::atomic<uint64_t> RemoteSamples{0};
-  /// Vector decoder over the line geometry and the shadow regions (the
-  /// page table's coverage is identical by the attach contract).
+  /// Decoder over the line geometry and the shadow regions (the page
+  /// table's coverage is identical by the attach contract).
   BatchDecoder LineDecoder;
 };
 

@@ -37,7 +37,7 @@
 #include "mem/MemoryAccess.h"
 #include "mem/NumaTopology.h"
 #include "support/Assert.h"
-#include "support/CpuFeatures.h"
+#include "support/Prefetch.h"
 
 #include <algorithm>
 #include <atomic>
@@ -128,7 +128,7 @@ public:
   bool covers(uint64_t Address) const { return slabFor(Address) != nullptr; }
 
   /// The monitored regions, in registration order — what a BatchDecoder
-  /// needs to evaluate this table's coverage data-parallel.
+  /// needs to evaluate this table's coverage for a whole batch.
   std::vector<ShadowRegion> regions() const {
     std::vector<ShadowRegion> Result;
     Result.reserve(Slabs.size());

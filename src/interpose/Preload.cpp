@@ -35,11 +35,6 @@ uint64_t cheetah::interpose::readTimestampCounter() {
 
 namespace {
 
-/// How many samples a thread buffers before handing them to the sink as
-/// one batch. Large enough to amortize the sink's per-batch bookkeeping
-/// lock, small enough that reports stay fresh.
-constexpr size_t SampleBatchCapacity = 256;
-
 /// One application thread's private sample staging area. The owner thread
 /// appends; the mutex only sees cross-thread traffic when summary() or
 /// endProfiling() drains all buffers, so the hot path takes an uncontended
@@ -175,11 +170,14 @@ void cheetah::interpose::recordSample(const pmu::Sample &Sample) {
   std::vector<pmu::Sample> Full;
   {
     std::lock_guard<std::mutex> Lock(Buffer.Lock);
-    if (Buffer.Samples.capacity() < SampleBatchCapacity)
-      Buffer.Samples.reserve(SampleBatchCapacity);
+    // A thread hands its samples over in batches of the backends' shared
+    // size: large enough to amortize the sink's per-batch bookkeeping
+    // lock, small enough that reports stay fresh.
+    if (Buffer.Samples.capacity() < pmu::SampleBatchCapacity)
+      Buffer.Samples.reserve(pmu::SampleBatchCapacity);
     Buffer.Samples.push_back(Sample);
     ++Buffer.Recorded;
-    if (Buffer.Samples.size() >= SampleBatchCapacity)
+    if (Buffer.Samples.size() >= pmu::SampleBatchCapacity)
       Full.swap(Buffer.Samples);
   }
   if (!Full.empty()) {

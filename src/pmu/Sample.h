@@ -17,6 +17,7 @@
 
 #include "mem/MemoryAccess.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 
@@ -36,6 +37,11 @@ struct Sample {
   /// Timestamp (virtual cycles in simulation, TSC for perf_event).
   uint64_t Timestamp = 0;
 };
+
+/// The most samples a backend hands its sink in one batch: the simulated
+/// PMU, trace replay and the interpose thread buffers all flush at this
+/// size, and the detector decodes in chunks of it.
+constexpr size_t SampleBatchCapacity = 256;
 
 /// Callback invoked for every delivered sample. In the real system this runs
 /// inside the per-thread signal handler (paper Section 2.1); in simulation it

@@ -64,10 +64,11 @@ public:
   virtual void threadFinished(ThreadId Tid, bool IsMain,
                               uint64_t EndCycle) = 0;
 
-  /// Delivers \p Count samples. Backends with synchronous per-sample
-  /// delivery (the simulator's sampling trap) pass batches of one; buffered
-  /// backends (perf_event ring drains, interpose thread buffers) pass
-  /// whole batches.
+  /// Delivers \p Count samples, in the order they were taken. Every
+  /// backend buffers: the simulated PMU and trace replay pass batches of at
+  /// most SampleBatchCapacity, handed over before each lifecycle event;
+  /// perf_event ring drains and interpose thread buffers pass whatever
+  /// they have collected.
   virtual void ingestBatch(const Sample *Samples, size_t Count) = 0;
 };
 

@@ -10,9 +10,16 @@ using namespace cheetah;
 using namespace cheetah::pmu;
 
 void SimPmu::reset() {
+  flush();
   Policies.clear();
   SamplesDelivered = 0;
   ThreadsConfigured = 0;
+}
+
+void SimPmu::flush() {
+  if (!Pending.empty() && sink())
+    sink()->ingestBatch(Pending.data(), Pending.size());
+  Pending.clear();
 }
 
 SamplingPolicy &SimPmu::policyFor(ThreadId Tid) {
@@ -31,7 +38,8 @@ SamplingPolicy &SimPmu::policyFor(ThreadId Tid) {
 uint64_t SimPmu::onThreadStart(ThreadId Tid, bool IsMain, uint64_t Now) {
   // Lifecycle reaches the sink whether or not sampling is enabled: the
   // profiler's thread registry and phase model track the program, not the
-  // PMU's on/off state.
+  // PMU's on/off state. The samples taken before it go first.
+  flush();
   if (sink())
     sink()->threadStarted(Tid, IsMain, Now);
   if (!Enabled)
@@ -44,6 +52,7 @@ uint64_t SimPmu::onThreadStart(ThreadId Tid, bool IsMain, uint64_t Now) {
 }
 
 void SimPmu::onThreadEnd(const sim::ThreadRecord &Record) {
+  flush();
   if (sink())
     sink()->threadFinished(Record.Tid, Record.IsMain, Record.EndCycle);
 }
@@ -77,10 +86,11 @@ uint64_t SimPmu::onMemoryAccess(ThreadId Tid, const MemoryAccess &Access,
     S.Timestamp = Now;
     if (Handler)
       Handler(S);
-    // Synchronous delivery at the sampled access: a batch of one, exactly
-    // what the real per-thread signal handler hands the runtime.
-    if (sink())
-      sink()->ingestBatch(&S, 1);
+    if (sink()) {
+      Pending.push_back(S);
+      if (Pending.size() == SampleBatchCapacity)
+        flush();
+    }
   }
   // One trap per crossing; multiple crossings within one instruction are
   // impossible for memory ops (they advance the countdown by exactly 1).

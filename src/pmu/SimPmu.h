@@ -9,12 +9,18 @@
 /// observer hooks, performing instruction-based address sampling over the
 /// instruction stream the simulator retires. Plays the role AMD IBS /
 /// Intel PEBS plays in the paper — it sees every retired instruction,
-/// fires every `SamplingPeriod` instructions on average, and delivers
-/// (address, tid, r/w, latency) samples to its sink synchronously at the
-/// sampled access (batches of one, like the real per-thread signal
-/// handler). Sample delivery and per-thread setup charge virtual cycles to
-/// the profiled thread, which is how Cheetah's runtime overhead becomes
-/// measurable inside the simulation (Figure 4).
+/// fires every `SamplingPeriod` instructions on average, and produces
+/// (address, tid, r/w, latency) samples at the sampled access. Sample
+/// delivery and per-thread setup charge virtual cycles to the profiled
+/// thread, which is how Cheetah's runtime overhead becomes measurable
+/// inside the simulation (Figure 4).
+///
+/// Samples reach the sink in delivery order through one buffer, handed
+/// over as a batch at pmu::SampleBatchCapacity samples, before every
+/// lifecycle event is forwarded, and in stop() and reset(). One buffer, not
+/// one per thread: invalidation counts depend on the cross-thread
+/// interleaving. No batch spans a lifecycle event, so none spans a phase
+/// change either.
 ///
 /// Thread lifecycle events forward to the sink even when sampling is
 /// disabled: an attached-but-disabled PMU stops the samples and the cycle
@@ -33,6 +39,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 namespace cheetah {
 namespace pmu {
@@ -40,10 +47,13 @@ namespace pmu {
 /// Instruction-based sampling backend over the simulator.
 class SimPmu : public SampleSource, public sim::SimObserver {
 public:
-  explicit SimPmu(const PmuConfig &Config) : Config(Config) {}
+  explicit SimPmu(const PmuConfig &Config) : Config(Config) {
+    Pending.reserve(SampleBatchCapacity);
+  }
 
   /// Installs a raw per-sample consumer alongside the sink (tests and
-  /// ablations that want the stream without a full SampleSink).
+  /// ablations that want the stream without a full SampleSink). It sees
+  /// each sample at the sampled access, unbuffered.
   void setHandler(SampleHandler NewHandler) { Handler = std::move(NewHandler); }
 
   /// Enables or disables sampling (an attached-but-disabled PMU charges no
@@ -53,20 +63,25 @@ public:
   /// Total threads that paid PMU setup.
   uint64_t threadsConfigured() const { return ThreadsConfigured; }
 
-  /// Clears per-run state (per-thread countdowns and counters).
+  /// Hands any buffered samples to the sink, then clears per-run state
+  /// (per-thread countdowns and counters).
   void reset();
 
   // SampleSource implementation. The simulator pushes through the observer
-  // hooks, so start/stop only toggle delivery and drain() has nothing to do.
+  // hooks, so start/stop only toggle delivery (stop() also hands over the
+  // buffered samples) and drain() has nothing to do.
   const char *name() const override { return "sim"; }
   SourceStatus start() override {
     setEnabled(true);
     return {true, ""};
   }
   SourceStatus stop() override {
+    flush();
     setEnabled(false);
     return {true, ""};
   }
+  /// Counts samples as they are taken; buffered ones reach the sink by
+  /// the next lifecycle event or stop().
   uint64_t samplesDelivered() const override { return SamplesDelivered; }
   sim::SimObserver *simObserver() override { return this; }
 
@@ -80,9 +95,13 @@ public:
 
 private:
   SamplingPolicy &policyFor(ThreadId Tid);
+  /// Hands the buffered samples to the sink as one batch.
+  void flush();
 
   PmuConfig Config;
   SampleHandler Handler;
+  /// Samples not yet handed to the sink, in delivery order.
+  std::vector<Sample> Pending;
   bool Enabled = true;
   uint64_t SamplesDelivered = 0;
   uint64_t ThreadsConfigured = 0;

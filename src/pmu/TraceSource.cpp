@@ -449,31 +449,44 @@ void TraceSource::ingestBatch(const Sample *Samples, size_t Count) {
 }
 
 size_t TraceSource::replayInto(SampleSink &Out) const {
+  // Samples go out in recorded order, in batches of at most
+  // SampleBatchCapacity handed over before every lifecycle event and at
+  // the end, just as the simulated PMU delivers them live. No batch spans
+  // a phase change, and the sink's results do not depend on where a batch
+  // is cut, so the replayed report is byte-identical to the recorded run's.
+  std::vector<Sample> Batch;
+  Batch.reserve(SampleBatchCapacity);
   size_t Delivered = 0;
+  auto Flush = [&] {
+    if (Batch.empty())
+      return;
+    Out.ingestBatch(Batch.data(), Batch.size());
+    Delivered += Batch.size();
+    Batch.clear();
+  };
   for (const TraceEvent &Event : Data.Events) {
     switch (Event.K) {
     case TraceEvent::Kind::ThreadStart:
+      Flush();
       Out.threadStarted(Event.Tid, Event.IsMain, Event.Time);
       break;
     case TraceEvent::Kind::ThreadEnd:
+      Flush();
       Out.threadFinished(Event.Tid, Event.IsMain, Event.Time);
       break;
     case TraceEvent::Kind::SamplePoint: {
-      // Batches of one, in recorded order: byte-identical reports depend
-      // on replay matching the recording backend's synchronous delivery
-      // (batched delivery would merge latency statistics in a different
-      // floating-point order).
-      Sample S;
+      Sample &S = Batch.emplace_back();
       S.Address = Event.Address;
       S.Tid = Event.Tid;
       S.IsWrite = Event.IsWrite;
       S.LatencyCycles = Event.LatencyCycles;
       S.Timestamp = Event.Time;
-      Out.ingestBatch(&S, 1);
-      ++Delivered;
+      if (Batch.size() == SampleBatchCapacity)
+        Flush();
       break;
     }
     }
   }
+  Flush();
   return Delivered;
 }

@@ -15,14 +15,15 @@
 /// that its thread lifecycle is one the profiler can follow (one main
 /// thread started first, each thread started once and ended at most once,
 /// dense tids), and feeds the recorded stream back through the same sink
-/// shape deterministically: lifecycle events in place, samples as batches
-/// of one, exactly as the simulator's synchronous sampling trap delivered
+/// shape deterministically: lifecycle events in place, samples in recorded
+/// order in batches of at most pmu::SampleBatchCapacity, each handed over
+/// before the next lifecycle event, exactly as the simulated PMU delivers
 /// them.
 ///
 /// Because detection is delivery-order-sensitive, a replayed trace must
 /// produce a byte-identical `cheetah-report-v5` to the live run that
-/// recorded it — CI records a NUMA workload, replays it, and `cmp`s the
-/// two reports in all three table builds.
+/// recorded it — CI records two NUMA workloads, replays them, and `cmp`s
+/// the reports.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -126,7 +127,8 @@ public:
   const TraceData &data() const { return Data; }
 
   /// Delivers the buffered stream into \p Out in recorded order —
-  /// lifecycle edges in place, samples as batches of one. Callable
+  /// lifecycle edges in place, samples in batches of at most
+  /// pmu::SampleBatchCapacity that never span a lifecycle edge. Callable
   /// repeatedly (the daemon replays one trace every epoch).
   /// \returns samples delivered by this pass.
   size_t replayInto(SampleSink &Out) const;

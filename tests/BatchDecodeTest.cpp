@@ -9,19 +9,21 @@
 ///
 ///  - BatchDecoder edge cases: line-straddling accesses, AccessBytes == 0,
 ///    end-of-line clamping, and addresses outside shadow coverage, checked
-///    against the per-sample decode arithmetic — plus the SIMD-vs-scalar
-///    differential (the two kernels must produce identical records for
-///    every stream, including non-multiple-of-4 tails);
+///    against the decode arithmetic restated per sample — plus random
+///    streams over random geometries at every batch length;
 ///
-///  - Detector::handleBatch against a handleSample reference over the same
-///    stream: detector counters and full per-grain snapshots must match
-///    exactly, at line and page granularity, including batches larger than
-///    the 256-sample chunk capacity, and the parallel-phase gate must keep
-///    stage-1 counting and home publication while recording nothing;
+///  - Detector::handleBatch against the per-sample reference
+///    (tests/PerSampleReference.h) over the same stream: detector counters
+///    and full per-grain snapshots must match exactly, at line and page
+///    granularity, including batches larger than the 256-sample chunk
+///    capacity, and the parallel-phase gate must keep stage-1 counting and
+///    home publication while recording nothing;
 ///
 ///  - Profiler::ingestBatch bookkeeping: a batch carrying more distinct
 ///    tids than the fixed scratch table (MaxBatchTids) must flush and
-///    continue, conserving every thread's sampled totals.
+///    continue, conserving every thread's sampled totals, and a serial
+///    phase's average latency must not depend on how its samples were
+///    split into batches.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,9 +35,14 @@
 #include "mem/NumaTopology.h"
 #include "support/Random.h"
 
+#include "PerSampleReference.h"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ios>
 #include <map>
+#include <string>
 #include <vector>
 
 using namespace cheetah;
@@ -45,7 +52,7 @@ namespace {
 
 constexpr uint64_t RegionBase = 0x4000'0000;
 
-/// The per-sample decode arithmetic, restated independently: word index,
+/// The decode arithmetic, restated independently per sample: word index,
 /// end-of-line-clamped span, and region coverage for one address.
 struct ReferenceDecode {
   uint8_t Covered;
@@ -112,8 +119,7 @@ TEST(BatchDecodeTest, LineStraddlingAccessesClampToTheLineEnd) {
   BatchDecoder Decoder(Geometry, Regions);
 
   // An 8-byte access starting at offset 60 straddles into the next line:
-  // it must mark only the last word of its first line (span 1), exactly
-  // like the per-sample decode.
+  // it must mark only the last word of its first line (span 1).
   std::vector<pmu::Sample> Samples = samplesAt(
       {RegionBase + 60, RegionBase + 62, RegionBase + 63, RegionBase + 56});
   DecodedBatch Out;
@@ -173,38 +179,19 @@ TEST(BatchDecodeTest, AddressesOutsideShadowCoverageAreFlaggedUncovered) {
 }
 
 //===----------------------------------------------------------------------===//
-// SIMD-vs-scalar differential
+// Random streams against the reference arithmetic
 //===----------------------------------------------------------------------===//
 
-TEST(BatchDecodeTest, ForcedScalarDecoderAlwaysRunsTheScalarKernel) {
-  CacheGeometry Geometry(64);
-  BatchDecoder Forced(Geometry, {{RegionBase, 4096}}, /*ForceScalar=*/true);
-  EXPECT_EQ(Forced.kernel(), DecodeKernel::Scalar);
-  EXPECT_STREQ(decodeKernelName(Forced.kernel()), "scalar");
-
-  // The default decoder picks the widest kernel the build + CPU support.
-  BatchDecoder Default(Geometry, {{RegionBase, 4096}});
-  if (BatchDecoder::simdAvailable()) {
-    EXPECT_EQ(Default.kernel(), DecodeKernel::Avx2);
-    EXPECT_STREQ(decodeKernelName(Default.kernel()), "avx2");
-  } else {
-    EXPECT_EQ(Default.kernel(), DecodeKernel::Scalar);
-  }
-}
-
-TEST(BatchDecodeTest, SimdAndScalarKernelsProduceIdenticalRecords) {
-  // Random streams over random geometries: both kernels must agree record
-  // for record, at every batch length (covering the SIMD tail handling for
-  // counts that are not multiples of the vector width). When the SIMD
-  // kernel is unavailable this degenerates to scalar-vs-scalar and the
-  // reference check still pins correctness.
+TEST(BatchDecodeTest, DecoderMatchesTheReferenceOnRandomStreams) {
+  // Random streams over random geometries, at every batch length up to a
+  // full chunk: the decoder must agree with the reference record for
+  // record.
   SplitMix64 Rng(0xDEC0DE);
   for (uint64_t LineSize : {16, 32, 64, 128, 256}) {
     CacheGeometry Geometry(LineSize);
     std::vector<ShadowRegion> Regions{{RegionBase, 64 * LineSize},
                                       {0x7000'0000, 16 * LineSize}};
-    BatchDecoder Simd(Geometry, Regions);
-    BatchDecoder Scalar(Geometry, Regions, /*ForceScalar=*/true);
+    BatchDecoder Decoder(Geometry, Regions);
 
     for (size_t Count : {size_t(1), size_t(2), size_t(3), size_t(4),
                          size_t(5), size_t(7), size_t(63), size_t(256)}) {
@@ -228,24 +215,15 @@ TEST(BatchDecodeTest, SimdAndScalarKernelsProduceIdenticalRecords) {
         }
       }
       uint8_t AccessBytes = static_cast<uint8_t>(Rng.nextBelow(17));
-      DecodedBatch FromSimd, FromScalar;
-      Simd.decode(Samples.data(), Count, AccessBytes, FromSimd);
-      Scalar.decode(Samples.data(), Count, AccessBytes, FromScalar);
-      for (size_t I = 0; I < Count; ++I) {
-        ASSERT_EQ(FromSimd.Covered[I], FromScalar.Covered[I])
-            << "line " << LineSize << " count " << Count << " sample " << I;
-        ASSERT_EQ(FromSimd.Bucket[I], FromScalar.Bucket[I])
-            << "line " << LineSize << " count " << Count << " sample " << I;
-        ASSERT_EQ(FromSimd.Span[I], FromScalar.Span[I])
-            << "line " << LineSize << " count " << Count << " sample " << I;
-      }
-      expectMatchesReference(Scalar, Geometry, Regions, Samples, AccessBytes);
+      SCOPED_TRACE("line " + std::to_string(LineSize) + " count " +
+                   std::to_string(Count));
+      expectMatchesReference(Decoder, Geometry, Regions, Samples, AccessBytes);
     }
   }
 }
 
 //===----------------------------------------------------------------------===//
-// handleBatch vs handleSample: full-state equivalence
+// handleBatch vs the per-sample reference: full-state equivalence
 //===----------------------------------------------------------------------===//
 
 /// A deterministic mixed stream: mostly covered addresses with straddling
@@ -293,7 +271,7 @@ void expectSnapshotsEqual(const GrainSnapshot &Got, const GrainSnapshot &Want,
   }
 }
 
-TEST(BatchDecodeTest, HandleBatchMatchesHandleSampleAtLineGranularity) {
+TEST(BatchDecodeTest, HandleBatchMatchesPerSampleReferenceAtLineGranularity) {
   constexpr uint64_t NumLines = 128;
   constexpr uint64_t LineSize = 64;
   CacheGeometry Geometry(LineSize);
@@ -306,7 +284,7 @@ TEST(BatchDecodeTest, HandleBatchMatchesHandleSampleAtLineGranularity) {
                                                 /*Count=*/3000, /*Seed=*/7);
 
   ShadowMemory WantShadow(Geometry, {{RegionBase, NumLines * LineSize}});
-  Detector Want(Geometry, WantShadow, Config);
+  test::PerSampleReference Want(WantShadow, Config);
   size_t WantRecorded = 0;
   for (const pmu::Sample &Sample : Stream)
     WantRecorded += Want.handleSample(Sample, /*InParallelPhase=*/true);
@@ -338,7 +316,7 @@ TEST(BatchDecodeTest, HandleBatchMatchesHandleSampleAtLineGranularity) {
   EXPECT_EQ(GotLines, WantLines.size());
 }
 
-TEST(BatchDecodeTest, HandleBatchMatchesHandleSampleAtPageGranularity) {
+TEST(BatchDecodeTest, HandleBatchMatchesPerSampleReferenceAtPageGranularity) {
   constexpr uint64_t PageSize = 4096;
   constexpr uint64_t NumPages = 8;
   constexpr uint64_t LineSize = 64;
@@ -353,7 +331,7 @@ TEST(BatchDecodeTest, HandleBatchMatchesHandleSampleAtPageGranularity) {
 
   ShadowMemory WantShadow(Geometry, {{RegionBase, NumPages * PageSize}});
   PageTable WantPages(Topology, Geometry, {{RegionBase, NumPages * PageSize}});
-  Detector Want(Geometry, WantShadow, Config);
+  test::PerSampleReference Want(WantShadow, Config);
   Want.attachPageTable(WantPages, Topology);
   for (const pmu::Sample &Sample : Stream)
     Want.handleSample(Sample, /*InParallelPhase=*/true);
@@ -443,7 +421,7 @@ TEST(BatchDecodeTest, SerialPhaseBatchesCountWritesAndPublishHomesOnly) {
 }
 
 //===----------------------------------------------------------------------===//
-// Profiler::ingestBatch tid-scratch overflow
+// Profiler::ingestBatch bookkeeping
 //===----------------------------------------------------------------------===//
 
 TEST(BatchDecodeTest, BatchWithThirtyTwoTidsConservesPerThreadTotals) {
@@ -482,6 +460,41 @@ TEST(BatchDecodeTest, BatchWithThirtyTwoTidsConservesPerThreadTotals) {
   EXPECT_EQ(Prof.threadRegistry().totalSampledAccesses(),
             uint64_t(NumTids) * SamplesPerTid);
   EXPECT_EQ(Prof.detector().stats().SamplesSeen, Batch.size());
+}
+
+TEST(BatchDecodeTest, SerialLatencyIsIndependentOfBatchShape) {
+  // The serial-phase average is the EQ.1 baseline written into every
+  // report, so it must come out bit for bit the same whether a stream
+  // arrives one sample per call or cut into batches of any size.
+  ProfilerConfig Config;
+  SplitMix64 Rng(0x5E41A1);
+  std::vector<pmu::Sample> Stream(2500);
+  for (pmu::Sample &Sample : Stream) {
+    Sample.Address = Config.HeapArenaBase + Rng.nextBelow(4096) * 4;
+    Sample.IsWrite = Rng.nextBool(0.5);
+    Sample.LatencyCycles = 1 + static_cast<uint32_t>(Rng.nextBelow(400));
+  }
+
+  Profiler OneByOne(Config);
+  OneByOne.threadStarted(0, /*IsMain=*/true, 0);
+  for (const pmu::Sample &Sample : Stream)
+    OneByOne.ingestBatch(&Sample, 1);
+
+  Profiler Split(Config);
+  Split.threadStarted(0, /*IsMain=*/true, 0);
+  for (size_t Offset = 0; Offset < Stream.size();) {
+    size_t Count = std::min<size_t>(1 + Rng.nextBelow(600),
+                                    Stream.size() - Offset);
+    Split.ingestBatch(Stream.data() + Offset, Count);
+    Offset += Count;
+  }
+
+  ReportRunStats Want = OneByOne.runStats(0), Got = Split.runStats(0);
+  EXPECT_EQ(Want.SerialSamples, Stream.size());
+  EXPECT_EQ(Got.SerialSamples, Want.SerialSamples);
+  EXPECT_EQ(Got.SerialAverageLatency, Want.SerialAverageLatency)
+      << std::hexfloat << Got.SerialAverageLatency << " vs "
+      << Want.SerialAverageLatency;
 }
 
 } // namespace

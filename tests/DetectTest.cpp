@@ -486,6 +486,11 @@ pmu::Sample makeSample(uint64_t Address, ThreadId Tid, bool IsWrite,
   return Sample;
 }
 
+/// Delivers one sample as a batch of one. \returns true if it was recorded.
+bool deliver(Detector &D, const pmu::Sample &S, bool InParallelPhase) {
+  return D.handleBatch(&S, 1, InParallelPhase) != 0;
+}
+
 class DetectorTest : public ::testing::Test {
 protected:
   CacheGeometry Geometry{64};
@@ -495,35 +500,34 @@ protected:
 };
 
 TEST_F(DetectorTest, FiltersSamplesOutsideMonitoredRegions) {
-  EXPECT_FALSE(Detect.handleSample(makeSample(0x7fff0000, 0, true), true));
+  EXPECT_FALSE(deliver(Detect, makeSample(0x7fff0000, 0, true), true));
   EXPECT_EQ(Detect.stats().SamplesFiltered, 1u);
   EXPECT_EQ(Detect.stats().SamplesRecorded, 0u);
 }
 
 TEST_F(DetectorTest, WriteThresholdGatesDetailTracking) {
   // Writes 1 and 2 only bump the counter; write 3 crosses the threshold.
-  EXPECT_FALSE(Detect.handleSample(makeSample(0x40000000, 0, true), true));
-  EXPECT_FALSE(Detect.handleSample(makeSample(0x40000000, 1, true), true));
+  EXPECT_FALSE(deliver(Detect, makeSample(0x40000000, 0, true), true));
+  EXPECT_FALSE(deliver(Detect, makeSample(0x40000000, 1, true), true));
   EXPECT_EQ(Shadow.materializedLines(), 0u);
-  EXPECT_TRUE(Detect.handleSample(makeSample(0x40000000, 0, true), true));
+  EXPECT_TRUE(deliver(Detect, makeSample(0x40000000, 0, true), true));
   EXPECT_EQ(Shadow.materializedLines(), 1u);
 }
 
 TEST_F(DetectorTest, ReadOnlyLinesNeverMaterialize) {
   for (int I = 0; I < 100; ++I)
-    Detect.handleSample(makeSample(0x40000040, I % 4, false), true);
+    deliver(Detect, makeSample(0x40000040, I % 4, false), true);
   EXPECT_EQ(Shadow.materializedLines(), 0u);
 }
 
 TEST_F(DetectorTest, SerialPhaseSamplesNotRecordedInDetail) {
   for (int I = 0; I < 10; ++I)
-    EXPECT_FALSE(
-        Detect.handleSample(makeSample(0x40000000, 0, true), false));
+    EXPECT_FALSE(deliver(Detect, makeSample(0x40000000, 0, true), false));
   // Write counts accumulated, but no detail materialized during serial.
   EXPECT_EQ(Shadow.writeCount(0x40000000), 10u);
   EXPECT_EQ(Shadow.materializedLines(), 0u);
   // Once parallel begins, the susceptible line materializes immediately.
-  EXPECT_TRUE(Detect.handleSample(makeSample(0x40000000, 1, true), true));
+  EXPECT_TRUE(deliver(Detect, makeSample(0x40000000, 1, true), true));
 }
 
 TEST_F(DetectorTest, PredatorStyleConfigRecordsSerialPhases) {
@@ -531,22 +535,22 @@ TEST_F(DetectorTest, PredatorStyleConfigRecordsSerialPhases) {
   Always.OnlyParallelPhases = false;
   Detector Eager(Geometry, Shadow, Always);
   for (int I = 0; I < 3; ++I)
-    Eager.handleSample(makeSample(0x40000080, 0, true), false);
+    deliver(Eager, makeSample(0x40000080, 0, true), false);
   EXPECT_EQ(Shadow.materializedLines(), 1u);
 }
 
 TEST_F(DetectorTest, InvalidationsCountedAcrossThreads) {
   for (int I = 0; I < 20; ++I)
-    Detect.handleSample(makeSample(0x40000000, I % 2, true), true);
+    deliver(Detect, makeSample(0x40000000, I % 2, true), true);
   EXPECT_GT(Detect.stats().Invalidations, 10u);
 }
 
 TEST_F(DetectorTest, StraddlingAccessClampedToLine) {
   // 8-byte access starting at the last word of a line must not assert.
   uint64_t LastWord = 0x40000000 + 60;
-  Detect.handleSample(makeSample(LastWord, 0, true), true);
-  Detect.handleSample(makeSample(LastWord, 1, true), true);
-  EXPECT_TRUE(Detect.handleSample(makeSample(LastWord, 0, true), true));
+  deliver(Detect, makeSample(LastWord, 0, true), true);
+  deliver(Detect, makeSample(LastWord, 1, true), true);
+  EXPECT_TRUE(deliver(Detect, makeSample(LastWord, 0, true), true));
 }
 
 //===----------------------------------------------------------------------===//

@@ -46,6 +46,11 @@ pmu::Sample makeSample(uint64_t Address, ThreadId Tid, bool IsWrite,
   return Sample;
 }
 
+/// Delivers one sample as a batch of one. \returns true if it was recorded.
+bool deliver(Detector &D, const pmu::Sample &S, bool InParallelPhase) {
+  return D.handleBatch(&S, 1, InParallelPhase) != 0;
+}
+
 /// Live counters summed over every materialized grain.
 struct LiveTotals {
   uint64_t Accesses = 0;
@@ -125,7 +130,7 @@ TEST(EvictionFootprintTest, MaterializedInfoBytesMatchArithmetic) {
   constexpr size_t Tracked = 32;
   for (size_t I = 0; I < Tracked; ++I)
     for (ThreadId Tid = 0; Tid < 2; ++Tid)
-      Detect.handleSample(makeSample(RegionBase + I * 64, Tid, true), true);
+      deliver(Detect, makeSample(RegionBase + I * 64, Tid, true), true);
 
   EXPECT_EQ(Shadow.materializedGrains(), Tracked);
   size_t SlabBytes = (Size / 64) * (sizeof(std::atomic<uint32_t>) +
@@ -301,8 +306,8 @@ TEST(EvictionConservationTest, ResiduePlusLiveEqualsUnboundedTotals) {
       pmu::Sample Sample =
           makeSample(Address, static_cast<ThreadId>(Rng.next() % 3),
                      /*IsWrite=*/true, 1 + Rng.next() % 100);
-      DetectUnbounded.handleSample(Sample, true);
-      DetectBounded.handleSample(Sample, true);
+      deliver(DetectUnbounded, Sample, true);
+      deliver(DetectBounded, Sample, true);
     }
     EXPECT_GT(Bounded.enforceBudget(), 0u);
   }
@@ -422,7 +427,7 @@ TEST(EvictionSoakTest, FootprintStaysUnderBudgetAcrossTenEpochs) {
   // epoch must evict nearly everything it materialized to fit.
   for (size_t I = 0; I < GrainsPerEpoch; ++I)
     for (ThreadId Tid = 0; Tid < 2; ++Tid)
-      Detect.handleSample(makeSample(RegionBase + I * 64, Tid, true), true);
+      deliver(Detect, makeSample(RegionBase + I * 64, Tid, true), true);
   Shadow.setByteBudget(1); // allocate the epoch baselines
   size_t Floor = Shadow.footprintBytes() - liveTotals(Shadow).InfoBytes;
   size_t Budget = Floor + 4096;
@@ -437,8 +442,7 @@ TEST(EvictionSoakTest, FootprintStaysUnderBudgetAcrossTenEpochs) {
     for (size_t I = 0; I < GrainsPerEpoch; ++I) {
       size_t Grain = (Epoch * GrainsPerEpoch + I) % TotalGrains;
       for (ThreadId Tid = 0; Tid < 2; ++Tid)
-        Detect.handleSample(makeSample(RegionBase + Grain * 64, Tid, true),
-                            true);
+        deliver(Detect, makeSample(RegionBase + Grain * 64, Tid, true), true);
     }
       Shadow.enforceBudget();
     EXPECT_LE(Shadow.footprintBytes(), Budget) << "epoch " << Epoch;
@@ -459,8 +463,8 @@ TEST(EvictionDecayTest, EvictedGrainReadsUnmaterializedAndReEarnsTracking) {
   Config.WriteThreshold = 0;
   Detector Detect{Geometry, Shadow, Config};
 
-  Detect.handleSample(makeSample(RegionBase, 0, true), true);
-  Detect.handleSample(makeSample(RegionBase, 1, true), true);
+  deliver(Detect, makeSample(RegionBase, 0, true), true);
+  deliver(Detect, makeSample(RegionBase, 1, true), true);
   ASSERT_NE(Shadow.detail(RegionBase), nullptr);
   ASSERT_EQ(Shadow.materializedGrains(), 1u);
 
@@ -475,7 +479,7 @@ TEST(EvictionDecayTest, EvictedGrainReadsUnmaterializedAndReEarnsTracking) {
   EXPECT_EQ(Shadow.evictedResidue().Accesses, 2u);
 
   // Traffic returning to the decayed grain re-materializes it fresh.
-  Detect.handleSample(makeSample(RegionBase, 0, true), true);
+  deliver(Detect, makeSample(RegionBase, 0, true), true);
   ASSERT_NE(Shadow.detail(RegionBase), nullptr);
   EXPECT_EQ(Shadow.detail(RegionBase)->accesses(), 1u);
   EXPECT_EQ(Shadow.materializedGrains(), 1u);

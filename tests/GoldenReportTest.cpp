@@ -7,11 +7,13 @@
 /// \file
 /// Byte-exact differential gate for the JSON report pipeline: every
 /// registered workload's `cheetah-report-v5` document must match its
-/// checked-in golden under tests/goldens/, with either decode kernel
-/// (-DCHEETAH_FORCE_SCALAR=ON compiles the AVX2 one out). This is the
-/// executable form of the refactor contract — the granularity-generic
-/// detection core and any ingestion-mode change must be observationally
-/// invisible at the report boundary, down to the last byte.
+/// checked-in golden under tests/goldens/. This is the executable form of
+/// the refactor contract — the granularity-generic detection core and any
+/// ingestion change must be observationally invisible at the report
+/// boundary, down to the last byte. One golden samples every access
+/// (streamcluster.p1.json, 16,384 serial-phase samples over many
+/// batches), so a serial-phase average that drifted with how samples
+/// are batched would show.
 ///
 /// Goldens regenerate with the exact flags encoded here, e.g.:
 ///   cheetah-profile --workload=kmeans --format=json \
@@ -19,6 +21,9 @@
 ///   cheetah-profile --workload=numa_first_touch --granularity=both \
 ///       --sampling-period=256 --threads=8 --format=json \
 ///       --output=tests/goldens/numa_first_touch.both.json
+///   cheetah-profile --workload=streamcluster --sampling-period=1
+///       --scale=2 --granularity=line --format=json
+///       --output=tests/goldens/streamcluster.p1.json   (one command)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -146,6 +151,20 @@ TEST(GoldenReportTest, BothGranularityGoldensMatch) {
     expectByteIdentical(Got, readFile(GoldenDir / (Name + ".both.json")),
                         Name + " both");
   }
+}
+
+TEST(GoldenReportTest, DenseSamplingGoldenMatches) {
+  // Every access sampled: 1.9M samples, 16,384 of them in serial phases,
+  // spread over thousands of batches. The serial-phase average latency in
+  // the report must not depend on where the batches are cut.
+  std::string Error;
+  std::string Got = generateReport(
+      {"--workload=streamcluster", "--sampling-period=1", "--scale=2",
+       "--granularity=line"},
+      Error);
+  ASSERT_FALSE(Got.empty()) << Error;
+  expectByteIdentical(Got, readFile(GoldenDir / "streamcluster.p1.json"),
+                      "streamcluster p1");
 }
 
 } // namespace

@@ -45,6 +45,11 @@ pmu::Sample makeSample(uint64_t Address, ThreadId Tid, bool IsWrite,
   return Sample;
 }
 
+/// Delivers one sample as a batch of one. \returns true if it was recorded.
+bool deliver(Detector &D, const pmu::Sample &S, bool InParallelPhase) {
+  return D.handleBatch(&S, 1, InParallelPhase) != 0;
+}
+
 //===----------------------------------------------------------------------===//
 // NumaTopology geometry and affinity
 //===----------------------------------------------------------------------===//
@@ -242,15 +247,15 @@ TEST(PageDetectorTest, PagesBelowWriteThresholdNeverMaterialize) {
   Config.PageWriteThreshold = 2;
   PageDetectorHarness H(Config);
 
-  H.Detect.handleSample(makeSample(RegionBase, 1, true), true);
-  H.Detect.handleSample(makeSample(RegionBase + 8, 2, true), true);
+  deliver(H.Detect, makeSample(RegionBase, 1, true), true);
+  deliver(H.Detect, makeSample(RegionBase + 8, 2, true), true);
   EXPECT_EQ(H.Pages.materializedPages(), 0u);
   // Sampled reads on a page below the threshold stay cheap too.
-  H.Detect.handleSample(makeSample(RegionBase + 12, 1, false), true);
+  deliver(H.Detect, makeSample(RegionBase + 12, 1, false), true);
   EXPECT_EQ(H.Pages.materializedPages(), 0u);
   // The third sampled write crosses the threshold and materializes,
   // matching the line stage's contract.
-  H.Detect.handleSample(makeSample(RegionBase + 16, 1, true), true);
+  deliver(H.Detect, makeSample(RegionBase + 16, 1, true), true);
   EXPECT_EQ(H.Pages.materializedPages(), 1u);
 
   DetectorStats Stats = H.Detect.stats();
@@ -264,15 +269,15 @@ TEST(PageDetectorTest, SerialPhaseSetsHomesButRecordsNoDetail) {
   PageDetectorHarness H(Config);
 
   // Serial phase: main (node 0) touches two pages.
-  H.Detect.handleSample(makeSample(RegionBase, 0, true), false);
-  H.Detect.handleSample(makeSample(RegionBase + PageSize, 0, true), false);
+  deliver(H.Detect, makeSample(RegionBase, 0, true), false);
+  deliver(H.Detect, makeSample(RegionBase + PageSize, 0, true), false);
   EXPECT_EQ(H.Pages.homeNode(RegionBase), 0u);
   EXPECT_EQ(H.Pages.homeNode(RegionBase + PageSize), 0u);
   EXPECT_EQ(H.Pages.materializedPages(), 0u);
   EXPECT_EQ(H.Detect.stats().PageSamplesRecorded, 0u);
 
   // Parallel phase: thread 1 (node 1) writes the first page — remote.
-  H.Detect.handleSample(makeSample(RegionBase + 64, 1, true), true);
+  deliver(H.Detect, makeSample(RegionBase + 64, 1, true), true);
   DetectorStats Stats = H.Detect.stats();
   EXPECT_EQ(Stats.PageSamplesRecorded, 1u);
   EXPECT_EQ(Stats.RemoteSamples, 1u);
@@ -291,7 +296,7 @@ TEST(PageDetectorTest, CrossNodeHammerCountsPageInvalidations) {
   for (unsigned I = 0; I < 100; ++I) {
     ThreadId Tid = 1 + (I % 2);
     uint64_t Line = Tid * 4 * LineSize;
-    H.Detect.handleSample(makeSample(RegionBase + Line, Tid, true), true);
+    deliver(H.Detect, makeSample(RegionBase + Line, Tid, true), true);
   }
   DetectorStats Stats = H.Detect.stats();
   EXPECT_EQ(Stats.PageSamplesRecorded, 100u);
@@ -313,8 +318,7 @@ TEST(PageDetectorTest, LineStageOffLeavesLineCountersUntouched) {
   PageDetectorHarness H(Config);
 
   for (unsigned I = 0; I < 50; ++I)
-    H.Detect.handleSample(makeSample(RegionBase + I * 8, 1 + (I % 2), true),
-                          true);
+    deliver(H.Detect, makeSample(RegionBase + I * 8, 1 + (I % 2), true), true);
   DetectorStats Stats = H.Detect.stats();
   EXPECT_EQ(Stats.SamplesSeen, 50u);
   EXPECT_EQ(Stats.SamplesRecorded, 0u);

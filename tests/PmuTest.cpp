@@ -12,8 +12,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <limits>
+#include <string>
 #include <vector>
 
 using namespace cheetah;
@@ -203,48 +203,104 @@ TEST(SimPmuTest, ResetClearsCounters) {
   EXPECT_EQ(Pmu.threadsConfigured(), 0u);
 }
 
+/// Records the sink-side stream: lifecycle edges and batch sizes in
+/// delivery order, plus every delivered sample.
+struct EventLog : SampleSink {
+  std::vector<std::string> Entries;
+  std::vector<Sample> Samples;
+
+  void threadStarted(ThreadId Tid, bool, uint64_t) override {
+    Entries.push_back("start " + std::to_string(Tid));
+  }
+  void threadFinished(ThreadId Tid, bool, uint64_t) override {
+    Entries.push_back("end " + std::to_string(Tid));
+  }
+  void ingestBatch(const Sample *Batch, size_t Count) override {
+    Entries.push_back("batch " + std::to_string(Count));
+    Samples.insert(Samples.end(), Batch, Batch + Count);
+  }
+};
+
+sim::ThreadRecord endRecord(ThreadId Tid, bool IsMain, uint64_t EndCycle) {
+  sim::ThreadRecord Record;
+  Record.Tid = Tid;
+  Record.IsMain = IsMain;
+  Record.EndCycle = EndCycle;
+  return Record;
+}
+
 TEST(SimPmuTest, LifecycleForwardsToSinkEvenWhenDisabled) {
   // An attached-but-disabled PMU silences samples and cycle charges, not
   // the profiler's view of the thread set: lifecycle tracks the program.
   PmuConfig Config;
   Config.SamplingPeriod = 1;
   SimPmu Pmu(Config);
-
-  struct : SampleSink {
-    std::vector<ThreadId> Started, Finished;
-    size_t Batches = 0, MaxBatch = 0;
-    void threadStarted(ThreadId Tid, bool, uint64_t) override {
-      Started.push_back(Tid);
-    }
-    void threadFinished(ThreadId Tid, bool, uint64_t) override {
-      Finished.push_back(Tid);
-    }
-    void ingestBatch(const Sample *, size_t Count) override {
-      ++Batches;
-      MaxBatch = std::max(MaxBatch, Count);
-    }
-  } Sink;
+  EventLog Sink;
   Pmu.setSink(&Sink);
 
   Pmu.setEnabled(false);
   EXPECT_EQ(Pmu.onThreadStart(0, true, 0), 0u);
   Pmu.onMemoryAccess(0, MemoryAccess::read(0x10), hitResult(3), 0);
-  EXPECT_EQ(Sink.Started, std::vector<ThreadId>{0});
-  EXPECT_EQ(Sink.Batches, 0u);
+  EXPECT_EQ(Sink.Entries, std::vector<std::string>{"start 0"});
 
   Pmu.setEnabled(true);
   for (int I = 0; I < 4; ++I)
     Pmu.onMemoryAccess(0, MemoryAccess::write(0x20), hitResult(3), I);
-  // Delivery mirrors the real signal handler: batches of exactly one.
-  EXPECT_EQ(Sink.Batches, 4u);
-  EXPECT_EQ(Sink.MaxBatch, 1u);
+  // The samples wait in the buffer, and go out as one batch ahead of the
+  // lifecycle event that follows them.
+  EXPECT_EQ(Sink.Entries, std::vector<std::string>{"start 0"});
+  Pmu.onThreadEnd(endRecord(0, true, 99));
+  EXPECT_EQ(Sink.Entries,
+            (std::vector<std::string>{"start 0", "batch 4", "end 0"}));
+}
 
-  sim::ThreadRecord Record;
-  Record.Tid = 0;
-  Record.IsMain = true;
-  Record.EndCycle = 99;
-  Pmu.onThreadEnd(Record);
-  EXPECT_EQ(Sink.Finished, std::vector<ThreadId>{0});
+TEST(SimPmuTest, BatchesFollowTheHandlerStreamAndNeverSpanLifecycle) {
+  // Two threads' interleaved samples across their lifecycles: the sink
+  // must receive them in batches of at most SampleBatchCapacity, cut
+  // before every lifecycle event, with stop() handing over the partial
+  // batch at the end. Joined together, the batches are the per-sample
+  // handler stream, in order.
+  PmuConfig Config;
+  Config.SamplingPeriod = 1;
+  Config.JitterFraction = 0.0;
+  SimPmu Pmu(Config);
+  std::vector<Sample> Handled;
+  Pmu.setHandler([&](const Sample &S) { Handled.push_back(S); });
+  EventLog Sink;
+  Pmu.setSink(&Sink);
+  ASSERT_TRUE(Pmu.start().Available);
+
+  uint64_t Now = 0;
+  auto Access = [&](ThreadId Tid, int Count) {
+    for (int I = 0; I < Count; ++I, ++Now)
+      Pmu.onMemoryAccess(Tid, MemoryAccess::write(0x1000 + 8 * (Now % 64)),
+                         hitResult(3 + Now % 7), Now);
+  };
+  Pmu.onThreadStart(0, true, Now);
+  Access(0, 300);
+  Pmu.onThreadStart(1, false, Now);
+  for (int Round = 0; Round < 100; ++Round) {
+    Access(0, 2);
+    Access(1, 3);
+  }
+  Pmu.onThreadEnd(endRecord(1, false, Now));
+  Access(0, 10);
+  ASSERT_TRUE(Pmu.stop().Available);
+
+  EXPECT_EQ(Sink.Entries,
+            (std::vector<std::string>{"start 0", "batch 256", "batch 44",
+                                      "start 1", "batch 256", "batch 244",
+                                      "end 1", "batch 10"}));
+  ASSERT_EQ(Handled.size(), 810u);
+  ASSERT_EQ(Sink.Samples.size(), Handled.size());
+  for (size_t I = 0; I < Handled.size(); ++I) {
+    EXPECT_EQ(Sink.Samples[I].Address, Handled[I].Address) << "sample " << I;
+    EXPECT_EQ(Sink.Samples[I].Tid, Handled[I].Tid) << "sample " << I;
+    EXPECT_EQ(Sink.Samples[I].LatencyCycles, Handled[I].LatencyCycles)
+        << "sample " << I;
+    EXPECT_EQ(Sink.Samples[I].Timestamp, Handled[I].Timestamp)
+        << "sample " << I;
+  }
 }
 
 TEST(PmuConfigTest, WithScaledPeriodKeepsOverheadDensity) {

@@ -43,14 +43,15 @@
 ///    give the same acceptance, events and error string; and replay of
 ///    traces with duplicated, dropped, swapped and retimed thread
 ///    lifecycle events must either replay or be rejected, never abort;
-///  - the batch sample decoder (both kernels) against the per-sample decode
-///    formula: fuzzed geometries/addresses/access widths, plus an
+///  - the batch sample decoder against the decode formula restated per
+///    sample: fuzzed geometries/addresses/access widths, plus an
 ///    exhaustive sweep of every address x access width over a small
 ///    geometry where enumeration is affordable;
-///  - the batch pipeline's per-grain runs against per-sample delivery:
-///    batches drawn from a small hot address pool, so most grains repeat
-///    within a chunk, must leave every line and page grain, home, write
-///    counter and detector counter exactly as handleSample does.
+///  - the batch pipeline's per-grain runs against the per-sample reference
+///    (tests/PerSampleReference.h): batches drawn from a small hot address
+///    pool, so most grains repeat within a chunk, must leave every line and
+///    page grain, home, write counter and detector counter exactly as the
+///    reference does.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,6 +73,8 @@
 #include "support/Random.h"
 #include "support/StringUtils.h"
 #include "workloads/Workload.h"
+
+#include "PerSampleReference.h"
 
 #include <gtest/gtest.h>
 
@@ -553,6 +556,11 @@ INSTANTIATE_TEST_SUITE_P(
                       PageFuzzParams{16, 10000, 1.0, 46},
                       PageFuzzParams{2, 5000, 0.05, 47}));
 
+/// Delivers one parallel-phase sample as a batch of one.
+void deliver(core::Detector &D, const pmu::Sample &S) {
+  D.handleBatch(&S, 1, /*InParallelPhase=*/true);
+}
+
 TEST(PagePropertyTest, ConcurrentHammerMatchesSequentialTotalsPerPage) {
   // The detector's page stage over disjoint page partitions must be
   // indistinguishable from a serial run of the same per-page streams —
@@ -585,7 +593,7 @@ TEST(PagePropertyTest, ConcurrentHammerMatchesSequentialTotalsPerPage) {
     Sample.Tid = static_cast<ThreadId>(Rng.nextBelow(8));
     Sample.IsWrite = Rng.nextBool(0.5);
     Sample.LatencyCycles = 10 + static_cast<uint32_t>(Rng.nextBelow(40));
-    Detect.handleSample(Sample, /*InParallelPhase=*/true);
+    deliver(Detect, Sample);
 
     NodeId Node = Topology.nodeOf(Sample.Tid);
     auto [Home, Fresh] = Homes.try_emplace(Page, Node);
@@ -2208,10 +2216,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TraceFuzzTest,
                          ::testing::Range<uint64_t>(1, 5));
 
 //===----------------------------------------------------------------------===//
-// Batch sample decode vs the per-sample formula, fuzzed and exhaustive
+// Batch sample decode vs the formula, fuzzed and exhaustive
 //===----------------------------------------------------------------------===//
 
-/// The per-sample decode restated from CacheGeometry first principles.
+/// The decode of one sample restated from CacheGeometry first principles.
 struct DecodeExpectation {
   uint8_t Covered;
   uint32_t Bucket;
@@ -2238,7 +2246,7 @@ DecodeExpectation expectedDecode(const CacheGeometry &Geometry,
 
 class BatchDecodeFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(BatchDecodeFuzzTest, BothKernelsMatchThePerSampleFormula) {
+TEST_P(BatchDecodeFuzzTest, DecoderMatchesThePerSampleFormula) {
   SplitMix64 Rng(GetParam() ^ 0xDECDE);
   for (int Round = 0; Round < 40; ++Round) {
     uint64_t LineSize = 8ull << Rng.nextBelow(6); // 8..256
@@ -2252,8 +2260,7 @@ TEST_P(BatchDecodeFuzzTest, BothKernelsMatchThePerSampleFormula) {
       uint64_t Base2 = Base + Regions[0].Size + Rng.nextBelow(64) * LineSize;
       Regions.push_back({Base2, (1 + Rng.nextBelow(64)) * LineSize});
     }
-    core::BatchDecoder Simd(Geometry, Regions);
-    core::BatchDecoder Scalar(Geometry, Regions, /*ForceScalar=*/true);
+    core::BatchDecoder Decoder(Geometry, Regions);
 
     size_t Count = 1 + Rng.nextBelow(core::DecodedBatch::Capacity);
     std::vector<pmu::Sample> Samples(Count);
@@ -2277,21 +2284,16 @@ TEST_P(BatchDecodeFuzzTest, BothKernelsMatchThePerSampleFormula) {
     }
     uint8_t AccessBytes = static_cast<uint8_t>(Rng.nextBelow(33));
 
-    core::DecodedBatch FromSimd, FromScalar;
-    Simd.decode(Samples.data(), Count, AccessBytes, FromSimd);
-    Scalar.decode(Samples.data(), Count, AccessBytes, FromScalar);
+    core::DecodedBatch Got;
+    Decoder.decode(Samples.data(), Count, AccessBytes, Got);
     for (size_t I = 0; I < Count; ++I) {
       DecodeExpectation Want =
           expectedDecode(Geometry, Regions, Samples[I].Address, AccessBytes);
-      ASSERT_EQ(FromScalar.Covered[I], Want.Covered)
+      ASSERT_EQ(Got.Covered[I], Want.Covered)
           << "line " << LineSize << " sample " << I << " address 0x"
           << std::hex << Samples[I].Address;
-      ASSERT_EQ(FromScalar.Bucket[I], Want.Bucket) << "sample " << I;
-      ASSERT_EQ(FromScalar.Span[I], Want.Span) << "sample " << I;
-      // Kernel differential: SIMD must agree with scalar bit for bit.
-      ASSERT_EQ(FromSimd.Covered[I], FromScalar.Covered[I]) << "sample " << I;
-      ASSERT_EQ(FromSimd.Bucket[I], FromScalar.Bucket[I]) << "sample " << I;
-      ASSERT_EQ(FromSimd.Span[I], FromScalar.Span[I]) << "sample " << I;
+      ASSERT_EQ(Got.Bucket[I], Want.Bucket) << "sample " << I;
+      ASSERT_EQ(Got.Span[I], Want.Span) << "sample " << I;
     }
   }
 }
@@ -2302,15 +2304,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BatchDecodeFuzzTest,
 TEST(BatchDecodeFuzzTest, ExhaustiveSmallGeometrySweep) {
   // The smallest legal geometry (8-byte lines, two words) over a 4-line
   // region makes full enumeration affordable: every address in a window
-  // straddling the region boundaries x every access width 0..16, through
-  // both kernels, against the formula. Batches of 5 keep the SIMD tail
-  // path (4 vectorized + 1 scalar) exercised on every call.
+  // straddling the region boundaries x every access width 0..16, against
+  // the formula, in batches of 5.
   CacheGeometry Geometry(8);
   constexpr uint64_t Base = 64;
   constexpr uint64_t Size = 4 * 8;
   std::vector<core::ShadowRegion> Regions{{Base, Size}};
-  core::BatchDecoder Simd(Geometry, Regions);
-  core::BatchDecoder Scalar(Geometry, Regions, /*ForceScalar=*/true);
+  core::BatchDecoder Decoder(Geometry, Regions);
 
   for (unsigned Bytes = 0; Bytes <= 16; ++Bytes) {
     for (uint64_t Address = Base - 16; Address < Base + Size + 16;
@@ -2318,28 +2318,24 @@ TEST(BatchDecodeFuzzTest, ExhaustiveSmallGeometrySweep) {
       pmu::Sample Samples[5];
       for (uint64_t J = 0; J < 5; ++J)
         Samples[J].Address = Address + J;
-      core::DecodedBatch FromSimd, FromScalar;
-      Simd.decode(Samples, 5, static_cast<uint8_t>(Bytes), FromSimd);
-      Scalar.decode(Samples, 5, static_cast<uint8_t>(Bytes), FromScalar);
+      core::DecodedBatch Got;
+      Decoder.decode(Samples, 5, static_cast<uint8_t>(Bytes), Got);
       for (uint64_t J = 0; J < 5; ++J) {
         DecodeExpectation Want = expectedDecode(
             Geometry, Regions, Address + J, static_cast<uint8_t>(Bytes));
-        ASSERT_EQ(FromScalar.Covered[J], Want.Covered)
+        ASSERT_EQ(Got.Covered[J], Want.Covered)
             << "address " << Address + J << " bytes " << Bytes;
-        ASSERT_EQ(FromScalar.Bucket[J], Want.Bucket)
+        ASSERT_EQ(Got.Bucket[J], Want.Bucket)
             << "address " << Address + J << " bytes " << Bytes;
-        ASSERT_EQ(FromScalar.Span[J], Want.Span)
+        ASSERT_EQ(Got.Span[J], Want.Span)
             << "address " << Address + J << " bytes " << Bytes;
-        ASSERT_EQ(FromSimd.Covered[J], FromScalar.Covered[J]);
-        ASSERT_EQ(FromSimd.Bucket[J], FromScalar.Bucket[J]);
-        ASSERT_EQ(FromSimd.Span[J], FromScalar.Span[J]);
       }
     }
   }
 }
 
 //===----------------------------------------------------------------------===//
-// Batched per-grain runs vs per-sample delivery, on a hot address pool
+// Batched per-grain runs vs the per-sample reference, on a hot address pool
 //===----------------------------------------------------------------------===//
 
 void expectGrainsMatch(const core::GrainSnapshot &Got,
@@ -2368,7 +2364,7 @@ void expectGrainsMatch(const core::GrainSnapshot &Got,
 
 class GrainRunFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(GrainRunFuzzTest, HandleBatchMatchesHandleSampleOnAHotPool) {
+TEST_P(GrainRunFuzzTest, HandleBatchMatchesPerSampleReferenceOnAHotPool) {
   // Batches drawn mostly from a small pool of hot addresses, so most
   // grains repeat within a chunk and take the batch pipeline's per-grain
   // run path; the rest are cold singletons, uncovered samples, and serial
@@ -2376,8 +2372,8 @@ TEST_P(GrainRunFuzzTest, HandleBatchMatchesHandleSampleOnAHotPool) {
   // make grains materialize mid-chunk, several tids per batch span all
   // four nodes of an asymmetric topology (remote samples at three
   // distances), and access widths up to 32 bytes mark several words. The
-  // batch detector must end field for field where per-sample delivery of
-  // the same stream ends.
+  // batch detector must end field for field where the per-sample
+  // reference fed the same stream ends.
   constexpr uint64_t PageBytes = 4096;
   constexpr uint64_t Pages = 8;
   constexpr uint64_t Base = 0x4000'0000;
@@ -2392,19 +2388,18 @@ TEST_P(GrainRunFuzzTest, HandleBatchMatchesHandleSampleOnAHotPool) {
   core::DetectorConfig Config;
   Config.TrackPages = true;
 
-  struct Side {
+  struct Tables {
     core::ShadowMemory Shadow;
     core::PageTable Table;
-    core::Detector Detect;
-    Side(const CacheGeometry &Geometry, const NumaTopology &Topology,
-         const core::DetectorConfig &Config)
+    Tables(const CacheGeometry &Geometry, const NumaTopology &Topology)
         : Shadow(Geometry, {{Base, Pages * PageBytes}}),
-          Table(Topology, Geometry, {{Base, Pages * PageBytes}}),
-          Detect(Geometry, Shadow, Config) {
-      Detect.attachPageTable(Table, Topology);
-    }
+          Table(Topology, Geometry, {{Base, Pages * PageBytes}}) {}
   };
-  Side Want(Geometry, Topology, Config), Got(Geometry, Topology, Config);
+  Tables Want(Geometry, Topology), Got(Geometry, Topology);
+  test::PerSampleReference Reference(Want.Shadow, Config);
+  Reference.attachPageTable(Want.Table, Topology);
+  core::Detector Detect(Geometry, Got.Shadow, Config);
+  Detect.attachPageTable(Got.Table, Topology);
 
   SplitMix64 Rng(GetParam() ^ 0x6A41);
   std::vector<uint64_t> Pool(4 + Rng.nextBelow(12));
@@ -2426,15 +2421,15 @@ TEST_P(GrainRunFuzzTest, HandleBatchMatchesHandleSampleOnAHotPool) {
     }
     size_t WantRecorded = 0;
     for (const pmu::Sample &Sample : Batch)
-      WantRecorded += Want.Detect.handleSample(Sample, Parallel, AccessBytes);
-    EXPECT_EQ(Got.Detect.handleBatch(Batch.data(), Batch.size(), Parallel,
-                                     AccessBytes),
-              WantRecorded)
+      WantRecorded += Reference.handleSample(Sample, Parallel, AccessBytes);
+    EXPECT_EQ(
+        Detect.handleBatch(Batch.data(), Batch.size(), Parallel, AccessBytes),
+        WantRecorded)
         << "round " << Round;
   }
 
-  core::DetectorStats WantStats = Want.Detect.stats();
-  core::DetectorStats GotStats = Got.Detect.stats();
+  core::DetectorStats WantStats = Reference.stats();
+  core::DetectorStats GotStats = Detect.stats();
   EXPECT_GT(WantStats.Invalidations, 0u);
   EXPECT_GT(WantStats.RemoteSamples, 0u);
   EXPECT_EQ(GotStats.SamplesSeen, WantStats.SamplesSeen);

@@ -21,6 +21,8 @@
 #include "mem/NumaTopology.h"
 #include "support/Random.h"
 
+#include "PerSampleReference.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -70,16 +72,17 @@ TEST(ThreadedIngestTest, DisjointLinePartitionsMatchSerialReference) {
   CacheGeometry Geometry(LineSize);
   DetectorConfig Config;
 
-  // Serial reference: every line's stream, one line after another.
+  // Serial reference: every line's stream, one line after another, one
+  // sample at a time.
   ShadowMemory SerialShadow(Geometry, {{RegionBase, NumLines * LineSize}});
-  Detector SerialDetect(Geometry, SerialShadow, Config);
+  test::PerSampleReference SerialDetect(SerialShadow, Config);
   for (uint64_t Line = 0; Line < NumLines; ++Line)
     for (const pmu::Sample &Sample : lineStream(Line, SamplesPerLine))
       SerialDetect.handleSample(Sample, /*InParallelPhase=*/true);
 
-  // Parallel run: lines are partitioned over 8 ingest threads, so each
-  // line's stream keeps its order while the threads race on the shared
-  // shadow arrays and detector counters.
+  // Parallel run: lines are partitioned over 8 ingest threads, each
+  // delivering batches of one, so each line's stream keeps its order while
+  // the threads race on the shared shadow arrays and detector counters.
   ShadowMemory Shadow(Geometry, {{RegionBase, NumLines * LineSize}});
   Detector Detect(Geometry, Shadow, Config);
   std::vector<std::thread> Threads;
@@ -87,7 +90,7 @@ TEST(ThreadedIngestTest, DisjointLinePartitionsMatchSerialReference) {
     Threads.emplace_back([&, T] {
       for (uint64_t Line = T; Line < NumLines; Line += IngestThreads)
         for (const pmu::Sample &Sample : lineStream(Line, SamplesPerLine))
-          Detect.handleSample(Sample, /*InParallelPhase=*/true);
+          Detect.handleBatch(&Sample, 1, /*InParallelPhase=*/true);
     });
   for (std::thread &Thread : Threads)
     Thread.join();
@@ -118,19 +121,19 @@ TEST(ThreadedIngestTest, DisjointLinePartitionsMatchSerialReference) {
 }
 
 TEST(ThreadedIngestTest, BatchedDisjointLinePartitionsMatchSerialReference) {
-  // The handleBatch mirror of the test above: the same per-line streams,
+  // The whole-batch mirror of the test above: the same per-line streams,
   // but each ingest thread delivers its lines in whole batches through the
-  // staged pipeline (SIMD decode, branchless stage-1 sweep, per-grain
-  // runs, prefetched lookups). Eight threads race on the shared write
-  // counters and detector counters, each with its own decode scratch; the
-  // result must still equal a serial per-sample reference, line for line.
+  // staged pipeline (decode, branchless stage-1 sweep, per-grain runs,
+  // prefetched lookups). Eight threads race on the shared write counters
+  // and detector counters, each with its own decode scratch; the result
+  // must still equal the serial per-sample reference, line for line.
   constexpr uint64_t NumLines = 512;
   constexpr unsigned SamplesPerLine = 48;
   CacheGeometry Geometry(LineSize);
   DetectorConfig Config;
 
   ShadowMemory SerialShadow(Geometry, {{RegionBase, NumLines * LineSize}});
-  Detector SerialDetect(Geometry, SerialShadow, Config);
+  test::PerSampleReference SerialDetect(SerialShadow, Config);
   for (uint64_t Line = 0; Line < NumLines; ++Line)
     for (const pmu::Sample &Sample : lineStream(Line, SamplesPerLine))
       SerialDetect.handleSample(Sample, /*InParallelPhase=*/true);
@@ -200,7 +203,7 @@ TEST(ThreadedIngestTest, ContendedLinesLoseNoSamples) {
         Sample.IsWrite = Rng.nextBool(0.5);
         Sample.LatencyCycles = 30;
         LocalWrites += Sample.IsWrite ? 1 : 0;
-        Detect.handleSample(Sample, /*InParallelPhase=*/true);
+        Detect.handleBatch(&Sample, 1, /*InParallelPhase=*/true);
       }
       WritesIssued.fetch_add(LocalWrites);
     });
@@ -323,7 +326,7 @@ TEST(ThreadedIngestTest, SingleSharedLineDetectorHammer) {
         Sample.IsWrite = Rng.nextBool(0.6);
         Sample.LatencyCycles = 25;
         LocalWrites += Sample.IsWrite ? 1 : 0;
-        Detect.handleSample(Sample, /*InParallelPhase=*/true);
+        Detect.handleBatch(&Sample, 1, /*InParallelPhase=*/true);
       }
       WritesIssued.fetch_add(LocalWrites);
     });
@@ -385,7 +388,7 @@ TEST(ThreadedIngestTest, SingleSharedPageHammerAcrossNodesLosesNoUpdates) {
         Sample.IsWrite = I == 0 || Rng.nextBool(0.6);
         Sample.LatencyCycles = 25;
         LocalWrites += Sample.IsWrite ? 1 : 0;
-        Detect.handleSample(Sample, /*InParallelPhase=*/true);
+        Detect.handleBatch(&Sample, 1, /*InParallelPhase=*/true);
       }
       WritesIssued.fetch_add(LocalWrites);
       AccessesPerNode[T % 2].fetch_add(SamplesPerThread);

@@ -7,7 +7,8 @@
 /// \file
 /// The `cheetah-trace-v1` backend end to end: TraceData's deterministic
 /// serialize/parse round trip, the loud-error parser contract on hostile
-/// input, the in-memory record tee, the payoff gate — a recorded
+/// input, the in-memory record tee, replay's batches (in recorded order,
+/// cut before every lifecycle event), the payoff gate — a recorded
 /// workload run replayed through `runSession` must reproduce the live
 /// run's `cheetah-report-v5` byte for byte — and replay's refusal of
 /// thread lifecycles the profiler cannot follow.
@@ -213,6 +214,8 @@ TEST(TraceSourceTest, MalformedFileFailsStartNamingThePath) {
 struct EventLog : pmu::SampleSink {
   std::vector<std::string> Entries;
   size_t Samples = 0;
+  /// Every delivered sample's timestamp, in delivery order.
+  std::vector<uint64_t> Times;
 
   void threadStarted(ThreadId Tid, bool IsMain, uint64_t) override {
     Entries.push_back("start " + std::to_string(Tid) + (IsMain ? "*" : ""));
@@ -220,9 +223,11 @@ struct EventLog : pmu::SampleSink {
   void threadFinished(ThreadId Tid, bool, uint64_t) override {
     Entries.push_back("end " + std::to_string(Tid));
   }
-  void ingestBatch(const pmu::Sample *, size_t Count) override {
+  void ingestBatch(const pmu::Sample *Batch, size_t Count) override {
     Entries.push_back("batch " + std::to_string(Count));
     Samples += Count;
+    for (size_t I = 0; I < Count; ++I)
+      Times.push_back(Batch[I].Timestamp);
   }
 };
 
@@ -270,6 +275,44 @@ TEST(TraceSourceTest, RecordTeeBuffersAndForwardsInOrder) {
   EXPECT_TRUE(Tee.stop().Available);
 }
 
+TEST(TraceSourceTest, ReplayBatchesNeverSpanLifecycleEvents) {
+  // Two threads' samples recorded one at a time around their lifecycle
+  // edges: replay must hand them over in recorded order, in batches of at
+  // most SampleBatchCapacity cut before every lifecycle event and at the
+  // end of the stream.
+  pmu::TraceSource Tee(std::make_unique<ManualSource>(), /*Path=*/"",
+                       /*SamplingPeriod=*/1);
+  uint64_t Now = 0;
+  auto Record = [&](ThreadId Tid, int Count) {
+    for (int I = 0; I < Count; ++I, ++Now) {
+      pmu::Sample S;
+      S.Address = 0x40 + 8 * (Now % 32);
+      S.Tid = Tid;
+      S.Timestamp = Now;
+      Tee.ingestBatch(&S, 1);
+    }
+  };
+  Tee.threadStarted(0, true, Now);
+  Record(0, 300);
+  Tee.threadStarted(1, false, Now);
+  for (int Round = 0; Round < 100; ++Round) {
+    Record(0, 2);
+    Record(1, 3);
+  }
+  Tee.threadFinished(1, false, Now);
+  Record(0, 10);
+
+  EventLog Replayed;
+  EXPECT_EQ(Tee.replayInto(Replayed), 810u);
+  EXPECT_EQ(Replayed.Entries,
+            (std::vector<std::string>{"start 0*", "batch 256", "batch 44",
+                                      "start 1", "batch 256", "batch 244",
+                                      "end 1", "batch 10"}));
+  ASSERT_EQ(Replayed.Times.size(), 810u);
+  for (size_t I = 0; I < Replayed.Times.size(); ++I)
+    EXPECT_EQ(Replayed.Times[I], I) << "sample " << I;
+}
+
 //===----------------------------------------------------------------------===//
 // The payoff gate: record -> replay is byte-identical
 //===----------------------------------------------------------------------===//
@@ -314,7 +357,8 @@ TEST(TraceReplayTest, ReplayedReportIsByteIdenticalToLiveRun) {
       << Error;
 
   // Byte for byte: detection is delivery-order-sensitive, so this holds
-  // only because replay reproduces the recorded order with batches of one.
+  // only because replay reproduces the recorded order, with every batch
+  // cut before the lifecycle event that follows it.
   EXPECT_EQ(ReplayText, LiveText);
   EXPECT_EQ(Replayed.Run.TotalCycles, Live.Run.TotalCycles);
   EXPECT_EQ(Replayed.Profile.SamplesDelivered,
