@@ -35,6 +35,7 @@
 #include "core/detect/PageInfo.h"
 #include "core/detect/PageTable.h"
 #include "core/detect/ShadowMemory.h"
+#include "interpose/Preload.h"
 #include "mem/NumaTopology.h"
 #include "pmu/TraceSource.h"
 #include "runtime/HeapAllocator.h"
@@ -439,6 +440,41 @@ void BM_ProfilerBatchedIngest(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_ProfilerBatchedIngest)->ThreadRange(1, 8)->UseRealTime();
+
+//===----------------------------------------------------------------------===//
+// Interpose capture
+//===----------------------------------------------------------------------===//
+
+/// Samples BM_InterposeRecordSample's sink received.
+std::atomic<uint64_t> InterposeSinkSamples{0};
+
+/// Capture cost of the interpose runtime: every thread appends one sample
+/// per iteration to its own staging buffer through interpose::recordSample,
+/// and each 256-sample batch goes to a sink that only counts it, so the
+/// rows time the append and the per-batch claim, not detection.
+void BM_InterposeRecordSample(benchmark::State &State) {
+  if (State.thread_index() == 0)
+    interpose::setSampleSink([](const pmu::Sample *, size_t Count) {
+      InterposeSinkSamples.fetch_add(Count, std::memory_order_relaxed);
+    });
+
+  uint64_t SliceBase =
+      0x4000'0000 +
+      uint64_t(State.thread_index()) * LinesPerIngestThread * 64;
+  pmu::Sample Sample;
+  Sample.Tid = static_cast<ThreadId>(State.thread_index() + 1);
+  Sample.IsWrite = true;
+  Sample.LatencyCycles = 40;
+  uint64_t Word = 0;
+  for (auto _ : State) {
+    Sample.Address = SliceBase + (Word++ % (LinesPerIngestThread * 16)) * 4;
+    interpose::recordSample(Sample);
+    benchmark::ClobberMemory();
+  }
+  interpose::flushThreadSamples();
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_InterposeRecordSample)->ThreadRange(1, 4)->UseRealTime();
 
 //===----------------------------------------------------------------------===//
 // Trace replay delivery

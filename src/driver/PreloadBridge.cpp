@@ -19,9 +19,10 @@ using namespace cheetah::driver;
 namespace cheetah {
 namespace driver {
 /// The finish()-vs-straggler fence. The interpose runtime copies the sink
-/// under its own lock but *calls* it unlocked, so a still-running
-/// interposed thread can be mid-delivery when finish() begins — or deliver
-/// after setSampleSink({}) using the copy it already took. Every delivery
+/// under its sink mutex but *calls* it unlocked (a recording thread
+/// delivers each batch it claims itself), so a still-running interposed
+/// thread can be mid-delivery when finish() begins — or deliver after
+/// setSampleSink({}) using the copy it already took. Every delivery
 /// holds the gate shared and checks Accepting; closing the gate takes it
 /// exclusive, which both waits out in-flight deliveries and makes every
 /// later one drop its batch instead of mutating tables being snapshotted.
@@ -94,7 +95,9 @@ void PreloadProfilerBridge::attachThread(ThreadId Tid) {
 
 void PreloadProfilerBridge::detachThread(ThreadId Tid) {
   // The thread's staged samples must reach the detector while the thread
-  // is still a live phase member.
+  // is still a live phase member: the drain copies out what a running
+  // thread has published and delivers what an exited one left in its
+  // retired buffer (a dying thread never calls the sink itself).
   interpose::flushAllSamples();
   uint64_t Now = elapsedCycles();
   {

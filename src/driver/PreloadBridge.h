@@ -48,7 +48,8 @@ public:
   /// the first child thread begins a parallel phase, enabling detailed
   /// tracking exactly as in the simulator path. Callable from any thread
   /// (e.g. a pthread_create wrapper on the creator); the Tid thread's own
-  /// sample buffer registers itself lazily on first use.
+  /// sample buffer registers itself lazily on first use and leaves the
+  /// interpose registry once that thread has exited and been drained.
   void attachThread(ThreadId Tid);
 
   /// Marks \p Tid finished.

@@ -42,8 +42,14 @@ struct InterposeSummary {
   uint64_t ThreadsCreated = 0;
   uint64_t ThreadsJoined = 0;
   uint64_t SamplesCollected = 0;
-  /// Samples that passed through the per-thread buffers.
+  /// Samples recorded into the per-thread buffers, exited threads'
+  /// included: each buffer's append index, plus the indices of buffers
+  /// that left the registry.
   uint64_t SamplesBuffered = 0;
+  /// Buffers still registered: one per live recording thread, plus those of
+  /// exited threads that left samples behind, until the next drain
+  /// delivers them.
+  uint64_t ThreadBuffers = 0;
   /// Samples delivered to the registered batch sink.
   uint64_t SamplesIngested = 0;
   bool PmuAvailable = false;
@@ -85,22 +91,28 @@ using SampleBatchSink = std::function<void(const pmu::Sample *, size_t)>;
 /// retained until one is installed or the state is reset.
 void setSampleSink(SampleBatchSink Sink);
 
-/// Appends one sample to the calling thread's private buffer. The buffer
-/// lock is only ever contended by an explicit cross-thread drain, so many
-/// application threads can record concurrently without serializing on any
-/// global state; full buffers are delivered to the sink in one batch.
+/// Appends one sample to the calling thread's private buffer with a slot
+/// store and one release store of the buffer's append index: no lock and
+/// no read-modify-write, so many application threads record concurrently
+/// without serializing on any global state. Every 256th sample the thread
+/// takes its buffer's drain mutex once to claim the batch and delivers it
+/// to the sink in place.
 void recordSample(const pmu::Sample &Sample);
 
 /// Delivers the calling thread's buffered samples to the sink now.
 void flushThreadSamples();
 
-/// Drains every thread's buffer (also done by summary()/endProfiling()).
+/// Drains every registered buffer (also done by summary()/endProfiling()):
+/// copies out the samples each live thread has published but not yet
+/// claimed, delivers what exited threads left behind, and unregisters those
+/// buffers. A thread that exits never calls the sink itself.
 void flushAllSamples();
 
 /// Drains any pending PMU samples and returns the current counters.
 InterposeSummary summary();
 
-/// Resets all state (tests only).
+/// Resets all state (tests only). No thread may be recording: it empties
+/// live threads' buffers in place.
 void resetForTesting();
 
 /// Reads the time-stamp counter (RDTSC on x86, a monotonic clock

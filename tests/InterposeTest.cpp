@@ -7,11 +7,15 @@
 #include "driver/PreloadBridge.h"
 #include "interpose/Preload.h"
 #include "support/Json.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 using namespace cheetah;
 using namespace cheetah::interpose;
@@ -205,6 +209,136 @@ TEST_F(InterposeTest, BridgeFinishRacesRecordingThreadSafely) {
       setSampleSink({});
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Per-thread buffers: lock-free appends, cross-thread drains, thread exit.
+//===----------------------------------------------------------------------===//
+
+constexpr uint64_t LedgerBase = 0x4000'0000;
+
+/// Sample number \p Slot of a ledger test: its address names the slot.
+pmu::Sample ledgerSample(uint64_t Slot) {
+  pmu::Sample Sample;
+  Sample.Address = LedgerBase + Slot * 8;
+  Sample.Tid = 1;
+  Sample.IsWrite = true;
+  Sample.LatencyCycles = 40;
+  return Sample;
+}
+
+/// Installs a sink that counts deliveries per ledger slot, so a test can
+/// prove every recorded sample arrived exactly once.
+class DeliveryLedger {
+public:
+  explicit DeliveryLedger(size_t Slots) : Seen(Slots, 0) {
+    setSampleSink([this](const pmu::Sample *Samples, size_t Count) {
+      std::lock_guard<std::mutex> Lock(Mutex);
+      for (size_t I = 0; I < Count; ++I) {
+        uint64_t Slot = (Samples[I].Address - LedgerBase) / 8;
+        if (Samples[I].Address < LedgerBase || Slot >= Seen.size())
+          ++Stray;
+        else
+          ++Seen[Slot];
+      }
+    });
+  }
+  ~DeliveryLedger() { setSampleSink({}); }
+
+  /// Deliveries of \p Slot so far.
+  uint32_t seen(uint64_t Slot) {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    return Seen[Slot];
+  }
+
+  /// Slots not delivered exactly once, plus deliveries of no slot at all
+  /// (a torn copy of a slot being rewritten).
+  uint64_t misdelivered() {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    return Stray + static_cast<uint64_t>(std::count_if(
+                       Seen.begin(), Seen.end(),
+                       [](uint32_t Count) { return Count != 1; }));
+  }
+
+private:
+  std::mutex Mutex;
+  std::vector<uint32_t> Seen;
+  uint64_t Stray = 0;
+};
+
+TEST_F(InterposeTest, DrainsRacingAppendsDeliverEverySampleOnce) {
+  // The owner appends with no lock while another thread drains its buffer
+  // in a loop, and claims its own batches at every 256-sample boundary and
+  // at random flush points. Each claim must take a disjoint range and no
+  // drain may copy a slot the owner is rewriting. Odd rounds exit without a
+  // final flush, so a drain delivers the rest after the owner is gone.
+  constexpr int Rounds = 20;
+  constexpr uint64_t PerRound = 100000;
+  for (int Round = 0; Round < Rounds; ++Round) {
+    resetForTesting();
+    DeliveryLedger Ledger(PerRound);
+    std::atomic<bool> OwnerDone{false};
+    std::thread Drainer([&] {
+      while (!OwnerDone.load(std::memory_order_acquire))
+        flushAllSamples();
+    });
+    std::thread Owner([Round] {
+      SplitMix64 Rng(1000 + Round);
+      for (uint64_t I = 0; I < PerRound; ++I) {
+        if (Rng.nextBelow(512) == 0)
+          flushThreadSamples();
+        recordSample(ledgerSample(I));
+      }
+      if (Round % 2 == 0)
+        flushThreadSamples();
+    });
+    Owner.join();
+    OwnerDone.store(true, std::memory_order_release);
+    Drainer.join();
+    flushAllSamples();
+
+    InterposeSummary Summary = summary();
+    EXPECT_EQ(Ledger.misdelivered(), 0u) << "round " << Round;
+    EXPECT_EQ(Summary.SamplesBuffered, PerRound) << "round " << Round;
+    EXPECT_EQ(Summary.SamplesIngested, PerRound) << "round " << Round;
+  }
+}
+
+TEST_F(InterposeTest, ExitedThreadsReleaseTheirBuffers) {
+  // 64 short-lived threads, 8 at a time, as a daemon attaches fresh threads
+  // every epoch. Each records 300 samples: one batch delivered at the
+  // 256-sample boundary, 44 left over. Even threads flush those before
+  // exiting; odd threads leave them for the next drain. Either way the
+  // registry must forget the thread, and SamplesBuffered must still count
+  // its samples.
+  constexpr unsigned Threads = 64, Wave = 8, PerThread = 300;
+  DeliveryLedger Ledger(Threads * PerThread);
+  uint64_t LiveBuffers = summary().ThreadBuffers;
+  for (unsigned First = 0; First < Threads; First += Wave) {
+    std::vector<std::thread> Workers;
+    for (unsigned T = First; T < First + Wave; ++T)
+      Workers.emplace_back([T] {
+        for (unsigned I = 0; I < PerThread; ++I)
+          recordSample(ledgerSample(T * PerThread + I));
+        if (T % 2 == 0)
+          flushThreadSamples();
+      });
+    for (std::thread &Worker : Workers)
+      Worker.join();
+  }
+
+  // A dying thread never calls the sink: the odd threads' leftovers wait
+  // for a drain.
+  for (unsigned T = 0; T < Threads; ++T)
+    EXPECT_EQ(Ledger.seen(T * PerThread + PerThread - 1), T % 2 == 0 ? 1u : 0u)
+        << "thread " << T;
+  flushAllSamples();
+
+  InterposeSummary Summary = summary();
+  EXPECT_EQ(Ledger.misdelivered(), 0u);
+  EXPECT_EQ(Summary.SamplesBuffered, uint64_t(Threads) * PerThread);
+  EXPECT_EQ(Summary.SamplesIngested, uint64_t(Threads) * PerThread);
+  EXPECT_EQ(Summary.ThreadBuffers, LiveBuffers);
 }
 
 TEST_F(InterposeTest, CountersThreadSafeUnderContention) {
