@@ -20,16 +20,14 @@
 /// (the staged handleBatch pipeline) over per-thread slices, batched-hot
 /// (the same batches, with a share of every thread's samples on a two-line
 /// hot set all threads write — the contended case per-grain runs exist
-/// for), the single-threaded trace-replay delivery row (BM_TraceReplay's
-/// sweep counterpart), plus the decode dimension — the sample decoder at
-/// batch sizes 1/16/64/256 — written as the machine-readable
-/// `BENCH_ingest.json` (samples/sec/core) that tracks the
-/// ingestion-throughput trajectory across PRs.
+/// for), and the single-threaded trace-replay delivery row (BM_TraceReplay's
+/// sweep counterpart), written as the machine-readable `BENCH_ingest.json`
+/// (samples/sec/core) that tracks the ingestion-throughput trajectory
+/// across PRs.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/Profiler.h"
-#include "core/detect/BatchDecode.h"
 #include "core/detect/CacheLineTable.h"
 #include "core/detect/Detector.h"
 #include "core/detect/PageInfo.h"
@@ -106,9 +104,9 @@ void BM_ShadowWriteCount(benchmark::State &State) {
 }
 BENCHMARK(BM_ShadowWriteCount);
 
-/// The detection hot path through the staged batch pipeline — decode,
-/// prefetched stage-1 sweep, branchless filter, prefetched detail lookups —
-/// over full 256-sample chunks.
+/// The detection hot path through the staged batch pipeline — coverage
+/// pass, prefetched stage-1 sweep, branchless filter, prefetched detail
+/// lookups — over full 256-sample chunks.
 void BM_DetectorHandleBatch(benchmark::State &State) {
   CacheGeometry Geometry(64);
   core::ShadowMemory Shadow(Geometry, {{0x40000000, 1 << 20}});
@@ -611,51 +609,6 @@ IngestSweepRow runIngestSweep(const std::string &Mode, unsigned Threads,
   return Row;
 }
 
-/// One row of the decode sweep: \p Batch samples per decode() call.
-struct DecodeSweepRow {
-  size_t Batch = 0;
-  uint64_t Samples = 0;
-  double Seconds = 0.0;
-};
-
-/// Times the pure decode front (coverage + word/span arithmetic) over a
-/// pregenerated sample stream at one batch size, single-threaded — the
-/// isolated cost behind the batched mode's first stage.
-DecodeSweepRow runDecodeSweep(size_t Batch, uint64_t TotalSamples) {
-  CacheGeometry Geometry(64);
-  std::vector<core::ShadowRegion> Regions{
-      {0x4000'0000, LinesPerIngestThread * 64}};
-  core::BatchDecoder Decoder(Geometry, Regions);
-
-  SplitMix64 Rng(1200);
-  std::vector<pmu::Sample> Samples(core::DecodedBatch::Capacity);
-  for (pmu::Sample &Sample : Samples) {
-    // Mostly covered addresses with an uncovered tail, like a real stream.
-    Sample.Address = Rng.nextBool(0.9)
-                         ? 0x4000'0000 +
-                               Rng.nextBelow(LinesPerIngestThread) * 64 +
-                               Rng.nextBelow(16) * 4
-                         : Rng.nextBelow(1ull << 40);
-  }
-  core::DecodedBatch Out;
-
-  auto Start = std::chrono::steady_clock::now();
-  uint64_t Done = 0;
-  while (Done < TotalSamples) {
-    Decoder.decode(Samples.data(), Batch, /*AccessBytes=*/4, Out);
-    benchmark::DoNotOptimize(Out.Covered[0]);
-    benchmark::DoNotOptimize(Out.Span[Batch - 1]);
-    Done += Batch;
-  }
-  auto End = std::chrono::steady_clock::now();
-
-  DecodeSweepRow Row;
-  Row.Batch = Batch;
-  Row.Samples = Done;
-  Row.Seconds = std::chrono::duration<double>(End - Start).count();
-  return Row;
-}
-
 /// Times replay of an in-memory recorded trace through the detector sink:
 /// the `--backend=trace:FILE` delivery path as an ingestion mode.
 /// Single-threaded by construction — replay is an ordered stream.
@@ -681,10 +634,9 @@ IngestSweepRow runReplaySweep(uint64_t TotalSamples) {
   return Row;
 }
 
-/// Writes the batched/batched-hot x 1..4-thread sweep, the
-/// single-threaded trace-replay row, plus the decode dimension to \p Path
-/// as the `cheetah-bench-ingest-v5` document. \returns false on I/O
-/// failure.
+/// Writes the batched/batched-hot x 1..4-thread sweep and the
+/// single-threaded trace-replay row to \p Path as the
+/// `cheetah-bench-ingest-v6` document. \returns false on I/O failure.
 bool emitIngestJson(const std::string &Path) {
   constexpr uint64_t SamplesPerThread = 1'000'000;
   // One untimed pass at the widest thread count first: otherwise the first
@@ -705,19 +657,10 @@ bool emitIngestJson(const std::string &Path) {
                static_cast<double>(Rows.back().Samples) /
                    Rows.back().Seconds / 1e6);
 
-  constexpr uint64_t DecodeSamples = 64'000'000;
-  std::vector<DecodeSweepRow> DecodeRows;
-  for (size_t Batch : {size_t(1), size_t(16), size_t(64), size_t(256)}) {
-    DecodeRows.push_back(runDecodeSweep(Batch, DecodeSamples));
-    std::fprintf(stderr, "decode batch %-3zu: %.0fM samples/sec\n", Batch,
-                 static_cast<double>(DecodeRows.back().Samples) /
-                     DecodeRows.back().Seconds / 1e6);
-  }
-
   std::string Text;
   JsonWriter Writer(Text);
   Writer.beginObject();
-  Writer.member("schema", "cheetah-bench-ingest-v5");
+  Writer.member("schema", "cheetah-bench-ingest-v6");
   Writer.member("hardware_threads",
                 static_cast<uint64_t>(std::thread::hardware_concurrency()));
   Writer.member("samples_per_thread", SamplesPerThread);
@@ -736,16 +679,6 @@ bool emitIngestJson(const std::string &Path) {
     Writer.member("samples_per_sec_per_core",
                   static_cast<double>(Row.Samples) / Row.Seconds /
                       Row.Threads);
-    Writer.endObject();
-  }
-  for (const DecodeSweepRow &Row : DecodeRows) {
-    Writer.beginObject();
-    Writer.member("mode", "decode");
-    Writer.member("batch", static_cast<uint64_t>(Row.Batch));
-    Writer.member("samples", Row.Samples);
-    Writer.member("seconds", Row.Seconds);
-    Writer.member("samples_per_sec",
-                  static_cast<double>(Row.Samples) / Row.Seconds);
     Writer.endObject();
   }
   Writer.endArray();

@@ -249,20 +249,6 @@ ProfileResult Profiler::buildReport(uint64_t AppRuntime, ReportSink *Sink) {
     Result.AllPageInstances = std::move(PageBuilt.AllInstances);
   }
 
-  // The generic stage enumeration: detection counters from the detector,
-  // tracked/significant totals from whichever builder owns the stage's
-  // reports. A future third grain adds a case here and nowhere else.
-  Result.Stages = Detect.stageSummaries();
-  for (GrainStageSummary &Stage : Result.Stages) {
-    if (Stage.Name == LineGrainTraits::Name) {
-      Stage.Tracked = Result.AllInstances.size();
-      Stage.Significant = Result.Reports.size();
-    } else if (Stage.Name == PageGrainTraits::Name) {
-      Stage.Tracked = Result.AllPageInstances.size();
-      Stage.Significant = Result.PageReports.size();
-    }
-  }
-
   if (Sink) {
     ReportRunStats Stats = runStats(AppRuntime);
     Stats.Findings = Result.AllInstances.size();

@@ -101,10 +101,6 @@ struct ProfileResult {
   std::vector<PageSharingReport> AllPageInstances;
 
   DetectorStats Detection;
-  /// One entry per active grain stage ("line", "page", ...), detection
-  /// counters from the detector plus Tracked/Significant filled from the
-  /// built reports — what generic banners and end-of-run stats enumerate.
-  std::vector<GrainStageSummary> Stages;
   uint64_t SamplesDelivered = 0;
   uint64_t SerialSamples = 0;
   double SerialAverageLatency = 0.0;

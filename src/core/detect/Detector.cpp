@@ -25,17 +25,19 @@ constexpr size_t PrefetchDistance = 8;
 /// Terminates a grain's chain of kept samples in BatchScratch::Next.
 constexpr uint32_t EndOfRun = ~uint32_t(0);
 
-/// Per-ingesting-thread scratch behind the staged batch pipeline: decoded
-/// line coordinates plus the per-stage working arrays. Thread-local so
-/// concurrent batch deliveries never share it and no batch allocates.
+/// Per-ingesting-thread scratch behind the staged batch pipeline: the
+/// chunk's coverage flags plus the per-stage working arrays. Thread-local
+/// so concurrent batch deliveries never share it and no batch allocates.
 struct BatchScratch {
-  static constexpr size_t Capacity = DecodedBatch::Capacity;
+  /// Samples per chunk: handleBatch cuts larger batches.
+  static constexpr size_t Capacity = pmu::SampleBatchCapacity;
   /// Open-addressed grain map slots: twice the chunk size keeps the load
   /// factor at or below one half.
   static constexpr unsigned SlotBits = 9;
   static_assert((size_t(1) << SlotBits) >= 2 * Capacity);
 
-  DecodedBatch Decode;
+  /// 1 if the sample address falls inside a monitored region, else 0.
+  uint8_t Covered[Capacity];
   /// Post-sample stage-1 write counts (0 for uncovered samples).
   uint32_t Writes[Capacity];
   /// Indices of samples that survived the susceptibility filter.
@@ -122,8 +124,8 @@ size_t groupByGrain(const TableT &Table, const pmu::Sample *Samples,
 /// words, and an access wider than a word spans several buckets.
 struct Detector::LineStage {
   Detector &D;
-  /// The chunk's decoded line coordinates.
-  const DecodedBatch &Batch;
+  /// The batch's access width in bytes (a width of 0 counts as 1).
+  uint64_t AccessBytes;
 
   struct Decoded {
     ThreadId Actor;
@@ -136,12 +138,17 @@ struct Detector::LineStage {
   uint32_t threshold() const { return D.Config.WriteThreshold; }
 
   // Pipeline hooks: stage-1 state to pull ahead of the counter sweep,
-  // per-sample preparation (none at line grain), and the decoded
-  // coordinates — already computed for the whole chunk by the decoder.
+  // per-sample preparation (none at line grain), and the line coordinates,
+  // computed only for the samples that reach the record sweep.
   void prefetchStage1(uint64_t Address) { D.Shadow.prefetchWriteCounter(Address); }
   void prepareAt(size_t, const pmu::Sample &) {}
-  Decoded decodeAt(size_t I, const pmu::Sample &Sample) {
-    return {Sample.Tid, Batch.Bucket[I], Batch.Span[I], {}};
+  Decoded decodeAt(size_t, const pmu::Sample &Sample) {
+    uint64_t Offset = Sample.Address & D.LineMask;
+    uint64_t Word = Offset / WordSize;
+    // Clamp the access's last byte to the line end: a straddling access
+    // marks words only within its first line.
+    uint64_t LastByte = std::min(Offset + AccessBytes - 1, D.LineMask);
+    return {Sample.Tid, Word, LastByte / WordSize - Word + 1, {}};
   }
 
   // Tallies for one stage call, published to the detector's shared
@@ -328,18 +335,17 @@ size_t Detector::handleBatch(const pmu::Sample *Samples, size_t Count,
                              bool InParallelPhase, uint8_t AccessBytes) {
   size_t TotalRecorded = 0;
   BatchScratch &Scratch = batchScratch();
-  for (size_t Offset = 0; Offset < Count; Offset += DecodedBatch::Capacity) {
-    size_t Chunk = std::min(Count - Offset, DecodedBatch::Capacity);
+  for (size_t Offset = 0; Offset < Count; Offset += BatchScratch::Capacity) {
+    size_t Chunk = std::min(Count - Offset, BatchScratch::Capacity);
     const pmu::Sample *ChunkSamples = Samples + Offset;
 
-    // Decode of the whole chunk: coverage flags plus word/span line
-    // coordinates.
-    LineDecoder.decode(ChunkSamples, Chunk, AccessBytes, Scratch.Decode);
-
+    // Coverage pass: which samples fall inside a monitored region (the
+    // page table's coverage is the shadow's by the attach contract).
     SamplesSeen.fetch_add(Chunk, std::memory_order_relaxed);
     uint64_t CoveredCount = 0;
     for (size_t I = 0; I < Chunk; ++I) {
-      CoveredCount += Scratch.Decode.Covered[I];
+      Scratch.Covered[I] = Shadow.covers(ChunkSamples[I].Address);
+      CoveredCount += Scratch.Covered[I];
       Scratch.Recorded[I] = 0;
     }
     if (CoveredCount != Chunk)
@@ -348,38 +354,16 @@ size_t Detector::handleBatch(const pmu::Sample *Samples, size_t Count,
 
     if (Pages && Config.TrackPages) {
       PageStage Stage{*this, Scratch.Node, Scratch.Home};
-      runGrainStageBatch(Stage, ChunkSamples, Chunk, Scratch.Decode.Covered,
+      runGrainStageBatch(Stage, ChunkSamples, Chunk, Scratch.Covered,
                          InParallelPhase, Scratch.Recorded);
     }
     if (Config.TrackLines) {
-      LineStage Stage{*this, Scratch.Decode};
-      runGrainStageBatch(Stage, ChunkSamples, Chunk, Scratch.Decode.Covered,
+      LineStage Stage{*this, AccessBytes ? AccessBytes : uint64_t(1)};
+      runGrainStageBatch(Stage, ChunkSamples, Chunk, Scratch.Covered,
                          InParallelPhase, Scratch.Recorded);
     }
     for (size_t I = 0; I < Chunk; ++I)
       TotalRecorded += Scratch.Recorded[I];
   }
   return TotalRecorded;
-}
-
-std::vector<GrainStageSummary> Detector::stageSummaries() const {
-  std::vector<GrainStageSummary> Result;
-  DetectorStats Stats = stats();
-  if (Config.TrackLines) {
-    GrainStageSummary Line;
-    Line.Name = LineGrainTraits::Name;
-    Line.SamplesRecorded = Stats.SamplesRecorded;
-    Line.Invalidations = Stats.Invalidations;
-    Result.push_back(std::move(Line));
-  }
-  if (Pages && Config.TrackPages) {
-    GrainStageSummary Page;
-    Page.Name = PageGrainTraits::Name;
-    Page.SamplesRecorded = Stats.PageSamplesRecorded;
-    Page.Invalidations = Stats.PageInvalidations;
-    Page.RemoteSamples = Stats.RemoteSamples;
-    Page.HasRemote = true;
-    Result.push_back(std::move(Page));
-  }
-  return Result;
 }

@@ -7,13 +7,12 @@
 /// \file
 /// The "FS detection" module of Figure 2: consumes the PMU sample stream,
 /// filters it to the monitored heap/global regions, and runs one identical
-/// pipeline per active *grain stage* (line granularity, page granularity —
-/// a future third grain slots in the same way): maintain the stage-1 write
-/// counters, materialize detailed tracking for susceptible grains (write
-/// count above threshold), decode the sample into the grain's actor/bucket
-/// coordinates, and record it into the grain. Detailed tracking is gated
-/// to parallel phases to avoid reporting initialize-then-share objects as
-/// shared (Section 2.4).
+/// pipeline per active *grain stage* (line granularity, page granularity):
+/// maintain the stage-1 write counters, materialize detailed tracking for
+/// susceptible grains (write count above threshold), decode the sample
+/// into the grain's actor/bucket coordinates, and record it into the
+/// grain. Detailed tracking is gated to parallel phases to avoid reporting
+/// initialize-then-share objects as shared (Section 2.4).
 ///
 /// handleBatch is the only way samples reach the shadow tables; a single
 /// sample is a batch of one. It is safe to call from many ingesting
@@ -26,7 +25,6 @@
 #ifndef CHEETAH_CORE_DETECT_DETECTOR_H
 #define CHEETAH_CORE_DETECT_DETECTOR_H
 
-#include "core/detect/BatchDecode.h"
 #include "core/detect/PageTable.h"
 #include "core/detect/ShadowMemory.h"
 #include "mem/CacheGeometry.h"
@@ -35,8 +33,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace cheetah {
 namespace core {
@@ -76,27 +72,12 @@ struct DetectorStats {
   uint64_t RemoteSamples = 0;       // recorded from a non-home node
 };
 
-/// One active grain stage's identity and end-of-run counters, enumerated
-/// generically so drivers (banners, end-of-run stats) need no per-grain
-/// edits when a stage is added. Tracked/Significant are filled by the
-/// profiler once reports are built; the rest comes from the detector.
-struct GrainStageSummary {
-  std::string Name;               // "line", "page", ...
-  uint64_t Tracked = 0;           // instances tracked by the report builder
-  uint64_t Significant = 0;       // significant findings
-  uint64_t SamplesRecorded = 0;   // reached detailed tracking
-  uint64_t Invalidations = 0;     // stage invalidations
-  uint64_t RemoteSamples = 0;     // remote-actor samples (HasRemote stages)
-  bool HasRemote = false;         // stage distinguishes remote traffic
-};
-
 /// Sample-driven false-sharing detection state machine.
 class Detector {
 public:
   Detector(const CacheGeometry &Geometry, ShadowMemory &Shadow,
            const DetectorConfig &Config)
-      : Shadow(Shadow), Config(Config),
-        LineDecoder(Geometry, Shadow.regions()) {}
+      : Shadow(Shadow), Config(Config), LineMask(Geometry.lineSize() - 1) {}
 
   /// Enables the page-granularity stage: samples additionally update
   /// \p PageTable, with thread ids mapped to NUMA nodes through
@@ -108,14 +89,15 @@ public:
   }
 
   /// Processes \p Count samples through the staged batch pipeline, in
-  /// chunks of DecodedBatch::Capacity — per grain stage: decode of the
-  /// whole chunk (coverage + line coordinates), a software-prefetched
-  /// stage-1 write-counter sweep, a branchless susceptibility filter that
-  /// keeps cold samples from ever dereferencing grain details, a grouping
-  /// of the survivors by grain, and distance-pipelined lookup + record
-  /// sweeps over the grains. A grain hit several times in one chunk records
-  /// the whole run with one fold of its summed statistics, and the
-  /// detector's counters are added once per chunk. Every grain ends exactly
+  /// chunks of pmu::SampleBatchCapacity: one coverage pass over the chunk,
+  /// then per grain stage a software-prefetched stage-1 write-counter
+  /// sweep, a branchless susceptibility filter that keeps cold samples
+  /// from ever dereferencing grain details, a grouping of the survivors by
+  /// grain, and distance-pipelined lookup + record sweeps over the grains
+  /// (only the samples that reach the record sweep are decoded into grain
+  /// coordinates). A grain hit several times in one chunk records the
+  /// whole run with one fold of its summed statistics, and the detector's
+  /// counters are added once per chunk. Every grain ends exactly
   /// as recording the samples one by one in order would leave it, so how a
   /// stream is split into batches never shows. \p InParallelPhase reflects
   /// the phase tracker's state at delivery time; \p AccessBytes is the
@@ -141,11 +123,6 @@ public:
     return Result;
   }
 
-  /// The active grain stages in pipeline order with their detection
-  /// counters — the generic enumeration banners and end-of-run stats
-  /// consume (Tracked/Significant are left for the profiler to fill).
-  std::vector<GrainStageSummary> stageSummaries() const;
-
   /// The shadow memory the detector writes into.
   ShadowMemory &shadow() { return Shadow; }
   const ShadowMemory &shadow() const { return Shadow; }
@@ -158,13 +135,13 @@ private:
   struct LineStage;
   struct PageStage;
 
-  /// One grain stage's pipeline over a decoded chunk: stage-1 write
-  /// counting with prefetch plus stage-specific preparation (runs before
-  /// the phase gate — e.g. first-touch home publication), the
-  /// parallel-phase gate, the branchless susceptibility filter, grouping by
-  /// grain, and the prefetched lookup, materialization and per-grain record
-  /// sweeps. Marks recorded samples in \p Recorded and returns how many
-  /// this stage recorded.
+  /// One grain stage's pipeline over a chunk: stage-1 write counting with
+  /// prefetch plus stage-specific preparation (runs before the phase gate
+  /// — e.g. first-touch home publication), the parallel-phase gate, the
+  /// branchless susceptibility filter, grouping by grain, and the
+  /// prefetched lookup, materialization and per-grain record sweeps.
+  /// Marks recorded samples in \p Recorded and returns how many this
+  /// stage recorded.
   template <typename Stage>
   size_t runGrainStageBatch(Stage &S, const pmu::Sample *Samples,
                             size_t Count, const uint8_t *Covered,
@@ -181,9 +158,9 @@ private:
   std::atomic<uint64_t> PageSamplesRecorded{0};
   std::atomic<uint64_t> PageInvalidations{0};
   std::atomic<uint64_t> RemoteSamples{0};
-  /// Decoder over the line geometry and the shadow regions (the page
-  /// table's coverage is identical by the attach contract).
-  BatchDecoder LineDecoder;
+  /// lineSize() - 1: both the offset-in-line mask and the last valid byte
+  /// offset a straddling access is clamped to.
+  uint64_t LineMask;
 };
 
 } // namespace core

@@ -146,20 +146,13 @@ WordStats AtomicBucketStats::snapshot() const {
 }
 
 void PageRunExtras::reset() {
-  for (uint32_t I = 0; I < NodeCount; ++I) {
-    NodeId Node = Nodes[I];
-    NodeAccesses[Node] = 0;
-    NodeWrites[Node] = 0;
-    NodeCycles[Node] = 0;
-  }
-  NodeCount = 0;
   RemoteAccesses = 0;
   RemoteCycles = 0;
+  Nodes = 0;
   Remote.clear();
 }
 
-void PageRunExtras::record(NodeId Node, AccessKind Kind,
-                           uint64_t LatencyCycles,
+void PageRunExtras::record(NodeId Node, AccessKind, uint64_t LatencyCycles,
                            const PageAccessContext &Ctx) {
   CHEETAH_ASSERT(Node < NumaTopology::MaxNodes, "node id out of range");
   if (Ctx.Remote) {
@@ -178,23 +171,10 @@ void PageRunExtras::record(NodeId Node, AccessKind Kind,
     It->Accesses += 1;
     It->Cycles += LatencyCycles;
   }
-  if (NodeAccesses[Node] == 0)
-    Nodes[NodeCount++] = Node;
-  NodeAccesses[Node] += 1;
-  if (Kind == AccessKind::Write)
-    NodeWrites[Node] += 1;
-  NodeCycles[Node] += LatencyCycles;
+  Nodes |= NodeMask(1) << Node;
 }
 
-PageGrainExtras::PageGrainExtras() {
-  for (uint32_t N = 0; N < NumaTopology::MaxNodes; ++N) {
-    NodeAccesses[N].store(0, std::memory_order_relaxed);
-    NodeWrites[N].store(0, std::memory_order_relaxed);
-    NodeCycles[N].store(0, std::memory_order_relaxed);
-  }
-}
-
-void PageGrainExtras::record(NodeId Node, AccessKind Kind,
+void PageGrainExtras::record(NodeId Node, AccessKind,
                              uint64_t LatencyCycles,
                              const PageAccessContext &Ctx) {
   CHEETAH_ASSERT(Node < NumaTopology::MaxNodes, "node id out of range");
@@ -209,10 +189,7 @@ void PageGrainExtras::record(NodeId Node, AccessKind Kind,
                               : NumaTopology::DefaultRemoteDistance,
                  1, LatencyCycles);
   }
-  NodeAccesses[Node].fetch_add(1, std::memory_order_relaxed);
-  if (Kind == AccessKind::Write)
-    NodeWrites[Node].fetch_add(1, std::memory_order_relaxed);
-  NodeCycles[Node].fetch_add(LatencyCycles, std::memory_order_relaxed);
+  noteNodes(NodeMask(1) << Node);
 }
 
 void PageGrainExtras::merge(const PageRunExtras &Run) {
@@ -222,16 +199,7 @@ void PageGrainExtras::merge(const PageRunExtras &Run) {
   }
   for (const RemoteDistanceStats &Slot : Run.Remote)
     bucketRemote(Slot.Distance, Slot.Accesses, Slot.Cycles);
-  for (uint32_t I = 0; I < Run.NodeCount; ++I) {
-    NodeId Node = Run.Nodes[I];
-    NodeAccesses[Node].fetch_add(Run.NodeAccesses[Node],
-                                 std::memory_order_relaxed);
-    if (Run.NodeWrites[Node])
-      NodeWrites[Node].fetch_add(Run.NodeWrites[Node],
-                                 std::memory_order_relaxed);
-    NodeCycles[Node].fetch_add(Run.NodeCycles[Node],
-                               std::memory_order_relaxed);
-  }
+  noteNodes(Run.Nodes);
 }
 
 void PageGrainExtras::bucketRemote(uint32_t Distance, uint64_t Accesses,
@@ -262,19 +230,6 @@ void PageGrainExtras::bucketRemote(uint32_t Distance, uint64_t Accesses,
         Cycles, std::memory_order_relaxed);
 }
 
-std::vector<NodePageStats> PageGrainExtras::nodes() const {
-  std::vector<NodePageStats> Result;
-  for (uint32_t N = 0; N < NumaTopology::MaxNodes; ++N) {
-    uint64_t NodeTotal = NodeAccesses[N].load(std::memory_order_relaxed);
-    if (NodeTotal == 0)
-      continue;
-    Result.push_back({N, NodeTotal,
-                      NodeWrites[N].load(std::memory_order_relaxed),
-                      NodeCycles[N].load(std::memory_order_relaxed)});
-  }
-  return Result;
-}
-
 std::vector<RemoteDistanceStats> PageGrainExtras::remoteByDistance() const {
   std::vector<RemoteDistanceStats> Result;
   for (const AtomicDistanceStats &Slot : DistanceSlots) {
@@ -291,12 +246,4 @@ std::vector<RemoteDistanceStats> PageGrainExtras::remoteByDistance() const {
               return A.Distance < B.Distance;
             });
   return Result;
-}
-
-size_t PageGrainExtras::nodeCount() const {
-  size_t Count = 0;
-  for (uint32_t N = 0; N < NumaTopology::MaxNodes; ++N)
-    if (NodeAccesses[N].load(std::memory_order_relaxed))
-      ++Count;
-  return Count;
 }

@@ -18,8 +18,8 @@
 ///    line, cache lines of a page) that lets SharingClassifier split true
 ///    from false sharing,
 ///  - per-grain **extras** beyond the shared counters (the page grain adds
-///    remote-traffic totals, per-node accumulators, and remoteByDistance
-///    buckets; the line grain adds nothing).
+///    remote-traffic totals, the set of nodes that touched it, and
+///    remoteByDistance buckets; the line grain adds nothing).
 ///
 /// Every mutable field is a relaxed atomic and the table transition is a
 /// single-word CAS, so `record` is lock-free from any number of ingesting
@@ -47,6 +47,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -86,14 +87,6 @@ struct WordStats {
 struct ThreadLineStats {
   ThreadId Tid = 0;
   uint64_t Accesses = 0;
-  uint64_t Cycles = 0;
-};
-
-/// Per-node access/cycle accumulator on one page.
-struct NodePageStats {
-  NodeId Node = 0;
-  uint64_t Accesses = 0;
-  uint64_t Writes = 0;
   uint64_t Cycles = 0;
 };
 
@@ -226,19 +219,17 @@ struct LineGrainExtras {
   uint64_t remoteAccesses() const { return 0; }
 };
 
-/// Page-grain run extras: plain mirrors of the remote-traffic totals,
-/// per-node accumulators, and distance buckets. The node arrays are dense
-/// by node id, but only the nodes listed in Nodes are live, so reset and
-/// merge cost the nodes the run touched.
+/// One bit per NUMA node: the set of nodes that touched a page.
+using NodeMask = uint32_t;
+static_assert(NumaTopology::MaxNodes <= 32, "node ids must fit a NodeMask");
+
+/// Page-grain run extras: plain mirrors of the remote-traffic totals, the
+/// node set, and the distance buckets.
 struct PageRunExtras {
   uint64_t RemoteAccesses = 0;
   uint64_t RemoteCycles = 0;
-  uint64_t NodeAccesses[NumaTopology::MaxNodes] = {};
-  uint64_t NodeWrites[NumaTopology::MaxNodes] = {};
-  uint64_t NodeCycles[NumaTopology::MaxNodes] = {};
-  /// The nodes the run touched, in first-touch order.
-  NodeId Nodes[NumaTopology::MaxNodes] = {};
-  uint32_t NodeCount = 0;
+  /// The nodes the run touched.
+  NodeMask Nodes = 0;
   /// Remote traffic per crossed distance, in arrival order (at most
   /// MaxNodes - 1 distinct distances exist under a settled home).
   std::vector<RemoteDistanceStats> Remote;
@@ -249,8 +240,8 @@ struct PageRunExtras {
 };
 
 /// Page-grain per-grain extras: everything the NUMA story needs beyond the
-/// generic counters. Node populations are tiny (NumaTopology::MaxNodes) so
-/// they live in fixed arrays rather than the chunk chain.
+/// generic counters. Node populations are tiny (NumaTopology::MaxNodes), so
+/// the node set is one bitmask and the distance buckets a fixed array.
 struct PageGrainExtras {
   /// One lock-free distance bucket: claimed by CAS-publishing its distance
   /// value (0 = empty; validated remote distances are >= 1). A page's home
@@ -264,15 +255,10 @@ struct PageGrainExtras {
 
   std::atomic<uint64_t> RemoteAccesses{0};
   std::atomic<uint64_t> RemoteCycles{0};
-  /// Fixed per-node accumulators; node ids are bounded by
-  /// NumaTopology::MaxNodes.
-  std::atomic<uint64_t> NodeAccesses[NumaTopology::MaxNodes];
-  std::atomic<uint64_t> NodeWrites[NumaTopology::MaxNodes];
-  std::atomic<uint64_t> NodeCycles[NumaTopology::MaxNodes];
+  /// The nodes that touched the page, one bit per node id.
+  std::atomic<NodeMask> Nodes{0};
   /// Remote traffic bucketed by crossed node-pair distance.
   AtomicDistanceStats DistanceSlots[NumaTopology::MaxNodes];
-
-  PageGrainExtras();
 
   void record(NodeId Node, AccessKind Kind, uint64_t LatencyCycles,
               const PageAccessContext &Ctx);
@@ -284,13 +270,20 @@ struct PageGrainExtras {
   uint64_t remoteCycles() const {
     return RemoteCycles.load(std::memory_order_relaxed);
   }
-  std::vector<NodePageStats> nodes() const;
   std::vector<RemoteDistanceStats> remoteByDistance() const;
-  size_t nodeCount() const;
+  size_t nodeCount() const {
+    return static_cast<size_t>(
+        std::popcount(Nodes.load(std::memory_order_relaxed)));
+  }
 
 private:
   /// Adds remote samples to their distance bucket (lock-free).
   void bucketRemote(uint32_t Distance, uint64_t Accesses, uint64_t Cycles);
+  /// Adds \p Touched to the node set, with no write when it is already in.
+  void noteNodes(NodeMask Touched) {
+    if ((Nodes.load(std::memory_order_relaxed) & Touched) != Touched)
+      Nodes.fetch_or(Touched, std::memory_order_relaxed);
+  }
 };
 
 /// The line grain: threads invalidate each other's cache lines; buckets
@@ -300,9 +293,9 @@ struct LineGrainTraits {
   using Context = LineAccessContext;
   using Extras = LineGrainExtras;
   using RunExtras = LineRunExtras;
-  static constexpr const char *Name = "line";
   static constexpr const char *BucketRangeMsg = "word index outside line";
-  static constexpr const char *SpanMsg = "access must cover at least one word";
+  static constexpr const char *SpanMsg =
+      "access must cover one or more words of its line";
 };
 
 /// The page grain: NUMA nodes invalidate each other's pages; buckets are
@@ -312,9 +305,9 @@ struct PageGrainTraits {
   using Context = PageAccessContext;
   using Extras = PageGrainExtras;
   using RunExtras = PageRunExtras;
-  static constexpr const char *Name = "page";
   static constexpr const char *BucketRangeMsg = "line index outside page";
-  static constexpr const char *SpanMsg = "access must cover at least one line";
+  static constexpr const char *SpanMsg =
+      "access must cover one or more lines of its page";
 };
 
 template <typename Traits> class GrainInfo;
@@ -352,14 +345,14 @@ public:
            uint64_t BucketSpan, uint64_t LatencyCycles,
            const Context &Ctx = {}) {
     CHEETAH_ASSERT(BucketIndex < BucketCount, Traits::BucketRangeMsg);
-    CHEETAH_ASSERT(BucketSpan >= 1, Traits::SpanMsg);
+    CHEETAH_ASSERT(BucketSpan >= 1 && BucketSpan <= BucketCount - BucketIndex,
+                   Traits::SpanMsg);
     Inputs.push_back({Actor, Kind});
     Writes += Kind == AccessKind::Write;
     Cycles += LatencyCycles;
     Extras.record(Actor, Kind, LatencyCycles, Ctx);
 
-    uint64_t End = std::min<uint64_t>(BucketIndex + BucketSpan, BucketCount);
-    for (uint64_t B = BucketIndex; B < End; ++B) {
+    for (uint64_t B = BucketIndex; B < BucketIndex + BucketSpan; ++B) {
       RunBucketStats &Bucket = Buckets[B];
       if (Bucket.accesses() == 0)
         Touched.push_back(static_cast<uint32_t>(B));
@@ -415,12 +408,15 @@ public:
 
   /// Records one sampled access landing on this grain into the shared
   /// atomics. Lock-free: concurrent calls from many ingesting threads
-  /// never lose an update. \returns true if it incurred an invalidation.
+  /// never lose an update. The access covers buckets [BucketIndex,
+  /// BucketIndex + BucketSpan), all inside the grain: the caller clamps a
+  /// straddling access. \returns true if it incurred an invalidation.
   bool record(ThreadId Tid, ActorId Actor, AccessKind Kind,
               uint64_t BucketIndex, uint64_t BucketSpan,
               uint64_t LatencyCycles, const Context &Ctx = {}) {
     CHEETAH_ASSERT(BucketIndex < BucketCount, Traits::BucketRangeMsg);
-    CHEETAH_ASSERT(BucketSpan >= 1, Traits::SpanMsg);
+    CHEETAH_ASSERT(BucketSpan >= 1 && BucketSpan <= BucketCount - BucketIndex,
+                   Traits::SpanMsg);
 
     bool Invalidation = Table.recordAccess(Actor, Kind);
     if (Invalidation)
@@ -435,8 +431,7 @@ public:
     // An access wider than a bucket (e.g. a 64-bit store over 4-byte
     // words) marks every covered bucket; latency attributes to the first
     // bucket to avoid double counting.
-    uint64_t End = std::min<uint64_t>(BucketIndex + BucketSpan, BucketCount);
-    for (uint64_t B = BucketIndex; B < End; ++B)
+    for (uint64_t B = BucketIndex; B < BucketIndex + BucketSpan; ++B)
       Buckets[B].record(Actor, Kind, B == BucketIndex ? LatencyCycles : 0);
 
     ThreadStats.record(Tid, LatencyCycles);

@@ -27,7 +27,8 @@
 /// are CAS-published (losing allocators delete their copy), and a
 /// materialized GrainInfo is internally lock-free. A live bit changes only
 /// with a winning detail publication or an eviction, never on a plain
-/// sample.
+/// sample. Eviction runs under the caller's ingestion fence and deletes
+/// each victim's record in place.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -113,7 +114,6 @@ public:
   }
 
   ~GrainTable() {
-    reclaimRetired();
     for (Slab &Region : Slabs)
       forEachLive(Region, [&](size_t I) {
         delete Region.Details[I].load(std::memory_order_relaxed);
@@ -126,16 +126,6 @@ public:
   /// \returns true if \p Address falls inside a monitored region. Accesses
   /// elsewhere (stack, kernel, libraries) are filtered out (Section 4.1).
   bool covers(uint64_t Address) const { return slabFor(Address) != nullptr; }
-
-  /// The monitored regions, in registration order — what a BatchDecoder
-  /// needs to evaluate this table's coverage for a whole batch.
-  std::vector<ShadowRegion> regions() const {
-    std::vector<ShadowRegion> Result;
-    Result.reserve(Slabs.size());
-    for (const Slab &Region : Slabs)
-      Result.push_back({Region.Base, Region.Size});
-    return Result;
-  }
 
   /// Software-prefetches the grain's stage-1 write counter (write intent:
   /// the counter is about to take an atomic RMW). The batched ingestion
@@ -318,8 +308,8 @@ public:
   }
 
   //===--------------------------------------------------------------------===//
-  // Bounded-memory continuous operation: byte budget, cold-grain eviction,
-  // epoch-fenced reclamation.
+  // Bounded-memory continuous operation: a byte budget, and cold-grain
+  // eviction at fenced epoch boundaries.
   //===--------------------------------------------------------------------===//
 
   /// Installs the byte budget enforceBudget() trims to (0 = unbounded,
@@ -347,9 +337,8 @@ public:
   /// Total heap bytes behind this table — the denominator the eviction
   /// budget is enforced against. Unlike metadataBytes() (the
   /// report-visible shadow-bytes number, which intentionally keeps its
-  /// historical meaning), this also counts the live bitmaps, the
-  /// budgeted-mode epoch baselines and any not-yet-reclaimed retired
-  /// infos.
+  /// historical meaning), this also counts the live bitmaps and the
+  /// budgeted-mode epoch baselines.
   size_t footprintBytes() const {
     size_t Bytes = metadataBytes();
     for (const Slab &Region : Slabs) {
@@ -357,8 +346,6 @@ public:
       if (Region.EpochWrites)
         Bytes += Region.Grains * sizeof(uint32_t);
     }
-    for (const InfoT *Info : Retired)
-      Bytes += Info->footprintBytes();
     return Bytes;
   }
 
@@ -369,14 +356,13 @@ public:
   ///
   /// Grains are ranked coldest-first by writes since the previous epoch
   /// boundary (ties: fewer lifetime accesses, then lower address, so the
-  /// sweep is fully deterministic). Each victim's Details slot is
-  /// CAS-claimed from its info pointer into the Evicted state, its
-  /// counters fold into the residue, its stage-1 write counter resets to
-  /// zero (decay: the grain must re-earn materialization), and the info
-  /// retires onto the free list — reclaimed before returning, still
-  /// inside the fenced window, so no ingesting thread can hold a stale
-  /// pointer. The flat slab arrays are a fixed floor the budget cannot
-  /// trim below; eviction stops when the evictable portion is exhausted.
+  /// sweep is fully deterministic). Each victim's Details slot takes the
+  /// Evicted state with a release store, its counters fold into the
+  /// residue, its stage-1 write counter resets to zero (decay: the grain
+  /// must re-earn materialization), and its info is deleted on the spot:
+  /// the fence guarantees no ingesting thread holds the pointer. The flat
+  /// slab arrays are a fixed floor the budget cannot trim below; eviction
+  /// stops when the evictable portion is exhausted.
   /// \returns the number of grains evicted.
   size_t enforceBudget() {
     if (ByteBudget == 0)
@@ -416,15 +402,10 @@ public:
         if (Footprint <= ByteBudget)
           break;
         std::atomic<InfoT *> &Slot = Victim.Region->Details[Victim.Index];
-        InfoT *Info = Slot.load(std::memory_order_acquire);
-        if (!Info || Info == evictedMark())
-          continue;
-        // CAS-claim the packed word into the Evicted state. Under the
-        // fence this cannot fail; the CAS keeps the transition an atomic
-        // publication for any later re-materialization to synchronize on.
-        if (!Slot.compare_exchange_strong(Info, evictedMark(),
-                                          std::memory_order_acq_rel))
-          continue;
+        InfoT *Info = Slot.load(std::memory_order_relaxed);
+        // Release, so a later re-materialization's CAS synchronizes with
+        // the eviction.
+        Slot.store(evictedMark(), std::memory_order_release);
         Residue.Grains += 1;
         Residue.Accesses += Info->accesses();
         Residue.Writes += Info->writes();
@@ -435,7 +416,7 @@ public:
             0, std::memory_order_relaxed);
         setLive(*Victim.Region, Victim.Index, false);
         Footprint -= Info->footprintBytes();
-        Retired.push_back(Info);
+        delete Info;
         ++Evicted;
       }
     }
@@ -449,19 +430,7 @@ public:
         for (size_t I = 0; I < Region.Grains; ++I)
           Region.EpochWrites[I] =
               Region.WriteCounts[I].load(std::memory_order_relaxed);
-    reclaimRetired();
     return Evicted;
-  }
-
-  /// Deletes every retired info. Only call inside the ingestion-fenced
-  /// window (enforceBudget does; the destructor too). \returns how many
-  /// records were reclaimed.
-  size_t reclaimRetired() {
-    size_t Count = Retired.size();
-    for (InfoT *Info : Retired)
-      delete Info;
-    Retired.clear();
-    return Count;
   }
 
 private:
@@ -492,8 +461,10 @@ private:
   }
 
   const Slab *slabFor(uint64_t Address) const {
+    // Unsigned wraparound turns the two-sided range test into one compare
+    // per region, exact up to the top of the address space.
     for (const Slab &Region : Slabs)
-      if (Address >= Region.Base && Address < Region.Base + Region.Size)
+      if (Address - Region.Base < Region.Size)
         return &Region;
     return nullptr;
   }
@@ -535,10 +506,6 @@ private:
   /// Counters folded out of evicted grains; mutated only under the
   /// enforceBudget fence.
   GrainEvictionStats Residue;
-  /// Evicted infos awaiting reclamation — the epoch-fenced free
-  /// list. Normally drained before enforceBudget returns; never touched
-  /// while ingestion threads are in flight.
-  std::vector<InfoT *> Retired;
 };
 
 } // namespace core

@@ -19,9 +19,10 @@
 ///    disjoint lines: fixable by page-aligned placement or node-local
 ///    allocation) from *true page sharing* (genuine communication).
 ///    SharingClassifier consumes the snapshots unchanged.
-///  - The page-grain extras add remote-traffic totals, per-node
-///    accumulators, and the remoteByDistance buckets the v4 report schema
-///    and the distance-weighted assessment consume.
+///  - The page-grain extras add remote-traffic totals, the set of nodes
+///    that touched the page (a finding's `nodes` count), and the
+///    remoteByDistance buckets the v4 report schema and the
+///    distance-weighted assessment consume.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,7 +40,6 @@ struct PageNumaEvidence {
   uint64_t RemoteAccesses = 0;
   uint64_t RemoteCycles = 0;
   std::vector<RemoteDistanceStats> RemoteByDistance;
-  std::vector<NodePageStats> Nodes;
   size_t NodesObserved = 0;
 };
 
@@ -78,9 +78,6 @@ public:
   /// SharingClassifier applies unchanged at page granularity.
   std::vector<WordStats> lines() const { return buckets(); }
 
-  /// Value snapshot of the per-node accumulators, ordered by node id.
-  std::vector<NodePageStats> nodes() const { return extras().nodes(); }
-
   /// Value snapshot of the remote traffic bucketed by crossed node-pair
   /// distance, ordered by distance. With a settled home the bucket
   /// accesses sum exactly to remoteAccesses() and the cycles to
@@ -98,7 +95,6 @@ public:
     Result.RemoteAccesses = remoteAccesses();
     Result.RemoteCycles = remoteCycles();
     Result.RemoteByDistance = remoteByDistance();
-    Result.Nodes = nodes();
     Result.NodesObserved = nodeCount();
     return Result;
   }

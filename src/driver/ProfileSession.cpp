@@ -17,22 +17,43 @@ using namespace cheetah::driver;
 sim::ForkJoinProgram
 cheetah::driver::buildProgram(const workloads::Workload &Workload,
                               core::Profiler &Profiler,
-                              const SessionConfig &Config) {
+                              const SessionConfig &Config,
+                              std::string *Error) {
+  // Without Error a workload the arenas cannot hold is a programming error;
+  // with it, the first failure is reported and the build runs on with the
+  // failed object at address 0 (the caller discards the program).
+  auto Fail = [Error](const std::string &Message) {
+    CHEETAH_ASSERT(Error != nullptr, Message.c_str());
+    if (Error->empty())
+      *Error = Message;
+  };
   workloads::WorkloadContext Ctx;
   Ctx.Geometry = Config.Profiler.Geometry;
-  Ctx.Allocate = [&Profiler](uint64_t Size, const std::string &File,
-                             unsigned Line) {
+  Ctx.Allocate = [&Profiler, &Config, Fail](uint64_t Size,
+                                            const std::string &File,
+                                            unsigned Line) {
     runtime::CallsiteId Site = Profiler.internCallsite(File, Line);
     uint64_t Address = Profiler.heap().allocate(Size, /*Tid=*/0, Site);
-    CHEETAH_ASSERT(Address != 0, "workload exhausted the heap arena");
+    if (Address == 0)
+      Fail(formatString("workload exhausted the heap arena: %s:%u asks for "
+                        "%s bytes (arena %s bytes)",
+                        File.c_str(), Line, formatWithCommas(Size).c_str(),
+                        formatWithCommas(Config.Profiler.HeapArenaSize)
+                            .c_str()));
     return Address;
   };
-  Ctx.DefineGlobal = [&Profiler](const std::string &Name, uint64_t Size,
-                                 bool LineAligned) {
+  Ctx.DefineGlobal = [&Profiler, &Config, Fail](const std::string &Name,
+                                                uint64_t Size,
+                                                bool LineAligned) {
     uint64_t Address = LineAligned
                            ? Profiler.globals().defineAligned(Name, Size)
                            : Profiler.globals().define(Name, Size);
-    CHEETAH_ASSERT(Address != 0, "workload exhausted the global segment");
+    if (Address == 0)
+      Fail(formatString("workload exhausted the global segment: global '%s' "
+                        "asks for %s bytes (segment %s bytes)",
+                        Name.c_str(), formatWithCommas(Size).c_str(),
+                        formatWithCommas(Config.Profiler.GlobalSegmentSize)
+                            .c_str()));
     return Address;
   };
   return Workload.build(Ctx, Config.Workload);
@@ -63,17 +84,28 @@ cheetah::driver::makeRunInfo(const workloads::Workload &Workload,
 }
 
 std::string
-cheetah::driver::formatStageSummary(const core::GrainStageSummary &Stage) {
-  std::string Line = "grain " + Stage.Name + ": " +
-                     formatWithCommas(Stage.Tracked) + " tracked, " +
-                     formatWithCommas(Stage.Significant) +
-                     " significant findings, " +
-                     formatWithCommas(Stage.SamplesRecorded) + " samples (" +
-                     formatWithCommas(Stage.Invalidations) + " invalidations";
-  if (Stage.HasRemote)
-    Line += ", " + formatWithCommas(Stage.RemoteSamples) + " remote";
-  Line += ")";
-  return Line;
+cheetah::driver::formatGrainSummaries(const core::ProfileResult &Profile,
+                                      const core::DetectorConfig &Detect) {
+  auto Line = [](const char *Grain, size_t Tracked, size_t Significant,
+                 uint64_t Samples, uint64_t Invalidations,
+                 const std::string &Remote) {
+    return std::string("grain ") + Grain + ": " + formatWithCommas(Tracked) +
+           " tracked, " + formatWithCommas(Significant) +
+           " significant findings, " + formatWithCommas(Samples) +
+           " samples (" + formatWithCommas(Invalidations) + " invalidations" +
+           Remote + ")\n";
+  };
+  const core::DetectorStats &Stats = Profile.Detection;
+  std::string Text;
+  if (Detect.TrackLines)
+    Text += Line("line", Profile.AllInstances.size(), Profile.Reports.size(),
+                 Stats.SamplesRecorded, Stats.Invalidations, "");
+  if (Detect.TrackPages)
+    Text += Line("page", Profile.AllPageInstances.size(),
+                 Profile.PageReports.size(), Stats.PageSamplesRecorded,
+                 Stats.PageInvalidations,
+                 ", " + formatWithCommas(Stats.RemoteSamples) + " remote");
+  return Text;
 }
 
 std::unique_ptr<pmu::TraceSource>
@@ -96,7 +128,13 @@ bool cheetah::driver::runSession(const workloads::Workload &Workload,
   // The program is built against the profiler's heap/globals in *every*
   // backend mode: replay needs the identical arena layout the recorded
   // addresses resolve against, or every finding would lose its name.
-  sim::ForkJoinProgram Program = buildProgram(Workload, Profiler, Config);
+  std::string BuildError;
+  sim::ForkJoinProgram Program =
+      buildProgram(Workload, Profiler, Config, &BuildError);
+  if (!BuildError.empty()) {
+    Error = BuildError;
+    return false;
+  }
 
   if (Config.Backend == SampleBackend::TraceReplay) {
     if (!Config.EnableProfiler) {
@@ -188,7 +226,7 @@ SessionResult cheetah::driver::runWorkload(const workloads::Workload &Workload,
   SessionResult Result;
   std::string Error;
   bool Ok = runSession(Workload, Config, Sink, Result, Error);
-  CHEETAH_ASSERT(Ok, "simulator session cannot fail");
+  CHEETAH_ASSERT(Ok, Error.c_str());
   (void)Ok;
   return Result;
 }

@@ -62,22 +62,27 @@ struct SessionResult {
   bool ProfilerEnabled = false;
 };
 
-/// Builds \p Workload's program against \p Profiler's heap/globals.
+/// Builds \p Workload's program against \p Profiler's heap/globals. An
+/// object the heap arena or global segment cannot hold asserts, unless
+/// \p Error is given: then the first such object's arena, size and call
+/// site (or global name) go into \p *Error, its address is 0, and the
+/// program must not run.
 sim::ForkJoinProgram buildProgram(const workloads::Workload &Workload,
                                   core::Profiler &Profiler,
-                                  const SessionConfig &Config);
+                                  const SessionConfig &Config,
+                                  std::string *Error = nullptr);
 
 /// Fills the sink-facing run identification from a session configuration.
 core::ReportRunInfo makeRunInfo(const workloads::Workload &Workload,
                                 const SessionConfig &Config);
 
-/// One human-readable banner line for an active grain stage, e.g.
+/// The banner's grain lines for \p Profile: one per grain \p Detect ran,
+/// line before page, each ending in a newline, e.g.
 ///   grain line: 7 tracked, 2 significant findings, 12,345 samples
 ///   (1,024 invalidations)
-/// with a ", N remote" clause for stages that distinguish remote traffic.
-/// Drivers print one per entry of ProfileResult::Stages, so a future third
-/// grain shows up in every banner with no tool edits.
-std::string formatStageSummary(const core::GrainStageSummary &Stage);
+/// The page line adds a ", N remote" clause for its remote samples.
+std::string formatGrainSummaries(const core::ProfileResult &Profile,
+                                 const core::DetectorConfig &Detect);
 
 /// Builds the capture-side trace source for \p Config without the caller
 /// naming a concrete backend: a replay TraceSource for
@@ -97,16 +102,18 @@ makeCaptureSource(const SessionConfig &Config);
 /// predicted improvement, and endRun (run stats). \p Result still carries
 /// the full vectors for programmatic use.
 ///
-/// This is the fallible entry point — trace replay (unreadable or
-/// malformed file) and trace recording (write failure) report through
-/// \p Error with a false return; the pure simulator path cannot fail.
+/// This is the fallible entry point — a workload the heap arena or global
+/// segment cannot hold, trace replay (unreadable or malformed file) and
+/// trace recording (write failure) report through \p Error with a false
+/// return.
 bool runSession(const workloads::Workload &Workload,
                 const SessionConfig &Config, core::ReportSink *Sink,
                 SessionResult &Result, std::string &Error);
 
 /// Runs \p Workload under the Cheetah profiler (or natively when
-/// EnableProfiler is false). Simulator backend only: infallible
-/// convenience wrapper over runSession for tests and benches.
+/// EnableProfiler is false). Simulator backend only: a convenience wrapper
+/// over runSession for tests and benches that asserts where runSession
+/// would fail.
 SessionResult runWorkload(const workloads::Workload &Workload,
                           const SessionConfig &Config);
 

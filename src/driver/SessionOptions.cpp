@@ -104,8 +104,9 @@ bool cheetah::driver::buildSessionOptions(const FlagSet &Flags,
   }
 
   double Scale = Flags.getDouble("scale");
-  if (!(Scale > 0.0)) {
-    Error = formatString("--scale must be > 0 (got %f)", Scale);
+  if (!(Scale > 0.0 && Scale <= MaxScale)) {
+    Error = formatString("--scale must be > 0 and at most %g (got %g)",
+                         MaxScale, Scale);
     return false;
   }
 

@@ -52,6 +52,10 @@ struct SessionOptions {
 /// fixed-size structures (thread registries, batch tables) honest.
 inline constexpr int64_t MaxThreads = 1024;
 inline constexpr int64_t MaxSamplingPeriod = 1 << 30;
+/// Upper bound for `--scale`: every workload's size arithmetic stays
+/// within 64 bits at MaxThreads x MaxScale, so a scale the arenas cannot
+/// hold fails cleanly in driver::buildProgram instead of overflowing.
+inline constexpr double MaxScale = 1e6;
 
 /// Validates every parsed flag value and fills \p Out. \returns false
 /// with a descriptive \p Error on the first violation; never asserts or

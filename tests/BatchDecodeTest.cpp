@@ -7,17 +7,18 @@
 /// \file
 /// The batched ingestion pipeline's correctness suite, in three layers:
 ///
-///  - BatchDecoder edge cases: line-straddling accesses, AccessBytes == 0,
-///    end-of-line clamping, and addresses outside shadow coverage, checked
-///    against the decode arithmetic restated per sample — plus random
-///    streams over random geometries at every batch length;
+///  - line decode edge cases through Detector::handleBatch: line-straddling
+///    accesses clamp at the line end, AccessBytes == 0 marks one word, and
+///    addresses at region edges (and next to 2^64) count as filtered —
+///    each checked against explicit words and against the per-sample
+///    reference (tests/PerSampleReference.h), plus random streams over
+///    random geometries at every batch length;
 ///
-///  - Detector::handleBatch against the per-sample reference
-///    (tests/PerSampleReference.h) over the same stream: detector counters
-///    and full per-grain snapshots must match exactly, at line and page
-///    granularity, including batches larger than the 256-sample chunk
-///    capacity, and the parallel-phase gate must keep stage-1 counting and
-///    home publication while recording nothing;
+///  - Detector::handleBatch against the per-sample reference over the same
+///    stream: detector counters and full per-grain snapshots must match
+///    exactly, at line and page granularity, including batches larger
+///    than the 256-sample chunk capacity, and the parallel-phase gate must
+///    keep stage-1 counting and home publication while recording nothing;
 ///
 ///  - Profiler::ingestBatch bookkeeping: a batch carrying more distinct
 ///    tids than the fixed scratch table (MaxBatchTids) must flush and
@@ -28,7 +29,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Profiler.h"
-#include "core/detect/BatchDecode.h"
 #include "core/detect/Detector.h"
 #include "core/detect/PageTable.h"
 #include "core/detect/ShadowMemory.h"
@@ -51,198 +51,6 @@ using namespace cheetah::core;
 namespace {
 
 constexpr uint64_t RegionBase = 0x4000'0000;
-
-/// The decode arithmetic, restated independently per sample: word index,
-/// end-of-line-clamped span, and region coverage for one address.
-struct ReferenceDecode {
-  uint8_t Covered;
-  uint32_t Bucket;
-  uint32_t Span;
-};
-
-ReferenceDecode referenceDecode(const CacheGeometry &Geometry,
-                                const std::vector<ShadowRegion> &Regions,
-                                uint64_t Address, uint8_t AccessBytes) {
-  uint64_t Bytes = AccessBytes ? AccessBytes : 1;
-  uint64_t Offset = Geometry.offsetInLine(Address);
-  uint64_t Word = Offset / WordSize;
-  uint64_t LastByte = Offset + Bytes - 1;
-  if (LastByte >= Geometry.lineSize())
-    LastByte = Geometry.lineSize() - 1;
-  ReferenceDecode Result;
-  Result.Bucket = static_cast<uint32_t>(Word);
-  Result.Span = static_cast<uint32_t>(LastByte / WordSize - Word + 1);
-  Result.Covered = 0;
-  for (const ShadowRegion &Region : Regions)
-    Result.Covered |=
-        Address >= Region.Base && Address - Region.Base < Region.Size;
-  return Result;
-}
-
-/// Decodes \p Samples through \p Decoder and checks every record against
-/// the reference formula.
-void expectMatchesReference(const BatchDecoder &Decoder,
-                            const CacheGeometry &Geometry,
-                            const std::vector<ShadowRegion> &Regions,
-                            const std::vector<pmu::Sample> &Samples,
-                            uint8_t AccessBytes) {
-  ASSERT_LE(Samples.size(), DecodedBatch::Capacity);
-  DecodedBatch Out;
-  Decoder.decode(Samples.data(), Samples.size(), AccessBytes, Out);
-  for (size_t I = 0; I < Samples.size(); ++I) {
-    ReferenceDecode Want =
-        referenceDecode(Geometry, Regions, Samples[I].Address, AccessBytes);
-    EXPECT_EQ(Out.Covered[I], Want.Covered)
-        << "sample " << I << " address 0x" << std::hex << Samples[I].Address;
-    EXPECT_EQ(Out.Bucket[I], Want.Bucket) << "sample " << I;
-    EXPECT_EQ(Out.Span[I], Want.Span) << "sample " << I;
-  }
-}
-
-std::vector<pmu::Sample> samplesAt(std::initializer_list<uint64_t> Addresses) {
-  std::vector<pmu::Sample> Samples;
-  for (uint64_t Address : Addresses) {
-    pmu::Sample Sample;
-    Sample.Address = Address;
-    Samples.push_back(Sample);
-  }
-  return Samples;
-}
-
-//===----------------------------------------------------------------------===//
-// Decode edge cases against the reference arithmetic
-//===----------------------------------------------------------------------===//
-
-TEST(BatchDecodeTest, LineStraddlingAccessesClampToTheLineEnd) {
-  CacheGeometry Geometry(64);
-  std::vector<ShadowRegion> Regions{{RegionBase, 4096}};
-  BatchDecoder Decoder(Geometry, Regions);
-
-  // An 8-byte access starting at offset 60 straddles into the next line:
-  // it must mark only the last word of its first line (span 1).
-  std::vector<pmu::Sample> Samples = samplesAt(
-      {RegionBase + 60, RegionBase + 62, RegionBase + 63, RegionBase + 56});
-  DecodedBatch Out;
-  Decoder.decode(Samples.data(), Samples.size(), /*AccessBytes=*/8, Out);
-  EXPECT_EQ(Out.Bucket[0], 15u);
-  EXPECT_EQ(Out.Span[0], 1u); // 60..63 only: clamped at the line end
-  EXPECT_EQ(Out.Bucket[1], 15u);
-  EXPECT_EQ(Out.Span[1], 1u);
-  EXPECT_EQ(Out.Bucket[2], 15u);
-  EXPECT_EQ(Out.Span[2], 1u);
-  EXPECT_EQ(Out.Bucket[3], 14u);
-  EXPECT_EQ(Out.Span[3], 2u); // 56..63: exactly reaches the line end
-  expectMatchesReference(Decoder, Geometry, Regions, Samples, 8);
-}
-
-TEST(BatchDecodeTest, AccessBytesZeroDecodesAsOneByte) {
-  CacheGeometry Geometry(64);
-  std::vector<ShadowRegion> Regions{{RegionBase, 4096}};
-  BatchDecoder Decoder(Geometry, Regions);
-
-  std::vector<pmu::Sample> Samples =
-      samplesAt({RegionBase, RegionBase + 3, RegionBase + 63});
-  DecodedBatch Out;
-  Decoder.decode(Samples.data(), Samples.size(), /*AccessBytes=*/0, Out);
-  for (size_t I = 0; I < Samples.size(); ++I)
-    EXPECT_EQ(Out.Span[I], 1u) << "sample " << I;
-  EXPECT_EQ(Out.Bucket[0], 0u);
-  EXPECT_EQ(Out.Bucket[1], 0u);
-  EXPECT_EQ(Out.Bucket[2], 15u);
-  expectMatchesReference(Decoder, Geometry, Regions, Samples, 0);
-}
-
-TEST(BatchDecodeTest, AddressesOutsideShadowCoverageAreFlaggedUncovered) {
-  CacheGeometry Geometry(64);
-  // Two disjoint regions, like the real heap arena + global segment pair.
-  std::vector<ShadowRegion> Regions{{RegionBase, 4096},
-                                    {0x7000'0000, 64 * 64}};
-  BatchDecoder Decoder(Geometry, Regions);
-
-  std::vector<pmu::Sample> Samples = samplesAt({
-      RegionBase - 1,          // just below the first region
-      RegionBase,              // first byte: covered
-      RegionBase + 4095,       // last byte: covered
-      RegionBase + 4096,       // one past the end
-      0x7000'0000 - 64,        // between the regions
-      0x7000'0000,             // second region
-      0x7000'0000 + 64 * 64,   // one past the second region
-      0x10,                    // kernel-ish low address
-      0xFFFF'FFFF'FFFF'FFF0ull // top of the address space
-  });
-  DecodedBatch Out;
-  Decoder.decode(Samples.data(), Samples.size(), /*AccessBytes=*/4, Out);
-  const uint8_t Want[] = {0, 1, 1, 0, 0, 1, 0, 0, 0};
-  for (size_t I = 0; I < Samples.size(); ++I)
-    EXPECT_EQ(Out.Covered[I], Want[I]) << "sample " << I;
-  expectMatchesReference(Decoder, Geometry, Regions, Samples, 4);
-}
-
-//===----------------------------------------------------------------------===//
-// Random streams against the reference arithmetic
-//===----------------------------------------------------------------------===//
-
-TEST(BatchDecodeTest, DecoderMatchesTheReferenceOnRandomStreams) {
-  // Random streams over random geometries, at every batch length up to a
-  // full chunk: the decoder must agree with the reference record for
-  // record.
-  SplitMix64 Rng(0xDEC0DE);
-  for (uint64_t LineSize : {16, 32, 64, 128, 256}) {
-    CacheGeometry Geometry(LineSize);
-    std::vector<ShadowRegion> Regions{{RegionBase, 64 * LineSize},
-                                      {0x7000'0000, 16 * LineSize}};
-    BatchDecoder Decoder(Geometry, Regions);
-
-    for (size_t Count : {size_t(1), size_t(2), size_t(3), size_t(4),
-                         size_t(5), size_t(7), size_t(63), size_t(256)}) {
-      std::vector<pmu::Sample> Samples(Count);
-      for (pmu::Sample &Sample : Samples) {
-        // Mix: in-region, straddling the region edges, and far outside.
-        switch (Rng.nextBelow(4)) {
-        case 0:
-          Sample.Address = RegionBase + Rng.nextBelow(64 * LineSize);
-          break;
-        case 1:
-          Sample.Address = 0x7000'0000 + Rng.nextBelow(16 * LineSize);
-          break;
-        case 2:
-          Sample.Address =
-              RegionBase - 8 + Rng.nextBelow(16); // straddles the base
-          break;
-        default:
-          Sample.Address = Rng.next();
-          break;
-        }
-      }
-      uint8_t AccessBytes = static_cast<uint8_t>(Rng.nextBelow(17));
-      SCOPED_TRACE("line " + std::to_string(LineSize) + " count " +
-                   std::to_string(Count));
-      expectMatchesReference(Decoder, Geometry, Regions, Samples, AccessBytes);
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// handleBatch vs the per-sample reference: full-state equivalence
-//===----------------------------------------------------------------------===//
-
-/// A deterministic mixed stream: mostly covered addresses with straddling
-/// offsets and a sprinkling of uncovered ones, from a few threads.
-std::vector<pmu::Sample> mixedStream(uint64_t Lines, uint64_t LineSize,
-                                     size_t Count, uint64_t Seed) {
-  SplitMix64 Rng(Seed);
-  std::vector<pmu::Sample> Stream(Count);
-  for (pmu::Sample &Sample : Stream) {
-    Sample.Address = Rng.nextBool(0.9)
-                         ? RegionBase + Rng.nextBelow(Lines) * LineSize +
-                               Rng.nextBelow(LineSize)
-                         : Rng.nextBelow(1ull << 40);
-    Sample.Tid = static_cast<ThreadId>(Rng.nextBelow(6));
-    Sample.IsWrite = Rng.nextBool(0.6);
-    Sample.LatencyCycles = 10 + static_cast<uint32_t>(Rng.nextBelow(50));
-  }
-  return Stream;
-}
 
 void expectSnapshotsEqual(const GrainSnapshot &Got, const GrainSnapshot &Want,
                           uint64_t Grain) {
@@ -269,6 +77,228 @@ void expectSnapshotsEqual(const GrainSnapshot &Got, const GrainSnapshot &Want,
     EXPECT_EQ(Got.Threads[S].Accesses, Want.Threads[S].Accesses);
     EXPECT_EQ(Got.Threads[S].Cycles, Want.Threads[S].Cycles);
   }
+}
+
+/// Every line grain of \p Got must match \p Want's, and no line may be
+/// materialized in only one of them.
+void expectLinesEqual(const ShadowMemory &Got, const ShadowMemory &Want) {
+  std::map<uint64_t, GrainSnapshot> WantLines;
+  Want.forEachDetail([&](uint64_t Base, const CacheLineInfo &Info) {
+    WantLines.emplace(Base, Info.snapshot(Base));
+  });
+  size_t GotLines = 0;
+  Got.forEachDetail([&](uint64_t Base, const CacheLineInfo &Info) {
+    ++GotLines;
+    auto It = WantLines.find(Base);
+    ASSERT_NE(It, WantLines.end()) << "line only in batch run";
+    expectSnapshotsEqual(Info.snapshot(Base), It->second, Base);
+  });
+  EXPECT_EQ(GotLines, WantLines.size());
+}
+
+/// A line-only detector and the per-sample reference over twin shadow
+/// tables, with threshold 0 so a line's first sampled write materializes
+/// it: every covered write is recorded, so its decoded word and span show
+/// in the line's word histogram.
+struct LineTwins {
+  DetectorConfig Config;
+  ShadowMemory GotShadow, WantShadow;
+  Detector Got;
+  test::PerSampleReference Want;
+
+  LineTwins(const CacheGeometry &Geometry,
+            const std::vector<ShadowRegion> &Regions)
+      : Config(zeroThreshold()), GotShadow(Geometry, Regions),
+        WantShadow(Geometry, Regions), Got(Geometry, GotShadow, Config),
+        Want(WantShadow, Config) {}
+
+  static DetectorConfig zeroThreshold() {
+    DetectorConfig Config;
+    Config.WriteThreshold = 0;
+    return Config;
+  }
+
+  /// Delivers \p Samples to the detector as one batch and to the
+  /// reference one by one, then expects equal counters and lines.
+  void deliver(const std::vector<pmu::Sample> &Samples, uint8_t AccessBytes) {
+    size_t WantRecorded = 0;
+    for (const pmu::Sample &Sample : Samples)
+      WantRecorded +=
+          Want.handleSample(Sample, /*InParallelPhase=*/true, AccessBytes);
+    EXPECT_EQ(Got.handleBatch(Samples.data(), Samples.size(),
+                              /*InParallelPhase=*/true, AccessBytes),
+              WantRecorded);
+    DetectorStats GotStats = Got.stats(), WantStats = Want.stats();
+    EXPECT_EQ(GotStats.SamplesSeen, WantStats.SamplesSeen);
+    EXPECT_EQ(GotStats.SamplesFiltered, WantStats.SamplesFiltered);
+    EXPECT_EQ(GotStats.SamplesRecorded, WantStats.SamplesRecorded);
+    EXPECT_EQ(GotStats.Invalidations, WantStats.Invalidations);
+    expectLinesEqual(GotShadow, WantShadow);
+  }
+
+  /// Writes per word of the line at \p LineBase in the batch detector's
+  /// table (empty when the line has no detail).
+  std::vector<uint64_t> wordWrites(uint64_t LineBase) const {
+    std::vector<uint64_t> Result;
+    if (const CacheLineInfo *Info = GotShadow.detail(LineBase))
+      for (const WordStats &Word : Info->words())
+        Result.push_back(Word.Writes);
+    return Result;
+  }
+};
+
+std::vector<pmu::Sample> writesAt(std::initializer_list<uint64_t> Addresses) {
+  std::vector<pmu::Sample> Samples;
+  for (uint64_t Address : Addresses) {
+    pmu::Sample Sample;
+    Sample.Address = Address;
+    Sample.IsWrite = true;
+    Sample.LatencyCycles = 10;
+    Samples.push_back(Sample);
+  }
+  return Samples;
+}
+
+/// Per-word write counts of a 16-word line whose \p Marked words were each
+/// written once.
+std::vector<uint64_t> wordsMarked(std::initializer_list<size_t> Marked) {
+  std::vector<uint64_t> Result(16, 0);
+  for (size_t Word : Marked)
+    Result[Word] = 1;
+  return Result;
+}
+
+//===----------------------------------------------------------------------===//
+// Line decode edge cases through handleBatch
+//===----------------------------------------------------------------------===//
+
+TEST(BatchDecodeTest, LineStraddlingAccessesClampToTheLineEnd) {
+  CacheGeometry Geometry(64);
+  LineTwins Twins(Geometry, {{RegionBase, 4096}});
+
+  // An 8-byte access starting at offset 60 straddles into the next line:
+  // it must mark only the last word of its first line. One access per
+  // line, so each line's words show exactly what its access marked.
+  Twins.deliver(writesAt({RegionBase + 60, RegionBase + 64 + 62,
+                          RegionBase + 128 + 63, RegionBase + 192 + 56}),
+                /*AccessBytes=*/8);
+  EXPECT_EQ(Twins.wordWrites(RegionBase), wordsMarked({15}));
+  EXPECT_EQ(Twins.wordWrites(RegionBase + 64), wordsMarked({15}));
+  EXPECT_EQ(Twins.wordWrites(RegionBase + 128), wordsMarked({15}));
+  // 56..63 exactly reaches the line end: two words.
+  EXPECT_EQ(Twins.wordWrites(RegionBase + 192), wordsMarked({14, 15}));
+  // Nothing spilled into the following line.
+  EXPECT_TRUE(Twins.wordWrites(RegionBase + 256).empty());
+}
+
+TEST(BatchDecodeTest, AccessBytesZeroMarksOneWord) {
+  CacheGeometry Geometry(64);
+  LineTwins Twins(Geometry, {{RegionBase, 4096}});
+
+  Twins.deliver(
+      writesAt({RegionBase, RegionBase + 64 + 3, RegionBase + 128 + 63}),
+      /*AccessBytes=*/0);
+  EXPECT_EQ(Twins.wordWrites(RegionBase), wordsMarked({0}));
+  EXPECT_EQ(Twins.wordWrites(RegionBase + 64), wordsMarked({0}));
+  EXPECT_EQ(Twins.wordWrites(RegionBase + 128), wordsMarked({15}));
+}
+
+TEST(BatchDecodeTest, AddressesOutsideShadowCoverageCountAsFiltered) {
+  CacheGeometry Geometry(64);
+  // Two disjoint regions, like the real heap arena + global segment pair.
+  LineTwins Twins(Geometry, {{RegionBase, 4096}, {0x7000'0000, 64 * 64}});
+
+  Twins.deliver(writesAt({
+                    RegionBase - 1,           // just below the first region
+                    RegionBase,               // first byte: covered
+                    RegionBase + 4095,        // last byte: covered
+                    RegionBase + 4096,        // one past the end
+                    0x7000'0000 - 64,         // between the regions
+                    0x7000'0000,              // second region
+                    0x7000'0000 + 64 * 64,    // one past the second region
+                    0x10,                     // kernel-ish low address
+                    0xFFFF'FFFF'FFFF'FFF0ull, // next to 2^64
+                    0xFFFF'FFFF'FFFF'FFFFull, // the last address there is
+                }),
+                /*AccessBytes=*/4);
+  DetectorStats Stats = Twins.Got.stats();
+  EXPECT_EQ(Stats.SamplesSeen, 10u);
+  EXPECT_EQ(Stats.SamplesFiltered, 7u);
+  EXPECT_EQ(Stats.SamplesRecorded, 3u);
+  EXPECT_EQ(Twins.GotShadow.materializedLines(), 3u);
+  EXPECT_EQ(Twins.wordWrites(RegionBase), wordsMarked({0}));
+  EXPECT_EQ(Twins.wordWrites(RegionBase + 4032), wordsMarked({15}));
+  EXPECT_EQ(Twins.wordWrites(0x7000'0000), wordsMarked({0}));
+}
+
+//===----------------------------------------------------------------------===//
+// Random streams against the per-sample reference
+//===----------------------------------------------------------------------===//
+
+TEST(BatchDecodeTest, HandleBatchDecodesLikeTheReferenceOnRandomStreams) {
+  // Random streams over random geometries, at every batch length up to a
+  // full chunk and one past it: the batch detector must leave every line
+  // where the per-sample reference leaves it.
+  SplitMix64 Rng(0xDEC0DE);
+  for (uint64_t LineSize : {16, 32, 64, 128, 256}) {
+    CacheGeometry Geometry(LineSize);
+    LineTwins Twins(Geometry, {{RegionBase, 64 * LineSize},
+                               {0x7000'0000, 16 * LineSize}});
+
+    for (size_t Count : {size_t(1), size_t(2), size_t(3), size_t(4),
+                         size_t(5), size_t(7), size_t(63), size_t(256),
+                         size_t(257)}) {
+      std::vector<pmu::Sample> Samples(Count);
+      for (pmu::Sample &Sample : Samples) {
+        // Mix: in-region, straddling the region edges, and far outside.
+        switch (Rng.nextBelow(4)) {
+        case 0:
+          Sample.Address = RegionBase + Rng.nextBelow(64 * LineSize);
+          break;
+        case 1:
+          Sample.Address = 0x7000'0000 + Rng.nextBelow(16 * LineSize);
+          break;
+        case 2:
+          Sample.Address =
+              RegionBase - 8 + Rng.nextBelow(16); // straddles the base
+          break;
+        default:
+          Sample.Address = Rng.next();
+          break;
+        }
+        Sample.Tid = static_cast<ThreadId>(Rng.nextBelow(4));
+        Sample.IsWrite = Rng.nextBool(0.7);
+        Sample.LatencyCycles = 10 + static_cast<uint32_t>(Rng.nextBelow(50));
+      }
+      uint8_t AccessBytes = static_cast<uint8_t>(Rng.nextBelow(17));
+      SCOPED_TRACE("line " + std::to_string(LineSize) + " count " +
+                   std::to_string(Count) + " bytes " +
+                   std::to_string(AccessBytes));
+      Twins.deliver(Samples, AccessBytes);
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// handleBatch vs the per-sample reference: full-state equivalence
+//===----------------------------------------------------------------------===//
+
+/// A deterministic mixed stream: mostly covered addresses with straddling
+/// offsets and a sprinkling of uncovered ones, from a few threads.
+std::vector<pmu::Sample> mixedStream(uint64_t Lines, uint64_t LineSize,
+                                     size_t Count, uint64_t Seed) {
+  SplitMix64 Rng(Seed);
+  std::vector<pmu::Sample> Stream(Count);
+  for (pmu::Sample &Sample : Stream) {
+    Sample.Address = Rng.nextBool(0.9)
+                         ? RegionBase + Rng.nextBelow(Lines) * LineSize +
+                               Rng.nextBelow(LineSize)
+                         : Rng.nextBelow(1ull << 40);
+    Sample.Tid = static_cast<ThreadId>(Rng.nextBelow(6));
+    Sample.IsWrite = Rng.nextBool(0.6);
+    Sample.LatencyCycles = 10 + static_cast<uint32_t>(Rng.nextBelow(50));
+  }
+  return Stream;
 }
 
 TEST(BatchDecodeTest, HandleBatchMatchesPerSampleReferenceAtLineGranularity) {
@@ -301,19 +331,7 @@ TEST(BatchDecodeTest, HandleBatchMatchesPerSampleReferenceAtLineGranularity) {
   EXPECT_EQ(GotStats.SamplesRecorded, WantStats.SamplesRecorded);
   EXPECT_EQ(GotStats.Invalidations, WantStats.Invalidations);
   EXPECT_EQ(GotShadow.materializedLines(), WantShadow.materializedLines());
-
-  std::map<uint64_t, GrainSnapshot> WantLines;
-  WantShadow.forEachDetail([&](uint64_t Base, const CacheLineInfo &Info) {
-    WantLines.emplace(Base, Info.snapshot(Base));
-  });
-  size_t GotLines = 0;
-  GotShadow.forEachDetail([&](uint64_t Base, const CacheLineInfo &Info) {
-    ++GotLines;
-    auto It = WantLines.find(Base);
-    ASSERT_NE(It, WantLines.end()) << "line only in batch run";
-    expectSnapshotsEqual(Info.snapshot(Base), It->second, Base);
-  });
-  EXPECT_EQ(GotLines, WantLines.size());
+  expectLinesEqual(GotShadow, WantShadow);
 }
 
 TEST(BatchDecodeTest, HandleBatchMatchesPerSampleReferenceAtPageGranularity) {
@@ -367,15 +385,7 @@ TEST(BatchDecodeTest, HandleBatchMatchesPerSampleReferenceAtPageGranularity) {
                            Base);
   }
   // Line state must be unaffected by the page stage running first.
-  std::map<uint64_t, GrainSnapshot> WantLines;
-  WantShadow.forEachDetail([&](uint64_t Base, const CacheLineInfo &Info) {
-    WantLines.emplace(Base, Info.snapshot(Base));
-  });
-  GotShadow.forEachDetail([&](uint64_t Base, const CacheLineInfo &Info) {
-    auto It = WantLines.find(Base);
-    ASSERT_NE(It, WantLines.end());
-    expectSnapshotsEqual(Info.snapshot(Base), It->second, Base);
-  });
+  expectLinesEqual(GotShadow, WantShadow);
 }
 
 TEST(BatchDecodeTest, SerialPhaseBatchesCountWritesAndPublishHomesOnly) {

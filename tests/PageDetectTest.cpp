@@ -141,7 +141,7 @@ TEST(PageInfoTest, RemoteDistanceBucketsConserveRemoteTotals) {
   EXPECT_EQ(Cycles, Info.remoteCycles());
 }
 
-TEST(PageInfoTest, CountersAndPerNodeAccounting) {
+TEST(PageInfoTest, CountersAndNodeSet) {
   PageInfo Info(PageSize / LineSize);
   Info.recordAccess(0, 0, AccessKind::Write, 0, 100, false);
   Info.recordAccess(1, 1, AccessKind::Read, 1, 50, true);
@@ -153,14 +153,8 @@ TEST(PageInfoTest, CountersAndPerNodeAccounting) {
   EXPECT_EQ(Info.remoteAccesses(), 2u);
   EXPECT_EQ(Info.remoteCycles(), 120u);
 
-  std::vector<NodePageStats> Nodes = Info.nodes();
-  ASSERT_EQ(Nodes.size(), 2u);
-  EXPECT_EQ(Nodes[0].Node, 0u);
-  EXPECT_EQ(Nodes[0].Accesses, 1u);
-  EXPECT_EQ(Nodes[0].Writes, 1u);
-  EXPECT_EQ(Nodes[1].Node, 1u);
-  EXPECT_EQ(Nodes[1].Accesses, 2u);
-  EXPECT_EQ(Nodes[1].Cycles, 120u);
+  // Two nodes touched the page; repeat touches add no node.
+  EXPECT_EQ(Info.nodeCount(), 2u);
 
   // Per-line histogram: line 0 single-node, line 1 single-node (node 1).
   std::vector<WordStats> Lines = Info.lines();

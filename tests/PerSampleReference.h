@@ -14,8 +14,9 @@
 /// phase), stop outside parallel phases, materialize the grain once its
 /// count passes the threshold, and record the access.
 ///
-/// BatchDecodeTest, PropertyTest's GrainRunFuzzTest and
-/// ThreadedIngestTest's serial references compare handleBatch against it.
+/// BatchDecodeTest (its line decode edge cases included), PropertyTest's
+/// BatchDecodeFuzzTest and GrainRunFuzzTest, and ThreadedIngestTest's
+/// serial references compare handleBatch against it.
 ///
 //===----------------------------------------------------------------------===//
 

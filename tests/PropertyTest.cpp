@@ -43,21 +43,21 @@
 ///    give the same acceptance, events and error string; and replay of
 ///    traces with duplicated, dropped, swapped and retimed thread
 ///    lifecycle events must either replay or be rejected, never abort;
-///  - the batch sample decoder against the decode formula restated per
-///    sample: fuzzed geometries/addresses/access widths, plus an
-///    exhaustive sweep of every address x access width over a small
-///    geometry where enumeration is affordable;
 ///  - the batch pipeline's per-grain runs against the per-sample reference
 ///    (tests/PerSampleReference.h): batches drawn from a small hot address
 ///    pool, so most grains repeat within a chunk, must leave every line and
 ///    page grain, home, write counter and detector counter exactly as the
-///    reference does.
+///    reference does;
+///  - the batch pipeline's line decode (coverage, word, span clamped at the
+///    line end) against the same reference: fuzzed geometries, regions,
+///    addresses and access widths, plus an exhaustive sweep of every
+///    address x access width over a small geometry where enumeration is
+///    affordable.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "baseline/ReferenceModel.h"
 #include "core/Profiler.h"
-#include "core/detect/BatchDecode.h"
 #include "core/detect/PageInfo.h"
 #include "core/detect/PageTable.h"
 #include "core/report/ReportDiff.h"
@@ -459,7 +459,7 @@ struct ReferencePageModel {
   uint64_t Accesses = 0, Writes = 0, Cycles = 0;
   uint64_t RemoteAccesses = 0, RemoteCycles = 0;
   std::map<uint64_t, std::pair<uint64_t, uint64_t>> LineReadsWrites;
-  std::map<NodeId, uint64_t> NodeAccessCounts;
+  std::set<NodeId> Nodes;
   std::set<uint64_t> MultiNodeLines;
   std::map<uint64_t, NodeId> LineFirstNode;
 
@@ -477,7 +477,7 @@ struct ReferencePageModel {
       ++LineReadsWrites[Line].first;
     else
       ++LineReadsWrites[Line].second;
-    ++NodeAccessCounts[Node];
+    Nodes.insert(Node);
     auto [It, Fresh] = LineFirstNode.try_emplace(Line, Node);
     if (!Fresh && It->second != Node)
       MultiNodeLines.insert(Line);
@@ -524,7 +524,7 @@ TEST_P(PagePropertyTest, PackedPageTableMatchesSequentialReference) {
   EXPECT_EQ(Info.cycles(), Reference.Cycles);
   EXPECT_EQ(Info.remoteAccesses(), Reference.RemoteAccesses);
   EXPECT_EQ(Info.remoteCycles(), Reference.RemoteCycles);
-  EXPECT_EQ(Info.nodeCount(), Reference.NodeAccessCounts.size());
+  EXPECT_EQ(Info.nodeCount(), Reference.Nodes.size());
 
   std::vector<core::WordStats> Lines = Info.lines();
   for (uint64_t L = 0; L < LinesPerPage; ++L) {
@@ -542,8 +542,6 @@ TEST_P(PagePropertyTest, PackedPageTableMatchesSequentialReference) {
     if (WantReads + WantWrites)
       EXPECT_EQ(Lines[L].FirstThread, Reference.LineFirstNode.at(L));
   }
-  for (const core::NodePageStats &Node : Info.nodes())
-    EXPECT_EQ(Node.Accesses, Reference.NodeAccessCounts.at(Node.Node));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -2216,125 +2214,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TraceFuzzTest,
                          ::testing::Range<uint64_t>(1, 5));
 
 //===----------------------------------------------------------------------===//
-// Batch sample decode vs the formula, fuzzed and exhaustive
-//===----------------------------------------------------------------------===//
-
-/// The decode of one sample restated from CacheGeometry first principles.
-struct DecodeExpectation {
-  uint8_t Covered;
-  uint32_t Bucket;
-  uint32_t Span;
-};
-
-DecodeExpectation expectedDecode(const CacheGeometry &Geometry,
-                                 const std::vector<core::ShadowRegion> &Regions,
-                                 uint64_t Address, uint8_t AccessBytes) {
-  uint64_t Bytes = AccessBytes ? AccessBytes : 1;
-  uint64_t Word = Geometry.wordInLine(Address);
-  uint64_t LastByte = Geometry.offsetInLine(Address) + Bytes - 1;
-  if (LastByte >= Geometry.lineSize())
-    LastByte = Geometry.lineSize() - 1;
-  DecodeExpectation Want;
-  Want.Bucket = static_cast<uint32_t>(Word);
-  Want.Span = static_cast<uint32_t>(LastByte / WordSize - Word + 1);
-  Want.Covered = 0;
-  for (const core::ShadowRegion &Region : Regions)
-    Want.Covered |=
-        Address >= Region.Base && Address - Region.Base < Region.Size;
-  return Want;
-}
-
-class BatchDecodeFuzzTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(BatchDecodeFuzzTest, DecoderMatchesThePerSampleFormula) {
-  SplitMix64 Rng(GetParam() ^ 0xDECDE);
-  for (int Round = 0; Round < 40; ++Round) {
-    uint64_t LineSize = 8ull << Rng.nextBelow(6); // 8..256
-    CacheGeometry Geometry(LineSize);
-    // One or two random regions, line-aligned, small enough that random
-    // addresses land inside, at the edges, and far outside.
-    std::vector<core::ShadowRegion> Regions;
-    uint64_t Base = (1 + Rng.nextBelow(1 << 20)) * LineSize;
-    Regions.push_back({Base, (1 + Rng.nextBelow(256)) * LineSize});
-    if (Rng.nextBool(0.5)) {
-      uint64_t Base2 = Base + Regions[0].Size + Rng.nextBelow(64) * LineSize;
-      Regions.push_back({Base2, (1 + Rng.nextBelow(64)) * LineSize});
-    }
-    core::BatchDecoder Decoder(Geometry, Regions);
-
-    size_t Count = 1 + Rng.nextBelow(core::DecodedBatch::Capacity);
-    std::vector<pmu::Sample> Samples(Count);
-    for (pmu::Sample &Sample : Samples) {
-      const core::ShadowRegion &Region = Regions[Rng.nextBelow(Regions.size())];
-      switch (Rng.nextBelow(4)) {
-      case 0: // uniformly inside a region
-        Sample.Address = Region.Base + Rng.nextBelow(Region.Size);
-        break;
-      case 1: // hugging a region boundary from either side
-        Sample.Address = Region.Base + (Rng.nextBool(0.5) ? Region.Size : 0) -
-                         8 + Rng.nextBelow(16);
-        break;
-      case 2: // anywhere in the low 44 bits
-        Sample.Address = Rng.nextBelow(1ull << 44);
-        break;
-      default: // full-width addresses (sign-flip compare edge)
-        Sample.Address = Rng.next();
-        break;
-      }
-    }
-    uint8_t AccessBytes = static_cast<uint8_t>(Rng.nextBelow(33));
-
-    core::DecodedBatch Got;
-    Decoder.decode(Samples.data(), Count, AccessBytes, Got);
-    for (size_t I = 0; I < Count; ++I) {
-      DecodeExpectation Want =
-          expectedDecode(Geometry, Regions, Samples[I].Address, AccessBytes);
-      ASSERT_EQ(Got.Covered[I], Want.Covered)
-          << "line " << LineSize << " sample " << I << " address 0x"
-          << std::hex << Samples[I].Address;
-      ASSERT_EQ(Got.Bucket[I], Want.Bucket) << "sample " << I;
-      ASSERT_EQ(Got.Span[I], Want.Span) << "sample " << I;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, BatchDecodeFuzzTest,
-                         ::testing::Range<uint64_t>(1, 9));
-
-TEST(BatchDecodeFuzzTest, ExhaustiveSmallGeometrySweep) {
-  // The smallest legal geometry (8-byte lines, two words) over a 4-line
-  // region makes full enumeration affordable: every address in a window
-  // straddling the region boundaries x every access width 0..16, against
-  // the formula, in batches of 5.
-  CacheGeometry Geometry(8);
-  constexpr uint64_t Base = 64;
-  constexpr uint64_t Size = 4 * 8;
-  std::vector<core::ShadowRegion> Regions{{Base, Size}};
-  core::BatchDecoder Decoder(Geometry, Regions);
-
-  for (unsigned Bytes = 0; Bytes <= 16; ++Bytes) {
-    for (uint64_t Address = Base - 16; Address < Base + Size + 16;
-         Address += 5) {
-      pmu::Sample Samples[5];
-      for (uint64_t J = 0; J < 5; ++J)
-        Samples[J].Address = Address + J;
-      core::DecodedBatch Got;
-      Decoder.decode(Samples, 5, static_cast<uint8_t>(Bytes), Got);
-      for (uint64_t J = 0; J < 5; ++J) {
-        DecodeExpectation Want = expectedDecode(
-            Geometry, Regions, Address + J, static_cast<uint8_t>(Bytes));
-        ASSERT_EQ(Got.Covered[J], Want.Covered)
-            << "address " << Address + J << " bytes " << Bytes;
-        ASSERT_EQ(Got.Bucket[J], Want.Bucket)
-            << "address " << Address + J << " bytes " << Bytes;
-        ASSERT_EQ(Got.Span[J], Want.Span)
-            << "address " << Address + J << " bytes " << Bytes;
-      }
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Batched per-grain runs vs the per-sample reference, on a hot address pool
 //===----------------------------------------------------------------------===//
 
@@ -2479,20 +2358,143 @@ TEST_P(GrainRunFuzzTest, HandleBatchMatchesPerSampleReferenceOnAHotPool) {
       EXPECT_EQ(G.Accesses, W.Accesses) << Where;
       EXPECT_EQ(G.Cycles, W.Cycles) << Where;
     }
-    ASSERT_EQ(GotNuma.Nodes.size(), WantNuma.Nodes.size()) << Where;
-    for (size_t N = 0; N < WantNuma.Nodes.size(); ++N) {
-      const core::NodePageStats &G = GotNuma.Nodes[N];
-      const core::NodePageStats &W = WantNuma.Nodes[N];
-      EXPECT_EQ(G.Node, W.Node) << Where;
-      EXPECT_EQ(G.Accesses, W.Accesses) << Where;
-      EXPECT_EQ(G.Writes, W.Writes) << Where;
-      EXPECT_EQ(G.Cycles, W.Cycles) << Where;
-    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GrainRunFuzzTest,
                          ::testing::Range<uint64_t>(1, 9));
+
+//===----------------------------------------------------------------------===//
+// Line decode through handleBatch vs the per-sample reference
+//===----------------------------------------------------------------------===//
+
+/// A line-only batch detector and the per-sample reference over twin
+/// shadow tables. Threshold 0 materializes a line on its first sampled
+/// write, so every covered write is recorded and its decoded word and span
+/// show in the line's word histogram.
+struct LineDecodeTwins {
+  core::DetectorConfig Config;
+  core::ShadowMemory GotShadow, WantShadow;
+  core::Detector Detect;
+  test::PerSampleReference Reference;
+
+  LineDecodeTwins(const CacheGeometry &Geometry,
+                  const std::vector<core::ShadowRegion> &Regions)
+      : Config(zeroThreshold()), GotShadow(Geometry, Regions),
+        WantShadow(Geometry, Regions), Detect(Geometry, GotShadow, Config),
+        Reference(WantShadow, Config) {}
+
+  static core::DetectorConfig zeroThreshold() {
+    core::DetectorConfig Config;
+    Config.WriteThreshold = 0;
+    return Config;
+  }
+
+  /// Delivers \p Count samples to the detector as one batch and to the
+  /// reference one by one, then expects equal counters and equal lines.
+  void deliver(const pmu::Sample *Samples, size_t Count, uint8_t AccessBytes,
+               const std::string &Where) {
+    size_t WantRecorded = 0;
+    for (size_t I = 0; I < Count; ++I)
+      WantRecorded += Reference.handleSample(Samples[I],
+                                             /*InParallelPhase=*/true,
+                                             AccessBytes);
+    ASSERT_EQ(Detect.handleBatch(Samples, Count, /*InParallelPhase=*/true,
+                                 AccessBytes),
+              WantRecorded)
+        << Where;
+    core::DetectorStats Got = Detect.stats(), Want = Reference.stats();
+    ASSERT_EQ(Got.SamplesFiltered, Want.SamplesFiltered) << Where;
+    ASSERT_EQ(Got.SamplesRecorded, Want.SamplesRecorded) << Where;
+    ASSERT_EQ(Got.Invalidations, Want.Invalidations) << Where;
+    ASSERT_EQ(GotShadow.materializedLines(), WantShadow.materializedLines())
+        << Where;
+    WantShadow.forEachDetail(
+        [&](uint64_t Line, const core::CacheLineInfo &WantInfo) {
+          const core::CacheLineInfo *GotInfo = GotShadow.detail(Line);
+          ASSERT_NE(GotInfo, nullptr) << Where << " line " << Line;
+          expectGrainsMatch(GotInfo->snapshot(Line), WantInfo.snapshot(Line),
+                            Where + " line " + std::to_string(Line));
+        });
+  }
+};
+
+class BatchDecodeFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BatchDecodeFuzzTest, HandleBatchDecodesLikeTheReference) {
+  SplitMix64 Rng(GetParam() ^ 0xDECDE);
+  for (int Round = 0; Round < 40; ++Round) {
+    uint64_t LineSize = 8ull << Rng.nextBelow(6); // 8..256
+    CacheGeometry Geometry(LineSize);
+    // One or two random regions, line-aligned, small enough that random
+    // addresses land inside, at the edges, and far outside.
+    std::vector<core::ShadowRegion> Regions;
+    uint64_t Base = (1 + Rng.nextBelow(1 << 20)) * LineSize;
+    Regions.push_back({Base, (1 + Rng.nextBelow(256)) * LineSize});
+    if (Rng.nextBool(0.5)) {
+      uint64_t Base2 = Base + Regions[0].Size + Rng.nextBelow(64) * LineSize;
+      Regions.push_back({Base2, (1 + Rng.nextBelow(64)) * LineSize});
+    }
+    LineDecodeTwins Twins(Geometry, Regions);
+
+    std::vector<pmu::Sample> Samples(1 + Rng.nextBelow(300));
+    for (pmu::Sample &Sample : Samples) {
+      const core::ShadowRegion &Region = Regions[Rng.nextBelow(Regions.size())];
+      switch (Rng.nextBelow(4)) {
+      case 0: // uniformly inside a region
+        Sample.Address = Region.Base + Rng.nextBelow(Region.Size);
+        break;
+      case 1: // hugging a region boundary from either side
+        Sample.Address = Region.Base + (Rng.nextBool(0.5) ? Region.Size : 0) -
+                         8 + Rng.nextBelow(16);
+        break;
+      case 2: // anywhere in the low 44 bits
+        Sample.Address = Rng.nextBelow(1ull << 44);
+        break;
+      default: // full-width addresses, up to next to 2^64
+        Sample.Address = Rng.next();
+        break;
+      }
+      Sample.Tid = static_cast<ThreadId>(Rng.nextBelow(4));
+      Sample.IsWrite = Rng.nextBool(0.75);
+      Sample.LatencyCycles = 1 + static_cast<uint32_t>(Rng.nextBelow(100));
+    }
+    uint8_t AccessBytes = static_cast<uint8_t>(Rng.nextBelow(33));
+    Twins.deliver(Samples.data(), Samples.size(), AccessBytes,
+                  "round " + std::to_string(Round) + " line " +
+                      std::to_string(LineSize) + " bytes " +
+                      std::to_string(AccessBytes));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BatchDecodeFuzzTest,
+                         ::testing::Range<uint64_t>(1, 9));
+
+TEST(BatchDecodeFuzzTest, ExhaustiveSmallGeometrySweep) {
+  // The smallest legal geometry (8-byte lines, two words) over a 4-line
+  // region makes full enumeration affordable: every address in a window
+  // straddling the region boundaries x every access width 0..16, written
+  // in batches of 5 and checked against the reference after each batch.
+  CacheGeometry Geometry(8);
+  constexpr uint64_t Base = 64;
+  constexpr uint64_t Size = 4 * 8;
+  for (unsigned Bytes = 0; Bytes <= 16; ++Bytes) {
+    LineDecodeTwins Twins(Geometry, {{Base, Size}});
+    for (uint64_t Address = Base - 16; Address < Base + Size + 16;
+         Address += 5) {
+      pmu::Sample Samples[5];
+      for (uint64_t J = 0; J < 5; ++J) {
+        Samples[J].Address = Address + J;
+        Samples[J].Tid = static_cast<ThreadId>(J % 2);
+        Samples[J].IsWrite = true;
+        Samples[J].LatencyCycles = 10;
+      }
+      Twins.deliver(Samples, 5, static_cast<uint8_t>(Bytes),
+                    "address " + std::to_string(Address) + " bytes " +
+                        std::to_string(Bytes));
+    }
+  }
+}
 
 TEST(JsonFuzzTest, HostileHandWrittenInputsErrorCleanly) {
   // Inputs chosen to hit every parser failure edge, including the

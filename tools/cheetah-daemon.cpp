@@ -138,8 +138,13 @@ int main(int Argc, char **Argv) {
   // The workload's program is built against its heap/globals so every
   // epoch's findings resolve to named allocation sites.
   core::Profiler Profiler(Config.Profiler);
+  std::string BuildError;
   sim::ForkJoinProgram Program =
-      driver::buildProgram(*Workload, Profiler, Config);
+      driver::buildProgram(*Workload, Profiler, Config, &BuildError);
+  if (!BuildError.empty()) {
+    std::fprintf(stderr, "error: %s\n", BuildError.c_str());
+    return 1;
+  }
 
   // Acquire the trace through the backend seam. Simulator backend: run the
   // workload once with a TraceSource recorder teeing the simulated PMU's

@@ -154,10 +154,9 @@ int main(int Argc, char **Argv) {
                formatWithCommas(Coherence.Upgrades).c_str(),
                formatWithCommas(Coherence.InvalidationsSent).c_str());
 
-  // One line per active grain stage, formatted by the driver: a future
-  // third granularity appears here with no tool edits.
-  for (const core::GrainStageSummary &Stage : Profile.Stages)
-    std::fprintf(Aux, "%s\n", driver::formatStageSummary(Stage).c_str());
+  std::fputs(
+      driver::formatGrainSummaries(Profile, Config.Profiler.Detect).c_str(),
+      Aux);
   if (TrackPages)
     std::fprintf(Aux, "simulator charged %s remote accesses +%s cycles\n",
                  formatWithCommas(Result.Run.RemoteNumaAccesses).c_str(),
@@ -209,7 +208,11 @@ int main(int Argc, char **Argv) {
     Native.Backend = driver::SampleBackend::Simulator;
     Native.ReplayTracePath.clear();
     Native.RecordTracePath.clear();
-    driver::SessionResult NativeRun = driver::runWorkload(*Workload, Native);
+    driver::SessionResult NativeRun;
+    if (!driver::runSession(*Workload, Native, nullptr, NativeRun, Error)) {
+      std::fprintf(stderr, "error: native rerun: %s\n", Error.c_str());
+      return 1;
+    }
     double Overhead = static_cast<double>(Result.Run.TotalCycles) /
                           static_cast<double>(NativeRun.Run.TotalCycles) -
                       1.0;
@@ -226,7 +229,13 @@ int main(int Argc, char **Argv) {
     Fixed.Backend = driver::SampleBackend::Simulator;
     Fixed.ReplayTracePath.clear();
     Fixed.RecordTracePath.clear();
-    driver::SessionResult FixedRun = driver::runWorkload(*Workload, Fixed);
+    // The padded variant needs more heap than the broken one, so this
+    // rerun can fail where the profiled run did not.
+    driver::SessionResult FixedRun;
+    if (!driver::runSession(*Workload, Fixed, nullptr, FixedRun, Error)) {
+      std::fprintf(stderr, "error: padded rerun: %s\n", Error.c_str());
+      return 1;
+    }
     double Real = static_cast<double>(Profile.AppRuntime) /
                   static_cast<double>(FixedRun.Run.TotalCycles);
     // Line findings take precedence; a page-only run verifies against the
