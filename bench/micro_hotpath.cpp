@@ -408,7 +408,8 @@ void BM_ProfilerBatchedIngest(benchmark::State &State) {
   constexpr unsigned BatchSize = 256;
   static core::Profiler *Prof = nullptr;
   if (State.thread_index() == 0) {
-    Prof = new core::Profiler(core::ProfilerConfig{});
+    core::ProfilerConfig Config;
+    Prof = new core::Profiler(Config);
     Prof->threadStarted(0, /*IsMain=*/true, 0);
     for (int T = 1; T <= State.threads(); ++T)
       Prof->threadStarted(static_cast<ThreadId>(T), /*IsMain=*/false, 10);

@@ -91,13 +91,15 @@ struct ProfileResult {
   /// first. This is what Cheetah prints.
   std::vector<FalseSharingReport> Reports;
   /// Every object with detailed tracking (including true sharing and
-  /// insignificant instances) for tests and ablations.
+  /// insignificant instances, whose word tables are empty) for tests and
+  /// ablations.
   std::vector<FalseSharingReport> AllInstances;
 
   /// Significant page-granularity (NUMA) findings, worst first; empty
   /// unless page tracking ran.
   std::vector<PageSharingReport> PageReports;
-  /// Every tracked page, same order.
+  /// Every tracked page, same order; the insignificant ones have empty
+  /// line tables.
   std::vector<PageSharingReport> AllPageInstances;
 
   DetectorStats Detection;

@@ -23,6 +23,18 @@ PageReportBuilder::PageReportBuilder(const runtime::HeapAllocator &Heap,
       Classifier(Classifier), Topology(Topology), Geometry(Geometry),
       Gate(Gate) {}
 
+bool PageReportBuilder::significant(const PageSharingReport &Report) const {
+  bool MultiNodeSharing = Report.NodesObserved >= 2 &&
+                          Report.Invalidations >= Gate.MinInvalidations;
+  // The placement gate is for pages *without* node contention: a
+  // multi-node page below the invalidation bar is insignificant sharing,
+  // not a misplacement finding.
+  bool RemotePlacement = Gate.ReportRemotePlacement &&
+                         Report.NodesObserved < 2 &&
+                         Report.RemoteAccesses >= Gate.MinRemoteAccesses;
+  return MultiNodeSharing || RemotePlacement;
+}
+
 PageReportBuilder::PendingPage
 PageReportBuilder::buildReport(const GrainSnapshot &Page, NodeId Home,
                                const PageNumaEvidence &Numa) const {
@@ -48,43 +60,58 @@ PageReportBuilder::buildReport(const GrainSnapshot &Page, NodeId Home,
       Classifier.classify(Lines, Report.NodesObserved);
   Report.Kind = Verdict.Kind;
   Report.SharedLineFraction = Verdict.sharedFraction();
+  Pending.Significant = significant(Report);
 
+  // Heap blocks and globals never overlap, so every line that starts
+  // inside the last object found belongs to it: each object is looked up
+  // and named once per run of lines it covers.
+  uint64_t ObjectEnd = 0;
   for (size_t L = 0; L < Lines.size(); ++L) {
     if (Lines[L].accesses() == 0)
       continue;
-    PageLineEntry Entry;
-    Entry.Offset = L << Geometry.lineShift();
-    Entry.Reads = Lines[L].Reads;
-    Entry.Writes = Lines[L].Writes;
-    Entry.Cycles = Lines[L].Cycles;
-    Entry.FirstNode = Lines[L].FirstThread; // node id in the thread field
-    Entry.MultiNode = Lines[L].MultiThread;
-    Report.Lines.push_back(Entry);
+    ++Report.LinesTotal;
+    uint64_t Offset = L << Geometry.lineShift();
+    // Only a significant page gets a placement-guidance table.
+    if (Pending.Significant) {
+      PageLineEntry Entry;
+      Entry.Offset = Offset;
+      Entry.Reads = Lines[L].Reads;
+      Entry.Writes = Lines[L].Writes;
+      Entry.Cycles = Lines[L].Cycles;
+      Entry.FirstNode = Lines[L].FirstThread; // node id in the thread field
+      Entry.MultiNode = Lines[L].MultiThread;
+      Report.Lines.push_back(Entry);
+    }
 
-    // Attribute every touched line, not only the rows the table keeps, to
-    // its owning object so the finding names what to move, not just a raw
+    // Every touched line, not only the rows a table keeps, names its
+    // owning object, so the finding says what to move, not just a raw
     // page address.
-    uint64_t LineAddress = Page.Base + Entry.Offset;
+    uint64_t LineAddress = Page.Base + Offset;
+    if (LineAddress < ObjectEnd)
+      continue;
     std::string Name;
     if (const runtime::HeapObject *Object = Heap.objectAt(LineAddress)) {
       const auto &Frames = Callsites.get(Object->Site).Frames;
       Name = Frames.empty() ? std::string("<heap>") : Frames.front();
+      ObjectEnd = Object->end();
     } else if (const runtime::GlobalVariable *Var =
                    Globals.globalAt(LineAddress)) {
       Name = Var->Name;
+      ObjectEnd = Var->end();
     }
     if (!Name.empty() &&
         std::find(Report.Objects.begin(), Report.Objects.end(), Name) ==
             Report.Objects.end())
-      Report.Objects.push_back(Name);
+      Report.Objects.push_back(std::move(Name));
   }
 
-  // The placement-guidance table keeps only its hottest rows.
-  Report.LinesTotal = Report.Lines.size();
-  size_t Kept = std::min(Report.Lines.size(), ReportTableRows);
-  std::partial_sort(Report.Lines.begin(), Report.Lines.begin() + Kept,
-                    Report.Lines.end(), hotterFirst<PageLineEntry>);
-  Report.Lines.resize(Kept);
+  if (Pending.Significant) {
+    // The table keeps only its hottest rows.
+    size_t Kept = std::min(Report.Lines.size(), ReportTableRows);
+    std::partial_sort(Report.Lines.begin(), Report.Lines.begin() + Kept,
+                      Report.Lines.end(), hotterFirst<PageLineEntry>);
+    Report.Lines.resize(Kept);
+  }
 
   // The per-thread evidence EQ.2 consumes, plus the remote totals the
   // EQ.1 local baseline is derived from.
@@ -126,8 +153,13 @@ PageReportBuilder::Output PageReportBuilder::finalize(const Assessor &Assess,
   // aggregates cache lines into objects before assessing.
   std::map<std::string, ObjectAccessProfile> SiteProfiles;
   auto SiteKey = [](const PageSharingReport &Report) {
-    if (Report.Objects.empty())
-      return std::string("@") + std::to_string(Report.PageBase);
+    if (Report.Objects.empty()) {
+      // Constructed and appended: GCC 12 flags `"@" + ...` and string
+      // assignment here under -Wrestrict.
+      std::string Key(1, '@');
+      Key += std::to_string(Report.PageBase);
+      return Key;
+    }
     std::string Key;
     for (const std::string &Name : Report.Objects) {
       if (!Key.empty())
@@ -204,18 +236,9 @@ PageReportBuilder::Output PageReportBuilder::finalize(const Assessor &Assess,
   Result.AllInstances.reserve(Pending.size());
   for (PendingPage &Page : Pending) {
     PageSharingReport &Report = Page.Report;
-    bool MultiNodeSharing = Report.NodesObserved >= 2 &&
-                            Report.Invalidations >= Gate.MinInvalidations;
-    // The placement gate is for pages *without* node contention: a
-    // multi-node page below the invalidation bar is insignificant sharing,
-    // not a misplacement finding.
-    bool RemotePlacement = Gate.ReportRemotePlacement &&
-                           Report.NodesObserved < 2 &&
-                           Report.RemoteAccesses >= Gate.MinRemoteAccesses;
-    bool Significant = MultiNodeSharing || RemotePlacement;
     if (Sink)
-      Sink->pageFinding(Report, Significant);
-    if (Significant)
+      Sink->pageFinding(Report, Page.Significant);
+    if (Page.Significant)
       Result.Reports.push_back(Report);
     Result.AllInstances.push_back(std::move(Report));
   }

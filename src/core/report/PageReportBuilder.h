@@ -7,13 +7,15 @@
 /// \file
 /// Builds per-page NUMA sharing findings from the detection core's common
 /// finding source (GrainSnapshot + PageNumaEvidence), the page-granularity
-/// mirror of ReportBuilder: pages stream in one at a time as they quiesce
-/// (addPage), finalize() assesses each with the
-/// EQ.1–EQ.4 page machinery (no-remote-access AverCycles baseline),
-/// classifies it with the unchanged SharingClassifier (nodes over lines
-/// instead of threads over words), attributes the overlapping heap/global
-/// objects, applies the page gate, sorts highest predicted improvement
-/// first, and streams the findings through the sink's pageFinding channel.
+/// mirror of ReportBuilder. Pages stream in one at a time as they quiesce
+/// (addPage): each is classified with the unchanged SharingClassifier
+/// (nodes over lines instead of threads over words), attributed to the
+/// overlapping heap/global objects, and put through the page gate, which
+/// needs no assessment, so only a significant page builds its line table.
+/// finalize() assesses every page with the EQ.1–EQ.4 page machinery
+/// (no-remote-access AverCycles baseline), sorts highest predicted
+/// improvement first, and streams the findings through the sink's
+/// pageFinding channel.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,7 +78,8 @@ public:
   struct Output {
     /// Significant page findings, highest predicted improvement first.
     std::vector<PageSharingReport> Reports;
-    /// Every tracked page, same order, for tests and ablations.
+    /// Every tracked page, same order, for tests and ablations; the
+    /// insignificant ones have empty line tables.
     std::vector<PageSharingReport> AllInstances;
   };
 
@@ -92,7 +95,14 @@ private:
   struct PendingPage {
     PageSharingReport Report;
     ObjectAccessProfile Profile;
+    /// The page gate's verdict, which needs no assessment: an
+    /// insignificant page builds no line table.
+    bool Significant = false;
   };
+
+  /// Whether \p Report passes the page gate. Reads only NodesObserved,
+  /// Invalidations and RemoteAccesses.
+  bool significant(const PageSharingReport &Report) const;
 
   PendingPage buildReport(const GrainSnapshot &Page, NodeId Home,
                           const PageNumaEvidence &Numa) const;

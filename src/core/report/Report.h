@@ -27,10 +27,10 @@
 namespace cheetah {
 namespace core {
 
-/// Rows kept in each finding's word or line table. The hottest words are
-/// what a programmer pads around (the paper's Figure 5 lists a handful),
-/// so the builders cut every table to this many and the text formatter
-/// lists this many by default.
+/// Rows kept in each significant finding's word or line table. The
+/// hottest words are what a programmer pads around (the paper's Figure 5
+/// lists a handful), so the builders cut every table to this many and the
+/// text formatter lists this many by default.
 constexpr size_t ReportTableRows = 16;
 
 /// The order of word and line tables: access count descending, then
@@ -85,7 +85,7 @@ struct FalseSharingReport {
   double SharedWordFraction = 0.0;
   Assessment Impact;
   /// The ReportTableRows hottest words, in hotterFirst order, for padding
-  /// guidance.
+  /// guidance; empty when the finding failed the report gate.
   std::vector<WordReportEntry> Words;
   /// Touched words before the cut, so at least Words.size().
   uint64_t WordsTotal = 0;
@@ -137,7 +137,7 @@ struct PageSharingReport {
   /// Names of the objects overlapping the page (heap callsites / globals).
   std::vector<std::string> Objects;
   /// The ReportTableRows hottest lines, in hotterFirst order, for placement
-  /// guidance.
+  /// guidance; empty when the finding failed the page gate.
   std::vector<PageLineEntry> Lines;
   /// Touched lines before the cut, so at least Lines.size().
   uint64_t LinesTotal = 0;

@@ -151,7 +151,7 @@ void ReportBuilder::addLine(const GrainSnapshot &Line) {
   }
 }
 
-FalseSharingReport
+std::pair<FalseSharingReport, bool>
 ReportBuilder::buildReport(const ObjectAggregate &Aggregate,
                            const Assessor &Assess, uint64_t AppRuntime) const {
   FalseSharingReport Report;
@@ -182,16 +182,23 @@ ReportBuilder::buildReport(const ObjectAggregate &Aggregate,
     Report.Kind = SharingKind::Mixed;
 
   Report.Impact = Assess.assess(Aggregate.Profile, AppRuntime);
+  bool Significant =
+      (Report.Kind == SharingKind::FalseSharing ||
+       (Gate.ReportMixedSharing && Report.Kind == SharingKind::Mixed)) &&
+      Report.Invalidations >= Gate.MinInvalidations &&
+      Report.Impact.ImprovementFactor >= Gate.MinImprovementFactor;
 
-  // The padding-guidance table: only its hottest rows are selected, so a
-  // large object's thousands of touched words are neither copied nor
-  // fully sorted.
+  // The padding-guidance table, for significant objects only: only its
+  // hottest rows are selected, so a large object's thousands of touched
+  // words are neither copied nor fully sorted.
   Report.WordsTotal = Aggregate.Words.size();
-  Report.Words.resize(std::min(Aggregate.Words.size(), ReportTableRows));
-  std::partial_sort_copy(Aggregate.Words.begin(), Aggregate.Words.end(),
-                         Report.Words.begin(), Report.Words.end(),
-                         hotterFirst<WordReportEntry>);
-  return Report;
+  if (Significant) {
+    Report.Words.resize(std::min(Aggregate.Words.size(), ReportTableRows));
+    std::partial_sort_copy(Aggregate.Words.begin(), Aggregate.Words.end(),
+                           Report.Words.begin(), Report.Words.end(),
+                           hotterFirst<WordReportEntry>);
+  }
+  return {std::move(Report), Significant};
 }
 
 ReportBuilder::Output ReportBuilder::finalize(const Assessor &Assess,
@@ -199,15 +206,8 @@ ReportBuilder::Output ReportBuilder::finalize(const Assessor &Assess,
                                               ReportSink *Sink) {
   std::vector<std::pair<FalseSharingReport, bool>> Instances;
   Instances.reserve(Aggregates.size());
-  for (const auto &[Key, Aggregate] : Aggregates) {
-    FalseSharingReport Report = buildReport(Aggregate, Assess, AppRuntime);
-    bool Significant =
-        (Report.Kind == SharingKind::FalseSharing ||
-         (Gate.ReportMixedSharing && Report.Kind == SharingKind::Mixed)) &&
-        Report.Invalidations >= Gate.MinInvalidations &&
-        Report.Impact.ImprovementFactor >= Gate.MinImprovementFactor;
-    Instances.emplace_back(std::move(Report), Significant);
-  }
+  for (const auto &[Key, Aggregate] : Aggregates)
+    Instances.push_back(buildReport(Aggregate, Assess, AppRuntime));
 
   std::sort(Instances.begin(), Instances.end(),
             [](const auto &A, const auto &B) {

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace cheetah {
@@ -69,7 +70,8 @@ public:
     /// what Cheetah prints.
     std::vector<FalseSharingReport> Reports;
     /// Every tracked object (including true sharing and insignificant
-    /// instances) for tests and ablations, same order.
+    /// instances, whose word tables are empty) for tests and ablations,
+    /// same order.
     std::vector<FalseSharingReport> AllInstances;
   };
 
@@ -85,9 +87,11 @@ private:
   struct ObjectAggregate;
 
   ObjectAggregate &aggregateFor(uint64_t LineBase);
-  FalseSharingReport buildReport(const ObjectAggregate &Aggregate,
-                                 const Assessor &Assess,
-                                 uint64_t AppRuntime) const;
+  /// The object's finding and whether it passes the gate; only a
+  /// significant finding gets a word table.
+  std::pair<FalseSharingReport, bool>
+  buildReport(const ObjectAggregate &Aggregate, const Assessor &Assess,
+              uint64_t AppRuntime) const;
 
   const runtime::HeapAllocator &Heap;
   const runtime::GlobalRegistry &Globals;

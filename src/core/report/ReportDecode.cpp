@@ -498,7 +498,7 @@ public:
            SchemaText == "cheetah-diff-v1";
   }
 
-  /// The cheetah-report-v2..v5 reading.
+  /// The cheetah-report-v2..v6 reading.
   bool finishReport(ParsedReport &Out, std::string &Error) {
     if (!IsObject) {
       Error = "report is not a JSON object";
@@ -510,13 +510,15 @@ public:
     if (Out.Schema != "cheetah-report-v2" &&
         Out.Schema != "cheetah-report-v3" &&
         Out.Schema != "cheetah-report-v4" &&
-        Out.Schema != "cheetah-report-v5") {
+        Out.Schema != "cheetah-report-v5" &&
+        Out.Schema != "cheetah-report-v6") {
       // The loud version gate: v1 (and anything unknown) must be rejected,
-      // not silently half-read. v5 differs from v4 only in the word and
-      // line tables, which this reading skips.
+      // not silently half-read. v5 and v6 differ from v4 only in the word
+      // and line tables, which this reading skips.
       Error = formatString(
           "unsupported schema '%s' (cheetah-diff reads cheetah-report-v2, "
-          "cheetah-report-v3, cheetah-report-v4, and cheetah-report-v5)",
+          "cheetah-report-v3, cheetah-report-v4, cheetah-report-v5, and "
+          "cheetah-report-v6)",
           Out.Schema.c_str());
       return false;
     }

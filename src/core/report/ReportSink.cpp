@@ -78,7 +78,7 @@ void TextReportSink::endRun(const ReportRunStats &Stats) {
 void JsonReportSink::beginRun(const ReportRunInfo &Info) {
   InPageArray = false;
   Writer.beginObject();
-  Writer.member("schema", "cheetah-report-v5");
+  Writer.member("schema", "cheetah-report-v6");
   Writer.key("run");
   Writer.beginObject();
   Writer.member("tool", Info.Tool);
@@ -140,8 +140,9 @@ void JsonReportSink::finding(const FalseSharingReport &Report,
 
   writeAssessment(Report.Impact);
 
-  // The builder already cut the table to its hottest rows; words_total
-  // says how many there were.
+  // The builder already cut the table to its hottest rows, or left it
+  // empty for an insignificant finding; words_total says how many words
+  // were touched.
   Writer.member("words_total", Report.WordsTotal);
   Writer.key("words");
   Writer.beginArray();

@@ -10,7 +10,7 @@
 /// generation pushes findings through a ReportSink one object at a time as
 /// the builder finalizes them. Two implementations ship: TextReportSink
 /// renders the paper's Figure-5 text format, JsonReportSink emits a stable
-/// machine-readable schema (`cheetah-report-v5`) consumed by the
+/// machine-readable schema (`cheetah-report-v6`) consumed by the
 /// multi-run comparison tooling in ReportDiff.h / `cheetah-diff`. Both
 /// append to a caller-owned string so the caller chooses the final
 /// destination (stdout, a file, a golden-test buffer).
@@ -146,7 +146,7 @@ private:
 ///
 /// \code{.json}
 /// {
-///   "schema": "cheetah-report-v5",
+///   "schema": "cheetah-report-v6",
 ///   "run": { "tool", "workload", "threads", "scale", "line_size",
 ///            "sampling_period", "seed", "fix_applied", "numa_nodes",
 ///            "page_size", "granularity" },
@@ -218,8 +218,16 @@ private:
 /// ReportTableRows (16) hottest rows, hottest first and then by offset;
 /// the totals count the rows before the cut. v4 listed every touched word
 /// and line, so the version string changed: a v4 consumer summing a table
-/// must fail loudly, not read a cut table as a whole one. `cheetah-diff`
-/// and `cheetah-trend` accept v2 through v5.
+/// must fail loudly, not read a cut table as a whole one.
+/// `cheetah-report-v6` is `v5` with empty `words`/`lines` tables on every
+/// finding whose `significant` is false: like the paper's Cheetah, which
+/// prints only significant instances, the word-level guidance is kept
+/// for the findings worth fixing. Such a finding keeps its counters,
+/// `assessment`, `objects` and `words_total`/`lines_total`, and both
+/// arrays are still present. The version string changed because a v5
+/// consumer reading an insignificant finding's rows must fail loudly, not
+/// read an empty table as an untouched object. `cheetah-diff` and
+/// `cheetah-trend` accept v2 through v6.
 class JsonReportSink : public ReportSink {
 public:
   explicit JsonReportSink(std::string &Out) : Out(Out), Writer(Out) {}

@@ -21,7 +21,7 @@
 /// them.
 ///
 /// Because detection is delivery-order-sensitive, a replayed trace must
-/// produce a byte-identical `cheetah-report-v5` to the live run that
+/// produce a byte-identical `cheetah-report-v6` to the live run that
 /// recorded it — CI records two NUMA workloads, replays them, and `cmp`s
 /// the reports.
 ///

@@ -179,8 +179,9 @@ void expectWalksMatchProbe(const TableT &Table,
   ASSERT_EQ(Table.materializedGrains(), Probed.size());
   std::vector<uint64_t> Walked;
   Table.forEachGrain([&](uint64_t Base, NodeId, const auto &Info) {
-    if (!Walked.empty())
+    if (!Walked.empty()) {
       EXPECT_LT(Walked.back(), Base);
+    }
     EXPECT_EQ(&Info, Table.detail(Base));
     Walked.push_back(Base);
   });

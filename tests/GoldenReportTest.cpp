@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Byte-exact differential gate for the JSON report pipeline: every
-/// registered workload's `cheetah-report-v5` document must match its
+/// registered workload's `cheetah-report-v6` document must match its
 /// checked-in golden under tests/goldens/. This is the executable form of
 /// the refactor contract — the granularity-generic detection core and any
 /// ingestion change must be observationally invisible at the report
@@ -15,15 +15,16 @@
 /// batches), so a serial-phase average that drifted with how samples
 /// are batched would show.
 ///
-/// Goldens regenerate with the exact flags encoded here, e.g.:
-///   cheetah-profile --workload=kmeans --format=json \
+/// Goldens regenerate with the exact flags encoded here, e.g. (an
+/// indented line continues the command above it):
+///   cheetah-profile --workload=kmeans --format=json
 ///       --output=tests/goldens/kmeans.line.json
-///   cheetah-profile --workload=numa_first_touch --granularity=both \
-///       --sampling-period=256 --threads=8 --format=json \
+///   cheetah-profile --workload=numa_first_touch --granularity=both
+///       --sampling-period=256 --threads=8 --format=json
 ///       --output=tests/goldens/numa_first_touch.both.json
 ///   cheetah-profile --workload=streamcluster --sampling-period=1
 ///       --scale=2 --granularity=line --format=json
-///       --output=tests/goldens/streamcluster.p1.json   (one command)
+///       --output=tests/goldens/streamcluster.p1.json
 ///
 //===----------------------------------------------------------------------===//
 

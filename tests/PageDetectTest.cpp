@@ -359,7 +359,8 @@ TEST(PageEndToEndTest, InterleavedWorkloadFoundByPageNotLine) {
   ASSERT_FALSE(Top.Objects.empty());
   EXPECT_EQ(Top.Objects.front(), "numa_interleaved_slots");
   // Every hot line on the page is single-node (that is what makes it
-  // *false* page sharing).
+  // *false* page sharing); a significant page keeps its hot lines.
+  ASSERT_FALSE(Top.Lines.empty());
   for (const PageLineEntry &Line : Top.Lines)
     EXPECT_FALSE(Line.MultiNode);
   // The simulator charged remote interconnect traffic for the same reason.

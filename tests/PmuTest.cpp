@@ -357,8 +357,9 @@ TEST(SamplingPolicyTest, FromSpecMirrorsPmuConfigValidation) {
 
 TEST(PerfEventTest, ProbeNeverCrashesAndExplainsFailure) {
   PerfEventStatus Status = PerfEventPmu::probe();
-  if (!Status.Available)
+  if (!Status.Available) {
     EXPECT_FALSE(Status.Reason.empty());
+  }
 }
 
 TEST(PerfEventTest, StartStopLifecycleIsSafe) {
@@ -371,7 +372,7 @@ TEST(PerfEventTest, StartStopLifecycleIsSafe) {
     volatile uint64_t Sink = 0;
     std::vector<uint64_t> Buffer(1 << 16);
     for (size_t I = 0; I < Buffer.size(); ++I)
-      Sink += Buffer[I];
+      Sink = Sink + Buffer[I];
     std::vector<Sample> Samples;
     Pmu.drain(Samples); // may legitimately be empty
   } else {
@@ -422,7 +423,7 @@ TEST(PerfEventTest, SampleSourceSeamSmoke) {
   volatile uint64_t Accumulator = 0;
   std::vector<uint64_t> Traffic(1 << 18, 1);
   for (size_t I = 0; I < Traffic.size(); ++I)
-    Accumulator += Traffic[I];
+    Accumulator = Accumulator + Traffic[I];
   Pmu.drain(); // sink-directed drain; the stream may legitimately be empty
   EXPECT_EQ(Pmu.samplesDelivered(), Sink.Samples);
   EXPECT_TRUE(Pmu.stop().Available);

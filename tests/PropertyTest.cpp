@@ -75,6 +75,7 @@
 #include "workloads/Workload.h"
 
 #include "PerSampleReference.h"
+#include "ReportVersions.h"
 
 #include <gtest/gtest.h>
 
@@ -278,8 +279,9 @@ TEST_P(FuzzPipelineTest, InvariantsHoldOnRandomPrograms) {
         for (const core::ThreadLineStats &Stats : Info.threads())
           ThreadAccesses += Stats.Accesses;
         EXPECT_EQ(ThreadAccesses, Info.accesses());
-        if (Info.invalidations() > 1)
+        if (Info.invalidations() > 1) {
           EXPECT_GE(Info.threadCount(), 1u);
+        }
       });
 
   // --- Every report's numbers are self-consistent and its assessment sane.
@@ -372,10 +374,12 @@ TEST_P(CoherenceOracleTest, MatchesHolderSetOracle) {
     Now += Result.LatencyCycles + 1;
 
     EXPECT_EQ(Result.Invalidated, ExpectedVictims) << "step " << I;
-    if (ExpectedCold)
+    if (ExpectedCold) {
       EXPECT_EQ(Result.Outcome, sim::AccessOutcome::ColdMiss) << "step " << I;
-    if (ExpectedHit && !ExpectedCold && !IsWrite)
+    }
+    if (ExpectedHit && !ExpectedCold && !IsWrite) {
       EXPECT_EQ(Result.Outcome, sim::AccessOutcome::LocalHit) << "step " << I;
+    }
 
     // Advance the oracle.
     Ref.Touched = true;
@@ -539,8 +543,9 @@ TEST_P(PagePropertyTest, PackedPageTableMatchesSequentialReference) {
     EXPECT_EQ(Lines[L].Writes, WantWrites) << "line " << L;
     EXPECT_EQ(Lines[L].MultiThread, Reference.MultiNodeLines.count(L) > 0)
         << "line " << L;
-    if (WantReads + WantWrites)
+    if (WantReads + WantWrites) {
       EXPECT_EQ(Lines[L].FirstThread, Reference.LineFirstNode.at(L));
+    }
   }
 }
 
@@ -664,7 +669,9 @@ void writeRandomValue(JsonWriter &Writer, SplitMix64 &Rng, unsigned Depth) {
     Writer.beginObject();
     size_t N = Rng.nextBelow(5);
     for (size_t I = 0; I < N; ++I) {
-      Writer.key("k" + std::to_string(I));
+      std::string Key = "k";
+      Key += std::to_string(I);
+      Writer.key(Key);
       writeRandomValue(Writer, Rng, Depth - 1);
     }
     Writer.endObject();
@@ -872,10 +879,12 @@ TEST_P(PageAssessPropertyTest, ClampedEquationInvariantsHold) {
 
     // Improvement strictly above 1 requires removable excess somewhere;
     // zero excess pins the prediction at exactly the measured runtime.
-    if (Result.ImprovementFactor > 1.0 + 1e-9)
+    if (Result.ImprovementFactor > 1.0 + 1e-9) {
       EXPECT_GT(TotalExcess, 0.0);
-    if (TotalExcess == 0.0)
+    }
+    if (TotalExcess == 0.0) {
       EXPECT_NEAR(Result.ImprovementFactor, 1.0, 1e-12);
+    }
   }
 }
 
@@ -1089,10 +1098,12 @@ bool referenceParseReport(const std::string &Text, core::ParsedReport &Out,
   if (Out.Schema != "cheetah-report-v2" &&
       Out.Schema != "cheetah-report-v3" &&
       Out.Schema != "cheetah-report-v4" &&
-      Out.Schema != "cheetah-report-v5") {
+      Out.Schema != "cheetah-report-v5" &&
+      Out.Schema != "cheetah-report-v6") {
     Error = formatString(
         "unsupported schema '%s' (cheetah-diff reads cheetah-report-v2, "
-        "cheetah-report-v3, cheetah-report-v4, and cheetah-report-v5)",
+        "cheetah-report-v3, cheetah-report-v4, cheetah-report-v5, and "
+        "cheetah-report-v6)",
         Out.Schema.c_str());
     return false;
   }
@@ -1516,8 +1527,10 @@ std::string renderFuzzReport(SplitMix64 &Rng) {
     Report.Invalidations = Rng.nextBelow(500);
     Report.Impact.ImprovementFactor =
         1.0 + static_cast<double>(Rng.nextBelow(300)) / 100.0;
-    for (size_t O = Rng.nextBelow(3); O > 0; --O)
-      Report.Objects.push_back("o" + std::to_string(Rng.nextBelow(3)));
+    for (size_t O = Rng.nextBelow(3); O > 0; --O) {
+      Report.Objects.emplace_back("o");
+      Report.Objects.back() += std::to_string(Rng.nextBelow(3));
+    }
     // v4 distance buckets, sometimes, so the fuzz exercises the new
     // remote_by_distance parsing too.
     size_t Buckets = Rng.nextBelow(3);
@@ -1535,18 +1548,6 @@ std::string renderFuzzReport(SplitMix64 &Rng) {
   Stats.AppRuntime = Rng.nextBelow(1000000);
   Sink.endRun(Stats);
   return Out;
-}
-
-/// \p Text, a v5 report, relabeled as the v4 document it would have been:
-/// the schema string, and no words_total/lines_total members.
-std::string downgradeToV4(std::string Text) {
-  for (const char *Member : {"\"words_total\":", "\"lines_total\":"})
-    for (size_t At = Text.find(Member); At != std::string::npos;
-         At = Text.find(Member))
-      Text.erase(At, Text.find(',', At) - At + 1);
-  size_t Pos = Text.find("cheetah-report-v5");
-  EXPECT_NE(Pos, std::string::npos);
-  return Text.replace(Pos, 17, "cheetah-report-v4");
 }
 
 /// A cheetah-diff-v1 document between two fuzz reports.
@@ -1587,11 +1588,17 @@ class ReportDiffFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(ReportDiffFuzzTest, HostileReportInputNeverCrashes) {
   SplitMix64 Rng(GetParam() ^ 0xD1FF);
   for (int Doc = 0; Doc < 10; ++Doc) {
-    // Documents alternate between v5 and v4, so both readings stay under
+    // Documents cycle through v6, v5 and v4, so every reading stays under
     // the fuzz.
     std::string Text = renderFuzzReport(Rng);
-    if (Doc % 2)
-      Text = downgradeToV4(Text);
+    const char *Schema = "cheetah-report-v6";
+    if (Doc % 3 == 1) {
+      Text = test::downgradeToV5(Text);
+      Schema = "cheetah-report-v5";
+    } else if (Doc % 3 == 2) {
+      Text = test::downgradeToV4(Text);
+      Schema = "cheetah-report-v4";
+    }
 
     // The pristine document parses; truncated, mutated and re-laid-out
     // ones get the reference's verdict, values and error string, through
@@ -1599,18 +1606,14 @@ TEST_P(ReportDiffFuzzTest, HostileReportInputNeverCrashes) {
     core::ParsedReport Report;
     std::string Error;
     ASSERT_TRUE(core::parseReport(Text, Report, Error)) << Error;
-    EXPECT_EQ(Report.Schema,
-              Doc % 2 ? "cheetah-report-v4" : "cheetah-report-v5");
+    EXPECT_EQ(Report.Schema, Schema);
     checkAgainstReference(Text, Rng, reportParsersAgree);
     checkAgainstReference(Text, Rng, runDocumentParsersAgree);
 
     // Version mismatches, either side of the accepted range, fail loudly
     // by name.
-    for (const char *Schema : {"cheetah-report-v1", "cheetah-report-v6"}) {
-      std::string Mismatched = Text;
-      size_t Pos = Mismatched.find(Report.Schema);
-      ASSERT_NE(Pos, std::string::npos);
-      Mismatched.replace(Pos, Report.Schema.size(), Schema);
+    for (const char *Other : {"cheetah-report-v1", "cheetah-report-v7"}) {
+      std::string Mismatched = test::relabelSchema(Text, Schema, Other);
       EXPECT_FALSE(reportParsersAgree(Mismatched));
       core::ParsedReport Rejected;
       EXPECT_FALSE(core::parseReport(Mismatched, Rejected, Error));
@@ -1642,6 +1645,10 @@ TEST(ReportDiffFuzzTest, ParsersMatchTheTreeReferenceOnHandWrittenCases) {
       R"({"schema":"cheetah-report-v5","run":{"workload":"w","threads":2,)"
       R"("fix_applied":false,"granularity":"both"},)"
       R"("summary":{"app_runtime_cycles":9},)";
+  const std::string V6Head =
+      R"({"schema":"cheetah-report-v6","run":{"workload":"w","threads":2,)"
+      R"("fix_applied":false,"granularity":"both"},)"
+      R"("summary":{"app_runtime_cycles":9},)";
   const std::string Line =
       R"({"object":{"kind":"global","name":"g"},"sharing":"false-sharing",)"
       R"("significant":true,"accesses":5,"invalidations":1})";
@@ -1654,7 +1661,7 @@ TEST(ReportDiffFuzzTest, ParsersMatchTheTreeReferenceOnHandWrittenCases) {
   const std::string Cases[] = {
       "", "[]", "5", "{}", "{} x", "[1,}", R"({"schema":1})",
       R"({"schema":"cheetah-report-v4"})",
-      R"({"schema":"cheetah-report-v6"})",
+      R"({"schema":"cheetah-report-v7"})",
       // Semantic errors lose to a syntax error later in the document.
       R"({"schema":"cheetah-report-v1","findings":[} )",
       // The schema outranks everything, wherever it sits.
@@ -1681,6 +1688,13 @@ TEST(ReportDiffFuzzTest, ParsersMatchTheTreeReferenceOnHandWrittenCases) {
                R"("sharing":"s","significant":true,"accesses":1,)"
                R"("invalidations":0,"remote_accesses":0,"lines_total":"x",)"
                R"("lines":5}]})",
+      // v6 tables of insignificant findings are empty beside their totals.
+      V6Head + R"("findings":[{"object":{"kind":"global","name":"g"},)"
+               R"("sharing":"s","significant":false,"accesses":5,)"
+               R"("invalidations":1,"words_total":40,"words":[]}],)"
+               R"("pageFindings":[{"objects":["a"],"sharing":"s",)"
+               R"("significant":false,"accesses":1,"invalidations":0,)"
+               R"("remote_accesses":0,"lines_total":3,"lines":[]}]})",
       Head + R"("findings":[{"object":{"kind":"range","name":""},)"
              R"("sharing":"s","significant":true,"accesses":1,)"
              R"("invalidations":0}],"pageFindings":[]})",
@@ -1943,8 +1957,9 @@ bool parsersAgree(const std::string &Text) {
   EXPECT_EQ(Fast.RunCycles, Reference.RunCycles);
   EXPECT_TRUE(Fast.Events == Reference.Events)
       << "document: " << Text.substr(0, 400);
-  if (!FastOk)
+  if (!FastOk) {
     EXPECT_FALSE(FastError.empty());
+  }
   return FastOk;
 }
 

@@ -6,13 +6,15 @@
 ///
 /// \file
 /// The multi-run comparison layer behind `cheetah-diff`: parseReport's
-/// schema version gate (v2 to v5 in, v1 and garbage out — loudly),
+/// schema version gate (v2 to v6 in, v1 and garbage out — loudly),
 /// site-identity matching across runs with relocated objects, the
 /// regression-gate semantics CI anchors on, and byte-stability goldens
 /// for both output formats (two independently produced profiler runs of
 /// the same seed must diff to identical bytes).
 ///
 //===----------------------------------------------------------------------===//
+
+#include "ReportVersions.h"
 
 #include "core/report/ReportDiff.h"
 #include "core/report/ReportSink.h"
@@ -102,28 +104,16 @@ ParsedReport mustParse(const std::string &Text) {
   return Report;
 }
 
-/// \p Text relabeled as a v4 document: the schema string, and no
-/// words_total/lines_total members.
-std::string downgradeToV4(std::string Text) {
-  for (const char *Member : {"\"words_total\":", "\"lines_total\":"})
-    for (size_t At = Text.find(Member); At != std::string::npos;
-         At = Text.find(Member))
-      Text.erase(At, Text.find(',', At) - At + 1);
-  size_t Pos = Text.find("cheetah-report-v5");
-  EXPECT_NE(Pos, std::string::npos);
-  return Text.replace(Pos, 17, "cheetah-report-v4");
-}
-
 //===----------------------------------------------------------------------===//
 // parseReport: schema gate and field extraction
 //===----------------------------------------------------------------------===//
 
-TEST(ReportDiffParseTest, ReadsV5DocumentsEndToEnd) {
+TEST(ReportDiffParseTest, ReadsV6DocumentsEndToEnd) {
   std::string Text = renderDocument(
       {{syntheticLineFinding("hot_global", 1.7), true}},
       {{syntheticPageFinding("numa_slots", 0x40000000, 2.5), true}});
   ParsedReport Report = mustParse(Text);
-  EXPECT_EQ(Report.Schema, "cheetah-report-v5");
+  EXPECT_EQ(Report.Schema, "cheetah-report-v6");
   EXPECT_EQ(Report.Workload, "synthetic");
   EXPECT_EQ(Report.AppRuntimeCycles, 1000000u);
   ASSERT_EQ(Report.Findings.size(), 1u);
@@ -138,17 +128,21 @@ TEST(ReportDiffParseTest, ReadsV5DocumentsEndToEnd) {
 
 TEST(ReportDiffParseTest, RejectsV1AndUnknownSchemas) {
   std::string Text = renderDocument({}, {});
-  for (const char *Schema : {"cheetah-report-v1", "cheetah-report-v99",
-                             "not-a-cheetah-report"}) {
-    std::string Mutated = Text;
-    size_t Pos = Mutated.find("cheetah-report-v5");
-    ASSERT_NE(Pos, std::string::npos);
-    Mutated.replace(Pos, std::string("cheetah-report-v5").size(), Schema);
+  for (const char *Schema : {"cheetah-report-v1", "cheetah-report-v7",
+                             "cheetah-report-v99", "not-a-cheetah-report"}) {
+    std::string Mutated =
+        test::relabelSchema(Text, "cheetah-report-v6", Schema);
     ParsedReport Report;
     std::string Error;
     EXPECT_FALSE(parseReport(Mutated, Report, Error)) << Schema;
     EXPECT_NE(Error.find("unsupported schema"), std::string::npos);
     EXPECT_NE(Error.find(Schema), std::string::npos);
+    // The message names every version the readers accept.
+    EXPECT_NE(Error.find("reads cheetah-report-v2, cheetah-report-v3, "
+                         "cheetah-report-v4, cheetah-report-v5, and "
+                         "cheetah-report-v6)"),
+              std::string::npos)
+        << Error;
   }
 }
 
@@ -159,9 +153,7 @@ TEST(ReportDiffParseTest, AcceptsV2WithoutPageImprovement) {
   // HasImprovement=false.
   std::string Text = renderDocument(
       {}, {{syntheticPageFinding("numa_slots", 0x40000000, 2.5), true}});
-  size_t Pos = Text.find("cheetah-report-v5");
-  Text.replace(Pos, std::string("cheetah-report-v5").size(),
-               "cheetah-report-v2");
+  Text = test::relabelSchema(Text, "cheetah-report-v6", "cheetah-report-v2");
   ParsedReport Report = mustParse(Text);
   EXPECT_EQ(Report.Schema, "cheetah-report-v2");
 
@@ -329,13 +321,12 @@ TEST(ReportDiffGateTest, GrowthAndGateCrossingTrip) {
 
 TEST(ReportDiffGateTest, V2BaselineWithoutImprovementDoesNotTrip) {
   // Old run from a v2 producer: its page findings carry no improvement
-  // factor. Matching them against an unchanged v5 finding above the gate
+  // factor. Matching them against an unchanged v6 finding above the gate
   // must not read as "crossed the gate" — that would fail every
-  // v2 -> v5 CI transition spuriously.
-  std::string OldText = renderDocument(
-      {}, {{syntheticPageFinding("blocks", 0x1000, 1.9), true}});
-  size_t Schema = OldText.find("cheetah-report-v5");
-  OldText.replace(Schema, 17, "cheetah-report-v2");
+  // v2 -> v6 CI transition spuriously.
+  std::string OldText = test::relabelSchema(
+      renderDocument({}, {{syntheticPageFinding("blocks", 0x1000, 1.9), true}}),
+      "cheetah-report-v6", "cheetah-report-v2");
   size_t Improvement = OldText.find("\"predictedImprovement\":1.9,");
   ASSERT_NE(Improvement, std::string::npos);
   OldText.erase(Improvement,
@@ -395,35 +386,40 @@ TEST(ReportDiffGoldenTest, TextAndJsonOutputsAreByteStable) {
   EXPECT_FALSE(formatDiffText(First, 1.1).empty());
 }
 
-TEST(ReportDiffTest, V4AndV5ReportsOfOneRunMatchEveryFinding) {
-  // The same profile read once as the v5 document it is and once
-  // downgraded to v4: v5 changed only the word and line tables, which no
-  // finding key or counter reads, so every finding of both granularities
-  // matches its twin with an unchanged factor.
+TEST(ReportDiffTest, V4AndV5RenderingsOfAV6RunMatchEveryFinding) {
+  // The same profile read as the v6 document it is and as the v5 and v4
+  // documents it would have been: v5 and v6 changed only the word and
+  // line tables, which no finding key or counter reads, so every finding
+  // of both granularities matches its twin with an unchanged factor.
   std::string Text = profileToJson(false);
-  ParsedReport Old = mustParse(downgradeToV4(Text));
   ParsedReport New = mustParse(Text);
-  EXPECT_EQ(Old.Schema, "cheetah-report-v4");
-  EXPECT_EQ(New.Schema, "cheetah-report-v5");
+  EXPECT_EQ(New.Schema, "cheetah-report-v6");
+  ASSERT_FALSE(New.Findings.empty());
   ASSERT_FALSE(New.PageFindings.empty());
+  for (const std::string &OldText :
+       {test::downgradeToV4(Text), test::downgradeToV5(Text)}) {
+    ParsedReport Old = mustParse(OldText);
+    SCOPED_TRACE(Old.Schema);
+    EXPECT_NE(Old.Schema, New.Schema);
 
-  ReportDiffResult Diff = diffReports(Old, New);
-  EXPECT_TRUE(Diff.Added.empty());
-  EXPECT_TRUE(Diff.Removed.empty());
-  EXPECT_TRUE(Diff.PageAdded.empty());
-  EXPECT_TRUE(Diff.PageRemoved.empty());
-  EXPECT_EQ(Diff.Matched.size(), New.Findings.size());
-  EXPECT_EQ(Diff.PageMatched.size(), New.PageFindings.size());
-  for (const auto *Matched : {&Diff.Matched, &Diff.PageMatched})
-    for (const MatchedFinding &Pair : *Matched) {
-      SCOPED_TRACE(Pair.New.Key);
-      EXPECT_EQ(Pair.improvementDelta(), 0.0);
-      EXPECT_EQ(Pair.Old.Significant, Pair.New.Significant);
-      EXPECT_EQ(Pair.Old.Accesses, Pair.New.Accesses);
-      EXPECT_EQ(Pair.Old.Invalidations, Pair.New.Invalidations);
-      EXPECT_EQ(Pair.Old.RemoteAccesses, Pair.New.RemoteAccesses);
-    }
-  EXPECT_TRUE(gateRegressions(Diff, 1.0).empty());
+    ReportDiffResult Diff = diffReports(Old, New);
+    EXPECT_TRUE(Diff.Added.empty());
+    EXPECT_TRUE(Diff.Removed.empty());
+    EXPECT_TRUE(Diff.PageAdded.empty());
+    EXPECT_TRUE(Diff.PageRemoved.empty());
+    EXPECT_EQ(Diff.Matched.size(), New.Findings.size());
+    EXPECT_EQ(Diff.PageMatched.size(), New.PageFindings.size());
+    for (const auto *Matched : {&Diff.Matched, &Diff.PageMatched})
+      for (const MatchedFinding &Pair : *Matched) {
+        SCOPED_TRACE(Pair.New.Key);
+        EXPECT_EQ(Pair.improvementDelta(), 0.0);
+        EXPECT_EQ(Pair.Old.Significant, Pair.New.Significant);
+        EXPECT_EQ(Pair.Old.Accesses, Pair.New.Accesses);
+        EXPECT_EQ(Pair.Old.Invalidations, Pair.New.Invalidations);
+        EXPECT_EQ(Pair.Old.RemoteAccesses, Pair.New.RemoteAccesses);
+      }
+    EXPECT_TRUE(gateRegressions(Diff, 1.0).empty());
+  }
 }
 
 TEST(ReportDiffGoldenTest, TextGoldenForSyntheticPair) {
@@ -435,7 +431,7 @@ TEST(ReportDiffGoldenTest, TextGoldenForSyntheticPair) {
   std::string Expected =
       "cheetah-diff: synthetic (4 threads, fix off) -> synthetic "
       "(4 threads, fix on)\n"
-      "schema cheetah-report-v5 -> cheetah-report-v5, runtime 1000000 -> "
+      "schema cheetah-report-v6 -> cheetah-report-v6, runtime 1000000 -> "
       "1000000 cycles\n"
       "== line findings: 0 added, 1 removed, 0 matched ==\n"
       "  removed  line:global:hot_global#0  false-sharing  improvement "

@@ -14,6 +14,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ReportVersions.h"
+
 #include "core/report/ReportHistory.h"
 #include "core/report/ReportSink.h"
 #include "driver/ProfileSession.h"
@@ -21,6 +23,8 @@
 #include "support/Json.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace cheetah;
 using namespace cheetah::core;
@@ -197,13 +201,11 @@ TEST(ReportHistoryAppendTest, EmptyAndDuplicateRunIdsRejectedAtomically) {
   EXPECT_EQ(History.seriesFor("page:blocks#0")->Points.size(), 1u);
 }
 
-TEST(ReportHistoryAppendTest, V4ThenV5OfOneRunMatchesEveryFinding) {
-  // A store begun under v4 keeps its series across the upgrade: one
-  // profile appended as the v4 document it would have been (no table
-  // totals), then as the v5 document it is, matches every finding of both
-  // granularities, and each run records the schema it came from.
+/// One profiled two-node run of the node-interleaved workload, as the v6
+/// document the JSON sink writes.
+std::string interleavedRun() {
   auto Workload = workloads::createWorkload("numa_interleaved");
-  ASSERT_NE(Workload, nullptr);
+  EXPECT_NE(Workload, nullptr);
   driver::SessionConfig Config;
   Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(256);
   Config.Profiler.Topology = NumaTopology(2, 4096);
@@ -214,41 +216,68 @@ TEST(ReportHistoryAppendTest, V4ThenV5OfOneRunMatchesEveryFinding) {
   std::string Text;
   JsonReportSink Sink(Text);
   driver::runWorkload(*Workload, Config, &Sink);
-  std::string V4 = Text;
-  for (const char *Member : {"\"words_total\":", "\"lines_total\":"})
-    for (size_t At = V4.find(Member); At != std::string::npos;
-         At = V4.find(Member))
-      V4.erase(At, V4.find(',', At) - At + 1);
-  size_t Pos = V4.find("cheetah-report-v5");
-  ASSERT_NE(Pos, std::string::npos);
-  V4.replace(Pos, 17, "cheetah-report-v4");
+  return Text;
+}
 
+TEST(ReportHistoryAppendTest, V4V5AndV6OfOneRunMatchEveryFinding) {
+  // A store begun under v4 keeps its series across the upgrades: one
+  // profile appended as the v4 and v5 documents it would have been, then
+  // as the v6 document it is, matches every finding of both granularities
+  // in every run, and each run records the schema it came from.
+  std::string Text = interleavedRun();
   ReportHistory History;
-  mustAppend(History, V4, "v4");
-  mustAppend(History, Text, "v5");
-  ASSERT_EQ(History.runs().size(), 2u);
+  mustAppend(History, test::downgradeToV4(Text), "v4");
+  mustAppend(History, test::downgradeToV5(Text), "v5");
+  mustAppend(History, Text, "v6");
+  ASSERT_EQ(History.runs().size(), 3u);
   const HistoryRunInfo &First = History.runs()[0];
-  const HistoryRunInfo &Second = History.runs()[1];
   EXPECT_EQ(First.SourceSchema, "cheetah-report-v4");
-  EXPECT_EQ(Second.SourceSchema, "cheetah-report-v5");
+  EXPECT_EQ(History.runs()[1].SourceSchema, "cheetah-report-v5");
+  EXPECT_EQ(History.runs()[2].SourceSchema, "cheetah-report-v6");
   ParsedReport Run = mustParse(Text);
   ASSERT_FALSE(Run.PageFindings.empty());
   EXPECT_EQ(First.NewFindings,
             Run.Findings.size() + Run.PageFindings.size());
-  EXPECT_EQ(Second.MatchedFindings, First.NewFindings);
-  EXPECT_EQ(Second.NewFindings, 0u);
-  EXPECT_EQ(Second.ResolvedFindings, 0u);
+  for (size_t Later = 1; Later < 3; ++Later) {
+    const HistoryRunInfo &Info = History.runs()[Later];
+    EXPECT_EQ(Info.MatchedFindings, First.NewFindings) << Info.Id;
+    EXPECT_EQ(Info.NewFindings, 0u) << Info.Id;
+    EXPECT_EQ(Info.ResolvedFindings, 0u) << Info.Id;
+  }
   for (const TrendSeries &Series : History.series()) {
-    ASSERT_EQ(Series.Points.size(), 2u) << Series.Key;
-    EXPECT_EQ(Series.Points[0].Improvement, Series.Points[1].Improvement);
-    EXPECT_EQ(Series.Points[0].Accesses, Series.Points[1].Accesses);
+    ASSERT_EQ(Series.Points.size(), 3u) << Series.Key;
+    for (const TrendPoint &Point : Series.Points) {
+      EXPECT_EQ(Point.Improvement, Series.Points[0].Improvement);
+      EXPECT_EQ(Point.Accesses, Series.Points[0].Accesses);
+    }
   }
   // The serialized store keeps each run's provenance.
   std::string Stored = History.serialize();
-  EXPECT_NE(Stored.find(R"("source_schema":"cheetah-report-v4")"),
-            std::string::npos);
-  EXPECT_NE(Stored.find(R"("source_schema":"cheetah-report-v5")"),
-            std::string::npos);
+  for (const char *Schema :
+       {"cheetah-report-v4", "cheetah-report-v5", "cheetah-report-v6"})
+    EXPECT_NE(Stored.find(std::string(R"("source_schema":")") + Schema +
+                          "\""),
+              std::string::npos)
+        << Schema;
+}
+
+TEST(ReportHistoryAppendTest, V5AndV6StoresOfOneRunDifferOnlyInSchema) {
+  // v6 drops only the rows of insignificant findings, which no store
+  // reads: the v5 and v6 renderings of one run, each appended to its own
+  // store, serialize to the same bytes but for source_schema.
+  std::string Text = interleavedRun();
+  ParsedReport Run = mustParse(Text);
+  ASSERT_TRUE(std::any_of(Run.Findings.begin(), Run.Findings.end(),
+                          [](const DiffFinding &F) { return !F.Significant; }))
+      << "the run must carry an insignificant finding for v5 to differ";
+  ReportHistory V5, V6;
+  mustAppend(V5, test::downgradeToV5(Text), "run");
+  mustAppend(V6, Text, "run");
+  std::string Stored = V5.serialize();
+  ASSERT_NE(Stored, V6.serialize());
+  EXPECT_EQ(test::relabelSchema(Stored, "cheetah-report-v5",
+                                "cheetah-report-v6"),
+            V6.serialize());
 }
 
 //===----------------------------------------------------------------------===//

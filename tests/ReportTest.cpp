@@ -10,16 +10,17 @@
 /// golden test runs a known simulated workload, parses the emitted
 /// document with the support-layer parser, and round-trips every summary
 /// counter and per-finding field against the in-memory ProfileResult —
-/// the schema (`cheetah-report-v5`) is a compatibility contract for
+/// the schema (`cheetah-report-v6`) is a compatibility contract for
 /// multi-run comparison tooling (`cheetah-diff`), so key names are pinned
 /// here. The schema *version* is pinned just as hard: v2 added the
 /// pageFindings sections, v3 added their assessment and the top-level
 /// predictedImprovement factors, v4 added the per-page-finding
 /// remote_by_distance breakdown, v5 cut the word and line tables to their
-/// hottest rows and added their totals, and consumers built against
-/// superseded versions must fail loudly on the version string rather than
-/// silently ignore (or misread) the new data. The builders' cut itself is
-/// tested on synthetic grain snapshots.
+/// hottest rows and added their totals, v6 left the tables of
+/// insignificant findings empty, and consumers built against superseded
+/// versions must fail loudly on the version string rather than silently
+/// ignore (or misread) the new data. The builders' cut itself is tested
+/// on synthetic grain snapshots.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,7 +64,7 @@ TEST(JsonReportGoldenTest, DocumentParsesAndRoundTripsCounters) {
 
   // Schema identity.
   ASSERT_NE(Document.find("schema"), nullptr);
-  EXPECT_EQ(Document.find("schema")->asString(), "cheetah-report-v5");
+  EXPECT_EQ(Document.find("schema")->asString(), "cheetah-report-v6");
 
   // Run identification written by the driver's beginRun.
   const JsonValue *Run = Document.find("run");
@@ -156,6 +157,9 @@ TEST(JsonReportGoldenTest, DocumentParsesAndRoundTripsCounters) {
     ASSERT_NE(Finding.find("words_total"), nullptr);
     EXPECT_EQ(Finding.find("words_total")->asUint(), Expected.WordsTotal);
     EXPECT_GE(Expected.WordsTotal, Expected.Words.size());
+    // v6: a significant finding keeps its rows, an insignificant one none.
+    EXPECT_GT(Expected.WordsTotal, 0u);
+    EXPECT_EQ(Words->size() > 0, Finding.find("significant")->asBool());
     for (size_t W = 0; W < Words->size(); ++W) {
       EXPECT_EQ(Words->elements()[W].find("reads")->asUint(),
                 Expected.Words[W].Reads);
@@ -222,11 +226,24 @@ TEST(JsonReportGoldenTest, SchemaVersionGatesV4Consumers) {
   std::string Error;
   ASSERT_TRUE(JsonValue::parse(JsonText, Document, Error)) << Error;
   ASSERT_NE(Document.find("schema"), nullptr);
+  EXPECT_NE(Document.find("schema")->asString(), "cheetah-report-v4");
+}
+
+TEST(JsonReportGoldenTest, SchemaVersionGatesV5Consumers) {
+  // v6 leaves the word and line tables of insignificant findings empty: a
+  // consumer pinning "cheetah-report-v5" that reads those rows must reject
+  // the document rather than read an empty table as an untouched object.
+  std::string JsonText;
+  runKnownWorkload(JsonText);
+  JsonValue Document;
+  std::string Error;
+  ASSERT_TRUE(JsonValue::parse(JsonText, Document, Error)) << Error;
+  ASSERT_NE(Document.find("schema"), nullptr);
   const std::string &Schema = Document.find("schema")->asString();
-  // A strict v4 consumer must fail loudly here...
-  EXPECT_NE(Schema, "cheetah-report-v4");
+  // A strict v5 consumer must fail loudly here...
+  EXPECT_NE(Schema, "cheetah-report-v5");
   // ...and the version that replaced it is pinned exactly.
-  EXPECT_EQ(Schema, "cheetah-report-v5");
+  EXPECT_EQ(Schema, "cheetah-report-v6");
 }
 
 /// A deterministic page-granularity run over the node-interleaved NUMA
@@ -306,6 +323,8 @@ TEST(JsonReportGoldenTest, PageFindingsRoundTripAgainstProfileResult) {
     ASSERT_NE(Finding.find("lines_total"), nullptr);
     EXPECT_EQ(Finding.find("lines_total")->asUint(), Expected.LinesTotal);
     EXPECT_GE(Expected.LinesTotal, Expected.Lines.size());
+    EXPECT_GT(Expected.LinesTotal, 0u);
+    EXPECT_EQ(Lines->size() > 0, Finding.find("significant")->asBool());
     for (size_t L = 0; L < Lines->size(); ++L) {
       EXPECT_EQ(Lines->elements()[L].find("offset")->asUint(),
                 Expected.Lines[L].Offset);
@@ -513,51 +532,83 @@ struct BuilderWorld {
 };
 
 /// A snapshot of the grain at \p Base whose bucket I was written
-/// Counts[I] times by thread 1 (0 = untouched).
-GrainSnapshot makeSnapshot(uint64_t Base, const std::vector<uint64_t> &Counts) {
+/// Counts[I] times (0 = untouched) by thread 1 + I % \p Threads alone, so
+/// no bucket is shared, and that counts \p Invalidations.
+GrainSnapshot makeSnapshot(uint64_t Base, const std::vector<uint64_t> &Counts,
+                           ThreadId Threads = 1, uint64_t Invalidations = 0) {
   GrainSnapshot Snapshot;
   Snapshot.Base = Base;
+  Snapshot.Invalidations = Invalidations;
   Snapshot.Buckets.resize(Counts.size());
+  for (ThreadId Tid = 1; Tid <= Threads; ++Tid)
+    Snapshot.Threads.push_back({Tid, 0, 0});
   for (size_t I = 0; I < Counts.size(); ++I) {
     if (Counts[I] == 0)
       continue;
+    ThreadLineStats &Writer = Snapshot.Threads[I % Threads];
     Snapshot.Buckets[I].Writes = Counts[I];
     Snapshot.Buckets[I].Cycles = 10 * Counts[I];
-    Snapshot.Buckets[I].FirstThread = 1;
+    Snapshot.Buckets[I].FirstThread = Writer.Tid;
+    Writer.Accesses += Counts[I];
+    Writer.Cycles += 10 * Counts[I];
     Snapshot.Accesses += Counts[I];
   }
   Snapshot.Writes = Snapshot.Accesses;
   Snapshot.Cycles = 10 * Snapshot.Accesses;
-  Snapshot.Threads.push_back({1, Snapshot.Accesses, Snapshot.Cycles});
   return Snapshot;
 }
 
-TEST(ReportBuilderTest, KeepsTheSixteenHottestWordsAndCountsEveryWord) {
-  // One three-line global with 40 touched words: 12 hot ones at odd word
-  // indices 17..39 (counts 100 down to 89), 8 tied at 50 — rows 12..19,
-  // straddling the cut — and 20 touched once. Lines are added last line
-  // first, so the tied words reach the builder out of offset order.
+/// One three-line global "g" with 40 touched words: 12 hot ones at odd
+/// word indices 17..39 (counts 100 down to 89), 8 tied at 50 — rows
+/// 12..19 of a hottest-first table, straddling the cut — and 20 touched
+/// once. Each line is written by \p Threads threads on disjoint words and
+/// counts \p Invalidations. Lines are added last line first, so the tied
+/// words reach the builder out of offset order.
+struct WordCutCase {
+  static constexpr uint64_t Invalidations = 20;
+
   BuilderWorld World;
   uint64_t Base = World.Globals.defineAligned("g", 3 * 64);
-  ASSERT_EQ(Base, BuilderWorld::SegmentBase);
-  std::vector<uint64_t> Counts(48, 0);
-  for (size_t I = 0; I < 40; ++I)
-    Counts[I] = 1;
-  for (size_t Hot = 0; Hot < 12; ++Hot)
-    Counts[39 - 2 * Hot] = 100 - Hot;
-  for (size_t Tied : {30, 28, 26, 24, 9, 7, 5, 3})
-    Counts[Tied] = 50;
+  std::vector<uint64_t> Counts = std::vector<uint64_t>(48, 0);
+  /// Passes false sharing with 3 x 20 invalidations, whatever the
+  /// assessor predicts.
+  ReportGate Gate{/*MinInvalidations=*/Invalidations,
+                  /*MinImprovementFactor=*/0.0};
 
-  ReportBuilder Builder(World.Heap, World.Globals, World.Callsites,
-                        World.Classifier, World.Geometry, ReportGate{});
-  for (size_t Line = 3; Line-- > 0;) {
-    auto First = Counts.begin() + 16 * Line;
-    Builder.addLine(makeSnapshot(Base + 64 * Line,
-                                 std::vector<uint64_t>(First, First + 16)));
+  WordCutCase() {
+    for (size_t I = 0; I < 40; ++I)
+      Counts[I] = 1;
+    for (size_t Hot = 0; Hot < 12; ++Hot)
+      Counts[39 - 2 * Hot] = 100 - Hot;
+    for (size_t Tied : {30, 28, 26, 24, 9, 7, 5, 3})
+      Counts[Tied] = 50;
   }
-  ReportBuilder::Output Built = Builder.finalize(World.Assess, 1000000);
-  ASSERT_EQ(Built.AllInstances.size(), 1u);
-  const FalseSharingReport &Report = Built.AllInstances.front();
+
+  /// The one finding the builder makes, and whether it is significant.
+  std::pair<FalseSharingReport, bool> build(ThreadId Threads) {
+    ReportBuilder Builder(World.Heap, World.Globals, World.Callsites,
+                          World.Classifier, World.Geometry, Gate);
+    for (size_t Line = 3; Line-- > 0;) {
+      auto First = Counts.begin() + 16 * Line;
+      Builder.addLine(makeSnapshot(Base + 64 * Line,
+                                   std::vector<uint64_t>(First, First + 16),
+                                   Threads, Invalidations));
+    }
+    ReportBuilder::Output Built = Builder.finalize(World.Assess, 1000000);
+    EXPECT_EQ(Built.AllInstances.size(), 1u);
+    bool Significant = Built.Reports.size() == 1;
+    return {Built.AllInstances.at(0), Significant};
+  }
+};
+
+TEST(ReportBuilderTest, KeepsTheSixteenHottestWordsAndCountsEveryWord) {
+  // Two threads false-share the object, so it passes the gate and keeps
+  // its hottest words.
+  WordCutCase Case;
+  ASSERT_EQ(Case.Base, BuilderWorld::SegmentBase);
+  auto [Report, Significant] = Case.build(/*Threads=*/2);
+  ASSERT_TRUE(Significant);
+  ASSERT_EQ(Report.Kind, SharingKind::FalseSharing);
 
   EXPECT_EQ(Report.WordsTotal, 40u);
   ASSERT_EQ(Report.Words.size(), ReportTableRows);
@@ -570,40 +621,74 @@ TEST(ReportBuilderTest, KeepsTheSixteenHottestWordsAndCountsEveryWord) {
     Want.push_back(4 * Word);
   for (size_t Row = 0; Row < ReportTableRows; ++Row) {
     EXPECT_EQ(Report.Words[Row].Offset, Want[Row]) << "row " << Row;
-    EXPECT_EQ(Report.Words[Row].Writes, Counts[Want[Row] / 4]);
+    EXPECT_EQ(Report.Words[Row].Writes, Case.Counts[Want[Row] / 4]);
   }
 
   std::string Text = formatReport(Report);
   EXPECT_NE(Text.find("... 24 more words elided"), std::string::npos) << Text;
 }
 
-TEST(PageReportBuilderTest, NamesEveryObjectOnThePageBeforeTheCut) {
-  // A page holding "hot" (lines 0..18) and "cold" (line 19). Twenty lines
-  // are touched: hot's lines 0..15 at counts 100 down to 85, cold's only
-  // line at 50 (the 17th hottest), hot's lines 16..18 at 10. The table
-  // keeps hot's 16 lines, yet the finding still names both objects, so
-  // its site key (and so its assessment) is the uncut page's.
+TEST(ReportBuilderTest, InsignificantObjectCountsEveryWordAndKeepsNone) {
+  // The same object written by one thread shares nothing, fails the gate,
+  // and so gets no word table — but still counts every touched word.
+  WordCutCase Case;
+  auto [Report, Significant] = Case.build(/*Threads=*/1);
+  ASSERT_FALSE(Significant);
+  EXPECT_EQ(Report.Kind, SharingKind::NotShared);
+  EXPECT_EQ(Report.WordsTotal, 40u);
+  EXPECT_TRUE(Report.Words.empty());
+  EXPECT_EQ(Report.SampledAccesses, (100u + 89u) * 12u / 2u + 8u * 50u + 20u);
+  EXPECT_EQ(Report.Invalidations, 3 * WordCutCase::Invalidations);
+
+  std::string Text = formatReport(Report);
+  EXPECT_EQ(Text.find("Word-level accesses"), std::string::npos) << Text;
+  EXPECT_EQ(Text.find("elided"), std::string::npos) << Text;
+}
+
+/// A page holding "hot" (lines 0..18) and "cold" (line 19). Twenty lines
+/// are touched: hot's lines 0..15 at counts 100 down to 85, cold's only
+/// line at 50 (the 17th hottest), hot's lines 16..18 at 10.
+struct LineCutCase {
   BuilderWorld World;
   uint64_t Hot = World.Globals.defineAligned("hot", 19 * 64);
   uint64_t Cold = World.Globals.defineAligned("cold", 64);
-  ASSERT_EQ(Hot, BuilderWorld::SegmentBase);
-  ASSERT_EQ(Cold, Hot + 19 * 64);
-  std::vector<uint64_t> Counts(64, 0);
-  for (size_t Line = 0; Line < 16; ++Line)
-    Counts[Line] = 100 - Line;
-  Counts[16] = Counts[17] = Counts[18] = 10;
-  Counts[19] = 50;
+  std::vector<uint64_t> Counts = std::vector<uint64_t>(64, 0);
 
-  NumaTopology Topology(2, 4096);
-  PageReportBuilder Builder(World.Heap, World.Globals, World.Callsites,
-                            World.Classifier, Topology, World.Geometry,
-                            PageReportGate{});
-  PageNumaEvidence Numa;
-  Numa.NodesObserved = 1;
-  Builder.addPage(makeSnapshot(Hot, Counts), /*Home=*/0, Numa);
-  PageReportBuilder::Output Built = Builder.finalize(World.Assess, 1000000);
-  ASSERT_EQ(Built.AllInstances.size(), 1u);
-  const PageSharingReport &Report = Built.AllInstances.front();
+  LineCutCase() {
+    for (size_t Line = 0; Line < 16; ++Line)
+      Counts[Line] = 100 - Line;
+    Counts[16] = Counts[17] = Counts[18] = 10;
+    Counts[19] = 50;
+  }
+
+  /// The page's one finding when one node, node 0 (the home), issued all
+  /// but \p RemoteAccesses of its accesses, and whether it is significant.
+  std::pair<PageSharingReport, bool> build(uint64_t RemoteAccesses) {
+    NumaTopology Topology(2, 4096);
+    PageReportBuilder Builder(World.Heap, World.Globals, World.Callsites,
+                              World.Classifier, Topology, World.Geometry,
+                              PageReportGate{});
+    PageNumaEvidence Numa;
+    Numa.NodesObserved = 1;
+    Numa.RemoteAccesses = RemoteAccesses;
+    Builder.addPage(makeSnapshot(Hot, Counts), /*Home=*/0, Numa);
+    PageReportBuilder::Output Built = Builder.finalize(World.Assess, 1000000);
+    EXPECT_EQ(Built.AllInstances.size(), 1u);
+    bool Significant = Built.Reports.size() == 1;
+    return {Built.AllInstances.at(0), Significant};
+  }
+};
+
+TEST(PageReportBuilderTest, NamesEveryObjectOnThePageBeforeTheCut) {
+  // Remote placement: its 32 remote accesses make the page significant.
+  // The table keeps hot's 16 lines, yet the finding still names both
+  // objects, so its site key (and so its assessment) is the uncut page's.
+  LineCutCase Case;
+  ASSERT_EQ(Case.Hot, BuilderWorld::SegmentBase);
+  ASSERT_EQ(Case.Cold, Case.Hot + 19 * 64);
+  auto [Report, Significant] =
+      Case.build(PageReportGate{}.MinRemoteAccesses);
+  ASSERT_TRUE(Significant);
 
   EXPECT_EQ(Report.Objects, (std::vector<std::string>{"hot", "cold"}));
   EXPECT_EQ(Report.LinesTotal, 20u);
@@ -613,6 +698,22 @@ TEST(PageReportBuilderTest, NamesEveryObjectOnThePageBeforeTheCut) {
 
   std::string Text = formatPageReport(Report);
   EXPECT_NE(Text.find("... 4 more lines elided"), std::string::npos) << Text;
+}
+
+TEST(PageReportBuilderTest, InsignificantPageNamesEveryObjectAndKeepsNoLine) {
+  // The same page touched only from its home node fails the gate: no line
+  // table, but every touched line still counts and names its object.
+  LineCutCase Case;
+  auto [Report, Significant] = Case.build(/*RemoteAccesses=*/0);
+  ASSERT_FALSE(Significant);
+
+  EXPECT_EQ(Report.Objects, (std::vector<std::string>{"hot", "cold"}));
+  EXPECT_EQ(Report.LinesTotal, 20u);
+  EXPECT_TRUE(Report.Lines.empty());
+
+  std::string Text = formatPageReport(Report);
+  EXPECT_EQ(Text.find("Line-level accesses"), std::string::npos) << Text;
+  EXPECT_NE(Text.find("hot\ncold\n"), std::string::npos) << Text;
 }
 
 //===----------------------------------------------------------------------===//

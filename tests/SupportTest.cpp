@@ -907,8 +907,9 @@ TEST(JsonReaderTest, NumbersMatchStrtodInTheCLocale) {
       double Got = 0;
       bool GotOk = parseNumber(Text, Got);
       ASSERT_EQ(GotOk, WantOk) << Text;
-      if (WantOk)
+      if (WantOk) {
         ASSERT_TRUE(sameBits(Got, Want)) << Text;
+      }
     }
     Level = std::move(Longer);
   }

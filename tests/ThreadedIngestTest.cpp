@@ -434,8 +434,9 @@ TEST(ThreadedIngestTest, SingleSharedPageHammerAcrossNodesLosesNoUpdates) {
 
   // The packed node table kept its invariants under the hammering.
   EXPECT_LE(Info->table().size(), 2u);
-  if (Info->table().size() == 2)
+  if (Info->table().size() == 2) {
     EXPECT_NE(Info->table().entry(0).Tid, Info->table().entry(1).Tid);
+  }
 }
 
 //===----------------------------------------------------------------------===//

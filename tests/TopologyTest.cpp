@@ -488,8 +488,9 @@ TEST(SessionOptionsTest, BannerPrintsOneLinePerActiveGrain) {
               Want)
         << Test.Granularity;
     // The page line must have something to count, or it proves little.
-    if (Test.Page)
+    if (Test.Page) {
       EXPECT_GT(Stats.PageSamplesRecorded, 0u) << Test.Granularity;
+    }
   }
 }
 

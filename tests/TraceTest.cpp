@@ -10,7 +10,7 @@
 /// input, the in-memory record tee, replay's batches (in recorded order,
 /// cut before every lifecycle event), the payoff gate — a recorded
 /// workload run replayed through `runSession` must reproduce the live
-/// run's `cheetah-report-v5` byte for byte — and replay's refusal of
+/// run's `cheetah-report-v6` byte for byte — and replay's refusal of
 /// thread lifecycles the profiler cannot follow.
 ///
 //===----------------------------------------------------------------------===//

@@ -174,9 +174,11 @@ TEST_P(EveryWorkloadTest, ThreadCountMatchesConfig) {
   core::Profiler Profiler(Config.Profiler);
   sim::ForkJoinProgram Program =
       driver::buildProgram(*Workload, Profiler, Config);
-  for (const sim::PhaseSpec &Phase : Program.Phases)
-    if (!Phase.ParallelBodies.empty())
+  for (const sim::PhaseSpec &Phase : Program.Phases) {
+    if (!Phase.ParallelBodies.empty()) {
       EXPECT_EQ(Phase.ParallelBodies.size(), 3u);
+    }
+  }
 }
 
 TEST_P(EveryWorkloadTest, FixedVariantRunsFasterOrEqual) {
@@ -307,10 +309,12 @@ TEST(WorkloadDetectionTest, FluidanimateBordersAreTrueSharingNotFalse) {
   baseline::FullTrackerConfig Tracker;
   driver::FullTrackResult Result =
       driver::runFullTracking(*Workload, Config, Tracker);
-  for (const auto &Finding : Result.Findings)
-    if (Finding.Threads >= 2 && Finding.Invalidations > 50)
+  for (const auto &Finding : Result.Findings) {
+    if (Finding.Threads >= 2 && Finding.Invalidations > 50) {
       EXPECT_NE(Finding.Kind, core::SharingKind::FalseSharing)
           << "border line 0x" << std::hex << Finding.LineBase;
+    }
+  }
 }
 
 TEST(WorkloadStructureTest, KmeansCreates224ThreadsAt16) {

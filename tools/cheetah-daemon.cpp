@@ -7,7 +7,7 @@
 /// \file
 /// The always-on half of the fleet-service story: one long-lived profiler
 /// instance observing a workload's sample stream epoch after epoch under a
-/// fixed shadow-memory byte budget, emitting a complete `cheetah-report-v5`
+/// fixed shadow-memory byte budget, emitting a complete `cheetah-report-v6`
 /// snapshot at every epoch boundary and appending each one into a
 /// `cheetah-history-v1` store — so `cheetah-trend show`/`--gate` works live
 /// against a running daemon, and week-long attaches cannot grow without
@@ -25,10 +25,10 @@
 /// ingest path an LD_PRELOADed production process exercises, driven as a
 /// steady-state traffic generator.
 ///
-/// Examples:
-///   cheetah-daemon --workload=numa_first_touch --granularity=both \
+/// Examples (an indented line continues the command above it):
+///   cheetah-daemon --workload=numa_first_touch --granularity=both
 ///       --epochs=10 --line-budget=262144 --store=history.json
-///   cheetah-daemon --workload=numa_first_touch \
+///   cheetah-daemon --workload=numa_first_touch
 ///       --backend=trace:first_touch.trace --epochs=10 --store=history.json
 ///   cheetah-trend show --store=history.json --gate=1.5
 ///

@@ -5,17 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Compares two `cheetah-report-v2` to `v5` JSON reports (as written by
+/// Compares two `cheetah-report-v2` to `v6` JSON reports (as written by
 /// `cheetah-profile --format=json`): findings are matched by site/page
 /// identity and classified as added, removed, or matched (with the
 /// predicted-improvement delta). With `--gate=<factor>` the tool becomes a
 /// CI regression gate: it exits non-zero when a significant finding at or
 /// above the factor appeared or got worse in the new report.
 ///
-/// Examples:
-///   cheetah-profile --workload=numa_first_touch --granularity=page \
+/// Examples (an indented line continues the command above it):
+///   cheetah-profile --workload=numa_first_touch --granularity=page
 ///       --format=json --output=broken.json
-///   cheetah-profile --workload=numa_first_touch --granularity=page \
+///   cheetah-profile --workload=numa_first_touch --granularity=page
 ///       --fix --format=json --output=fixed.json
 ///   cheetah-diff broken.json fixed.json
 ///   cheetah-diff --gate=1.1 broken.json fixed.json   # exit 0: no regression

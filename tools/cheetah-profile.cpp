@@ -7,20 +7,20 @@
 /// \file
 /// Command-line front end: run any modeled workload under the Cheetah
 /// profiler and stream its report — Figure-5 text or machine-readable JSON
-/// (`cheetah-report-v5`, diffable with `cheetah-diff`) — optionally
+/// (`cheetah-report-v6`, diffable with `cheetah-diff`) — optionally
 /// comparing against the padded ("fixed") variant and against a native
 /// (unprofiled) run. Flag validation lives in driver/SessionOptions.h so
 /// bad values (and hostile `--numa-topology` files) exit 1 with an error
 /// instead of tripping an assert.
 ///
-/// Examples:
+/// Examples (an indented line continues the command above it):
 ///   cheetah-profile --workload=linear_regression --threads=16
 ///   cheetah-profile --workload=streamcluster --fix --verify
 ///   cheetah-profile --workload=histogram --format=json --output=run.json
 ///   cheetah-profile --workload=numa_interleaved --granularity=page
-///   cheetah-profile --workload=numa_first_touch --granularity=both \
+///   cheetah-profile --workload=numa_first_touch --granularity=both
 ///       --numa-nodes=4 --format=json
-///   cheetah-profile --workload=numa_asymmetric --granularity=page \
+///   cheetah-profile --workload=numa_asymmetric --granularity=page
 ///       --numa-topology=topologies/asymmetric4.json --format=json
 ///   cheetah-profile --workload=numa_first_touch --granularity=page --verify
 ///   cheetah-profile --list
@@ -49,7 +49,8 @@ int main(int Argc, char **Argv) {
                 "predicted improvement");
   Flags.addBool("native", false, "additionally time a run without Cheetah");
   Flags.addBool("all-instances", false,
-                "print every tracked object, not only significant reports");
+                "print every tracked object, not only significant reports "
+                "(insignificant ones without word or line rows)");
   Flags.addBool("hex", false, "print counters in hex like the paper");
   Flags.addBool("list", false, "list available workloads and exit");
   Flags.addBool("dump-threads", false,

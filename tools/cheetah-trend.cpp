@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Fleet-scale operation of the report pipeline: folds an ordered
-/// sequence of `cheetah-report-v2..v5` reports (or `cheetah-diff-v1`
+/// sequence of `cheetah-report-v2..v6` reports (or `cheetah-diff-v1`
 /// documents) into one versioned `cheetah-history-v1` store, then
 /// answers trend questions over it — the N-run generalization of
 /// `cheetah-diff`'s single-pair gate.
@@ -25,13 +25,13 @@
 ///       --gate), binary-searches the stored runs and names the exact
 ///       run that introduced the regression of KEY.
 ///
-/// Examples:
-///   cheetah-profile --workload=numa_first_touch --granularity=page \
+/// Examples (an indented line continues the command above it):
+///   cheetah-profile --workload=numa_first_touch --granularity=page
 ///       --format=json --output=run1.json
 ///   cheetah-trend append --store=history.json --run-id=nightly-001 run1.json
 ///   cheetah-trend show --store=history.json
 ///   cheetah-trend show --store=history.json --gate=1.2
-///   cheetah-trend show --store=history.json --gate=1.2 \
+///   cheetah-trend show --store=history.json --gate=1.2
 ///       --bisect='page:numa_slots#0'
 ///
 /// Exit codes follow the cheetah-diff contract: 0 = clean (or gate
