@@ -33,6 +33,7 @@
 #include "core/detect/PageInfo.h"
 #include "core/detect/PageTable.h"
 #include "core/detect/ShadowMemory.h"
+#include "core/report/ReportHistory.h"
 #include "interpose/Preload.h"
 #include "mem/NumaTopology.h"
 #include "pmu/TraceSource.h"
@@ -536,6 +537,92 @@ void BM_TraceReplay(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * SampleCount);
 }
 BENCHMARK(BM_TraceReplay);
+
+//===----------------------------------------------------------------------===//
+// History store update
+//===----------------------------------------------------------------------===//
+
+/// One epoch of the canneal daemon workload as parseRunDocument leaves it:
+/// one line finding and 780 page findings of one heap object, each page
+/// with one distance bucket (the shape of cold_evict's 781 findings).
+core::ParsedReport historyEpochRun(SplitMix64 &Rng) {
+  core::ParsedReport Run;
+  Run.Schema = "cheetah-report-v6";
+  Run.Workload = "canneal";
+  Run.Threads = 3;
+  Run.Granularity = "both";
+  Run.AppRuntimeCycles = 3255438074;
+  core::DiffFinding Line;
+  Line.Key = "line:heap:canneal/netlist.cpp:118#0";
+  Line.Sharing = "mixed-sharing";
+  Line.HasImprovement = true;
+  Line.Improvement = 1.0 + Rng.nextDouble() / 100;
+  Line.Accesses = 1949;
+  Line.Invalidations = 1458;
+  Run.Findings.push_back(Line);
+  for (uint32_t Page = 0; Page < 780; ++Page) {
+    core::DiffFinding Finding;
+    Finding.Key = "page:canneal/netlist.cpp:118#" + std::to_string(Page);
+    Finding.Sharing = "false-sharing";
+    Finding.IsPage = true;
+    Finding.Significant = Page == 0;
+    Finding.HasImprovement = true;
+    Finding.Improvement = 1.0 + Rng.nextDouble() / 1000;
+    Finding.Accesses = Rng.nextBelow(100);
+    Finding.Invalidations = Rng.nextBelow(50);
+    Finding.RemoteAccesses = Finding.Accesses / 2;
+    Finding.RemoteByDistance.push_back(
+        {10, Finding.RemoteAccesses, 40 * Finding.RemoteAccesses});
+    Run.PageFindings.push_back(std::move(Finding));
+  }
+  return Run;
+}
+
+/// One daemon epoch's store update, appendRun of a 781-finding run then
+/// serialize(), into a store that starts with State.range(0) such runs
+/// and keeps the runs each iteration appends. A copied store would start
+/// every series' text at full capacity and make the next append copy it,
+/// which no daemon pays, so the iterations are fixed instead: the store
+/// grows by 10 runs. The append_us counter should not grow with the
+/// stored runs; serialize_us copies the stored point text, so it grows
+/// with the store's bytes.
+void BM_HistoryEpoch(benchmark::State &State) {
+  SplitMix64 Rng(24);
+  core::ReportHistory History;
+  std::string Error;
+  for (int64_t Run = 0; Run < State.range(0); ++Run)
+    History.appendRun(historyEpochRun(Rng), "epoch-" + std::to_string(Run),
+                      Error);
+  core::ParsedReport Next = historyEpochRun(Rng);
+  using Clock = std::chrono::steady_clock;
+  Clock::duration Append{}, Serialize{};
+  size_t Bytes = 0;
+  for (auto _ : State) {
+    Clock::time_point Start = Clock::now();
+    benchmark::DoNotOptimize(History.appendRun(
+        Next, "epoch-" + std::to_string(History.runs().size()), Error));
+    Clock::time_point Appended = Clock::now();
+    std::string Text = History.serialize();
+    benchmark::DoNotOptimize(Text.data());
+    Serialize += Clock::now() - Appended;
+    Append += Appended - Start;
+    Bytes = Text.size();
+  }
+  auto PerIteration = [](Clock::duration Total) {
+    return benchmark::Counter(
+        std::chrono::duration<double, std::micro>(Total).count(),
+        benchmark::Counter::kAvgIterations);
+  };
+  State.counters["append_us"] = PerIteration(Append);
+  State.counters["serialize_us"] = PerIteration(Serialize);
+  State.counters["store_mb"] = static_cast<double>(Bytes) / (1 << 20);
+}
+BENCHMARK(BM_HistoryEpoch)
+    ->ArgName("stored_runs")
+    ->Arg(20)
+    ->Arg(200)
+    ->Iterations(10)
+    ->Unit(benchmark::kMillisecond);
 
 //===----------------------------------------------------------------------===//
 // BENCH_ingest.json: the checked-in ingestion-throughput trajectory

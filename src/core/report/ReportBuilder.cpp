@@ -20,7 +20,11 @@ struct ReportBuilder::ObjectAggregate {
   uint64_t SharedWordAccesses = 0;
   uint64_t TotalWordAccesses = 0;
   uint32_t FalseLines = 0, TrueLines = 0, MixedLines = 0, SharedLines = 0;
+  /// The ReportTableRows hottest touched words, as a heap under
+  /// hotterFirst: the coldest kept word is at the front.
   std::vector<WordReportEntry> Words;
+  /// Touched words, kept or not.
+  uint64_t WordsTotal = 0;
   uint32_t MaxThreadsOnLine = 0;
 };
 
@@ -133,7 +137,9 @@ void ReportBuilder::addLine(const GrainSnapshot &Line) {
     break;
   }
 
-  // Per-word entries, offsets relative to the object.
+  // Per-word entries, offsets relative to the object. Only the hottest
+  // ReportTableRows are kept: an object's touched words can number in the
+  // thousands, and an insignificant object's table is never printed.
   for (size_t W = 0; W < Words.size(); ++W) {
     if (Words[W].accesses() == 0)
       continue;
@@ -147,7 +153,16 @@ void ReportBuilder::addLine(const GrainSnapshot &Line) {
     Entry.Cycles = Words[W].Cycles;
     Entry.FirstThread = Words[W].FirstThread;
     Entry.MultiThread = Words[W].MultiThread;
-    Aggregate.Words.push_back(Entry);
+    ++Aggregate.WordsTotal;
+    std::vector<WordReportEntry> &Kept = Aggregate.Words;
+    if (Kept.size() < ReportTableRows) {
+      Kept.push_back(Entry);
+      std::push_heap(Kept.begin(), Kept.end(), hotterFirst<WordReportEntry>);
+    } else if (hotterFirst(Entry, Kept.front())) {
+      std::pop_heap(Kept.begin(), Kept.end(), hotterFirst<WordReportEntry>);
+      Kept.back() = Entry;
+      std::push_heap(Kept.begin(), Kept.end(), hotterFirst<WordReportEntry>);
+    }
   }
 }
 
@@ -188,15 +203,14 @@ ReportBuilder::buildReport(const ObjectAggregate &Aggregate,
       Report.Invalidations >= Gate.MinInvalidations &&
       Report.Impact.ImprovementFactor >= Gate.MinImprovementFactor;
 
-  // The padding-guidance table, for significant objects only: only its
-  // hottest rows are selected, so a large object's thousands of touched
-  // words are neither copied nor fully sorted.
-  Report.WordsTotal = Aggregate.Words.size();
+  // The padding-guidance table, for significant objects only. Word
+  // offsets within one object are distinct, so hotterFirst is a strict
+  // order and the kept rows are the hottest ReportTableRows.
+  Report.WordsTotal = Aggregate.WordsTotal;
   if (Significant) {
-    Report.Words.resize(std::min(Aggregate.Words.size(), ReportTableRows));
-    std::partial_sort_copy(Aggregate.Words.begin(), Aggregate.Words.end(),
-                           Report.Words.begin(), Report.Words.end(),
-                           hotterFirst<WordReportEntry>);
+    Report.Words = Aggregate.Words;
+    std::sort_heap(Report.Words.begin(), Report.Words.end(),
+                   hotterFirst<WordReportEntry>);
   }
   return {std::move(Report), Significant};
 }

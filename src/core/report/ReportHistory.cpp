@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <string_view>
+#include <unordered_set>
 
 using namespace cheetah;
 using namespace cheetah::core;
@@ -56,21 +58,8 @@ double TrendSeries::bestBefore(uint32_t RunIndex, bool &HasBest) const {
 //===----------------------------------------------------------------------===//
 
 const TrendSeries *ReportHistory::seriesFor(const std::string &Key) const {
-  for (const TrendSeries &S : Series)
-    if (S.Key == Key)
-      return &S;
-  return nullptr;
-}
-
-TrendSeries &ReportHistory::seriesForAppend(const DiffFinding &Finding) {
-  for (TrendSeries &S : Series)
-    if (S.Key == Finding.Key)
-      return S;
-  TrendSeries S;
-  S.Key = Finding.Key;
-  S.IsPage = Finding.IsPage;
-  Series.push_back(std::move(S));
-  return Series.back();
+  auto It = SeriesIndex.find(Key);
+  return It == SeriesIndex.end() ? nullptr : &Series[It->second];
 }
 
 namespace {
@@ -88,14 +77,40 @@ TrendPoint pointFromFinding(const DiffFinding &Finding, uint32_t RunIndex) {
   return Point;
 }
 
-/// Reduced DiffFinding for the matcher: identity plus page-ness is all
-/// the added/resolved classification needs.
-DiffFinding findingFromSeries(const TrendSeries &S) {
-  DiffFinding Finding;
-  Finding.Key = S.Key;
-  Finding.IsPage = S.IsPage;
-  Finding.Sharing = S.Sharing;
-  return Finding;
+/// Writes \p Point as one element of a series' "points" array: the one
+/// encoding of a point, for stored text and serialize() alike.
+void encodePoint(JsonWriter &Writer, const TrendPoint &Point, bool IsPage) {
+  Writer.beginObject();
+  Writer.member("run", static_cast<uint64_t>(Point.RunIndex));
+  Writer.member("significant", Point.Significant);
+  if (Point.HasImprovement)
+    Writer.member("predictedImprovement", Point.Improvement);
+  Writer.member("accesses", Point.Accesses);
+  Writer.member("invalidations", Point.Invalidations);
+  if (IsPage)
+    Writer.member("remote_accesses", Point.RemoteAccesses);
+  if (!Point.RemoteByDistance.empty()) {
+    Writer.key("remote_by_distance");
+    Writer.beginArray();
+    for (const RemoteDistanceStats &Bucket : Point.RemoteByDistance) {
+      Writer.beginObject();
+      Writer.member("distance", Bucket.Distance);
+      Writer.member("accesses", Bucket.Accesses);
+      Writer.member("cycles", Bucket.Cycles);
+      Writer.endObject();
+    }
+    Writer.endArray();
+  }
+  Writer.endObject();
+}
+
+/// Appends \p Point to a series' comma-joined point text.
+void appendPointText(std::string &Text, const TrendPoint &Point,
+                     bool IsPage) {
+  if (!Text.empty())
+    Text += ',';
+  JsonWriter Writer(Text);
+  encodePoint(Writer, Point, IsPage);
 }
 
 } // namespace
@@ -111,26 +126,54 @@ bool ReportHistory::appendRun(const ParsedReport &Report,
       Error = "duplicate run id '" + RunId + "'";
       return false;
     }
+  // Both granularities, one list after the other (keys are
+  // prefix-disjoint). A key named twice would give its series two points
+  // at one run, which parse() rejects: refuse such a run before anything
+  // changes.
+  const std::vector<DiffFinding> *Lists[] = {&Report.Findings,
+                                             &Report.PageFindings};
+  std::unordered_set<std::string_view> Keys;
+  Keys.reserve(Report.Findings.size() + Report.PageFindings.size());
+  for (const std::vector<DiffFinding> *List : Lists)
+    for (const DiffFinding &Finding : *List)
+      if (!Keys.insert(Finding.Key).second) {
+        Error = "finding key '" + Finding.Key + "' appears twice in the run";
+        return false;
+      }
 
   uint32_t Index = static_cast<uint32_t>(Runs.size());
-
-  // The new run's findings, both granularities (keys are prefix-disjoint).
-  std::vector<DiffFinding> New;
-  New.reserve(Report.Findings.size() + Report.PageFindings.size());
-  New.insert(New.end(), Report.Findings.begin(), Report.Findings.end());
-  New.insert(New.end(), Report.PageFindings.begin(),
-             Report.PageFindings.end());
-
-  // Classify against the previous run via the shared matcher: series that
-  // carried a point at Index-1 were "present" there.
-  std::vector<DiffFinding> Previous;
-  if (Index > 0)
-    for (const TrendSeries &S : Series)
-      if (S.pointAt(Index - 1))
-        Previous.push_back(findingFromSeries(S));
-  std::vector<DiffFinding> Added, Removed;
-  std::vector<MatchedFinding> Matched;
-  matchFindings(Previous, New, Added, Removed, Matched);
+  // A series was present in the previous run when its last point is
+  // there; a finding of this run whose series was present is matched.
+  auto PresentBefore = [Index](const TrendSeries &S) {
+    return !S.Points.empty() && S.Points.back().RunIndex + 1 == Index;
+  };
+  uint64_t Present = std::count_if(Series.begin(), Series.end(),
+                                   PresentBefore);
+  uint64_t Matched = 0;
+  for (const std::vector<DiffFinding> *List : Lists)
+    for (const DiffFinding &Finding : *List) {
+      auto [It, Inserted] = SeriesIndex.try_emplace(
+          Finding.Key, static_cast<uint32_t>(Series.size()));
+      if (Inserted) {
+        TrendSeries S;
+        S.Key = Finding.Key;
+        S.IsPage = Finding.IsPage;
+        Series.push_back(std::move(S));
+        PointText.emplace_back();
+      }
+      TrendSeries &S = Series[It->second];
+      std::string &Text = PointText[It->second];
+      Matched += PresentBefore(S);
+      if (Text.empty()) // loaded by parse(): encode the earlier points
+        for (const TrendPoint &Earlier : S.Points)
+          appendPointText(Text, Earlier, S.IsPage);
+      // Diff-sourced matched entries carry no sharing string; keep the
+      // last real observation in that case.
+      if (!Finding.Sharing.empty())
+        S.Sharing = Finding.Sharing;
+      S.Points.push_back(pointFromFinding(Finding, Index));
+      appendPointText(Text, S.Points.back(), S.IsPage);
+    }
 
   HistoryRunInfo Info;
   Info.Id = RunId;
@@ -140,19 +183,10 @@ bool ReportHistory::appendRun(const ParsedReport &Report,
   Info.Granularity = Report.Granularity;
   Info.SourceSchema = Report.Schema;
   Info.AppRuntimeCycles = Report.AppRuntimeCycles;
-  Info.NewFindings = Added.size();
-  Info.ResolvedFindings = Removed.size();
-  Info.MatchedFindings = Matched.size();
+  Info.NewFindings = Keys.size() - Matched;
+  Info.ResolvedFindings = Present - Matched;
+  Info.MatchedFindings = Matched;
   Runs.push_back(std::move(Info));
-
-  for (const DiffFinding &Finding : New) {
-    TrendSeries &S = seriesForAppend(Finding);
-    // Diff-sourced matched entries carry no sharing string; keep the last
-    // real observation in that case.
-    if (!Finding.Sharing.empty())
-      S.Sharing = Finding.Sharing;
-    S.Points.push_back(pointFromFinding(Finding, Index));
-  }
   return true;
 }
 
@@ -252,7 +286,19 @@ BisectResult ReportHistory::bisect(const std::string &Key,
 //===----------------------------------------------------------------------===//
 
 std::string ReportHistory::serialize() const {
+  // One reservation: the ledger and series heads are estimated, the
+  // stored text is exact, and an untouched series gets a typical point
+  // size.
+  size_t Size = 64;
+  for (const HistoryRunInfo &Run : Runs)
+    Size += 320 + Run.Id.size() + Run.Workload.size() +
+            Run.Granularity.size() + Run.SourceSchema.size();
+  for (size_t I = 0; I < Series.size(); ++I)
+    Size += 64 + Series[I].Key.size() + Series[I].Sharing.size() +
+            (PointText[I].empty() ? 128 * Series[I].Points.size()
+                                  : PointText[I].size());
   std::string Out;
+  Out.reserve(Size);
   JsonWriter Writer(Out);
   Writer.beginObject();
   Writer.member("schema", "cheetah-history-v1");
@@ -275,37 +321,21 @@ std::string ReportHistory::serialize() const {
   Writer.endArray();
   Writer.key("series");
   Writer.beginArray();
-  for (const TrendSeries &S : Series) {
+  for (size_t I = 0; I < Series.size(); ++I) {
+    const TrendSeries &S = Series[I];
     Writer.beginObject();
     Writer.member("key", S.Key);
     Writer.member("page", S.IsPage);
     Writer.member("sharing", S.Sharing);
     Writer.key("points");
     Writer.beginArray();
-    for (const TrendPoint &Point : S.Points) {
-      Writer.beginObject();
-      Writer.member("run", static_cast<uint64_t>(Point.RunIndex));
-      Writer.member("significant", Point.Significant);
-      if (Point.HasImprovement)
-        Writer.member("predictedImprovement", Point.Improvement);
-      Writer.member("accesses", Point.Accesses);
-      Writer.member("invalidations", Point.Invalidations);
-      if (S.IsPage)
-        Writer.member("remote_accesses", Point.RemoteAccesses);
-      if (!Point.RemoteByDistance.empty()) {
-        Writer.key("remote_by_distance");
-        Writer.beginArray();
-        for (const RemoteDistanceStats &Bucket : Point.RemoteByDistance) {
-          Writer.beginObject();
-          Writer.member("distance", Bucket.Distance);
-          Writer.member("accesses", Bucket.Accesses);
-          Writer.member("cycles", Bucket.Cycles);
-          Writer.endObject();
-        }
-        Writer.endArray();
-      }
-      Writer.endObject();
-    }
+    // Stored text goes in raw, so the writer's points frame stays
+    // empty and endArray() closes it as it is.
+    if (PointText[I].empty())
+      for (const TrendPoint &Point : S.Points)
+        encodePoint(Writer, Point, S.IsPage);
+    else
+      Out += PointText[I];
     Writer.endArray();
     Writer.endObject();
   }
@@ -478,7 +508,9 @@ bool ReportHistory::parse(const std::string &Text, ReportHistory &Out,
       Error = formatString("series[%zu]: key must not be empty", I);
       return false;
     }
-    if (Parsed.seriesFor(S.Key)) {
+    if (!Parsed.SeriesIndex
+             .try_emplace(S.Key, static_cast<uint32_t>(Parsed.Series.size()))
+             .second) {
       Error = formatString("series[%zu]: duplicate key '%s'", I,
                            S.Key.c_str());
       return false;
@@ -501,6 +533,7 @@ bool ReportHistory::parse(const std::string &Text, ReportHistory &Out,
     }
     Parsed.Series.push_back(std::move(S));
   }
+  Parsed.PointText.resize(Parsed.Series.size());
   Out = std::move(Parsed);
   return true;
 }

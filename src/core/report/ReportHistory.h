@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace cheetah {
@@ -124,9 +125,13 @@ struct BisectResult {
 class ReportHistory {
 public:
   /// Appends \p Report as the next run under \p RunId. Fails (leaving the
-  /// store untouched) on an empty or duplicate run id. Finding keys are
-  /// taken as parseReport/parseRunDocument produced them — already
-  /// ordinal-disambiguated within the run.
+  /// store untouched) on an empty or duplicate run id, and on a run that
+  /// names one finding key twice. Finding keys are taken as
+  /// parseReport/parseRunDocument produced them: a report's are
+  /// ordinal-disambiguated within the run, a diff document's are taken as
+  /// written. The cost follows the run's findings, not the stored points,
+  /// except that the first append to a series loaded by parse() also
+  /// encodes that series' earlier points.
   bool appendRun(const ParsedReport &Report, const std::string &RunId,
                  std::string &Error);
 
@@ -157,7 +162,9 @@ public:
 
   /// Serializes the store as canonical `cheetah-history-v1` JSON.
   /// Deterministic: equal stores produce identical bytes, and
-  /// parse(serialize()) re-serializes byte-identically.
+  /// parse(serialize()) re-serializes byte-identically. A series an
+  /// append has touched is copied from its stored point text; only the
+  /// series left untouched since parse() are encoded here.
   std::string serialize() const;
 
   /// Parses a serialized store. Loud-error contract: version gate on
@@ -168,10 +175,14 @@ public:
                     std::string &Error);
 
 private:
-  TrendSeries &seriesForAppend(const DiffFinding &Finding);
-
   std::vector<HistoryRunInfo> Runs;
   std::vector<TrendSeries> Series;
+  /// PointText[I] is Series[I]'s points as serialize() writes them,
+  /// comma-joined: empty, or covering every point. parse() builds none;
+  /// the first append to a loaded series encodes its earlier points.
+  std::vector<std::string> PointText;
+  /// Series key -> position in Series.
+  std::unordered_map<std::string, uint32_t> SeriesIndex;
 };
 
 /// Parses one ingestible document: a `cheetah-report-v2..v6` report, or a

@@ -37,6 +37,11 @@
 ///    cheetah-trend) under fuzz: truncated, mutated and hostile stores
 ///    fail loudly, never crash; re-laid-out stores read back unchanged;
 ///    version mismatches and duplicate-run-id injection are rejected;
+///  - ReportHistory's stored point text and key index against the
+///    whole-store encoder and matchFindings ledger they replaced
+///    (tests/HistoryReference.h): random append sequences, some stores
+///    re-parsed between appends, must serialize to the reference bytes
+///    and record the reference counts;
 ///  - the single-pass TraceData::parse against a tree-based reference
 ///    reading: pristine, truncated and mutated traces, and traces with
 ///    reordered members, whitespace, repeated and unknown members, must
@@ -74,6 +79,7 @@
 #include "support/StringUtils.h"
 #include "workloads/Workload.h"
 
+#include "HistoryReference.h"
 #include "PerSampleReference.h"
 #include "ReportVersions.h"
 
@@ -1838,6 +1844,77 @@ TEST_P(HistoryStoreFuzzTest, HostileStoreInputNeverCrashes) {
     core::ReportHistory Rejected;
     EXPECT_FALSE(core::ReportHistory::parse(Duplicated, Rejected, Error));
     EXPECT_NE(Error.find("duplicate run id"), std::string::npos);
+  }
+}
+
+/// Run \p RunIndex of a random history sequence, built as parseRunDocument
+/// would leave it: each key of a fixed pool of eight line and eight page
+/// sites appears with its own probability, so some series persist, some
+/// come and go, and two leave for good after run 3. Page findings
+/// sometimes carry distance buckets; some findings carry no sharing
+/// string, as a diff's matched entries do.
+core::ParsedReport randomHistoryRun(SplitMix64 &Rng, size_t RunIndex) {
+  core::ParsedReport Run;
+  Run.Schema = "cheetah-report-v6";
+  Run.Workload = "fuzz";
+  Run.Threads = 4;
+  Run.Granularity = "both";
+  Run.AppRuntimeCycles = Rng.nextBelow(1000000);
+  for (size_t Site = 0; Site < 16; ++Site) {
+    bool IsPage = Site >= 8;
+    double Presence = Site % 8 == 0 ? (RunIndex < 3 ? 0.9 : 0.0)
+                                    : 0.2 + 0.1 * static_cast<double>(Site % 8);
+    if (!Rng.nextBool(Presence))
+      continue;
+    core::DiffFinding Finding;
+    Finding.Key = std::string(IsPage ? "page:o" : "line:global:g") +
+                  std::to_string(Site % 8) + "#0";
+    Finding.IsPage = IsPage;
+    Finding.Sharing = Rng.nextBool(0.2) ? "" : "false-sharing";
+    Finding.Significant = Rng.nextBool(0.5);
+    Finding.HasImprovement = Rng.nextBool(0.9);
+    if (Finding.HasImprovement)
+      Finding.Improvement = 1.0 + Rng.nextDouble();
+    Finding.Accesses = Rng.nextBelow(100000);
+    Finding.Invalidations = Rng.nextBelow(5000);
+    if (IsPage) {
+      Finding.RemoteAccesses = Rng.nextBelow(50000);
+      for (size_t B = Rng.nextBelow(3); B > 0; --B)
+        Finding.RemoteByDistance.push_back(
+            {static_cast<uint32_t>(10 * B + 10), Rng.nextBelow(1000),
+             Rng.nextBelow(50000)});
+    }
+    (IsPage ? Run.PageFindings : Run.Findings).push_back(std::move(Finding));
+  }
+  return Run;
+}
+
+TEST_P(HistoryStoreFuzzTest, AppendsAndReloadsMatchTheWholeStoreReference) {
+  SplitMix64 Rng(GetParam() ^ 0x7E87);
+  std::string Error;
+  for (int Sequence = 0; Sequence < 8; ++Sequence) {
+    // Live is never reloaded. Resumed is re-parsed from its own bytes now
+    // and then, as a restarted daemon or one cheetah-trend process per run
+    // would: its series keep no point text until an append touches them.
+    core::ReportHistory Live, Resumed;
+    size_t Runs = 2 + Rng.nextBelow(14);
+    for (size_t I = 0; I < Runs; ++I) {
+      if (I > 0 && Rng.nextBool(0.4)) {
+        std::string Text = Resumed.serialize();
+        ASSERT_TRUE(core::ReportHistory::parse(Text, Resumed, Error))
+            << Error;
+        EXPECT_EQ(Resumed.serialize(), Text);
+      }
+      core::ParsedReport Run = randomHistoryRun(Rng, I);
+      test::LedgerCounts Expected = test::referenceLedger(Live, Run);
+      std::string Id = "run-" + std::to_string(I);
+      ASSERT_TRUE(Live.appendRun(Run, Id, Error)) << Error;
+      ASSERT_TRUE(Resumed.appendRun(Run, Id, Error)) << Error;
+      EXPECT_EQ(test::ledgerOf(Live.runs().back()), Expected) << Id;
+      std::string Text = Live.serialize();
+      EXPECT_EQ(Text, test::referenceSerialize(Live)) << Id;
+      EXPECT_EQ(Resumed.serialize(), Text) << Id;
+    }
   }
 }
 

@@ -6,14 +6,17 @@
 ///
 /// \file
 /// The N-run aggregation layer behind `cheetah-trend`: run-ledger
-/// bookkeeping through the shared finding matcher, deterministic
-/// byte-stable serialization of the cheetah-history-v1 store (the
-/// goldens CI anchors on), the N-run generalization of the regression
-/// gate, git-bisect-style regression bisection, cheetah-diff-v1
-/// ingestion, and the parser's loud-error contract.
+/// bookkeeping (checked against the shared finding matcher), the refusal
+/// of a run that names one key twice, deterministic byte-stable
+/// serialization of the cheetah-history-v1 store (the goldens CI anchors
+/// on, and the whole-store encoder of tests/HistoryReference.h after
+/// parse-then-append), the N-run generalization of the regression gate,
+/// git-bisect-style regression bisection, cheetah-diff-v1 ingestion, and
+/// the parser's loud-error contract.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "HistoryReference.h"
 #include "ReportVersions.h"
 
 #include "core/report/ReportHistory.h"
@@ -199,6 +202,41 @@ TEST(ReportHistoryAppendTest, EmptyAndDuplicateRunIdsRejectedAtomically) {
   // The failed appends left no trace.
   EXPECT_EQ(History.runs().size(), 1u);
   EXPECT_EQ(History.seriesFor("page:blocks#0")->Points.size(), 1u);
+}
+
+TEST(ReportHistoryAppendTest, RepeatedKeyInOneRunIsRejectedAtomically) {
+  // A cheetah-diff-v1 document carries its keys as written, so one can
+  // name a key twice: here two matched page entries. Appending it would
+  // give the series two points at one run, which no later parse accepts.
+  ReportHistory History = storeOf({1.9, 0.0});
+  std::string Before = History.serialize();
+  ParsedReport Pages = mustParse(renderDocument(
+      {}, {{syntheticPageFinding("blocks", 0x1000, 3.0), true},
+           {syntheticPageFinding("blocks", 0x2000, 2.0), true}}));
+  std::string Diff = formatDiffJson(diffReports(Pages, Pages), 1.1);
+  size_t Second = Diff.find("\"page:blocks#1\"");
+  ASSERT_NE(Second, std::string::npos) << Diff;
+  Diff.replace(Second, std::string("\"page:blocks#1\"").size(),
+               "\"page:blocks#0\"");
+  ParsedReport Repeated = mustParse(Diff);
+  ASSERT_EQ(Repeated.PageFindings.size(), 2u);
+
+  std::string Error;
+  EXPECT_FALSE(History.appendRun(Repeated, "run-2", Error));
+  EXPECT_NE(Error.find("'page:blocks#0'"), std::string::npos) << Error;
+  EXPECT_EQ(History.serialize(), Before);
+
+  // One key under both granularities is refused the same way.
+  ParsedReport Crossed = mustParse(pageRun(1.5));
+  Crossed.Findings.push_back(Crossed.PageFindings[0]);
+  EXPECT_FALSE(History.appendRun(Crossed, "run-2", Error));
+  EXPECT_NE(Error.find("'page:blocks#0'"), std::string::npos) << Error;
+  EXPECT_EQ(History.serialize(), Before);
+
+  // The store still takes a well-formed run.
+  mustAppend(History, pageRun(1.5), "run-2");
+  EXPECT_EQ(History.runs().size(), 3u);
+  EXPECT_EQ(History.serialize(), test::referenceSerialize(History));
 }
 
 /// One profiled two-node run of the node-interleaved workload, as the v6
@@ -457,6 +495,43 @@ TEST(ReportHistoryGoldenTest, ParseReserializesByteStable) {
   mustAppend(Reloaded, pageRun(1.5), "run-2");
   mustAppend(History, pageRun(1.5), "run-2");
   EXPECT_EQ(Reloaded.serialize(), History.serialize());
+}
+
+TEST(ReportHistoryGoldenTest, AppendsAfterParseMatchTheWholeStoreEncoder) {
+  // A parsed store keeps no point text: its first append encodes the
+  // touched series' earlier points, and serialize() encodes the untouched
+  // ones in place. Either way the bytes are those of the encoder that
+  // re-encodes every point, and the ledger counts those of matchFindings.
+  std::string Hot = renderDocument(
+      {{syntheticLineFinding("hot_global", 1.7), true}},
+      {{syntheticPageFinding("blocks", 0x1000, 1.9), true},
+       {syntheticPageFinding("other", 0x2000, 1.3), false}});
+  ReportHistory History;
+  mustAppend(History, Hot, "run-0");
+  mustAppend(History, Hot, "run-1");
+  ReportHistory Reloaded;
+  std::string Error;
+  ASSERT_TRUE(ReportHistory::parse(History.serialize(), Reloaded, Error))
+      << Error;
+
+  // Only blocks#0 comes back: hot_global and other#0 stay untouched.
+  ParsedReport Next = mustParse(pageRun(1.5));
+  test::LedgerCounts Expected = test::referenceLedger(Reloaded, Next);
+  EXPECT_EQ(Expected, (test::LedgerCounts{0, 2, 1}));
+  ASSERT_TRUE(Reloaded.appendRun(Next, "run-2", Error)) << Error;
+  ASSERT_TRUE(History.appendRun(Next, "run-2", Error)) << Error;
+  EXPECT_EQ(test::ledgerOf(Reloaded.runs().back()), Expected);
+  EXPECT_EQ(Reloaded.serialize(), test::referenceSerialize(Reloaded));
+  EXPECT_EQ(Reloaded.serialize(), History.serialize());
+
+  // hot_global returns two runs after it left: new, not matched.
+  ParsedReport Back = mustParse(
+      renderDocument({{syntheticLineFinding("hot_global", 1.2), true}}, {}));
+  Expected = test::referenceLedger(Reloaded, Back);
+  EXPECT_EQ(Expected, (test::LedgerCounts{1, 1, 0}));
+  ASSERT_TRUE(Reloaded.appendRun(Back, "run-3", Error)) << Error;
+  EXPECT_EQ(test::ledgerOf(Reloaded.runs().back()), Expected);
+  EXPECT_EQ(Reloaded.serialize(), test::referenceSerialize(Reloaded));
 }
 
 TEST(ReportHistoryGoldenTest, TextGoldenForSmallStore) {
