@@ -15,10 +15,8 @@ FullTracker::FullTracker(const CacheGeometry &Geometry,
                          std::vector<core::ShadowRegion> Regions,
                          const FullTrackerConfig &Config)
     : Geometry(Geometry), Shadow(Geometry, std::move(Regions)),
-      Detect(Geometry, Shadow,
-             core::DetectorConfig{Config.WriteThreshold,
-                                  /*OnlyParallelPhases=*/false}),
-      Config(Config) {}
+      // Cheetah's own susceptibility threshold, for a fair comparison.
+      Detect(Geometry, Shadow, core::DetectorConfig()), Config(Config) {}
 
 uint64_t FullTracker::onMemoryAccess(ThreadId Tid, const MemoryAccess &Access,
                                      const sim::CoherenceResult &Result,
@@ -30,9 +28,9 @@ uint64_t FullTracker::onMemoryAccess(ThreadId Tid, const MemoryAccess &Access,
   Sample.IsWrite = Access.isWrite();
   Sample.LatencyCycles = static_cast<uint32_t>(Result.LatencyCycles);
   Sample.Timestamp = Now;
-  // Predator-like tools analyze every access with no phase awareness. The
-  // access width changes from one access to the next, so each is its own
-  // batch.
+  // Predator-like tools analyze every access with no phase awareness, so
+  // every access counts as parallel. The access width changes from one
+  // access to the next, so each is its own batch.
   Detect.handleBatch(&Sample, 1, /*InParallelPhase=*/true, Access.Size);
   return Config.PerAccessCycles;
 }
@@ -44,7 +42,7 @@ FullTracker::findings(uint64_t MinInvalidations) {
       [&](uint64_t LineBase, const core::CacheLineInfo &Info) {
         if (Info.invalidations() < MinInvalidations)
           return;
-        core::LineClassification Verdict = Classifier.classify(Info);
+        core::LineClassification Verdict = core::classifySharing(Info);
         FullTrackerFinding Finding;
         Finding.LineBase = LineBase;
         Finding.Kind = Verdict.Kind;

@@ -40,8 +40,6 @@ struct FullTrackerConfig {
   /// Cycles charged per instrumented access (shadow lookup + metadata
   /// update on every load/store).
   uint64_t PerAccessCycles = 60;
-  /// Same susceptibility threshold as Cheetah for a fair comparison.
-  uint32_t WriteThreshold = 2;
 };
 
 /// One detected shared line from the full tracker.
@@ -81,7 +79,6 @@ private:
   CacheGeometry Geometry;
   core::ShadowMemory Shadow;
   core::Detector Detect;
-  core::SharingClassifier Classifier;
   FullTrackerConfig Config;
   uint64_t Accesses = 0;
 };

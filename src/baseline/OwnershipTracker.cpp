@@ -11,30 +11,29 @@
 using namespace cheetah;
 using namespace cheetah::baseline;
 
-OwnershipTracker::LineOwnership &
-OwnershipTracker::lineFor(uint64_t Address) {
-  LineOwnership &Line = Lines[Geometry.lineIndex(Address)];
-  if (Line.Bits.empty())
-    Line.Bits.assign(WordsPerLine, 0);
-  return Line;
+std::vector<uint64_t> &OwnershipTracker::bitsFor(uint64_t Address) {
+  std::vector<uint64_t> &Bits = Lines[Geometry.lineIndex(Address)];
+  if (Bits.empty())
+    Bits.assign(WordsPerLine, 0);
+  return Bits;
 }
 
 bool OwnershipTracker::recordAccess(uint64_t Address, ThreadId Tid,
                                     AccessKind Kind) {
   CHEETAH_ASSERT(Tid < MaxThreads, "thread id exceeds bitmap capacity");
-  LineOwnership &Line = lineFor(Address);
+  std::vector<uint64_t> &Bits = bitsFor(Address);
   size_t Word = Tid / 64;
   uint64_t Bit = 1ull << (Tid % 64);
 
   if (Kind == AccessKind::Read) {
-    Line.Bits[Word] |= Bit;
+    Bits[Word] |= Bit;
     return false;
   }
 
   // Write: does any *other* thread own the line?
   bool OthersOwn = false;
-  for (size_t I = 0; I < Line.Bits.size(); ++I) {
-    uint64_t Mask = Line.Bits[I];
+  for (size_t I = 0; I < Bits.size(); ++I) {
+    uint64_t Mask = Bits[I];
     if (I == Word)
       Mask &= ~Bit;
     if (Mask) {
@@ -47,28 +46,12 @@ bool OwnershipTracker::recordAccess(uint64_t Address, ThreadId Tid,
   // thread." A first write to an unowned line also resets ownership and —
   // to stay comparable with the two-entry table's convention — counts as an
   // invalidation unless the writer already solely owned it.
-  bool SelfOwned = (Line.Bits[Word] & Bit) != 0;
+  bool SelfOwned = (Bits[Word] & Bit) != 0;
   bool Invalidation = OthersOwn || !SelfOwned;
-  for (uint64_t &W : Line.Bits)
+  for (uint64_t &W : Bits)
     W = 0;
-  Line.Bits[Word] = Bit;
-  if (Invalidation) {
-    ++Line.Invalidations;
+  Bits[Word] = Bit;
+  if (Invalidation)
     ++Invalidations;
-  }
   return Invalidation;
-}
-
-uint64_t OwnershipTracker::invalidationsAt(uint64_t Address) const {
-  auto It = Lines.find(Geometry.lineIndex(Address));
-  return It == Lines.end() ? 0 : It->second.Invalidations;
-}
-
-size_t OwnershipTracker::metadataBytes() const {
-  size_t Bytes = 0;
-  for (const auto &[Index, Line] : Lines) {
-    (void)Index;
-    Bytes += Line.Bits.size() * sizeof(uint64_t) + sizeof(LineOwnership);
-  }
-  return Bytes;
 }

@@ -44,31 +44,19 @@ public:
   /// Total invalidations counted.
   uint64_t invalidations() const { return Invalidations; }
 
-  /// Invalidations on the line containing \p Address.
-  uint64_t invalidationsAt(uint64_t Address) const;
-
   /// Bytes of ownership metadata per tracked line (the scalability metric
   /// of the ablation; compare with the two-entry table's constant size).
   size_t bytesPerLine() const { return WordsPerLine * sizeof(uint64_t); }
 
-  /// Total metadata bytes currently allocated.
-  size_t metadataBytes() const;
-
-  /// Number of tracked lines.
-  size_t trackedLines() const { return Lines.size(); }
-
 private:
-  struct LineOwnership {
-    std::vector<uint64_t> Bits;
-    uint64_t Invalidations = 0;
-  };
-
-  LineOwnership &lineFor(uint64_t Address);
+  /// The ownership bitmap of the line containing \p Address.
+  std::vector<uint64_t> &bitsFor(uint64_t Address);
 
   CacheGeometry Geometry;
   uint32_t MaxThreads;
   size_t WordsPerLine;
-  std::unordered_map<uint64_t, LineOwnership> Lines;
+  /// Line index -> one ownership bit per thread.
+  std::unordered_map<uint64_t, std::vector<uint64_t>> Lines;
   uint64_t Invalidations = 0;
 };
 

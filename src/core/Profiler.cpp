@@ -27,21 +27,16 @@ ProfileResult::findReport(const std::string &Needle) const {
 }
 
 Profiler::Profiler(const ProfilerConfig &Config)
-    : Config(Config),
-      Heap(Config.HeapArenaBase, Config.HeapArenaSize, Config.Geometry),
-      Globals(Config.GlobalSegmentBase, Config.GlobalSegmentSize,
-              Config.Geometry),
-      Shadow(Config.Geometry,
-             {{Config.HeapArenaBase, Config.HeapArenaSize},
-              {Config.GlobalSegmentBase, Config.GlobalSegmentSize}}),
-      Detect(Config.Geometry, Shadow, Config.Detect),
-      Classifier(Config.Classify) {
+    : Config(Config), Heap(HeapArenaBase, HeapArenaSize, Config.Geometry),
+      Globals(GlobalSegmentBase, GlobalSegmentSize, Config.Geometry),
+      Shadow(Config.Geometry, {{HeapArenaBase, HeapArenaSize},
+                               {GlobalSegmentBase, GlobalSegmentSize}}),
+      Detect(Config.Geometry, Shadow, Config.Detect) {
   if (Config.Detect.TrackPages) {
     Pages = std::make_unique<PageTable>(
         Config.Topology, Config.Geometry,
-        std::vector<ShadowRegion>{
-            {Config.HeapArenaBase, Config.HeapArenaSize},
-            {Config.GlobalSegmentBase, Config.GlobalSegmentSize}});
+        std::vector<ShadowRegion>{{HeapArenaBase, HeapArenaSize},
+                                  {GlobalSegmentBase, GlobalSegmentSize}});
     Detect.attachPageTable(*Pages, this->Config.Topology);
   }
   Shadow.setByteBudget(Config.Detect.LineShadowBudgetBytes);
@@ -52,10 +47,6 @@ Profiler::Profiler(const ProfilerConfig &Config)
 runtime::CallsiteId Profiler::internCallsite(const std::string &File,
                                              unsigned Line) {
   return Callsites.intern(File, Line);
-}
-
-runtime::CallsiteId Profiler::internCallsite(runtime::Callsite Site) {
-  return Callsites.intern(std::move(Site));
 }
 
 void Profiler::threadStarted(ThreadId Tid, bool IsMain, uint64_t Now) {
@@ -218,8 +209,8 @@ ProfileResult Profiler::buildReport(uint64_t AppRuntime, ReportSink *Sink) {
 
   // Feed every materialized line to the incremental builder as it quiesces,
   // then let the builder assess, gate, sort, and stream the findings.
-  ReportBuilder Builder(Heap, Globals, Callsites, Classifier,
-                        Config.Geometry, Config.Report);
+  ReportBuilder Builder(Heap, Globals, Callsites, Config.Geometry,
+                        Config.Report);
   Shadow.forEachDetail([&](uint64_t LineBase, const CacheLineInfo &Info) {
     Builder.addLine(Info.snapshot(LineBase));
   });
@@ -233,9 +224,8 @@ ProfileResult Profiler::buildReport(uint64_t AppRuntime, ReportSink *Sink) {
   // assessment runs on the same Assessor, with the run-wide local-access
   // totals installed as the EQ.1 fallback baseline for fully-remote pages.
   if (Pages) {
-    PageReportBuilder PageBuilder(Heap, Globals, Callsites, Classifier,
-                                  Config.Topology, Config.Geometry,
-                                  Config.PageReport);
+    PageReportBuilder PageBuilder(Heap, Globals, Callsites, Config.Topology,
+                                  Config.Geometry);
     Pages->forEachPage(
         [&](uint64_t PageBase, NodeId Home, const PageInfo &Info) {
           PageBuilder.addPage(Info.snapshot(PageBase), Home,

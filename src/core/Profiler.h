@@ -34,8 +34,6 @@
 #include "core/assess/Assessor.h"
 #include "core/detect/Detector.h"
 #include "core/detect/PageTable.h"
-#include "core/detect/SharingClassifier.h"
-#include "core/report/PageReportBuilder.h"
 #include "core/report/Report.h"
 #include "core/report/ReportBuilder.h"
 #include "core/report/ReportSink.h"
@@ -58,31 +56,29 @@
 namespace cheetah {
 namespace core {
 
+/// Simulated heap arena (the paper's pre-allocated mmap block). The base
+/// mirrors the 0x40000000-ish addresses in Figure 5.
+constexpr uint64_t HeapArenaBase = 0x4000'0000;
+constexpr uint64_t HeapArenaSize = 64ull << 20;
+/// Simulated global data segment.
+constexpr uint64_t GlobalSegmentBase = 0x1000'0000;
+constexpr uint64_t GlobalSegmentSize = 16ull << 20;
+
 /// All profiler tunables in one place.
 struct ProfilerConfig {
   CacheGeometry Geometry{64};
   pmu::PmuConfig Pmu;
   DetectorConfig Detect;
-  ClassifierConfig Classify;
   AssessorConfig Assess;
   /// Simulated NUMA machine (node count, page size, thread affinity). Only
   /// consulted when Detect.TrackPages is on; the default single-node
   /// topology keeps all line-granularity behavior untouched.
   NumaTopology Topology;
 
-  /// Simulated heap arena (the paper's pre-allocated mmap block). The base
-  /// mirrors the 0x40000000-ish addresses in Figure 5.
-  uint64_t HeapArenaBase = 0x4000'0000;
-  uint64_t HeapArenaSize = 64ull << 20;
-  /// Simulated global data segment.
-  uint64_t GlobalSegmentBase = 0x1000'0000;
-  uint64_t GlobalSegmentSize = 16ull << 20;
-
   /// Report gating thresholds; the defaults live on ReportGate itself so
-  /// the profiler and direct ReportBuilder users can never diverge.
+  /// the profiler and direct ReportBuilder users can never diverge. Page
+  /// findings have a fixed gate (PageReportBuilder.h).
   ReportGate Report;
-  /// Page-finding gate, same convention.
-  PageReportGate PageReport;
 };
 
 /// Output of one profiled execution.
@@ -129,7 +125,6 @@ public:
 
   /// Interns an allocation callsite for use with heap().allocate().
   runtime::CallsiteId internCallsite(const std::string &File, unsigned Line);
-  runtime::CallsiteId internCallsite(runtime::Callsite Site);
 
   /// Finalizes detection + assessment after the simulation completed.
   /// When \p Sink is non-null, findings stream through it one object at a
@@ -198,7 +193,6 @@ private:
   /// Page-granularity metadata, allocated only when page tracking is on.
   std::unique_ptr<PageTable> Pages;
   Detector Detect;
-  SharingClassifier Classifier;
   /// Guards Threads/Phases/SerialLatency bookkeeping during concurrent
   /// ingestion (the detection path is internally thread-safe and does not
   /// take it).

@@ -13,6 +13,14 @@
 using namespace cheetah;
 using namespace cheetah::core;
 
+namespace {
+/// Minimum local (home-node) samples on one page before its own measured
+/// local average is trusted as the page EQ.1 baseline; below this the
+/// run-wide local average, then the serial average, then the default is
+/// used (in that order).
+constexpr uint64_t MinPageLocalSamples = 16;
+} // namespace
+
 const ThreadLineStats *
 ObjectAccessProfile::threadStats(ThreadId Tid) const {
   auto It = std::lower_bound(PerThread.begin(), PerThread.end(), Tid,
@@ -39,7 +47,7 @@ double Assessor::averageLocalLatency(const ObjectAccessProfile &Profile,
                                      bool *UsedDefault) const {
   // The page's own local accesses are the most faithful no-remote
   // baseline: same lines, same threads, no interconnect surcharge.
-  if (Profile.localAccesses() >= Config.MinLocalPageSamples) {
+  if (Profile.localAccesses() >= MinPageLocalSamples) {
     if (UsedDefault)
       *UsedDefault = false;
     return std::max(1.0, static_cast<double>(Profile.localCycles()) /
@@ -47,7 +55,7 @@ double Assessor::averageLocalLatency(const ObjectAccessProfile &Profile,
   }
   // A fully-remote page (the first-touch pathology) has no local samples
   // of its own; other pages of the same run do.
-  if (RunLocalAccesses >= Config.MinLocalPageSamples) {
+  if (RunLocalAccesses >= MinPageLocalSamples) {
     if (UsedDefault)
       *UsedDefault = false;
     return std::max(1.0, static_cast<double>(RunLocalCycles) /

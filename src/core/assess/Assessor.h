@@ -72,11 +72,6 @@ struct AssessorConfig {
   double DefaultSerialLatency = 6.0;
   /// Minimum serial-phase samples to trust the measured average.
   uint64_t MinSerialSamples = 32;
-  /// Minimum local (home-node) samples on one page before its own measured
-  /// local average is trusted as the page EQ.1 baseline; below this the
-  /// run-wide local average, then the serial average, then the default is
-  /// used (in that order).
-  uint64_t MinLocalPageSamples = 16;
 };
 
 /// EQ.2/EQ.3 outcome for one thread.

@@ -253,7 +253,7 @@ size_t Detector::runGrainStageBatch(Stage &S, const pmu::Sample *Samples,
     S.prepareAt(I, Sample);
   }
 
-  if (Config.OnlyParallelPhases && !InParallelPhase)
+  if (!InParallelPhase)
     return 0;
 
   // Branchless stage-1 filter: compact the survivors' indices without a

@@ -43,8 +43,6 @@ struct DetectorConfig {
   /// tracking ("only tracks detailed information for cache lines with more
   /// than two writes").
   uint32_t WriteThreshold = 2;
-  /// Record detailed accesses only while child threads are live.
-  bool OnlyParallelPhases = true;
   /// Run the line-granularity (cache false sharing) stage.
   bool TrackLines = true;
   /// Run the page-granularity (NUMA / remote-DRAM sharing) stage; requires

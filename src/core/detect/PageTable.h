@@ -73,8 +73,6 @@ public:
   /// arrays plus every materialized PageInfo's exact footprint.
   size_t pageBytes() const { return metadataBytes(); }
 
-  const NumaTopology &topology() const { return Topology; }
-
 private:
   NumaTopology Topology;
   CacheGeometry Geometry;

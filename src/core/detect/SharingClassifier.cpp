@@ -23,13 +23,23 @@ const char *cheetah::core::sharingKindName(SharingKind Kind) {
   return "unknown";
 }
 
-LineClassification SharingClassifier::classify(const CacheLineInfo &Info) const {
-  return classify(Info.words(), static_cast<uint32_t>(Info.threadCount()));
+namespace {
+/// A line is false sharing when at most this fraction of its accesses land
+/// on words touched by multiple threads.
+constexpr double FalseSharingMaxSharedFraction = 0.3;
+/// A line is true sharing when at least this fraction of its accesses land
+/// on multi-thread words.
+constexpr double TrueSharingMinSharedFraction = 0.7;
+} // namespace
+
+LineClassification cheetah::core::classifySharing(const CacheLineInfo &Info) {
+  return classifySharing(Info.words(),
+                         static_cast<uint32_t>(Info.threadCount()));
 }
 
 LineClassification
-SharingClassifier::classify(const std::vector<WordStats> &Words,
-                            uint32_t ThreadsOnLine) const {
+cheetah::core::classifySharing(const std::vector<WordStats> &Words,
+                               uint32_t ThreadsOnLine) {
   LineClassification Result;
   Result.Threads = ThreadsOnLine;
 
@@ -48,9 +58,9 @@ SharingClassifier::classify(const std::vector<WordStats> &Words,
   }
 
   double Shared = Result.sharedFraction();
-  if (Shared <= Config.FalseSharingMaxSharedFraction)
+  if (Shared <= FalseSharingMaxSharedFraction)
     Result.Kind = SharingKind::FalseSharing;
-  else if (Shared >= Config.TrueSharingMinSharedFraction)
+  else if (Shared >= TrueSharingMinSharedFraction)
     Result.Kind = SharingKind::TrueSharing;
   else
     Result.Kind = SharingKind::Mixed;

@@ -9,7 +9,8 @@
 /// information (paper Section 2.4): in true sharing multiple threads access
 /// the *same* words, in false sharing they access logically independent
 /// words of the same line. The classifier scores each line by the fraction
-/// of accesses landing on multi-thread words.
+/// of accesses landing on multi-thread words: at most 0.3 is false
+/// sharing, at least 0.7 true sharing, and anything between is mixed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,16 +40,6 @@ enum class SharingKind : uint8_t {
 /// \returns a stable display name for \p Kind.
 const char *sharingKindName(SharingKind Kind);
 
-/// Classification thresholds.
-struct ClassifierConfig {
-  /// A line is false sharing when at most this fraction of its accesses
-  /// land on words touched by multiple threads.
-  double FalseSharingMaxSharedFraction = 0.3;
-  /// A line is true sharing when at least this fraction of its accesses
-  /// land on multi-thread words.
-  double TrueSharingMinSharedFraction = 0.7;
-};
-
 /// Per-line classification result with its evidence.
 struct LineClassification {
   SharingKind Kind = SharingKind::NotShared;
@@ -67,24 +58,14 @@ struct LineClassification {
   }
 };
 
-/// Stateless classifier over CacheLineInfo.
-class SharingClassifier {
-public:
-  explicit SharingClassifier(const ClassifierConfig &Config = {})
-      : Config(Config) {}
+/// Classifies one line from its word-level evidence.
+LineClassification classifySharing(const CacheLineInfo &Info);
 
-  /// Classifies one line from its word-level evidence.
-  LineClassification classify(const CacheLineInfo &Info) const;
-
-  /// Same, over an already-taken words() snapshot — callers that need the
-  /// snapshot for other work too (the report builder) avoid materializing
-  /// it twice. \p ThreadsOnLine is the line's distinct-thread count.
-  LineClassification classify(const std::vector<WordStats> &Words,
-                              uint32_t ThreadsOnLine) const;
-
-private:
-  ClassifierConfig Config;
-};
+/// Same, over an already-taken words() snapshot — callers that need the
+/// snapshot for other work too (the report builder) avoid materializing
+/// it twice. \p ThreadsOnLine is the line's distinct-thread count.
+LineClassification classifySharing(const std::vector<WordStats> &Words,
+                                   uint32_t ThreadsOnLine);
 
 } // namespace core
 } // namespace cheetah

@@ -15,25 +15,25 @@ using namespace cheetah::core;
 PageReportBuilder::PageReportBuilder(const runtime::HeapAllocator &Heap,
                                      const runtime::GlobalRegistry &Globals,
                                      const runtime::CallsiteTable &Callsites,
-                                     const SharingClassifier &Classifier,
                                      const NumaTopology &Topology,
-                                     const CacheGeometry &Geometry,
-                                     const PageReportGate &Gate)
-    : Heap(Heap), Globals(Globals), Callsites(Callsites),
-      Classifier(Classifier), Topology(Topology), Geometry(Geometry),
-      Gate(Gate) {}
+                                     const CacheGeometry &Geometry)
+    : Heap(Heap), Globals(Globals), Callsites(Callsites), Topology(Topology),
+      Geometry(Geometry) {}
 
-bool PageReportBuilder::significant(const PageSharingReport &Report) const {
+namespace {
+/// Whether \p Report passes the page gate. Reads only NodesObserved,
+/// Invalidations and RemoteAccesses.
+bool significant(const PageSharingReport &Report) {
   bool MultiNodeSharing = Report.NodesObserved >= 2 &&
-                          Report.Invalidations >= Gate.MinInvalidations;
+                          Report.Invalidations >= PageMinInvalidations;
   // The placement gate is for pages *without* node contention: a
   // multi-node page below the invalidation bar is insignificant sharing,
   // not a misplacement finding.
-  bool RemotePlacement = Gate.ReportRemotePlacement &&
-                         Report.NodesObserved < 2 &&
-                         Report.RemoteAccesses >= Gate.MinRemoteAccesses;
+  bool RemotePlacement = Report.NodesObserved < 2 &&
+                         Report.RemoteAccesses >= PageMinRemoteAccesses;
   return MultiNodeSharing || RemotePlacement;
 }
+} // namespace
 
 PageReportBuilder::PendingPage
 PageReportBuilder::buildReport(const GrainSnapshot &Page, NodeId Home,
@@ -56,8 +56,7 @@ PageReportBuilder::buildReport(const GrainSnapshot &Page, NodeId Home,
   // per-line entries. The classifier is the word-granularity one applied
   // unchanged: lines are the page's "words", nodes are its "threads".
   const std::vector<WordStats> &Lines = Page.Buckets;
-  LineClassification Verdict =
-      Classifier.classify(Lines, Report.NodesObserved);
+  LineClassification Verdict = classifySharing(Lines, Report.NodesObserved);
   Report.Kind = Verdict.Kind;
   Report.SharedLineFraction = Verdict.sharedFraction();
   Pending.Significant = significant(Report);

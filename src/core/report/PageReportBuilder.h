@@ -8,7 +8,7 @@
 /// Builds per-page NUMA sharing findings from the detection core's common
 /// finding source (GrainSnapshot + PageNumaEvidence), the page-granularity
 /// mirror of ReportBuilder. Pages stream in one at a time as they quiesce
-/// (addPage): each is classified with the unchanged SharingClassifier
+/// (addPage): each is classified with the unchanged classifySharing
 /// (nodes over lines instead of threads over words), attributed to the
 /// overlapping heap/global objects, and put through the page gate, which
 /// needs no assessment, so only a significant page builds its line table.
@@ -38,18 +38,14 @@
 namespace cheetah {
 namespace core {
 
-/// Significance gate for page findings. A page matters when nodes actually
-/// contend on it (cross-node invalidations) or when its placement forces
-/// steady remote-DRAM traffic even without sharing.
-struct PageReportGate {
-  /// Multi-node pages need at least this many cross-node invalidations.
-  uint64_t MinInvalidations = 8;
-  /// Single-node pages homed elsewhere need at least this many remote
-  /// sampled accesses to surface as a placement finding.
-  uint64_t MinRemoteAccesses = 32;
-  /// Report single-node remote-placement pages at all.
-  bool ReportRemotePlacement = true;
-};
+/// The significance gate for page findings. A page matters when nodes
+/// actually contend on it (cross-node invalidations) or when its placement
+/// forces steady remote-DRAM traffic even without sharing. Multi-node pages
+/// need at least PageMinInvalidations cross-node invalidations.
+constexpr uint64_t PageMinInvalidations = 8;
+/// Single-node pages homed elsewhere need at least this many remote sampled
+/// accesses to surface as a placement finding.
+constexpr uint64_t PageMinRemoteAccesses = 32;
 
 /// Streams materialized pages in, page findings out.
 class PageReportBuilder {
@@ -57,9 +53,8 @@ public:
   PageReportBuilder(const runtime::HeapAllocator &Heap,
                     const runtime::GlobalRegistry &Globals,
                     const runtime::CallsiteTable &Callsites,
-                    const SharingClassifier &Classifier,
-                    const NumaTopology &Topology, const CacheGeometry &Geometry,
-                    const PageReportGate &Gate);
+                    const NumaTopology &Topology,
+                    const CacheGeometry &Geometry);
 
   /// Folds one quiesced page in — the granularity-neutral GrainSnapshot
   /// the detection core emits (per-line buckets, per-thread stats) plus
@@ -100,20 +95,14 @@ private:
     bool Significant = false;
   };
 
-  /// Whether \p Report passes the page gate. Reads only NodesObserved,
-  /// Invalidations and RemoteAccesses.
-  bool significant(const PageSharingReport &Report) const;
-
   PendingPage buildReport(const GrainSnapshot &Page, NodeId Home,
                           const PageNumaEvidence &Numa) const;
 
   const runtime::HeapAllocator &Heap;
   const runtime::GlobalRegistry &Globals;
   const runtime::CallsiteTable &Callsites;
-  const SharingClassifier &Classifier;
   NumaTopology Topology;
   CacheGeometry Geometry;
-  PageReportGate Gate;
   std::vector<PendingPage> Pending;
   uint64_t LocalAccesses = 0;
   uint64_t LocalCycles = 0;

@@ -79,7 +79,7 @@ std::string cheetah::core::formatReport(const FalseSharingReport &Report,
                         Report.Object.GlobalName.c_str());
   }
 
-  if (Options.ShowWords && !Report.Words.empty()) {
+  if (!Report.Words.empty()) {
     Out += "Word-level accesses (offset within object):\n";
     TextTable Table;
     Table.setHeader({"offset", "reads", "writes", "cycles", "threads"});
@@ -158,7 +158,7 @@ cheetah::core::formatPageReport(const PageSharingReport &Report,
       Out += Name + "\n";
   }
 
-  if (Options.ShowWords && !Report.Lines.empty()) {
+  if (!Report.Lines.empty()) {
     Out += "Line-level accesses (offset within page):\n";
     TextTable Table;
     Table.setHeader({"offset", "reads", "writes", "cycles", "nodes"});

@@ -151,8 +151,6 @@ struct PageSharingReport {
 
 /// Formatting options for the text report.
 struct ReportFormatOptions {
-  /// Include the per-word table.
-  bool ShowWords = true;
   /// Maximum words (or lines) listed, hottest first; 0 = every kept row.
   size_t MaxWords = ReportTableRows;
   /// Mirror the paper's hexadecimal counters (Figure 5 prints

@@ -31,11 +31,10 @@ struct ReportBuilder::ObjectAggregate {
 ReportBuilder::ReportBuilder(const runtime::HeapAllocator &Heap,
                              const runtime::GlobalRegistry &Globals,
                              const runtime::CallsiteTable &Callsites,
-                             const SharingClassifier &Classifier,
                              const CacheGeometry &Geometry,
                              const ReportGate &Gate)
-    : Heap(Heap), Globals(Globals), Callsites(Callsites),
-      Classifier(Classifier), Geometry(Geometry), Gate(Gate) {}
+    : Heap(Heap), Globals(Globals), Callsites(Callsites), Geometry(Geometry),
+      Gate(Gate) {}
 
 ReportBuilder::~ReportBuilder() = default;
 
@@ -114,7 +113,7 @@ void ReportBuilder::addLine(const GrainSnapshot &Line) {
   }
 
   LineClassification Verdict =
-      Classifier.classify(Words, static_cast<uint32_t>(LineThreads.size()));
+      classifySharing(Words, static_cast<uint32_t>(LineThreads.size()));
   Aggregate.SharedWordAccesses += Verdict.SharedWordAccesses;
   Aggregate.TotalWordAccesses +=
       Verdict.SharedWordAccesses + Verdict.PrivateWordAccesses;
@@ -199,7 +198,7 @@ ReportBuilder::buildReport(const ObjectAggregate &Aggregate,
   Report.Impact = Assess.assess(Aggregate.Profile, AppRuntime);
   bool Significant =
       (Report.Kind == SharingKind::FalseSharing ||
-       (Gate.ReportMixedSharing && Report.Kind == SharingKind::Mixed)) &&
+       Report.Kind == SharingKind::Mixed) &&
       Report.Invalidations >= Gate.MinInvalidations &&
       Report.Impact.ImprovementFactor >= Gate.MinImprovementFactor;
 

@@ -37,12 +37,11 @@ namespace cheetah {
 namespace core {
 
 /// The profiler's significance gate ("Cheetah only reports false sharing
-/// instances with a significant performance impact").
+/// instances with a significant performance impact"). False- and
+/// mixed-sharing objects are reportable; true sharing never is.
 struct ReportGate {
   uint64_t MinInvalidations = 16;
   double MinImprovementFactor = 1.005;
-  /// Include Mixed-sharing objects among reportable instances.
-  bool ReportMixedSharing = true;
 };
 
 /// Streams materialized lines in, findings out.
@@ -51,7 +50,6 @@ public:
   ReportBuilder(const runtime::HeapAllocator &Heap,
                 const runtime::GlobalRegistry &Globals,
                 const runtime::CallsiteTable &Callsites,
-                const SharingClassifier &Classifier,
                 const CacheGeometry &Geometry, const ReportGate &Gate);
   ~ReportBuilder();
 
@@ -60,9 +58,6 @@ public:
   /// may arrive in any order; a line with zero recorded accesses is
   /// skipped.
   void addLine(const GrainSnapshot &Line);
-
-  /// Number of objects aggregated so far.
-  size_t objectCount() const { return Aggregates.size(); }
 
   /// Everything finalize() produces.
   struct Output {
@@ -96,7 +91,6 @@ private:
   const runtime::HeapAllocator &Heap;
   const runtime::GlobalRegistry &Globals;
   const runtime::CallsiteTable &Callsites;
-  const SharingClassifier &Classifier;
   CacheGeometry Geometry;
   ReportGate Gate;
   std::unordered_map<uint64_t, ObjectAggregate> Aggregates;

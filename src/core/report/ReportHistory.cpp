@@ -6,6 +6,7 @@
 
 #include "core/report/ReportHistory.h"
 
+#include "support/FileIO.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
 
@@ -535,6 +536,20 @@ bool ReportHistory::parse(const std::string &Text, ReportHistory &Out,
   }
   Parsed.PointText.resize(Parsed.Series.size());
   Out = std::move(Parsed);
+  return true;
+}
+
+bool ReportHistory::load(const std::string &Path, bool MissingIsEmpty,
+                         ReportHistory &Out, std::string &Error) {
+  Out = ReportHistory();
+  std::string Text;
+  bool Missing = false;
+  if (!readFile(Path, Text, Error, &Missing))
+    return Missing && MissingIsEmpty;
+  if (!parse(Text, Out, Error)) {
+    Error = Path + ": " + Error;
+    return false;
+  }
   return true;
 }
 

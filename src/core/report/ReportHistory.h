@@ -174,6 +174,14 @@ public:
   static bool parse(const std::string &Text, ReportHistory &Out,
                     std::string &Error);
 
+  /// Reads and parses the store at \p Path. A store that is not there at
+  /// all is an empty one when \p MissingIsEmpty. Any other read failure,
+  /// and a store that does not parse, fails with \p Error naming \p Path,
+  /// so a store that exists but cannot be read is never replaced by a
+  /// fresh one.
+  static bool load(const std::string &Path, bool MissingIsEmpty,
+                   ReportHistory &Out, std::string &Error);
+
 private:
   std::vector<HistoryRunInfo> Runs;
   std::vector<TrendSeries> Series;

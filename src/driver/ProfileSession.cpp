@@ -29,22 +29,19 @@ cheetah::driver::buildProgram(const workloads::Workload &Workload,
   };
   workloads::WorkloadContext Ctx;
   Ctx.Geometry = Config.Profiler.Geometry;
-  Ctx.Allocate = [&Profiler, &Config, Fail](uint64_t Size,
-                                            const std::string &File,
-                                            unsigned Line) {
+  Ctx.Allocate = [&Profiler, Fail](uint64_t Size, const std::string &File,
+                                   unsigned Line) {
     runtime::CallsiteId Site = Profiler.internCallsite(File, Line);
     uint64_t Address = Profiler.heap().allocate(Size, /*Tid=*/0, Site);
     if (Address == 0)
       Fail(formatString("workload exhausted the heap arena: %s:%u asks for "
                         "%s bytes (arena %s bytes)",
                         File.c_str(), Line, formatWithCommas(Size).c_str(),
-                        formatWithCommas(Config.Profiler.HeapArenaSize)
-                            .c_str()));
+                        formatWithCommas(core::HeapArenaSize).c_str()));
     return Address;
   };
-  Ctx.DefineGlobal = [&Profiler, &Config, Fail](const std::string &Name,
-                                                uint64_t Size,
-                                                bool LineAligned) {
+  Ctx.DefineGlobal = [&Profiler, Fail](const std::string &Name, uint64_t Size,
+                                       bool LineAligned) {
     uint64_t Address = LineAligned
                            ? Profiler.globals().defineAligned(Name, Size)
                            : Profiler.globals().define(Name, Size);
@@ -52,8 +49,7 @@ cheetah::driver::buildProgram(const workloads::Workload &Workload,
       Fail(formatString("workload exhausted the global segment: global '%s' "
                         "asks for %s bytes (segment %s bytes)",
                         Name.c_str(), formatWithCommas(Size).c_str(),
-                        formatWithCommas(Config.Profiler.GlobalSegmentSize)
-                            .c_str()));
+                        formatWithCommas(core::GlobalSegmentSize).c_str()));
     return Address;
   };
   return Workload.build(Ctx, Config.Workload);
@@ -242,11 +238,11 @@ cheetah::driver::runFullTracking(const workloads::Workload &Workload,
   core::Profiler Profiler(Config.Profiler);
   sim::ForkJoinProgram Program = buildProgram(Workload, Profiler, Config);
 
-  baseline::FullTracker Full(
-      Config.Profiler.Geometry,
-      {{Config.Profiler.HeapArenaBase, Config.Profiler.HeapArenaSize},
-       {Config.Profiler.GlobalSegmentBase, Config.Profiler.GlobalSegmentSize}},
-      Tracker);
+  baseline::FullTracker Full(Config.Profiler.Geometry,
+                             {{core::HeapArenaBase, core::HeapArenaSize},
+                              {core::GlobalSegmentBase,
+                               core::GlobalSegmentSize}},
+                             Tracker);
 
   sim::Simulator Sim(Config.Profiler.Geometry, Config.Latency);
   if (Config.Profiler.Topology.multiNode())

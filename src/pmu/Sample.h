@@ -19,7 +19,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
 namespace cheetah {
 namespace pmu {
@@ -42,11 +41,6 @@ struct Sample {
 /// PMU, trace replay and the interpose thread buffers all flush at this
 /// size, and the detector decodes in chunks of it.
 constexpr size_t SampleBatchCapacity = 256;
-
-/// Callback invoked for every delivered sample. In the real system this runs
-/// inside the per-thread signal handler (paper Section 2.1); in simulation it
-/// runs synchronously at the sampled access.
-using SampleHandler = std::function<void(const Sample &)>;
 
 } // namespace pmu
 } // namespace cheetah

@@ -9,13 +9,6 @@
 using namespace cheetah;
 using namespace cheetah::pmu;
 
-void SimPmu::reset() {
-  flush();
-  Policies.clear();
-  SamplesDelivered = 0;
-  ThreadsConfigured = 0;
-}
-
 void SimPmu::flush() {
   if (!Pending.empty() && sink())
     sink()->ingestBatch(Pending.data(), Pending.size());
@@ -77,20 +70,16 @@ uint64_t SimPmu::onMemoryAccess(ThreadId Tid, const MemoryAccess &Access,
     return 0;
 
   ++SamplesDelivered;
-  if (Handler || sink()) {
+  if (sink()) {
     Sample S;
     S.Address = Access.Address;
     S.Tid = Tid;
     S.IsWrite = Access.isWrite();
     S.LatencyCycles = static_cast<uint32_t>(Result.LatencyCycles);
     S.Timestamp = Now;
-    if (Handler)
-      Handler(S);
-    if (sink()) {
-      Pending.push_back(S);
-      if (Pending.size() == SampleBatchCapacity)
-        flush();
-    }
+    Pending.push_back(S);
+    if (Pending.size() == SampleBatchCapacity)
+      flush();
   }
   // One trap per crossing; multiple crossings within one instruction are
   // impossible for memory ops (they advance the countdown by exactly 1).

@@ -17,7 +17,7 @@
 ///
 /// Samples reach the sink in delivery order through one buffer, handed
 /// over as a batch at pmu::SampleBatchCapacity samples, before every
-/// lifecycle event is forwarded, and in stop() and reset(). One buffer, not
+/// lifecycle event is forwarded, and in stop(). One buffer, not
 /// one per thread: invalidation counts depend on the cross-thread
 /// interleaving. No batch spans a lifecycle event, so none spans a phase
 /// change either.
@@ -51,21 +51,12 @@ public:
     Pending.reserve(SampleBatchCapacity);
   }
 
-  /// Installs a raw per-sample consumer alongside the sink (tests and
-  /// ablations that want the stream without a full SampleSink). It sees
-  /// each sample at the sampled access, unbuffered.
-  void setHandler(SampleHandler NewHandler) { Handler = std::move(NewHandler); }
-
   /// Enables or disables sampling (an attached-but-disabled PMU charges no
   /// cycles and delivers nothing; used for native-baseline runs).
   void setEnabled(bool NewEnabled) { Enabled = NewEnabled; }
 
   /// Total threads that paid PMU setup.
   uint64_t threadsConfigured() const { return ThreadsConfigured; }
-
-  /// Hands any buffered samples to the sink, then clears per-run state
-  /// (per-thread countdowns and counters).
-  void reset();
 
   // SampleSource implementation. The simulator pushes through the observer
   // hooks, so start/stop only toggle delivery (stop() also hands over the
@@ -99,7 +90,6 @@ private:
   void flush();
 
   PmuConfig Config;
-  SampleHandler Handler;
   /// Samples not yet handed to the sink, in delivery order.
   std::vector<Sample> Pending;
   bool Enabled = true;

@@ -9,8 +9,7 @@
 /// globals by "searching through the symbol table in the binary executable"
 /// (Section 2.4); in simulation globals are registered explicitly with a
 /// name and size and placed in a dedicated address region (the moral
-/// equivalent of the .data/.bss segment), and in real-thread mode the ELF
-/// SymbolTable reader provides the same name lookup.
+/// equivalent of the .data/.bss segment).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,9 +65,6 @@ public:
   bool covers(uint64_t Address) const {
     return Address >= SegmentBase && Address < SegmentBase + SegmentSize;
   }
-
-  uint64_t segmentBase() const { return SegmentBase; }
-  uint64_t segmentSize() const { return SegmentSize; }
 
   const std::vector<GlobalVariable> &globals() const { return Globals; }
 

@@ -98,9 +98,6 @@ public:
     return Address >= ArenaBase && Address < ArenaBase + ArenaSize;
   }
 
-  uint64_t arenaBase() const { return ArenaBase; }
-  uint64_t arenaSize() const { return ArenaSize; }
-
   const HeapStats &stats() const { return Stats; }
 
   /// Size-class (power-of-two) an allocation of \p Size lands in.

@@ -35,10 +35,6 @@ void ThreadRegistry::threadFinished(ThreadId Tid, uint64_t Now) {
   Profile.Finished = true;
 }
 
-void ThreadRegistry::recordSample(ThreadId Tid, uint32_t LatencyCycles) {
-  recordSamples(Tid, 1, LatencyCycles);
-}
-
 void ThreadRegistry::recordSamples(ThreadId Tid, uint64_t Count,
                                    uint64_t Cycles) {
   ThreadProfile &Profile = mutableProfile(Tid);

@@ -57,11 +57,8 @@ public:
   /// Records the thread's end time.
   void threadFinished(ThreadId Tid, uint64_t Now);
 
-  /// Accumulates one sampled access for \p Tid.
-  void recordSample(ThreadId Tid, uint32_t LatencyCycles);
-
   /// Accumulates a pre-aggregated batch of \p Count sampled accesses whose
-  /// latencies sum to \p Cycles (the batched-ingest fast path).
+  /// latencies sum to \p Cycles.
   void recordSamples(ThreadId Tid, uint64_t Count, uint64_t Cycles);
 
   /// \returns the profile for \p Tid; the thread must have started.
@@ -78,9 +75,6 @@ public:
 
   /// Sum of SampledCycles over all threads.
   uint64_t totalSampledCycles() const;
-
-  /// Clears all state.
-  void reset() { Profiles.clear(); }
 
 private:
   ThreadProfile &mutableProfile(ThreadId Tid);

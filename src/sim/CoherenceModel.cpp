@@ -11,22 +11,6 @@
 using namespace cheetah;
 using namespace cheetah::sim;
 
-const char *cheetah::sim::accessOutcomeName(AccessOutcome Outcome) {
-  switch (Outcome) {
-  case AccessOutcome::LocalHit:
-    return "local-hit";
-  case AccessOutcome::ColdMiss:
-    return "cold-miss";
-  case AccessOutcome::CleanTransfer:
-    return "clean-transfer";
-  case AccessOutcome::DirtyTransfer:
-    return "dirty-transfer";
-  case AccessOutcome::Upgrade:
-    return "upgrade";
-  }
-  return "unknown";
-}
-
 CoherenceModel::LineState &CoherenceModel::lineFor(uint64_t Address) {
   return Lines[Geometry.lineIndex(Address)];
 }
@@ -132,11 +116,6 @@ CoherenceResult CoherenceModel::access(ThreadId Tid,
     break;
   }
   return Result;
-}
-
-void CoherenceModel::reset() {
-  Lines.clear();
-  Stats = CoherenceStats();
 }
 
 std::vector<ThreadId> CoherenceModel::holdersOf(uint64_t Address) const {

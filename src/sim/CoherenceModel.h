@@ -63,11 +63,8 @@ public:
   CoherenceResult access(ThreadId Tid, const MemoryAccess &Access,
                          uint64_t Now);
 
-  /// Counters accumulated since construction or the last reset.
+  /// Counters accumulated since construction.
   const CoherenceStats &stats() const { return Stats; }
-
-  /// Clears all line state and counters.
-  void reset();
 
   /// Number of distinct cache lines ever touched.
   size_t touchedLines() const { return Lines.size(); }

@@ -41,9 +41,6 @@ enum class AccessOutcome : uint8_t {
   Upgrade,
 };
 
-/// \returns a short human-readable name for \p Outcome.
-const char *accessOutcomeName(AccessOutcome Outcome);
-
 /// Cycle costs of each access outcome plus execution-engine parameters.
 struct LatencyModel {
   /// Private-cache hit.

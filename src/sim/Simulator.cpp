@@ -139,8 +139,6 @@ SimulationResult Simulator::run(const ForkJoinProgram &Program) {
       Serial.Parallel = false;
       Serial.StartCycle = MainClock;
       Serial.Members.push_back(Main.Tid);
-      for (SimObserver *Observer : Observers)
-        Observer->onPhaseBegin(Serial);
 
       Main.Clock = MainClock;
       Main.Body = Spec.SerialBody();
@@ -149,8 +147,6 @@ SimulationResult Simulator::run(const ForkJoinProgram &Program) {
       MainClock = Main.Clock;
 
       Serial.EndCycle = MainClock;
-      for (SimObserver *Observer : Observers)
-        Observer->onPhaseEnd(Serial);
       Result.Phases.push_back(std::move(Serial));
     }
 
@@ -182,8 +178,6 @@ SimulationResult Simulator::run(const ForkJoinProgram &Program) {
       Parallel.Members.push_back(Child.Tid);
       Children.push_back(std::move(Child));
     }
-    for (SimObserver *Observer : Observers)
-      Observer->onPhaseBegin(Parallel);
 
     // Min-clock scheduling: always advance the thread whose virtual clock is
     // smallest. This interleaves contending threads at instruction
@@ -216,8 +210,6 @@ SimulationResult Simulator::run(const ForkJoinProgram &Program) {
     MainClock =
         PhaseEnd + Latency.ThreadJoinCycles * Children.size();
     Parallel.EndCycle = MainClock;
-    for (SimObserver *Observer : Observers)
-      Observer->onPhaseEnd(Parallel);
 
     for (RunningThread &Child : Children)
       Result.Threads.push_back(Child.Record);

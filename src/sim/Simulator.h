@@ -105,10 +105,6 @@ public:
   /// A thread finished; \p Record holds its exact counters.
   virtual void onThreadEnd(const ThreadRecord &Record) {}
 
-  /// A phase begins/ends. Parallel phases list their member thread ids.
-  virtual void onPhaseBegin(const PhaseRecord &Phase) {}
-  virtual void onPhaseEnd(const PhaseRecord &Phase) {}
-
   /// One memory access retired on \p Tid with the given coherence result.
   /// \returns extra cycles charged to the thread (e.g. a sampling trap).
   virtual uint64_t onMemoryAccess(ThreadId Tid, const MemoryAccess &Access,

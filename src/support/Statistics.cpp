@@ -6,79 +6,12 @@
 
 #include "support/Statistics.h"
 
-#include "support/Assert.h"
-
-#include <algorithm>
-#include <cmath>
-
 using namespace cheetah;
 
 void OnlineStats::add(double X) {
-  if (N == 0) {
-    Min = Max = X;
-  } else {
-    Min = std::min(Min, X);
-    Max = std::max(Max, X);
-  }
   ++N;
-  Sum += X;
   double Delta = X - Mean;
   Mean += Delta / static_cast<double>(N);
-  M2 += Delta * (X - Mean);
-}
-
-double OnlineStats::variance() const {
-  if (N < 2)
-    return 0.0;
-  return M2 / static_cast<double>(N - 1);
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
-void OnlineStats::merge(const OnlineStats &Other) {
-  if (Other.N == 0)
-    return;
-  if (N == 0) {
-    *this = Other;
-    return;
-  }
-  uint64_t Total = N + Other.N;
-  double Delta = Other.Mean - Mean;
-  double NewMean =
-      Mean + Delta * static_cast<double>(Other.N) / static_cast<double>(Total);
-  M2 += Other.M2 + Delta * Delta * static_cast<double>(N) *
-                       static_cast<double>(Other.N) /
-                       static_cast<double>(Total);
-  Mean = NewMean;
-  Min = std::min(Min, Other.Min);
-  Max = std::max(Max, Other.Max);
-  Sum += Other.Sum;
-  N = Total;
-}
-
-double cheetah::percentile(std::vector<double> Values, double Q) {
-  if (Values.empty())
-    return 0.0;
-  CHEETAH_ASSERT(Q >= 0.0 && Q <= 1.0, "quantile must be in [0,1]");
-  std::sort(Values.begin(), Values.end());
-  if (Values.size() == 1)
-    return Values.front();
-  double Pos = Q * static_cast<double>(Values.size() - 1);
-  size_t Lo = static_cast<size_t>(Pos);
-  size_t Hi = std::min(Lo + 1, Values.size() - 1);
-  double Frac = Pos - static_cast<double>(Lo);
-  return Values[Lo] * (1.0 - Frac) + Values[Hi] * Frac;
-}
-
-double cheetah::geometricMean(const std::vector<double> &Values) {
-  if (Values.empty())
-    return 0.0;
-  double LogSum = 0.0;
-  for (double V : Values) {
-    CHEETAH_ASSERT(V > 0.0, "geometric mean requires positive values");
-    LogSum += std::log(V);
-  }
-  return std::exp(LogSum / static_cast<double>(Values.size()));
 }
 
 double cheetah::arithmeticMean(const std::vector<double> &Values) {

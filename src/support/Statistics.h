@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Small statistics utilities used by the assessment engine and the benchmark
-/// harnesses: streaming mean/variance (Welford), percentiles, geometric mean.
+/// harnesses: a streaming mean and an arithmetic mean.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +18,7 @@
 
 namespace cheetah {
 
-/// Streaming mean/variance/min/max accumulator (Welford's algorithm).
+/// Streaming mean accumulator (Welford's update).
 class OnlineStats {
 public:
   /// Adds one observation.
@@ -30,41 +30,10 @@ public:
   /// Arithmetic mean; 0 when empty.
   double mean() const { return N ? Mean : 0.0; }
 
-  /// Sample variance (N-1 denominator); 0 with fewer than two observations.
-  double variance() const;
-
-  /// Sample standard deviation.
-  double stddev() const;
-
-  /// Smallest observation; 0 when empty.
-  double min() const { return N ? Min : 0.0; }
-
-  /// Largest observation; 0 when empty.
-  double max() const { return N ? Max : 0.0; }
-
-  /// Sum of all observations.
-  double sum() const { return Sum; }
-
-  /// Merges another accumulator into this one (parallel Welford merge).
-  void merge(const OnlineStats &Other);
-
 private:
   uint64_t N = 0;
   double Mean = 0.0;
-  double M2 = 0.0;
-  double Min = 0.0;
-  double Max = 0.0;
-  double Sum = 0.0;
 };
-
-/// \returns the \p Q-quantile (Q in [0,1]) of \p Values using linear
-/// interpolation between order statistics. \p Values is copied and sorted.
-/// Returns 0 for an empty input.
-double percentile(std::vector<double> Values, double Q);
-
-/// \returns the geometric mean of \p Values; 0 for empty input. All values
-/// must be positive.
-double geometricMean(const std::vector<double> &Values);
 
 /// \returns the arithmetic mean of \p Values; 0 for empty input.
 double arithmeticMean(const std::vector<double> &Values);

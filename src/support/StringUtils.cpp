@@ -50,29 +50,6 @@ std::string cheetah::formatHuman(uint64_t N) {
   return std::to_string(N) + Suffixes[Index];
 }
 
-std::vector<std::string> cheetah::splitString(const std::string &Text,
-                                              char Sep) {
-  std::vector<std::string> Parts;
-  size_t Start = 0;
-  while (true) {
-    size_t Pos = Text.find(Sep, Start);
-    if (Pos == std::string::npos) {
-      Parts.push_back(Text.substr(Start));
-      return Parts;
-    }
-    Parts.push_back(Text.substr(Start, Pos - Start));
-    Start = Pos + 1;
-  }
-}
-
-std::string cheetah::trimString(const std::string &Text) {
-  size_t Begin = Text.find_first_not_of(" \t\r\n");
-  if (Begin == std::string::npos)
-    return "";
-  size_t End = Text.find_last_not_of(" \t\r\n");
-  return Text.substr(Begin, End - Begin + 1);
-}
-
 bool cheetah::startsWith(const std::string &Text, const std::string &Prefix) {
   return Text.size() >= Prefix.size() &&
          Text.compare(0, Prefix.size(), Prefix) == 0;

@@ -30,12 +30,6 @@ std::string formatWithCommas(uint64_t N);
 /// Formats \p N as a compact human-readable quantity, e.g. 65536 -> "64K".
 std::string formatHuman(uint64_t N);
 
-/// Splits \p Text on \p Sep, keeping empty fields.
-std::vector<std::string> splitString(const std::string &Text, char Sep);
-
-/// \returns \p Text with leading and trailing whitespace removed.
-std::string trimString(const std::string &Text);
-
 /// \returns true if \p Text begins with \p Prefix.
 bool startsWith(const std::string &Text, const std::string &Prefix);
 

@@ -44,7 +44,6 @@ public:
            "threads in one cache line; the canonical false-sharing demo";
   }
   bool hasSignificantFalseSharing() const override { return true; }
-  std::string falseSharingSiteTag() const override { return "fig1_array"; }
 
   sim::ForkJoinProgram build(WorkloadContext &Ctx,
                              const WorkloadConfig &Config) const override {

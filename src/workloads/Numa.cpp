@@ -120,9 +120,6 @@ public:
     return "per-thread cache lines packed into shared pages across NUMA "
            "nodes: false page sharing the line detector cannot see";
   }
-  std::string falseSharingSiteTag() const override {
-    return "numa_interleaved_slots";
-  }
   double expectedPageImprovementFloor() const override {
     // Reference config measures ~2.7x (predicted and padded-rerun agree);
     // the floor leaves headroom for sampling-period variation.
@@ -179,9 +176,6 @@ public:
   std::string description() const override {
     return "serial initialization homes every page on node 0, so half the "
            "workers stream from remote DRAM; fix = parallel first touch";
-  }
-  std::string falseSharingSiteTag() const override {
-    return "numa_first_touch_blocks";
   }
   double expectedPageImprovementFloor() const override {
     // Reference config predicts ~1.5x (the padded rerun also gains the
@@ -242,9 +236,6 @@ public:
   std::string description() const override {
     return "per-node block groups all first-touched on node 0 doing equal "
            "remote work: only a distance matrix ranks the far group worst";
-  }
-  std::string falseSharingSiteTag() const override {
-    return "numa_asymmetric_node";
   }
   double expectedPageImprovementFloor() const override {
     // Reference config (4 nodes, the asymmetric4 distance matrix, 8

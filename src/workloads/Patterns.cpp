@@ -54,17 +54,6 @@ cheetah::workloads::accumulateLoop(AccumulateParams Params) {
 }
 
 Generator<ThreadEvent>
-cheetah::workloads::pageFirstTouch(uint64_t Base, uint64_t Bytes,
-                                   uint64_t PageBytes,
-                                   uint32_t ComputePerTouch) {
-  for (uint64_t Offset = 0; Offset < Bytes; Offset += PageBytes) {
-    if (ComputePerTouch)
-      co_yield ThreadEvent::compute(ComputePerTouch);
-    co_yield ThreadEvent::write(Base + Offset, 8);
-  }
-}
-
-Generator<ThreadEvent>
 cheetah::workloads::hammerSlot(uint64_t Address, uint64_t Iterations,
                                uint32_t ComputePerWrite, uint8_t AccessSize) {
   for (uint64_t I = 0; I < Iterations; ++I) {

@@ -58,15 +58,6 @@ Generator<ThreadEvent> computeLoop(uint64_t ScratchBase,
                                    uint32_t ComputePerIteration,
                                    uint32_t AccessEvery);
 
-/// NUMA first-touch pattern: one 8-byte write per \p PageBytes stride over
-/// [Base, Base + Bytes). Under first-touch placement this homes every
-/// touched page on the issuing thread's node without the cost of a full
-/// initialization — the "numactl --localalloc" idiom expressed as an
-/// access pattern.
-Generator<ThreadEvent> pageFirstTouch(uint64_t Base, uint64_t Bytes,
-                                      uint64_t PageBytes,
-                                      uint32_t ComputePerTouch = 1);
-
 /// Repeated read-modify-write hammering of one address (the Figure-1 inner
 /// loop, reusable): \p Iterations single-word writes with
 /// \p ComputePerWrite instructions between them.

@@ -70,9 +70,6 @@ public:
            "severe false sharing until padded (paper Section 4.2.1)";
   }
   bool hasSignificantFalseSharing() const override { return true; }
-  std::string falseSharingSiteTag() const override {
-    return "linear_regression-pthread.c:139";
-  }
 
   sim::ForkJoinProgram build(WorkloadContext &Ctx,
                              const WorkloadConfig &Config) const override {
@@ -164,9 +161,6 @@ public:
            "adjacent per-thread result slots (minor FS, Figure 7)";
   }
   bool hasMinorFalseSharing() const override { return true; }
-  std::string falseSharingSiteTag() const override {
-    return "histogram_results";
-  }
 
   sim::ForkJoinProgram build(WorkloadContext &Ctx,
                              const WorkloadConfig &Config) const override {
@@ -462,7 +456,6 @@ public:
            "adjacent per-thread header slots (minor FS, Figure 7)";
   }
   bool hasMinorFalseSharing() const override { return true; }
-  std::string falseSharingSiteTag() const override { return "ridx_header"; }
 
   sim::ForkJoinProgram build(WorkloadContext &Ctx,
                              const WorkloadConfig &Config) const override {
@@ -530,7 +523,6 @@ public:
            "adjacent per-thread progress slots (minor FS, Figure 7)";
   }
   bool hasMinorFalseSharing() const override { return true; }
-  std::string falseSharingSiteTag() const override { return "wc_progress"; }
 
   sim::ForkJoinProgram build(WorkloadContext &Ctx,
                              const WorkloadConfig &Config) const override {

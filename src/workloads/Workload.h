@@ -119,10 +119,6 @@ public:
   /// sampling misses (Figure 7's histogram/reverse_index/word_count).
   virtual bool hasMinorFalseSharing() const { return false; }
 
-  /// Substring that identifies the workload's false-sharing object in a
-  /// report (callsite or global name); empty when none.
-  virtual std::string falseSharingSiteTag() const { return ""; }
-
   /// Lower bound on the predicted improvement factor the broken variant's
   /// significant *page* findings must carry under the reference
   /// configuration (2 nodes, 8 threads, dense sampling). 0 means the

@@ -75,6 +75,31 @@ TEST(PageBaselineTest, RunWideLocalAverageWhenPageIsFullyRemote) {
   EXPECT_FALSE(UsedDefault);
 }
 
+TEST(PageBaselineTest, LocalAveragesNeedSixteenSamples) {
+  // A page's own local mean counts from 16 local samples on; below that
+  // the run-wide local mean stands in, and below 16 run-wide samples the
+  // serial chain (here its default) does.
+  AssessorHarness H;
+  H.Config.DefaultSerialLatency = 7.0;
+  Assessor Assess = H.make();
+  auto PageWithLocal = [](uint64_t Local) {
+    ObjectAccessProfile Profile;
+    Profile.SampledAccesses = Local + 10;
+    Profile.SampledCycles = 10 * Local + 30 * 10;
+    Profile.RemoteAccesses = 10;
+    Profile.RemoteCycles = 30 * 10;
+    return Profile;
+  };
+  Assess.setLocalLatencyTotals(/*Accesses=*/16, /*Cycles=*/16 * 4);
+  EXPECT_DOUBLE_EQ(Assess.averageLocalLatency(PageWithLocal(16)), 10.0);
+  EXPECT_DOUBLE_EQ(Assess.averageLocalLatency(PageWithLocal(15)), 4.0);
+  Assess.setLocalLatencyTotals(/*Accesses=*/15, /*Cycles=*/15 * 4);
+  bool UsedDefault = false;
+  EXPECT_DOUBLE_EQ(Assess.averageLocalLatency(PageWithLocal(15), &UsedDefault),
+                   7.0);
+  EXPECT_TRUE(UsedDefault);
+}
+
 TEST(PageBaselineTest, SerialThenDefaultChainWhenNoLocalEvidence) {
   AssessorHarness H;
   H.Config.DefaultSerialLatency = 7.0;
@@ -119,8 +144,8 @@ struct TwoWorkerFixture {
     Registry.threadStarted(1, false, 1000);
     Registry.threadStarted(2, false, 1000);
     for (int S = 0; S < 100; ++S) {
-      Registry.recordSample(1, 10);
-      Registry.recordSample(2, 30);
+      Registry.recordSamples(1, 1, 10);
+      Registry.recordSamples(2, 1, 30);
     }
     Registry.threadFinished(1, 61000);
     Registry.threadFinished(2, 101000);

@@ -29,7 +29,7 @@ void populateRegistry(runtime::ThreadRegistry &Registry, uint32_t Workers,
   for (uint32_t T = 1; T <= Workers; ++T) {
     Registry.threadStarted(T, false, 1000);
     for (uint64_t S = 0; S < SampledAccesses; ++S)
-      Registry.recordSample(T, LatencyPerAccess);
+      Registry.recordSamples(T, 1, LatencyPerAccess);
     Registry.threadFinished(T, 1000 + Runtime);
   }
   Registry.threadFinished(0, 2000 + Runtime);
@@ -96,7 +96,7 @@ TEST(AssessorTest, UnfinishedThreadDoesNotPoisonPredictions) {
   for (ThreadId T = 1; T <= 2; ++T) {
     Registry.threadStarted(T, false, 1000);
     for (uint64_t S = 0; S < 100; ++S)
-      Registry.recordSample(T, 50);
+      Registry.recordSamples(T, 1, 50);
   }
   Registry.threadFinished(1, 1000 + 100000);
   // Thread 2 never reaches threadFinished (crashed / leaked detach).
@@ -220,9 +220,9 @@ TEST(AssessorTest, PhaseLengthDeterminedByLongestThread) {
   Registry.threadStarted(1, false, 1000);
   Registry.threadStarted(2, false, 1000);
   for (int I = 0; I < 100; ++I)
-    Registry.recordSample(1, 100); // slow: all on object
+    Registry.recordSamples(1, 1, 100); // slow: all on object
   for (int I = 0; I < 100; ++I)
-    Registry.recordSample(2, 5); // fast
+    Registry.recordSamples(2, 1, 5); // fast
   Registry.threadFinished(1, 1000 + 200000);
   Registry.threadFinished(2, 1000 + 60000);
   Registry.threadFinished(0, 202000);
@@ -358,13 +358,6 @@ TEST(ReportTest, WordTableRespectsLimit) {
   Options.MaxWords = 8;
   std::string Text = formatReport(Report, Options);
   EXPECT_NE(Text.find("32 more words elided"), std::string::npos);
-}
-
-TEST(ReportTest, WordsCanBeSuppressed) {
-  ReportFormatOptions Options;
-  Options.ShowWords = false;
-  std::string Text = formatReport(makeSampleReport(), Options);
-  EXPECT_EQ(Text.find("Word-level"), std::string::npos);
 }
 
 TEST(ReportTest, NonForkJoinNoteAppears) {

@@ -393,7 +393,7 @@ TEST(BatchDecodeTest, SerialPhaseBatchesCountWritesAndPublishHomesOnly) {
   constexpr uint64_t LineSize = 64;
   NumaTopology Topology(2, PageSize);
   CacheGeometry Geometry(LineSize);
-  DetectorConfig Config; // OnlyParallelPhases = true
+  DetectorConfig Config;
   Config.TrackPages = true;
   ShadowMemory Shadow(Geometry, {{RegionBase, PageSize}});
   PageTable Pages(Topology, Geometry, {{RegionBase, PageSize}});
@@ -452,7 +452,7 @@ TEST(BatchDecodeTest, BatchWithThirtyTwoTidsConservesPerThreadTotals) {
   for (unsigned Round = 0; Round < SamplesPerTid; ++Round)
     for (unsigned T = 1; T <= NumTids; ++T) {
       pmu::Sample Sample;
-      Sample.Address = Config.HeapArenaBase + (Batch.size() % 512) * 64;
+      Sample.Address = HeapArenaBase + (Batch.size() % 512) * 64;
       Sample.Tid = static_cast<ThreadId>(T);
       Sample.IsWrite = true;
       Sample.LatencyCycles = 30 + T;
@@ -480,7 +480,7 @@ TEST(BatchDecodeTest, SerialLatencyIsIndependentOfBatchShape) {
   SplitMix64 Rng(0x5E41A1);
   std::vector<pmu::Sample> Stream(2500);
   for (pmu::Sample &Sample : Stream) {
-    Sample.Address = Config.HeapArenaBase + Rng.nextBelow(4096) * 4;
+    Sample.Address = HeapArenaBase + Rng.nextBelow(4096) * 4;
     Sample.IsWrite = Rng.nextBool(0.5);
     Sample.LatencyCycles = 1 + static_cast<uint32_t>(Rng.nextBelow(400));
   }

@@ -14,6 +14,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "baseline/FullTracker.h"
 #include "baseline/OwnershipTracker.h"
 #include "baseline/ReferenceModel.h"
 #include "core/detect/CacheLineInfo.h"
@@ -530,15 +531,6 @@ TEST_F(DetectorTest, SerialPhaseSamplesNotRecordedInDetail) {
   EXPECT_TRUE(deliver(Detect, makeSample(0x40000000, 1, true), true));
 }
 
-TEST_F(DetectorTest, PredatorStyleConfigRecordsSerialPhases) {
-  DetectorConfig Always;
-  Always.OnlyParallelPhases = false;
-  Detector Eager(Geometry, Shadow, Always);
-  for (int I = 0; I < 3; ++I)
-    deliver(Eager, makeSample(0x40000080, 0, true), false);
-  EXPECT_EQ(Shadow.materializedLines(), 1u);
-}
-
 TEST_F(DetectorTest, InvalidationsCountedAcrossThreads) {
   for (int I = 0; I < 20; ++I)
     deliver(Detect, makeSample(0x40000000, I % 2, true), true);
@@ -553,8 +545,23 @@ TEST_F(DetectorTest, StraddlingAccessClampedToLine) {
   EXPECT_TRUE(deliver(Detect, makeSample(LastWord, 0, true), true));
 }
 
+TEST(FullTrackerTest, KeepsCheetahsWriteThresholdWithoutPhases) {
+  // The baseline analyzes every access with no phase model, yet a line
+  // still needs more than two writes before it is tracked in detail.
+  CacheGeometry Geometry(64);
+  baseline::FullTracker Tracker(Geometry, {{0x40000000, 4096}},
+                                baseline::FullTrackerConfig());
+  sim::CoherenceResult Hit;
+  for (uint64_t I = 0; I < 2; ++I)
+    Tracker.onMemoryAccess(static_cast<ThreadId>(I),
+                           MemoryAccess::write(0x40000000 + 4 * I), Hit, I);
+  EXPECT_EQ(Tracker.shadow().materializedLines(), 0u);
+  Tracker.onMemoryAccess(0, MemoryAccess::write(0x40000000), Hit, 2);
+  EXPECT_EQ(Tracker.shadow().materializedLines(), 1u);
+}
+
 //===----------------------------------------------------------------------===//
-// SharingClassifier
+// classifySharing
 //===----------------------------------------------------------------------===//
 
 TEST(ClassifierTest, DisjointWordsAreFalseSharing) {
@@ -563,8 +570,7 @@ TEST(ClassifierTest, DisjointWordsAreFalseSharing) {
     Info.recordAccess(1, AccessKind::Write, 0, 1, 10);
     Info.recordAccess(2, AccessKind::Write, 8, 1, 10);
   }
-  SharingClassifier Classifier;
-  LineClassification Verdict = Classifier.classify(Info);
+  LineClassification Verdict = classifySharing(Info);
   EXPECT_EQ(Verdict.Kind, SharingKind::FalseSharing);
   EXPECT_EQ(Verdict.Threads, 2u);
   EXPECT_EQ(Verdict.SharedWordAccesses, 0u);
@@ -574,16 +580,14 @@ TEST(ClassifierTest, SameWordsAreTrueSharing) {
   CacheLineInfo Info(16);
   for (int I = 0; I < 50; ++I)
     Info.recordAccess(I % 4, AccessKind::Write, 3, 1, 10);
-  SharingClassifier Classifier;
-  EXPECT_EQ(Classifier.classify(Info).Kind, SharingKind::TrueSharing);
+  EXPECT_EQ(classifySharing(Info).Kind, SharingKind::TrueSharing);
 }
 
 TEST(ClassifierTest, SingleThreadIsNotShared) {
   CacheLineInfo Info(16);
   for (int I = 0; I < 50; ++I)
     Info.recordAccess(1, AccessKind::Write, I % 16, 1, 10);
-  SharingClassifier Classifier;
-  EXPECT_EQ(Classifier.classify(Info).Kind, SharingKind::NotShared);
+  EXPECT_EQ(classifySharing(Info).Kind, SharingKind::NotShared);
 }
 
 TEST(ClassifierTest, MixedPatternsClassifyAsMixed) {
@@ -595,24 +599,26 @@ TEST(ClassifierTest, MixedPatternsClassifyAsMixed) {
     Info.recordAccess(1, AccessKind::Write, 4, 1, 10);
     Info.recordAccess(2, AccessKind::Write, 8, 1, 10);
   }
-  SharingClassifier Classifier;
-  LineClassification Verdict = Classifier.classify(Info);
+  LineClassification Verdict = classifySharing(Info);
   EXPECT_EQ(Verdict.Kind, SharingKind::Mixed);
   EXPECT_NEAR(Verdict.sharedFraction(), 0.5, 0.01);
 }
 
-TEST(ClassifierTest, ThresholdsAreConfigurable) {
-  CacheLineInfo Info(16);
-  for (int I = 0; I < 50; ++I) {
-    Info.recordAccess(1, AccessKind::Write, 0, 1, 10);
-    Info.recordAccess(2, AccessKind::Write, 0, 1, 10);
-    Info.recordAccess(1, AccessKind::Write, 4, 1, 10);
-    Info.recordAccess(2, AccessKind::Write, 8, 1, 10);
-  }
-  ClassifierConfig Loose;
-  Loose.FalseSharingMaxSharedFraction = 0.6;
-  SharingClassifier Classifier(Loose);
-  EXPECT_EQ(Classifier.classify(Info).Kind, SharingKind::FalseSharing);
+TEST(ClassifierTest, SharedFractionThresholdsSitAtPointThreeAndPointSeven) {
+  // A hundred accesses on two words, Shared of them on a word both threads
+  // touch: a shared fraction of at most 0.3 is false sharing, at least 0.7
+  // true sharing, and anything between mixed.
+  auto Classify = [](uint64_t Shared) {
+    std::vector<WordStats> Words(2);
+    Words[0].Writes = Shared;
+    Words[0].MultiThread = true;
+    Words[1].Writes = 100 - Shared;
+    return classifySharing(Words, /*ThreadsOnLine=*/2).Kind;
+  };
+  EXPECT_EQ(Classify(30), SharingKind::FalseSharing);
+  EXPECT_EQ(Classify(31), SharingKind::Mixed);
+  EXPECT_EQ(Classify(69), SharingKind::Mixed);
+  EXPECT_EQ(Classify(70), SharingKind::TrueSharing);
 }
 
 TEST(ClassifierTest, SharingKindNamesAreStable) {

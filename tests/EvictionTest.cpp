@@ -342,14 +342,15 @@ TEST(EvictionConservationTest, ResiduePlusLiveEqualsUnboundedTotals) {
 std::string snapshotWithBudget(size_t Budget) {
   ProfilerConfig Config;
   Config.Detect.WriteThreshold = 0;
-  Config.Detect.OnlyParallelPhases = false;
   Config.Detect.LineShadowBudgetBytes = Budget;
   Profiler Profiler(Config);
+  // A child thread opens the parallel phase, where samples are recorded.
   Profiler.threadStarted(/*Tid=*/0, /*IsMain=*/true, /*Now=*/0);
+  Profiler.threadStarted(/*Tid=*/1, /*IsMain=*/false, /*Now=*/0);
 
   std::vector<pmu::Sample> Batch;
   for (int I = 0; I < 512; ++I)
-    Batch.push_back(makeSample(Config.HeapArenaBase + (I % 64) * 64,
+    Batch.push_back(makeSample(HeapArenaBase + (I % 64) * 64,
                                static_cast<ThreadId>(I % 2), true,
                                10 + I % 7));
   Profiler.ingestBatch(Batch.data(), Batch.size());
@@ -375,13 +376,13 @@ TEST(EvictionSnapshotTest, EvictingSnapshotCarriesResidueSummary) {
   // *next* snapshot must carry the eviction summary object.
   ProfilerConfig Config;
   Config.Detect.WriteThreshold = 0;
-  Config.Detect.OnlyParallelPhases = false;
   Config.Detect.LineShadowBudgetBytes = 1;
   Profiler Profiler(Config);
   Profiler.threadStarted(0, true, 0);
+  Profiler.threadStarted(1, false, 0);
   std::vector<pmu::Sample> Batch;
   for (int I = 0; I < 512; ++I)
-    Batch.push_back(makeSample(Config.HeapArenaBase + (I % 64) * 64,
+    Batch.push_back(makeSample(HeapArenaBase + (I % 64) * 64,
                                static_cast<ThreadId>(I % 2), true));
   Profiler.ingestBatch(Batch.data(), Batch.size());
   std::string First;

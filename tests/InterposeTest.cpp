@@ -100,7 +100,7 @@ TEST_F(InterposeTest, BridgeDeliversInterposeSamplesToProfiler) {
       threadAttach();
       for (unsigned I = 0; I < SamplesPerThread; ++I) {
         pmu::Sample Sample;
-        Sample.Address = Config.HeapArenaBase + Tid * 8;
+        Sample.Address = core::HeapArenaBase + Tid * 8;
         Sample.Tid = Tid;
         Sample.IsWrite = true;
         Sample.LatencyCycles = 50;
@@ -180,7 +180,7 @@ TEST_F(InterposeTest, BridgeFinishRacesRecordingThreadSafely) {
         threadAttach();
         while (!Stop.load(std::memory_order_acquire)) {
           pmu::Sample Sample;
-          Sample.Address = Config.HeapArenaBase + 64 * (Round % 8);
+          Sample.Address = core::HeapArenaBase + 64 * (Round % 8);
           Sample.Tid = 1;
           Sample.IsWrite = true;
           Sample.LatencyCycles = 40;

@@ -80,7 +80,7 @@ private:
                                    uint32_t Threshold, bool InParallelPhase) {
     uint32_t Writes = Sample.IsWrite ? Table.noteWrite(Sample.Address)
                                      : Table.writeCount(Sample.Address);
-    if (Config.OnlyParallelPhases && !InParallelPhase)
+    if (!InParallelPhase)
       return nullptr;
     typename TableT::Info *Info = Table.detail(Sample.Address);
     if (!Info && Writes > Threshold)

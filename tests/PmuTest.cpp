@@ -90,119 +90,6 @@ sim::CoherenceResult hitResult(uint64_t Latency) {
   return Result;
 }
 
-TEST(SimPmuTest, DeliversSamplesAtConfiguredRate) {
-  PmuConfig Config;
-  Config.SamplingPeriod = 64;
-  Config.JitterFraction = 0.0;
-  SimPmu Pmu(Config);
-  uint64_t Delivered = 0;
-  Pmu.setHandler([&](const Sample &) { ++Delivered; });
-  Pmu.onThreadStart(0, true, 0);
-  for (int I = 0; I < 6400; ++I)
-    Pmu.onMemoryAccess(0, MemoryAccess::write(0x100), hitResult(3), I);
-  EXPECT_EQ(Delivered, 100u);
-  EXPECT_EQ(Pmu.samplesDelivered(), 100u);
-}
-
-TEST(SimPmuTest, SampleCarriesAddressTidKindLatency) {
-  PmuConfig Config;
-  Config.SamplingPeriod = 1;
-  Config.JitterFraction = 0.0;
-  SimPmu Pmu(Config);
-  Sample Last;
-  Pmu.setHandler([&](const Sample &S) { Last = S; });
-  Pmu.onThreadStart(7, false, 0);
-  Pmu.onMemoryAccess(7, MemoryAccess::write(0xabcd), hitResult(99), 1234);
-  EXPECT_EQ(Last.Address, 0xabcdu);
-  EXPECT_EQ(Last.Tid, 7u);
-  EXPECT_TRUE(Last.IsWrite);
-  EXPECT_EQ(Last.LatencyCycles, 99u);
-  EXPECT_EQ(Last.Timestamp, 1234u);
-}
-
-TEST(SimPmuTest, ComputeInstructionsAdvanceButDeliverNothing) {
-  PmuConfig Config;
-  Config.SamplingPeriod = 10;
-  Config.JitterFraction = 0.0;
-  SimPmu Pmu(Config);
-  uint64_t Delivered = 0;
-  Pmu.setHandler([&](const Sample &) { ++Delivered; });
-  Pmu.onThreadStart(0, true, 0);
-  Pmu.onInstructions(0, 1000); // crosses 100 sample points, all dropped
-  EXPECT_EQ(Delivered, 0u);
-  // The countdown really advanced: the next memory access fires promptly.
-  uint64_t Before = Delivered;
-  for (int I = 0; I < 10; ++I)
-    Pmu.onMemoryAccess(0, MemoryAccess::read(0x10), hitResult(3), I);
-  EXPECT_GT(Delivered, Before);
-}
-
-TEST(SimPmuTest, ThreadSetupCostChargedPerThread) {
-  PmuConfig Config;
-  Config.ThreadSetupCycles = 1234;
-  SimPmu Pmu(Config);
-  EXPECT_EQ(Pmu.onThreadStart(0, true, 0), 1234u);
-  EXPECT_EQ(Pmu.onThreadStart(1, false, 0), 1234u);
-  EXPECT_EQ(Pmu.threadsConfigured(), 2u);
-}
-
-TEST(SimPmuTest, HandlerCostChargedOnlyOnSamples) {
-  PmuConfig Config;
-  Config.SamplingPeriod = 4;
-  Config.JitterFraction = 0.0;
-  Config.SampleHandlerCycles = 500;
-  SimPmu Pmu(Config);
-  Pmu.setHandler([](const Sample &) {});
-  Pmu.onThreadStart(0, true, 0);
-  uint64_t Charged = 0;
-  for (int I = 0; I < 16; ++I)
-    Charged += Pmu.onMemoryAccess(0, MemoryAccess::read(0x10), hitResult(3), I);
-  EXPECT_EQ(Charged, 4 * 500u);
-}
-
-TEST(SimPmuTest, DisabledPmuIsFree) {
-  PmuConfig Config;
-  Config.SamplingPeriod = 1;
-  SimPmu Pmu(Config);
-  uint64_t Delivered = 0;
-  Pmu.setHandler([&](const Sample &) { ++Delivered; });
-  Pmu.setEnabled(false);
-  EXPECT_EQ(Pmu.onThreadStart(0, true, 0), 0u);
-  EXPECT_EQ(Pmu.onMemoryAccess(0, MemoryAccess::read(0x10), hitResult(3), 0),
-            0u);
-  EXPECT_EQ(Delivered, 0u);
-}
-
-TEST(SimPmuTest, PerThreadCountdownsAreIndependent) {
-  PmuConfig Config;
-  Config.SamplingPeriod = 100;
-  Config.JitterFraction = 0.0;
-  SimPmu Pmu(Config);
-  uint64_t Delivered = 0;
-  Pmu.setHandler([&](const Sample &) { ++Delivered; });
-  Pmu.onThreadStart(0, true, 0);
-  Pmu.onThreadStart(1, false, 0);
-  // 99 accesses on each thread: no thread reaches its own period.
-  for (int I = 0; I < 99; ++I) {
-    Pmu.onMemoryAccess(0, MemoryAccess::read(0x10), hitResult(3), I);
-    Pmu.onMemoryAccess(1, MemoryAccess::read(0x20), hitResult(3), I);
-  }
-  EXPECT_EQ(Delivered, 0u);
-}
-
-TEST(SimPmuTest, ResetClearsCounters) {
-  PmuConfig Config;
-  Config.SamplingPeriod = 1;
-  SimPmu Pmu(Config);
-  Pmu.setHandler([](const Sample &) {});
-  Pmu.onThreadStart(0, true, 0);
-  Pmu.onMemoryAccess(0, MemoryAccess::read(0x10), hitResult(3), 0);
-  EXPECT_GT(Pmu.samplesDelivered(), 0u);
-  Pmu.reset();
-  EXPECT_EQ(Pmu.samplesDelivered(), 0u);
-  EXPECT_EQ(Pmu.threadsConfigured(), 0u);
-}
-
 /// Records the sink-side stream: lifecycle edges and batch sizes in
 /// delivery order, plus every delivered sample.
 struct EventLog : SampleSink {
@@ -220,6 +107,115 @@ struct EventLog : SampleSink {
     Samples.insert(Samples.end(), Batch, Batch + Count);
   }
 };
+
+TEST(SimPmuTest, DeliversSamplesAtConfiguredRate) {
+  PmuConfig Config;
+  Config.SamplingPeriod = 64;
+  Config.JitterFraction = 0.0;
+  SimPmu Pmu(Config);
+  EventLog Sink;
+  Pmu.setSink(&Sink);
+  Pmu.onThreadStart(0, true, 0);
+  for (int I = 0; I < 6400; ++I)
+    Pmu.onMemoryAccess(0, MemoryAccess::write(0x100), hitResult(3), I);
+  Pmu.stop();
+  EXPECT_EQ(Sink.Samples.size(), 100u);
+  EXPECT_EQ(Pmu.samplesDelivered(), 100u);
+}
+
+TEST(SimPmuTest, SampleCarriesAddressTidKindLatency) {
+  PmuConfig Config;
+  Config.SamplingPeriod = 1;
+  Config.JitterFraction = 0.0;
+  SimPmu Pmu(Config);
+  EventLog Sink;
+  Pmu.setSink(&Sink);
+  Pmu.onThreadStart(7, false, 0);
+  Pmu.onMemoryAccess(7, MemoryAccess::write(0xabcd), hitResult(99), 1234);
+  Pmu.stop();
+  ASSERT_EQ(Sink.Samples.size(), 1u);
+  const Sample &Last = Sink.Samples.back();
+  EXPECT_EQ(Last.Address, 0xabcdu);
+  EXPECT_EQ(Last.Tid, 7u);
+  EXPECT_TRUE(Last.IsWrite);
+  EXPECT_EQ(Last.LatencyCycles, 99u);
+  EXPECT_EQ(Last.Timestamp, 1234u);
+}
+
+TEST(SimPmuTest, ComputeInstructionsAdvanceButDeliverNothing) {
+  PmuConfig Config;
+  Config.SamplingPeriod = 10;
+  Config.JitterFraction = 0.0;
+  SimPmu Pmu(Config);
+  EventLog Sink;
+  Pmu.setSink(&Sink);
+  Pmu.onThreadStart(0, true, 0);
+  Pmu.onInstructions(0, 1000); // crosses 100 sample points, all dropped
+  EXPECT_EQ(Pmu.samplesDelivered(), 0u);
+  // The countdown really advanced: the next memory access fires promptly.
+  for (int I = 0; I < 10; ++I)
+    Pmu.onMemoryAccess(0, MemoryAccess::read(0x10), hitResult(3), I);
+  Pmu.stop();
+  EXPECT_GT(Sink.Samples.size(), 0u);
+  EXPECT_EQ(Sink.Samples.size(), Pmu.samplesDelivered());
+}
+
+TEST(SimPmuTest, ThreadSetupCostChargedPerThread) {
+  PmuConfig Config;
+  Config.ThreadSetupCycles = 1234;
+  SimPmu Pmu(Config);
+  EXPECT_EQ(Pmu.onThreadStart(0, true, 0), 1234u);
+  EXPECT_EQ(Pmu.onThreadStart(1, false, 0), 1234u);
+  EXPECT_EQ(Pmu.threadsConfigured(), 2u);
+}
+
+TEST(SimPmuTest, HandlerCostChargedOnlyOnSamples) {
+  PmuConfig Config;
+  Config.SamplingPeriod = 4;
+  Config.JitterFraction = 0.0;
+  Config.SampleHandlerCycles = 500;
+  SimPmu Pmu(Config);
+  EventLog Sink;
+  Pmu.setSink(&Sink);
+  Pmu.onThreadStart(0, true, 0);
+  uint64_t Charged = 0;
+  for (int I = 0; I < 16; ++I)
+    Charged += Pmu.onMemoryAccess(0, MemoryAccess::read(0x10), hitResult(3), I);
+  EXPECT_EQ(Charged, 4 * 500u);
+}
+
+TEST(SimPmuTest, DisabledPmuIsFree) {
+  PmuConfig Config;
+  Config.SamplingPeriod = 1;
+  SimPmu Pmu(Config);
+  EventLog Sink;
+  Pmu.setSink(&Sink);
+  Pmu.setEnabled(false);
+  EXPECT_EQ(Pmu.onThreadStart(0, true, 0), 0u);
+  EXPECT_EQ(Pmu.onMemoryAccess(0, MemoryAccess::read(0x10), hitResult(3), 0),
+            0u);
+  Pmu.stop();
+  EXPECT_TRUE(Sink.Samples.empty());
+  EXPECT_EQ(Pmu.samplesDelivered(), 0u);
+}
+
+TEST(SimPmuTest, PerThreadCountdownsAreIndependent) {
+  PmuConfig Config;
+  Config.SamplingPeriod = 100;
+  Config.JitterFraction = 0.0;
+  SimPmu Pmu(Config);
+  EventLog Sink;
+  Pmu.setSink(&Sink);
+  Pmu.onThreadStart(0, true, 0);
+  Pmu.onThreadStart(1, false, 0);
+  // 99 accesses on each thread: no thread reaches its own period.
+  for (int I = 0; I < 99; ++I) {
+    Pmu.onMemoryAccess(0, MemoryAccess::read(0x10), hitResult(3), I);
+    Pmu.onMemoryAccess(1, MemoryAccess::read(0x20), hitResult(3), I);
+  }
+  Pmu.stop();
+  EXPECT_TRUE(Sink.Samples.empty());
+}
 
 sim::ThreadRecord endRecord(ThreadId Tid, bool IsMain, uint64_t EndCycle) {
   sim::ThreadRecord Record;
@@ -254,27 +250,35 @@ TEST(SimPmuTest, LifecycleForwardsToSinkEvenWhenDisabled) {
             (std::vector<std::string>{"start 0", "batch 4", "end 0"}));
 }
 
-TEST(SimPmuTest, BatchesFollowTheHandlerStreamAndNeverSpanLifecycle) {
+TEST(SimPmuTest, BatchesFollowTheAccessStreamAndNeverSpanLifecycle) {
   // Two threads' interleaved samples across their lifecycles: the sink
   // must receive them in batches of at most SampleBatchCapacity, cut
   // before every lifecycle event, with stop() handing over the partial
-  // batch at the end. Joined together, the batches are the per-sample
-  // handler stream, in order.
+  // batch at the end. At period 1 with no jitter every access is a
+  // sample, so joined together the batches are the accesses issued, in
+  // order.
   PmuConfig Config;
   Config.SamplingPeriod = 1;
   Config.JitterFraction = 0.0;
   SimPmu Pmu(Config);
-  std::vector<Sample> Handled;
-  Pmu.setHandler([&](const Sample &S) { Handled.push_back(S); });
   EventLog Sink;
   Pmu.setSink(&Sink);
   ASSERT_TRUE(Pmu.start().Available);
 
+  std::vector<Sample> Issued;
   uint64_t Now = 0;
   auto Access = [&](ThreadId Tid, int Count) {
-    for (int I = 0; I < Count; ++I, ++Now)
-      Pmu.onMemoryAccess(Tid, MemoryAccess::write(0x1000 + 8 * (Now % 64)),
-                         hitResult(3 + Now % 7), Now);
+    for (int I = 0; I < Count; ++I, ++Now) {
+      Sample S;
+      S.Address = 0x1000 + 8 * (Now % 64);
+      S.Tid = Tid;
+      S.IsWrite = true;
+      S.LatencyCycles = static_cast<uint32_t>(3 + Now % 7);
+      S.Timestamp = Now;
+      Issued.push_back(S);
+      Pmu.onMemoryAccess(Tid, MemoryAccess::write(S.Address),
+                         hitResult(S.LatencyCycles), Now);
+    }
   };
   Pmu.onThreadStart(0, true, Now);
   Access(0, 300);
@@ -291,14 +295,15 @@ TEST(SimPmuTest, BatchesFollowTheHandlerStreamAndNeverSpanLifecycle) {
             (std::vector<std::string>{"start 0", "batch 256", "batch 44",
                                       "start 1", "batch 256", "batch 244",
                                       "end 1", "batch 10"}));
-  ASSERT_EQ(Handled.size(), 810u);
-  ASSERT_EQ(Sink.Samples.size(), Handled.size());
-  for (size_t I = 0; I < Handled.size(); ++I) {
-    EXPECT_EQ(Sink.Samples[I].Address, Handled[I].Address) << "sample " << I;
-    EXPECT_EQ(Sink.Samples[I].Tid, Handled[I].Tid) << "sample " << I;
-    EXPECT_EQ(Sink.Samples[I].LatencyCycles, Handled[I].LatencyCycles)
+  ASSERT_EQ(Issued.size(), 810u);
+  ASSERT_EQ(Sink.Samples.size(), Issued.size());
+  for (size_t I = 0; I < Issued.size(); ++I) {
+    EXPECT_EQ(Sink.Samples[I].Address, Issued[I].Address) << "sample " << I;
+    EXPECT_EQ(Sink.Samples[I].Tid, Issued[I].Tid) << "sample " << I;
+    EXPECT_EQ(Sink.Samples[I].IsWrite, Issued[I].IsWrite) << "sample " << I;
+    EXPECT_EQ(Sink.Samples[I].LatencyCycles, Issued[I].LatencyCycles)
         << "sample " << I;
-    EXPECT_EQ(Sink.Samples[I].Timestamp, Handled[I].Timestamp)
+    EXPECT_EQ(Sink.Samples[I].Timestamp, Issued[I].Timestamp)
         << "sample " << I;
   }
 }

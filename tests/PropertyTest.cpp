@@ -829,10 +829,10 @@ TEST_P(PageAssessPropertyTest, ClampedEquationInvariantsHold) {
           RemoteCycles += Latency;
         }
         ObjectCycles += Latency;
-        Registry.recordSample(T, Latency);
+        Registry.recordSamples(T, 1, Latency);
       }
       for (uint64_t A = 0; A < OffObject; ++A)
-        Registry.recordSample(T, 2 + Rng.nextBelow(19));
+        Registry.recordSamples(T, 1, 2 + Rng.nextBelow(19));
 
       Profile.SampledAccesses += OnObject;
       Profile.SampledCycles += ObjectCycles;
@@ -915,19 +915,19 @@ TEST(PageAssessPropertyTest, ImprovementMonotoneInRemoteFraction) {
     // Worker 1: 50 local object accesses at 10 cycles (pins the local
     // baseline at exactly 10), 50 off-object samples.
     for (int A = 0; A < 50; ++A)
-      Registry.recordSample(1, 10);
+      Registry.recordSamples(1, 1, 10);
     for (int A = 0; A < 50; ++A)
-      Registry.recordSample(1, 10);
+      Registry.recordSamples(1, 1, 10);
     Profile.PerThread.push_back({1, 50, 500});
     // Worker 2: 50 object accesses, `Remote` of them at 30 cycles.
     uint64_t Cycles2 = 0;
     for (uint64_t A = 0; A < 50; ++A) {
       uint64_t Latency = A < Remote ? 30 : 10;
       Cycles2 += Latency;
-      Registry.recordSample(2, Latency);
+      Registry.recordSamples(2, 1, Latency);
     }
     for (int A = 0; A < 50; ++A)
-      Registry.recordSample(2, 10);
+      Registry.recordSamples(2, 1, 10);
     Profile.PerThread.push_back({2, 50, Cycles2});
     Profile.SampledAccesses = 100;
     Profile.SampledCycles = 500 + Cycles2;
@@ -2275,8 +2275,7 @@ TEST_P(TraceFuzzTest, HostileLifecycleIsRejectedOrReplayedNeverAborts) {
       std::to_string(GetParam()) + ".trace";
   size_t Rejected = 0, Replayed = 0;
   for (int Doc = 0; Doc < 24; ++Doc) {
-    pmu::TraceData Data =
-        makeLifecycleTrace(Rng, Config.Profiler.HeapArenaBase);
+    pmu::TraceData Data = makeLifecycleTrace(Rng, core::HeapArenaBase);
     // The pristine trace first, then one to three mutations of it.
     int Mutations = Doc % 4;
     for (int M = 0; M < Mutations; ++M)

@@ -11,8 +11,8 @@
 /// serialization of the cheetah-history-v1 store (the goldens CI anchors
 /// on, and the whole-store encoder of tests/HistoryReference.h after
 /// parse-then-append), the N-run generalization of the regression gate,
-/// git-bisect-style regression bisection, cheetah-diff-v1 ingestion, and
-/// the parser's loud-error contract.
+/// git-bisect-style regression bisection, cheetah-diff-v1 ingestion, the
+/// parser's loud-error contract, and the loader's missing-store rule.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,11 +23,13 @@
 #include "core/report/ReportSink.h"
 #include "driver/ProfileSession.h"
 #include "mem/NumaTopology.h"
+#include "support/FileIO.h"
 #include "support/Json.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 
 using namespace cheetah;
 using namespace cheetah::core;
@@ -660,6 +662,38 @@ TEST(ReportHistoryParseTest, StructuralGarbageFailsLoudly) {
   EXPECT_FALSE(ReportHistory::parse("{\"schema\":\"cheetah-history-v1\"}",
                                     Out, Error));
   EXPECT_NE(Error.find("runs"), std::string::npos);
+}
+
+TEST(ReportHistoryParseTest, LoadStartsEmptyOnlyWhereNoStoreExists) {
+  // The rule both tools load a store by: nothing at the path is an empty
+  // store where the caller allows it; a path that exists but cannot be
+  // read, or a store that does not parse, fails and names the path.
+  std::string Dir = ::testing::TempDir();
+  std::string Missing = Dir + "cheetah-history-load-missing.json";
+  std::filesystem::remove(Missing);
+  ReportHistory Out = storeOf({1.9});
+  std::string Error;
+  EXPECT_TRUE(ReportHistory::load(Missing, /*MissingIsEmpty=*/true, Out,
+                                  Error))
+      << Error;
+  EXPECT_TRUE(Out.runs().empty());
+  EXPECT_FALSE(ReportHistory::load(Missing, /*MissingIsEmpty=*/false, Out,
+                                   Error));
+  EXPECT_EQ(Error, "cannot open '" + Missing + "' for reading");
+  EXPECT_FALSE(ReportHistory::load(Dir, /*MissingIsEmpty=*/true, Out, Error));
+  EXPECT_EQ(Error, "failed reading '" + Dir + "'");
+
+  std::string Path = Dir + "cheetah-history-load.json";
+  std::string Stored = storeOf({1.9, 1.5}).serialize();
+  ASSERT_TRUE(writeFile(Path, Stored, Error)) << Error;
+  ASSERT_TRUE(ReportHistory::load(Path, /*MissingIsEmpty=*/false, Out, Error))
+      << Error;
+  EXPECT_EQ(Out.serialize(), Stored);
+  ASSERT_TRUE(writeFile(Path, "{}", Error)) << Error;
+  EXPECT_FALSE(ReportHistory::load(Path, /*MissingIsEmpty=*/true, Out, Error));
+  EXPECT_EQ(Error, Path + ": field 'schema' missing or not a string");
+  EXPECT_TRUE(Out.runs().empty());
+  std::filesystem::remove(Path);
 }
 
 //===----------------------------------------------------------------------===//

@@ -525,7 +525,6 @@ struct BuilderWorld {
   runtime::HeapAllocator Heap{0x40000000, 1 << 20, Geometry};
   runtime::GlobalRegistry Globals{SegmentBase, 1 << 20, Geometry};
   runtime::CallsiteTable Callsites;
-  SharingClassifier Classifier;
   runtime::ThreadRegistry Registry;
   runtime::PhaseTracker Phases;
   Assessor Assess{Registry, Phases, AssessorConfig{}};
@@ -587,7 +586,7 @@ struct WordCutCase {
   /// The one finding the builder makes, and whether it is significant.
   std::pair<FalseSharingReport, bool> build(ThreadId Threads) {
     ReportBuilder Builder(World.Heap, World.Globals, World.Callsites,
-                          World.Classifier, World.Geometry, Gate);
+                          World.Geometry, Gate);
     for (size_t Line = 3; Line-- > 0;) {
       auto First = Counts.begin() + 16 * Line;
       Builder.addLine(makeSnapshot(Base + 64 * Line,
@@ -666,8 +665,7 @@ struct LineCutCase {
   std::pair<PageSharingReport, bool> build(uint64_t RemoteAccesses) {
     NumaTopology Topology(2, 4096);
     PageReportBuilder Builder(World.Heap, World.Globals, World.Callsites,
-                              World.Classifier, Topology, World.Geometry,
-                              PageReportGate{});
+                              Topology, World.Geometry);
     PageNumaEvidence Numa;
     Numa.NodesObserved = 1;
     Numa.RemoteAccesses = RemoteAccesses;
@@ -686,8 +684,7 @@ TEST(PageReportBuilderTest, NamesEveryObjectOnThePageBeforeTheCut) {
   LineCutCase Case;
   ASSERT_EQ(Case.Hot, BuilderWorld::SegmentBase);
   ASSERT_EQ(Case.Cold, Case.Hot + 19 * 64);
-  auto [Report, Significant] =
-      Case.build(PageReportGate{}.MinRemoteAccesses);
+  auto [Report, Significant] = Case.build(PageMinRemoteAccesses);
   ASSERT_TRUE(Significant);
 
   EXPECT_EQ(Report.Objects, (std::vector<std::string>{"hot", "cold"}));
@@ -714,6 +711,91 @@ TEST(PageReportBuilderTest, InsignificantPageNamesEveryObjectAndKeepsNoLine) {
   std::string Text = formatPageReport(Report);
   EXPECT_EQ(Text.find("Line-level accesses"), std::string::npos) << Text;
   EXPECT_NE(Text.find("hot\ncold\n"), std::string::npos) << Text;
+}
+
+/// Whether the page gate passes a page of "p" observed from \p Nodes nodes,
+/// with \p Invalidations cross-node invalidations and \p RemoteAccesses
+/// remote samples among its 200.
+bool pagePassesGate(size_t Nodes, uint64_t Invalidations,
+                    uint64_t RemoteAccesses) {
+  BuilderWorld World;
+  uint64_t Base = World.Globals.defineAligned("p", 4096);
+  NumaTopology Topology(2, 4096);
+  PageReportBuilder Builder(World.Heap, World.Globals, World.Callsites,
+                            Topology, World.Geometry);
+  std::vector<uint64_t> Counts(64, 0);
+  Counts[0] = 200;
+  PageNumaEvidence Numa;
+  Numa.NodesObserved = Nodes;
+  Numa.RemoteAccesses = RemoteAccesses;
+  Builder.addPage(makeSnapshot(Base, Counts, /*Threads=*/1, Invalidations),
+                  /*Home=*/0, Numa);
+  PageReportBuilder::Output Built = Builder.finalize(World.Assess, 1000000);
+  EXPECT_EQ(Built.AllInstances.size(), 1u);
+  return Built.Reports.size() == 1;
+}
+
+TEST(PageReportBuilderTest, GateEdgesAreEightInvalidationsAndThirtyTwoRemote) {
+  // Contention: a page two nodes share passes at 8 cross-node
+  // invalidations, not at 7.
+  EXPECT_FALSE(pagePassesGate(/*Nodes=*/2, /*Invalidations=*/7, 0));
+  EXPECT_TRUE(pagePassesGate(/*Nodes=*/2, /*Invalidations=*/8, 0));
+  // Placement: a page one remote node uses passes at 32 remote accesses,
+  // not at 31.
+  EXPECT_FALSE(pagePassesGate(/*Nodes=*/1, 0, /*RemoteAccesses=*/31));
+  EXPECT_TRUE(pagePassesGate(/*Nodes=*/1, 0, /*RemoteAccesses=*/32));
+}
+
+TEST(PageReportBuilderTest, RemoteTrafficOnASharedPageIsNoPlacementFinding) {
+  // Placement findings are single-node only: a page two nodes share with
+  // no cross-node invalidation stays insignificant, however remote.
+  EXPECT_FALSE(pagePassesGate(/*Nodes=*/2, /*Invalidations=*/0,
+                              /*RemoteAccesses=*/100));
+}
+
+TEST(ReportBuilderTest, MixedSharingAboveBothLineThresholdsIsSignificant) {
+  // One line of "m": threads 1 and 2 both write word 0, which takes half
+  // of the line's accesses, so the line and the object are mixed sharing.
+  // The object's 20 invalidations and its predicted improvement clear the
+  // default gate, and mixed sharing is reported like false sharing.
+  BuilderWorld World;
+  World.Registry.threadStarted(0, /*IsMain=*/true, 0);
+  World.Phases.programBegin(0, 0);
+  for (ThreadId Tid : {1, 2}) {
+    World.Registry.threadStarted(Tid, /*IsMain=*/false, 1000);
+    World.Phases.threadCreated(Tid, /*Creator=*/0, 1000);
+  }
+  // Every sampled access of both threads lands on "m", at 10 cycles each:
+  // thread 1 writes words 0 and 2, thread 2 word 1.
+  World.Registry.recordSamples(1, 75, 750);
+  World.Registry.recordSamples(2, 25, 250);
+  for (ThreadId Tid : {1, 2}) {
+    World.Registry.threadFinished(Tid, 101000);
+    World.Phases.threadFinished(Tid, 101000);
+  }
+  World.Registry.threadFinished(0, 102000);
+  World.Phases.programEnd(102000);
+
+  uint64_t Base = World.Globals.defineAligned("m", 64);
+  std::vector<uint64_t> Counts(16, 0);
+  Counts[0] = 50;
+  Counts[1] = Counts[2] = 25;
+  GrainSnapshot Line =
+      makeSnapshot(Base, Counts, /*Threads=*/2, /*Invalidations=*/20);
+  Line.Buckets[0].MultiThread = true;
+
+  ReportGate Gate;
+  ReportBuilder Builder(World.Heap, World.Globals, World.Callsites,
+                        World.Geometry, Gate);
+  Builder.addLine(Line);
+  ReportBuilder::Output Built = Builder.finalize(World.Assess, 102000);
+  ASSERT_EQ(Built.AllInstances.size(), 1u);
+  const FalseSharingReport &Report = Built.AllInstances[0];
+  EXPECT_EQ(Report.Kind, SharingKind::Mixed);
+  EXPECT_GT(Report.Invalidations, Gate.MinInvalidations);
+  EXPECT_GT(Report.Impact.ImprovementFactor, Gate.MinImprovementFactor);
+  ASSERT_EQ(Built.Reports.size(), 1u);
+  EXPECT_EQ(Built.Reports[0].Object.GlobalName, "m");
 }
 
 //===----------------------------------------------------------------------===//
@@ -753,8 +835,7 @@ TEST(ReportBuilderTest, StreamsFindingsInImprovementOrderWithFlags) {
   for (unsigned I = 0; I < 128; ++I) {
     ThreadId Tid = 1 + (I % 2);
     pmu::Sample Sample;
-    Sample.Address =
-        Config.HeapArenaBase + ((I / 2) % 2) * 1024 + Tid * 4;
+    Sample.Address = HeapArenaBase + ((I / 2) % 2) * 1024 + Tid * 4;
     Sample.Tid = Tid;
     Sample.IsWrite = true;
     Sample.LatencyCycles = 100;

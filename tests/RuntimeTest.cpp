@@ -8,7 +8,6 @@
 #include "runtime/GlobalRegistry.h"
 #include "runtime/HeapAllocator.h"
 #include "runtime/PhaseTracker.h"
-#include "runtime/SymbolTable.h"
 #include "runtime/ThreadRegistry.h"
 
 #include <gtest/gtest.h>
@@ -17,10 +16,6 @@
 
 using namespace cheetah;
 using namespace cheetah::runtime;
-
-/// A named global with external linkage so it appears in .symtab (defined
-/// at the bottom of this file).
-extern uint64_t cheetah_test_global_marker[4];
 
 namespace {
 
@@ -217,8 +212,8 @@ TEST(ThreadRegistryTest, TracksLifecycleAndSamples) {
   ThreadRegistry Registry;
   Registry.threadStarted(0, true, 0);
   Registry.threadStarted(1, false, 100);
-  Registry.recordSample(1, 50);
-  Registry.recordSample(1, 70);
+  Registry.recordSamples(1, 1, 50);
+  Registry.recordSamples(1, 1, 70);
   Registry.threadFinished(1, 400);
   const ThreadProfile &Profile = Registry.profile(1);
   EXPECT_EQ(Profile.runtime(), 300u);
@@ -233,7 +228,7 @@ TEST(ThreadRegistryTest, UnfinishedThreadHasZeroRuntimeNotWraparound) {
   // would wrap to ~2^64 and poison every EQ.2 prediction built on it.
   ThreadRegistry Registry;
   Registry.threadStarted(1, false, 5000);
-  Registry.recordSample(1, 50);
+  Registry.recordSamples(1, 1, 50);
   EXPECT_EQ(Registry.profile(1).runtime(), 0u);
   EXPECT_FALSE(Registry.profile(1).Finished);
   // Clock skew putting the end before the start is the same hazard.
@@ -249,7 +244,7 @@ TEST(ThreadRegistryTest, KnownAndTotals) {
   Registry.threadStarted(0, true, 0);
   EXPECT_TRUE(Registry.known(0));
   EXPECT_FALSE(Registry.known(5));
-  Registry.recordSample(0, 10);
+  Registry.recordSamples(0, 1, 10);
   EXPECT_EQ(Registry.totalSampledAccesses(), 1u);
   EXPECT_EQ(Registry.totalSampledCycles(), 10u);
 }
@@ -339,50 +334,4 @@ TEST(PhaseTrackerTest, PhaseOfUnknownThreadIsMinusOne) {
   EXPECT_EQ(Tracker.phaseOf(42), -1);
 }
 
-//===----------------------------------------------------------------------===//
-// SymbolTable (reads this test binary's own ELF symbols)
-//===----------------------------------------------------------------------===//
-
-TEST(SymbolTableTest, LoadsSelfAndFindsKnownGlobal) {
-  SymbolTable Table;
-  std::string Error;
-  ASSERT_TRUE(Table.loadSelf(Error)) << Error;
-  EXPECT_GT(Table.symbols().size(), 0u);
-  // This variable lives in this binary's data segment.
-  const DataSymbol *Symbol = Table.symbolNamed("cheetah_test_global_marker");
-  ASSERT_NE(Symbol, nullptr);
-  EXPECT_GE(Symbol->Size, sizeof(uint64_t) * 4);
-}
-
-TEST(SymbolTableTest, SymbolAtResolvesWithLoadBias) {
-  SymbolTable Table;
-  std::string Error;
-  ASSERT_TRUE(Table.loadSelf(Error)) << Error;
-  const DataSymbol *Named = Table.symbolNamed("cheetah_test_global_marker");
-  ASSERT_NE(Named, nullptr);
-  // Compute the PIE load bias from the known symbol, then resolve an
-  // address in the middle of the object through symbolAt.
-  uint64_t Runtime = reinterpret_cast<uint64_t>(&cheetah_test_global_marker);
-  uint64_t Bias = Runtime - Named->Address;
-  const DataSymbol *Found = Table.symbolAt(Runtime + 8, Bias);
-  ASSERT_NE(Found, nullptr);
-  EXPECT_EQ(Found->Name, "cheetah_test_global_marker");
-}
-
-TEST(SymbolTableTest, MissingFileFailsGracefully) {
-  SymbolTable Table;
-  std::string Error;
-  EXPECT_FALSE(Table.load("/nonexistent/binary", Error));
-  EXPECT_FALSE(Error.empty());
-}
-
-TEST(SymbolTableTest, NonElfFileFailsGracefully) {
-  SymbolTable Table;
-  std::string Error;
-  EXPECT_FALSE(Table.load("/etc/hostname", Error));
-}
-
 } // namespace
-
-/// A named global with external linkage so it appears in .symtab.
-uint64_t cheetah_test_global_marker[4] = {1, 2, 3, 4};

@@ -169,9 +169,7 @@ TEST_F(CoherenceTest, StatsAccumulate) {
   Model.access(0, MemoryAccess::write(0x1000), 1);
   EXPECT_EQ(Model.stats().Accesses, 2u);
   EXPECT_GT(Model.stats().TotalLatency, 0u);
-  Model.reset();
-  EXPECT_EQ(Model.stats().Accesses, 0u);
-  EXPECT_EQ(Model.touchedLines(), 0u);
+  EXPECT_EQ(Model.touchedLines(), 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -274,7 +272,6 @@ TEST(SimulatorTest, InstructionCountsAreExact) {
 class CountingObserver : public SimObserver {
 public:
   uint64_t Starts = 0, Ends = 0, Accesses = 0, Instructions = 0;
-  uint64_t PhaseBegins = 0, PhaseEnds = 0;
   uint64_t PerAccessCost = 0;
 
   uint64_t onThreadStart(ThreadId, bool, uint64_t) override {
@@ -282,8 +279,6 @@ public:
     return 0;
   }
   void onThreadEnd(const ThreadRecord &) override { ++Ends; }
-  void onPhaseBegin(const PhaseRecord &) override { ++PhaseBegins; }
-  void onPhaseEnd(const PhaseRecord &) override { ++PhaseEnds; }
   uint64_t onMemoryAccess(ThreadId, const MemoryAccess &,
                           const CoherenceResult &, uint64_t) override {
     ++Accesses;
@@ -301,11 +296,10 @@ TEST(SimulatorTest, ObserverSeesEveryEvent) {
   SimulationResult Result = Sim.run(makeTwoPhaseProgram(2));
   EXPECT_EQ(Observer.Starts, 5u); // main + 4 children
   EXPECT_EQ(Observer.Ends, 5u);
-  EXPECT_EQ(Observer.PhaseBegins, 4u);
-  EXPECT_EQ(Observer.PhaseEnds, 4u);
+  // Phases reach tools through the result, not the observer.
+  EXPECT_EQ(Result.Phases.size(), 4u);
   // 2 serial bodies x 16 + 4 children x 32 writes.
   EXPECT_EQ(Observer.Accesses, 2 * 16 + 4 * 32u);
-  (void)Result;
 }
 
 TEST(SimulatorTest, ObserverOverheadChargesThreads) {

@@ -194,60 +194,14 @@ TEST(StatisticsTest, EmptyStats) {
   OnlineStats Stats;
   EXPECT_EQ(Stats.count(), 0u);
   EXPECT_DOUBLE_EQ(Stats.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(Stats.variance(), 0.0);
 }
 
-TEST(StatisticsTest, MeanAndVarianceMatchClosedForm) {
+TEST(StatisticsTest, MeanMatchesClosedForm) {
   OnlineStats Stats;
   for (double X : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
     Stats.add(X);
+  EXPECT_EQ(Stats.count(), 8u);
   EXPECT_DOUBLE_EQ(Stats.mean(), 5.0);
-  EXPECT_NEAR(Stats.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(Stats.min(), 2.0);
-  EXPECT_DOUBLE_EQ(Stats.max(), 9.0);
-  EXPECT_DOUBLE_EQ(Stats.sum(), 40.0);
-}
-
-TEST(StatisticsTest, MergeEqualsSequential) {
-  OnlineStats A, B, All;
-  for (int I = 0; I < 50; ++I) {
-    double X = std::sin(I) * 10;
-    (I % 2 ? A : B).add(X);
-    All.add(X);
-  }
-  A.merge(B);
-  EXPECT_EQ(A.count(), All.count());
-  EXPECT_NEAR(A.mean(), All.mean(), 1e-9);
-  EXPECT_NEAR(A.variance(), All.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(A.min(), All.min());
-  EXPECT_DOUBLE_EQ(A.max(), All.max());
-}
-
-TEST(StatisticsTest, MergeWithEmptySides) {
-  OnlineStats A, Empty;
-  A.add(3.0);
-  A.merge(Empty);
-  EXPECT_EQ(A.count(), 1u);
-  OnlineStats B;
-  B.merge(A);
-  EXPECT_EQ(B.count(), 1u);
-  EXPECT_DOUBLE_EQ(B.mean(), 3.0);
-}
-
-TEST(StatisticsTest, PercentileInterpolates) {
-  std::vector<double> Values = {1, 2, 3, 4, 5};
-  EXPECT_DOUBLE_EQ(percentile(Values, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(Values, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(percentile(Values, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(percentile(Values, 0.25), 2.0);
-  EXPECT_DOUBLE_EQ(percentile({}, 0.5), 0.0);
-  EXPECT_DOUBLE_EQ(percentile({42.0}, 0.99), 42.0);
-}
-
-TEST(StatisticsTest, GeometricMean) {
-  EXPECT_NEAR(geometricMean({1.0, 4.0}), 2.0, 1e-12);
-  EXPECT_NEAR(geometricMean({2.0, 2.0, 2.0}), 2.0, 1e-12);
-  EXPECT_DOUBLE_EQ(geometricMean({}), 0.0);
 }
 
 TEST(StatisticsTest, ArithmeticMean) {
@@ -279,14 +233,6 @@ TEST(StringUtilsTest, FormatHuman) {
   EXPECT_EQ(formatHuman(65536), "64K");
   EXPECT_EQ(formatHuman(1 << 20), "1M");
   EXPECT_EQ(formatHuman(1000), "1000"); // not a multiple of 1024
-}
-
-TEST(StringUtilsTest, SplitAndTrim) {
-  EXPECT_EQ(splitString("a,b,,c", ','),
-            (std::vector<std::string>{"a", "b", "", "c"}));
-  EXPECT_EQ(splitString("", ','), (std::vector<std::string>{""}));
-  EXPECT_EQ(trimString("  x y \n"), "x y");
-  EXPECT_EQ(trimString(" \t "), "");
 }
 
 TEST(StringUtilsTest, StartsWith) {

@@ -674,8 +674,7 @@ TEST(ThreadedIngestTest, ProfilerBatchedIngestKeepsPerThreadTotals) {
       std::vector<pmu::Sample> Batch(BatchSize);
       for (unsigned B = 0; B < BatchesPerThread; ++B) {
         for (pmu::Sample &Sample : Batch) {
-          Sample.Address =
-              Config.HeapArenaBase + Rng.nextBelow(1024) * LineSize;
+          Sample.Address = HeapArenaBase + Rng.nextBelow(1024) * LineSize;
           Sample.Tid = static_cast<ThreadId>(T);
           Sample.IsWrite = Rng.nextBool(0.7);
           Sample.LatencyCycles = 25;

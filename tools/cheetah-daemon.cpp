@@ -195,19 +195,11 @@ int main(int Argc, char **Argv) {
                static_cast<unsigned long long>(Trace->runCycles()),
                static_cast<long long>(Epochs));
 
-  // Resume an existing store so restarted daemons keep appending. Only a
-  // store that is not there at all starts empty: one that cannot be read
-  // must not be replaced by a fresh one.
+  // Resume an existing store so restarted daemons keep appending.
   core::ReportHistory History;
-  std::string StoreText;
-  bool StoreMissing = false;
-  if (!readFile(StorePath, StoreText, Error, &StoreMissing)) {
-    if (!StoreMissing) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 1;
-    }
-  } else if (!core::ReportHistory::parse(StoreText, History, Error)) {
-    std::fprintf(stderr, "error: %s: %s\n", StorePath.c_str(), Error.c_str());
+  if (!core::ReportHistory::load(StorePath, /*MissingIsEmpty=*/true, History,
+                                 Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
     return 1;
   }
 

@@ -15,7 +15,8 @@
 ///   cheetah-trend append --store=FILE [--run-id=ID] REPORT.json...
 ///       Appends each report as the next run. A missing store file
 ///       starts an empty store; the result is written back. Run ids
-///       default to "run-<index>" and must be unique.
+///       default to "run-<index>" and must be unique. Either every report
+///       is stored or, on any error, none is.
 ///   cheetah-trend show --store=FILE [--limit=N] [--gate=F] [--bisect=KEY]
 ///       Prints the ranked fleet-wide view (worst current findings,
 ///       biggest regressions vs best, per-run new/resolved counts).
@@ -42,6 +43,7 @@
 #include "core/report/ReportHistory.h"
 #include "support/CommandLine.h"
 #include "support/FileIO.h"
+#include "support/StringUtils.h"
 
 #include <cstdio>
 #include <string>
@@ -57,87 +59,77 @@ int usage(const FlagSet &Flags) {
   return 1;
 }
 
-/// Loads the store behind --store. A missing file is an empty store for
-/// append (MustExist false) and an error for show.
-bool loadStore(const std::string &Path, bool MustExist,
-               core::ReportHistory &History) {
-  std::string Text, Error;
-  bool Missing = false;
-  if (!readFile(Path, Text, Error, &Missing)) {
-    // Only a store that is not there at all starts empty: one that cannot
-    // be read must not be replaced by a fresh one.
-    if (Missing && !MustExist)
-      return true;
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return false;
-  }
-  if (!core::ReportHistory::parse(Text, History, Error)) {
-    std::fprintf(stderr, "error: %s: %s\n", Path.c_str(), Error.c_str());
-    return false;
-  }
-  return true;
-}
-
-int runAppend(const FlagSet &Flags,
-              const std::vector<std::string> &Reports) {
+/// Folds \p Reports into the store behind --store and writes it back.
+/// \returns false with \p Error on the first failure, having written
+/// nothing; on success \p Summary holds one line per appended run.
+bool appendReports(const FlagSet &Flags,
+                   const std::vector<std::string> &Reports,
+                   std::string &Summary, std::string &Error) {
   const std::string &StorePath = Flags.getString("store");
   if (Reports.empty()) {
-    std::fprintf(stderr, "error: append needs at least one report file\n");
-    return 1;
+    Error = "append needs at least one report file";
+    return false;
   }
   const std::string &RunId = Flags.getString("run-id");
   if (!RunId.empty() && Reports.size() > 1) {
-    std::fprintf(stderr,
-                 "error: --run-id names one run; it cannot cover %zu "
-                 "reports\n",
-                 Reports.size());
-    return 1;
+    Error = formatString("--run-id names one run; it cannot cover %zu "
+                         "reports",
+                         Reports.size());
+    return false;
   }
 
   core::ReportHistory History;
-  if (!loadStore(StorePath, /*MustExist=*/false, History))
-    return 1;
+  if (!core::ReportHistory::load(StorePath, /*MissingIsEmpty=*/true, History,
+                                 Error))
+    return false;
 
   for (const std::string &Path : Reports) {
-    std::string Text, Error;
-    if (!readFile(Path, Text, Error)) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 1;
-    }
+    std::string Text;
+    if (!readFile(Path, Text, Error))
+      return false;
     core::ParsedReport Report;
-    if (!core::parseRunDocument(Text, Report, Error)) {
-      std::fprintf(stderr, "error: %s: %s\n", Path.c_str(), Error.c_str());
-      return 1;
-    }
     std::string Id = RunId.empty()
                          ? "run-" + std::to_string(History.runs().size())
                          : RunId;
-    if (!History.appendRun(Report, Id, Error)) {
-      std::fprintf(stderr, "error: %s: %s\n", Path.c_str(), Error.c_str());
-      return 1;
+    if (!core::parseRunDocument(Text, Report, Error) ||
+        !History.appendRun(Report, Id, Error)) {
+      Error = Path + ": " + Error;
+      return false;
     }
-    std::printf("appended %s as run %zu (%s): %llu new, %llu resolved, "
-                "%llu matched\n",
-                Path.c_str(), History.runs().size() - 1, Id.c_str(),
-                static_cast<unsigned long long>(
-                    History.runs().back().NewFindings),
-                static_cast<unsigned long long>(
-                    History.runs().back().ResolvedFindings),
-                static_cast<unsigned long long>(
-                    History.runs().back().MatchedFindings));
+    const core::HistoryRunInfo &Run = History.runs().back();
+    Summary += formatString(
+        "appended %s as run %zu (%s): %llu new, %llu resolved, %llu "
+        "matched\n",
+        Path.c_str(), History.runs().size() - 1, Id.c_str(),
+        static_cast<unsigned long long>(Run.NewFindings),
+        static_cast<unsigned long long>(Run.ResolvedFindings),
+        static_cast<unsigned long long>(Run.MatchedFindings));
   }
-  std::string Error;
-  if (!writeFile(StorePath, History.serialize(), Error)) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
+  return writeFile(StorePath, History.serialize(), Error);
+}
+
+/// The append command. Its report lines reach stdout only once the store
+/// is written: on any failure stdout stays empty and stderr's last line
+/// says that no run was stored.
+int runAppend(const FlagSet &Flags,
+              const std::vector<std::string> &Reports) {
+  std::string Summary, Error;
+  if (!appendReports(Flags, Reports, Summary, Error)) {
+    std::fprintf(stderr, "error: %s\nno run was stored\n", Error.c_str());
     return 1;
   }
+  std::fputs(Summary.c_str(), stdout);
   return 0;
 }
 
 int runShow(const FlagSet &Flags) {
   core::ReportHistory History;
-  if (!loadStore(Flags.getString("store"), /*MustExist=*/true, History))
+  std::string Error;
+  if (!core::ReportHistory::load(Flags.getString("store"),
+                                 /*MissingIsEmpty=*/false, History, Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
     return 1;
+  }
 
   int64_t Limit = Flags.getInt("limit");
   if (Limit < 0) {
