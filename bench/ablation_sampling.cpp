@@ -45,7 +45,7 @@ int main() {
     driver::SessionConfig WcConfig = Config;
     WcConfig.Workload.Scale = 2.0;
     driver::SessionResult WcRun = driver::runWorkload(*WordCount, WcConfig);
-    bool WcDetected = !WcRun.Profile.Reports.empty();
+    bool WcDetected = !core::significant(WcRun.Profile.Findings).empty();
 
     Table.addRow(
         {formatHuman(Period), formatWithCommas(LregRun.Profile.SamplesDelivered),

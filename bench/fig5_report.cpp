@@ -30,16 +30,16 @@ int main() {
   driver::SessionResult Result = driver::runWorkload(*Workload, Config);
   std::printf("Figure 5: Cheetah report for linear_regression "
               "(16 threads)\n\n");
-  if (Result.Profile.Reports.empty()) {
+  auto Significant = core::significant(Result.Profile.Findings);
+  if (Significant.empty()) {
     std::printf("ERROR: no false sharing reported\n");
     return 1;
   }
   core::ReportFormatOptions Options;
   Options.HexCounters = true; // the paper prints 27f / 12e1 / 106389
   Options.MaxWords = 8;
-  std::fputs(
-      core::formatReport(Result.Profile.Reports.front(), Options).c_str(),
-      stdout);
+  std::fputs(core::formatReport(*Significant.front(), Options).c_str(),
+             stdout);
   std::printf("\npaper shape: heap object at linear_regression-pthread.c:139"
               ", false sharing, ~5.76x predicted improvement\n");
   return 0;

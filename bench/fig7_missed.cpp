@@ -62,7 +62,8 @@ int main() {
     Table.addRow({Name, formatWithCommas(WithFs), formatWithCommas(NoFs),
                   formatString("%.4f", static_cast<double>(WithFs) /
                                            static_cast<double>(NoFs)),
-                  std::to_string(Profiled.Profile.Reports.size()),
+                  std::to_string(
+                      core::significant(Profiled.Profile.Findings).size()),
                   FullFinds ? "yes" : "no"});
   }
   std::fputs(Table.render().c_str(), stdout);
@@ -100,8 +101,9 @@ int main() {
          formatString("%.4f",
                       static_cast<double>(WithFs.Run.TotalCycles) /
                           static_cast<double>(NoFs.Run.TotalCycles)),
-         std::to_string(Profiled.Profile.Reports.size()),
-         std::to_string(Profiled.Profile.PageReports.size()),
+         std::to_string(core::significant(Profiled.Profile.Findings).size()),
+         std::to_string(
+             core::significant(Profiled.Profile.PageFindings).size()),
          formatWithCommas(WithFs.Run.RemoteNumaAccesses)});
   }
   std::fputs(PageTableOut.render().c_str(), stdout);

@@ -37,10 +37,10 @@ int main() {
       Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(128);
 
       driver::SessionResult Profiled = driver::runWorkload(*Workload, Config);
-      double Predicted =
-          Profiled.Profile.Reports.empty()
-              ? 1.0
-              : Profiled.Profile.Reports.front().Impact.ImprovementFactor;
+      auto Significant = core::significant(Profiled.Profile.Findings);
+      double Predicted = Significant.empty()
+                             ? 1.0
+                             : Significant.front()->Impact.ImprovementFactor;
 
       driver::SessionConfig Fixed = Config;
       Fixed.Workload.FixFalseSharing = true;

@@ -112,7 +112,7 @@ int main() {
 
   std::printf("profiling the packed design (8 workers)...\n\n");
   std::printf("%s\n",
-              core::formatSummaryTable(Result.Profile.AllInstances).c_str());
+              core::formatSummaryTable(Result.Profile.Findings).c_str());
 
   const core::FalseSharingReport *StatsReport =
       Result.Profile.findReport("workqueue.c:58");
@@ -122,7 +122,7 @@ int main() {
                 StatsReport->Impact.ImprovementFactor);
   }
   bool SawTrueSharing = false;
-  for (const auto &Instance : Result.Profile.AllInstances)
+  for (const auto &Instance : Result.Profile.Findings)
     if (!Instance.Object.IsHeap &&
         Instance.Object.GlobalName == "global_tickets")
       SawTrueSharing = Instance.Kind != core::SharingKind::FalseSharing;

@@ -30,11 +30,12 @@ int main() {
 
   std::printf("step 1: run linear_regression (16 threads) under Cheetah\n\n");
   driver::SessionResult Profiled = driver::runWorkload(*Workload, Config);
-  if (Profiled.Profile.Reports.empty()) {
+  auto Significant = core::significant(Profiled.Profile.Findings);
+  if (Significant.empty()) {
     std::printf("unexpected: no false sharing reported\n");
     return 1;
   }
-  const core::FalseSharingReport &Report = Profiled.Profile.Reports.front();
+  const core::FalseSharingReport &Report = *Significant.front();
   std::fputs(core::formatReport(Report).c_str(), stdout);
 
   std::printf("\nstep 2: the report names the allocation site "

@@ -82,13 +82,14 @@ int main() {
               static_cast<unsigned long long>(Run.TotalCycles),
               static_cast<unsigned long long>(Result.SamplesDelivered));
 
-  if (Result.Reports.empty()) {
+  auto Significant = core::significant(Result.Findings);
+  if (Significant.empty()) {
     std::printf("no false sharing found (try removing the padding!)\n");
     return 0;
   }
-  for (const core::FalseSharingReport &Report : Result.Reports) {
+  for (const core::FalseSharingReport *Report : Significant) {
     std::printf("\n--- detected instance ---\n");
-    std::fputs(core::formatReport(Report).c_str(), stdout);
+    std::fputs(core::formatReport(*Report).c_str(), stdout);
   }
   std::printf("\nfix: declare each thread's element on its own cache line "
               "(e.g. a struct padded to 64 bytes)\n");

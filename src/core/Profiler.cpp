@@ -15,13 +15,13 @@ using namespace cheetah::core;
 
 const FalseSharingReport *
 ProfileResult::findReport(const std::string &Needle) const {
-  for (const FalseSharingReport &Report : Reports) {
-    if (!Report.Object.IsHeap &&
-        Report.Object.GlobalName.find(Needle) != std::string::npos)
-      return &Report;
-    for (const std::string &Frame : Report.Object.CallsiteFrames)
+  for (const FalseSharingReport *Report : significant(Findings)) {
+    if (!Report->Object.IsHeap &&
+        Report->Object.GlobalName.find(Needle) != std::string::npos)
+      return Report;
+    for (const std::string &Frame : Report->Object.CallsiteFrames)
       if (Frame.find(Needle) != std::string::npos)
-        return &Report;
+        return Report;
   }
   return nullptr;
 }
@@ -204,25 +204,20 @@ ProfileResult Profiler::buildReport(uint64_t AppRuntime, ReportSink *Sink) {
   Result.SerialAverageLatency = SerialLatency.mean();
   Result.ForkJoinVerified = Phases.isForkJoin();
 
-  Assessor Assess(Threads, Phases, Config.Assess);
+  Assessor Assess(Threads, Phases);
   Assess.setSerialLatencyStats(SerialLatency);
 
   // Feed every materialized line to the incremental builder as it quiesces,
-  // then let the builder assess, gate, sort, and stream the findings.
-  ReportBuilder Builder(Heap, Globals, Callsites, Config.Geometry,
-                        Config.Report);
+  // then let the builder assess, gate, and sort the findings.
+  ReportBuilder Builder(Heap, Globals, Callsites, Config.Geometry);
   Shadow.forEachDetail([&](uint64_t LineBase, const CacheLineInfo &Info) {
     Builder.addLine(Info.snapshot(LineBase));
   });
+  Result.Findings = Builder.finalize(Assess, AppRuntime);
 
-  ReportBuilder::Output Built = Builder.finalize(Assess, AppRuntime, Sink);
-  Result.Reports = std::move(Built.Reports);
-  Result.AllInstances = std::move(Built.AllInstances);
-
-  // Page-granularity findings stream after the object findings (the JSON
-  // sink closes one array and opens the other on this boundary). Their
-  // assessment runs on the same Assessor, with the run-wide local-access
-  // totals installed as the EQ.1 fallback baseline for fully-remote pages.
+  // Page findings are assessed on the same Assessor, with the run-wide
+  // local-access totals installed as the EQ.1 fallback baseline for
+  // fully-remote pages.
   if (Pages) {
     PageReportBuilder PageBuilder(Heap, Globals, Callsites, Config.Topology,
                                   Config.Geometry);
@@ -233,18 +228,21 @@ ProfileResult Profiler::buildReport(uint64_t AppRuntime, ReportSink *Sink) {
         });
     Assess.setLocalLatencyTotals(PageBuilder.localAccesses(),
                                  PageBuilder.localCycles());
-    PageReportBuilder::Output PageBuilt =
-        PageBuilder.finalize(Assess, AppRuntime, Sink);
-    Result.PageReports = std::move(PageBuilt.Reports);
-    Result.AllPageInstances = std::move(PageBuilt.AllInstances);
+    Result.PageFindings = PageBuilder.finalize(Assess, AppRuntime);
   }
 
+  // Page findings stream after the line findings: the JSON sink closes one
+  // array and opens the other on this boundary.
   if (Sink) {
+    for (const FalseSharingReport &Finding : Result.Findings)
+      Sink->finding(Finding, Finding.Significant);
+    for (const PageSharingReport &Finding : Result.PageFindings)
+      Sink->pageFinding(Finding, Finding.Significant);
     ReportRunStats Stats = runStats(AppRuntime);
-    Stats.Findings = Result.AllInstances.size();
-    Stats.SignificantFindings = Result.Reports.size();
-    Stats.PageFindings = Result.AllPageInstances.size();
-    Stats.SignificantPageFindings = Result.PageReports.size();
+    Stats.Findings = Result.Findings.size();
+    Stats.SignificantFindings = significant(Result.Findings).size();
+    Stats.PageFindings = Result.PageFindings.size();
+    Stats.SignificantPageFindings = significant(Result.PageFindings).size();
     Sink->endRun(Stats);
   }
   return Result;

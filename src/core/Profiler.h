@@ -31,11 +31,9 @@
 #ifndef CHEETAH_CORE_PROFILER_H
 #define CHEETAH_CORE_PROFILER_H
 
-#include "core/assess/Assessor.h"
 #include "core/detect/Detector.h"
 #include "core/detect/PageTable.h"
 #include "core/report/Report.h"
-#include "core/report/ReportBuilder.h"
 #include "core/report/ReportSink.h"
 #include "mem/NumaTopology.h"
 #include "pmu/PmuConfig.h"
@@ -69,34 +67,22 @@ struct ProfilerConfig {
   CacheGeometry Geometry{64};
   pmu::PmuConfig Pmu;
   DetectorConfig Detect;
-  AssessorConfig Assess;
   /// Simulated NUMA machine (node count, page size, thread affinity). Only
   /// consulted when Detect.TrackPages is on; the default single-node
   /// topology keeps all line-granularity behavior untouched.
   NumaTopology Topology;
-
-  /// Report gating thresholds; the defaults live on ReportGate itself so
-  /// the profiler and direct ReportBuilder users can never diverge. Page
-  /// findings have a fixed gate (PageReportBuilder.h).
-  ReportGate Report;
 };
 
 /// Output of one profiled execution.
 struct ProfileResult {
-  /// Significant false-sharing instances, highest predicted improvement
-  /// first. This is what Cheetah prints.
-  std::vector<FalseSharingReport> Reports;
-  /// Every object with detailed tracking (including true sharing and
-  /// insignificant instances, whose word tables are empty) for tests and
-  /// ablations.
-  std::vector<FalseSharingReport> AllInstances;
-
-  /// Significant page-granularity (NUMA) findings, worst first; empty
-  /// unless page tracking ran.
-  std::vector<PageSharingReport> PageReports;
-  /// Every tracked page, same order; the insignificant ones have empty
-  /// line tables.
-  std::vector<PageSharingReport> AllPageInstances;
+  /// One finding per object with detailed tracking, true sharing and
+  /// insignificant ones included (their word tables are empty), highest
+  /// predicted improvement first. significant(Findings) is what Cheetah
+  /// prints.
+  std::vector<FalseSharingReport> Findings;
+  /// One finding per tracked page, worst first; empty unless page tracking
+  /// ran. Insignificant pages have empty line tables.
+  std::vector<PageSharingReport> PageFindings;
 
   DetectorStats Detection;
   uint64_t SamplesDelivered = 0;
@@ -105,8 +91,8 @@ struct ProfileResult {
   uint64_t AppRuntime = 0;
   bool ForkJoinVerified = true;
 
-  /// \returns the report whose callsite or global name contains \p Needle,
-  /// or nullptr (search over significant reports).
+  /// \returns the first significant finding whose callsite or global name
+  /// contains \p Needle, or nullptr.
   const FalseSharingReport *findReport(const std::string &Needle) const;
 };
 
@@ -127,10 +113,10 @@ public:
   runtime::CallsiteId internCallsite(const std::string &File, unsigned Line);
 
   /// Finalizes detection + assessment after the simulation completed.
-  /// When \p Sink is non-null, findings stream through it one object at a
-  /// time — highest predicted improvement first, every tracked instance
-  /// with its significance flag — followed by endRun() with the run
-  /// stats. beginRun() is the caller's to invoke beforehand: run identity
+  /// When \p Sink is non-null, the result's findings stream through it in
+  /// order, each with its own Significant flag — every line finding, then
+  /// every page finding — followed by endRun() with the run stats.
+  /// beginRun() is the caller's to invoke beforehand: run identity
   /// (workload name, flags) lives outside the profiler.
   ProfileResult finish(const sim::SimulationResult &Run,
                        ReportSink *Sink = nullptr);
@@ -179,8 +165,9 @@ public:
   const PageTable *pages() const { return Pages.get(); }
 
 private:
-  /// Shared body of finish()/snapshotEpoch(): assess, build, and stream
-  /// the report over the tables. No ingestion may be in flight.
+  /// Shared body of finish()/snapshotEpoch(): assess and build the report
+  /// over the tables, then stream it through \p Sink — the one place that
+  /// streams findings. No ingestion may be in flight.
   ProfileResult buildReport(uint64_t AppRuntime, ReportSink *Sink);
 
   ProfilerConfig Config;

@@ -14,6 +14,11 @@ using namespace cheetah;
 using namespace cheetah::core;
 
 namespace {
+/// Fallback AverCycles_nofs when serial phases produced too few samples
+/// ("a default value learned from experience").
+constexpr double DefaultSerialLatency = 6.0;
+/// Minimum serial-phase samples to trust the measured average.
+constexpr uint64_t MinSerialSamples = 32;
 /// Minimum local (home-node) samples on one page before its own measured
 /// local average is trusted as the page EQ.1 baseline; below this the
 /// run-wide local average, then the serial average, then the default is
@@ -33,14 +38,14 @@ ObjectAccessProfile::threadStats(ThreadId Tid) const {
 }
 
 double Assessor::averageNoFsLatency(bool *UsedDefault) const {
-  if (SerialStats.count() >= Config.MinSerialSamples) {
+  if (SerialStats.count() >= MinSerialSamples) {
     if (UsedDefault)
       *UsedDefault = false;
     return std::max(1.0, SerialStats.mean());
   }
   if (UsedDefault)
     *UsedDefault = true;
-  return Config.DefaultSerialLatency;
+  return DefaultSerialLatency;
 }
 
 double Assessor::averageLocalLatency(const ObjectAccessProfile &Profile,

@@ -65,15 +65,6 @@ struct ObjectAccessProfile {
   uint64_t localCycles() const { return SampledCycles - RemoteCycles; }
 };
 
-/// Assessment tunables.
-struct AssessorConfig {
-  /// Fallback AverCycles_nofs when serial phases produced too few samples
-  /// ("a default value learned from experience").
-  double DefaultSerialLatency = 6.0;
-  /// Minimum serial-phase samples to trust the measured average.
-  uint64_t MinSerialSamples = 32;
-};
-
 /// EQ.2/EQ.3 outcome for one thread.
 struct ThreadPrediction {
   ThreadId Tid = 0;
@@ -110,8 +101,8 @@ struct Assessment {
 class Assessor {
 public:
   Assessor(const runtime::ThreadRegistry &Registry,
-           const runtime::PhaseTracker &Phases, const AssessorConfig &Config)
-      : Registry(Registry), Phases(Phases), Config(Config) {}
+           const runtime::PhaseTracker &Phases)
+      : Registry(Registry), Phases(Phases) {}
 
   /// Installs the latency statistics of serial-phase samples (no false
   /// sharing there, so their mean approximates AverCycles_nofs).
@@ -146,13 +137,15 @@ public:
   Assessment assessPage(const ObjectAccessProfile &Profile,
                         uint64_t AppRuntime) const;
 
-  /// The AverCycles_nofs the next assessment would use.
+  /// The AverCycles_nofs the next assessment would use: the serial-phase
+  /// mean once enough serial samples are installed, else a default
+  /// (\p UsedDefault set).
   double averageNoFsLatency(bool *UsedDefault = nullptr) const;
 
   /// The no-remote-access AverCycles baseline EQ.1 uses for a page: the
   /// page's own local-access mean when it has enough local samples, else
   /// the run-wide local mean, else the serial-phase chain (serial mean,
-  /// then the config default — \p UsedDefault set only in that last case).
+  /// then the default — \p UsedDefault set only in that last case).
   double averageLocalLatency(const ObjectAccessProfile &Profile,
                              bool *UsedDefault = nullptr) const;
 
@@ -166,7 +159,6 @@ private:
 
   const runtime::ThreadRegistry &Registry;
   const runtime::PhaseTracker &Phases;
-  AssessorConfig Config;
   OnlineStats SerialStats;
   uint64_t RunLocalAccesses = 0;
   uint64_t RunLocalCycles = 0;

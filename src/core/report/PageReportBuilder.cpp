@@ -23,7 +23,7 @@ PageReportBuilder::PageReportBuilder(const runtime::HeapAllocator &Heap,
 namespace {
 /// Whether \p Report passes the page gate. Reads only NodesObserved,
 /// Invalidations and RemoteAccesses.
-bool significant(const PageSharingReport &Report) {
+bool passesPageGate(const PageSharingReport &Report) {
   bool MultiNodeSharing = Report.NodesObserved >= 2 &&
                           Report.Invalidations >= PageMinInvalidations;
   // The placement gate is for pages *without* node contention: a
@@ -59,7 +59,7 @@ PageReportBuilder::buildReport(const GrainSnapshot &Page, NodeId Home,
   LineClassification Verdict = classifySharing(Lines, Report.NodesObserved);
   Report.Kind = Verdict.Kind;
   Report.SharedLineFraction = Verdict.sharedFraction();
-  Pending.Significant = significant(Report);
+  Report.Significant = passesPageGate(Report);
 
   // Heap blocks and globals never overlap, so every line that starts
   // inside the last object found belongs to it: each object is looked up
@@ -71,7 +71,7 @@ PageReportBuilder::buildReport(const GrainSnapshot &Page, NodeId Home,
     ++Report.LinesTotal;
     uint64_t Offset = L << Geometry.lineShift();
     // Only a significant page gets a placement-guidance table.
-    if (Pending.Significant) {
+    if (Report.Significant) {
       PageLineEntry Entry;
       Entry.Offset = Offset;
       Entry.Reads = Lines[L].Reads;
@@ -104,7 +104,7 @@ PageReportBuilder::buildReport(const GrainSnapshot &Page, NodeId Home,
       Report.Objects.push_back(std::move(Name));
   }
 
-  if (Pending.Significant) {
+  if (Report.Significant) {
     // The table keeps only its hottest rows.
     size_t Kept = std::min(Report.Lines.size(), ReportTableRows);
     std::partial_sort(Report.Lines.begin(), Report.Lines.begin() + Kept,
@@ -139,9 +139,8 @@ void PageReportBuilder::addPage(const GrainSnapshot &Page, NodeId Home,
   Pending.push_back(std::move(Built));
 }
 
-PageReportBuilder::Output PageReportBuilder::finalize(const Assessor &Assess,
-                                                      uint64_t AppRuntime,
-                                                      ReportSink *Sink) {
+std::vector<PageSharingReport>
+PageReportBuilder::finalize(const Assessor &Assess, uint64_t AppRuntime) {
   // The unit of *fix* for a page finding is the allocation site's
   // placement policy (page-aligned node-local slots, parallel first
   // touch): fixing it moves every page of the site at once. Assessing a
@@ -231,18 +230,12 @@ PageReportBuilder::Output PageReportBuilder::finalize(const Assessor &Assess,
               return A.PageBase < B.PageBase;
             });
 
-  Output Result;
-  Result.AllInstances.reserve(Pending.size());
-  for (PendingPage &Page : Pending) {
-    PageSharingReport &Report = Page.Report;
-    if (Sink)
-      Sink->pageFinding(Report, Page.Significant);
-    if (Page.Significant)
-      Result.Reports.push_back(Report);
-    Result.AllInstances.push_back(std::move(Report));
-  }
+  std::vector<PageSharingReport> Findings;
+  Findings.reserve(Pending.size());
+  for (PendingPage &Page : Pending)
+    Findings.push_back(std::move(Page.Report));
   Pending.clear();
   LocalAccesses = 0;
   LocalCycles = 0;
-  return Result;
+  return Findings;
 }

@@ -13,9 +13,8 @@
 /// overlapping heap/global objects, and put through the page gate, which
 /// needs no assessment, so only a significant page builds its line table.
 /// finalize() assesses every page with the EQ.1–EQ.4 page machinery
-/// (no-remote-access AverCycles baseline), sorts highest predicted
-/// improvement first, and streams the findings through the sink's
-/// pageFinding channel.
+/// (no-remote-access AverCycles baseline) and returns the findings,
+/// highest predicted improvement first.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +25,6 @@
 #include "core/detect/PageInfo.h"
 #include "core/detect/SharingClassifier.h"
 #include "core/report/Report.h"
-#include "core/report/ReportSink.h"
 #include "mem/NumaTopology.h"
 #include "runtime/Callsite.h"
 #include "runtime/GlobalRegistry.h"
@@ -69,20 +67,11 @@ public:
   uint64_t localAccesses() const { return LocalAccesses; }
   uint64_t localCycles() const { return LocalCycles; }
 
-  /// Everything finalize() produces.
-  struct Output {
-    /// Significant page findings, highest predicted improvement first.
-    std::vector<PageSharingReport> Reports;
-    /// Every tracked page, same order, for tests and ablations; the
-    /// insignificant ones have empty line tables.
-    std::vector<PageSharingReport> AllInstances;
-  };
-
-  /// Assesses every page (EQ.1–EQ.4 with the no-remote baseline), sorts,
-  /// gates, and — when \p Sink is non-null — streams each finding through
-  /// Sink->pageFinding() (sink order matches AllInstances).
-  Output finalize(const Assessor &Assess, uint64_t AppRuntime,
-                  ReportSink *Sink = nullptr);
+  /// Assesses every page (EQ.1–EQ.4 with the no-remote baseline).
+  /// \returns one finding per tracked page, insignificant ones included
+  /// (their line tables are empty), highest predicted improvement first.
+  std::vector<PageSharingReport> finalize(const Assessor &Assess,
+                                          uint64_t AppRuntime);
 
 private:
   /// A report waiting for finalize(), with the per-thread evidence its
@@ -90,9 +79,6 @@ private:
   struct PendingPage {
     PageSharingReport Report;
     ObjectAccessProfile Profile;
-    /// The page gate's verdict, which needs no assessment: an
-    /// insignificant page builds no line table.
-    bool Significant = false;
   };
 
   PendingPage buildReport(const GrainSnapshot &Page, NodeId Home,

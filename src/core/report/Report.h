@@ -84,8 +84,11 @@ struct FalseSharingReport {
   /// Fraction of accesses on words shared by multiple threads.
   double SharedWordFraction = 0.0;
   Assessment Impact;
+  /// Whether the finding passed the line gate (false or mixed sharing,
+  /// LineMinInvalidations, LineMinImprovementFactor): what Cheetah prints.
+  bool Significant = false;
   /// The ReportTableRows hottest words, in hotterFirst order, for padding
-  /// guidance; empty when the finding failed the report gate.
+  /// guidance; empty when the finding is not significant.
   std::vector<WordReportEntry> Words;
   /// Touched words before the cut, so at least Words.size().
   uint64_t WordsTotal = 0;
@@ -136,8 +139,11 @@ struct PageSharingReport {
   Assessment Impact;
   /// Names of the objects overlapping the page (heap callsites / globals).
   std::vector<std::string> Objects;
+  /// Whether the page passed the page gate (PageMinInvalidations,
+  /// PageMinRemoteAccesses), which reads only counters.
+  bool Significant = false;
   /// The ReportTableRows hottest lines, in hotterFirst order, for placement
-  /// guidance; empty when the finding failed the page gate.
+  /// guidance; empty when the finding is not significant.
   std::vector<PageLineEntry> Lines;
   /// Touched lines before the cut, so at least Lines.size().
   uint64_t LinesTotal = 0;
@@ -148,6 +154,20 @@ struct PageSharingReport {
                            : 0.0;
   }
 };
+
+/// The significant findings of \p Findings, line or page, in their order:
+/// what Cheetah prints. The pointers live as long as \p Findings.
+template <typename Finding>
+std::vector<const Finding *> significant(const std::vector<Finding> &Findings) {
+  std::vector<const Finding *> Kept;
+  for (const Finding &F : Findings)
+    if (F.Significant)
+      Kept.push_back(&F);
+  return Kept;
+}
+/// A temporary's findings would dangle.
+template <typename Finding>
+void significant(const std::vector<Finding> &&Findings) = delete;
 
 /// Formatting options for the text report.
 struct ReportFormatOptions {

@@ -31,10 +31,8 @@ struct ReportBuilder::ObjectAggregate {
 ReportBuilder::ReportBuilder(const runtime::HeapAllocator &Heap,
                              const runtime::GlobalRegistry &Globals,
                              const runtime::CallsiteTable &Callsites,
-                             const CacheGeometry &Geometry,
-                             const ReportGate &Gate)
-    : Heap(Heap), Globals(Globals), Callsites(Callsites), Geometry(Geometry),
-      Gate(Gate) {}
+                             const CacheGeometry &Geometry)
+    : Heap(Heap), Globals(Globals), Callsites(Callsites), Geometry(Geometry) {}
 
 ReportBuilder::~ReportBuilder() = default;
 
@@ -165,7 +163,7 @@ void ReportBuilder::addLine(const GrainSnapshot &Line) {
   }
 }
 
-std::pair<FalseSharingReport, bool>
+FalseSharingReport
 ReportBuilder::buildReport(const ObjectAggregate &Aggregate,
                            const Assessor &Assess, uint64_t AppRuntime) const {
   FalseSharingReport Report;
@@ -196,49 +194,36 @@ ReportBuilder::buildReport(const ObjectAggregate &Aggregate,
     Report.Kind = SharingKind::Mixed;
 
   Report.Impact = Assess.assess(Aggregate.Profile, AppRuntime);
-  bool Significant =
+  Report.Significant =
       (Report.Kind == SharingKind::FalseSharing ||
        Report.Kind == SharingKind::Mixed) &&
-      Report.Invalidations >= Gate.MinInvalidations &&
-      Report.Impact.ImprovementFactor >= Gate.MinImprovementFactor;
+      Report.Invalidations >= LineMinInvalidations &&
+      Report.Impact.ImprovementFactor >= LineMinImprovementFactor;
 
   // The padding-guidance table, for significant objects only. Word
   // offsets within one object are distinct, so hotterFirst is a strict
   // order and the kept rows are the hottest ReportTableRows.
   Report.WordsTotal = Aggregate.WordsTotal;
-  if (Significant) {
+  if (Report.Significant) {
     Report.Words = Aggregate.Words;
     std::sort_heap(Report.Words.begin(), Report.Words.end(),
                    hotterFirst<WordReportEntry>);
   }
-  return {std::move(Report), Significant};
+  return Report;
 }
 
-ReportBuilder::Output ReportBuilder::finalize(const Assessor &Assess,
-                                              uint64_t AppRuntime,
-                                              ReportSink *Sink) {
-  std::vector<std::pair<FalseSharingReport, bool>> Instances;
-  Instances.reserve(Aggregates.size());
+std::vector<FalseSharingReport>
+ReportBuilder::finalize(const Assessor &Assess, uint64_t AppRuntime) {
+  std::vector<FalseSharingReport> Findings;
+  Findings.reserve(Aggregates.size());
   for (const auto &[Key, Aggregate] : Aggregates)
-    Instances.push_back(buildReport(Aggregate, Assess, AppRuntime));
+    Findings.push_back(buildReport(Aggregate, Assess, AppRuntime));
 
-  std::sort(Instances.begin(), Instances.end(),
-            [](const auto &A, const auto &B) {
-              if (A.first.Impact.ImprovementFactor !=
-                  B.first.Impact.ImprovementFactor)
-                return A.first.Impact.ImprovementFactor >
-                       B.first.Impact.ImprovementFactor;
-              return A.first.Object.Start < B.first.Object.Start;
+  std::sort(Findings.begin(), Findings.end(),
+            [](const FalseSharingReport &A, const FalseSharingReport &B) {
+              if (A.Impact.ImprovementFactor != B.Impact.ImprovementFactor)
+                return A.Impact.ImprovementFactor > B.Impact.ImprovementFactor;
+              return A.Object.Start < B.Object.Start;
             });
-
-  Output Result;
-  Result.AllInstances.reserve(Instances.size());
-  for (auto &[Report, Significant] : Instances) {
-    if (Sink)
-      Sink->finding(Report, Significant);
-    if (Significant)
-      Result.Reports.push_back(Report);
-    Result.AllInstances.push_back(std::move(Report));
-  }
-  return Result;
+  return Findings;
 }

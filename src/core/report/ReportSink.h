@@ -5,15 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The streaming side of the report pipeline: instead of the profiler
-/// aggregating everything and callers formatting a finished vector, report
-/// generation pushes findings through a ReportSink one object at a time as
-/// the builder finalizes them. Two implementations ship: TextReportSink
-/// renders the paper's Figure-5 text format, JsonReportSink emits a stable
-/// machine-readable schema (`cheetah-report-v6`) consumed by the
-/// multi-run comparison tooling in ReportDiff.h / `cheetah-diff`. Both
-/// append to a caller-owned string so the caller chooses the final
-/// destination (stdout, a file, a golden-test buffer).
+/// The streaming side of the report pipeline: Profiler::buildReport, the
+/// one place that streams findings, pushes them through a ReportSink one
+/// at a time once they are built, each with its own significance flag.
+/// Two implementations ship: TextReportSink renders the paper's Figure-5
+/// text format, JsonReportSink emits a stable machine-readable schema
+/// (`cheetah-report-v6`) consumed by the multi-run comparison tooling in
+/// ReportDiff.h / `cheetah-diff`. Both append to a caller-owned string so
+/// the caller chooses the final destination (stdout, a file, a
+/// golden-test buffer).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -97,8 +97,9 @@ public:
 
   virtual void beginRun(const ReportRunInfo &Info) = 0;
 
-  /// One per-object finding. \p Significant mirrors the profiler's report
-  /// gate (kind + invalidation + predicted-improvement thresholds).
+  /// One per-object finding. \p Significant is the finding's own flag,
+  /// set by the line gate (kind + invalidation + predicted-improvement
+  /// thresholds).
   virtual void finding(const FalseSharingReport &Report, bool Significant) = 0;
 
   /// One per-page NUMA finding; default ignores them so line-only sinks

@@ -94,12 +94,13 @@ cheetah::driver::formatGrainSummaries(const core::ProfileResult &Profile,
   const core::DetectorStats &Stats = Profile.Detection;
   std::string Text;
   if (Detect.TrackLines)
-    Text += Line("line", Profile.AllInstances.size(), Profile.Reports.size(),
+    Text += Line("line", Profile.Findings.size(),
+                 core::significant(Profile.Findings).size(),
                  Stats.SamplesRecorded, Stats.Invalidations, "");
   if (Detect.TrackPages)
-    Text += Line("page", Profile.AllPageInstances.size(),
-                 Profile.PageReports.size(), Stats.PageSamplesRecorded,
-                 Stats.PageInvalidations,
+    Text += Line("page", Profile.PageFindings.size(),
+                 core::significant(Profile.PageFindings).size(),
+                 Stats.PageSamplesRecorded, Stats.PageInvalidations,
                  ", " + formatWithCommas(Stats.RemoteSamples) + " remote");
   return Text;
 }

@@ -98,9 +98,8 @@ makeCaptureSource(const SessionConfig &Config);
 
 /// Runs \p Workload under the configured sampling backend, streaming the
 /// report through \p Sink (may be null): the sink sees beginRun (run
-/// identification), one finding() per tracked object in descending
-/// predicted improvement, and endRun (run stats). \p Result still carries
-/// the full vectors for programmatic use.
+/// identification), then Profiler::finish's stream of \p Result's
+/// findings and endRun (run stats).
 ///
 /// This is the fallible entry point — a workload the heap arena or global
 /// segment cannot hold, trace replay (unreadable or malformed file) and

@@ -16,12 +16,10 @@
 #ifndef CHEETAH_PMU_SAMPLINGPOLICY_H
 #define CHEETAH_PMU_SAMPLINGPOLICY_H
 
-#include "pmu/PmuConfig.h"
 #include "support/Assert.h"
 #include "support/Random.h"
 
 #include <cstdint>
-#include <string>
 
 namespace cheetah {
 namespace pmu {
@@ -29,43 +27,18 @@ namespace pmu {
 /// Countdown-based sampling decision for one thread.
 class SamplingPolicy {
 public:
-  /// Inert placeholder (period 1, no jitter) so fromSpec() has an output
-  /// slot to fill, mirroring NumaTopology's default-then-fromSpec shape.
-  SamplingPolicy() : SamplingPolicy(1, 0.0, 0) {}
-
   /// \param Period mean instructions between samples (must be >= 1).
   /// \param JitterFraction fraction of the period randomized around the
   ///        mean, in [0, 1); 0 means a strict fixed period.
   /// \param Seed PRNG seed for the jitter.
-  /// Programmatic use only: callers with flag- or file-sourced values go
-  /// through validateSpec()/fromSpec() instead of this asserting path.
+  /// Asserts on invalid values: flag-sourced ones pass PmuConfig::fromSpec
+  /// first.
   SamplingPolicy(uint64_t Period, double JitterFraction, uint64_t Seed)
       : Period(Period), JitterFraction(JitterFraction), Rng(Seed) {
     CHEETAH_ASSERT(Period >= 1, "sampling period must be at least 1");
     CHEETAH_ASSERT(JitterFraction >= 0.0 && JitterFraction < 1.0,
                    "jitter fraction must be in [0, 1)");
     Remaining = nextInterval();
-  }
-
-  /// Checks the (period, jitter) pair this policy would assert on.
-  /// \returns false with a descriptive \p Error on the first violation.
-  static bool validateSpec(uint64_t Period, double JitterFraction,
-                           std::string &Error) {
-    PmuConfig Probe;
-    Probe.SamplingPeriod = Period;
-    Probe.JitterFraction = JitterFraction;
-    // One validator owns the constraint text (the same rules PmuConfig
-    // enforces) so the two can never drift apart.
-    return PmuConfig::validateSpec(Probe, Error);
-  }
-
-  /// Validates and constructs into \p Out. Never asserts on bad input.
-  static bool fromSpec(uint64_t Period, double JitterFraction, uint64_t Seed,
-                       SamplingPolicy &Out, std::string &Error) {
-    if (!validateSpec(Period, JitterFraction, Error))
-      return false;
-    Out = SamplingPolicy(Period, JitterFraction, Seed);
-    return true;
   }
 
   /// Advances by \p Instructions retired instructions.

@@ -12,11 +12,6 @@
 using namespace cheetah;
 using namespace cheetah::runtime;
 
-const std::string &Callsite::innermost() const {
-  static const std::string Unknown = "<unknown>";
-  return Frames.empty() ? Unknown : Frames.front();
-}
-
 CallsiteTable::CallsiteTable() {
   // Id 0 is the unknown callsite.
   Sites.push_back(Callsite{});

@@ -35,9 +35,6 @@ inline constexpr size_t MaxCallsiteFrames = 5;
 struct Callsite {
   std::vector<std::string> Frames;
 
-  /// \returns the innermost frame, or "<unknown>" when empty.
-  const std::string &innermost() const;
-
   bool operator<(const Callsite &Other) const { return Frames < Other.Frames; }
 };
 

@@ -8,7 +8,7 @@
 
 #include "support/Assert.h"
 
-#include <algorithm>
+#include <utility>
 
 using namespace cheetah;
 using namespace cheetah::runtime;
@@ -68,29 +68,4 @@ void PhaseTracker::programEnd(uint64_t Now) {
   closeCurrentPhase(Now);
   Ended = true;
   EndTime = Now;
-}
-
-uint64_t PhaseTracker::serialCycles() const {
-  uint64_t Total = 0;
-  for (const ExecutionPhase &Phase : Phases)
-    if (!Phase.Parallel)
-      Total += Phase.span();
-  return Total;
-}
-
-uint64_t PhaseTracker::parallelCycles() const {
-  uint64_t Total = 0;
-  for (const ExecutionPhase &Phase : Phases)
-    if (Phase.Parallel)
-      Total += Phase.span();
-  return Total;
-}
-
-int PhaseTracker::phaseOf(ThreadId Tid) const {
-  for (size_t I = 0; I < Phases.size(); ++I)
-    if (Phases[I].Parallel &&
-        std::find(Phases[I].Members.begin(), Phases[I].Members.end(), Tid) !=
-            Phases[I].Members.end())
-      return static_cast<int>(I);
-  return -1;
 }

@@ -67,17 +67,8 @@ public:
   /// Completed phases in execution order (valid after programEnd).
   const std::vector<ExecutionPhase> &phases() const { return Phases; }
 
-  /// Sum of serial phase spans.
-  uint64_t serialCycles() const;
-
-  /// Sum of parallel phase spans.
-  uint64_t parallelCycles() const;
-
   /// Total tracked time.
   uint64_t totalCycles() const { return EndTime - BeginTime; }
-
-  /// Index of the parallel phase a child thread belongs to, or -1.
-  int phaseOf(ThreadId Tid) const;
 
 private:
   void closeCurrentPhase(uint64_t Now);

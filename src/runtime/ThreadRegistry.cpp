@@ -57,10 +57,3 @@ uint64_t ThreadRegistry::totalSampledAccesses() const {
     Total += Profile.SampledAccesses;
   return Total;
 }
-
-uint64_t ThreadRegistry::totalSampledCycles() const {
-  uint64_t Total = 0;
-  for (const ThreadProfile &Profile : Profiles)
-    Total += Profile.SampledCycles;
-  return Total;
-}

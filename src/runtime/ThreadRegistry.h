@@ -73,9 +73,6 @@ public:
   /// Sum of SampledAccesses over all threads.
   uint64_t totalSampledAccesses() const;
 
-  /// Sum of SampledCycles over all threads.
-  uint64_t totalSampledCycles() const;
-
 private:
   ThreadProfile &mutableProfile(ThreadId Tid);
 

@@ -28,10 +28,3 @@ cheetah::workloads::createWorkload(const std::string &Name) {
       return std::move(Workload);
   return nullptr;
 }
-
-std::vector<std::string> cheetah::workloads::allWorkloadNames() {
-  std::vector<std::string> Names;
-  for (const auto &Workload : createAllWorkloads())
-    Names.push_back(Workload->name());
-  return Names;
-}

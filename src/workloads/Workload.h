@@ -138,9 +138,6 @@ std::vector<std::unique_ptr<Workload>> createAllWorkloads();
 /// \returns the workload named \p Name, or nullptr.
 std::unique_ptr<Workload> createWorkload(const std::string &Name);
 
-/// Names of all workloads in canonical (paper Figure 4) order.
-std::vector<std::string> allWorkloadNames();
-
 } // namespace workloads
 } // namespace cheetah
 

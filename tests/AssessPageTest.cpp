@@ -40,9 +40,8 @@ constexpr uint64_t PageSize = 4096;
 struct AssessorHarness {
   runtime::ThreadRegistry Registry;
   runtime::PhaseTracker Phases;
-  AssessorConfig Config;
 
-  Assessor make() { return Assessor(Registry, Phases, Config); }
+  Assessor make() { return Assessor(Registry, Phases); }
 };
 
 TEST(PageBaselineTest, PageLocalAveragePreferredWhenPopulated) {
@@ -78,9 +77,8 @@ TEST(PageBaselineTest, RunWideLocalAverageWhenPageIsFullyRemote) {
 TEST(PageBaselineTest, LocalAveragesNeedSixteenSamples) {
   // A page's own local mean counts from 16 local samples on; below that
   // the run-wide local mean stands in, and below 16 run-wide samples the
-  // serial chain (here its default) does.
+  // serial chain (here its default of 6) does.
   AssessorHarness H;
-  H.Config.DefaultSerialLatency = 7.0;
   Assessor Assess = H.make();
   auto PageWithLocal = [](uint64_t Local) {
     ObjectAccessProfile Profile;
@@ -96,14 +94,12 @@ TEST(PageBaselineTest, LocalAveragesNeedSixteenSamples) {
   Assess.setLocalLatencyTotals(/*Accesses=*/15, /*Cycles=*/15 * 4);
   bool UsedDefault = false;
   EXPECT_DOUBLE_EQ(Assess.averageLocalLatency(PageWithLocal(15), &UsedDefault),
-                   7.0);
+                   6.0);
   EXPECT_TRUE(UsedDefault);
 }
 
 TEST(PageBaselineTest, SerialThenDefaultChainWhenNoLocalEvidence) {
   AssessorHarness H;
-  H.Config.DefaultSerialLatency = 7.0;
-  H.Config.MinSerialSamples = 4;
   Assessor Assess = H.make();
 
   ObjectAccessProfile Remote;
@@ -112,15 +108,19 @@ TEST(PageBaselineTest, SerialThenDefaultChainWhenNoLocalEvidence) {
   Remote.RemoteAccesses = 64;
   Remote.RemoteCycles = 640;
 
-  // No local samples anywhere, no serial stats: the config default.
+  // No local samples anywhere, no serial stats: the default of 6.
   bool UsedDefault = false;
-  EXPECT_DOUBLE_EQ(Assess.averageLocalLatency(Remote, &UsedDefault), 7.0);
+  EXPECT_DOUBLE_EQ(Assess.averageLocalLatency(Remote, &UsedDefault), 6.0);
   EXPECT_TRUE(UsedDefault);
 
-  // Serial stats beat the default once populated.
+  // Serial stats beat the default from 32 samples on, not at 31.
   OnlineStats Serial;
-  for (int I = 0; I < 8; ++I)
+  for (int I = 0; I < 31; ++I)
     Serial.add(5.0);
+  Assess.setSerialLatencyStats(Serial);
+  EXPECT_DOUBLE_EQ(Assess.averageLocalLatency(Remote, &UsedDefault), 6.0);
+  EXPECT_TRUE(UsedDefault);
+  Serial.add(5.0);
   Assess.setSerialLatencyStats(Serial);
   EXPECT_DOUBLE_EQ(Assess.averageLocalLatency(Remote, &UsedDefault), 5.0);
   EXPECT_FALSE(UsedDefault);
@@ -136,7 +136,6 @@ TEST(PageBaselineTest, SerialThenDefaultChainWhenNoLocalEvidence) {
 struct TwoWorkerFixture {
   runtime::ThreadRegistry Registry;
   runtime::PhaseTracker Phases;
-  AssessorConfig Config;
   ObjectAccessProfile Profile;
 
   TwoWorkerFixture() {
@@ -172,7 +171,7 @@ struct TwoWorkerFixture {
 
 TEST(AssessPageTest, ClosedFormPredictionForRemoteWorker) {
   TwoWorkerFixture F;
-  Assessor Assess(F.Registry, F.Phases, F.Config);
+  Assessor Assess(F.Registry, F.Phases);
   Assessment Result = Assess.assessPage(F.Profile, /*AppRuntime=*/102000);
 
   // Baseline: 500 local cycles / 50 local accesses = 10.
@@ -209,7 +208,7 @@ TEST(AssessPageTest, NoRemoteExcessPredictsExactlyOne) {
   F.Profile.PerThread.push_back({1, 50, 500});
   F.Profile.PerThread.push_back({2, 50, 500});
 
-  Assessor Assess(F.Registry, F.Phases, F.Config);
+  Assessor Assess(F.Registry, F.Phases);
   Assessment Result = Assess.assessPage(F.Profile, 102000);
   EXPECT_DOUBLE_EQ(Result.ImprovementFactor, 1.0);
   EXPECT_DOUBLE_EQ(Result.PredictedAppRuntime, 102000.0);
@@ -219,7 +218,7 @@ TEST(AssessPageTest, PredictionNeverBelowRealMinusObjectCycles) {
   // The clamp contract: a page fix cannot remove more cycles from a
   // thread than the thread spent on the page.
   TwoWorkerFixture F;
-  Assessor Assess(F.Registry, F.Phases, F.Config);
+  Assessor Assess(F.Registry, F.Phases);
   Assessment Result = Assess.assessPage(F.Profile, 102000);
   for (const ThreadPrediction &P : Result.Threads) {
     EXPECT_GE(P.PredictedCycles + 1e-9,
@@ -258,16 +257,17 @@ TEST_P(PageAssessDifferentialTest, BrokenPredictsAboveFloorFixedPredictsOne) {
   // Broken: every significant page finding predicts at least the floor.
   driver::SessionResult Broken =
       driver::runWorkload(*Workload, assessSessionConfig(/*Fix=*/false));
-  ASSERT_FALSE(Broken.Profile.PageReports.empty());
-  for (const PageSharingReport &Report : Broken.Profile.PageReports) {
-    EXPECT_GE(Report.Impact.ImprovementFactor, Floor)
-        << "page " << Report.PageBase;
-    EXPECT_FALSE(Report.Impact.UsedDefaultLatency)
+  auto Significant = significant(Broken.Profile.PageFindings);
+  ASSERT_FALSE(Significant.empty());
+  for (const PageSharingReport *Report : Significant) {
+    EXPECT_GE(Report->Impact.ImprovementFactor, Floor)
+        << "page " << Report->PageBase;
+    EXPECT_FALSE(Report->Impact.UsedDefaultLatency)
         << "the run must supply a measured local baseline";
   }
 
   // Findings stream highest predicted improvement first.
-  const auto &All = Broken.Profile.AllPageInstances;
+  const auto &All = Broken.Profile.PageFindings;
   for (size_t I = 1; I < All.size(); ++I)
     EXPECT_GE(All[I - 1].Impact.ImprovementFactor,
               All[I].Impact.ImprovementFactor);
@@ -280,16 +280,15 @@ TEST_P(PageAssessDifferentialTest, BrokenPredictsAboveFloorFixedPredictsOne) {
   driver::SessionResult Fixed = driver::runWorkload(*Workload, Native);
   double Actual = static_cast<double>(Broken.Run.TotalCycles) /
                   static_cast<double>(Fixed.Run.TotalCycles);
-  EXPECT_LE(Broken.Profile.PageReports.front().Impact.ImprovementFactor,
-            Actual * 1.3);
+  EXPECT_LE(Significant.front()->Impact.ImprovementFactor, Actual * 1.3);
 
   // Fixed variant under the profiler: nothing left to predict — every
   // tracked page, significant or not, sits at 1.0.
   driver::SessionResult FixedProfiled =
       driver::runWorkload(*Workload, assessSessionConfig(/*Fix=*/true));
-  EXPECT_TRUE(FixedProfiled.Profile.PageReports.empty());
+  EXPECT_TRUE(significant(FixedProfiled.Profile.PageFindings).empty());
   for (const PageSharingReport &Report :
-       FixedProfiled.Profile.AllPageInstances)
+       FixedProfiled.Profile.PageFindings)
     EXPECT_NEAR(Report.Impact.ImprovementFactor, 1.0, 0.05);
 }
 
@@ -309,9 +308,9 @@ TEST(PageAssessEndToEndTest, InterleavedPredictionMatchesPaddedRerun) {
   driver::SessionResult Fixed =
       driver::runWorkload(*Workload, assessSessionConfig(true));
 
-  ASSERT_FALSE(Broken.Profile.PageReports.empty());
-  double Predicted =
-      Broken.Profile.PageReports.front().Impact.ImprovementFactor;
+  auto Significant = significant(Broken.Profile.PageFindings);
+  ASSERT_FALSE(Significant.empty());
+  double Predicted = Significant.front()->Impact.ImprovementFactor;
   double Actual = static_cast<double>(Broken.Run.TotalCycles) /
                   static_cast<double>(Fixed.Run.TotalCycles);
   EXPECT_NEAR(Predicted / Actual, 1.0, 0.25);
@@ -361,8 +360,9 @@ TEST(PageAssessEndToEndTest, AsymmetricWorstFindingNeedsDistanceToRank) {
   driver::SessionResult Broken = driver::runWorkload(
       *Workload, asymmetricSessionConfig(/*Fix=*/false,
                                          /*UniformDistances=*/false));
-  ASSERT_FALSE(Broken.Profile.PageReports.empty());
-  const PageSharingReport &Top = Broken.Profile.PageReports.front();
+  auto Significant = significant(Broken.Profile.PageFindings);
+  ASSERT_FALSE(Significant.empty());
+  const PageSharingReport &Top = *Significant.front();
   EXPECT_GE(Top.Impact.ImprovementFactor, Floor);
   ASSERT_EQ(Top.Objects.size(), 1u);
   EXPECT_EQ(Top.Objects.front(), "numa_asymmetric_node3");
@@ -383,8 +383,9 @@ TEST(PageAssessEndToEndTest, AsymmetricWorstFindingNeedsDistanceToRank) {
   driver::SessionResult Uniform = driver::runWorkload(
       *Workload, asymmetricSessionConfig(/*Fix=*/false,
                                          /*UniformDistances=*/true));
-  for (const PageSharingReport &Report : Uniform.Profile.PageReports)
-    EXPECT_LT(Report.Impact.ImprovementFactor, Floor)
+  for (const PageSharingReport *Report :
+       significant(Uniform.Profile.PageFindings))
+    EXPECT_LT(Report->Impact.ImprovementFactor, Floor)
         << "uniform distances must not rank any site";
 
   // Fixed on the asymmetric machine: no significant findings, and every
@@ -392,8 +393,8 @@ TEST(PageAssessEndToEndTest, AsymmetricWorstFindingNeedsDistanceToRank) {
   driver::SessionResult Fixed = driver::runWorkload(
       *Workload, asymmetricSessionConfig(/*Fix=*/true,
                                          /*UniformDistances=*/false));
-  EXPECT_TRUE(Fixed.Profile.PageReports.empty());
-  for (const PageSharingReport &Report : Fixed.Profile.AllPageInstances)
+  EXPECT_TRUE(significant(Fixed.Profile.PageFindings).empty());
+  for (const PageSharingReport &Report : Fixed.Profile.PageFindings)
     EXPECT_NEAR(Report.Impact.ImprovementFactor, 1.0, 0.05);
 }
 
@@ -403,7 +404,7 @@ TEST(PageAssessEndToEndTest, UmaTopologyPredictsNothing) {
   Config.Profiler.Topology = NumaTopology(1, PageSize);
   Config.Workload.NumaNodes = 1;
   driver::SessionResult Result = driver::runWorkload(*Workload, Config);
-  for (const PageSharingReport &Report : Result.Profile.AllPageInstances) {
+  for (const PageSharingReport &Report : Result.Profile.PageFindings) {
     // Everything is local; only sub-percent thread-to-thread latency noise
     // (cold misses landing on different threads) is predictable away.
     EXPECT_GE(Report.Impact.ImprovementFactor, 1.0);

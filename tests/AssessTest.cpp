@@ -47,19 +47,27 @@ void populatePhases(runtime::PhaseTracker &Phases, uint32_t Workers,
   Phases.programEnd(2000 + Runtime);
 }
 
+/// Installs \p Count serial-phase samples of \p Latency cycles each. The
+/// assessor trusts their mean from 32 samples on; below that it uses its
+/// default of 6 cycles.
+void installSerialSamples(Assessor &Assess, uint64_t Count, double Latency) {
+  OnlineStats Serial;
+  for (uint64_t I = 0; I < Count; ++I)
+    Serial.add(Latency);
+  Assess.setSerialLatencyStats(Serial);
+}
+
 TEST(AssessorTest, UniformObjectDominatedThreads) {
   // Every worker: 100 sampled accesses at 50 cycles, 80 of them on the
-  // object. AverNoFs = 5.
+  // object. AverNoFs = 5, measured over 32 serial samples.
   runtime::ThreadRegistry Registry;
   runtime::PhaseTracker Phases;
   populateRegistry(Registry, 4, /*Runtime=*/100000, /*SampledAccesses=*/100,
                    /*LatencyPerAccess=*/50);
   populatePhases(Phases, 4, 100000);
 
-  AssessorConfig Config;
-  Config.DefaultSerialLatency = 5.0;
-  Config.MinSerialSamples = 1000; // force the default
-  Assessor Assess(Registry, Phases, Config);
+  Assessor Assess(Registry, Phases);
+  installSerialSamples(Assess, 32, 5.0);
 
   ObjectAccessProfile Profile;
   for (ThreadId T = 1; T <= 4; ++T)
@@ -76,7 +84,7 @@ TEST(AssessorTest, UniformObjectDominatedThreads) {
     if (P.Tid == 1)
       Worker = &P;
   ASSERT_NE(Worker, nullptr);
-  EXPECT_TRUE(Result.UsedDefaultLatency);
+  EXPECT_FALSE(Result.UsedDefaultLatency);
   EXPECT_NEAR(Worker->PredictedCycles, 1400.0, 1e-9);
   EXPECT_NEAR(Worker->PredictedRuntime, 28000.0, 1e-6);
 
@@ -103,10 +111,8 @@ TEST(AssessorTest, UnfinishedThreadDoesNotPoisonPredictions) {
   Registry.threadFinished(0, 2000 + 100000);
   populatePhases(Phases, 2, 100000);
 
-  AssessorConfig Config;
-  Config.DefaultSerialLatency = 5.0;
-  Config.MinSerialSamples = 1000; // force the default
-  Assessor Assess(Registry, Phases, Config);
+  Assessor Assess(Registry, Phases);
+  installSerialSamples(Assess, 32, 5.0);
 
   ObjectAccessProfile Profile;
   for (ThreadId T = 1; T <= 2; ++T)
@@ -138,8 +144,7 @@ TEST(AssessorTest, ObjectUntouchedByThreadLeavesItUnchanged) {
   populateRegistry(Registry, 2, 50000, 100, 20);
   populatePhases(Phases, 2, 50000);
 
-  AssessorConfig Config;
-  Assessor Assess(Registry, Phases, Config);
+  Assessor Assess(Registry, Phases);
 
   // Only thread 1 touches the object.
   ObjectAccessProfile Profile;
@@ -163,15 +168,8 @@ TEST(AssessorTest, MeasuredSerialLatencyPreferredOverDefault) {
   populateRegistry(Registry, 1, 1000, 10, 10);
   populatePhases(Phases, 1, 1000);
 
-  AssessorConfig Config;
-  Config.DefaultSerialLatency = 99.0;
-  Config.MinSerialSamples = 4;
-  Assessor Assess(Registry, Phases, Config);
-
-  OnlineStats Serial;
-  for (int I = 0; I < 10; ++I)
-    Serial.add(7.0);
-  Assess.setSerialLatencyStats(Serial);
+  Assessor Assess(Registry, Phases);
+  installSerialSamples(Assess, 32, 7.0);
 
   bool UsedDefault = true;
   EXPECT_DOUBLE_EQ(Assess.averageNoFsLatency(&UsedDefault), 7.0);
@@ -184,17 +182,31 @@ TEST(AssessorTest, TooFewSerialSamplesFallsBackToDefault) {
   populateRegistry(Registry, 1, 1000, 10, 10);
   populatePhases(Phases, 1, 1000);
 
-  AssessorConfig Config;
-  Config.DefaultSerialLatency = 6.5;
-  Config.MinSerialSamples = 100;
-  Assessor Assess(Registry, Phases, Config);
-  OnlineStats Serial;
-  Serial.add(3.0);
-  Assess.setSerialLatencyStats(Serial);
+  Assessor Assess(Registry, Phases);
+  installSerialSamples(Assess, 1, 3.0);
 
   bool UsedDefault = false;
-  EXPECT_DOUBLE_EQ(Assess.averageNoFsLatency(&UsedDefault), 6.5);
+  EXPECT_DOUBLE_EQ(Assess.averageNoFsLatency(&UsedDefault), 6.0);
   EXPECT_TRUE(UsedDefault);
+}
+
+TEST(AssessorTest, SerialMeanCountsFromThirtyTwoSamples) {
+  runtime::ThreadRegistry Registry;
+  runtime::PhaseTracker Phases;
+  populateRegistry(Registry, 1, 1000, 10, 10);
+  populatePhases(Phases, 1, 1000);
+  Assessor Assess(Registry, Phases);
+
+  // 31 serial samples of 5 cycles are too few: the default 6 stands.
+  installSerialSamples(Assess, 31, 5.0);
+  bool UsedDefault = false;
+  EXPECT_DOUBLE_EQ(Assess.averageNoFsLatency(&UsedDefault), 6.0);
+  EXPECT_TRUE(UsedDefault);
+
+  // The 32nd makes their mean the baseline.
+  installSerialSamples(Assess, 32, 5.0);
+  EXPECT_DOUBLE_EQ(Assess.averageNoFsLatency(&UsedDefault), 5.0);
+  EXPECT_FALSE(UsedDefault);
 }
 
 TEST(AssessorTest, SerialAverageClampedToAtLeastOneCycle) {
@@ -202,13 +214,8 @@ TEST(AssessorTest, SerialAverageClampedToAtLeastOneCycle) {
   runtime::PhaseTracker Phases;
   populateRegistry(Registry, 1, 1000, 10, 10);
   populatePhases(Phases, 1, 1000);
-  AssessorConfig Config;
-  Config.MinSerialSamples = 1;
-  Assessor Assess(Registry, Phases, Config);
-  OnlineStats Serial;
-  Serial.add(0.0);
-  Serial.add(0.0);
-  Assess.setSerialLatencyStats(Serial);
+  Assessor Assess(Registry, Phases);
+  installSerialSamples(Assess, 32, 0.0);
   EXPECT_GE(Assess.averageNoFsLatency(), 1.0);
 }
 
@@ -233,10 +240,8 @@ TEST(AssessorTest, PhaseLengthDeterminedByLongestThread) {
   Phases.threadFinished(1, 201000);
   Phases.programEnd(202000);
 
-  AssessorConfig Config;
-  Config.DefaultSerialLatency = 5.0;
-  Config.MinSerialSamples = 1000;
-  Assessor Assess(Registry, Phases, Config);
+  Assessor Assess(Registry, Phases);
+  installSerialSamples(Assess, 32, 5.0);
 
   ObjectAccessProfile Profile;
   Profile.PerThread.push_back({1, 100, 100 * 100});
@@ -261,8 +266,7 @@ TEST(AssessorTest, NonForkJoinFallsBackToAggregateScaling) {
   Phases.threadFinished(1, 10000);
   Phases.programEnd(11000);
 
-  AssessorConfig Config;
-  Assessor Assess(Registry, Phases, Config);
+  Assessor Assess(Registry, Phases);
   ObjectAccessProfile Profile;
   Profile.PerThread.push_back({1, 10, 500});
 

@@ -37,11 +37,11 @@ std::pair<double, double> predictVsActual(const std::string &Name,
   EXPECT_NE(Workload, nullptr);
   driver::SessionConfig Config = precisionConfig(Threads);
   driver::SessionResult Profiled = driver::runWorkload(*Workload, Config);
-  EXPECT_FALSE(Profiled.Profile.Reports.empty());
-  if (Profiled.Profile.Reports.empty())
+  auto Significant = significant(Profiled.Profile.Findings);
+  EXPECT_FALSE(Significant.empty());
+  if (Significant.empty())
     return {0.0, 1.0};
-  double Predicted =
-      Profiled.Profile.Reports.front().Impact.ImprovementFactor;
+  double Predicted = Significant.front()->Impact.ImprovementFactor;
 
   driver::SessionConfig FixedConfig = Config;
   FixedConfig.Workload.FixFalseSharing = true;
@@ -201,8 +201,8 @@ TEST(PhaseGatingTest, InitThenSharedReadsNotReportedByCheetah) {
   Config.Workload.Threads = 4;
   Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(64);
   driver::SessionResult Result = driver::runWorkload(Workload, Config);
-  EXPECT_TRUE(Result.Profile.Reports.empty());
-  for (const auto &Instance : Result.Profile.AllInstances)
+  EXPECT_TRUE(significant(Result.Profile.Findings).empty());
+  for (const auto &Instance : Result.Profile.Findings)
     EXPECT_EQ(Instance.Invalidations, 0u);
 
   baseline::FullTrackerConfig Tracker;
@@ -219,8 +219,9 @@ TEST(EndToEndReportTest, LinearRegressionReportIsComplete) {
   auto Workload = workloads::createWorkload("linear_regression");
   driver::SessionConfig Config = precisionConfig(16);
   driver::SessionResult Result = driver::runWorkload(*Workload, Config);
-  ASSERT_FALSE(Result.Profile.Reports.empty());
-  const core::FalseSharingReport &Report = Result.Profile.Reports.front();
+  auto Significant = significant(Result.Profile.Findings);
+  ASSERT_FALSE(Significant.empty());
+  const core::FalseSharingReport &Report = *Significant.front();
 
   EXPECT_GT(Report.SampledAccesses, 100u);
   EXPECT_GT(Report.Invalidations, 50u);
@@ -240,10 +241,10 @@ TEST(EndToEndReportTest, SamplesAttributedToEveryChildThread) {
   auto Workload = workloads::createWorkload("linear_regression");
   driver::SessionConfig Config = precisionConfig(8);
   auto Result = driver::runWorkload(*Workload, Config);
-  ASSERT_FALSE(Result.Profile.Reports.empty());
+  auto Significant = significant(Result.Profile.Findings);
+  ASSERT_FALSE(Significant.empty());
   uint64_t ThreadsWithObjectAccesses = 0;
-  for (const core::ThreadPrediction &P :
-       Result.Profile.Reports.front().Impact.Threads)
+  for (const core::ThreadPrediction &P : Significant.front()->Impact.Threads)
     ThreadsWithObjectAccesses += P.AccessesOnObject > 0;
   EXPECT_EQ(ThreadsWithObjectAccesses, 8u);
 }
@@ -254,8 +255,9 @@ TEST(EndToEndReportTest, SerialLatencyFeedsAssessment) {
   auto Result = driver::runWorkload(*Workload, Config);
   EXPECT_GT(Result.Profile.SerialSamples, 0u);
   EXPECT_GT(Result.Profile.SerialAverageLatency, 1.0);
-  ASSERT_FALSE(Result.Profile.Reports.empty());
-  EXPECT_FALSE(Result.Profile.Reports.front().Impact.UsedDefaultLatency);
+  auto Significant = significant(Result.Profile.Findings);
+  ASSERT_FALSE(Significant.empty());
+  EXPECT_FALSE(Significant.front()->Impact.UsedDefaultLatency);
 }
 
 TEST(EndToEndReportTest, LineSizeMattersForStreamcluster) {

@@ -84,8 +84,6 @@ TEST_F(InterposeTest, PmuStatusIsAlwaysExplained) {
 
 TEST_F(InterposeTest, BridgeDeliversInterposeSamplesToProfiler) {
   core::ProfilerConfig Config;
-  Config.Report.MinInvalidations = 1;
-  Config.Report.MinImprovementFactor = 0.0;
   Config.Detect.WriteThreshold = 0; // record every write in detail
   core::Profiler Profiler(Config);
   driver::PreloadProfilerBridge Bridge(Profiler);
@@ -123,7 +121,7 @@ TEST_F(InterposeTest, BridgeDeliversInterposeSamplesToProfiler) {
   EXPECT_EQ(Document.find("run")->find("tool")->asString(),
             "cheetah-preload");
   EXPECT_EQ(Document.find("summary")->find("findings")->asUint(),
-            Result.AllInstances.size());
+            Result.Findings.size());
 
   // Every buffered sample reached the profiler's detector.
   InterposeSummary Summary = summary();
@@ -134,8 +132,8 @@ TEST_F(InterposeTest, BridgeDeliversInterposeSamplesToProfiler) {
   EXPECT_GT(Result.Detection.Invalidations, 0u);
 
   // And the LD_PRELOAD path produced a real finding, not just counters.
-  ASSERT_FALSE(Result.AllInstances.empty());
-  const core::FalseSharingReport &Report = Result.AllInstances.front();
+  ASSERT_FALSE(Result.Findings.empty());
+  const core::FalseSharingReport &Report = Result.Findings.front();
   EXPECT_EQ(Report.ThreadsObserved, 2u);
   EXPECT_EQ(Report.Kind, core::SharingKind::FalseSharing);
   EXPECT_EQ(Report.SampledWrites, uint64_t(2) * SamplesPerThread);

@@ -347,11 +347,12 @@ TEST(PageEndToEndTest, InterleavedWorkloadFoundByPageNotLine) {
   const ProfileResult &Profile = Result.Profile;
 
   // The line-granularity gate stays silent: no cache line is shared.
-  EXPECT_TRUE(Profile.Reports.empty());
+  EXPECT_TRUE(significant(Profile.Findings).empty());
 
   // The page detector reports significant false page sharing across nodes.
-  ASSERT_FALSE(Profile.PageReports.empty());
-  const PageSharingReport &Top = Profile.PageReports.front();
+  auto Significant = significant(Profile.PageFindings);
+  ASSERT_FALSE(Significant.empty());
+  const PageSharingReport &Top = *Significant.front();
   EXPECT_EQ(Top.Kind, SharingKind::FalseSharing);
   EXPECT_GE(Top.NodesObserved, 2u);
   EXPECT_GT(Top.Invalidations, 8u);
@@ -371,9 +372,9 @@ TEST(PageEndToEndTest, PageOnlyGranularityAlsoFindsIt) {
   auto Workload = workloads::createWorkload("numa_interleaved");
   driver::SessionResult Result =
       driver::runWorkload(*Workload, pageSessionConfig(/*TrackLines=*/false));
-  EXPECT_TRUE(Result.Profile.Reports.empty());
-  EXPECT_TRUE(Result.Profile.AllInstances.empty());
-  EXPECT_FALSE(Result.Profile.PageReports.empty());
+  EXPECT_TRUE(significant(Result.Profile.Findings).empty());
+  EXPECT_TRUE(Result.Profile.Findings.empty());
+  EXPECT_FALSE(significant(Result.Profile.PageFindings).empty());
 }
 
 TEST(PageEndToEndTest, PagePaddingFixSilencesTheFinding) {
@@ -381,8 +382,8 @@ TEST(PageEndToEndTest, PagePaddingFixSilencesTheFinding) {
   driver::SessionConfig Config = pageSessionConfig();
   Config.Workload.FixFalseSharing = true;
   driver::SessionResult Result = driver::runWorkload(*Workload, Config);
-  EXPECT_TRUE(Result.Profile.Reports.empty());
-  EXPECT_TRUE(Result.Profile.PageReports.empty())
+  EXPECT_TRUE(significant(Result.Profile.Findings).empty());
+  EXPECT_TRUE(significant(Result.Profile.PageFindings).empty())
       << "page-aligned slots must not be reported";
   // With one thread per page, nothing is remote after first touch.
   EXPECT_EQ(Result.Profile.Detection.RemoteSamples, 0u);
@@ -397,14 +398,14 @@ TEST(PageEndToEndTest, FirstTouchBugSurfacesAsRemotePlacement) {
   driver::SessionResult Result = driver::runWorkload(*Workload, Config);
   const ProfileResult &Profile = Result.Profile;
 
-  EXPECT_TRUE(Profile.Reports.empty());
-  ASSERT_FALSE(Profile.PageReports.empty());
+  EXPECT_TRUE(significant(Profile.Findings).empty());
+  ASSERT_FALSE(significant(Profile.PageFindings).empty());
   // The significant pages are single-node but homed elsewhere: placement,
   // not sharing.
-  for (const PageSharingReport &Report : Profile.PageReports) {
-    EXPECT_EQ(Report.HomeNode, 0u) << "serial init homes everything on 0";
-    EXPECT_GT(Report.remoteFraction(), 0.9);
-    EXPECT_EQ(Report.Objects.front(), "numa_first_touch_blocks");
+  for (const PageSharingReport *Report : significant(Profile.PageFindings)) {
+    EXPECT_EQ(Report->HomeNode, 0u) << "serial init homes everything on 0";
+    EXPECT_GT(Report->remoteFraction(), 0.9);
+    EXPECT_EQ(Report->Objects.front(), "numa_first_touch_blocks");
   }
   EXPECT_GT(Result.Run.RemoteNumaAccesses, 0u);
 
@@ -412,7 +413,7 @@ TEST(PageEndToEndTest, FirstTouchBugSurfacesAsRemotePlacement) {
   // traffic, no findings, and a faster simulated run.
   Config.Workload.FixFalseSharing = true;
   driver::SessionResult Fixed = driver::runWorkload(*Workload, Config);
-  EXPECT_TRUE(Fixed.Profile.PageReports.empty());
+  EXPECT_TRUE(significant(Fixed.Profile.PageFindings).empty());
   EXPECT_EQ(Fixed.Run.RemoteNumaAccesses, 0u);
   EXPECT_LT(Fixed.Run.TotalCycles, Result.Run.TotalCycles);
 }
@@ -425,7 +426,7 @@ TEST(PageEndToEndTest, SingleNodeTopologyReportsNothing) {
   Config.Profiler.Topology = NumaTopology(1, PageSize);
   Config.Workload.NumaNodes = 1;
   driver::SessionResult Result = driver::runWorkload(*Workload, Config);
-  EXPECT_TRUE(Result.Profile.PageReports.empty());
+  EXPECT_TRUE(significant(Result.Profile.PageFindings).empty());
   EXPECT_EQ(Result.Profile.Detection.RemoteSamples, 0u);
   EXPECT_EQ(Result.Run.RemoteNumaAccesses, 0u);
 }

@@ -334,6 +334,12 @@ TEST(PmuConfigTest, FromSpecRejectsInvalidValuesWithReasons) {
   EXPECT_FALSE(PmuConfig::fromSpec(BadJitter, Out, Error));
   EXPECT_NE(Error.find("jitter"), std::string::npos) << Error;
 
+  PmuConfig NegativeJitter;
+  NegativeJitter.JitterFraction = -0.1;
+  Error.clear();
+  EXPECT_FALSE(PmuConfig::fromSpec(NegativeJitter, Out, Error));
+  EXPECT_NE(Error.find("jitter"), std::string::npos) << Error;
+
   PmuConfig NanJitter;
   NanJitter.JitterFraction = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(PmuConfig::fromSpec(NanJitter, Out, Error));
@@ -344,16 +350,6 @@ TEST(PmuConfigTest, FromSpecRejectsInvalidValuesWithReasons) {
   ASSERT_TRUE(PmuConfig::fromSpec(Good, Out, Error)) << Error;
   EXPECT_EQ(Out.SamplingPeriod, 128u);
   EXPECT_EQ(Out.JitterFraction, 0.5);
-}
-
-TEST(SamplingPolicyTest, FromSpecMirrorsPmuConfigValidation) {
-  SamplingPolicy Out;
-  std::string Error;
-  EXPECT_FALSE(SamplingPolicy::fromSpec(0, 0.25, 1, Out, Error));
-  EXPECT_FALSE(Error.empty());
-  EXPECT_FALSE(SamplingPolicy::validateSpec(64, -0.1, Error));
-  ASSERT_TRUE(SamplingPolicy::fromSpec(100, 0.0, 1, Out, Error)) << Error;
-  EXPECT_EQ(Out.advance(1000), 10u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -291,7 +291,7 @@ TEST_P(FuzzPipelineTest, InvariantsHoldOnRandomPrograms) {
       });
 
   // --- Every report's numbers are self-consistent and its assessment sane.
-  for (const core::FalseSharingReport &Report : Result.AllInstances) {
+  for (const core::FalseSharingReport &Report : Result.Findings) {
     EXPECT_GE(Report.SampledAccesses, Report.SampledWrites);
     EXPECT_GE(Report.LatencyCycles, Report.SampledAccesses); // >=1 cycle
     EXPECT_GT(Report.Impact.PredictedAppRuntime, 0.0);
@@ -317,12 +317,12 @@ TEST_P(FuzzPipelineTest, InvariantsHoldOnRandomPrograms) {
   core::ProfileResult Result2 = Profiler2.finish(Run2);
   EXPECT_EQ(Run.TotalCycles, Run2.TotalCycles);
   EXPECT_EQ(Result.SamplesDelivered, Result2.SamplesDelivered);
-  ASSERT_EQ(Result.AllInstances.size(), Result2.AllInstances.size());
-  for (size_t I = 0; I < Result.AllInstances.size(); ++I) {
-    EXPECT_EQ(Result.AllInstances[I].Object.Start,
-              Result2.AllInstances[I].Object.Start);
-    EXPECT_EQ(Result.AllInstances[I].Invalidations,
-              Result2.AllInstances[I].Invalidations);
+  ASSERT_EQ(Result.Findings.size(), Result2.Findings.size());
+  for (size_t I = 0; I < Result.Findings.size(); ++I) {
+    EXPECT_EQ(Result.Findings[I].Object.Start,
+              Result2.Findings[I].Object.Start);
+    EXPECT_EQ(Result.Findings[I].Invalidations,
+              Result2.Findings[I].Invalidations);
   }
 }
 
@@ -448,9 +448,11 @@ TEST_P(GeometrySweepTest, PaddingToTheConfiguredLineSizeSilencesReports) {
     Sim.addObserver(Pmu.simObserver());
     core::ProfileResult Result = Profiler.finish(Sim.run(Program));
     if (Padded)
-      EXPECT_TRUE(Result.Reports.empty()) << "line size " << LineSize;
+      EXPECT_TRUE(significant(Result.Findings).empty())
+          << "line size " << LineSize;
     else
-      EXPECT_FALSE(Result.Reports.empty()) << "line size " << LineSize;
+      EXPECT_FALSE(significant(Result.Findings).empty())
+          << "line size " << LineSize;
   }
 }
 
@@ -857,8 +859,7 @@ TEST_P(PageAssessPropertyTest, ClampedEquationInvariantsHold) {
     Registry.threadFinished(0, AppRuntime);
     Phases.programEnd(AppRuntime);
 
-    core::AssessorConfig Config;
-    core::Assessor Assess(Registry, Phases, Config);
+    core::Assessor Assess(Registry, Phases);
     Assess.setLocalLatencyTotals(1000, 1000 * (2 + Rng.nextBelow(10)));
     core::Assessment Result = Assess.assessPage(Profile, AppRuntime);
 
@@ -943,8 +944,7 @@ TEST(PageAssessPropertyTest, ImprovementMonotoneInRemoteFraction) {
     Registry.threadFinished(0, 102000);
     Phases.programEnd(102000);
 
-    core::AssessorConfig Config;
-    core::Assessor Assess(Registry, Phases, Config);
+    core::Assessor Assess(Registry, Phases);
     core::Assessment Result = Assess.assessPage(Profile, 102000);
     EXPECT_DOUBLE_EQ(Result.AverageNoFsLatency, 10.0);
     EXPECT_GE(Result.ImprovementFactor, Previous - 1e-12)

@@ -87,10 +87,9 @@ TEST(JsonReportGoldenTest, DocumentParsesAndRoundTripsCounters) {
   // Summary counters round-trip against the in-memory result.
   const JsonValue *Summary = Document.find("summary");
   ASSERT_NE(Summary, nullptr);
-  EXPECT_EQ(Summary->find("findings")->asUint(),
-            Profile.AllInstances.size());
+  EXPECT_EQ(Summary->find("findings")->asUint(), Profile.Findings.size());
   EXPECT_EQ(Summary->find("significant_findings")->asUint(),
-            Profile.Reports.size());
+            significant(Profile.Findings).size());
   EXPECT_EQ(Summary->find("app_runtime_cycles")->asUint(),
             Profile.AppRuntime);
   EXPECT_EQ(Summary->find("samples")->asUint(), Profile.SamplesDelivered);
@@ -112,17 +111,17 @@ TEST(JsonReportGoldenTest, DocumentParsesAndRoundTripsCounters) {
   EXPECT_EQ(Detector->find("invalidations")->asUint(),
             Profile.Detection.Invalidations);
 
-  // Findings stream in AllInstances order with matching fields.
+  // Findings stream in the result's order with matching fields.
   const JsonValue *Findings = Document.find("findings");
   ASSERT_NE(Findings, nullptr);
   ASSERT_TRUE(Findings->isArray());
-  ASSERT_EQ(Findings->size(), Profile.AllInstances.size());
+  ASSERT_EQ(Findings->size(), Profile.Findings.size());
   ASSERT_GT(Findings->size(), 0u) << "workload must produce findings";
 
   size_t SignificantSeen = 0;
   for (size_t I = 0; I < Findings->size(); ++I) {
     const JsonValue &Finding = Findings->elements()[I];
-    const FalseSharingReport &Expected = Profile.AllInstances[I];
+    const FalseSharingReport &Expected = Profile.Findings[I];
     const JsonValue *Object = Finding.find("object");
     ASSERT_NE(Object, nullptr);
     EXPECT_EQ(Object->find("start")->asUint(), Expected.Object.Start);
@@ -146,6 +145,7 @@ TEST(JsonReportGoldenTest, DocumentParsesAndRoundTripsCounters) {
     ASSERT_NE(Finding.find("predictedImprovement"), nullptr);
     EXPECT_NEAR(Finding.find("predictedImprovement")->asNumber(),
                 Expected.Impact.ImprovementFactor, 1e-12);
+    EXPECT_EQ(Finding.find("significant")->asBool(), Expected.Significant);
     if (Finding.find("significant")->asBool())
       ++SignificantSeen;
     // Word entries mirror the hottest-first report words, at most
@@ -167,11 +167,12 @@ TEST(JsonReportGoldenTest, DocumentParsesAndRoundTripsCounters) {
                 Expected.Words[W].Writes);
     }
   }
-  EXPECT_EQ(SignificantSeen, Profile.Reports.size());
+  EXPECT_EQ(SignificantSeen, significant(Profile.Findings).size());
 
   // The known workload's false sharing is present and significant.
-  ASSERT_FALSE(Profile.Reports.empty());
-  EXPECT_EQ(Profile.Reports.front().Kind, SharingKind::FalseSharing);
+  auto Significant = significant(Profile.Findings);
+  ASSERT_FALSE(Significant.empty());
+  EXPECT_EQ(Significant.front()->Kind, SharingKind::FalseSharing);
 }
 
 TEST(JsonReportGoldenTest, SchemaVersionGatesV1Consumers) {
@@ -280,14 +281,14 @@ TEST(JsonReportGoldenTest, PageFindingsRoundTripAgainstProfileResult) {
   const JsonValue *PageFindings = Document.find("pageFindings");
   ASSERT_NE(PageFindings, nullptr);
   ASSERT_TRUE(PageFindings->isArray());
-  ASSERT_EQ(PageFindings->size(), Profile.AllPageInstances.size());
+  ASSERT_EQ(PageFindings->size(), Profile.PageFindings.size());
   ASSERT_GT(PageFindings->size(), 0u)
       << "the node-interleaved workload must produce page findings";
 
   size_t SignificantSeen = 0;
   for (size_t I = 0; I < PageFindings->size(); ++I) {
     const JsonValue &Finding = PageFindings->elements()[I];
-    const PageSharingReport &Expected = Profile.AllPageInstances[I];
+    const PageSharingReport &Expected = Profile.PageFindings[I];
     EXPECT_EQ(Finding.find("page")->asUint(), Expected.PageBase);
     EXPECT_EQ(Finding.find("page_size")->asUint(), Expected.PageSize);
     EXPECT_EQ(Finding.find("home_node")->asUint(), Expected.HomeNode);
@@ -314,6 +315,7 @@ TEST(JsonReportGoldenTest, PageFindingsRoundTripAgainstProfileResult) {
                 Expected.Impact.ImprovementFactor, 1e-12);
     EXPECT_NEAR(Impact->find("predicted_runtime_cycles")->asNumber(),
                 Expected.Impact.PredictedAppRuntime, 1e-6);
+    EXPECT_EQ(Finding.find("significant")->asBool(), Expected.Significant);
     if (Finding.find("significant")->asBool())
       ++SignificantSeen;
     const JsonValue *Lines = Finding.find("lines");
@@ -360,23 +362,24 @@ TEST(JsonReportGoldenTest, PageFindingsRoundTripAgainstProfileResult) {
                 NumaTopology::DefaultRemoteDistance);
     }
   }
-  EXPECT_EQ(SignificantSeen, Profile.PageReports.size());
+  EXPECT_EQ(SignificantSeen, significant(Profile.PageFindings).size());
 
   // The headline finding: false page sharing across two nodes, on the
   // workload's named global, invisible to the line-level gate.
-  ASSERT_FALSE(Profile.PageReports.empty());
-  EXPECT_EQ(Profile.PageReports.front().Kind, SharingKind::FalseSharing);
-  EXPECT_GE(Profile.PageReports.front().NodesObserved, 2u);
-  EXPECT_TRUE(Profile.Reports.empty())
+  auto Significant = significant(Profile.PageFindings);
+  ASSERT_FALSE(Significant.empty());
+  EXPECT_EQ(Significant.front()->Kind, SharingKind::FalseSharing);
+  EXPECT_GE(Significant.front()->NodesObserved, 2u);
+  EXPECT_TRUE(significant(Profile.Findings).empty())
       << "line-granularity must not report the interleaved hammering";
 
   // Summary page counters round-trip.
   const JsonValue *Summary = Document.find("summary");
   ASSERT_NE(Summary, nullptr);
   EXPECT_EQ(Summary->find("page_findings")->asUint(),
-            Profile.AllPageInstances.size());
+            Profile.PageFindings.size());
   EXPECT_EQ(Summary->find("significant_page_findings")->asUint(),
-            Profile.PageReports.size());
+            significant(Profile.PageFindings).size());
   EXPECT_GT(Summary->find("materialized_pages")->asUint(), 0u);
   EXPECT_GT(Summary->find("page_shadow_bytes")->asUint(), 0u);
   const JsonValue *Detector = Summary->find("detector");
@@ -516,8 +519,10 @@ TEST(ReportSinkTest, TextSinkIncludesInsignificantWhenAsked) {
 // The builders' table cut, on synthetic grain snapshots
 //===----------------------------------------------------------------------===//
 
+
 /// What the builders read around a snapshot: an empty heap, a data segment
-/// for the globals a test defines, and an assessor over no threads.
+/// for the globals a test defines, and an assessor over the threads and
+/// phases a test registers (none unless it calls forkJoin).
 struct BuilderWorld {
   static constexpr uint64_t SegmentBase = 0x10000000;
 
@@ -527,7 +532,26 @@ struct BuilderWorld {
   runtime::CallsiteTable Callsites;
   runtime::ThreadRegistry Registry;
   runtime::PhaseTracker Phases;
-  Assessor Assess{Registry, Phases, AssessorConfig{}};
+  Assessor Assess{Registry, Phases};
+
+  /// A fork-join run: main thread 0 spawns threads 1 and 2 at cycle 1,000,
+  /// each runs 100,000 cycles and takes \p Samples samples worth \p Cycles
+  /// cycles in all, and main ends at 102,000.
+  void forkJoin(uint64_t Samples, uint64_t Cycles) {
+    Registry.threadStarted(0, /*IsMain=*/true, 0);
+    Phases.programBegin(0, 0);
+    for (ThreadId Tid : {1, 2}) {
+      Registry.threadStarted(Tid, /*IsMain=*/false, 1000);
+      Phases.threadCreated(Tid, /*Creator=*/0, 1000);
+      Registry.recordSamples(Tid, Samples, Cycles);
+    }
+    for (ThreadId Tid : {1, 2}) {
+      Registry.threadFinished(Tid, 101000);
+      Phases.threadFinished(Tid, 101000);
+    }
+    Registry.threadFinished(0, 102000);
+    Phases.programEnd(102000);
+  }
 };
 
 /// A snapshot of the grain at \p Base whose bucket I was written
@@ -569,10 +593,6 @@ struct WordCutCase {
   BuilderWorld World;
   uint64_t Base = World.Globals.defineAligned("g", 3 * 64);
   std::vector<uint64_t> Counts = std::vector<uint64_t>(48, 0);
-  /// Passes false sharing with 3 x 20 invalidations, whatever the
-  /// assessor predicts.
-  ReportGate Gate{/*MinInvalidations=*/Invalidations,
-                  /*MinImprovementFactor=*/0.0};
 
   WordCutCase() {
     for (size_t I = 0; I < 40; ++I)
@@ -581,22 +601,26 @@ struct WordCutCase {
       Counts[39 - 2 * Hot] = 100 - Hot;
     for (size_t Tied : {30, 28, 26, 24, 9, 7, 5, 3})
       Counts[Tied] = 50;
+    // Each thread samples 20,000 cycles, of which the object's words take
+    // 2,160 (thread 1) and 13,380 (thread 2): a shared object predicts
+    // about 1.044x, clear of the line gate's 1.005.
+    World.forkJoin(/*Samples=*/2000, /*Cycles=*/20000);
   }
 
-  /// The one finding the builder makes, and whether it is significant.
-  std::pair<FalseSharingReport, bool> build(ThreadId Threads) {
+  /// The one finding the builder makes.
+  FalseSharingReport build(ThreadId Threads) {
     ReportBuilder Builder(World.Heap, World.Globals, World.Callsites,
-                          World.Geometry, Gate);
+                          World.Geometry);
     for (size_t Line = 3; Line-- > 0;) {
       auto First = Counts.begin() + 16 * Line;
       Builder.addLine(makeSnapshot(Base + 64 * Line,
                                    std::vector<uint64_t>(First, First + 16),
                                    Threads, Invalidations));
     }
-    ReportBuilder::Output Built = Builder.finalize(World.Assess, 1000000);
-    EXPECT_EQ(Built.AllInstances.size(), 1u);
-    bool Significant = Built.Reports.size() == 1;
-    return {Built.AllInstances.at(0), Significant};
+    std::vector<FalseSharingReport> Findings =
+        Builder.finalize(World.Assess, 102000);
+    EXPECT_EQ(Findings.size(), 1u);
+    return Findings.at(0);
   }
 };
 
@@ -605,8 +629,8 @@ TEST(ReportBuilderTest, KeepsTheSixteenHottestWordsAndCountsEveryWord) {
   // its hottest words.
   WordCutCase Case;
   ASSERT_EQ(Case.Base, BuilderWorld::SegmentBase);
-  auto [Report, Significant] = Case.build(/*Threads=*/2);
-  ASSERT_TRUE(Significant);
+  FalseSharingReport Report = Case.build(/*Threads=*/2);
+  ASSERT_TRUE(Report.Significant);
   ASSERT_EQ(Report.Kind, SharingKind::FalseSharing);
 
   EXPECT_EQ(Report.WordsTotal, 40u);
@@ -631,8 +655,8 @@ TEST(ReportBuilderTest, InsignificantObjectCountsEveryWordAndKeepsNone) {
   // The same object written by one thread shares nothing, fails the gate,
   // and so gets no word table — but still counts every touched word.
   WordCutCase Case;
-  auto [Report, Significant] = Case.build(/*Threads=*/1);
-  ASSERT_FALSE(Significant);
+  FalseSharingReport Report = Case.build(/*Threads=*/1);
+  ASSERT_FALSE(Report.Significant);
   EXPECT_EQ(Report.Kind, SharingKind::NotShared);
   EXPECT_EQ(Report.WordsTotal, 40u);
   EXPECT_TRUE(Report.Words.empty());
@@ -642,6 +666,54 @@ TEST(ReportBuilderTest, InsignificantObjectCountsEveryWordAndKeepsNone) {
   std::string Text = formatReport(Report);
   EXPECT_EQ(Text.find("Word-level accesses"), std::string::npos) << Text;
   EXPECT_EQ(Text.find("elided"), std::string::npos) << Text;
+}
+
+/// The one finding of a line of "g" whose words 0 and 1 threads 1 and 2
+/// each wrote 50 times (500 of each thread's 1,000 sampled cycles), with
+/// \p Invalidations invalidations, assessed against a measured
+/// \p AppRuntime. EQ.1 replaces each thread's 500 object cycles with
+/// 50 x 6 (the default latency), so EQ.4 predicts 1,000 + 80,000 + 1,000 =
+/// 82,000 cycles and the factor is AppRuntime / 82,000.
+FalseSharingReport lineFinding(uint64_t Invalidations, uint64_t AppRuntime) {
+  BuilderWorld World;
+  World.forkJoin(/*Samples=*/100, /*Cycles=*/1000);
+  uint64_t Base = World.Globals.defineAligned("g", 64);
+  std::vector<uint64_t> Counts(16, 0);
+  Counts[0] = Counts[1] = 50;
+  ReportBuilder Builder(World.Heap, World.Globals, World.Callsites,
+                        World.Geometry);
+  Builder.addLine(makeSnapshot(Base, Counts, /*Threads=*/2, Invalidations));
+  std::vector<FalseSharingReport> Findings =
+      Builder.finalize(World.Assess, AppRuntime);
+  EXPECT_EQ(Findings.size(), 1u);
+  return Findings.at(0);
+}
+
+TEST(ReportBuilderTest, LineGateEdgeIsSixteenInvalidations) {
+  // False sharing predicted at 102,000 / 82,000 = 1.24x: the invalidation
+  // count alone decides.
+  FalseSharingReport Below = lineFinding(/*Invalidations=*/15, 102000);
+  ASSERT_EQ(Below.Kind, SharingKind::FalseSharing);
+  EXPECT_DOUBLE_EQ(Below.Impact.PredictedAppRuntime, 82000.0);
+  EXPECT_FALSE(Below.Significant);
+  EXPECT_TRUE(Below.Words.empty());
+
+  FalseSharingReport At = lineFinding(/*Invalidations=*/16, 102000);
+  EXPECT_TRUE(At.Significant);
+  EXPECT_EQ(At.Words.size(), 2u);
+}
+
+TEST(ReportBuilderTest, LineGateEdgeIsImprovementFactorOnePointZeroZeroFive) {
+  // 16 invalidations, so the factor alone decides: a measured 82,410
+  // cycles is exactly 1.005x the predicted 82,000, and 82,409 just below.
+  FalseSharingReport Below = lineFinding(/*Invalidations=*/16, 82409);
+  EXPECT_DOUBLE_EQ(Below.Impact.PredictedAppRuntime, 82000.0);
+  EXPECT_LT(Below.Impact.ImprovementFactor, 1.005);
+  EXPECT_FALSE(Below.Significant);
+
+  FalseSharingReport At = lineFinding(/*Invalidations=*/16, 82410);
+  EXPECT_EQ(At.Impact.ImprovementFactor, 1.005);
+  EXPECT_TRUE(At.Significant);
 }
 
 /// A page holding "hot" (lines 0..18) and "cold" (line 19). Twenty lines
@@ -661,8 +733,8 @@ struct LineCutCase {
   }
 
   /// The page's one finding when one node, node 0 (the home), issued all
-  /// but \p RemoteAccesses of its accesses, and whether it is significant.
-  std::pair<PageSharingReport, bool> build(uint64_t RemoteAccesses) {
+  /// but \p RemoteAccesses of its accesses.
+  PageSharingReport build(uint64_t RemoteAccesses) {
     NumaTopology Topology(2, 4096);
     PageReportBuilder Builder(World.Heap, World.Globals, World.Callsites,
                               Topology, World.Geometry);
@@ -670,10 +742,10 @@ struct LineCutCase {
     Numa.NodesObserved = 1;
     Numa.RemoteAccesses = RemoteAccesses;
     Builder.addPage(makeSnapshot(Hot, Counts), /*Home=*/0, Numa);
-    PageReportBuilder::Output Built = Builder.finalize(World.Assess, 1000000);
-    EXPECT_EQ(Built.AllInstances.size(), 1u);
-    bool Significant = Built.Reports.size() == 1;
-    return {Built.AllInstances.at(0), Significant};
+    std::vector<PageSharingReport> Findings =
+        Builder.finalize(World.Assess, 1000000);
+    EXPECT_EQ(Findings.size(), 1u);
+    return Findings.at(0);
   }
 };
 
@@ -684,8 +756,8 @@ TEST(PageReportBuilderTest, NamesEveryObjectOnThePageBeforeTheCut) {
   LineCutCase Case;
   ASSERT_EQ(Case.Hot, BuilderWorld::SegmentBase);
   ASSERT_EQ(Case.Cold, Case.Hot + 19 * 64);
-  auto [Report, Significant] = Case.build(PageMinRemoteAccesses);
-  ASSERT_TRUE(Significant);
+  PageSharingReport Report = Case.build(PageMinRemoteAccesses);
+  ASSERT_TRUE(Report.Significant);
 
   EXPECT_EQ(Report.Objects, (std::vector<std::string>{"hot", "cold"}));
   EXPECT_EQ(Report.LinesTotal, 20u);
@@ -701,8 +773,8 @@ TEST(PageReportBuilderTest, InsignificantPageNamesEveryObjectAndKeepsNoLine) {
   // The same page touched only from its home node fails the gate: no line
   // table, but every touched line still counts and names its object.
   LineCutCase Case;
-  auto [Report, Significant] = Case.build(/*RemoteAccesses=*/0);
-  ASSERT_FALSE(Significant);
+  PageSharingReport Report = Case.build(/*RemoteAccesses=*/0);
+  ASSERT_FALSE(Report.Significant);
 
   EXPECT_EQ(Report.Objects, (std::vector<std::string>{"hot", "cold"}));
   EXPECT_EQ(Report.LinesTotal, 20u);
@@ -730,9 +802,10 @@ bool pagePassesGate(size_t Nodes, uint64_t Invalidations,
   Numa.RemoteAccesses = RemoteAccesses;
   Builder.addPage(makeSnapshot(Base, Counts, /*Threads=*/1, Invalidations),
                   /*Home=*/0, Numa);
-  PageReportBuilder::Output Built = Builder.finalize(World.Assess, 1000000);
-  EXPECT_EQ(Built.AllInstances.size(), 1u);
-  return Built.Reports.size() == 1;
+  std::vector<PageSharingReport> Findings =
+      Builder.finalize(World.Assess, 1000000);
+  EXPECT_EQ(Findings.size(), 1u);
+  return Findings.at(0).Significant;
 }
 
 TEST(PageReportBuilderTest, GateEdgesAreEightInvalidationsAndThirtyTwoRemote) {
@@ -757,25 +830,11 @@ TEST(ReportBuilderTest, MixedSharingAboveBothLineThresholdsIsSignificant) {
   // One line of "m": threads 1 and 2 both write word 0, which takes half
   // of the line's accesses, so the line and the object are mixed sharing.
   // The object's 20 invalidations and its predicted improvement clear the
-  // default gate, and mixed sharing is reported like false sharing.
+  // gate, and mixed sharing is reported like false sharing.
   BuilderWorld World;
-  World.Registry.threadStarted(0, /*IsMain=*/true, 0);
-  World.Phases.programBegin(0, 0);
-  for (ThreadId Tid : {1, 2}) {
-    World.Registry.threadStarted(Tid, /*IsMain=*/false, 1000);
-    World.Phases.threadCreated(Tid, /*Creator=*/0, 1000);
-  }
-  // Every sampled access of both threads lands on "m", at 10 cycles each:
-  // thread 1 writes words 0 and 2, thread 2 word 1.
-  World.Registry.recordSamples(1, 75, 750);
-  World.Registry.recordSamples(2, 25, 250);
-  for (ThreadId Tid : {1, 2}) {
-    World.Registry.threadFinished(Tid, 101000);
-    World.Phases.threadFinished(Tid, 101000);
-  }
-  World.Registry.threadFinished(0, 102000);
-  World.Phases.programEnd(102000);
+  World.forkJoin(/*Samples=*/100, /*Cycles=*/1000);
 
+  // Thread 1 writes words 0 and 2, thread 2 word 1, at 10 cycles each.
   uint64_t Base = World.Globals.defineAligned("m", 64);
   std::vector<uint64_t> Counts(16, 0);
   Counts[0] = 50;
@@ -784,83 +843,145 @@ TEST(ReportBuilderTest, MixedSharingAboveBothLineThresholdsIsSignificant) {
       makeSnapshot(Base, Counts, /*Threads=*/2, /*Invalidations=*/20);
   Line.Buckets[0].MultiThread = true;
 
-  ReportGate Gate;
   ReportBuilder Builder(World.Heap, World.Globals, World.Callsites,
-                        World.Geometry, Gate);
+                        World.Geometry);
   Builder.addLine(Line);
-  ReportBuilder::Output Built = Builder.finalize(World.Assess, 102000);
-  ASSERT_EQ(Built.AllInstances.size(), 1u);
-  const FalseSharingReport &Report = Built.AllInstances[0];
+  std::vector<FalseSharingReport> Findings =
+      Builder.finalize(World.Assess, 102000);
+  ASSERT_EQ(Findings.size(), 1u);
+  const FalseSharingReport &Report = Findings[0];
   EXPECT_EQ(Report.Kind, SharingKind::Mixed);
-  EXPECT_GT(Report.Invalidations, Gate.MinInvalidations);
-  EXPECT_GT(Report.Impact.ImprovementFactor, Gate.MinImprovementFactor);
-  ASSERT_EQ(Built.Reports.size(), 1u);
-  EXPECT_EQ(Built.Reports[0].Object.GlobalName, "m");
+  EXPECT_GT(Report.Invalidations, LineMinInvalidations);
+  EXPECT_GT(Report.Impact.ImprovementFactor, LineMinImprovementFactor);
+  EXPECT_TRUE(Report.Significant);
+  EXPECT_EQ(Report.Object.GlobalName, "m");
 }
 
 //===----------------------------------------------------------------------===//
-// ReportBuilder streaming order
+// The profiler's one report stream
 //===----------------------------------------------------------------------===//
 
-/// Sink that records the stream for order/flag assertions.
+/// Sink that records the stream: each finding's key and flag, in order.
 struct RecordingSink : ReportSink {
-  std::vector<std::pair<uint64_t, bool>> Findings; // (object start, flag)
+  std::vector<std::pair<uint64_t, bool>> Findings;     // (object start, flag)
+  std::vector<std::pair<uint64_t, bool>> PageFindings; // (page base, flag)
   unsigned Begins = 0, Ends = 0;
+  ReportRunStats Stats;
 
   void beginRun(const ReportRunInfo &) override { ++Begins; }
   void finding(const FalseSharingReport &Report, bool Significant) override {
     Findings.emplace_back(Report.Object.Start, Significant);
   }
-  void endRun(const ReportRunStats &) override { ++Ends; }
+  void pageFinding(const PageSharingReport &Report,
+                   bool Significant) override {
+    PageFindings.emplace_back(Report.PageBase, Significant);
+  }
+  void endRun(const ReportRunStats &RunStats) override {
+    ++Ends;
+    Stats = RunStats;
+  }
 };
 
-TEST(ReportBuilderTest, StreamsFindingsInImprovementOrderWithFlags) {
-  // Drive the profiler directly: a parallel phase with two threads
-  // ping-pong writing two disjoint lines, then finish through a recording
-  // sink. Stream order must equal AllInstances order (descending
-  // improvement), flags must match the significant set, and the profiler
-  // must call endRun exactly once (beginRun belongs to the caller).
+/// Checks that \p Stream is \p List in order, that each streamed flag is
+/// the finding's own Significant, and that significant() returns exactly
+/// the flagged findings, in order.
+template <typename Finding, typename KeyOf>
+void expectStreamIsTheList(const std::vector<std::pair<uint64_t, bool>> &Stream,
+                           const std::vector<Finding> &List, KeyOf Key) {
+  ASSERT_EQ(Stream.size(), List.size());
+  std::vector<const Finding *> Flagged;
+  for (size_t I = 0; I < List.size(); ++I) {
+    EXPECT_EQ(Stream[I].first, Key(List[I])) << "finding " << I;
+    EXPECT_EQ(Stream[I].second, List[I].Significant) << "finding " << I;
+    if (Stream[I].second)
+      Flagged.push_back(&List[I]);
+  }
+  EXPECT_EQ(significant(List), Flagged);
+}
+
+TEST(ReportStreamTest, LineFindingsStreamAsTheResultListWithTheirFlags) {
+  // Drive the profiler directly through a fork-join run: threads 1 and 2
+  // ping-pong write private words of two lines (false sharing), and
+  // thread 1 alone writes a third (not shared). finish() streams
+  // Result.Findings in order, each with its own flag, then calls endRun
+  // once with counts taken from the flags (beginRun is the caller's).
   ProfilerConfig Config;
-  Config.Report.MinInvalidations = 1;
-  Config.Report.MinImprovementFactor = 0.0;
   Profiler Prof(Config);
-  Prof.internCallsite("report_test.c", 1);
   Prof.threadStarted(0, /*IsMain=*/true, 0);
   Prof.threadStarted(1, /*IsMain=*/false, 10);
   Prof.threadStarted(2, /*IsMain=*/false, 10);
-
-  // Two disjoint lines, each ping-pong written by both child threads on
-  // private words: classic false sharing on both.
   std::vector<pmu::Sample> Samples;
-  for (unsigned I = 0; I < 128; ++I) {
-    ThreadId Tid = 1 + (I % 2);
+  auto Write = [&Samples](uint64_t Address, ThreadId Tid) {
     pmu::Sample Sample;
-    Sample.Address = HeapArenaBase + ((I / 2) % 2) * 1024 + Tid * 4;
+    Sample.Address = Address;
     Sample.Tid = Tid;
     Sample.IsWrite = true;
     Sample.LatencyCycles = 100;
     Samples.push_back(Sample);
+  };
+  for (unsigned I = 0; I < 512; ++I) {
+    ThreadId Tid = 1 + (I % 2);
+    Write(HeapArenaBase + ((I / 2) % 2) * 1024 + Tid * 4, Tid);
   }
+  for (unsigned I = 0; I < 64; ++I)
+    Write(HeapArenaBase + 2048, 1);
   Prof.ingestBatch(Samples.data(), Samples.size());
+  Prof.threadFinished(1, /*IsMain=*/false, 100010);
+  Prof.threadFinished(2, /*IsMain=*/false, 100010);
+  Prof.threadFinished(0, /*IsMain=*/true, 100020);
 
   RecordingSink Sink;
   sim::SimulationResult Run;
-  Run.TotalCycles = 100000;
+  Run.TotalCycles = 100020;
   ProfileResult Result = Prof.finish(Run, &Sink);
 
   EXPECT_EQ(Sink.Begins, 0u);
   EXPECT_EQ(Sink.Ends, 1u);
-  ASSERT_EQ(Sink.Findings.size(), Result.AllInstances.size());
-  size_t Significant = 0;
-  for (size_t I = 0; I < Sink.Findings.size(); ++I) {
-    EXPECT_EQ(Sink.Findings[I].first, Result.AllInstances[I].Object.Start);
-    Significant += Sink.Findings[I].second ? 1 : 0;
-    if (I > 0) {
-      EXPECT_GE(Result.AllInstances[I - 1].Impact.ImprovementFactor,
-                Result.AllInstances[I].Impact.ImprovementFactor);
-    }
-  }
-  EXPECT_EQ(Significant, Result.Reports.size());
+  EXPECT_TRUE(Sink.PageFindings.empty());
+  expectStreamIsTheList(
+      Sink.Findings, Result.Findings,
+      [](const FalseSharingReport &F) { return F.Object.Start; });
+  // Both flags occur: the two shared lines pass the gate, the private one
+  // does not.
+  ASSERT_EQ(Result.Findings.size(), 3u);
+  EXPECT_EQ(significant(Result.Findings).size(), 2u);
+  EXPECT_EQ(Sink.Stats.Findings, 3u);
+  EXPECT_EQ(Sink.Stats.SignificantFindings, 2u);
+  for (size_t I = 1; I < Result.Findings.size(); ++I)
+    EXPECT_GE(Result.Findings[I - 1].Impact.ImprovementFactor,
+              Result.Findings[I].Impact.ImprovementFactor);
+}
+
+TEST(ReportStreamTest, PageFindingsStreamAsTheResultListWithTheirFlags) {
+  // A two-node first-touch run with line and page tracking, whose block
+  // pages are significant only where enough remote samples landed: every
+  // line finding streams, then every page finding, each in its list's
+  // order with its own flag.
+  auto Workload = workloads::createWorkload("numa_first_touch");
+  ASSERT_NE(Workload, nullptr);
+  driver::SessionConfig Config;
+  Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(256);
+  Config.Profiler.Topology = NumaTopology(2, 4096);
+  Config.Profiler.Detect.TrackPages = true;
+  Config.Workload.Threads = 8;
+  Config.Workload.NumaNodes = 2;
+  RecordingSink Sink;
+  driver::SessionResult Result = driver::runWorkload(*Workload, Config, &Sink);
+  const ProfileResult &Profile = Result.Profile;
+
+  EXPECT_EQ(Sink.Ends, 1u);
+  expectStreamIsTheList(
+      Sink.Findings, Profile.Findings,
+      [](const FalseSharingReport &F) { return F.Object.Start; });
+  expectStreamIsTheList(
+      Sink.PageFindings, Profile.PageFindings,
+      [](const PageSharingReport &F) { return F.PageBase; });
+  // Both flags occur among the pages.
+  size_t SignificantPages = significant(Profile.PageFindings).size();
+  EXPECT_GT(SignificantPages, 0u);
+  EXPECT_LT(SignificantPages, Profile.PageFindings.size());
+  EXPECT_EQ(Sink.Stats.PageFindings, Profile.PageFindings.size());
+  EXPECT_EQ(Sink.Stats.SignificantPageFindings, SignificantPages);
 }
 
 } // namespace

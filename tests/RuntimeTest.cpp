@@ -30,12 +30,12 @@ TEST(CallsiteTest, InterningDeduplicates) {
   CallsiteId C = Table.intern("foo.c", 11);
   EXPECT_EQ(A, B);
   EXPECT_NE(A, C);
-  EXPECT_EQ(Table.get(A).innermost(), "foo.c:10");
+  EXPECT_EQ(Table.get(A).Frames, std::vector<std::string>{"foo.c:10"});
 }
 
 TEST(CallsiteTest, UnknownIdIsZero) {
   CallsiteTable Table;
-  EXPECT_EQ(Table.get(0).innermost(), "<unknown>");
+  EXPECT_TRUE(Table.get(0).Frames.empty());
   EXPECT_NE(Table.intern("a.c", 1), 0u);
 }
 
@@ -246,7 +246,7 @@ TEST(ThreadRegistryTest, KnownAndTotals) {
   EXPECT_FALSE(Registry.known(5));
   Registry.recordSamples(0, 1, 10);
   EXPECT_EQ(Registry.totalSampledAccesses(), 1u);
-  EXPECT_EQ(Registry.totalSampledCycles(), 10u);
+  EXPECT_EQ(Registry.threads()[0].SampledCycles, 10u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -275,8 +275,11 @@ TEST(PhaseTrackerTest, SingleForkJoinCycle) {
             (std::vector<ThreadId>{1, 2}));
   EXPECT_EQ(Tracker.phases()[2].span(), 100u);
   EXPECT_TRUE(Tracker.isForkJoin());
-  EXPECT_EQ(Tracker.serialCycles(), 200u);
-  EXPECT_EQ(Tracker.parallelCycles(), 500u);
+  uint64_t Serial = 0, Parallel = 0;
+  for (const ExecutionPhase &Phase : Tracker.phases())
+    (Phase.Parallel ? Parallel : Serial) += Phase.span();
+  EXPECT_EQ(Serial, 200u);
+  EXPECT_EQ(Parallel, 500u);
   EXPECT_EQ(Tracker.totalCycles(), 700u);
 }
 
@@ -297,7 +300,8 @@ TEST(PhaseTrackerTest, MultiplePhases) {
     ParallelCount += Phase.Parallel;
   EXPECT_EQ(ParallelCount, 3);
   EXPECT_TRUE(Tracker.isForkJoin());
-  EXPECT_EQ(Tracker.phaseOf(11), 3); // phases alternate serial/parallel
+  // Phases alternate serial/parallel: the second parallel one is fourth.
+  EXPECT_EQ(Tracker.phases()[3].Members, (std::vector<ThreadId>{11, 12}));
 }
 
 TEST(PhaseTrackerTest, NestedCreationBreaksForkJoin) {
@@ -327,11 +331,14 @@ TEST(PhaseTrackerTest, OpenPhaseSpansZeroNotWraparound) {
   EXPECT_EQ(Phase.span(), 0u);
 }
 
-TEST(PhaseTrackerTest, PhaseOfUnknownThreadIsMinusOne) {
+TEST(PhaseTrackerTest, ThreadlessProgramIsOneSerialPhase) {
   PhaseTracker Tracker;
   Tracker.programBegin(0, 0);
   Tracker.programEnd(10);
-  EXPECT_EQ(Tracker.phaseOf(42), -1);
+  ASSERT_EQ(Tracker.phases().size(), 1u);
+  EXPECT_FALSE(Tracker.phases()[0].Parallel);
+  EXPECT_TRUE(Tracker.phases()[0].Members.empty());
+  EXPECT_EQ(Tracker.phases()[0].span(), 10u);
 }
 
 } // namespace

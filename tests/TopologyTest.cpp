@@ -470,15 +470,17 @@ TEST(SessionOptionsTest, BannerPrintsOneLinePerActiveGrain) {
 
     std::string Want;
     if (Test.Line)
-      Want += "grain line: " + formatWithCommas(Profile.AllInstances.size()) +
-              " tracked, " + formatWithCommas(Profile.Reports.size()) +
+      Want += "grain line: " + formatWithCommas(Profile.Findings.size()) +
+              " tracked, " +
+              formatWithCommas(significant(Profile.Findings).size()) +
               " significant findings, " +
               formatWithCommas(Stats.SamplesRecorded) + " samples (" +
               formatWithCommas(Stats.Invalidations) + " invalidations)\n";
     if (Test.Page)
       Want += "grain page: " +
-              formatWithCommas(Profile.AllPageInstances.size()) +
-              " tracked, " + formatWithCommas(Profile.PageReports.size()) +
+              formatWithCommas(Profile.PageFindings.size()) +
+              " tracked, " +
+              formatWithCommas(significant(Profile.PageFindings).size()) +
               " significant findings, " +
               formatWithCommas(Stats.PageSamplesRecorded) + " samples (" +
               formatWithCommas(Stats.PageInvalidations) + " invalidations, " +

@@ -126,7 +126,7 @@ TEST(WorkloadRegistryTest, LookupByName) {
   EXPECT_NE(createWorkload("numa_interleaved"), nullptr);
   EXPECT_NE(createWorkload("numa_first_touch"), nullptr);
   EXPECT_NE(createWorkload("numa_asymmetric"), nullptr);
-  EXPECT_EQ(allWorkloadNames().size(), 21u);
+  EXPECT_EQ(createAllWorkloads().size(), 21u);
 }
 
 TEST(WorkloadRegistryTest, PaperAttributesAreConsistent) {
@@ -165,7 +165,8 @@ TEST_P(EveryWorkloadTest, DeterministicAcrossRuns) {
   driver::SessionResult B = driver::runWorkload(*Workload, Config);
   EXPECT_EQ(A.Run.TotalCycles, B.Run.TotalCycles);
   EXPECT_EQ(A.Profile.SamplesDelivered, B.Profile.SamplesDelivered);
-  EXPECT_EQ(A.Profile.Reports.size(), B.Profile.Reports.size());
+  EXPECT_EQ(significant(A.Profile.Findings).size(),
+            significant(B.Profile.Findings).size());
 }
 
 TEST_P(EveryWorkloadTest, ThreadCountMatchesConfig) {
@@ -194,8 +195,16 @@ TEST_P(EveryWorkloadTest, FixedVariantRunsFasterOrEqual) {
             static_cast<double>(Unfixed.Run.TotalCycles) * 1.02);
 }
 
+/// Every registered workload's name, in registry order.
+std::vector<std::string> workloadNames() {
+  std::vector<std::string> Names;
+  for (const auto &Workload : createAllWorkloads())
+    Names.push_back(Workload->name());
+  return Names;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, EveryWorkloadTest,
-                         ::testing::ValuesIn(allWorkloadNames()),
+                         ::testing::ValuesIn(workloadNames()),
                          [](const auto &Info) { return Info.param; });
 
 //===----------------------------------------------------------------------===//
@@ -249,8 +258,8 @@ TEST(WorkloadDetectionTest, FixedVariantsReportNothing) {
     Config.Workload.FixFalseSharing = true;
     Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(256);
     driver::SessionResult Result = driver::runWorkload(*Workload, Config);
-    EXPECT_TRUE(Result.Profile.Reports.empty())
-        << Name << " reported " << Result.Profile.Reports.size()
+    EXPECT_TRUE(significant(Result.Profile.Findings).empty())
+        << Name << " reported " << significant(Result.Profile.Findings).size()
         << " instances after the fix";
   }
 }
@@ -262,7 +271,7 @@ TEST_P(NoFalseSharingTest, CleanWorkloadsProduceNoReports) {
   ASSERT_NE(Workload, nullptr);
   driver::SessionConfig Config = smallConfig(8, 0.5);
   driver::SessionResult Result = driver::runWorkload(*Workload, Config);
-  EXPECT_TRUE(Result.Profile.Reports.empty())
+  EXPECT_TRUE(significant(Result.Profile.Findings).empty())
       << "unexpected report in " << GetParam();
 }
 
@@ -283,7 +292,7 @@ TEST(WorkloadDetectionTest, MinorInstancesMissedBySparseSampling) {
     driver::SessionConfig Config = smallConfig(8, 1.0);
     Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(65536);
     driver::SessionResult Result = driver::runWorkload(*Workload, Config);
-    EXPECT_TRUE(Result.Profile.Reports.empty()) << Name;
+    EXPECT_TRUE(significant(Result.Profile.Findings).empty()) << Name;
   }
 }
 
@@ -342,7 +351,7 @@ TEST(WorkloadStructureTest, StreamclusterRespectsLineSizeInFix) {
   Config.Profiler.Geometry = CacheGeometry(128);
   Config.Workload.FixFalseSharing = true;
   driver::SessionResult Result = driver::runWorkload(*Workload, Config);
-  EXPECT_TRUE(Result.Profile.Reports.empty());
+  EXPECT_TRUE(significant(Result.Profile.Findings).empty());
 }
 
 } // namespace

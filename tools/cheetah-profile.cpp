@@ -222,8 +222,10 @@ int main(int Argc, char **Argv) {
                  Overhead * 100.0);
   }
 
+  auto Significant = core::significant(Profile.Findings);
+  auto SignificantPages = core::significant(Profile.PageFindings);
   if (Flags.getBool("verify") &&
-      (!Profile.Reports.empty() || !Profile.PageReports.empty())) {
+      (!Significant.empty() || !SignificantPages.empty())) {
     driver::SessionConfig Fixed = Config;
     Fixed.Workload.FixFalseSharing = true;
     Fixed.EnableProfiler = false;
@@ -242,9 +244,9 @@ int main(int Argc, char **Argv) {
     // Line findings take precedence; a page-only run verifies against the
     // page assessment (EQ.1-EQ.4 over the finding's site).
     double Predicted =
-        !Profile.Reports.empty()
-            ? Profile.Reports.front().Impact.ImprovementFactor
-            : Profile.PageReports.front().Impact.ImprovementFactor;
+        !Significant.empty()
+            ? Significant.front()->Impact.ImprovementFactor
+            : SignificantPages.front()->Impact.ImprovementFactor;
     std::fprintf(Aux,
                  "verification: predicted %.2fx, actual (padded rerun) "
                  "%.2fx, diff %+.1f%%\n",
