@@ -122,8 +122,7 @@ void BM_DetectorHandleBatch(benchmark::State &State) {
       Sample.IsWrite = Rng.nextBool(0.7);
       Sample.LatencyCycles = 40;
     }
-    benchmark::DoNotOptimize(
-        Detect.handleBatch(Batch.data(), Batch.size(), true));
+    Detect.handleBatch(Batch.data(), Batch.size(), true);
   }
   State.SetItemsProcessed(State.iterations() * Batch.size());
 }
@@ -300,8 +299,7 @@ void BM_ThreadedIngest(benchmark::State &State) {
   std::vector<pmu::Sample> Batch(pmu::SampleBatchCapacity);
   for (auto _ : State) {
     fillSliceBatch(Batch, SliceBase, State.thread_index(), Rng);
-    benchmark::DoNotOptimize(
-        Harness->Detect.handleBatch(Batch.data(), Batch.size(), true));
+    Harness->Detect.handleBatch(Batch.data(), Batch.size(), true);
   }
   State.SetItemsProcessed(State.iterations() * Batch.size());
 
@@ -391,8 +389,7 @@ void BM_ThreadedIngestPageMode(benchmark::State &State) {
   std::vector<pmu::Sample> Batch(pmu::SampleBatchCapacity);
   for (auto _ : State) {
     fillSliceBatch(Batch, SliceBase, State.thread_index(), Rng);
-    benchmark::DoNotOptimize(
-        Harness->Detect.handleBatch(Batch.data(), Batch.size(), true));
+    Harness->Detect.handleBatch(Batch.data(), Batch.size(), true);
   }
   State.SetItemsProcessed(State.iterations() * Batch.size());
 
@@ -483,7 +480,6 @@ BENCHMARK(BM_InterposeRecordSample)->ThreadRange(1, 4)->UseRealTime();
 /// Minimal inner backend so a record-mode TraceSource can be built without
 /// a simulator behind it.
 struct NullSource : pmu::SampleSource {
-  const char *name() const override { return "null"; }
   pmu::SourceStatus start() override { return {true, ""}; }
   pmu::SourceStatus stop() override { return {true, ""}; }
   uint64_t samplesDelivered() const override { return 0; }
@@ -517,7 +513,7 @@ struct DetectorSink : pmu::SampleSink {
   void threadStarted(ThreadId, bool, uint64_t) override {}
   void threadFinished(ThreadId, bool, uint64_t) override {}
   void ingestBatch(const pmu::Sample *Samples, size_t Count) override {
-    benchmark::DoNotOptimize(Detect.handleBatch(Samples, Count, true));
+    Detect.handleBatch(Samples, Count, true);
   }
 };
 
@@ -677,8 +673,7 @@ IngestSweepRow runIngestSweep(const std::string &Mode, unsigned Threads,
             std::min<uint64_t>(Batch.size(), SamplesPerThread - I));
         for (size_t J = 0; J < N; ++J)
           Next(Batch[J]);
-        benchmark::DoNotOptimize(
-            Harness.Detect.handleBatch(Batch.data(), N, true));
+        Harness.Detect.handleBatch(Batch.data(), N, true);
         I += N;
       }
     });

@@ -9,10 +9,10 @@
 /// shadow memory, the FS assessment module over the fork-join phase model,
 /// and report generation. Data collection is *not* owned here: the
 /// profiler is the consumer end of the pmu::SampleSource seam
-/// (a pmu::SampleSink), so any backend — the simulated PMU, a recorded
-/// trace, real perf_event — delivers thread lifecycle events and sample
-/// batches through one interface and the analysis side cannot tell them
-/// apart. Backend construction and wiring live in driver/ProfileSession.
+/// (a pmu::SampleSink), so any backend — the simulated PMU or a recorded
+/// trace — delivers thread lifecycle events and sample batches through
+/// one interface and the analysis side cannot tell them apart. Backend
+/// construction and wiring live in driver/ProfileSession.
 ///
 /// Typical use:
 /// \code
@@ -149,11 +149,11 @@ public:
   /// concurrently: per-thread registry totals are accumulated per batch
   /// and applied under one short lock, serial-phase latencies are added
   /// one by one in sample order, and the lock-free detection hot path runs
-  /// without any profiler-wide serialization. Every backend delivers
-  /// here: the interpose runtime's per-thread buffers, the perf_event ring
-  /// drains, and the simulated PMU and trace replay, whose batches of at
-  /// most pmu::SampleBatchCapacity never span a lifecycle event. The
-  /// report does not depend on how a stream is split into batches.
+  /// without any profiler-wide serialization. Every sample source delivers
+  /// here: the interpose runtime's per-thread buffers, and the simulated
+  /// PMU and trace replay, whose batches of at most
+  /// pmu::SampleBatchCapacity never span a lifecycle event. The report
+  /// does not depend on how a stream is split into batches.
   void ingestBatch(const pmu::Sample *Samples, size_t Count) override;
 
   /// Current phase state (exposed for tests).

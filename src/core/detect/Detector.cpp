@@ -42,8 +42,6 @@ struct BatchScratch {
   uint32_t Writes[Capacity];
   /// Indices of samples that survived the susceptibility filter.
   uint32_t Kept[Capacity];
-  /// 1 once any grain stage recorded the sample.
-  uint8_t Recorded[Capacity];
   /// Page-stage prepare results (node of the accessing thread, settled
   /// first-touch home).
   NodeId Node[Capacity];
@@ -229,9 +227,9 @@ struct Detector::PageStage {
 };
 
 template <typename Stage>
-size_t Detector::runGrainStageBatch(Stage &S, const pmu::Sample *Samples,
-                                    size_t Count, const uint8_t *Covered,
-                                    bool InParallelPhase, uint8_t *Recorded) {
+void Detector::runGrainStageBatch(Stage &S, const pmu::Sample *Samples,
+                                  size_t Count, const uint8_t *Covered,
+                                  bool InParallelPhase) {
   using InfoT = typename std::remove_reference_t<decltype(S.table())>::Info;
   auto &Table = S.table();
   BatchScratch &Scratch = batchScratch();
@@ -254,7 +252,7 @@ size_t Detector::runGrainStageBatch(Stage &S, const pmu::Sample *Samples,
   }
 
   if (!InParallelPhase)
-    return 0;
+    return;
 
   // Branchless stage-1 filter: compact the survivors' indices without a
   // single data-dependent branch, and without loading any detail pointer —
@@ -326,14 +324,10 @@ size_t Detector::runGrainStageBatch(Stage &S, const pmu::Sample *Samples,
     S.Invalidations += Info->recordRun(Run);
   }
   S.commit();
-  for (size_t J = 0; J < NumKept; ++J)
-    Recorded[Scratch.Kept[J]] = 1;
-  return NumKept;
 }
 
-size_t Detector::handleBatch(const pmu::Sample *Samples, size_t Count,
-                             bool InParallelPhase, uint8_t AccessBytes) {
-  size_t TotalRecorded = 0;
+void Detector::handleBatch(const pmu::Sample *Samples, size_t Count,
+                           bool InParallelPhase, uint8_t AccessBytes) {
   BatchScratch &Scratch = batchScratch();
   for (size_t Offset = 0; Offset < Count; Offset += BatchScratch::Capacity) {
     size_t Chunk = std::min(Count - Offset, BatchScratch::Capacity);
@@ -346,7 +340,6 @@ size_t Detector::handleBatch(const pmu::Sample *Samples, size_t Count,
     for (size_t I = 0; I < Chunk; ++I) {
       Scratch.Covered[I] = Shadow.covers(ChunkSamples[I].Address);
       CoveredCount += Scratch.Covered[I];
-      Scratch.Recorded[I] = 0;
     }
     if (CoveredCount != Chunk)
       SamplesFiltered.fetch_add(Chunk - CoveredCount,
@@ -355,15 +348,12 @@ size_t Detector::handleBatch(const pmu::Sample *Samples, size_t Count,
     if (Pages && Config.TrackPages) {
       PageStage Stage{*this, Scratch.Node, Scratch.Home};
       runGrainStageBatch(Stage, ChunkSamples, Chunk, Scratch.Covered,
-                         InParallelPhase, Scratch.Recorded);
+                         InParallelPhase);
     }
     if (Config.TrackLines) {
       LineStage Stage{*this, AccessBytes ? AccessBytes : uint64_t(1)};
       runGrainStageBatch(Stage, ChunkSamples, Chunk, Scratch.Covered,
-                         InParallelPhase, Scratch.Recorded);
+                         InParallelPhase);
     }
-    for (size_t I = 0; I < Chunk; ++I)
-      TotalRecorded += Scratch.Recorded[I];
   }
-  return TotalRecorded;
 }

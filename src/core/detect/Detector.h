@@ -100,11 +100,10 @@ public:
   /// stream is split into batches never shows. \p InParallelPhase reflects
   /// the phase tracker's state at delivery time; \p AccessBytes is the
   /// access width for word marking, shared by the batch. Thread-safe:
-  /// concurrent ingesters may deliver batches simultaneously.
-  /// \returns the number of samples recorded in detailed tracking (at
-  /// either granularity).
-  size_t handleBatch(const pmu::Sample *Samples, size_t Count,
-                     bool InParallelPhase, uint8_t AccessBytes = 4);
+  /// concurrent ingesters may deliver batches simultaneously. What each
+  /// grain recorded shows in stats().
+  void handleBatch(const pmu::Sample *Samples, size_t Count,
+                   bool InParallelPhase, uint8_t AccessBytes = 4);
 
   /// Snapshot of the counters (consistent once ingestion stops).
   DetectorStats stats() const {
@@ -138,12 +137,9 @@ private:
   /// — e.g. first-touch home publication), the parallel-phase gate, the
   /// branchless susceptibility filter, grouping by grain, and the
   /// prefetched lookup, materialization and per-grain record sweeps.
-  /// Marks recorded samples in \p Recorded and returns how many this
-  /// stage recorded.
   template <typename Stage>
-  size_t runGrainStageBatch(Stage &S, const pmu::Sample *Samples,
-                            size_t Count, const uint8_t *Covered,
-                            bool InParallelPhase, uint8_t *Recorded);
+  void runGrainStageBatch(Stage &S, const pmu::Sample *Samples, size_t Count,
+                          const uint8_t *Covered, bool InParallelPhase);
 
   ShadowMemory &Shadow;
   DetectorConfig Config;

@@ -8,8 +8,6 @@
 
 #include "support/StringUtils.h"
 
-#include <algorithm>
-
 using namespace cheetah;
 using namespace cheetah::core;
 
@@ -83,11 +81,7 @@ std::string cheetah::core::formatReport(const FalseSharingReport &Report,
     Out += "Word-level accesses (offset within object):\n";
     TextTable Table;
     Table.setHeader({"offset", "reads", "writes", "cycles", "threads"});
-    size_t Limit = Options.MaxWords == 0
-                       ? Report.Words.size()
-                       : std::min(Options.MaxWords, Report.Words.size());
-    for (size_t I = 0; I < Limit; ++I) {
-      const WordReportEntry &Word = Report.Words[I];
+    for (const WordReportEntry &Word : Report.Words) {
       Table.addRow({formatString("+%llu",
                                  static_cast<unsigned long long>(Word.Offset)),
                     std::to_string(Word.Reads), std::to_string(Word.Writes),
@@ -99,10 +93,11 @@ std::string cheetah::core::formatReport(const FalseSharingReport &Report,
     Out += Table.render();
     // Elided rows count from the uncut total; a report built by hand may
     // leave it at 0.
-    uint64_t Total = std::max<uint64_t>(Report.WordsTotal, Report.Words.size());
-    if (Limit < Total)
-      Out += formatString("... %llu more words elided\n",
-                          static_cast<unsigned long long>(Total - Limit));
+    if (Report.WordsTotal > Report.Words.size())
+      Out += formatString(
+          "... %llu more words elided\n",
+          static_cast<unsigned long long>(Report.WordsTotal -
+                                          Report.Words.size()));
   }
   return Out;
 }
@@ -162,11 +157,7 @@ cheetah::core::formatPageReport(const PageSharingReport &Report,
     Out += "Line-level accesses (offset within page):\n";
     TextTable Table;
     Table.setHeader({"offset", "reads", "writes", "cycles", "nodes"});
-    size_t Limit = Options.MaxWords == 0
-                       ? Report.Lines.size()
-                       : std::min(Options.MaxWords, Report.Lines.size());
-    for (size_t I = 0; I < Limit; ++I) {
-      const PageLineEntry &Line = Report.Lines[I];
+    for (const PageLineEntry &Line : Report.Lines) {
       Table.addRow({formatString("+%llu",
                                  static_cast<unsigned long long>(Line.Offset)),
                     std::to_string(Line.Reads), std::to_string(Line.Writes),
@@ -176,10 +167,11 @@ cheetah::core::formatPageReport(const PageSharingReport &Report,
                         : formatString("node %u", Line.FirstNode)});
     }
     Out += Table.render();
-    uint64_t Total = std::max<uint64_t>(Report.LinesTotal, Report.Lines.size());
-    if (Limit < Total)
-      Out += formatString("... %llu more lines elided\n",
-                          static_cast<unsigned long long>(Total - Limit));
+    if (Report.LinesTotal > Report.Lines.size())
+      Out += formatString(
+          "... %llu more lines elided\n",
+          static_cast<unsigned long long>(Report.LinesTotal -
+                                          Report.Lines.size()));
   }
   return Out;
 }

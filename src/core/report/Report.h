@@ -171,8 +171,6 @@ void significant(const std::vector<Finding> &&Findings) = delete;
 
 /// Formatting options for the text report.
 struct ReportFormatOptions {
-  /// Maximum words (or lines) listed, hottest first; 0 = every kept row.
-  size_t MaxWords = ReportTableRows;
   /// Mirror the paper's hexadecimal counters (Figure 5 prints
   /// "invalidations 27f ... totalThreadsAccesses 12e1").
   bool HexCounters = false;

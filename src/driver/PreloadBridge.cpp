@@ -89,7 +89,6 @@ void PreloadProfilerBridge::attachThread(ThreadId Tid) {
   // thread's sample buffer, and attachThread may run on a coordinator. The
   // Tid thread's own buffer registers lazily on its first recordSample()
   // (or its own threadAttach() call).
-  interpose::noteThreadCreate();
   Profiler.threadStarted(Tid, /*IsMain=*/false, Now);
 }
 
@@ -106,7 +105,6 @@ void PreloadProfilerBridge::detachThread(ThreadId Tid) {
     CHEETAH_ASSERT(It != Attached.end(), "detach of unattached thread");
     Attached.erase(It);
   }
-  interpose::noteThreadJoin();
   Profiler.threadFinished(Tid, /*IsMain=*/false, Now);
 }
 
@@ -137,7 +135,7 @@ core::ProfileResult PreloadProfilerBridge::finish(core::ReportSink *Sink) {
   sim::SimulationResult Run;
   Run.TotalCycles = Now;
   if (Sink) {
-    // The bridge owns the run lifecycle for the LD_PRELOAD path, so it
+    // The bridge owns the run lifecycle for the real-thread path, so it
     // provides the beginRun bookend the profiler's finish() expects the
     // caller to have sent (the simulator path gets it from the driver).
     core::ReportRunInfo Info;

@@ -5,14 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The adapter that turns the LD_PRELOAD runtime from a counter box into a
-/// real profiling deployment: it installs core::Profiler::ingestBatch as
-/// the interpose layer's sample sink (per-thread buffers drain straight
-/// into the lock-free detection path), mirrors thread attach/detach into
-/// the profiler's registry and phase tracker, and at finish() flushes
-/// every staged sample and produces the same ProfileResult — reports
-/// included — that the simulator path yields. Timestamps come from the
-/// paper's per-thread RDTSC source via interpose::readTimestampCounter.
+/// The adapter between the interpose layer's per-thread sample buffers and
+/// a live profiler: it installs core::Profiler::ingestBatch as the
+/// interpose sample sink (per-thread buffers drain straight into the
+/// lock-free detection path), mirrors thread attach/detach into the
+/// profiler's registry and phase tracker, and at finish() flushes every
+/// staged sample and produces the same ProfileResult — reports included —
+/// that the simulator path yields. Timestamps come from the paper's
+/// per-thread RDTSC source via interpose::readTimestampCounter.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,7 +47,7 @@ public:
   /// Registers application thread \p Tid (> 0) with the profiler; entering
   /// the first child thread begins a parallel phase, enabling detailed
   /// tracking exactly as in the simulator path. Callable from any thread
-  /// (e.g. a pthread_create wrapper on the creator); the Tid thread's own
+  /// (e.g. the one that starts Tid's thread); the Tid thread's own
   /// sample buffer registers itself lazily on first use and leaves the
   /// interpose registry once that thread has exited and been drained.
   void attachThread(ThreadId Tid);

@@ -6,12 +6,8 @@
 
 #include "interpose/Preload.h"
 
-#include "pmu/PerfEventPmu.h"
-#include "pmu/PmuConfig.h"
-
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -66,26 +62,12 @@ struct alignas(64) ThreadSampleBuffer {
   pmu::Sample Slots[pmu::SampleBatchCapacity];
 };
 
-/// Global interposition state. Counters are atomics: the wrappers run on
-/// arbitrary application threads.
+/// Global interposition state, shared by every recording thread.
 struct RuntimeState {
-  std::atomic<bool> Started{false};
-  std::atomic<uint64_t> Allocations{0};
-  std::atomic<uint64_t> Deallocations{0};
-  std::atomic<uint64_t> BytesAllocated{0};
-  std::atomic<uint64_t> ThreadsCreated{0};
-  std::atomic<uint64_t> ThreadsJoined{0};
-  std::atomic<uint64_t> SamplesCollected{0};
   std::atomic<uint64_t> SamplesIngested{0};
-  uint64_t StartTimestamp = 0;
-  bool PmuAvailable = false;
-  std::string PmuStatus;
 
-  std::mutex PmuMutex;
-  // One sampler per attached thread would be the full design; the summary
-  // path only needs the main thread's session to demonstrate real
-  // collection where the host permits it.
-  pmu::PerfEventPmu *MainSampler = nullptr;
+  /// Samples delivered while no sink was installed, kept for the next one.
+  std::mutex PendingMutex;
   std::vector<pmu::Sample> PendingSamples;
 
   /// Registry of the staging buffers of live threads, and of exited
@@ -104,8 +86,8 @@ struct RuntimeState {
 };
 
 RuntimeState &state() {
-  // Function-local static: no global constructor, safe under LD_PRELOAD
-  // where initialization order is hostile.
+  // Function-local static: constructed on first use, whatever the order
+  // of static initialization.
   static RuntimeState State;
   return State;
 }
@@ -174,7 +156,7 @@ void deliverBatch(const pmu::Sample *Samples, size_t Count) {
     Sink(Samples, Count);
     State.SamplesIngested.fetch_add(Count, std::memory_order_relaxed);
   } else {
-    std::lock_guard<std::mutex> Lock(State.PmuMutex);
+    std::lock_guard<std::mutex> Lock(State.PendingMutex);
     State.PendingSamples.insert(State.PendingSamples.end(), Samples,
                                 Samples + Count);
   }
@@ -196,32 +178,7 @@ void claimOwnSamples(ThreadSampleBuffer &Buffer) {
 
 } // namespace
 
-void cheetah::interpose::beginProfiling() {
-  RuntimeState &State = state();
-  bool Expected = false;
-  if (!State.Started.compare_exchange_strong(Expected, true))
-    return;
-  State.StartTimestamp = readTimestampCounter();
-
-  std::lock_guard<std::mutex> Lock(State.PmuMutex);
-  pmu::PmuConfig Config; // deployment defaults: 1/64K sampling
-  State.MainSampler = new pmu::PerfEventPmu(Config);
-  pmu::PerfEventStatus Status = State.MainSampler->start();
-  State.PmuAvailable = Status.Available;
-  State.PmuStatus = Status.Available ? "sampling" : Status.Reason;
-  if (!Status.Available) {
-    delete State.MainSampler;
-    State.MainSampler = nullptr;
-  }
-}
-
-void cheetah::interpose::threadAttach() {
-  // Per-thread PMU programming. With perf_event inheritance unavailable in
-  // self-monitoring mode, each thread would open its own fd; we register
-  // the thread's sample staging buffer and leave collection to the main
-  // session (attach itself is counted by noteThreadCreate).
-  threadBuffer();
-}
+void cheetah::interpose::threadAttach() { threadBuffer(); }
 
 void cheetah::interpose::setSampleSink(SampleBatchSink Sink) {
   RuntimeState &State = state();
@@ -232,7 +189,7 @@ void cheetah::interpose::setSampleSink(SampleBatchSink Sink) {
   // Samples parked while no sink was installed belong to the new sink.
   std::vector<pmu::Sample> Parked;
   {
-    std::lock_guard<std::mutex> Lock(State.PmuMutex);
+    std::lock_guard<std::mutex> Lock(State.PendingMutex);
     Parked.swap(State.PendingSamples);
   }
   deliverBatch(Parked.data(), Parked.size());
@@ -282,8 +239,9 @@ void cheetah::interpose::flushAllSamples() {
     }
   }
 
-  // Samples the real PMU sampler (or a sink-less deliverBatch) parked in
-  // PendingSamples also belong to the sink once one is installed.
+  // A delivery that found no sink, racing setSampleSink(), may have parked
+  // its samples after the new sink took the parked ones: they belong to
+  // the sink too.
   bool HaveSink;
   {
     std::lock_guard<std::mutex> Lock(State.SinkMutex);
@@ -292,67 +250,17 @@ void cheetah::interpose::flushAllSamples() {
   if (HaveSink) {
     std::vector<pmu::Sample> Parked;
     {
-      std::lock_guard<std::mutex> Lock(State.PmuMutex);
+      std::lock_guard<std::mutex> Lock(State.PendingMutex);
       Parked.swap(State.PendingSamples);
     }
     deliverBatch(Parked.data(), Parked.size());
   }
 }
 
-void cheetah::interpose::endProfiling() {
-  RuntimeState &State = state();
-  {
-    std::lock_guard<std::mutex> Lock(State.PmuMutex);
-    if (State.MainSampler) {
-      State.SamplesCollected +=
-          State.MainSampler->drain(State.PendingSamples);
-      State.MainSampler->stop();
-      delete State.MainSampler;
-      State.MainSampler = nullptr;
-    }
-  }
-  flushAllSamples();
-}
-
-void *cheetah::interpose::interposedMalloc(size_t Size, void *ReturnAddress) {
-  RuntimeState &State = state();
-  State.Allocations.fetch_add(1, std::memory_order_relaxed);
-  State.BytesAllocated.fetch_add(Size, std::memory_order_relaxed);
-  (void)ReturnAddress; // retained for callsite attribution in reports
-  return std::malloc(Size);
-}
-
-void cheetah::interpose::interposedFree(void *Ptr) {
-  if (!Ptr)
-    return;
-  state().Deallocations.fetch_add(1, std::memory_order_relaxed);
-  std::free(Ptr);
-}
-
-void cheetah::interpose::noteThreadCreate() {
-  state().ThreadsCreated.fetch_add(1, std::memory_order_relaxed);
-}
-
-void cheetah::interpose::noteThreadJoin() {
-  state().ThreadsJoined.fetch_add(1, std::memory_order_relaxed);
-}
-
 InterposeSummary cheetah::interpose::summary() {
   RuntimeState &State = state();
-  {
-    std::lock_guard<std::mutex> Lock(State.PmuMutex);
-    if (State.MainSampler)
-      State.SamplesCollected +=
-          State.MainSampler->drain(State.PendingSamples);
-  }
   flushAllSamples();
   InterposeSummary Result;
-  Result.Allocations = State.Allocations.load();
-  Result.Deallocations = State.Deallocations.load();
-  Result.BytesAllocated = State.BytesAllocated.load();
-  Result.ThreadsCreated = State.ThreadsCreated.load();
-  Result.ThreadsJoined = State.ThreadsJoined.load();
-  Result.SamplesCollected = State.SamplesCollected.load();
   {
     std::lock_guard<std::mutex> Lock(State.BuffersMutex);
     Result.SamplesBuffered = State.ExitedSamples;
@@ -361,27 +269,15 @@ InterposeSummary cheetah::interpose::summary() {
     Result.ThreadBuffers = State.Buffers.size();
   }
   Result.SamplesIngested = State.SamplesIngested.load();
-  Result.PmuAvailable = State.PmuAvailable;
-  Result.PmuStatus = State.PmuStatus;
-  Result.StartTimestamp = State.StartTimestamp;
   return Result;
 }
 
 void cheetah::interpose::resetForTesting() {
-  endProfiling();
+  flushAllSamples();
   RuntimeState &State = state();
-  State.Started = false;
-  State.Allocations = 0;
-  State.Deallocations = 0;
-  State.BytesAllocated = 0;
-  State.ThreadsCreated = 0;
-  State.ThreadsJoined = 0;
-  State.SamplesCollected = 0;
   State.SamplesIngested = 0;
-  State.PmuAvailable = false;
-  State.PmuStatus.clear();
   {
-    std::lock_guard<std::mutex> Lock(State.PmuMutex);
+    std::lock_guard<std::mutex> Lock(State.PendingMutex);
     State.PendingSamples.clear();
   }
   {
@@ -398,23 +294,3 @@ void cheetah::interpose::resetForTesting() {
     Buffer->Tail = 0;
   }
 }
-
-//===----------------------------------------------------------------------===//
-// C entry points for LD_PRELOAD use.
-//===----------------------------------------------------------------------===//
-
-extern "C" {
-
-void cheetah_begin_profiling() { beginProfiling(); }
-void cheetah_end_profiling() { endProfiling(); }
-
-void *cheetah_malloc(size_t Size) {
-  return interposedMalloc(Size, __builtin_return_address(0));
-}
-
-void cheetah_free(void *Ptr) { interposedFree(Ptr); }
-
-void cheetah_note_thread_create() { noteThreadCreate(); }
-void cheetah_note_thread_join() { noteThreadJoin(); }
-
-} // extern "C"

@@ -5,19 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The real-deployment face of Cheetah: an interposition runtime that can
-/// be linked (or LD_PRELOADed as libcheetah_preload.so) into an unmodified
-/// pthreads program. It intercepts allocations and thread creation exactly
-/// as the paper describes — "there is no need for a custom OS, nor
-/// recompilation and changing of programs" — records allocation callsites
-/// and thread lifetimes with RDTSC timestamps, and, when the host exposes
-/// precise PMU sampling, drains real samples into the same Detector the
-/// simulator path uses.
-///
-/// On hosts without PMU access (most containers) everything except sample
-/// collection still works, and `interpose::summary()` reports why samples
-/// are unavailable. The two-API contract from the paper's Section 5 maps
-/// to `beginProfiling()` / `threadAttach()`.
+/// The real-thread ingest path: application threads record samples into
+/// private per-thread buffers without taking a lock, and full batches are
+/// delivered to one installed sink. driver::PreloadProfilerBridge installs
+/// core::Profiler::ingestBatch as that sink; cheetah-daemon and the
+/// end-to-end benchmark drive it from real OS threads. Timestamps come
+/// from the paper's per-thread RDTSC source, readTimestampCounter().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,19 +22,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <string>
 
 namespace cheetah {
 namespace interpose {
 
-/// Aggregate state of the interposition runtime.
+/// Buffer counters of the interposition runtime.
 struct InterposeSummary {
-  uint64_t Allocations = 0;
-  uint64_t Deallocations = 0;
-  uint64_t BytesAllocated = 0;
-  uint64_t ThreadsCreated = 0;
-  uint64_t ThreadsJoined = 0;
-  uint64_t SamplesCollected = 0;
   /// Samples recorded into the per-thread buffers, exited threads'
   /// included: each buffer's append index, plus the indices of buffers
   /// that left the registry.
@@ -52,34 +38,11 @@ struct InterposeSummary {
   uint64_t ThreadBuffers = 0;
   /// Samples delivered to the registered batch sink.
   uint64_t SamplesIngested = 0;
-  bool PmuAvailable = false;
-  std::string PmuStatus;
-  /// TSC at beginProfiling().
-  uint64_t StartTimestamp = 0;
 };
 
-/// Starts the runtime on the calling thread: records the baseline RDTSC
-/// timestamp and attempts to start PMU sampling (API one of the paper's
-/// two-API contract). Idempotent.
-void beginProfiling();
-
-/// Attaches the current thread to the profiler: programs its PMU sampling
-/// and registers its start timestamp (API two). Called automatically for
-/// threads created through the interposed pthread_create.
+/// Registers the calling thread's sample buffer now rather than at its
+/// first recordSample().
 void threadAttach();
-
-/// Stops sampling and freezes counters.
-void endProfiling();
-
-/// Intercepted allocation entry points (also exported with C linkage from
-/// the shared library for LD_PRELOAD use).
-void *interposedMalloc(size_t Size, void *ReturnAddress);
-void interposedFree(void *Ptr);
-
-/// Notifies the runtime of a thread creation/join observed by the
-/// pthread_create/pthread_join wrappers.
-void noteThreadCreate();
-void noteThreadJoin();
 
 /// Batch consumer for drained samples. The driver typically wires this to
 /// core::Profiler::ingestBatch, which is safe to call from many threads —
@@ -102,13 +65,13 @@ void recordSample(const pmu::Sample &Sample);
 /// Delivers the calling thread's buffered samples to the sink now.
 void flushThreadSamples();
 
-/// Drains every registered buffer (also done by summary()/endProfiling()):
-/// copies out the samples each live thread has published but not yet
-/// claimed, delivers what exited threads left behind, and unregisters those
-/// buffers. A thread that exits never calls the sink itself.
+/// Drains every registered buffer (also done by summary()): copies out the
+/// samples each live thread has published but not yet claimed, delivers
+/// what exited threads left behind, and unregisters those buffers. A
+/// thread that exits never calls the sink itself.
 void flushAllSamples();
 
-/// Drains any pending PMU samples and returns the current counters.
+/// Drains every registered buffer and returns the current counters.
 InterposeSummary summary();
 
 /// Resets all state (tests only). No thread may be recording: it empties

@@ -96,10 +96,15 @@ public:
   /// Longest thread pinning map accepted from external data.
   static constexpr size_t MaxPinnedThreads = 4096;
 
+  /// One node with 4 KiB pages. Not explicit, so an aggregate holding a
+  /// topology (core::ProfilerConfig, driver::SessionConfig) value-initializes
+  /// from `{}`.
+  NumaTopology() : NumaTopology(1) {}
+
   /// Uniform-distance topology (asserting; programmatic use only).
   /// \param Nodes number of NUMA nodes (1 = UMA, detection disabled-ish).
   /// \param PageSize page size in bytes; power of two >= 256.
-  explicit NumaTopology(uint32_t Nodes = 1, uint64_t PageSize = 4096)
+  explicit NumaTopology(uint32_t Nodes, uint64_t PageSize = 4096)
       : Nodes(Nodes), PageBytes(PageSize) {
     CHEETAH_ASSERT(Nodes >= 1 && Nodes <= MaxNodes,
                    "node count must be in [1, MaxNodes]");

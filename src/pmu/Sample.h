@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The sample record contract between any PMU backend (simulated or real
-/// perf_event) and the Cheetah analysis pipeline. This is exactly the
-/// information the paper's data-collection module gleans per sample
+/// The sample record contract between any PMU backend (the simulated PMU
+/// or a replayed trace) and the Cheetah analysis pipeline. This is exactly
+/// the information the paper's data-collection module gleans per sample
 /// (Section 2.1): address, thread id, read/write, and access latency.
 ///
 //===----------------------------------------------------------------------===//
@@ -33,7 +33,7 @@ struct Sample {
   bool IsWrite = false;
   /// Access latency in cycles as the PMU measured it.
   uint32_t LatencyCycles = 0;
-  /// Timestamp (virtual cycles in simulation, TSC for perf_event).
+  /// Timestamp in virtual cycles of the simulated run.
   uint64_t Timestamp = 0;
 };
 

@@ -60,8 +60,7 @@ public:
 
   // SampleSource implementation. The simulator pushes through the observer
   // hooks, so start/stop only toggle delivery (stop() also hands over the
-  // buffered samples) and drain() has nothing to do.
-  const char *name() const override { return "sim"; }
+  // buffered samples).
   SourceStatus start() override {
     setEnabled(true);
     return {true, ""};

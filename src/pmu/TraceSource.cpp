@@ -375,16 +375,8 @@ SourceStatus TraceSource::start() {
   return {true, ""};
 }
 
-SourceStatus TraceSource::attachThread(ThreadId Tid) {
-  if (Inner)
-    return Inner->attachThread(Tid);
-  return {true, ""};
-}
-
 size_t TraceSource::drain() {
-  if (Inner)
-    return Inner->drain();
-  if (!Started || !sink())
+  if (Inner || !Started || !sink())
     return 0;
   size_t Delivered = replayInto(*sink());
   SamplesDelivered += Delivered;

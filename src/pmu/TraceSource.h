@@ -98,12 +98,7 @@ public:
   explicit TraceSource(std::string Path);
 
   // SampleSource implementation.
-  const char *name() const override {
-    return Inner ? "trace-record" : "trace-replay";
-  }
   SourceStatus start() override;
-  SourceStatus attachThread(ThreadId Tid) override;
-  size_t drain() override;
   SourceStatus stop() override;
   uint64_t samplesDelivered() const override { return SamplesDelivered; }
   sim::SimObserver *simObserver() override {
@@ -125,6 +120,11 @@ public:
   /// The buffered event stream (record: what was teed so far; replay:
   /// what start() parsed).
   const TraceData &data() const { return Data; }
+
+  /// Replay mode (after start()): delivers the parsed stream to the sink
+  /// through replayInto(). \returns samples delivered; 0 in record mode,
+  /// whose inner backend delivers as it samples.
+  size_t drain();
 
   /// Delivers the buffered stream into \p Out in recorded order —
   /// lifecycle edges in place, samples in batches of at most

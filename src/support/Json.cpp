@@ -136,7 +136,7 @@ void JsonWriter::value(double Number) {
   }
   // Shortest exact representation, locale-independent — printf %g honors
   // LC_NUMERIC and would emit "1,5" inside a host application that set a
-  // European locale (the LD_PRELOAD deployment cannot control that).
+  // European locale (a profiler inside that process cannot control it).
   char Buffer[32];
   auto [End, Ec] = std::to_chars(Buffer, Buffer + sizeof(Buffer), Number);
   CHEETAH_ASSERT(Ec == std::errc(), "double did not fit to_chars buffer");

@@ -349,19 +349,26 @@ TEST(ReportTest, GlobalObjectsReportTheirSymbolName) {
   EXPECT_EQ(Text.find("callsite"), std::string::npos);
 }
 
-TEST(ReportTest, WordTableRespectsLimit) {
+TEST(ReportTest, WordTablePrintsEveryKeptRowAndCountsTheRestAsElided) {
+  // The builder makes the cut; the formatter prints whatever it kept (here
+  // more than ReportTableRows, as a hand-built report may hold) and counts
+  // the rest from WordsTotal.
   FalseSharingReport Report = makeSampleReport();
   Report.Words.clear();
-  for (int I = 0; I < 40; ++I) {
+  for (int I = 0; I < 20; ++I) {
     WordReportEntry Word;
     Word.Offset = I * 4;
     Word.Writes = 1;
     Report.Words.push_back(Word);
   }
-  ReportFormatOptions Options;
-  Options.MaxWords = 8;
-  std::string Text = formatReport(Report, Options);
-  EXPECT_NE(Text.find("32 more words elided"), std::string::npos);
+  Report.WordsTotal = 52;
+  std::string Text = formatReport(Report);
+  EXPECT_NE(Text.find("+76 "), std::string::npos) << Text;
+  EXPECT_NE(Text.find("32 more words elided"), std::string::npos) << Text;
+
+  // A hand-built report that leaves the total at 0 elides nothing.
+  Report.WordsTotal = 0;
+  EXPECT_EQ(formatReport(Report).find("elided"), std::string::npos);
 }
 
 TEST(ReportTest, NonForkJoinNoteAppears) {

@@ -487,9 +487,12 @@ pmu::Sample makeSample(uint64_t Address, ThreadId Tid, bool IsWrite,
   return Sample;
 }
 
-/// Delivers one sample as a batch of one. \returns true if it was recorded.
+/// Delivers one sample as a batch of one. \returns true if the line stage
+/// recorded it.
 bool deliver(Detector &D, const pmu::Sample &S, bool InParallelPhase) {
-  return D.handleBatch(&S, 1, InParallelPhase) != 0;
+  uint64_t Before = D.stats().SamplesRecorded;
+  D.handleBatch(&S, 1, InParallelPhase);
+  return D.stats().SamplesRecorded > Before;
 }
 
 class DetectorTest : public ::testing::Test {

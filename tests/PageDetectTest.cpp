@@ -45,9 +45,9 @@ pmu::Sample makeSample(uint64_t Address, ThreadId Tid, bool IsWrite,
   return Sample;
 }
 
-/// Delivers one sample as a batch of one. \returns true if it was recorded.
-bool deliver(Detector &D, const pmu::Sample &S, bool InParallelPhase) {
-  return D.handleBatch(&S, 1, InParallelPhase) != 0;
+/// Delivers one sample as a batch of one.
+void deliver(Detector &D, const pmu::Sample &S, bool InParallelPhase) {
+  D.handleBatch(&S, 1, InParallelPhase);
 }
 
 //===----------------------------------------------------------------------===//

@@ -47,21 +47,18 @@ public:
     Topology = &T;
   }
 
-  /// Processes one sample. \returns true if it reached detailed tracking
-  /// at either granularity.
-  bool handleSample(const pmu::Sample &Sample, bool InParallelPhase,
+  /// Processes one sample; stats() counts what each grain recorded.
+  void handleSample(const pmu::Sample &Sample, bool InParallelPhase,
                     uint8_t AccessBytes = 4) {
     ++Stats.SamplesSeen;
     if (!Shadow.covers(Sample.Address)) {
       ++Stats.SamplesFiltered;
-      return false;
+      return;
     }
-    bool Recorded = false;
     if (Pages && Config.TrackPages)
-      Recorded |= recordPage(Sample, InParallelPhase);
+      recordPage(Sample, InParallelPhase);
     if (Config.TrackLines)
-      Recorded |= recordLine(Sample, InParallelPhase, AccessBytes);
-    return Recorded;
+      recordLine(Sample, InParallelPhase, AccessBytes);
   }
 
   /// The counters a Detector fed the same stream would report.
@@ -88,12 +85,12 @@ private:
     return Info;
   }
 
-  bool recordLine(const pmu::Sample &Sample, bool InParallelPhase,
+  void recordLine(const pmu::Sample &Sample, bool InParallelPhase,
                   uint8_t AccessBytes) {
     core::CacheLineInfo *Info =
         detailFor(Shadow, Sample, Config.WriteThreshold, InParallelPhase);
     if (!Info)
-      return false;
+      return;
     // Words from the access's first byte to its last, clamped at the line
     // end: a straddling access marks words only within its first line.
     const CacheGeometry &Geometry = Shadow.geometry();
@@ -106,10 +103,9 @@ private:
         Info->record(Sample.Tid, Sample.Tid, kindOf(Sample), Word,
                      LastByte / WordSize - Word + 1, Sample.LatencyCycles);
     ++Stats.SamplesRecorded;
-    return true;
   }
 
-  bool recordPage(const pmu::Sample &Sample, bool InParallelPhase) {
+  void recordPage(const pmu::Sample &Sample, bool InParallelPhase) {
     // The home is published whatever the phase: placement happens on first
     // touch.
     NodeId Node = Topology->nodeOf(Sample.Tid);
@@ -117,7 +113,7 @@ private:
     core::PageInfo *Info =
         detailFor(*Pages, Sample, Config.PageWriteThreshold, InParallelPhase);
     if (!Info)
-      return false;
+      return;
     bool Remote = Node != Home;
     uint32_t Distance = Remote ? Topology->distance(Node, Home) : 0;
     Stats.PageInvalidations +=
@@ -126,7 +122,6 @@ private:
                      Sample.LatencyCycles, {Remote, Distance});
     ++Stats.PageSamplesRecorded;
     Stats.RemoteSamples += Remote;
-    return true;
   }
 
   core::ShadowMemory &Shadow;

@@ -4,7 +4,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "pmu/PerfEventPmu.h"
 #include "pmu/PmuConfig.h"
 #include "pmu/SamplingPolicy.h"
 #include "pmu/SimPmu.h"
@@ -350,84 +349,6 @@ TEST(PmuConfigTest, FromSpecRejectsInvalidValuesWithReasons) {
   ASSERT_TRUE(PmuConfig::fromSpec(Good, Out, Error)) << Error;
   EXPECT_EQ(Out.SamplingPeriod, 128u);
   EXPECT_EQ(Out.JitterFraction, 0.5);
-}
-
-//===----------------------------------------------------------------------===//
-// PerfEventPmu (host-dependent: every outcome must be graceful)
-//===----------------------------------------------------------------------===//
-
-TEST(PerfEventTest, ProbeNeverCrashesAndExplainsFailure) {
-  PerfEventStatus Status = PerfEventPmu::probe();
-  if (!Status.Available) {
-    EXPECT_FALSE(Status.Reason.empty());
-  }
-}
-
-TEST(PerfEventTest, StartStopLifecycleIsSafe) {
-  PmuConfig Config;
-  PerfEventPmu Pmu(Config);
-  PerfEventStatus Status = Pmu.start();
-  if (Status.Available) {
-    EXPECT_TRUE(Pmu.running());
-    // Generate some memory traffic, then drain whatever arrived.
-    volatile uint64_t Sink = 0;
-    std::vector<uint64_t> Buffer(1 << 16);
-    for (size_t I = 0; I < Buffer.size(); ++I)
-      Sink = Sink + Buffer[I];
-    std::vector<Sample> Samples;
-    Pmu.drain(Samples); // may legitimately be empty
-  } else {
-    EXPECT_FALSE(Pmu.running());
-    EXPECT_FALSE(Status.Reason.empty());
-  }
-  Pmu.stop();
-  Pmu.stop(); // idempotent
-  EXPECT_FALSE(Pmu.running());
-}
-
-TEST(PerfEventTest, DrainWithoutStartReturnsNothing) {
-  PmuConfig Config;
-  PerfEventPmu Pmu(Config);
-  std::vector<Sample> Samples;
-  EXPECT_EQ(Pmu.drain(Samples), 0u);
-  EXPECT_TRUE(Samples.empty());
-}
-
-TEST(PerfEventTest, SampleSourceSeamSmoke) {
-  // The real-hardware backend through the same SampleSource surface every
-  // other backend conforms to. Hosts that block perf_event sampling
-  // (containers, CI runners, perf_event_paranoid) skip — visibly, with
-  // the probe's reason — rather than fail.
-  PerfEventStatus Probe = PerfEventPmu::probe();
-  if (!Probe.Available)
-    GTEST_SKIP() << "perf_event sampling unavailable: " << Probe.Reason;
-
-  struct : SampleSink {
-    size_t Samples = 0;
-    void threadStarted(ThreadId, bool, uint64_t) override {}
-    void threadFinished(ThreadId, bool, uint64_t) override {}
-    void ingestBatch(const Sample *, size_t Count) override {
-      Samples += Count;
-    }
-  } Sink;
-
-  PmuConfig Config;
-  Config.SamplingPeriod = 1024; // dense: give the short loop a chance
-  PerfEventPmu Pmu(Config);
-  Pmu.setSink(&Sink);
-  SourceStatus Status = Pmu.start();
-  if (!Status.Available) {
-    // The probe's throwaway counter can succeed while the real open still
-    // hits a sandbox limit (e.g. locked memory for the ring buffer).
-    GTEST_SKIP() << "perf_event start failed: " << Status.Reason;
-  }
-  volatile uint64_t Accumulator = 0;
-  std::vector<uint64_t> Traffic(1 << 18, 1);
-  for (size_t I = 0; I < Traffic.size(); ++I)
-    Accumulator = Accumulator + Traffic[I];
-  Pmu.drain(); // sink-directed drain; the stream may legitimately be empty
-  EXPECT_EQ(Pmu.samplesDelivered(), Sink.Samples);
-  EXPECT_TRUE(Pmu.stop().Available);
 }
 
 } // namespace

@@ -876,8 +876,8 @@ private:
 };
 
 TEST(JsonReaderTest, NumbersIgnoreACommaDecimalLocale) {
-  // An LD_PRELOAD host may have set a comma-decimal locale; strtod would
-  // then reject "1.5" as a malformed number.
+  // A profiled host process may have set a comma-decimal locale; strtod
+  // would then reject "1.5" as a malformed number.
   NumericLocale Locale;
   const char *Found = nullptr;
   for (const char *Name : {"de_DE.UTF-8", "de_DE.utf8", "de_DE", "fr_FR.UTF-8",

@@ -87,6 +87,17 @@ TEST(TopologySpecTest, DefaultTopologyIsUniform) {
   EXPECT_FALSE(Topology.pinned());
 }
 
+TEST(TopologySpecTest, ValueInitializedConfigsHoldTheDefaultTopology) {
+  // Copy-list-initializes each config's topology from `{}`, which needs a
+  // non-explicit default constructor.
+  for (const NumaTopology &Topology :
+       {core::ProfilerConfig{}.Topology,
+        driver::SessionConfig{}.Profiler.Topology}) {
+    EXPECT_EQ(Topology.nodeCount(), 1u);
+    EXPECT_EQ(Topology.pageSize(), 4096u);
+  }
+}
+
 TEST(TopologySpecTest, RejectionsNameTheViolation) {
   struct Case {
     void (*Mutate)(NumaTopologySpec &);

@@ -233,7 +233,6 @@ struct EventLog : pmu::SampleSink {
 
 /// Minimal pushable backend for driving the tee directly.
 struct ManualSource : pmu::SampleSource {
-  const char *name() const override { return "manual"; }
   pmu::SourceStatus start() override { return {true, ""}; }
   pmu::SourceStatus stop() override { return {true, ""}; }
   uint64_t samplesDelivered() const override { return 0; }

@@ -21,8 +21,8 @@
 /// `cheetah-trace-v1` file with no simulation at all. Either way the
 /// captured per-thread sample stream is replayed through the real
 /// interpose runtime (per-thread buffers, batch sink,
-/// `PreloadProfilerBridge`) once per epoch on real OS threads — the same
-/// ingest path an LD_PRELOADed production process exercises, driven as a
+/// `PreloadProfilerBridge`) once per epoch on real OS threads — the
+/// ingest path a profiled production process would feed, driven as a
 /// steady-state traffic generator.
 ///
 /// Examples (an indented line continues the command above it):
@@ -151,7 +151,7 @@ int main(int Argc, char **Argv) {
   // stream (to disk too, when --record-trace asks). Trace backend: parse
   // the recorded file, skipping simulation entirely. The profiler is *not*
   // the capture sink — all its traffic arrives through the interpose
-  // replay below, the same path a real LD_PRELOAD deployment feeds.
+  // replay below, the path a profiled production process would feed.
   std::unique_ptr<pmu::TraceSource> Trace =
       driver::makeCaptureSource(Config);
   pmu::SourceStatus Status = Trace->start();
