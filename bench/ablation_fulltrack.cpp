@@ -46,10 +46,7 @@ int main() {
     auto HostStart = std::chrono::steady_clock::now();
     driver::SessionResult Profiled = driver::runWorkload(*Workload, Config);
     auto HostMid = std::chrono::steady_clock::now();
-    baseline::FullTrackerConfig Tracker;
-    Tracker.PerAccessCycles = 60; // software instrumentation per access
-    driver::FullTrackResult Full =
-        driver::runFullTracking(*Workload, Config, Tracker);
+    driver::FullTrackResult Full = driver::runFullTracking(*Workload, Config);
     auto HostEnd = std::chrono::steady_clock::now();
 
     double CheetahSlowdown = static_cast<double>(Profiled.Run.TotalCycles) /

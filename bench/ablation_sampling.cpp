@@ -36,7 +36,7 @@ int main() {
     driver::SessionConfig Config;
     Config.Workload.Threads = 16;
     Config.Workload.Scale = 4.0;
-    Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(Period);
+    Config.Profiler.Pmu.SamplingPeriod = Period;
 
     driver::SessionResult LregRun = driver::runWorkload(*Lreg, Config);
     const core::FalseSharingReport *LregReport =

@@ -25,7 +25,7 @@ int main() {
   driver::SessionConfig Config;
   Config.Workload.Threads = 16;
   Config.Workload.Scale = 4.0;
-  Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(128);
+  Config.Profiler.Pmu.SamplingPeriod = 128;
 
   driver::SessionResult Result = driver::runWorkload(*Workload, Config);
   std::printf("Figure 5: Cheetah report for linear_regression "

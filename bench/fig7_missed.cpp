@@ -51,9 +51,7 @@ int main() {
 
     driver::SessionResult Profiled = driver::runWorkload(*Workload, Config);
 
-    baseline::FullTrackerConfig Tracker;
-    driver::FullTrackResult Full =
-        driver::runFullTracking(*Workload, Config, Tracker);
+    driver::FullTrackResult Full = driver::runFullTracking(*Workload, Config);
     bool FullFinds = false;
     for (const auto &Finding : Full.Findings)
       FullFinds |= Finding.Kind == core::SharingKind::FalseSharing &&
@@ -80,7 +78,6 @@ int main() {
     auto Workload = workloads::createWorkload(Name);
     driver::SessionConfig Config;
     Config.Workload.Threads = 16;
-    Config.Workload.NumaNodes = 2;
     Config.Profiler.Topology = NumaTopology(2, 4096);
     Config.Profiler.Detect.TrackPages = true;
     // Denser than the deployment period: the page gate wants enough

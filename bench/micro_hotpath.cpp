@@ -235,8 +235,7 @@ BENCHMARK(BM_HeapObjectLookup);
 
 void BM_CoherenceAccess(benchmark::State &State) {
   CacheGeometry Geometry(64);
-  sim::LatencyModel Latency;
-  sim::CoherenceModel Model(Geometry, Latency);
+  sim::CoherenceModel Model(Geometry);
   SplitMix64 Rng(5);
   uint64_t Now = 0;
   for (auto _ : State) {
@@ -482,7 +481,6 @@ BENCHMARK(BM_InterposeRecordSample)->ThreadRange(1, 4)->UseRealTime();
 struct NullSource : pmu::SampleSource {
   pmu::SourceStatus start() override { return {true, ""}; }
   pmu::SourceStatus stop() override { return {true, ""}; }
-  uint64_t samplesDelivered() const override { return 0; }
 };
 
 /// Buffers a deterministic recorded stream into \p Tee's in-memory trace:

@@ -34,7 +34,7 @@ int main() {
       driver::SessionConfig Config;
       Config.Workload.Threads = Threads;
       Config.Workload.Scale = 4.0;
-      Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(128);
+      Config.Profiler.Pmu.SamplingPeriod = 128;
 
       driver::SessionResult Profiled = driver::runWorkload(*Workload, Config);
       auto Significant = core::significant(Profiled.Profile.Findings);

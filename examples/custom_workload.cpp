@@ -106,7 +106,7 @@ int main() {
   WorkQueueApp App;
   driver::SessionConfig Config;
   Config.Workload.Threads = 8;
-  Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(256);
+  Config.Profiler.Pmu.SamplingPeriod = 256;
 
   driver::SessionResult Result = driver::runWorkload(App, Config);
 

@@ -26,7 +26,7 @@ int main() {
   driver::SessionConfig Config;
   Config.Workload.Threads = 16;
   Config.Workload.Scale = 4.0;
-  Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(128);
+  Config.Profiler.Pmu.SamplingPeriod = 128;
 
   std::printf("step 1: run linear_regression (16 threads) under Cheetah\n\n");
   driver::SessionResult Profiled = driver::runWorkload(*Workload, Config);

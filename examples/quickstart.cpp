@@ -52,7 +52,7 @@ int main() {
   // 1. A profiler instance owns the heap and the shadow memory; the
   // sampling backend attaches separately below.
   core::ProfilerConfig Config;
-  Config.Pmu = Config.Pmu.withScaledPeriod(512); // dense sampling: short run
+  Config.Pmu.SamplingPeriod = 512; // dense sampling: short run
   core::Profiler Profiler(Config);
 
   // The shared array is a named global: `int array[8]` — one int per

@@ -30,7 +30,7 @@ void profileWithLineSize(const workloads::Workload &Workload,
   Config.Workload.Threads = 16;
   Config.Workload.Scale = 4.0;
   Config.Profiler.Geometry = CacheGeometry(LineSize);
-  Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(128);
+  Config.Profiler.Pmu.SamplingPeriod = 128;
 
   driver::SessionResult Result = driver::runWorkload(Workload, Config);
   std::printf("--- %llu-byte cache lines ---\n",
@@ -64,7 +64,7 @@ int main() {
   driver::SessionConfig Config;
   Config.Workload.Threads = 16;
   Config.Workload.Scale = 4.0;
-  Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(128);
+  Config.Profiler.Pmu.SamplingPeriod = 128;
   driver::SessionResult Unfixed = driver::runWorkload(*Workload, Config);
   driver::SessionConfig Fixed = Config;
   Fixed.Workload.FixFalseSharing = true; // pad to the real line size

@@ -12,11 +12,10 @@ using namespace cheetah;
 using namespace cheetah::baseline;
 
 FullTracker::FullTracker(const CacheGeometry &Geometry,
-                         std::vector<core::ShadowRegion> Regions,
-                         const FullTrackerConfig &Config)
+                         std::vector<core::ShadowRegion> Regions)
     : Geometry(Geometry), Shadow(Geometry, std::move(Regions)),
       // Cheetah's own susceptibility threshold, for a fair comparison.
-      Detect(Geometry, Shadow, core::DetectorConfig()), Config(Config) {}
+      Detect(Geometry, Shadow, core::DetectorConfig()) {}
 
 uint64_t FullTracker::onMemoryAccess(ThreadId Tid, const MemoryAccess &Access,
                                      const sim::CoherenceResult &Result,
@@ -32,15 +31,15 @@ uint64_t FullTracker::onMemoryAccess(ThreadId Tid, const MemoryAccess &Access,
   // every access counts as parallel. The access width changes from one
   // access to the next, so each is its own batch.
   Detect.handleBatch(&Sample, 1, /*InParallelPhase=*/true, Access.Size);
-  return Config.PerAccessCycles;
+  return PerAccessCycles;
 }
 
 std::vector<FullTrackerFinding>
-FullTracker::findings(uint64_t MinInvalidations) {
+FullTracker::findings() {
   std::vector<FullTrackerFinding> Findings;
   Shadow.forEachDetail(
       [&](uint64_t LineBase, const core::CacheLineInfo &Info) {
-        if (Info.invalidations() < MinInvalidations)
+        if (Info.invalidations() == 0)
           return;
         core::LineClassification Verdict = core::classifySharing(Info);
         FullTrackerFinding Finding;

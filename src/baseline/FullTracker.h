@@ -35,12 +35,9 @@
 namespace cheetah {
 namespace baseline {
 
-/// Tunables for the full-instrumentation baseline.
-struct FullTrackerConfig {
-  /// Cycles charged per instrumented access (shadow lookup + metadata
-  /// update on every load/store).
-  uint64_t PerAccessCycles = 60;
-};
+/// Cycles charged per instrumented access (shadow lookup + metadata update
+/// on every load/store).
+inline constexpr uint64_t PerAccessCycles = 60;
 
 /// One detected shared line from the full tracker.
 struct FullTrackerFinding {
@@ -55,12 +52,11 @@ struct FullTrackerFinding {
 class FullTracker : public sim::SimObserver {
 public:
   FullTracker(const CacheGeometry &Geometry,
-              std::vector<core::ShadowRegion> Regions,
-              const FullTrackerConfig &Config);
+              std::vector<core::ShadowRegion> Regions);
 
-  /// Per-line findings with at least \p MinInvalidations, sorted by
+  /// Per-line findings with at least one invalidation, sorted by
   /// invalidation count (highest first).
-  std::vector<FullTrackerFinding> findings(uint64_t MinInvalidations = 1);
+  std::vector<FullTrackerFinding> findings();
 
   /// Total accesses instrumented.
   uint64_t accessesInstrumented() const { return Accesses; }
@@ -79,7 +75,6 @@ private:
   CacheGeometry Geometry;
   core::ShadowMemory Shadow;
   core::Detector Detect;
-  FullTrackerConfig Config;
   uint64_t Accesses = 0;
 };
 

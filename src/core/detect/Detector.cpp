@@ -182,7 +182,7 @@ struct Detector::PageStage {
   };
 
   PageTable &table() { return *D.Pages; }
-  uint32_t threshold() const { return D.Config.PageWriteThreshold; }
+  uint32_t threshold() const { return DetectorConfig::PageWriteThreshold; }
 
   // Pipeline hooks. Preparation (first-touch home publication) runs in the
   // stage-1 sweep for every covered sample regardless of phase: homes are a

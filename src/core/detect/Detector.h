@@ -43,14 +43,14 @@ struct DetectorConfig {
   /// tracking ("only tracks detailed information for cache lines with more
   /// than two writes").
   uint32_t WriteThreshold = 2;
+  /// Pages with at most this many sampled writes never get detailed page
+  /// tracking (the stage-1 susceptibility filter, one level up).
+  static constexpr uint32_t PageWriteThreshold = 2;
   /// Run the line-granularity (cache false sharing) stage.
   bool TrackLines = true;
   /// Run the page-granularity (NUMA / remote-DRAM sharing) stage; requires
   /// attachPageTable.
   bool TrackPages = false;
-  /// Pages with at most this many sampled writes never get detailed page
-  /// tracking (the stage-1 susceptibility filter, one level up).
-  uint32_t PageWriteThreshold = 2;
   /// Byte budget for the line shadow table (0 = unbounded). When set, cold
   /// grains are evicted at epoch boundaries until footprintBytes() fits.
   size_t LineShadowBudgetBytes = 0;

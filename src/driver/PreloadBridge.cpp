@@ -108,7 +108,7 @@ void PreloadProfilerBridge::detachThread(ThreadId Tid) {
   Profiler.threadFinished(Tid, /*IsMain=*/false, Now);
 }
 
-core::ProfileResult PreloadProfilerBridge::finish(core::ReportSink *Sink) {
+void PreloadProfilerBridge::finish() {
   std::vector<ThreadId> Remaining;
   {
     std::lock_guard<std::mutex> Lock(Mutex);
@@ -120,27 +120,12 @@ core::ProfileResult PreloadProfilerBridge::finish(core::ReportSink *Sink) {
   // Catch samples recorded after the last detach, then close the gate:
   // everything staged so far reaches the detector, in-flight deliveries
   // drain, and anything a straggler thread records from here on is
-  // dropped instead of racing the snapshot below.
+  // dropped instead of racing a later snapshot of the tables.
   interpose::flushAllSamples();
   closeGate();
   interpose::setSampleSink({});
+  Profiler.threadFinished(/*Tid=*/0, /*IsMain=*/true, elapsedCycles());
 
-  uint64_t Now = elapsedCycles();
-  Profiler.threadFinished(/*Tid=*/0, /*IsMain=*/true, Now);
-
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Finished = true;
-  }
-  sim::SimulationResult Run;
-  Run.TotalCycles = Now;
-  if (Sink) {
-    // The bridge owns the run lifecycle for the real-thread path, so it
-    // provides the beginRun bookend the profiler's finish() expects the
-    // caller to have sent (the simulator path gets it from the driver).
-    core::ReportRunInfo Info;
-    Info.Tool = "cheetah-preload";
-    Sink->beginRun(Info);
-  }
-  return Profiler.finish(Run, Sink);
+  std::lock_guard<std::mutex> Lock(Mutex);
+  Finished = true;
 }

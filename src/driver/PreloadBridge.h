@@ -10,9 +10,10 @@
 /// interpose sample sink (per-thread buffers drain straight into the
 /// lock-free detection path), mirrors thread attach/detach into the
 /// profiler's registry and phase tracker, and at finish() flushes every
-/// staged sample and produces the same ProfileResult — reports included —
-/// that the simulator path yields. Timestamps come from the paper's
-/// per-thread RDTSC source via interpose::readTimestampCounter.
+/// staged sample and retires the main thread, after which the caller's
+/// Profiler::finish or snapshotEpoch builds the report. Timestamps come
+/// from the paper's per-thread RDTSC source via
+/// interpose::readTimestampCounter.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,19 +56,19 @@ public:
   /// Marks \p Tid finished.
   void detachThread(ThreadId Tid);
 
-  /// Flushes every per-thread sample buffer into the profiler, retires any
-  /// still-attached threads and the main thread, and finalizes reports.
-  /// The bridge is inert afterwards. \p Sink streams findings as in
-  /// Profiler::finish. Samples delivered by a still-running interposed
-  /// thread after the final flush are dropped behind the ingest gate and
-  /// counted in droppedSamples() (the gate close waits out deliveries
-  /// already in flight), so nothing mutates the tables while they are
-  /// being snapshotted.
-  core::ProfileResult finish(core::ReportSink *Sink = nullptr);
+  /// Detaches any still-attached threads, flushes every per-thread sample
+  /// buffer into the profiler, closes the ingest gate, removes the sink and
+  /// retires the main thread. The bridge is inert afterwards and builds no
+  /// report: the profiler's own finish() or snapshotEpoch() does. Samples
+  /// delivered by a still-running interposed thread after the final flush
+  /// are dropped behind the gate and counted in droppedSamples() (the gate
+  /// close waits out deliveries already in flight), so nothing mutates the
+  /// tables while they are being snapshotted.
+  void finish();
 
   /// Samples dropped at the closed ingest gate: delivered by a straggler
   /// thread after finish() (or destruction) began. They never reach the
-  /// profiler, so they are not in finish()'s SamplesDelivered.
+  /// profiler, so they are not in its SamplesDelivered.
   uint64_t droppedSamples() const;
 
   /// Cycles elapsed since the bridge was created (TSC delta).

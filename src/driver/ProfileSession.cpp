@@ -29,6 +29,7 @@ cheetah::driver::buildProgram(const workloads::Workload &Workload,
   };
   workloads::WorkloadContext Ctx;
   Ctx.Geometry = Config.Profiler.Geometry;
+  Ctx.Topology = Config.Profiler.Topology;
   Ctx.Allocate = [&Profiler, Fail](uint64_t Size, const std::string &File,
                                    unsigned Line) {
     runtime::CallsiteId Site = Profiler.internCallsite(File, Line);
@@ -230,8 +231,7 @@ SessionResult cheetah::driver::runWorkload(const workloads::Workload &Workload,
 
 FullTrackResult
 cheetah::driver::runFullTracking(const workloads::Workload &Workload,
-                                 const SessionConfig &Config,
-                                 const baseline::FullTrackerConfig &Tracker) {
+                                 const SessionConfig &Config) {
   FullTrackResult Result;
 
   // The profiler instance only provides the heap/global layout; it is not
@@ -242,8 +242,7 @@ cheetah::driver::runFullTracking(const workloads::Workload &Workload,
   baseline::FullTracker Full(Config.Profiler.Geometry,
                              {{core::HeapArenaBase, core::HeapArenaSize},
                               {core::GlobalSegmentBase,
-                               core::GlobalSegmentSize}},
-                             Tracker);
+                               core::GlobalSegmentSize}});
 
   sim::Simulator Sim(Config.Profiler.Geometry, Config.Latency);
   if (Config.Profiler.Topology.multiNode())

@@ -131,8 +131,7 @@ struct FullTrackResult {
 
 /// Runs \p Workload under the every-access baseline tracker.
 FullTrackResult runFullTracking(const workloads::Workload &Workload,
-                                const SessionConfig &Config,
-                                const baseline::FullTrackerConfig &Tracker);
+                                const SessionConfig &Config);
 
 } // namespace driver
 } // namespace cheetah

@@ -149,7 +149,6 @@ bool cheetah::driver::buildSessionOptions(const FlagSet &Flags,
   }
 
   NumaTopology Topology;
-  uint32_t NumaNodes;
   const std::string &TopologyPath = Flags.getString("numa-topology");
   if (!TopologyPath.empty()) {
     NumaTopologySpec Spec;
@@ -180,19 +179,17 @@ bool cheetah::driver::buildSessionOptions(const FlagSet &Flags,
       Error = "--numa-topology: " + Error;
       return false;
     }
-    NumaNodes = Topology.nodeCount();
   } else {
-    NumaNodes = static_cast<uint32_t>(NumaNodesFlag);
-    if (NumaNodes == 0)
-      NumaNodes = TrackPages ? 2 : 1; // auto
     NumaTopologySpec Spec;
-    Spec.Nodes = NumaNodes;
+    Spec.Nodes = static_cast<uint32_t>(NumaNodesFlag);
+    if (Spec.Nodes == 0)
+      Spec.Nodes = TrackPages ? 2 : 1; // auto
     Spec.PageSize = static_cast<uint64_t>(PageSizeFlag);
     if (!NumaTopology::fromSpec(Spec, Topology, Error))
       return false; // unreachable after the flag checks, but never assert
   }
 
-  if (TrackPages && NumaNodes == 1)
+  if (TrackPages && !Topology.multiNode())
     Out.Warnings.push_back(
         "--granularity=" + Granularity +
         " with a single-node topology: the page detector can never "
@@ -207,9 +204,9 @@ bool cheetah::driver::buildSessionOptions(const FlagSet &Flags,
   // factory even after the range checks above, so the backend constructors
   // downstream (which assert) can never see a flag-sourced violation.
   std::string PmuError;
-  if (!pmu::PmuConfig::fromSpec(Config.Profiler.Pmu.withScaledPeriod(
-                                    static_cast<uint64_t>(SamplingPeriod)),
-                                Config.Profiler.Pmu, PmuError)) {
+  pmu::PmuConfig PmuSpec = Config.Profiler.Pmu;
+  PmuSpec.SamplingPeriod = static_cast<uint64_t>(SamplingPeriod);
+  if (!pmu::PmuConfig::fromSpec(PmuSpec, Config.Profiler.Pmu, PmuError)) {
     Error = "--sampling-period: " + PmuError;
     return false;
   }
@@ -224,9 +221,5 @@ bool cheetah::driver::buildSessionOptions(const FlagSet &Flags,
   Config.Workload.Scale = Scale;
   Config.Workload.FixFalseSharing = Flags.getBool("fix");
   Config.Workload.Seed = static_cast<uint64_t>(Flags.getInt("seed"));
-  Config.Workload.NumaNodes = NumaNodes;
-  Config.Workload.PageBytes = Topology.pageSize();
-  Config.Workload.ThreadNodes = Topology.threadPinning();
-  Out.Granularity = Granularity;
   return true;
 }

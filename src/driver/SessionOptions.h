@@ -40,8 +40,6 @@ void addSessionFlags(FlagSet &Flags);
 /// Everything buildSessionOptions resolves.
 struct SessionOptions {
   SessionConfig Config;
-  /// Resolved detection granularity: "line", "page", or "both".
-  std::string Granularity = "line";
   /// Non-fatal diagnostics the CLI prints to stderr (e.g. a page-mode run
   /// on a single-node topology, which can never fire).
   std::vector<std::string> Warnings;

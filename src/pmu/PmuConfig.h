@@ -5,11 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Configuration shared by all PMU backends: the sampling period and the
-/// modeled cost of the sampling machinery. The cost constants reproduce the
-/// overhead sources the paper calls out in Section 4.1: the signal-handler
-/// work per sample, and the six pfmon APIs plus six syscalls of per-thread
-/// PMU setup that dominate for thread-heavy applications (kmeans, x264).
+/// Configuration shared by all PMU backends, and the modeled cost of the
+/// sampling machinery. The costs reproduce the overhead sources the paper
+/// calls out in Section 4.1: the signal-handler work per sample, which
+/// follows from the sampling period, and the six pfmon APIs plus six
+/// syscalls of per-thread PMU setup that dominate for thread-heavy
+/// applications (kmeans, x264).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,37 +23,38 @@
 namespace cheetah {
 namespace pmu {
 
+/// The paper's deployment sampling period: one out of 64K instructions.
+inline constexpr uint64_t DeploymentSamplingPeriod = 65536;
+
+/// Modeled cycles consumed by one sample delivery at the deployment period:
+/// trap, signal dispatch to the owning thread (F_SETOWN_EX), handler body,
+/// sigreturn.
+inline constexpr uint64_t DeploymentHandlerCycles = 3000;
+
+/// Modeled cycles to program the PMU registers for a new thread: six pfmon
+/// API calls and six additional system calls (paper Section 4.1).
+inline constexpr uint64_t ThreadSetupCycles = 50000;
+
+/// \returns the modeled cycles of one sample delivery at \p SamplingPeriod:
+/// DeploymentHandlerCycles scaled linearly from the deployment period, and
+/// at least 1. Simulations compress execution length by orders of
+/// magnitude versus the paper's >=5-second runs; sampling denser for
+/// statistical richness must not inflate the modeled overhead, so the
+/// per-sample cost scales with the density.
+constexpr uint64_t sampleHandlerCycles(uint64_t SamplingPeriod) {
+  uint64_t Cycles =
+      DeploymentHandlerCycles * SamplingPeriod / DeploymentSamplingPeriod;
+  return Cycles ? Cycles : 1;
+}
+
 /// Tunables for a sampling PMU.
 struct PmuConfig {
-  /// Mean instructions between samples. The paper's deployment default is
-  /// one out of 64K instructions.
-  uint64_t SamplingPeriod = 65536;
+  /// Mean instructions between samples.
+  uint64_t SamplingPeriod = DeploymentSamplingPeriod;
   /// Randomization applied to each inter-sample interval.
   double JitterFraction = 0.25;
   /// PRNG seed for the jitter streams.
   uint64_t Seed = 0x43484545; // "CHEE"
-  /// Modeled cycles consumed by one sample delivery: trap, signal dispatch
-  /// to the owning thread (F_SETOWN_EX), handler body, sigreturn.
-  uint64_t SampleHandlerCycles = 3000;
-  /// Modeled cycles to program the PMU registers for a new thread: six
-  /// pfmon API calls and six additional system calls (paper Section 4.1).
-  uint64_t ThreadSetupCycles = 50000;
-
-  /// \returns a config with \p Period and the handler cost scaled
-  /// proportionally from the deployment default (SampleHandlerCycles at a 64K
-  /// period). Simulations compress execution length by orders of magnitude
-  /// versus the paper's >=5-second runs; sampling denser for statistical
-  /// richness must not inflate the modeled overhead, so the per-sample cost
-  /// scales with the density. At the deployment period this is an identity.
-  PmuConfig withScaledPeriod(uint64_t Period) const {
-    PmuConfig Scaled = *this;
-    Scaled.SamplingPeriod = Period;
-    Scaled.SampleHandlerCycles =
-        SampleHandlerCycles * Period / 65536;
-    if (Scaled.SampleHandlerCycles == 0)
-      Scaled.SampleHandlerCycles = 1;
-    return Scaled;
-  }
 
   /// Checks \p Config against the constraints every backend's sampling
   /// policy asserts on (PR-5 convention: flag- and file-reachable values

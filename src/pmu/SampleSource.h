@@ -91,9 +91,6 @@ public:
   /// failures here — callers must check, this is the loud-error path.
   virtual SourceStatus stop() = 0;
 
-  /// Total samples this source has delivered to its sink.
-  virtual uint64_t samplesDelivered() const = 0;
-
   /// Non-null for backends driven by the simulator's observer hooks; the
   /// driver attaches this to the Simulator. Trace replay returns nullptr.
   virtual sim::SimObserver *simObserver() { return nullptr; }

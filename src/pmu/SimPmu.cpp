@@ -41,7 +41,7 @@ uint64_t SimPmu::onThreadStart(ThreadId Tid, bool IsMain, uint64_t Now) {
   // (Cheetah turns on sampling "before the main routine").
   policyFor(Tid);
   ++ThreadsConfigured;
-  return Config.ThreadSetupCycles;
+  return ThreadSetupCycles;
 }
 
 void SimPmu::onThreadEnd(const sim::ThreadRecord &Record) {
@@ -83,5 +83,5 @@ uint64_t SimPmu::onMemoryAccess(ThreadId Tid, const MemoryAccess &Access,
   }
   // One trap per crossing; multiple crossings within one instruction are
   // impossible for memory ops (they advance the countdown by exactly 1).
-  return Config.SampleHandlerCycles;
+  return HandlerCycles;
 }

@@ -47,7 +47,9 @@ namespace pmu {
 /// Instruction-based sampling backend over the simulator.
 class SimPmu : public SampleSource, public sim::SimObserver {
 public:
-  explicit SimPmu(const PmuConfig &Config) : Config(Config) {
+  explicit SimPmu(const PmuConfig &Config)
+      : Config(Config),
+        HandlerCycles(sampleHandlerCycles(Config.SamplingPeriod)) {
     Pending.reserve(SampleBatchCapacity);
   }
 
@@ -57,6 +59,10 @@ public:
 
   /// Total threads that paid PMU setup.
   uint64_t threadsConfigured() const { return ThreadsConfigured; }
+
+  /// Samples taken so far; buffered ones reach the sink by the next
+  /// lifecycle event or stop().
+  uint64_t samplesDelivered() const { return SamplesDelivered; }
 
   // SampleSource implementation. The simulator pushes through the observer
   // hooks, so start/stop only toggle delivery (stop() also hands over the
@@ -70,9 +76,6 @@ public:
     setEnabled(false);
     return {true, ""};
   }
-  /// Counts samples as they are taken; buffered ones reach the sink by
-  /// the next lifecycle event or stop().
-  uint64_t samplesDelivered() const override { return SamplesDelivered; }
   sim::SimObserver *simObserver() override { return this; }
 
   // SimObserver implementation.
@@ -89,6 +92,8 @@ private:
   void flush();
 
   PmuConfig Config;
+  /// Cycles charged per delivered sample, fixed by the sampling period.
+  uint64_t HandlerCycles;
   /// Samples not yet handed to the sink, in delivery order.
   std::vector<Sample> Pending;
   bool Enabled = true;

@@ -100,7 +100,8 @@ public:
   // SampleSource implementation.
   SourceStatus start() override;
   SourceStatus stop() override;
-  uint64_t samplesDelivered() const override { return SamplesDelivered; }
+  /// Total samples this source has delivered to its sink.
+  uint64_t samplesDelivered() const { return SamplesDelivered; }
   sim::SimObserver *simObserver() override {
     return Inner ? Inner->simObserver() : nullptr;
   }

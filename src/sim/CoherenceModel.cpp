@@ -80,7 +80,7 @@ CoherenceResult CoherenceModel::access(ThreadId Tid,
     Line.Dirty = true;
   }
 
-  uint64_t Cost = Latency.baseCost(Result.Outcome);
+  uint64_t Cost = LatencyModel::baseCost(Result.Outcome);
   if (LatencyModel::involvesCoherence(Result.Outcome)) {
     // Coherence transactions serialize on the line's directory slot: a
     // request issued while a previous transfer is still in flight waits for
@@ -88,10 +88,10 @@ CoherenceResult CoherenceModel::access(ThreadId Tid,
     // latency grow with N — saturating once the directory pipeline absorbs
     // the backlog.
     uint64_t MaxWait =
-        static_cast<uint64_t>(Latency.MaxQueuedServices) *
-        Latency.LineServiceCycles;
+        static_cast<uint64_t>(LatencyModel::MaxQueuedServices) *
+        LatencyModel::LineServiceCycles;
     uint64_t Start = std::max(Now, std::min(Line.BusyUntil, Now + MaxWait));
-    uint64_t Finish = Start + Latency.LineServiceCycles;
+    uint64_t Finish = Start + LatencyModel::LineServiceCycles;
     Line.BusyUntil = Finish;
     Cost += Finish - Now;
   }

@@ -55,8 +55,8 @@ struct CoherenceStats {
 /// whether one of them holds it modified.
 class CoherenceModel {
 public:
-  CoherenceModel(const CacheGeometry &Geometry, const LatencyModel &Latency)
-      : Geometry(Geometry), Latency(Latency) {}
+  explicit CoherenceModel(const CacheGeometry &Geometry)
+      : Geometry(Geometry) {}
 
   /// Presents one access by \p Tid at virtual time \p Now.
   /// \returns the outcome and total latency (base cost + queueing delay).
@@ -88,7 +88,6 @@ private:
   static void addHolder(LineState &Line, ThreadId Tid);
 
   CacheGeometry Geometry;
-  LatencyModel Latency;
   std::unordered_map<uint64_t, LineState> Lines;
   CoherenceStats Stats;
 };

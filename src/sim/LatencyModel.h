@@ -41,30 +41,31 @@ enum class AccessOutcome : uint8_t {
   Upgrade,
 };
 
-/// Cycle costs of each access outcome plus execution-engine parameters.
+/// Cycle costs of each access outcome plus execution-engine parameters,
+/// all constants of the model.
 struct LatencyModel {
   /// Private-cache hit.
-  uint32_t LocalHitCycles = 3;
+  static constexpr uint32_t LocalHitCycles = 3;
   /// DRAM fetch on a never-before-seen line.
-  uint32_t ColdMissCycles = 120;
+  static constexpr uint32_t ColdMissCycles = 120;
   /// Clean cache-to-cache transfer.
-  uint32_t CleanTransferCycles = 40;
+  static constexpr uint32_t CleanTransferCycles = 40;
   /// Dirty cache-to-cache transfer + invalidation acknowledgement.
-  uint32_t DirtyTransferCycles = 50;
+  static constexpr uint32_t DirtyTransferCycles = 50;
   /// Shared-to-exclusive upgrade (invalidate other sharers, keep data).
-  uint32_t UpgradeCycles = 30;
+  static constexpr uint32_t UpgradeCycles = 30;
   /// Extra cycles when a DRAM fetch is served by a *remote* NUMA node's
   /// memory controller (first-touch page home != accessor's node). Only
   /// applied on multi-node topologies; zero-node-distance accesses never
   /// pay it.
-  uint32_t RemoteDramExtraCycles = 90;
+  static constexpr uint32_t RemoteDramExtraCycles = 90;
   /// Extra cycles for coherence activity (transfers, upgrades) on a page
   /// whose *home directory* lives on another node. This models a
   /// home-node directory protocol: the request is ordered through the
   /// home node's directory regardless of where the supplying cache sits
   /// (the 3-hop case), so locality is keyed to the page home, not to the
   /// current holder.
-  uint32_t RemoteTransferExtraCycles = 30;
+  static constexpr uint32_t RemoteTransferExtraCycles = 30;
   /// Extra cycles per *store* to a page homed on another node, even when
   /// the line hits in the writer's private cache. Stores eventually drain
   /// to the home node's memory controller; with the model's infinite
@@ -74,23 +75,23 @@ struct LatencyModel {
   /// machines). This is the recurring cost a first-touch or page-placement
   /// fix removes — the signal page-level assessment (EQ.1 for pages)
   /// predicts from.
-  uint32_t RemoteStoreExtraCycles = 20;
+  static constexpr uint32_t RemoteStoreExtraCycles = 20;
   /// Per-line serialization cost: each queued ownership transfer occupies
   /// the line's directory slot for this long. Concurrent writers to one
   /// line therefore see latency grow with the number of contenders.
-  uint32_t LineServiceCycles = 18;
+  static constexpr uint32_t LineServiceCycles = 18;
   /// Maximum backlog (in service slots) a new request can observe: real
   /// directories pipeline deeper backlogs, so waiting time saturates.
-  uint32_t MaxQueuedServices = 4;
+  static constexpr uint32_t MaxQueuedServices = 4;
   /// Cycles per non-memory instruction.
-  uint32_t ComputeCyclesPerInstruction = 1;
+  static constexpr uint32_t ComputeCyclesPerInstruction = 1;
   /// Cycles the main thread spends creating one child thread.
-  uint32_t ThreadSpawnCycles = 8000;
+  static constexpr uint32_t ThreadSpawnCycles = 8000;
   /// Cycles to join a finished child.
-  uint32_t ThreadJoinCycles = 2000;
+  static constexpr uint32_t ThreadJoinCycles = 2000;
 
   /// \returns the base (uncontended) cycle cost of \p Outcome.
-  uint32_t baseCost(AccessOutcome Outcome) const {
+  static uint32_t baseCost(AccessOutcome Outcome) {
     switch (Outcome) {
     case AccessOutcome::LocalHit:
       return LocalHitCycles;

@@ -58,7 +58,7 @@ bool Simulator::step(RunningThread &Thread, CoherenceModel &Coherence,
   const ThreadEvent &Event = Thread.Body.value();
   if (Event.Kind == ThreadEventKind::Compute) {
     uint64_t N = Event.ComputeInstructions;
-    Thread.Clock += N * Latency.ComputeCyclesPerInstruction;
+    Thread.Clock += N * LatencyModel::ComputeCyclesPerInstruction;
     Thread.Record.Instructions += N;
     for (SimObserver *Observer : Observers)
       Observer->onInstructions(Thread.Tid, N);
@@ -80,13 +80,13 @@ bool Simulator::step(RunningThread &Thread, CoherenceModel &Coherence,
     if (Home->second != Node) {
       uint32_t Base = 0;
       if (Access.Outcome == AccessOutcome::ColdMiss)
-        Base = Latency.RemoteDramExtraCycles;
+        Base = LatencyModel::RemoteDramExtraCycles;
       else if (Access.Outcome != AccessOutcome::LocalHit)
-        Base = Latency.RemoteTransferExtraCycles;
+        Base = LatencyModel::RemoteTransferExtraCycles;
       else if (Event.Access.Kind == AccessKind::Write)
         // Cache-hitting remote stores still drain to the home node's
         // memory controller; reads served from the local cache stay free.
-        Base = Latency.RemoteStoreExtraCycles;
+        Base = LatencyModel::RemoteStoreExtraCycles;
       if (Base) {
         // Hop-proportional interconnect: crossing a farther node pair
         // pays Base scaled by the pair's distance over the minimum remote
@@ -114,7 +114,7 @@ bool Simulator::step(RunningThread &Thread, CoherenceModel &Coherence,
 
 SimulationResult Simulator::run(const ForkJoinProgram &Program) {
   SimulationResult Result;
-  CoherenceModel Coherence(Geometry, Latency);
+  CoherenceModel Coherence(Geometry);
   PageHomes.clear();
 
   ThreadId NextTid = 0;
@@ -167,7 +167,7 @@ SimulationResult Simulator::run(const ForkJoinProgram &Program) {
       Child.Tid = NextTid++;
       // Thread creation is serialized on the main thread, so later threads
       // start later — visible in the per-thread start cycles.
-      MainClock += Latency.ThreadSpawnCycles;
+      MainClock += LatencyModel::ThreadSpawnCycles;
       Child.Clock = MainClock;
       Child.Clock += notifyThreadStart(Child.Tid, /*IsMain=*/false,
                                        Child.Clock);
@@ -207,8 +207,7 @@ SimulationResult Simulator::run(const ForkJoinProgram &Program) {
     }
 
     // Joins are serialized on the main thread after the last child ends.
-    MainClock =
-        PhaseEnd + Latency.ThreadJoinCycles * Children.size();
+    MainClock = PhaseEnd + LatencyModel::ThreadJoinCycles * Children.size();
     Parallel.EndCycle = MainClock;
 
     for (RunningThread &Child : Children)

@@ -120,8 +120,10 @@ public:
 /// Discrete-event executor for ForkJoinPrograms.
 class Simulator {
 public:
-  Simulator(const CacheGeometry &Geometry, const LatencyModel &Latency)
-      : Geometry(Geometry), Latency(Latency) {}
+  /// Every LatencyModel value is a constant, so the model argument carries
+  /// no state.
+  Simulator(const CacheGeometry &Geometry, const LatencyModel &)
+      : Geometry(Geometry) {}
 
   /// Attaches an observer; at most a handful are expected. Observers are
   /// invoked in attachment order and all overhead cycles accumulate.
@@ -160,7 +162,6 @@ private:
             SimulationResult &Result);
 
   CacheGeometry Geometry;
-  LatencyModel Latency;
   std::vector<SimObserver *> Observers;
   const NumaTopology *Topology = nullptr;
   /// First-touch page homes of the current run (page index -> node).

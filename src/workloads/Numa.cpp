@@ -33,10 +33,11 @@
 ///    use: each worker's first scan access first-touches (and thus homes)
 ///    its own block.
 ///
-/// Thread-to-node affinity follows WorkloadConfig::nodeOfBody — the
-/// explicit pinning map when one is installed, NumaTopology's interleave
-/// (tid % nodes) otherwise; the first-touch fixes assume the touch and
-/// work phases land on the same nodes (true for any fixed affinity).
+/// Thread-to-node affinity follows the profiler's topology
+/// (WorkloadContext::Topology, NumaTopology::nodeOf) — the explicit
+/// pinning map when one is installed, the interleave (tid % nodes)
+/// otherwise; the first-touch fixes assume the touch and work phases land
+/// on the same nodes (true for any fixed affinity).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,12 +56,13 @@ using namespace cheetah::workloads;
 namespace {
 
 /// Defines a named global sized and padded so that \p Bytes of usable space
-/// start on a page boundary. Ctx.global only guarantees line alignment, and
-/// the NUMA fixes are meaningless if "one page per slot group" can straddle
-/// page boundaries, so alignment is arranged explicitly rather than
-/// inherited from the segment layout.
+/// start on a boundary of the topology's pages. Ctx.global only guarantees
+/// line alignment, and the NUMA fixes are meaningless if "one page per slot
+/// group" can straddle page boundaries, so alignment is arranged explicitly
+/// rather than inherited from the segment layout.
 uint64_t pageAlignedGlobal(WorkloadContext &Ctx, const std::string &Name,
-                           uint64_t Bytes, uint64_t PageBytes) {
+                           uint64_t Bytes) {
+  uint64_t PageBytes = Ctx.Topology.pageSize();
   uint64_t Raw = Ctx.global(Name, Bytes + PageBytes, true);
   return (Raw + PageBytes - 1) & ~(PageBytes - 1);
 }
@@ -76,7 +78,8 @@ writeSpans(std::vector<std::pair<uint64_t, uint64_t>> Spans) {
 }
 
 /// Per-body node assignment for node-grouped data layouts: which node each
-/// parallel body runs on (honoring any pinning map via nodeOfBody), its
+/// parallel body runs on (body T runs as tid T + 1, placed by
+/// NumaTopology::nodeOf, honoring any pinning map), its
 /// rank among that node's bodies, and the largest per-node population —
 /// what a layout needs to size one span per node.
 struct NodeLayout {
@@ -85,13 +88,14 @@ struct NodeLayout {
   uint64_t MaxPerNode = 1;
 };
 
-NodeLayout nodeLayout(const WorkloadConfig &Config, uint32_t Nodes) {
+NodeLayout nodeLayout(const WorkloadConfig &Config,
+                      const NumaTopology &Topology) {
   NodeLayout Layout;
   Layout.NodeOf.resize(Config.Threads);
   Layout.RankInNode.resize(Config.Threads);
-  std::vector<uint64_t> PerNode(Nodes, 0);
+  std::vector<uint64_t> PerNode(Topology.nodeCount(), 0);
   for (uint32_t T = 0; T < Config.Threads; ++T) {
-    Layout.NodeOf[T] = Config.nodeOfBody(T) % Nodes;
+    Layout.NodeOf[T] = Topology.nodeOf(T + 1);
     Layout.RankInNode[T] = PerNode[Layout.NodeOf[T]]++;
   }
   for (uint64_t Count : PerNode)
@@ -133,22 +137,21 @@ public:
 
     // One slot (one cache line) per thread. Unfixed they pack line-to-line
     // into pages shared across nodes. The fix is node-local allocation:
-    // slots regroup by NUMA node (body T's node per nodeOfBody, honoring
+    // slots regroup by NUMA node (body T's node per the topology, honoring
     // any pinning map), each node's group page-aligned in its own page
     // span, so no page is ever touched by two nodes and every first touch
     // — and thus every page home — is node-local.
     uint64_t LineStride = std::max<uint64_t>(Ctx.Geometry.lineSize(), 64);
-    uint32_t Nodes = std::max<uint32_t>(Config.NumaNodes, 1);
-    NodeLayout Layout = nodeLayout(Config, Nodes);
+    uint64_t PageBytes = Ctx.Topology.pageSize();
+    NodeLayout Layout = nodeLayout(Config, Ctx.Topology);
     uint64_t NodeSpan =
-        ((Layout.MaxPerNode * LineStride + Config.PageBytes - 1) /
-         Config.PageBytes) *
-        Config.PageBytes;
+        ((Layout.MaxPerNode * LineStride + PageBytes - 1) / PageBytes) *
+        PageBytes;
     uint64_t TotalBytes = Config.FixFalseSharing
-                              ? uint64_t(Nodes) * NodeSpan
+                              ? Ctx.Topology.nodeCount() * NodeSpan
                               : uint64_t(Config.Threads) * LineStride;
-    uint64_t Slots = pageAlignedGlobal(Ctx, "numa_interleaved_slots",
-                                       TotalBytes, Config.PageBytes);
+    uint64_t Slots =
+        pageAlignedGlobal(Ctx, "numa_interleaved_slots", TotalBytes);
 
     uint64_t Iterations = static_cast<uint64_t>(
         std::max(1.0, 30000.0 * Config.Scale));
@@ -190,11 +193,9 @@ public:
 
     uint64_t LineStride = std::max<uint64_t>(Ctx.Geometry.lineSize(), 64);
     // Four pages of private data per worker, page-aligned blocks.
-    uint64_t BlockBytes = 4 * Config.PageBytes;
-    uint64_t Blocks =
-        pageAlignedGlobal(Ctx, "numa_first_touch_blocks",
-                          uint64_t(Config.Threads) * BlockBytes,
-                          Config.PageBytes);
+    uint64_t BlockBytes = 4 * Ctx.Topology.pageSize();
+    uint64_t Blocks = pageAlignedGlobal(
+        Ctx, "numa_first_touch_blocks", uint64_t(Config.Threads) * BlockBytes);
     uint64_t Passes = static_cast<uint64_t>(
         std::max(4.0, 60.0 * Config.Scale));
 
@@ -258,20 +259,20 @@ public:
     // indistinguishable under the binary local/remote model, ranked by
     // the distance matrix alone.
     uint64_t LineStride = std::max<uint64_t>(Ctx.Geometry.lineSize(), 64);
-    uint32_t Nodes = std::max<uint32_t>(Config.NumaNodes, 1);
+    uint32_t Nodes = Ctx.Topology.nodeCount();
     // One page per worker: concentrating each thread's traffic on a single
     // page keeps every remote page comfortably above the placement gate at
     // the reference sampling density.
-    uint64_t BlockBytes = Config.PageBytes;
+    uint64_t BlockBytes = Ctx.Topology.pageSize();
 
-    NodeLayout Layout = nodeLayout(Config, Nodes);
+    NodeLayout Layout = nodeLayout(Config, Ctx.Topology);
     uint64_t BlocksPerNode = Layout.MaxPerNode;
 
     std::vector<uint64_t> Groups(Nodes);
     for (uint32_t Node = 0; Node < Nodes; ++Node)
       Groups[Node] = pageAlignedGlobal(
           Ctx, "numa_asymmetric_node" + std::to_string(Node),
-          BlocksPerNode * BlockBytes, Config.PageBytes);
+          BlocksPerNode * BlockBytes);
 
     uint64_t Passes =
         static_cast<uint64_t>(std::max(4.0, 120.0 * Config.Scale));

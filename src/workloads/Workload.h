@@ -25,6 +25,7 @@
 #define CHEETAH_WORKLOADS_WORKLOAD_H
 
 #include "mem/CacheGeometry.h"
+#include "mem/NumaTopology.h"
 #include "sim/ForkJoinProgram.h"
 #include "support/Random.h"
 
@@ -46,29 +47,6 @@ struct WorkloadConfig {
   bool FixFalseSharing = false;
   /// Seed for any stochastic access patterns.
   uint64_t Seed = 0x43484545;
-  /// Simulated NUMA node count the NUMA workloads lay their data out for;
-  /// should match the profiler topology (threads interleave tid % nodes).
-  uint32_t NumaNodes = 2;
-  /// Page size the NUMA workloads pad/align to; should match the topology.
-  uint64_t PageBytes = 4096;
-  /// Explicit thread→node pinning map mirroring the profiler topology's
-  /// (NumaTopology::threadPinning); empty = the tid % NumaNodes
-  /// interleave. NUMA workloads lay data out per node, so their layout
-  /// must agree with wherever the threads actually run.
-  std::vector<uint32_t> ThreadNodes;
-
-  /// Node the thread executing parallel body \p BodyIndex runs on (body T
-  /// runs as tid T + 1; the main thread, tid 0, is nodeOfTid(0)). Matches
-  /// NumaTopology::nodeOf for the same configuration.
-  uint32_t nodeOfBody(uint32_t BodyIndex) const {
-    return nodeOfTid(BodyIndex + 1);
-  }
-  uint32_t nodeOfTid(uint32_t Tid) const {
-    if (!ThreadNodes.empty())
-      return ThreadNodes[Tid % ThreadNodes.size()];
-    uint32_t Nodes = NumaNodes ? NumaNodes : 1;
-    return Tid % Nodes;
-  }
 };
 
 /// Allocation services handed to a workload at build time (backed by the
@@ -87,6 +65,10 @@ struct WorkloadContext {
       DefineGlobal;
   /// Cache geometry in effect (workload padding decisions depend on it).
   CacheGeometry Geometry{64};
+  /// The profiler's NUMA machine: the NUMA workloads lay their data out
+  /// per node and pad to its pages, so their layout agrees with wherever
+  /// NumaTopology::nodeOf runs each thread.
+  NumaTopology Topology;
 
   uint64_t allocate(uint64_t Size, const std::string &File, unsigned Line) {
     return Allocate(Size, File, Line);

@@ -235,12 +235,10 @@ TEST(AssessPageTest, PredictionNeverBelowRealMinusObjectCycles) {
 
 driver::SessionConfig assessSessionConfig(bool Fix) {
   driver::SessionConfig Config;
-  Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(256);
+  Config.Profiler.Pmu.SamplingPeriod = 256;
   Config.Profiler.Topology = NumaTopology(2, PageSize);
   Config.Profiler.Detect.TrackPages = true;
   Config.Workload.Threads = 8;
-  Config.Workload.NumaNodes = 2;
-  Config.Workload.PageBytes = PageSize;
   Config.Workload.FixFalseSharing = Fix;
   return Config;
 }
@@ -337,13 +335,10 @@ driver::SessionConfig asymmetricSessionConfig(bool Fix, bool UniformDistances) {
   EXPECT_TRUE(NumaTopology::fromSpec(Spec, Topology, Error)) << Error;
 
   driver::SessionConfig Config;
-  Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(256);
+  Config.Profiler.Pmu.SamplingPeriod = 256;
   Config.Profiler.Topology = Topology;
   Config.Profiler.Detect.TrackPages = true;
   Config.Workload.Threads = 8;
-  Config.Workload.NumaNodes = 4;
-  Config.Workload.PageBytes = PageSize;
-  Config.Workload.ThreadNodes = Topology.threadPinning();
   Config.Workload.FixFalseSharing = Fix;
   return Config;
 }
@@ -402,7 +397,6 @@ TEST(PageAssessEndToEndTest, UmaTopologyPredictsNothing) {
   auto Workload = workloads::createWorkload("numa_interleaved");
   driver::SessionConfig Config = assessSessionConfig(false);
   Config.Profiler.Topology = NumaTopology(1, PageSize);
-  Config.Workload.NumaNodes = 1;
   driver::SessionResult Result = driver::runWorkload(*Workload, Config);
   for (const PageSharingReport &Report : Result.Profile.PageFindings) {
     // Everything is local; only sub-percent thread-to-thread latency noise

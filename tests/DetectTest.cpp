@@ -552,8 +552,7 @@ TEST(FullTrackerTest, KeepsCheetahsWriteThresholdWithoutPhases) {
   // The baseline analyzes every access with no phase model, yet a line
   // still needs more than two writes before it is tracked in detail.
   CacheGeometry Geometry(64);
-  baseline::FullTracker Tracker(Geometry, {{0x40000000, 4096}},
-                                baseline::FullTrackerConfig());
+  baseline::FullTracker Tracker(Geometry, {{0x40000000, 4096}});
   sim::CoherenceResult Hit;
   for (uint64_t I = 0; I < 2; ++I)
     Tracker.onMemoryAccess(static_cast<ThreadId>(I),
@@ -561,6 +560,19 @@ TEST(FullTrackerTest, KeepsCheetahsWriteThresholdWithoutPhases) {
   EXPECT_EQ(Tracker.shadow().materializedLines(), 0u);
   Tracker.onMemoryAccess(0, MemoryAccess::write(0x40000000), Hit, 2);
   EXPECT_EQ(Tracker.shadow().materializedLines(), 1u);
+}
+
+TEST(FullTrackerTest, ChargesSixtyCyclesPerInstrumentedAccess) {
+  // Software instrumentation pays a shadow lookup and a metadata update
+  // on every load and store, sampled or not.
+  CacheGeometry Geometry(64);
+  baseline::FullTracker Tracker(Geometry, {{0x40000000, 4096}});
+  sim::CoherenceResult Hit;
+  EXPECT_EQ(Tracker.onMemoryAccess(0, MemoryAccess::read(0x40000000), Hit, 0),
+            60u);
+  EXPECT_EQ(Tracker.onMemoryAccess(1, MemoryAccess::write(0x80000000), Hit, 1),
+            60u);
+  EXPECT_EQ(Tracker.accessesInstrumented(), 2u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -25,7 +25,7 @@ driver::SessionConfig precisionConfig(uint32_t Threads) {
   driver::SessionConfig Config;
   Config.Workload.Threads = Threads;
   Config.Workload.Scale = 4.0;
-  Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(128);
+  Config.Profiler.Pmu.SamplingPeriod = 128;
   return Config;
 }
 
@@ -144,10 +144,7 @@ TEST(OverheadTest, FullInstrumentationCostsMultiplesOfSampling) {
   Native.EnableProfiler = false;
   driver::SessionResult Baseline = driver::runWorkload(*Workload, Native);
 
-  baseline::FullTrackerConfig Tracker;
-  Tracker.PerAccessCycles = 16;
-  driver::FullTrackResult Full =
-      driver::runFullTracking(*Workload, Config, Tracker);
+  driver::FullTrackResult Full = driver::runFullTracking(*Workload, Config);
 
   driver::SessionResult Profiled = driver::runWorkload(*Workload, Config);
 
@@ -155,8 +152,11 @@ TEST(OverheadTest, FullInstrumentationCostsMultiplesOfSampling) {
                         static_cast<double>(Baseline.Run.TotalCycles);
   double CheetahSlowdown = static_cast<double>(Profiled.Run.TotalCycles) /
                            static_cast<double>(Baseline.Run.TotalCycles);
-  EXPECT_GT(FullSlowdown, 1.3);
-  EXPECT_GT(FullSlowdown, CheetahSlowdown * 1.2);
+  // At baseline::PerAccessCycles the tracker runs about 3.8x native and
+  // 3.6x Cheetah; the bounds keep about a quarter of that as margin, so a
+  // halved per-access charge fails.
+  EXPECT_GT(FullSlowdown, 3.0);
+  EXPECT_GT(FullSlowdown, CheetahSlowdown * 2.7);
 }
 
 //===----------------------------------------------------------------------===//
@@ -199,15 +199,13 @@ TEST(PhaseGatingTest, InitThenSharedReadsNotReportedByCheetah) {
   InitThenShare Workload;
   driver::SessionConfig Config;
   Config.Workload.Threads = 4;
-  Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(64);
+  Config.Profiler.Pmu.SamplingPeriod = 64;
   driver::SessionResult Result = driver::runWorkload(Workload, Config);
   EXPECT_TRUE(significant(Result.Profile.Findings).empty());
   for (const auto &Instance : Result.Profile.Findings)
     EXPECT_EQ(Instance.Invalidations, 0u);
 
-  baseline::FullTrackerConfig Tracker;
-  driver::FullTrackResult Full =
-      driver::runFullTracking(Workload, Config, Tracker);
+  driver::FullTrackResult Full = driver::runFullTracking(Workload, Config);
   EXPECT_GT(Full.Invalidations, 0u); // the Predator-style false positive
 }
 

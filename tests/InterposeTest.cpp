@@ -66,16 +66,18 @@ TEST_F(InterposeTest, BridgeDeliversInterposeSamplesToProfiler) {
   for (std::thread &Thread : Threads)
     Thread.join();
 
-  // Finish through the JSON sink: the bridge must provide the full
-  // beginRun/finding/endRun lifecycle so the document is well-formed.
+  // The bridge retires the main thread; the report is the profiler's,
+  // streamed through the JSON sink as the daemon streams its snapshots.
+  Bridge.finish();
+  sim::SimulationResult Run;
+  Run.TotalCycles = Bridge.elapsedCycles();
   std::string JsonText;
   core::JsonReportSink Sink(JsonText);
-  core::ProfileResult Result = Bridge.finish(&Sink);
+  Sink.beginRun(core::ReportRunInfo());
+  core::ProfileResult Result = Profiler.finish(Run, &Sink);
   JsonValue Document;
   std::string Error;
   ASSERT_TRUE(JsonValue::parse(JsonText, Document, Error)) << Error;
-  EXPECT_EQ(Document.find("run")->find("tool")->asString(),
-            "cheetah-preload");
   EXPECT_EQ(Document.find("summary")->find("findings")->asUint(),
             Result.Findings.size());
 
@@ -147,8 +149,10 @@ TEST_F(InterposeTest, BridgeFinishRacesRecordingThreadSafely) {
       while (!Hammering.load(std::memory_order_acquire))
         std::this_thread::yield();
       // Finish mid-hammer: deliveries already inside the sink drain,
-      // everything after bounces off the closed gate.
-      core::ProfileResult Result = Bridge.finish();
+      // everything after bounces off the closed gate, so the profiler can
+      // be snapshotted while the hammer still runs.
+      Bridge.finish();
+      core::ProfileResult Result = Profiler.finish(sim::SimulationResult());
       Stop.store(true, std::memory_order_release);
       Hammer.join();
 

@@ -233,12 +233,19 @@ struct PageDetectorHarness {
         Detect(Geometry, Shadow, Config) {
     Detect.attachPageTable(Pages, Topology);
   }
+
+  /// Main (node 0) writes the page at \p Address up to the write threshold
+  /// in a serial phase: the writes count toward stage 1 and home the page,
+  /// but reach no detail, so the next sampled write materializes it.
+  void warmUp(uint64_t Address) {
+    for (uint32_t I = 0; I < DetectorConfig::PageWriteThreshold; ++I)
+      deliver(Detect, makeSample(Address, 0, true), false);
+  }
 };
 
 TEST(PageDetectorTest, PagesBelowWriteThresholdNeverMaterialize) {
   DetectorConfig Config;
   Config.TrackPages = true;
-  Config.PageWriteThreshold = 2;
   PageDetectorHarness H(Config);
 
   deliver(H.Detect, makeSample(RegionBase, 1, true), true);
@@ -259,11 +266,13 @@ TEST(PageDetectorTest, PagesBelowWriteThresholdNeverMaterialize) {
 TEST(PageDetectorTest, SerialPhaseSetsHomesButRecordsNoDetail) {
   DetectorConfig Config;
   Config.TrackPages = true;
-  Config.PageWriteThreshold = 0;
   PageDetectorHarness H(Config);
 
-  // Serial phase: main (node 0) touches two pages.
-  deliver(H.Detect, makeSample(RegionBase, 0, true), false);
+  // Serial phase: main (node 0) touches two pages, and writes the first
+  // past the write threshold, so only the serial-phase gate keeps it out
+  // of detail.
+  for (uint32_t I = 0; I <= DetectorConfig::PageWriteThreshold; ++I)
+    deliver(H.Detect, makeSample(RegionBase + 8 * I, 0, true), false);
   deliver(H.Detect, makeSample(RegionBase + PageSize, 0, true), false);
   EXPECT_EQ(H.Pages.homeNode(RegionBase), 0u);
   EXPECT_EQ(H.Pages.homeNode(RegionBase + PageSize), 0u);
@@ -283,8 +292,8 @@ TEST(PageDetectorTest, SerialPhaseSetsHomesButRecordsNoDetail) {
 TEST(PageDetectorTest, CrossNodeHammerCountsPageInvalidations) {
   DetectorConfig Config;
   Config.TrackPages = true;
-  Config.PageWriteThreshold = 0;
   PageDetectorHarness H(Config);
+  H.warmUp(RegionBase);
 
   // Threads 1 (node 1) and 2 (node 0) write disjoint lines of one page.
   for (unsigned I = 0; I < 100; ++I) {
@@ -308,13 +317,13 @@ TEST(PageDetectorTest, LineStageOffLeavesLineCountersUntouched) {
   DetectorConfig Config;
   Config.TrackPages = true;
   Config.TrackLines = false;
-  Config.PageWriteThreshold = 0;
   PageDetectorHarness H(Config);
+  H.warmUp(RegionBase);
 
   for (unsigned I = 0; I < 50; ++I)
     deliver(H.Detect, makeSample(RegionBase + I * 8, 1 + (I % 2), true), true);
   DetectorStats Stats = H.Detect.stats();
-  EXPECT_EQ(Stats.SamplesSeen, 50u);
+  EXPECT_EQ(Stats.SamplesSeen, 50u + DetectorConfig::PageWriteThreshold);
   EXPECT_EQ(Stats.SamplesRecorded, 0u);
   EXPECT_EQ(Stats.Invalidations, 0u);
   EXPECT_EQ(H.Shadow.materializedLines(), 0u);
@@ -328,14 +337,12 @@ TEST(PageDetectorTest, LineStageOffLeavesLineCountersUntouched) {
 
 driver::SessionConfig pageSessionConfig(bool TrackLines = true) {
   driver::SessionConfig Config;
-  Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(256);
+  Config.Profiler.Pmu.SamplingPeriod = 256;
   Config.Profiler.Topology = NumaTopology(2, PageSize);
   Config.Profiler.Detect.TrackPages = true;
   Config.Profiler.Detect.TrackLines = TrackLines;
   Config.Workload.Threads = 8;
   Config.Workload.Scale = 0.5;
-  Config.Workload.NumaNodes = 2;
-  Config.Workload.PageBytes = PageSize;
   return Config;
 }
 
@@ -393,7 +400,7 @@ TEST(PageEndToEndTest, FirstTouchBugSurfacesAsRemotePlacement) {
   auto Workload = workloads::createWorkload("numa_first_touch");
   ASSERT_NE(Workload, nullptr);
   driver::SessionConfig Config = pageSessionConfig();
-  Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(64);
+  Config.Profiler.Pmu.SamplingPeriod = 64;
   Config.Workload.Scale = 1.0;
   driver::SessionResult Result = driver::runWorkload(*Workload, Config);
   const ProfileResult &Profile = Result.Profile;
@@ -424,7 +431,6 @@ TEST(PageEndToEndTest, SingleNodeTopologyReportsNothing) {
   auto Workload = workloads::createWorkload("numa_interleaved");
   driver::SessionConfig Config = pageSessionConfig();
   Config.Profiler.Topology = NumaTopology(1, PageSize);
-  Config.Workload.NumaNodes = 1;
   driver::SessionResult Result = driver::runWorkload(*Workload, Config);
   EXPECT_TRUE(significant(Result.Profile.PageFindings).empty());
   EXPECT_EQ(Result.Profile.Detection.RemoteSamples, 0u);

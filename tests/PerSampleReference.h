@@ -111,7 +111,8 @@ private:
     NodeId Node = Topology->nodeOf(Sample.Tid);
     NodeId Home = Pages->noteTouch(Sample.Address, Node);
     core::PageInfo *Info =
-        detailFor(*Pages, Sample, Config.PageWriteThreshold, InParallelPhase);
+        detailFor(*Pages, Sample, core::DetectorConfig::PageWriteThreshold,
+                  InParallelPhase);
     if (!Info)
       return;
     bool Remote = Node != Home;

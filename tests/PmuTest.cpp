@@ -160,27 +160,42 @@ TEST(SimPmuTest, ComputeInstructionsAdvanceButDeliverNothing) {
 }
 
 TEST(SimPmuTest, ThreadSetupCostChargedPerThread) {
+  // Six pfmon calls and six syscalls per thread (paper Section 4.1).
   PmuConfig Config;
-  Config.ThreadSetupCycles = 1234;
   SimPmu Pmu(Config);
-  EXPECT_EQ(Pmu.onThreadStart(0, true, 0), 1234u);
-  EXPECT_EQ(Pmu.onThreadStart(1, false, 0), 1234u);
+  EXPECT_EQ(Pmu.onThreadStart(0, true, 0), 50000u);
+  EXPECT_EQ(Pmu.onThreadStart(1, false, 0), 50000u);
   EXPECT_EQ(Pmu.threadsConfigured(), 2u);
+}
+
+/// Cycles a SimPmu built from \p Config charges for the accesses of one
+/// sampling period, which take exactly one sample without jitter.
+uint64_t chargedPerSample(PmuConfig Config) {
+  Config.JitterFraction = 0.0;
+  SimPmu Pmu(Config);
+  Pmu.onThreadStart(0, true, 0);
+  uint64_t Charged = 0;
+  for (uint64_t I = 0; I < Config.SamplingPeriod; ++I)
+    Charged += Pmu.onMemoryAccess(0, MemoryAccess::read(0x10), hitResult(3), I);
+  EXPECT_EQ(Pmu.samplesDelivered(), 1u);
+  return Charged;
 }
 
 TEST(SimPmuTest, HandlerCostChargedOnlyOnSamples) {
   PmuConfig Config;
-  Config.SamplingPeriod = 4;
+  Config.SamplingPeriod = 1024;
   Config.JitterFraction = 0.0;
-  Config.SampleHandlerCycles = 500;
   SimPmu Pmu(Config);
-  EventLog Sink;
-  Pmu.setSink(&Sink);
   Pmu.onThreadStart(0, true, 0);
-  uint64_t Charged = 0;
-  for (int I = 0; I < 16; ++I)
-    Charged += Pmu.onMemoryAccess(0, MemoryAccess::read(0x10), hitResult(3), I);
-  EXPECT_EQ(Charged, 4 * 500u);
+  uint64_t Charged = 0, Charges = 0;
+  for (int I = 0; I < 4 * 1024; ++I) {
+    uint64_t Cost =
+        Pmu.onMemoryAccess(0, MemoryAccess::read(0x10), hitResult(3), I);
+    Charged += Cost;
+    Charges += Cost != 0;
+  }
+  EXPECT_EQ(Charges, 4u);
+  EXPECT_EQ(Charged, 4 * 46u);
 }
 
 TEST(SimPmuTest, DisabledPmuIsFree) {
@@ -307,15 +322,19 @@ TEST(SimPmuTest, BatchesFollowTheAccessStreamAndNeverSpanLifecycle) {
   }
 }
 
-TEST(PmuConfigTest, WithScaledPeriodKeepsOverheadDensity) {
-  PmuConfig Base;
-  EXPECT_EQ(Base.withScaledPeriod(65536).SampleHandlerCycles,
-            Base.SampleHandlerCycles);
-  PmuConfig Dense = Base.withScaledPeriod(1024);
-  EXPECT_EQ(Dense.SamplingPeriod, 1024u);
-  EXPECT_EQ(Dense.SampleHandlerCycles, Base.SampleHandlerCycles * 1024 / 65536);
-  // Never zero, or the overhead model would vanish entirely.
-  EXPECT_GE(Base.withScaledPeriod(1).SampleHandlerCycles, 1u);
+TEST(PmuConfigTest, HandlerCostFollowsTheSamplingPeriod) {
+  // 3,000 cycles at the deployment period of 64K, scaled linearly so
+  // denser sampling keeps the overhead density, and never zero, or the
+  // overhead model would vanish entirely.
+  EXPECT_EQ(sampleHandlerCycles(65536), 3000u);
+  EXPECT_EQ(sampleHandlerCycles(1024), 46u);
+  EXPECT_EQ(sampleHandlerCycles(128), 5u);
+  EXPECT_EQ(sampleHandlerCycles(1), 1u);
+
+  PmuConfig Config;
+  EXPECT_EQ(chargedPerSample(Config), 3000u);
+  Config.SamplingPeriod = 128;
+  EXPECT_EQ(chargedPerSample(Config), 5u);
 }
 
 TEST(PmuConfigTest, FromSpecRejectsInvalidValuesWithReasons) {

@@ -215,7 +215,7 @@ TEST_P(FuzzPipelineTest, InvariantsHoldOnRandomPrograms) {
   Spec.Seed = GetParam();
 
   core::ProfilerConfig Config;
-  Config.Pmu = Config.Pmu.withScaledPeriod(64);
+  Config.Pmu.SamplingPeriod = 64;
   core::Profiler Profiler(Config);
   uint32_t TotalChildren = 0;
   sim::ForkJoinProgram Program =
@@ -345,8 +345,7 @@ class CoherenceOracleTest : public ::testing::TestWithParam<OracleParams> {};
 TEST_P(CoherenceOracleTest, MatchesHolderSetOracle) {
   const OracleParams &Params = GetParam();
   CacheGeometry Geometry(64);
-  sim::LatencyModel Latency;
-  sim::CoherenceModel Model(Geometry, Latency);
+  sim::CoherenceModel Model(Geometry);
 
   // Oracle: per line, the set of holders and a dirty bit, maintained by
   // the textbook invalidation protocol.
@@ -428,7 +427,7 @@ TEST_P(GeometrySweepTest, PaddingToTheConfiguredLineSizeSilencesReports) {
   for (bool Padded : {true, false}) {
     core::ProfilerConfig Config;
     Config.Geometry = CacheGeometry(LineSize);
-    Config.Pmu = Config.Pmu.withScaledPeriod(32);
+    Config.Pmu.SamplingPeriod = 32;
     core::Profiler Profiler(Config);
     uint64_t Stride = Padded ? LineSize : LineSize / 2;
     uint64_t Slots = Profiler.globals().defineAligned("slots", 2 * Stride);
@@ -588,7 +587,6 @@ TEST(PagePropertyTest, ConcurrentHammerMatchesSequentialTotalsPerPage) {
   core::PageTable Table(Topology, Geometry, {{Base, Pages * PageSizeBytes}});
   core::DetectorConfig Config;
   Config.TrackPages = true;
-  Config.PageWriteThreshold = 0;
   core::Detector Detect(Geometry, Shadow, Config);
   Detect.attachPageTable(Table, Topology);
 
@@ -611,9 +609,9 @@ TEST(PagePropertyTest, ConcurrentHammerMatchesSequentialTotalsPerPage) {
     (void)Fresh;
     if (Sample.IsWrite)
       ++PageWrites[Page];
-    // Mirror the stage-1 gate (threshold 0): reads before a page's first
-    // sampled write are filtered, writes always reach detail.
-    if (Sample.IsWrite || PageWrites[Page] > 0)
+    // Mirror the stage-1 gate: a sample reaches detail once its page has
+    // more sampled writes than the threshold, counting the sample itself.
+    if (PageWrites[Page] > core::DetectorConfig::PageWriteThreshold)
       References[Page].record(Node,
                               Sample.IsWrite ? AccessKind::Write
                                              : AccessKind::Read,

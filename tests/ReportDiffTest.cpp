@@ -360,12 +360,11 @@ std::string profileToJson(bool Fix) {
   auto Workload = workloads::createWorkload("numa_interleaved");
   EXPECT_NE(Workload, nullptr);
   driver::SessionConfig Config;
-  Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(256);
+  Config.Profiler.Pmu.SamplingPeriod = 256;
   Config.Profiler.Topology = NumaTopology(2, 4096);
   Config.Profiler.Detect.TrackPages = true;
   Config.Workload.Threads = 8;
   Config.Workload.Scale = 0.5;
-  Config.Workload.NumaNodes = 2;
   Config.Workload.FixFalseSharing = Fix;
   std::string Out;
   JsonReportSink Sink(Out);

@@ -45,7 +45,7 @@ driver::SessionResult runKnownWorkload(std::string &JsonText) {
   auto Workload = workloads::createWorkload("linear_regression");
   EXPECT_NE(Workload, nullptr);
   driver::SessionConfig Config;
-  Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(512);
+  Config.Profiler.Pmu.SamplingPeriod = 512;
   Config.Workload.Threads = 8;
   Config.Workload.Seed = 0x43484545;
   JsonReportSink Sink(JsonText);
@@ -253,12 +253,11 @@ driver::SessionResult runKnownPageWorkload(std::string &JsonText) {
   auto Workload = workloads::createWorkload("numa_interleaved");
   EXPECT_NE(Workload, nullptr);
   driver::SessionConfig Config;
-  Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(256);
+  Config.Profiler.Pmu.SamplingPeriod = 256;
   Config.Profiler.Topology = NumaTopology(2, 4096);
   Config.Profiler.Detect.TrackPages = true;
   Config.Workload.Threads = 8;
   Config.Workload.Scale = 0.5;
-  Config.Workload.NumaNodes = 2;
   JsonReportSink Sink(JsonText);
   return driver::runWorkload(*Workload, Config, &Sink);
 }
@@ -960,11 +959,10 @@ TEST(ReportStreamTest, PageFindingsStreamAsTheResultListWithTheirFlags) {
   auto Workload = workloads::createWorkload("numa_first_touch");
   ASSERT_NE(Workload, nullptr);
   driver::SessionConfig Config;
-  Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(256);
+  Config.Profiler.Pmu.SamplingPeriod = 256;
   Config.Profiler.Topology = NumaTopology(2, 4096);
   Config.Profiler.Detect.TrackPages = true;
   Config.Workload.Threads = 8;
-  Config.Workload.NumaNodes = 2;
   RecordingSink Sink;
   driver::SessionResult Result = driver::runWorkload(*Workload, Config, &Sink);
   const ProfileResult &Profile = Result.Profile;

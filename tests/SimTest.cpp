@@ -70,14 +70,32 @@ TEST(MemoryAccessTest, Factories) {
 class CoherenceTest : public ::testing::Test {
 protected:
   CacheGeometry Geometry{64};
-  LatencyModel Latency;
-  CoherenceModel Model{Geometry, Latency};
+  CoherenceModel Model{Geometry};
 };
 
 TEST_F(CoherenceTest, FirstTouchIsColdMiss) {
   CoherenceResult R = Model.access(0, MemoryAccess::read(0x1000), 0);
   EXPECT_EQ(R.Outcome, AccessOutcome::ColdMiss);
-  EXPECT_EQ(R.LatencyCycles, Latency.ColdMissCycles);
+  EXPECT_EQ(R.LatencyCycles, LatencyModel::ColdMissCycles);
+}
+
+TEST_F(CoherenceTest, UncontendedOutcomesCostTheModelsCycles) {
+  // The latency table of a mid-2010s Opteron: a DRAM fetch, a private
+  // hit, and coherence traffic that also occupies the line's directory
+  // slot for one 18-cycle service.
+  EXPECT_EQ(Model.access(0, MemoryAccess::read(0x1000), 0).LatencyCycles,
+            120u);
+  EXPECT_EQ(Model.access(0, MemoryAccess::read(0x1000), 1000).LatencyCycles,
+            3u);
+  CoherenceResult Clean = Model.access(1, MemoryAccess::read(0x1000), 2000);
+  EXPECT_EQ(Clean.Outcome, AccessOutcome::CleanTransfer);
+  EXPECT_EQ(Clean.LatencyCycles, 40u + 18);
+  CoherenceResult Upgrade = Model.access(0, MemoryAccess::write(0x1000), 3000);
+  EXPECT_EQ(Upgrade.Outcome, AccessOutcome::Upgrade);
+  EXPECT_EQ(Upgrade.LatencyCycles, 30u + 18);
+  CoherenceResult Dirty = Model.access(1, MemoryAccess::read(0x1000), 4000);
+  EXPECT_EQ(Dirty.Outcome, AccessOutcome::DirtyTransfer);
+  EXPECT_EQ(Dirty.LatencyCycles, 50u + 18);
 }
 
 TEST_F(CoherenceTest, RepeatAccessHits) {
@@ -159,9 +177,13 @@ TEST_F(CoherenceTest, QueueBacklogSaturates) {
         Model.access(T, MemoryAccess::write(0x1000), 1000);
     MaxSeen = std::max(MaxSeen, R.LatencyCycles);
   }
-  uint64_t Bound = Latency.DirtyTransferCycles +
-                   (Latency.MaxQueuedServices + 1) * Latency.LineServiceCycles;
+  uint64_t Bound = LatencyModel::DirtyTransferCycles +
+                   (LatencyModel::MaxQueuedServices + 1) *
+                       LatencyModel::LineServiceCycles;
   EXPECT_LE(MaxSeen, Bound);
+  // 31 writers at one instant reach the cap: a dirty transfer behind a
+  // backlog of four 18-cycle services, plus its own.
+  EXPECT_EQ(MaxSeen, 50u + 4 * 18 + 18);
 }
 
 TEST_F(CoherenceTest, StatsAccumulate) {
@@ -322,20 +344,26 @@ TEST(SimulatorTest, ObserverOverheadChargesThreads) {
             Baseline.thread(1).runtime() + 32 * 100);
 }
 
+/// Computes for \p DelayCycles (one cycle per instruction), then writes
+/// one word 1,000 times.
+Generator<ThreadEvent> delayedHammer(uint32_t DelayCycles) {
+  if (DelayCycles)
+    co_yield ThreadEvent::compute(DelayCycles);
+  for (int I = 0; I < 1000; ++I)
+    co_yield ThreadEvent::write(0x7000, 4);
+}
+
 TEST(SimulatorTest, MinClockSchedulingInterleavesContendingWriters) {
   // Two threads hammering one line must alternate, producing dirty
   // transfers on nearly every write rather than running back-to-back.
+  // The second child starts one spawn after the first, so the first
+  // computes through that spawn and the writers overlap.
   ForkJoinProgram Program;
   PhaseSpec &Phase = Program.addPhase("contend");
-  for (int T = 0; T < 2; ++T)
-    Phase.ParallelBodies.push_back([]() -> Generator<ThreadEvent> {
-      for (int I = 0; I < 1000; ++I)
-        co_yield ThreadEvent::write(0x7000, 4);
-    });
-  CacheGeometry Geometry(64);
-  LatencyModel Latency;
-  Latency.ThreadSpawnCycles = 0; // start simultaneously so writers overlap
-  Simulator Sim(Geometry, Latency);
+  Phase.ParallelBodies.push_back(
+      []() { return delayedHammer(LatencyModel::ThreadSpawnCycles); });
+  Phase.ParallelBodies.push_back([]() { return delayedHammer(0); });
+  Simulator Sim(CacheGeometry(64), LatencyModel{});
   SimulationResult Result = Sim.run(Program);
   EXPECT_GT(Result.Coherence.DirtyTransfers, 1500u);
 }
@@ -346,11 +374,11 @@ TEST(SimulatorTest, SpawnAndJoinCostsAppearInSpan) {
   for (int T = 0; T < 4; ++T)
     Phase.ParallelBodies.push_back([]() { return pureCompute(1); });
   CacheGeometry Geometry(64);
-  LatencyModel Latency;
-  Simulator Sim(Geometry, Latency);
+  Simulator Sim(Geometry, LatencyModel{});
   SimulationResult Result = Sim.run(Program);
-  EXPECT_GE(Result.TotalCycles,
-            4 * Latency.ThreadSpawnCycles + 4 * Latency.ThreadJoinCycles);
+  // Four spawns of 8,000 cycles on the main thread, the last child's one
+  // instruction, then four joins of 2,000.
+  EXPECT_EQ(Result.TotalCycles, 4 * 8000u + 1 + 4 * 2000);
 }
 
 //===----------------------------------------------------------------------===//
@@ -417,6 +445,28 @@ TEST(SimulatorTest, RemoteSurchargeScalesHopProportionally) {
   uint64_t Far = ExtraForChild(2);  // distance 30 = 3 hops
   EXPECT_EQ(Near, BaseExtra);
   EXPECT_EQ(Far, 3 * Near);
+}
+
+/// A node-1 child's accesses to a page main homed on node 0, one per
+/// surcharge kind.
+Generator<ThreadEvent> remoteAccessMix() {
+  co_yield ThreadEvent::read(0x20040, 8);  // cold miss: remote DRAM
+  co_yield ThreadEvent::write(0x20000, 8); // dirty transfer from main
+  co_yield ThreadEvent::write(0x20000, 8); // store hit, drains to the home
+  co_yield ThreadEvent::read(0x20000, 8);  // read hit: stays local
+}
+
+TEST(SimulatorTest, RemoteSurchargesFollowTheAccessOutcome) {
+  ForkJoinProgram Program;
+  PhaseSpec &Phase = Program.addPhase("p");
+  Phase.SerialBody = []() { return fixedWrites(0x20000, 1, 8); };
+  Phase.ParallelBodies.push_back([]() { return remoteAccessMix(); });
+  NumaTopology Topology(2);
+  Simulator Sim(CacheGeometry(64), LatencyModel{});
+  Sim.setTopology(&Topology);
+  SimulationResult Result = Sim.run(Program);
+  EXPECT_EQ(Result.RemoteNumaAccesses, 3u);
+  EXPECT_EQ(Result.RemoteNumaExtraCycles, 90u + 30 + 20);
 }
 
 } // namespace

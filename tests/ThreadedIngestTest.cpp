@@ -367,9 +367,12 @@ TEST(ThreadedIngestTest, SingleSharedPageHammerAcrossNodesLosesNoUpdates) {
   DetectorConfig Config;
   Config.WriteThreshold = 0;
   Config.TrackPages = true;
-  Config.PageWriteThreshold = 0;
   Detector Detect(Geometry, Shadow, Config);
   Detect.attachPageTable(Pages, Topology);
+  // Bring the page's stage-1 count up to the write threshold without a
+  // touch, so the first hammer samples still race to publish its home.
+  for (uint32_t I = 0; I < DetectorConfig::PageWriteThreshold; ++I)
+    Pages.noteWrite(RegionBase);
 
   std::atomic<uint64_t> WritesIssued{0};
   std::atomic<uint64_t> AccessesPerNode[2] = {{0}, {0}};
@@ -401,7 +404,8 @@ TEST(ThreadedIngestTest, SingleSharedPageHammerAcrossNodesLosesNoUpdates) {
   EXPECT_EQ(Stats.SamplesSeen, Total);
   EXPECT_EQ(Stats.PageSamplesRecorded, Total);
   EXPECT_EQ(Pages.materializedPages(), 1u);
-  EXPECT_EQ(Pages.writeCount(RegionBase), WritesIssued.load());
+  EXPECT_EQ(Pages.writeCount(RegionBase),
+            WritesIssued.load() + DetectorConfig::PageWriteThreshold);
 
   const PageInfo *Info = Pages.detail(RegionBase);
   ASSERT_NE(Info, nullptr);
@@ -530,9 +534,12 @@ TEST(ThreadedIngestTest, BatchedRunsOnSharedGrainsConserveEveryField) {
   DetectorConfig Config;
   Config.WriteThreshold = 0;
   Config.TrackPages = true;
-  Config.PageWriteThreshold = 0;
   Detector Detect(Geometry, Shadow, Config);
   Detect.attachPageTable(Pages, Topology);
+  // Bring the page's stage-1 count up to the write threshold, so the
+  // prime below materializes it.
+  for (uint32_t I = 0; I < DetectorConfig::PageWriteThreshold; ++I)
+    Pages.noteWrite(RegionBase);
 
   // The page's first two lines are the hot set.
   const uint64_t Lines[2] = {RegionBase, RegionBase + LineSize};
@@ -639,7 +646,8 @@ TEST(ThreadedIngestTest, BatchedRunsOnSharedGrainsConserveEveryField) {
   ASSERT_NE(Page, nullptr);
   EXPECT_EQ(Pages.homeNode(RegionBase), 0u);
   expectConserved(Page->snapshot(RegionBase), PageWant, "page");
-  EXPECT_EQ(Pages.writeCount(RegionBase), PageWant.Writes);
+  EXPECT_EQ(Pages.writeCount(RegionBase),
+            PageWant.Writes + DetectorConfig::PageWriteThreshold);
   EXPECT_EQ(Page->invalidations(), Stats.PageInvalidations);
   EXPECT_EQ(Page->remoteAccesses(), RemoteWant);
   EXPECT_EQ(Page->remoteCycles(), RemoteCyclesWant);

@@ -25,6 +25,7 @@
 
 #include <cstdio>
 #include <initializer_list>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -356,7 +357,8 @@ TEST(SessionOptionsTest, DefaultsBuildCleanly) {
   std::string Error;
   ASSERT_TRUE(buildFromArgs({}, Options, Error)) << Error;
   EXPECT_TRUE(Options.Warnings.empty());
-  EXPECT_EQ(Options.Granularity, "line");
+  EXPECT_TRUE(Options.Config.Profiler.Detect.TrackLines);
+  EXPECT_FALSE(Options.Config.Profiler.Detect.TrackPages);
   EXPECT_EQ(Options.Config.Profiler.Topology.nodeCount(), 1u);
   EXPECT_EQ(Options.Config.Workload.Threads, 16u);
 }
@@ -428,10 +430,67 @@ TEST(SessionOptionsTest, TopologyFileImportEndToEnd) {
   EXPECT_EQ(Topology.pageSize(), 8192u);
   EXPECT_EQ(Topology.distance(0, 3), 48u);
   ASSERT_TRUE(Topology.pinned());
-  // The workload layout mirrors the imported pinning.
-  EXPECT_EQ(Options.Config.Workload.ThreadNodes, Topology.threadPinning());
-  EXPECT_EQ(Options.Config.Workload.NumaNodes, 4u);
-  EXPECT_EQ(Options.Config.Workload.PageBytes, 8192u);
+}
+
+/// The numa_asymmetric_nodeN globals \p Profiler holds, indexed by N.
+std::map<uint32_t, runtime::GlobalVariable>
+asymmetricGroups(core::Profiler &Profiler) {
+  const std::string Prefix = "numa_asymmetric_node";
+  std::map<uint32_t, runtime::GlobalVariable> Groups;
+  for (const runtime::GlobalVariable &Global : Profiler.globals().globals())
+    if (Global.Name.rfind(Prefix, 0) == 0)
+      Groups[static_cast<uint32_t>(
+          std::stoul(Global.Name.substr(Prefix.size())))] = Global;
+  return Groups;
+}
+
+TEST(SessionOptionsTest, NumaWorkloadLaysOutForTheProfilerTopology) {
+  // numa_asymmetric keeps one block group per node, each a global of its
+  // own, and puts each body's block in the group of the node it runs on.
+  // That layout must come from the profiler's topology, pinning included:
+  // asymmetric4.json pins tids 1-8 to nodes 0,1,1,2,2,3,3,0, which the
+  // tid % 4 interleave would not.
+  std::string Path =
+      std::string(CHEETAH_SOURCE_DIR) + "/topologies/asymmetric4.json";
+  driver::SessionOptions Options;
+  std::string Error;
+  ASSERT_TRUE(buildFromArgs({"--granularity=page", "--threads=8",
+                             ("--numa-topology=" + Path).c_str()},
+                            Options, Error))
+      << Error;
+  const NumaTopology &Topology = Options.Config.Profiler.Topology;
+  ASSERT_EQ(Topology.nodeCount(), 4u);
+  auto Workload = workloads::createWorkload("numa_asymmetric");
+  ASSERT_NE(Workload, nullptr);
+  core::Profiler Profiler(Options.Config.Profiler);
+  sim::ForkJoinProgram Program =
+      driver::buildProgram(*Workload, Profiler, Options.Config);
+
+  std::map<uint32_t, runtime::GlobalVariable> Groups =
+      asymmetricGroups(Profiler);
+  ASSERT_EQ(Groups.size(), 4u);
+  EXPECT_EQ(Groups.rbegin()->first, 3u);
+  ASSERT_EQ(Program.Phases.size(), 1u);
+  const std::vector<sim::ThreadBody> &Bodies =
+      Program.Phases[0].ParallelBodies;
+  ASSERT_EQ(Bodies.size(), 8u);
+  for (uint32_t T = 0; T < Bodies.size(); ++T) {
+    // Each body's first access is the first word of its block.
+    Generator<ThreadEvent> Body = Bodies[T]();
+    ASSERT_TRUE(Body.next());
+    uint64_t Block = Body.value().Access.Address;
+    NodeId Node = Topology.nodeOf(T + 1);
+    EXPECT_TRUE(Groups.at(Node).contains(Block))
+        << "body " << T << " on node " << Node;
+  }
+
+  // The default session's machine has one node, so one group.
+  driver::SessionConfig Default;
+  core::Profiler DefaultProfiler(Default.Profiler);
+  driver::buildProgram(*Workload, DefaultProfiler, Default);
+  Groups = asymmetricGroups(DefaultProfiler);
+  ASSERT_EQ(Groups.size(), 1u);
+  EXPECT_EQ(Groups.begin()->first, 0u);
 }
 
 TEST(SessionOptionsTest, TopologyFileErrorsExitCleanly) {

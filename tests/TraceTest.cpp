@@ -235,7 +235,6 @@ struct EventLog : pmu::SampleSink {
 struct ManualSource : pmu::SampleSource {
   pmu::SourceStatus start() override { return {true, ""}; }
   pmu::SourceStatus stop() override { return {true, ""}; }
-  uint64_t samplesDelivered() const override { return 0; }
 };
 
 TEST(TraceSourceTest, RecordTeeBuffersAndForwardsInOrder) {
@@ -319,9 +318,8 @@ TEST(TraceSourceTest, ReplayBatchesNeverSpanLifecycleEvents) {
 driver::SessionConfig traceConfig() {
   driver::SessionConfig Config;
   Config.Workload.Threads = 8;
-  Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(256);
+  Config.Profiler.Pmu.SamplingPeriod = 256;
   Config.Profiler.Detect.TrackPages = true;
-  Config.Workload.NumaNodes = 2;
   NumaTopologySpec Spec;
   Spec.Nodes = 2;
   std::string Error;
@@ -429,7 +427,7 @@ TEST(TraceReplayTest, ReplayHeaderOverridesRunInfoSamplingPeriod) {
   // Replay under a *different* configured period: the report must carry
   // the recorded run's period, because that is what produced the samples.
   driver::SessionConfig Replay = traceConfig();
-  Replay.Profiler.Pmu = Replay.Profiler.Pmu.withScaledPeriod(8192);
+  Replay.Profiler.Pmu.SamplingPeriod = 8192;
   Replay.Backend = driver::SampleBackend::TraceReplay;
   Replay.ReplayTracePath = TracePath;
   std::string ReplayText;

@@ -26,7 +26,7 @@ driver::SessionConfig smallConfig(uint32_t Threads = 4, double Scale = 0.1) {
   driver::SessionConfig Config;
   Config.Workload.Threads = Threads;
   Config.Workload.Scale = Scale;
-  Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(512);
+  Config.Profiler.Pmu.SamplingPeriod = 512;
   return Config;
 }
 
@@ -214,7 +214,7 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, EveryWorkloadTest,
 TEST(WorkloadDetectionTest, LinearRegressionDetectedAtItsCallsite) {
   auto Workload = createWorkload("linear_regression");
   driver::SessionConfig Config = smallConfig(8, 1.0);
-  Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(256);
+  Config.Profiler.Pmu.SamplingPeriod = 256;
   driver::SessionResult Result = driver::runWorkload(*Workload, Config);
   const core::FalseSharingReport *Report =
       Result.Profile.findReport("linear_regression-pthread.c:139");
@@ -228,7 +228,7 @@ TEST(WorkloadDetectionTest, LinearRegressionDetectedAtItsCallsite) {
 TEST(WorkloadDetectionTest, StreamclusterDetectedAtWorkMem) {
   auto Workload = createWorkload("streamcluster");
   driver::SessionConfig Config = smallConfig(8, 2.0);
-  Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(128);
+  Config.Profiler.Pmu.SamplingPeriod = 128;
   driver::SessionResult Result = driver::runWorkload(*Workload, Config);
   const core::FalseSharingReport *Report =
       Result.Profile.findReport("streamcluster.cpp:985");
@@ -241,7 +241,7 @@ TEST(WorkloadDetectionTest, StreamclusterDetectedAtWorkMem) {
 TEST(WorkloadDetectionTest, Fig1ArrayDetectedAsGlobal) {
   auto Workload = createWorkload("fig1_array");
   driver::SessionConfig Config = smallConfig(8, 1.0);
-  Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(256);
+  Config.Profiler.Pmu.SamplingPeriod = 256;
   driver::SessionResult Result = driver::runWorkload(*Workload, Config);
   const core::FalseSharingReport *Report =
       Result.Profile.findReport("fig1_array");
@@ -256,7 +256,7 @@ TEST(WorkloadDetectionTest, FixedVariantsReportNothing) {
     auto Workload = createWorkload(Name);
     driver::SessionConfig Config = smallConfig(8, 1.0);
     Config.Workload.FixFalseSharing = true;
-    Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(256);
+    Config.Profiler.Pmu.SamplingPeriod = 256;
     driver::SessionResult Result = driver::runWorkload(*Workload, Config);
     EXPECT_TRUE(significant(Result.Profile.Findings).empty())
         << Name << " reported " << significant(Result.Profile.Findings).size()
@@ -290,7 +290,7 @@ TEST(WorkloadDetectionTest, MinorInstancesMissedBySparseSampling) {
   for (const char *Name : {"histogram", "reverse_index", "word_count"}) {
     auto Workload = createWorkload(Name);
     driver::SessionConfig Config = smallConfig(8, 1.0);
-    Config.Profiler.Pmu = Config.Profiler.Pmu.withScaledPeriod(65536);
+    Config.Profiler.Pmu.SamplingPeriod = 65536;
     driver::SessionResult Result = driver::runWorkload(*Workload, Config);
     EXPECT_TRUE(significant(Result.Profile.Findings).empty()) << Name;
   }
@@ -301,9 +301,7 @@ TEST(WorkloadDetectionTest, MinorInstancesExistUnderFullTracking) {
   for (const char *Name : {"histogram", "reverse_index", "word_count"}) {
     auto Workload = createWorkload(Name);
     driver::SessionConfig Config = smallConfig(8, 1.0);
-    baseline::FullTrackerConfig Tracker;
-    driver::FullTrackResult Result =
-        driver::runFullTracking(*Workload, Config, Tracker);
+    driver::FullTrackResult Result = driver::runFullTracking(*Workload, Config);
     bool FoundFalseSharing = false;
     for (const auto &Finding : Result.Findings)
       FoundFalseSharing |= Finding.Kind == core::SharingKind::FalseSharing &&
@@ -315,9 +313,7 @@ TEST(WorkloadDetectionTest, MinorInstancesExistUnderFullTracking) {
 TEST(WorkloadDetectionTest, FluidanimateBordersAreTrueSharingNotFalse) {
   auto Workload = createWorkload("fluidanimate");
   driver::SessionConfig Config = smallConfig(8, 1.0);
-  baseline::FullTrackerConfig Tracker;
-  driver::FullTrackResult Result =
-      driver::runFullTracking(*Workload, Config, Tracker);
+  driver::FullTrackResult Result = driver::runFullTracking(*Workload, Config);
   for (const auto &Finding : Result.Findings) {
     if (Finding.Threads >= 2 && Finding.Invalidations > 50) {
       EXPECT_NE(Finding.Kind, core::SharingKind::FalseSharing)

@@ -286,8 +286,8 @@ int main(int Argc, char **Argv) {
             Profiler.shadow().evictedResidue().Grains));
   }
 
-  // Retire the main thread and tear down the ingest wiring; the final
-  // report is discarded — every epoch already streamed its own snapshot.
+  // Retire the main thread and tear down the ingest wiring; every epoch
+  // already streamed its own snapshot, so no final report is built.
   Bridge.finish();
   std::fprintf(stderr, "cheetah-daemon: %lld epochs appended to %s\n",
                static_cast<long long>(Epochs), StorePath.c_str());

@@ -104,7 +104,6 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "warning: %s\n", Warning.c_str());
 
   driver::SessionConfig &Config = Options.Config;
-  const std::string &Granularity = Options.Granularity;
   bool TrackPages = Config.Profiler.Detect.TrackPages;
   uint32_t NumaNodes = Config.Profiler.Topology.nodeCount();
 
@@ -133,7 +132,8 @@ int main(int Argc, char **Argv) {
                "nodes=%u) ==\n",
                Name.c_str(), Config.Workload.Threads, Config.Workload.Scale,
                Config.Workload.FixFalseSharing ? "yes" : "no",
-               Granularity.c_str(), NumaNodes);
+               driver::makeRunInfo(*Workload, Config).Granularity.c_str(),
+               NumaNodes);
   std::fprintf(Aux,
                "runtime %s cycles, %s samples (%s filtered), "
                "serial avg latency %.2f cycles, fork-join %s\n",
