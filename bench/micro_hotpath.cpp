@@ -9,7 +9,8 @@
 /// path (shadow lookup, two-entry table update, detailed line record,
 /// heap allocation, coherence step). These bound the constant behind the
 /// "handling of each sampled memory access" overhead the paper discusses in
-/// Section 4.1.
+/// Section 4.1. BM_SimulatorRun times one whole unobserved simulation: the
+/// per-event cost every simulated run pays before any profiler runs.
 ///
 /// The *_ThreadedIngest benchmarks drive the same lock-free detection hot
 /// path from 1..8 concurrent threads; compare their aggregate
@@ -34,14 +35,17 @@
 #include "core/detect/PageTable.h"
 #include "core/detect/ShadowMemory.h"
 #include "core/report/ReportHistory.h"
+#include "driver/ProfileSession.h"
 #include "interpose/Preload.h"
 #include "mem/NumaTopology.h"
 #include "pmu/TraceSource.h"
 #include "runtime/HeapAllocator.h"
 #include "sim/CoherenceModel.h"
+#include "sim/Simulator.h"
 #include "support/FileIO.h"
 #include "support/Json.h"
 #include "support/Random.h"
+#include "workloads/Workload.h"
 
 #include <benchmark/benchmark.h>
 
@@ -50,6 +54,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -233,22 +238,67 @@ void BM_HeapObjectLookup(benchmark::State &State) {
 }
 BENCHMARK(BM_HeapObjectLookup);
 
+/// Random reads and writes by 8 threads over range(0) lines. 64 lines fit
+/// in L1 whatever the directory's layout; 65,536 show what reaching a
+/// line's entry costs.
 void BM_CoherenceAccess(benchmark::State &State) {
   CacheGeometry Geometry(64);
   sim::CoherenceModel Model(Geometry);
   SplitMix64 Rng(5);
+  uint64_t Lines = static_cast<uint64_t>(State.range(0));
   uint64_t Now = 0;
   for (auto _ : State) {
     MemoryAccess Access =
         Rng.nextBool(0.5)
-            ? MemoryAccess::write(0x1000 + Rng.nextBelow(64) * 64)
-            : MemoryAccess::read(0x1000 + Rng.nextBelow(64) * 64);
+            ? MemoryAccess::write(0x1000 + Rng.nextBelow(Lines) * 64)
+            : MemoryAccess::read(0x1000 + Rng.nextBelow(Lines) * 64);
     benchmark::DoNotOptimize(
         Model.access(static_cast<ThreadId>(Rng.nextBelow(8)), Access, Now));
     Now += 7;
   }
 }
-BENCHMARK(BM_CoherenceAccess);
+BENCHMARK(BM_CoherenceAccess)->ArgName("lines")->Arg(64)->Arg(65536);
+
+/// Counts the events a simulation retires: the simulator makes one
+/// onInstructions call per compute event and one onMemoryAccess call per
+/// memory event.
+class EventCounter : public sim::SimObserver {
+public:
+  uint64_t onMemoryAccess(ThreadId, const MemoryAccess &,
+                          const sim::CoherenceResult &, uint64_t) override {
+    ++Events;
+    return 0;
+  }
+  void onInstructions(ThreadId, uint64_t) override { ++Events; }
+
+  uint64_t Events = 0;
+};
+
+/// One Simulator::run of streamcluster at 3 threads and scale 2 (the
+/// program `bench/e2e`'s `oneshot` workload profiles) with no observer:
+/// the per-event cost of the workload coroutines, the min-clock scheduler
+/// and the coherence directory. items_per_second counts events.
+void BM_SimulatorRun(benchmark::State &State) {
+  driver::SessionConfig Config;
+  Config.Workload.Threads = 3;
+  Config.Workload.Scale = 2;
+  std::unique_ptr<workloads::Workload> Streamcluster =
+      workloads::createWorkload("streamcluster");
+  core::Profiler Heap(Config.Profiler);
+  sim::ForkJoinProgram Program =
+      driver::buildProgram(*Streamcluster, Heap, Config);
+
+  sim::Simulator Counted(Config.Profiler.Geometry, Config.Latency);
+  EventCounter Counter;
+  Counted.addObserver(&Counter);
+  Counted.run(Program);
+
+  sim::Simulator Unobserved(Config.Profiler.Geometry, Config.Latency);
+  for (auto _ : State)
+    benchmark::DoNotOptimize(Unobserved.run(Program));
+  State.SetItemsProcessed(State.iterations() * Counter.Events);
+}
+BENCHMARK(BM_SimulatorRun)->Unit(benchmark::kMillisecond);
 
 //===----------------------------------------------------------------------===//
 // Multi-threaded ingestion scaling

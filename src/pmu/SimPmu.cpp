@@ -16,16 +16,12 @@ void SimPmu::flush() {
 }
 
 SamplingPolicy &SimPmu::policyFor(ThreadId Tid) {
-  auto It = Policies.find(Tid);
-  if (It != Policies.end())
-    return It->second;
   // Each thread gets its own jitter stream so threads don't sample in
   // lock-step; seeds derive from the thread id for reproducibility.
-  auto [NewIt, Inserted] = Policies.emplace(
-      Tid, SamplingPolicy(Config.SamplingPeriod, Config.JitterFraction,
-                          Config.Seed ^ (0x9e3779b97f4a7c15ull * (Tid + 1))));
-  (void)Inserted;
-  return NewIt->second;
+  for (ThreadId T = static_cast<ThreadId>(Policies.size()); T <= Tid; ++T)
+    Policies.emplace_back(Config.SamplingPeriod, Config.JitterFraction,
+                          Config.Seed ^ (0x9e3779b97f4a7c15ull * (T + 1)));
+  return Policies[Tid];
 }
 
 uint64_t SimPmu::onThreadStart(ThreadId Tid, bool IsMain, uint64_t Now) {

@@ -38,7 +38,6 @@
 #include "sim/Simulator.h"
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace cheetah {
@@ -99,7 +98,10 @@ private:
   bool Enabled = true;
   uint64_t SamplesDelivered = 0;
   uint64_t ThreadsConfigured = 0;
-  std::unordered_map<ThreadId, SamplingPolicy> Policies;
+  /// Per-thread countdowns indexed by tid: the simulator numbers threads
+  /// densely from 0. Each is seeded from its own tid only, so creating one
+  /// for a tid that never runs leaves every other thread's stream alone.
+  std::vector<SamplingPolicy> Policies;
 };
 
 } // namespace pmu

@@ -7,34 +7,108 @@
 #include "sim/CoherenceModel.h"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 using namespace cheetah;
 using namespace cheetah::sim;
 
-CoherenceModel::LineState &CoherenceModel::lineFor(uint64_t Address) {
-  return Lines[Geometry.lineIndex(Address)];
+namespace {
+/// Tids below this live in LineState::LowHolders.
+constexpr ThreadId MaskTids = 64;
+} // namespace
+
+CoherenceModel::CoherenceModel(const CacheGeometry &Geometry)
+    : Geometry(Geometry), Slots(size_t(1) << InitialSlotBits) {}
+
+size_t CoherenceModel::homeSlot(uint64_t Line) const {
+  // Fibonacci hashing: the top bits of the product spread consecutive line
+  // indices across the table.
+  return static_cast<size_t>((Line * 0x9e3779b97f4a7c15ull) >>
+                             (64 - SlotBits));
 }
 
-bool CoherenceModel::holds(const LineState &Line, ThreadId Tid) {
-  return std::binary_search(Line.Holders.begin(), Line.Holders.end(), Tid);
+const CoherenceModel::LineState *
+CoherenceModel::findLine(uint64_t Line) const {
+  size_t Mask = Slots.size() - 1;
+  for (size_t I = homeSlot(Line);; I = (I + 1) & Mask) {
+    if (Slots[I].Line == Line)
+      return &Slots[I];
+    if (Slots[I].Line == EmptyLine)
+      return nullptr;
+  }
 }
 
-void CoherenceModel::addHolder(LineState &Line, ThreadId Tid) {
-  auto It = std::lower_bound(Line.Holders.begin(), Line.Holders.end(), Tid);
-  if (It == Line.Holders.end() || *It != Tid)
-    Line.Holders.insert(It, Tid);
+CoherenceModel::LineState &CoherenceModel::lineFor(uint64_t Line) {
+  size_t Mask = Slots.size() - 1;
+  for (size_t I = homeSlot(Line);; I = (I + 1) & Mask) {
+    LineState &Slot = Slots[I];
+    if (Slot.Line == Line)
+      return Slot;
+    if (Slot.Line != EmptyLine)
+      continue;
+    if ((Used + 1) * 4 > Slots.size() * 3) {
+      grow();
+      return lineFor(Line);
+    }
+    ++Used;
+    Slot.Line = Line;
+    return Slot;
+  }
+}
+
+void CoherenceModel::grow() {
+  std::vector<LineState> Old =
+      std::exchange(Slots, std::vector<LineState>(size_t(1) << ++SlotBits));
+  size_t Mask = Slots.size() - 1;
+  for (const LineState &Entry : Old) {
+    if (Entry.Line == EmptyLine)
+      continue;
+    size_t I = homeSlot(Entry.Line);
+    while (Slots[I].Line != EmptyLine)
+      I = (I + 1) & Mask;
+    Slots[I] = Entry;
+  }
+}
+
+bool CoherenceModel::holdsHigh(const LineState &Line, ThreadId Tid) const {
+  if (!Line.Overflow)
+    return false;
+  const std::vector<ThreadId> &High = HighHolders[Line.Overflow - 1];
+  return std::binary_search(High.begin(), High.end(), Tid);
+}
+
+void CoherenceModel::addHighHolder(LineState &Line, ThreadId Tid) {
+  if (!Line.Overflow) {
+    HighHolders.emplace_back();
+    Line.Overflow = static_cast<uint32_t>(HighHolders.size());
+  }
+  std::vector<ThreadId> &High = HighHolders[Line.Overflow - 1];
+  auto It = std::lower_bound(High.begin(), High.end(), Tid);
+  if (It == High.end() || *It != Tid)
+    High.insert(It, Tid);
 }
 
 CoherenceResult CoherenceModel::access(ThreadId Tid,
                                        const MemoryAccess &Access,
                                        uint64_t Now) {
-  LineState &Line = lineFor(Access.Address);
+  LineState &Line = lineFor(Geometry.lineIndex(Access.Address));
   CoherenceResult Result;
   ++Stats.Accesses;
 
-  bool Held = holds(Line, Tid);
-  bool OthersHold = Line.Holders.size() > (Held ? 1u : 0u);
-  bool EverTouched = !Line.Holders.empty() || Line.Dirty;
+  // Split the holders into this thread and the others. Most lines have one
+  // holder, so the popcount (a libgcc call on baseline x86-64) runs only
+  // when another tid below 64 holds the line.
+  uint64_t Self = Tid < MaskTids ? uint64_t(1) << Tid : 0;
+  bool Held = Self ? (Line.LowHolders & Self) != 0 : holdsHigh(Line, Tid);
+  uint64_t OtherLow = Line.LowHolders & ~Self;
+  uint32_t Others =
+      OtherLow ? static_cast<uint32_t>(std::popcount(OtherLow)) : 0;
+  if (Line.Overflow)
+    Others += static_cast<uint32_t>(HighHolders[Line.Overflow - 1].size()) -
+              (Held && !Self ? 1u : 0u);
+  bool OthersHold = Others != 0;
+  bool EverTouched = Held || OthersHold || Line.Dirty;
 
   if (Access.Kind == AccessKind::Read) {
     if (Held) {
@@ -55,11 +129,13 @@ CoherenceResult CoherenceModel::access(ThreadId Tid,
       // transfer cost.
       Result.Outcome = AccessOutcome::CleanTransfer;
     }
-    addHolder(Line, Tid);
+    if (Self)
+      Line.LowHolders |= Self;
+    else
+      addHighHolder(Line, Tid);
   } else {
     // Write: every other holder must be invalidated.
-    uint32_t Victims =
-        static_cast<uint32_t>(Line.Holders.size()) - (Held ? 1u : 0u);
+    uint32_t Victims = Others;
     if (Held && Victims == 0) {
       // Exclusive (or modified) in our cache already.
       Result.Outcome = AccessOutcome::LocalHit;
@@ -75,8 +151,11 @@ CoherenceResult CoherenceModel::access(ThreadId Tid,
     }
     Result.Invalidated = Victims;
     Stats.InvalidationsSent += Victims;
-    Line.Holders.clear();
-    Line.Holders.push_back(Tid);
+    Line.LowHolders = Self;
+    if (Line.Overflow)
+      HighHolders[Line.Overflow - 1].clear();
+    if (!Self)
+      addHighHolder(Line, Tid);
     Line.Dirty = true;
   }
 
@@ -119,8 +198,15 @@ CoherenceResult CoherenceModel::access(ThreadId Tid,
 }
 
 std::vector<ThreadId> CoherenceModel::holdersOf(uint64_t Address) const {
-  auto It = Lines.find(Geometry.lineIndex(Address));
-  if (It == Lines.end())
+  const LineState *Line = findLine(Geometry.lineIndex(Address));
+  if (!Line)
     return {};
-  return It->second.Holders;
+  std::vector<ThreadId> Holders;
+  for (uint64_t Bits = Line->LowHolders; Bits; Bits &= Bits - 1)
+    Holders.push_back(static_cast<ThreadId>(std::countr_zero(Bits)));
+  if (Line->Overflow) {
+    const std::vector<ThreadId> &High = HighHolders[Line->Overflow - 1];
+    Holders.insert(Holders.end(), High.begin(), High.end());
+  }
+  return Holders;
 }

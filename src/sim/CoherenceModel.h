@@ -23,7 +23,6 @@
 #include "sim/LatencyModel.h"
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace cheetah {
@@ -55,8 +54,7 @@ struct CoherenceStats {
 /// whether one of them holds it modified.
 class CoherenceModel {
 public:
-  explicit CoherenceModel(const CacheGeometry &Geometry)
-      : Geometry(Geometry) {}
+  explicit CoherenceModel(const CacheGeometry &Geometry);
 
   /// Presents one access by \p Tid at virtual time \p Now.
   /// \returns the outcome and total latency (base cost + queueing delay).
@@ -67,28 +65,55 @@ public:
   const CoherenceStats &stats() const { return Stats; }
 
   /// Number of distinct cache lines ever touched.
-  size_t touchedLines() const { return Lines.size(); }
+  size_t touchedLines() const { return Used; }
 
-  /// \returns the holders of the line containing \p Address (for tests).
+  /// \returns the holders of the line containing \p Address, ascending
+  /// (for tests).
   std::vector<ThreadId> holdersOf(uint64_t Address) const;
 
 private:
-  /// Per-line directory entry. Holders is kept sorted and deduplicated; it
-  /// is tiny for private data and grows only for genuinely shared lines.
+  /// No line index reaches this: a line is at least 8 bytes.
+  static constexpr uint64_t EmptyLine = ~uint64_t(0);
+
+  /// Per-line directory entry, stored inline in the open-addressed table.
+  /// The holder set needs no allocation of its own: bit T of LowHolders
+  /// stands for tid T below 64, and tids from 64 up sit in a sorted,
+  /// duplicate-free overflow list that the entry names by index and keeps
+  /// once it has one (empty after a write by a tid below 64). Only programs
+  /// with more than 64 threads ever create an overflow list.
   struct LineState {
-    std::vector<ThreadId> Holders;
-    bool Dirty = false;
+    /// Line index this slot holds, or EmptyLine for a free slot.
+    uint64_t Line = EmptyLine;
+    uint64_t LowHolders = 0;
     /// Virtual time until which the line's directory slot is busy serving a
     /// previous ownership transfer.
     uint64_t BusyUntil = 0;
+    /// 1 + index into HighHolders, or 0 while no tid >= 64 ever held it.
+    uint32_t Overflow = 0;
+    bool Dirty = false;
   };
 
-  LineState &lineFor(uint64_t Address);
-  static bool holds(const LineState &Line, ThreadId Tid);
-  static void addHolder(LineState &Line, ThreadId Tid);
+  static constexpr unsigned InitialSlotBits = 8;
+
+  /// The slot of \p Line, claimed (and the table grown) on first touch.
+  LineState &lineFor(uint64_t Line);
+  /// The slot of \p Line, or null if it was never touched.
+  const LineState *findLine(uint64_t Line) const;
+  size_t homeSlot(uint64_t Line) const;
+  void grow();
+
+  /// Overflow-list membership and insertion, for tids >= 64.
+  bool holdsHigh(const LineState &Line, ThreadId Tid) const;
+  void addHighHolder(LineState &Line, ThreadId Tid);
 
   CacheGeometry Geometry;
-  std::unordered_map<uint64_t, LineState> Lines;
+  /// Open-addressed, linearly probed; the size is a power of two and at
+  /// most three quarters of the slots are used.
+  std::vector<LineState> Slots;
+  unsigned SlotBits = InitialSlotBits;
+  size_t Used = 0;
+  /// Sorted holder lists for tids >= 64, one per line that ever had one.
+  std::vector<std::vector<ThreadId>> HighHolders;
   CoherenceStats Stats;
 };
 

@@ -10,6 +10,13 @@
 /// pulls from many generators to interleave threads without needing real
 /// threads or full traces in memory.
 ///
+/// Values are yielded by reference, as C++23's `std::generator` does: the
+/// promise keeps the address of the `co_yield` operand, never a copy. The
+/// operand (a named variable or a temporary) lives until the coroutine
+/// resumes, so the reference value() returns stays valid until the next
+/// call to next(). `T` needs neither a default constructor nor a copy or
+/// move, and a yield costs one pointer store.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CHEETAH_SUPPORT_GENERATOR_H
@@ -18,6 +25,7 @@
 #include "support/Assert.h"
 
 #include <coroutine>
+#include <memory>
 #include <utility>
 
 namespace cheetah {
@@ -34,7 +42,9 @@ namespace cheetah {
 template <typename T> class Generator {
 public:
   struct promise_type {
-    T Current{};
+    /// The operand of the last `co_yield`, alive while the coroutine is
+    /// suspended at it.
+    const T *Current = nullptr;
 
     Generator get_return_object() {
       return Generator(
@@ -42,8 +52,8 @@ public:
     }
     std::suspend_always initial_suspend() noexcept { return {}; }
     std::suspend_always final_suspend() noexcept { return {}; }
-    std::suspend_always yield_value(T Value) noexcept {
-      Current = std::move(Value);
+    std::suspend_always yield_value(const T &Value) noexcept {
+      Current = std::addressof(Value);
       return {};
     }
     void return_void() noexcept {}
@@ -80,10 +90,13 @@ public:
     return !Handle.done();
   }
 
-  /// The most recently yielded value. Only valid after next() returned true.
+  /// The most recently yielded value: a reference to the `co_yield`
+  /// operand itself, not a copy. Only valid after next() returned true, and
+  /// only until the next call to next(): resuming the coroutine ends a
+  /// temporary operand's life and may change or end a named one.
   const T &value() const {
     CHEETAH_ASSERT(Handle && !Handle.done(), "value() on exhausted generator");
-    return Handle.promise().Current;
+    return *Handle.promise().Current;
   }
 
   /// \returns true if the generator holds a live, unfinished coroutine.

@@ -231,6 +231,44 @@ TEST(SimPmuTest, PerThreadCountdownsAreIndependent) {
   EXPECT_TRUE(Sink.Samples.empty());
 }
 
+TEST(SimPmuTest, EachThreadSamplesOnItsOwnSeededCountdown) {
+  // A thread's jitter stream depends on its tid alone, not on which
+  // threads came first: tid 5 arriving first must not shift tids 0 and 2.
+  PmuConfig Config;
+  Config.SamplingPeriod = 16;
+  Config.JitterFraction = 0.5;
+  Config.Seed = 77;
+  SimPmu Pmu(Config);
+  EventLog Sink;
+  Pmu.setSink(&Sink);
+  const std::vector<ThreadId> Tids = {5, 0, 2};
+  std::vector<SamplingPolicy> Reference;
+  for (ThreadId Tid : Tids) {
+    Pmu.onThreadStart(Tid, Tid == 0, 0);
+    Reference.emplace_back(Config.SamplingPeriod, Config.JitterFraction,
+                           Config.Seed ^ (0x9e3779b97f4a7c15ull * (Tid + 1)));
+  }
+  std::vector<Sample> Expected;
+  for (uint64_t I = 0; I < 3000; ++I) {
+    for (size_t T = 0; T < Tids.size(); ++T) {
+      Pmu.onMemoryAccess(Tids[T], MemoryAccess::read(I), hitResult(3), I);
+      if (Reference[T].advance(1)) {
+        Sample S;
+        S.Address = I;
+        S.Tid = Tids[T];
+        Expected.push_back(S);
+      }
+    }
+  }
+  Pmu.stop();
+  ASSERT_EQ(Sink.Samples.size(), Expected.size());
+  ASSERT_GT(Expected.size(), 3 * 3000 / 32);
+  for (size_t I = 0; I < Expected.size(); ++I) {
+    EXPECT_EQ(Sink.Samples[I].Tid, Expected[I].Tid) << "sample " << I;
+    EXPECT_EQ(Sink.Samples[I].Address, Expected[I].Address) << "sample " << I;
+  }
+}
+
 sim::ThreadRecord endRecord(ThreadId Tid, bool IsMain, uint64_t EndCycle) {
   sim::ThreadRecord Record;
   Record.Tid = Tid;

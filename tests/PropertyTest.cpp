@@ -89,6 +89,7 @@
 #include <charconv>
 #include <cstdio>
 #include <map>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -338,7 +339,16 @@ struct OracleParams {
   uint32_t Lines;
   double WriteFraction;
   uint64_t Seed;
+  /// Tids are drawn from [FirstTid, FirstTid + Threads).
+  ThreadId FirstTid = 0;
 };
+
+void PrintTo(const OracleParams &Params, std::ostream *OS) {
+  *OS << "tids " << Params.FirstTid << "-"
+      << Params.FirstTid + Params.Threads - 1 << ", " << Params.Lines
+      << " lines, write fraction " << Params.WriteFraction << ", seed "
+      << Params.Seed;
+}
 
 class CoherenceOracleTest : public ::testing::TestWithParam<OracleParams> {};
 
@@ -359,7 +369,8 @@ TEST_P(CoherenceOracleTest, MatchesHolderSetOracle) {
   SplitMix64 Rng(Params.Seed);
   uint64_t Now = 0;
   for (int I = 0; I < 30000; ++I) {
-    ThreadId Tid = static_cast<ThreadId>(Rng.nextBelow(Params.Threads));
+    ThreadId Tid = Params.FirstTid +
+                   static_cast<ThreadId>(Rng.nextBelow(Params.Threads));
     uint64_t Line = Rng.nextBelow(Params.Lines);
     uint64_t Address = 0x100000 + Line * 64 + Rng.nextBelow(16) * 4;
     bool IsWrite = Rng.nextBool(Params.WriteFraction);
@@ -411,7 +422,13 @@ INSTANTIATE_TEST_SUITE_P(
                       OracleParams{8, 16, 0.1, 25},
                       OracleParams{16, 8, 0.9, 26},
                       OracleParams{32, 32, 0.5, 27},
-                      OracleParams{3, 1, 1.0, 28}));
+                      OracleParams{3, 1, 1.0, 28},
+                      // Tids 40-130 straddle the holder mask's 64.
+                      OracleParams{91, 4, 0.1, 29, 40},
+                      OracleParams{91, 64, 0.5, 30, 40},
+                      // Enough lines to grow the directory several times.
+                      OracleParams{91, 4096, 0.3, 31, 40},
+                      OracleParams{130, 2, 0.05, 32}));
 
 //===----------------------------------------------------------------------===//
 // Geometry sweep: detection is line-size aware end to end

@@ -186,6 +186,50 @@ TEST_F(CoherenceTest, QueueBacklogSaturates) {
   EXPECT_EQ(MaxSeen, 50u + 4 * 18 + 18);
 }
 
+TEST_F(CoherenceTest, HolderSetSpansTidsFromSixtyFourUp) {
+  // Tids below 64 live in the entry's mask, the rest in its overflow list.
+  uint64_t Now = 0;
+  for (ThreadId Tid : {200u, 0u, 64u, 63u})
+    Model.access(Tid, MemoryAccess::read(0x1000), Now += 1000);
+  EXPECT_EQ(Model.holdersOf(0x1000), (std::vector<ThreadId>{0, 63, 64, 200}));
+
+  CoherenceResult R =
+      Model.access(64, MemoryAccess::write(0x1000), Now += 1000);
+  EXPECT_EQ(R.Outcome, AccessOutcome::Upgrade);
+  EXPECT_EQ(R.Invalidated, 3u);
+  EXPECT_EQ(Model.holdersOf(0x1000), (std::vector<ThreadId>{64}));
+
+  // A low tid's write empties the overflow list; a high tid's read refills
+  // it.
+  R = Model.access(5, MemoryAccess::write(0x1000), Now += 1000);
+  EXPECT_EQ(R.Outcome, AccessOutcome::DirtyTransfer);
+  EXPECT_EQ(R.Invalidated, 1u);
+  EXPECT_EQ(Model.holdersOf(0x1000), (std::vector<ThreadId>{5}));
+  R = Model.access(130, MemoryAccess::read(0x1000), Now += 1000);
+  EXPECT_EQ(R.Outcome, AccessOutcome::DirtyTransfer);
+  EXPECT_EQ(Model.holdersOf(0x1000), (std::vector<ThreadId>{5, 130}));
+  EXPECT_EQ(Model.access(130, MemoryAccess::read(0x1000), Now += 1000).Outcome,
+            AccessOutcome::LocalHit);
+}
+
+TEST_F(CoherenceTest, EveryLineSurvivesTableGrowth) {
+  constexpr uint64_t Lines = 100000;
+  for (uint64_t L = 0; L < Lines; ++L)
+    Model.access(static_cast<ThreadId>(L % 3), MemoryAccess::write(L * 64), L);
+  EXPECT_EQ(Model.touchedLines(), Lines);
+  EXPECT_EQ(Model.stats().ColdMisses, Lines);
+  for (uint64_t L = 0; L < Lines; L += 997)
+    EXPECT_EQ(Model.holdersOf(L * 64),
+              (std::vector<ThreadId>{static_cast<ThreadId>(L % 3)}));
+  // Rewrites by the owner hit; nothing new is touched.
+  for (uint64_t L = 0; L < Lines; ++L)
+    Model.access(static_cast<ThreadId>(L % 3), MemoryAccess::write(L * 64),
+                 Lines + L);
+  EXPECT_EQ(Model.stats().LocalHits, Lines);
+  EXPECT_EQ(Model.touchedLines(), Lines);
+  EXPECT_TRUE(Model.holdersOf(Lines * 64).empty());
+}
+
 TEST_F(CoherenceTest, StatsAccumulate) {
   Model.access(0, MemoryAccess::read(0x1000), 0);
   Model.access(0, MemoryAccess::write(0x1000), 1);

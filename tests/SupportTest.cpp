@@ -23,6 +23,7 @@
 #include <limits>
 #include <map>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include <signal.h>
@@ -92,6 +93,127 @@ TEST(GeneratorTest, ByValueParametersSurviveFrameLifetime) {
   while (Gen.next())
     Values.push_back(Gen.value());
   EXPECT_EQ(Values, (std::vector<int>{7, 8, 9}));
+}
+
+/// Counts the copies, moves and destructions of the values a generator
+/// yields.
+struct Counted {
+  static inline int Copies = 0;
+  static inline int Moves = 0;
+  static inline int Destroyed = 0;
+  static void reset() { Copies = Moves = Destroyed = 0; }
+
+  Counted() = default;
+  explicit Counted(int Value) : Value(Value) {}
+  Counted(const Counted &Other) : Value(Other.Value) { ++Copies; }
+  Counted(Counted &&Other) noexcept : Value(Other.Value) { ++Moves; }
+  Counted &operator=(const Counted &Other) {
+    Value = Other.Value;
+    ++Copies;
+    return *this;
+  }
+  Counted &operator=(Counted &&Other) noexcept {
+    Value = Other.Value;
+    ++Moves;
+    return *this;
+  }
+  ~Counted() { ++Destroyed; }
+
+  int Value = 0;
+};
+
+Generator<Counted> yieldTemporaries(int Count) {
+  for (int I = 0; I < Count; ++I)
+    co_yield Counted(I);
+}
+
+/// Yields a named local, publishing its address through \p Published.
+Generator<Counted> yieldLocals(int Count, const Counted **Published) {
+  for (int I = 0; I < Count; ++I) {
+    Counted Local(I);
+    *Published = &Local;
+    co_yield Local;
+  }
+}
+
+TEST(GeneratorTest, YieldedTemporariesAreNeitherCopiedNorMoved) {
+  Counted::reset();
+  Generator<Counted> Gen = yieldTemporaries(1000);
+  int Seen = 0;
+  while (Gen.next()) {
+    EXPECT_EQ(Gen.value().Value, Seen);
+    // The temporary lives until the next resume: only the earlier ones
+    // are gone.
+    EXPECT_EQ(Counted::Destroyed, Seen);
+    ++Seen;
+  }
+  EXPECT_EQ(Seen, 1000);
+  EXPECT_EQ(Counted::Copies, 0);
+  EXPECT_EQ(Counted::Moves, 0);
+}
+
+TEST(GeneratorTest, ValueIsTheYieldedLocalItself) {
+  Counted::reset();
+  const Counted *Published = nullptr;
+  Generator<Counted> Gen = yieldLocals(1000, &Published);
+  int Seen = 0;
+  while (Gen.next()) {
+    EXPECT_EQ(&Gen.value(), Published);
+    EXPECT_EQ(Gen.value().Value, Seen++);
+  }
+  EXPECT_EQ(Seen, 1000);
+  EXPECT_EQ(Counted::Copies, 0);
+  EXPECT_EQ(Counted::Moves, 0);
+}
+
+/// Neither default-constructible, nor copyable, nor movable.
+struct Pinned {
+  explicit Pinned(int Value) : Value(Value) {}
+  Pinned(const Pinned &) = delete;
+  Pinned &operator=(const Pinned &) = delete;
+
+  int Value;
+};
+static_assert(!std::is_default_constructible_v<Pinned> &&
+              !std::is_copy_constructible_v<Pinned> &&
+              !std::is_move_constructible_v<Pinned>);
+
+Generator<Pinned> yieldPinned(int Count) {
+  for (int I = 0; I < Count; ++I)
+    co_yield Pinned(I);
+}
+
+TEST(GeneratorTest, YieldsATypeWithNoDefaultConstructorCopyOrMove) {
+  Generator<Pinned> Gen = yieldPinned(5);
+  std::vector<int> Values;
+  while (Gen.next())
+    Values.push_back(Gen.value().Value);
+  EXPECT_EQ(Values, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+/// Delegation in the form the workloads use: each level yields the inner
+/// generator's value, a reference into the inner frame.
+Generator<int> forwardCount(int Limit) {
+  auto Inner = countUpTo(Limit);
+  while (Inner.next())
+    co_yield Inner.value();
+}
+
+Generator<int> forwardTwice(int Limit) {
+  auto Middle = forwardCount(Limit);
+  while (Middle.next())
+    co_yield Middle.value();
+}
+
+TEST(GeneratorTest, DelegationForwardsEveryInnerValue) {
+  Generator<int> Gen = forwardTwice(100);
+  std::vector<int> Values;
+  while (Gen.next())
+    Values.push_back(Gen.value());
+  std::vector<int> Expected(100);
+  for (int I = 0; I < 100; ++I)
+    Expected[I] = I;
+  EXPECT_EQ(Values, Expected);
 }
 
 //===----------------------------------------------------------------------===//
