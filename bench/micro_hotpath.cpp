@@ -11,6 +11,7 @@
 /// "handling of each sampled memory access" overhead the paper discusses in
 /// Section 4.1. BM_SimulatorRun times one whole unobserved simulation: the
 /// per-event cost every simulated run pays before any profiler runs.
+/// BM_ProfilerConstruct times building and tearing down a default profiler.
 ///
 /// The *_ThreadedIngest benchmarks drive the same lock-free detection hot
 /// path from 1..8 concurrent threads; compare their aggregate
@@ -212,6 +213,25 @@ void BM_ReportWalk(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * LiveGrainsPerEpoch);
 }
 BENCHMARK(BM_ReportWalk)->ArgName("region_mib")->Arg(1)->Arg(16)->Arg(64);
+
+/// Constructing and destroying a default profiler, at line granularity and
+/// with the page table too: the fixed cost every `cheetah-profile` session,
+/// `--native`/`--verify` rerun and daemon pays before its first sample.
+/// The line table alone reserves 15 MiB of slab slots over the heap arena
+/// and the global segment; the slabs are mapped, not written, so this does
+/// not grow with them.
+void BM_ProfilerConstruct(benchmark::State &State, bool TrackPages) {
+  core::ProfilerConfig Config;
+  Config.Detect.TrackPages = TrackPages;
+  for (auto _ : State) {
+    core::Profiler Prof(Config);
+    benchmark::DoNotOptimize(&Prof);
+  }
+}
+BENCHMARK_CAPTURE(BM_ProfilerConstruct, line, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ProfilerConstruct, both, true)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_HeapAllocateFree(benchmark::State &State) {
   CacheGeometry Geometry(64);

@@ -23,12 +23,23 @@
 /// bitmap's nonzero words instead of every slot: O(range/64 + live), not
 /// O(range).
 ///
-/// All of it is lock-free: counters are relaxed atomics, homes and details
-/// are CAS-published (losing allocators delete their copy), and a
-/// materialized GrainInfo is internally lock-free. A live bit changes only
-/// with a winning detail publication or an eviction, never on a plain
-/// sample. Eviction runs under the caller's ingestion fence and deletes
-/// each victim's record in place.
+/// Every slab array is reserved address space, not memory: a private
+/// anonymous mapping the kernel zero-fills page by page on first touch.
+/// Construction writes nothing, and only the pages that samples reach
+/// become resident (a default profiler's line table reserves 15 MiB and
+/// starts with none of it resident). The all-zero page is the untouched
+/// state of every element: write count 0, no detail, no live bit, and a
+/// home stored as node + 1, so 0 reads back as NoNode. Reported shadow
+/// bytes and the byte budget still count the whole reservation.
+///
+/// All of it is lock-free: the elements are plain integers and pointers
+/// that every concurrent access reaches through std::atomic_ref, so no
+/// std::atomic object has to exist in untouched memory. Counters are
+/// relaxed, homes and details are CAS-published (losing allocators delete
+/// their copy), and a materialized GrainInfo is internally lock-free. A
+/// live bit changes only with a winning detail publication or an eviction,
+/// never on a plain sample. Eviction runs under the caller's ingestion
+/// fence and deletes each victim's record in place.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,11 +51,14 @@
 #include "support/Assert.h"
 #include "support/Prefetch.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <vector>
 
 namespace cheetah {
@@ -92,23 +106,12 @@ public:
       NewSlab.Size = Region.Size;
       NewSlab.Grains = static_cast<size_t>(
           (Region.Size + GrainSize - 1) >> GrainShift);
-      NewSlab.WriteCounts =
-          std::make_unique<std::atomic<uint32_t>[]>(NewSlab.Grains);
-      NewSlab.Details =
-          std::make_unique<std::atomic<InfoT *>[]>(NewSlab.Grains);
+      NewSlab.WriteCounts = mapZeroed<uint32_t>(NewSlab.Grains);
+      NewSlab.Details = mapZeroed<InfoT *>(NewSlab.Grains);
       if constexpr (TrackHomes)
-        NewSlab.Homes = std::make_unique<std::atomic<NodeId>[]>(NewSlab.Grains);
-      for (size_t I = 0; I < NewSlab.Grains; ++I) {
-        NewSlab.WriteCounts[I].store(0, std::memory_order_relaxed);
-        NewSlab.Details[I].store(nullptr, std::memory_order_relaxed);
-        if constexpr (TrackHomes)
-          NewSlab.Homes[I].store(NoNode, std::memory_order_relaxed);
-      }
+        NewSlab.Homes = mapZeroed<NodeId>(NewSlab.Grains);
       NewSlab.LiveWords = (NewSlab.Grains + 63) / 64;
-      NewSlab.Live =
-          std::make_unique<std::atomic<uint64_t>[]>(NewSlab.LiveWords);
-      for (size_t W = 0; W < NewSlab.LiveWords; ++W)
-        NewSlab.Live[W].store(0, std::memory_order_relaxed);
+      NewSlab.Live = mapZeroed<uint64_t>(NewSlab.LiveWords);
       Slabs.push_back(std::move(NewSlab));
     }
   }
@@ -116,7 +119,7 @@ public:
   ~GrainTable() {
     for (Slab &Region : Slabs)
       forEachLive(Region, [&](size_t I) {
-        delete Region.Details[I].load(std::memory_order_relaxed);
+        delete Region.Details[I];
       });
   }
 
@@ -160,8 +163,8 @@ public:
   uint32_t noteWrite(uint64_t Address) {
     Slab *Region = slabFor(Address);
     CHEETAH_ASSERT(Region != nullptr, "noteWrite outside monitored regions");
-    return Region->WriteCounts[grainIndexIn(*Region, Address)].fetch_add(
-               1, std::memory_order_relaxed) +
+    return std::atomic_ref(Region->WriteCounts[grainIndexIn(*Region, Address)])
+               .fetch_add(1, std::memory_order_relaxed) +
            1;
   }
 
@@ -169,8 +172,8 @@ public:
   uint32_t writeCount(uint64_t Address) const {
     const Slab *Region = slabFor(Address);
     CHEETAH_ASSERT(Region != nullptr, "writeCount outside monitored regions");
-    return Region->WriteCounts[grainIndexIn(*Region, Address)].load(
-        std::memory_order_relaxed);
+    return std::atomic_ref(Region->WriteCounts[grainIndexIn(*Region, Address)])
+        .load(std::memory_order_relaxed);
   }
 
   /// Records a touch by \p Node: publishes it as the grain's first-touch
@@ -182,15 +185,16 @@ public:
   {
     Slab *Region = slabFor(Address);
     CHEETAH_ASSERT(Region != nullptr, "noteTouch outside monitored regions");
-    std::atomic<NodeId> &Home = Region->Homes[grainIndexIn(*Region, Address)];
-    NodeId Current = Home.load(std::memory_order_relaxed);
-    if (Current != NoNode)
-      return Current;
-    if (Home.compare_exchange_strong(Current, Node,
+    // The slot holds the home plus one (see loadHome).
+    std::atomic_ref Home(Region->Homes[grainIndexIn(*Region, Address)]);
+    NodeId Stored = Home.load(std::memory_order_relaxed);
+    if (Stored != 0)
+      return Stored - 1;
+    if (Home.compare_exchange_strong(Stored, Node + 1,
                                      std::memory_order_relaxed))
       return Node;
     // Another touch won first-touch publication; its node is the home.
-    return Current;
+    return Stored - 1;
   }
 
   /// The grain's first-touch home node, or NoNode if never touched.
@@ -199,8 +203,7 @@ public:
   {
     const Slab *Region = slabFor(Address);
     CHEETAH_ASSERT(Region != nullptr, "homeNode outside monitored regions");
-    return Region->Homes[grainIndexIn(*Region, Address)].load(
-        std::memory_order_relaxed);
+    return loadHome(*Region, grainIndexIn(*Region, Address));
   }
 
   /// \returns the detailed info for \p Address's grain, or nullptr if it
@@ -210,15 +213,17 @@ public:
   InfoT *detail(uint64_t Address) {
     Slab *Region = slabFor(Address);
     CHEETAH_ASSERT(Region != nullptr, "detail outside monitored regions");
-    InfoT *Info = Region->Details[grainIndexIn(*Region, Address)].load(
-        std::memory_order_acquire);
+    InfoT *Info =
+        std::atomic_ref(Region->Details[grainIndexIn(*Region, Address)])
+            .load(std::memory_order_acquire);
     return Info == evictedMark() ? nullptr : Info;
   }
   const InfoT *detail(uint64_t Address) const {
     const Slab *Region = slabFor(Address);
     CHEETAH_ASSERT(Region != nullptr, "detail outside monitored regions");
-    const InfoT *Info = Region->Details[grainIndexIn(*Region, Address)].load(
-        std::memory_order_acquire);
+    const InfoT *Info =
+        std::atomic_ref(Region->Details[grainIndexIn(*Region, Address)])
+            .load(std::memory_order_acquire);
     return Info == evictedMark() ? nullptr : Info;
   }
 
@@ -231,7 +236,7 @@ public:
     Slab *Region = slabFor(Address);
     CHEETAH_ASSERT(Region != nullptr, "materialize outside monitored regions");
     size_t Index = grainIndexIn(*Region, Address);
-    std::atomic<InfoT *> &Slot = Region->Details[Index];
+    std::atomic_ref Slot(Region->Details[Index]);
     InfoT *Existing = Slot.load(std::memory_order_acquire);
     if (Existing && Existing != evictedMark())
       return *Existing;
@@ -268,9 +273,8 @@ public:
     for (const Slab &Region : Slabs)
       forEachLive(Region, [&](size_t I) {
         Fn(Region.Base + (static_cast<uint64_t>(I) << GrainShift),
-           Region.Homes ? Region.Homes[I].load(std::memory_order_relaxed)
-                        : NoNode,
-           *Region.Details[I].load(std::memory_order_acquire));
+           Region.Homes ? loadHome(Region, I) : NoNode,
+           *std::atomic_ref(Region.Details[I]).load(std::memory_order_acquire));
       });
   }
 
@@ -280,26 +284,28 @@ public:
     size_t Count = 0;
     for (const Slab &Region : Slabs)
       for (size_t W = 0; W < Region.LiveWords; ++W)
-        if (uint64_t Bits = Region.Live[W].load(std::memory_order_relaxed))
+        if (uint64_t Bits =
+                std::atomic_ref(Region.Live[W]).load(std::memory_order_relaxed))
           Count += static_cast<size_t>(std::popcount(Bits));
     return Count;
   }
 
   /// Bytes of shadow metadata currently allocated: the flat per-grain slab
-  /// arrays (write counters, detail pointers, homes when tracked) plus the
-  /// exact footprint of every materialized info record, so the memory
-  /// ablation reports honest numbers. This is the report-visible
+  /// arrays at their full reserved size, resident or not (write counters,
+  /// detail pointers, homes when tracked), plus the exact footprint of
+  /// every materialized info record, so the memory ablation reports
+  /// honest numbers. This is the report-visible
   /// shadow-bytes figure, so the live bitmap is left out of it (it is in
   /// footprintBytes()). Requires the ingestion fence, like forEachGrain.
   size_t metadataBytes() const {
     size_t Bytes = 0;
     for (const Slab &Region : Slabs) {
-      Bytes += Region.Grains * sizeof(std::atomic<uint32_t>);
+      Bytes += Region.Grains * sizeof(uint32_t);
       if (Region.Homes)
-        Bytes += Region.Grains * sizeof(std::atomic<NodeId>);
-      Bytes += Region.Grains * sizeof(std::atomic<InfoT *>);
+        Bytes += Region.Grains * sizeof(NodeId);
+      Bytes += Region.Grains * sizeof(InfoT *);
       forEachLive(Region, [&](size_t I) {
-        Bytes += Region.Details[I]
+        Bytes += std::atomic_ref(Region.Details[I])
                      .load(std::memory_order_acquire)
                      ->footprintBytes();
       });
@@ -314,7 +320,7 @@ public:
 
   /// Installs the byte budget enforceBudget() trims to (0 = unbounded,
   /// the default — budget-less tables behave exactly as before). Also
-  /// allocates the per-grain epoch-write baselines the coldness ranking
+  /// maps the per-grain epoch-write baselines the coldness ranking
   /// reads, so only budgeted tables pay for them. Call before ingestion
   /// starts or under the same fence as enforceBudget().
   void setByteBudget(size_t Bytes) {
@@ -323,7 +329,7 @@ public:
       return;
     for (Slab &Region : Slabs)
       if (!Region.EpochWrites)
-        Region.EpochWrites = std::make_unique<uint32_t[]>(Region.Grains);
+        Region.EpochWrites = mapZeroed<uint32_t>(Region.Grains);
   }
 
   /// The installed byte budget (0 = unbounded).
@@ -342,7 +348,7 @@ public:
   size_t footprintBytes() const {
     size_t Bytes = metadataBytes();
     for (const Slab &Region : Slabs) {
-      Bytes += Region.LiveWords * sizeof(std::atomic<uint64_t>);
+      Bytes += Region.LiveWords * sizeof(uint64_t);
       if (Region.EpochWrites)
         Bytes += Region.Grains * sizeof(uint32_t);
     }
@@ -380,9 +386,10 @@ public:
       std::vector<Candidate> Candidates;
       for (Slab &Region : Slabs)
         forEachLive(Region, [&](size_t I) {
-          InfoT *Info = Region.Details[I].load(std::memory_order_acquire);
-          uint32_t Writes =
-              Region.WriteCounts[I].load(std::memory_order_relaxed);
+          InfoT *Info = std::atomic_ref(Region.Details[I])
+                            .load(std::memory_order_acquire);
+          uint32_t Writes = std::atomic_ref(Region.WriteCounts[I])
+                                .load(std::memory_order_relaxed);
           uint32_t Baseline =
               Region.EpochWrites ? Region.EpochWrites[I] : 0;
           Candidates.push_back(
@@ -401,7 +408,7 @@ public:
       for (const Candidate &Victim : Candidates) {
         if (Footprint <= ByteBudget)
           break;
-        std::atomic<InfoT *> &Slot = Victim.Region->Details[Victim.Index];
+        std::atomic_ref Slot(Victim.Region->Details[Victim.Index]);
         InfoT *Info = Slot.load(std::memory_order_relaxed);
         // Release, so a later re-materialization's CAS synchronizes with
         // the eviction.
@@ -412,8 +419,8 @@ public:
         Residue.Cycles += Info->cycles();
         Residue.Invalidations += Info->invalidations();
         Residue.RemoteAccesses += Info->remoteAccesses();
-        Victim.Region->WriteCounts[Victim.Index].store(
-            0, std::memory_order_relaxed);
+        std::atomic_ref(Victim.Region->WriteCounts[Victim.Index])
+            .store(0, std::memory_order_relaxed);
         setLive(*Victim.Region, Victim.Index, false);
         Footprint -= Info->footprintBytes();
         delete Info;
@@ -428,28 +435,52 @@ public:
     for (Slab &Region : Slabs)
       if (Region.EpochWrites)
         for (size_t I = 0; I < Region.Grains; ++I)
-          Region.EpochWrites[I] =
-              Region.WriteCounts[I].load(std::memory_order_relaxed);
+          Region.EpochWrites[I] = std::atomic_ref(Region.WriteCounts[I])
+                                      .load(std::memory_order_relaxed);
     return Evicted;
   }
 
 private:
+  /// Unmaps a slab array; carries the mapping's length.
+  struct Unmapper {
+    size_t Bytes = 0;
+    void operator()(void *Array) const { ::munmap(Array, Bytes); }
+  };
+  template <typename T> using SlabArray = std::unique_ptr<T[], Unmapper>;
+
+  /// \returns \p Count zero elements in a private anonymous mapping. The
+  /// kernel zero-fills each page on its first touch, so nothing is written
+  /// here and a page no grain reaches never becomes resident.
+  /// \throws std::bad_alloc if the mapping fails, as operator new would.
+  template <typename T> static SlabArray<T> mapZeroed(size_t Count) {
+    static_assert(std::atomic_ref<T>::is_always_lock_free &&
+                      std::atomic_ref<T>::required_alignment == alignof(T),
+                  "slab elements are reached through lock-free atomic_ref");
+    size_t Bytes = Count * sizeof(T);
+    void *Array = ::mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (Array == MAP_FAILED)
+      throw std::bad_alloc();
+    return SlabArray<T>(static_cast<T *>(Array), Unmapper{Bytes});
+  }
+
   struct Slab {
     uint64_t Base = 0;
     uint64_t Size = 0;
     size_t Grains = 0;
-    std::unique_ptr<std::atomic<uint32_t>[]> WriteCounts; // one per grain
-    std::unique_ptr<std::atomic<NodeId>[]> Homes; // first-touch (TrackHomes)
-    std::unique_ptr<std::atomic<InfoT *>[]> Details; // one per grain
+    SlabArray<uint32_t> WriteCounts; // one per grain
+    /// First-touch home + 1, one per grain (TrackHomes); 0 = untouched.
+    SlabArray<NodeId> Homes;
+    SlabArray<InfoT *> Details; // one per grain
     /// Live-grain bitmap, bit I of word I/64 per grain: set while
     /// Details[I] holds an info. Set by the winning publication in
     /// materializeDetail, cleared by eviction.
-    std::unique_ptr<std::atomic<uint64_t>[]> Live;
+    SlabArray<uint64_t> Live;
     size_t LiveWords = 0;
     /// Per-grain write-count baseline at the previous epoch boundary — the
-    /// coldness ranking's reference point. Allocated only when a byte
-    /// budget is installed; written solely under the enforceBudget fence.
-    std::unique_ptr<uint32_t[]> EpochWrites;
+    /// coldness ranking's reference point. Mapped only when a byte budget
+    /// is installed; written solely under the enforceBudget fence.
+    SlabArray<uint32_t> EpochWrites;
   };
 
   /// The Evicted state of a Details slot: a sentinel distinct from null
@@ -476,14 +507,23 @@ private:
     return static_cast<size_t>((Address - Region.Base) >> GrainShift);
   }
 
+  /// Grain \p Index's first-touch home. Its slot holds the home plus one,
+  /// so an untouched (zero) slot reads back as NoNode.
+  static NodeId loadHome(const Slab &Region, size_t Index) {
+    NodeId Stored =
+        std::atomic_ref(Region.Homes[Index]).load(std::memory_order_relaxed);
+    return Stored - 1;
+  }
+
   /// Sets or clears grain \p Index's live bit. Release, so a walk that
   /// sees the bit also sees the publication that preceded it.
   static void setLive(Slab &Region, size_t Index, bool IsLive) {
     uint64_t Bit = uint64_t(1) << (Index % 64);
+    std::atomic_ref Word(Region.Live[Index / 64]);
     if (IsLive)
-      Region.Live[Index / 64].fetch_or(Bit, std::memory_order_release);
+      Word.fetch_or(Bit, std::memory_order_release);
     else
-      Region.Live[Index / 64].fetch_and(~Bit, std::memory_order_release);
+      Word.fetch_and(~Bit, std::memory_order_release);
   }
 
   /// Invokes \p Fn(index) for every live grain of \p Region, in ascending
@@ -491,7 +531,8 @@ private:
   template <typename Function>
   static void forEachLive(const Slab &Region, Function Fn) {
     for (size_t W = 0; W < Region.LiveWords; ++W)
-      for (uint64_t Bits = Region.Live[W].load(std::memory_order_acquire);
+      for (uint64_t Bits =
+               std::atomic_ref(Region.Live[W]).load(std::memory_order_acquire);
            Bits; Bits &= Bits - 1)
         Fn(W * 64 + static_cast<size_t>(std::countr_zero(Bits)));
   }

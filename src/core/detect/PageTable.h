@@ -9,7 +9,9 @@
 /// GrainTable instantiated one level up the hierarchy, with first-touch
 /// home tracking enabled — homes are CAS-published once by whichever
 /// access touches the page first, serial or parallel, mirroring the OS
-/// first-touch placement policy the remote-DRAM story depends on. See
+/// first-touch placement policy the remote-DRAM story depends on. The
+/// homes sit in zero-filled slab mappings like the counters, stored as
+/// node + 1, so a page no sample touched reads as NoNode. See
 /// GrainTable.h for the shared machinery.
 ///
 //===----------------------------------------------------------------------===//

@@ -34,10 +34,12 @@ public:
   /// Asserts on invalid values: flag-sourced ones pass PmuConfig::fromSpec
   /// first.
   SamplingPolicy(uint64_t Period, double JitterFraction, uint64_t Seed)
-      : Period(Period), JitterFraction(JitterFraction), Rng(Seed) {
+      : Period(Period), Rng(Seed) {
     CHEETAH_ASSERT(Period >= 1, "sampling period must be at least 1");
     CHEETAH_ASSERT(JitterFraction >= 0.0 && JitterFraction < 1.0,
                    "jitter fraction must be in [0, 1)");
+    Spread =
+        static_cast<uint64_t>(static_cast<double>(Period) * JitterFraction);
     Remaining = nextInterval();
   }
 
@@ -45,6 +47,13 @@ public:
   /// \returns the number of sample points crossed (usually 0 or 1; large
   /// compute blocks can cross several).
   uint32_t advance(uint64_t Instructions) {
+    if (Spread == 0 && Instructions >= Remaining) {
+      // A fixed interval draws no random numbers, so the crossings have a
+      // closed form: one at Remaining, then one per whole Period.
+      Instructions -= Remaining;
+      Remaining = Period - Instructions % Period;
+      return static_cast<uint32_t>(1 + Instructions / Period);
+    }
     uint32_t Fired = 0;
     while (Instructions >= Remaining) {
       Instructions -= Remaining;
@@ -59,12 +68,10 @@ public:
   uint64_t period() const { return Period; }
 
 private:
+  /// Uniform in [Period - Spread, Period + Spread], at least 1; exactly
+  /// Period when the spread is 0 (no jitter, or a period too short for
+  /// the jitter fraction to widen).
   uint64_t nextInterval() {
-    if (JitterFraction <= 0.0)
-      return Period;
-    // Uniform in [Period*(1-j), Period*(1+j)], at least 1.
-    uint64_t Spread =
-        static_cast<uint64_t>(static_cast<double>(Period) * JitterFraction);
     if (Spread == 0)
       return Period;
     uint64_t Lo = Period > Spread ? Period - Spread : 1;
@@ -72,7 +79,9 @@ private:
   }
 
   uint64_t Period;
-  double JitterFraction;
+  /// Half-width of the jittered interval: Period * JitterFraction, rounded
+  /// down.
+  uint64_t Spread = 0;
   SplitMix64 Rng;
   uint64_t Remaining;
 };

@@ -17,14 +17,23 @@
 #include "baseline/FullTracker.h"
 #include "baseline/OwnershipTracker.h"
 #include "baseline/ReferenceModel.h"
+#include "core/Profiler.h"
 #include "core/detect/CacheLineInfo.h"
 #include "core/detect/CacheLineTable.h"
 #include "core/detect/Detector.h"
+#include "core/detect/PageTable.h"
 #include "core/detect/ShadowMemory.h"
 #include "core/detect/SharingClassifier.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <algorithm>
+#include <fstream>
+#include <memory>
+#include <vector>
 
 using namespace cheetah;
 using namespace cheetah::core;
@@ -428,6 +437,14 @@ protected:
   CacheGeometry Geometry{64};
   ShadowMemory Shadow{Geometry,
                       {{0x40000000, 1 << 20}, {0x10000000, 1 << 16}}};
+  /// The first and last byte of each region: the grains at both ends of
+  /// every slab array.
+  const std::vector<uint64_t> Edges{0x40000000, 0x40000000 + (1 << 20) - 1,
+                                    0x10000000, 0x10000000 + (1 << 16) - 1};
+  NumaTopology Topology{2, 4096};
+  PageTable Pages{Topology,
+                  Geometry,
+                  {{0x40000000, 1 << 20}, {0x10000000, 1 << 16}}};
 };
 
 TEST_F(ShadowTest, CoversOnlyConfiguredRegions) {
@@ -471,6 +488,103 @@ TEST_F(ShadowTest, ShadowBytesGrowWithMaterialization) {
   size_t Before = Shadow.shadowBytes();
   Shadow.materializeDetail(0x40000000);
   EXPECT_GT(Shadow.shadowBytes(), Before);
+}
+
+TEST_F(ShadowTest, FreshTablesReadUntouchedAtEveryRegionEdge) {
+  for (uint64_t Address : Edges) {
+    SCOPED_TRACE(Address);
+    EXPECT_EQ(Shadow.writeCount(Address), 0u);
+    EXPECT_EQ(Shadow.detail(Address), nullptr);
+    EXPECT_EQ(Pages.writeCount(Address), 0u);
+    EXPECT_EQ(Pages.detail(Address), nullptr);
+    EXPECT_EQ(Pages.homeNode(Address), NoNode);
+  }
+  EXPECT_EQ(Shadow.materializedLines(), 0u);
+  EXPECT_EQ(Pages.materializedPages(), 0u);
+  size_t Visited = 0;
+  Shadow.forEachDetail([&](uint64_t, const CacheLineInfo &) { ++Visited; });
+  Pages.forEachPage([&](uint64_t, NodeId, const PageInfo &) { ++Visited; });
+  EXPECT_EQ(Visited, 0u);
+}
+
+TEST_F(ShadowTest, EdgeGrainsMaterializeEvictAndRematerialize) {
+  // Below the slab floor: every epoch boundary evicts every live grain.
+  Shadow.setByteBudget(1);
+  Pages.setByteBudget(1);
+  for (uint64_t Address : Edges) {
+    EXPECT_EQ(Shadow.noteWrite(Address), 1u);
+    EXPECT_EQ(Pages.noteWrite(Address), 1u);
+    EXPECT_EQ(Pages.noteTouch(Address, 1), 1u);
+    Shadow.materializeDetail(Address);
+    Pages.materializeDetail(Address);
+  }
+  EXPECT_EQ(Shadow.materializedLines(), Edges.size());
+  EXPECT_EQ(Pages.materializedPages(), Edges.size());
+
+  EXPECT_EQ(Shadow.enforceBudget(), Edges.size());
+  EXPECT_EQ(Pages.enforceBudget(), Edges.size());
+  for (uint64_t Address : Edges) {
+    SCOPED_TRACE(Address);
+    EXPECT_EQ(Shadow.detail(Address), nullptr);
+    EXPECT_EQ(Shadow.writeCount(Address), 0u);
+    EXPECT_EQ(Pages.detail(Address), nullptr);
+    EXPECT_EQ(Pages.writeCount(Address), 0u);
+    EXPECT_EQ(Pages.homeNode(Address), 1u); // placement outlives eviction
+  }
+  EXPECT_EQ(Shadow.materializedLines(), 0u);
+  EXPECT_EQ(Pages.materializedPages(), 0u);
+
+  std::vector<uint64_t> Lines, PageBases;
+  for (uint64_t Address : Edges) {
+    CacheLineInfo &Line = Shadow.materializeDetail(Address);
+    PageInfo &Page = Pages.materializeDetail(Address);
+    EXPECT_EQ(Shadow.detail(Address), &Line);
+    EXPECT_EQ(Pages.detail(Address), &Page);
+    Lines.push_back(Address & ~uint64_t(63));
+    PageBases.push_back(Pages.pageBase(Address));
+  }
+  // Walks go slab by slab, each in ascending address order: Edges' order.
+  std::vector<uint64_t> VisitedLines, VisitedPages;
+  Shadow.forEachDetail([&](uint64_t Base, const CacheLineInfo &) {
+    VisitedLines.push_back(Base);
+  });
+  Pages.forEachPage([&](uint64_t Base, NodeId Home, const PageInfo &) {
+    VisitedPages.push_back(Base);
+    EXPECT_EQ(Home, 1u);
+  });
+  EXPECT_EQ(VisitedLines, Lines);
+  EXPECT_EQ(VisitedPages, PageBases);
+  EXPECT_EQ(Shadow.evictedResidue().Grains, Edges.size());
+  EXPECT_EQ(Pages.evictedResidue().Grains, Edges.size());
+}
+
+/// Resident set size from /proc/self/statm, or 0 where it is unreadable.
+size_t residentBytes() {
+  std::ifstream Statm("/proc/self/statm");
+  size_t Size = 0, ResidentPages = 0;
+  if (!(Statm >> Size >> ResidentPages))
+    return 0;
+  return ResidentPages * static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+/// A default profiler reserves 15 MiB of line slabs over the heap arena
+/// and the global segment. Construction must leave them unresident (four
+/// profilers grew the resident set by 61 MiB when the slabs were zeroed
+/// eagerly), while the reported bytes still count the reservation.
+TEST_F(ShadowTest, ConstructionLeavesSlabsUnresident) {
+  size_t Before = residentBytes();
+  if (Before == 0)
+    GTEST_SKIP() << "/proc/self/statm is unreadable";
+  std::vector<std::unique_ptr<Profiler>> Held;
+  for (int I = 0; I < 4; ++I)
+    Held.push_back(std::make_unique<Profiler>(ProfilerConfig{}));
+  size_t After = residentBytes();
+  EXPECT_LT(After, Before + (size_t(2) << 20))
+      << "resident set grew by " << (After - Before) << " bytes";
+  constexpr size_t Lines = (HeapArenaSize + GlobalSegmentSize) / 64;
+  for (const std::unique_ptr<Profiler> &Prof : Held)
+    EXPECT_EQ(Prof->shadow().shadowBytes(),
+              Lines * (sizeof(uint32_t) + sizeof(CacheLineInfo *)));
 }
 
 //===----------------------------------------------------------------------===//

@@ -8,6 +8,7 @@
 #include "pmu/SamplingPolicy.h"
 #include "pmu/SimPmu.h"
 #include "sim/Simulator.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
@@ -76,6 +77,41 @@ TEST(SamplingPolicyTest, DifferentSeedsDesynchronize) {
   }
   // Coincident fires should be rare (about Fires/64).
   EXPECT_LT(SameFires, Fires / 8);
+}
+
+/// Advancing in chunks crosses exactly the sample points that single
+/// steps cross, on the closed-form path (a spread of 0: no jitter, or a
+/// period below 4 at 0.25) and on the jittered one, and leaves the twins
+/// on the same countdown and random stream: their next 1,000 fire points
+/// agree.
+TEST(SamplingPolicyTest, ChunkedAdvanceMatchesSingleSteps) {
+  for (uint64_t Period : {1, 2, 3, 4, 7, 64})
+    for (double Jitter : {0.0, 0.25, 0.5})
+      for (uint64_t Seed : {1, 2, 3}) {
+        SCOPED_TRACE("period " + std::to_string(Period) + ", jitter " +
+                     std::to_string(Jitter) + ", seed " +
+                     std::to_string(Seed));
+        SamplingPolicy Chunked(Period, Jitter, Seed);
+        SamplingPolicy Stepped(Period, Jitter, Seed);
+        SplitMix64 Chunks(Seed * 1000 + Period);
+        uint64_t ChunkedFires = 0, SteppedFires = 0;
+        for (int C = 0; C < 100; ++C) {
+          uint64_t Instructions = Chunks.nextInRange(0, 5000);
+          ChunkedFires += Chunked.advance(Instructions);
+          for (uint64_t I = 0; I < Instructions; ++I)
+            SteppedFires += Stepped.advance(1);
+          ASSERT_EQ(ChunkedFires, SteppedFires) << "after chunk " << C;
+        }
+        EXPECT_GT(ChunkedFires, 0u);
+        for (int Fire = 0; Fire < 1000; ++Fire) {
+          uint64_t ChunkedGap = 1, SteppedGap = 1;
+          while (Chunked.advance(1) == 0)
+            ++ChunkedGap;
+          while (Stepped.advance(1) == 0)
+            ++SteppedGap;
+          ASSERT_EQ(ChunkedGap, SteppedGap) << "fire " << Fire;
+        }
+      }
 }
 
 //===----------------------------------------------------------------------===//

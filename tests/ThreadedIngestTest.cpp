@@ -762,6 +762,90 @@ TEST(ThreadedIngestTest, RacedMaterializationsEnumerateEachLiveGrainOnce) {
 }
 
 //===----------------------------------------------------------------------===//
+// First touch of the slab mappings: the shadow's arrays start as untouched
+// pages the kernel zero-fills on first access, and racing threads fault
+// the same fresh pages in at once.
+//===----------------------------------------------------------------------===//
+
+TEST(ThreadedIngestTest,
+     FirstTouchRacesOnUntouchedSlabPagesConserveEverySample) {
+  constexpr unsigned RaceThreads = 4;
+  constexpr uint64_t PageSize = 4096;
+  constexpr uint64_t RegionBytes = 64ull << 20;
+  // One target line per 64 KiB: each target's write counter lies on a
+  // counter page no other target reaches, and each lies on its own page.
+  constexpr uint64_t Stride = 64 << 10;
+  constexpr uint64_t Targets = RegionBytes / Stride;
+  constexpr unsigned WritesPerTarget = 4; // per thread, one batch
+  NumaTopology Topology(2, PageSize);
+  CacheGeometry Geometry(LineSize);
+  ShadowMemory Shadow(Geometry, {{RegionBase, RegionBytes}});
+  PageTable Pages(Topology, Geometry, {{RegionBase, RegionBytes}});
+  DetectorConfig Config;
+  Config.WriteThreshold = 0;
+  Config.TrackPages = true;
+  Detector Detect(Geometry, Shadow, Config);
+  Detect.attachPageTable(Pages, Topology);
+
+  // Every thread walks the targets in the same order from one start, so
+  // the first writes and materializations of each fresh page race.
+  std::atomic<unsigned> Ready{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < RaceThreads; ++T)
+    Threads.emplace_back([&, T] {
+      Ready.fetch_add(1);
+      while (Ready.load() < RaceThreads)
+        std::this_thread::yield();
+      pmu::Sample Batch[WritesPerTarget];
+      for (uint64_t Target = 0; Target < Targets; ++Target) {
+        for (unsigned W = 0; W < WritesPerTarget; ++W) {
+          Batch[W].Address = RegionBase + Target * Stride + (T * 4 + W) * 4;
+          Batch[W].Tid = static_cast<ThreadId>(T);
+          Batch[W].IsWrite = true;
+          Batch[W].LatencyCycles = 30;
+        }
+        Detect.handleBatch(Batch, WritesPerTarget, /*InParallelPhase=*/true);
+      }
+    });
+  for (std::thread &Thread : Threads)
+    Thread.join();
+
+  constexpr uint64_t PerGrain = uint64_t(RaceThreads) * WritesPerTarget;
+  constexpr uint64_t Total = Targets * PerGrain;
+  DetectorStats Stats = Detect.stats();
+  EXPECT_EQ(Stats.SamplesSeen, Total);
+  EXPECT_EQ(Stats.SamplesFiltered, 0u);
+  EXPECT_EQ(Stats.SamplesRecorded, Total);
+  // The page gate drops each page's first PageWriteThreshold writes.
+  EXPECT_EQ(Stats.PageSamplesRecorded,
+            Total - Targets * DetectorConfig::PageWriteThreshold);
+
+  std::vector<unsigned> LineHits(Targets, 0), PageHits(Targets, 0);
+  Shadow.forEachDetail([&](uint64_t Base, const CacheLineInfo &Info) {
+    ASSERT_EQ((Base - RegionBase) % Stride, 0u);
+    ++LineHits[(Base - RegionBase) / Stride];
+    EXPECT_EQ(Info.accesses(), PerGrain);
+    EXPECT_EQ(Info.writes(), PerGrain);
+  });
+  Pages.forEachPage([&](uint64_t Base, NodeId Home, const PageInfo &Info) {
+    ASSERT_EQ((Base - RegionBase) % Stride, 0u);
+    ++PageHits[(Base - RegionBase) / Stride];
+    EXPECT_LT(Home, 2u);
+    EXPECT_EQ(Info.accesses(),
+              PerGrain - DetectorConfig::PageWriteThreshold);
+  });
+  for (uint64_t Target = 0; Target < Targets; ++Target) {
+    uint64_t Address = RegionBase + Target * Stride;
+    ASSERT_EQ(LineHits[Target], 1u) << "target " << Target;
+    ASSERT_EQ(PageHits[Target], 1u) << "target " << Target;
+    EXPECT_EQ(Shadow.writeCount(Address), PerGrain);
+    EXPECT_EQ(Pages.writeCount(Address), PerGrain);
+  }
+  EXPECT_EQ(Shadow.materializedLines(), Targets);
+  EXPECT_EQ(Pages.materializedPages(), Targets);
+}
+
+//===----------------------------------------------------------------------===//
 // Interpose: per-thread buffers drain every sample into the sink exactly
 // once, no matter which thread recorded it.
 //===----------------------------------------------------------------------===//
