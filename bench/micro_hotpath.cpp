@@ -602,6 +602,64 @@ void BM_TraceReplay(benchmark::State &State) {
 }
 BENCHMARK(BM_TraceReplay);
 
+/// The codec benchmarks' input: a 100,000-sample synthetic recording.
+const pmu::TraceData &codecTrace() {
+  static const pmu::TraceData Data = [] {
+    pmu::TraceSource Tee(std::make_unique<NullSource>(), /*Path=*/"",
+                         /*SamplingPeriod=*/64);
+    recordSyntheticTrace(Tee, 100'000);
+    return Tee.data();
+  }();
+  return Data;
+}
+
+/// Writing a recording as `cheetah-trace-v1` text (what `--record-trace`
+/// pays at stop()), in bytes written per second.
+void BM_TraceSerialize(benchmark::State &State) {
+  const pmu::TraceData &Data = codecTrace();
+  size_t Bytes = 0;
+  for (auto _ : State) {
+    std::string Text = Data.serialize();
+    Bytes = Text.size();
+    benchmark::DoNotOptimize(Text.data());
+    benchmark::ClobberMemory();
+  }
+  State.SetBytesProcessed(static_cast<int64_t>(State.iterations() * Bytes));
+}
+BENCHMARK(BM_TraceSerialize)->Unit(benchmark::kMillisecond);
+
+/// Loading `cheetah-trace-v1` text (what `--backend=trace:FILE` pays at
+/// start()), in bytes read per second: `canonical` is serialize()'s own
+/// layout, which the canonical reader takes; `relaid` has a space after
+/// every comma, so the canonical reader gives up at the first one and the
+/// token decoder reads the whole document.
+void BM_TraceParse(benchmark::State &State, bool Relaid) {
+  std::string Text = codecTrace().serialize();
+  if (Relaid) {
+    std::string Spaced;
+    for (char C : Text) {
+      Spaced += C;
+      if (C == ',')
+        Spaced += ' ';
+    }
+    Text = std::move(Spaced);
+  }
+  for (auto _ : State) {
+    pmu::TraceData Parsed;
+    std::string Error;
+    if (!pmu::TraceData::parse(Text, Parsed, Error)) {
+      State.SkipWithError(Error.c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(Parsed.Events.data());
+  }
+  State.SetBytesProcessed(
+      static_cast<int64_t>(State.iterations() * Text.size()));
+}
+BENCHMARK_CAPTURE(BM_TraceParse, canonical, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_TraceParse, relaid, true)->Unit(benchmark::kMillisecond);
+
 //===----------------------------------------------------------------------===//
 // History store update
 //===----------------------------------------------------------------------===//

@@ -10,58 +10,204 @@
 #include "support/Json.h"
 #include "support/StringUtils.h"
 
+#include <charconv>
+#include <cstring>
+#include <string_view>
 
 using namespace cheetah;
 using namespace cheetah::pmu;
 
+static constexpr std::string_view TraceSchema = "cheetah-trace-v1";
+
 //===----------------------------------------------------------------------===//
-// cheetah-trace-v1 serialization
+// The canonical layout
 //===----------------------------------------------------------------------===//
 
-static const char *TraceSchema = "cheetah-trace-v1";
+namespace {
+
+// The fixed text around the numbers and flags of a canonical document,
+// which the writer emits and the canonical reader expects:
+//   {"schema":"cheetah-trace-v1","sampling_period":N,"run_cycles":N,
+//    "events":[E,E,...]}
+// where each E is one of
+//   {"k":"ts","tid":N,"main":B,"t":N}
+//   {"k":"te","tid":N,"main":B,"t":N}
+//   {"k":"s","a":N,"tid":N,"w":B,"l":N,"t":N}
+// N is a decimal integer, B is true or false, and there is no whitespace.
+constexpr std::string_view HeaderOpen =
+    R"({"schema":"cheetah-trace-v1","sampling_period":)";
+constexpr std::string_view RunCyclesKey = R"(,"run_cycles":)";
+constexpr std::string_view EventsOpen = R"(,"events":[)";
+constexpr std::string_view DocumentClose = "]}";
+constexpr std::string_view StartOpen = R"({"k":"ts","tid":)";
+constexpr std::string_view EndOpen = R"({"k":"te","tid":)";
+constexpr std::string_view SampleOpen = R"({"k":"s","a":)";
+constexpr std::string_view MainKey = R"(,"main":)";
+constexpr std::string_view TidKey = R"(,"tid":)";
+constexpr std::string_view WriteKey = R"(,"w":)";
+constexpr std::string_view LatencyKey = R"(,"l":)";
+constexpr std::string_view TimeKey = R"(,"t":)";
+static_assert(HeaderOpen.find(TraceSchema) != std::string_view::npos);
+
+/// Bytes the writer's buffer holds: the header (at most 112 bytes) or one
+/// event and its separating comma (at most 102), with 20-digit numbers.
+constexpr size_t BufferBytes = 128;
+
+char *put(char *P, std::string_view Text) {
+  std::memcpy(P, Text.data(), Text.size());
+  return P + Text.size();
+}
+
+char *putNumber(char *P, uint64_t Value) {
+  return std::to_chars(P, P + 20, Value).ptr;
+}
+
+char *putFlag(char *P, bool Value) {
+  return put(P, Value ? std::string_view("true") : std::string_view("false"));
+}
+
+/// Writes \p Event's canonical text at \p P. \returns the end.
+char *putEvent(char *P, const TraceEvent &Event) {
+  if (Event.K == TraceEvent::Kind::SamplePoint) {
+    P = putNumber(put(P, SampleOpen), Event.Address);
+    P = putNumber(put(P, TidKey), Event.Tid);
+    P = putFlag(put(P, WriteKey), Event.IsWrite);
+    P = putNumber(put(P, LatencyKey), Event.LatencyCycles);
+  } else {
+    bool Start = Event.K == TraceEvent::Kind::ThreadStart;
+    P = putNumber(put(P, Start ? StartOpen : EndOpen), Event.Tid);
+    P = putFlag(put(P, MainKey), Event.IsMain);
+  }
+  P = putNumber(put(P, TimeKey), Event.Time);
+  *P++ = '}';
+  return P;
+}
+
+/// Reads a document in exactly the layout serialize() writes. Its numbers
+/// are integers of at most 15 digits without a leading zero, which the
+/// token decoder reads through a double to the same value, and it applies
+/// the decoder's range checks, so a document it accepts decodes to what
+/// the decoder would return. Anything else, valid or not, it refuses
+/// without a message, for the decoder to read.
+class CanonicalReader {
+public:
+  explicit CanonicalReader(std::string_view Text)
+      : Pos(Text.data()), Limit(Text.data() + Text.size()),
+        TextSize(Text.size()) {}
+
+  /// \returns whether the whole text is a canonical document; fills \p Out
+  /// only then.
+  bool read(TraceData &Out);
+
+private:
+  static constexpr size_t MaxDigits = 15;
+
+  bool expect(std::string_view Text) {
+    if (static_cast<size_t>(Limit - Pos) < Text.size() ||
+        std::memcmp(Pos, Text.data(), Text.size()) != 0)
+      return false;
+    Pos += Text.size();
+    return true;
+  }
+  bool number(uint64_t &Value);
+  bool number32(uint32_t &Value) {
+    uint64_t Wide = 0;
+    if (!number(Wide) || Wide > UINT32_MAX)
+      return false;
+    Value = static_cast<uint32_t>(Wide);
+    return true;
+  }
+  bool flag(bool &Value) {
+    Value = expect("true");
+    return Value || expect("false");
+  }
+  bool event(TraceEvent &Event);
+
+  const char *Pos;
+  const char *Limit;
+  size_t TextSize;
+};
+
+bool CanonicalReader::number(uint64_t &Value) {
+  const char *Start = Pos;
+  const char *End =
+      static_cast<size_t>(Limit - Pos) > MaxDigits ? Pos + MaxDigits : Limit;
+  uint64_t Digits = 0;
+  while (Pos != End && *Pos >= '0' && *Pos <= '9')
+    Digits = Digits * 10 + static_cast<uint64_t>(*Pos++ - '0');
+  size_t Length = static_cast<size_t>(Pos - Start);
+  // A 16th digit fails the member text that must follow.
+  if (Length == 0 || (Length > 1 && *Start == '0'))
+    return false;
+  Value = Digits;
+  return true;
+}
+
+bool CanonicalReader::event(TraceEvent &Event) {
+  if (expect(SampleOpen)) {
+    Event.K = TraceEvent::Kind::SamplePoint;
+    if (!number(Event.Address) || !expect(TidKey) || !number32(Event.Tid) ||
+        !expect(WriteKey) || !flag(Event.IsWrite) || !expect(LatencyKey) ||
+        !number32(Event.LatencyCycles))
+      return false;
+  } else {
+    if (expect(StartOpen))
+      Event.K = TraceEvent::Kind::ThreadStart;
+    else if (expect(EndOpen))
+      Event.K = TraceEvent::Kind::ThreadEnd;
+    else
+      return false;
+    if (!number32(Event.Tid) || !expect(MainKey) || !flag(Event.IsMain))
+      return false;
+  }
+  return expect(TimeKey) && number(Event.Time) && expect("}");
+}
+
+bool CanonicalReader::read(TraceData &Out) {
+  TraceData Parsed;
+  if (!expect(HeaderOpen) || !number(Parsed.SamplingPeriod) ||
+      Parsed.SamplingPeriod < 1 || !expect(RunCyclesKey) ||
+      !number(Parsed.RunCycles) || !expect(EventsOpen))
+    return false;
+  // The token decoder's reservation, so either path allocates alike.
+  Parsed.Events.reserve(TextSize / 46);
+  if (Pos == Limit || *Pos != ']') {
+    do {
+      if (!event(Parsed.Events.emplace_back()))
+        return false;
+    } while (expect(","));
+  }
+  if (!expect(DocumentClose) || Pos != Limit)
+    return false;
+  Out = std::move(Parsed);
+  return true;
+}
+
+} // namespace
 
 std::string TraceData::serialize() const {
   std::string Out;
   // A sample event with a 48-bit address and a 10-digit timestamp takes
   // about 60 bytes; reserving for that avoids regrowing a 20 MB buffer.
   Out.reserve(128 + 64 * Events.size());
-  JsonWriter Writer(Out);
-  Writer.beginObject();
-  Writer.member("schema", TraceSchema);
-  Writer.member("sampling_period", SamplingPeriod);
-  Writer.member("run_cycles", RunCycles);
-  Writer.key("events");
-  Writer.beginArray();
-  for (const TraceEvent &Event : Events) {
-    Writer.beginObject();
-    switch (Event.K) {
-    case TraceEvent::Kind::ThreadStart:
-      Writer.member("k", "ts");
-      Writer.member("tid", static_cast<uint64_t>(Event.Tid));
-      Writer.member("main", Event.IsMain);
-      Writer.member("t", Event.Time);
-      break;
-    case TraceEvent::Kind::ThreadEnd:
-      Writer.member("k", "te");
-      Writer.member("tid", static_cast<uint64_t>(Event.Tid));
-      Writer.member("main", Event.IsMain);
-      Writer.member("t", Event.Time);
-      break;
-    case TraceEvent::Kind::SamplePoint:
-      Writer.member("k", "s");
-      Writer.member("a", Event.Address);
-      Writer.member("tid", static_cast<uint64_t>(Event.Tid));
-      Writer.member("w", Event.IsWrite);
-      Writer.member("l", static_cast<uint64_t>(Event.LatencyCycles));
-      Writer.member("t", Event.Time);
-      break;
-    }
-    Writer.endObject();
+  char Buffer[BufferBytes];
+  auto Flush = [&](const char *End) { Out.append(Buffer, End - Buffer); };
+  char *P = putNumber(put(Buffer, HeaderOpen), SamplingPeriod);
+  P = putNumber(put(P, RunCyclesKey), RunCycles);
+  Flush(put(P, EventsOpen));
+  for (size_t I = 0; I < Events.size(); ++I) {
+    P = Buffer;
+    if (I)
+      *P++ = ',';
+    Flush(putEvent(P, Events[I]));
   }
-  Writer.endArray();
-  Writer.endObject();
+  Out += DocumentClose;
   return Out;
 }
+
+//===----------------------------------------------------------------------===//
+// Any other spelling: the token decoder
+//===----------------------------------------------------------------------===//
 
 namespace {
 
@@ -256,7 +402,8 @@ bool TraceDecoder::finishEvent(KindName Kind,
 
 bool TraceData::parse(const std::string &Text, TraceData &Out,
                       std::string &Error) {
-  return TraceDecoder(Text).decode(Out, Error);
+  return CanonicalReader(Text).read(Out) ||
+         TraceDecoder(Text).decode(Out, Error);
 }
 
 namespace {

@@ -25,6 +25,15 @@
 /// recorded it — CI records two NUMA workloads, replays them, and `cmp`s
 /// the reports.
 ///
+/// serialize() writes one canonical layout (members in a fixed order, no
+/// whitespace, decimal integers) by appending each event's fixed member
+/// text and its numbers straight into the output. parse() first reads that
+/// exact layout byte by byte; at the first byte it does not expect, it
+/// drops its work and runs the token decoder from the start. The decoder
+/// takes any JSON spelling of the document (members in any order,
+/// whitespace, repeats, numbers with a fraction or an exponent) and writes
+/// every error, so a trace that jq rewrote replays too, only more slowly.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CHEETAH_PMU_TRACESOURCE_H
@@ -42,23 +51,26 @@ namespace cheetah {
 namespace pmu {
 
 /// One recorded event: a thread lifecycle edge or a sample, in the order
-/// the recording backend delivered it.
+/// the recording backend delivered it. A replaying source keeps one per
+/// recorded event for its whole life, so the members are ordered widest
+/// first to pack into 32 bytes.
 struct TraceEvent {
   enum class Kind : uint8_t { ThreadStart, SamplePoint, ThreadEnd };
-  Kind K = Kind::SamplePoint;
-  /// Issuing thread (all kinds).
-  ThreadId Tid = 0;
-  /// Lifecycle: whether this is the main thread.
-  bool IsMain = false;
   /// Lifecycle start/end cycle, or the sample timestamp.
   uint64_t Time = 0;
   /// Sample payload (SamplePoint only).
   uint64_t Address = 0;
-  bool IsWrite = false;
+  /// Issuing thread (all kinds).
+  ThreadId Tid = 0;
   uint32_t LatencyCycles = 0;
+  Kind K = Kind::SamplePoint;
+  /// Lifecycle: whether this is the main thread.
+  bool IsMain = false;
+  bool IsWrite = false;
 
   friend bool operator==(const TraceEvent &, const TraceEvent &) = default;
 };
+static_assert(sizeof(TraceEvent) == 32, "TraceEvent grew past 32 bytes");
 
 /// The serializable content of a `cheetah-trace-v1` file: the recording
 /// backend's sampling period, the live run's total cycles (so replay can
@@ -68,11 +80,12 @@ struct TraceData {
   uint64_t RunCycles = 0;
   std::vector<TraceEvent> Events;
 
-  /// \returns the `cheetah-trace-v1` document (deterministic: same data,
-  /// same bytes).
+  /// \returns the `cheetah-trace-v1` document in its canonical layout
+  /// (deterministic: same data, same bytes).
   std::string serialize() const;
 
-  /// Parses \p Text into \p Out in a single pass, without a document tree.
+  /// Parses \p Text into \p Out without a document tree: the canonical
+  /// layout in one pass, any other spelling through the token decoder.
   /// \returns false with a descriptive \p Error — unsupported schema,
   /// malformed JSON with byte offset, missing/mistyped/out-of-range fields
   /// with the event index — on any surprise. Never asserts or crashes on

@@ -428,10 +428,44 @@ static double outOfRangeValue(const char *First, const char *Last) {
   return Negative ? -Value : Value;
 }
 
+static bool isDigit(char C) { return C >= '0' && C <= '9'; }
+
+/// Whether \p P..\p Last spells a number as RFC 8259 has it: an optional
+/// minus, then a lone 0 or a nonzero digit and more digits, then
+/// optionally a '.' and at least one digit, then optionally an 'e' or 'E',
+/// an optional sign and at least one digit. strtod and from_chars also
+/// take "007", ".5" and "1.", which JSON forbids.
+static bool isJsonNumber(const char *P, const char *Last) {
+  auto Digits = [&] {
+    const char *First = P;
+    while (P != Last && isDigit(*P))
+      ++P;
+    return P != First;
+  };
+  if (P != Last && *P == '-')
+    ++P;
+  if (P != Last && *P == '0')
+    ++P;
+  else if (!Digits())
+    return false;
+  if (P != Last && *P == '.') {
+    ++P;
+    if (!Digits())
+      return false;
+  }
+  if (P != Last && (*P == 'e' || *P == 'E')) {
+    ++P;
+    if (P != Last && (*P == '+' || *P == '-'))
+      ++P;
+    if (!Digits())
+      return false;
+  }
+  return P == Last;
+}
+
 JsonReader::Token JsonReader::scanNumber() {
-  auto IsDigit = [](char C) { return C >= '0' && C <= '9'; };
-  auto InNumber = [&](char C) {
-    return IsDigit(C) || C == '.' || C == 'e' || C == 'E' || C == '+' ||
+  auto InNumber = [](char C) {
+    return isDigit(C) || C == '.' || C == 'e' || C == 'E' || C == '+' ||
            C == '-';
   };
   const char *Start = Pos;
@@ -439,11 +473,14 @@ JsonReader::Token JsonReader::scanNumber() {
   if (*Pos == '+')
     return fail("expected a value");
   // Fast path: a plain integer below 10^15 converts to a double exactly,
-  // so it needs no decimal-to-binary rounding.
+  // so it needs no decimal-to-binary rounding. A leading zero takes the
+  // slow path, which refuses it.
   uint64_t Integer = 0;
-  while (Pos != Limit && IsDigit(*Pos))
+  while (Pos != Limit && isDigit(*Pos))
     Integer = Integer * 10 + (*Pos++ - '0');
-  if (Pos != Start && Pos - Start <= 15 && (Pos == Limit || !InNumber(*Pos))) {
+  size_t Digits = static_cast<size_t>(Pos - Start);
+  if (Digits != 0 && Digits <= 15 && (*Start != '0' || Digits == 1) &&
+      (Pos == Limit || !InNumber(*Pos))) {
     NumberValue = static_cast<double>(Integer);
     State = Expect::Separator;
     return Token::Number;
@@ -452,6 +489,8 @@ JsonReader::Token JsonReader::scanNumber() {
     ++Pos;
   if (Pos == Start)
     return fail("expected a value");
+  if (!isJsonNumber(Start, Pos))
+    return fail("malformed number");
   // from_chars, unlike strtod, ignores LC_NUMERIC: a host that set a
   // comma-decimal locale must not turn "1.5" into a malformed number.
   auto [End, Ec] = std::from_chars(Start, Pos, NumberValue);

@@ -81,9 +81,10 @@ private:
 /// strings come back as views — into the input when they hold no escapes,
 /// else into a buffer the reader reuses — so reading allocates nothing per
 /// token. The reader checks the whole grammar as it goes: malformed input
-/// yields Token::Error with a `JSON error at offset N: ...` message,
-/// nesting deeper than 128 levels is an error, and so are characters after
-/// the document.
+/// yields Token::Error with a `JSON error at offset N: ...` message (a
+/// number RFC 8259 forbids, such as "007", ".5" or "1.", is a
+/// `malformed number`), nesting deeper than 128 levels is an error, and so
+/// are characters after the document.
 class JsonReader {
 public:
   enum class Token : uint8_t {

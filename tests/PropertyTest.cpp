@@ -88,6 +88,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <ostream>
 #include <set>
@@ -2035,6 +2036,46 @@ bool referenceTraceParse(const std::string &Text, pmu::TraceData &Out,
   return true;
 }
 
+/// The JsonWriter-based writer that TraceData::serialize's canonical
+/// layout replaced, member by member. It is the oracle for
+/// TraceData::serialize: the same data must give the same bytes.
+std::string referenceTraceSerialize(const pmu::TraceData &Data) {
+  std::string Out;
+  JsonWriter Writer(Out);
+  Writer.beginObject();
+  Writer.member("schema", "cheetah-trace-v1");
+  Writer.member("sampling_period", Data.SamplingPeriod);
+  Writer.member("run_cycles", Data.RunCycles);
+  Writer.key("events");
+  Writer.beginArray();
+  for (const pmu::TraceEvent &Event : Data.Events) {
+    Writer.beginObject();
+    switch (Event.K) {
+    case pmu::TraceEvent::Kind::ThreadStart:
+    case pmu::TraceEvent::Kind::ThreadEnd:
+      Writer.member("k", Event.K == pmu::TraceEvent::Kind::ThreadStart
+                             ? "ts"
+                             : "te");
+      Writer.member("tid", static_cast<uint64_t>(Event.Tid));
+      Writer.member("main", Event.IsMain);
+      Writer.member("t", Event.Time);
+      break;
+    case pmu::TraceEvent::Kind::SamplePoint:
+      Writer.member("k", "s");
+      Writer.member("a", Event.Address);
+      Writer.member("tid", static_cast<uint64_t>(Event.Tid));
+      Writer.member("w", Event.IsWrite);
+      Writer.member("l", static_cast<uint64_t>(Event.LatencyCycles));
+      Writer.member("t", Event.Time);
+      break;
+    }
+    Writer.endObject();
+  }
+  Writer.endArray();
+  Writer.endObject();
+  return Out;
+}
+
 /// Parses \p Text with TraceData::parse and the reference, and expects the
 /// two to agree on acceptance, on every decoded field and on the error
 /// string. \returns whether TraceData::parse accepted it.
@@ -2091,10 +2132,45 @@ pmu::TraceData makeFuzzTrace(SplitMix64 &Rng) {
   End.IsMain = true;
   End.Time = Data.RunCycles;
   Data.Events.push_back(End);
+  // Every fuzz trace also pins the writer's bytes to the reference's.
+  EXPECT_EQ(Data.serialize(), referenceTraceSerialize(Data));
   return Data;
 }
 
 class TraceFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(TraceFuzzTest, CodecMatchesTheReferencesOnValuesOfEveryWidth) {
+  // Numbers of 1 to 20 digits, so the canonical reader meets values on
+  // both sides of its 15-digit limit (and 2^53, where the token path's
+  // doubles stop being exact) and tids and latencies on both sides of
+  // 2^32.
+  SplitMix64 Rng(GetParam() ^ 0x3E7A);
+  auto Wide = [&] { return Rng.next() >> Rng.nextBelow(64); };
+  for (int Doc = 0; Doc < 16; ++Doc) {
+    pmu::TraceData Data = makeFuzzTrace(Rng);
+    Data.SamplingPeriod = 1 + Wide() / 2;
+    Data.RunCycles = Wide();
+    for (pmu::TraceEvent &Event : Data.Events) {
+      Event.Time = Wide();
+      Event.Tid = static_cast<ThreadId>(Wide());
+      if (Event.K == pmu::TraceEvent::Kind::SamplePoint) {
+        Event.Address = Wide();
+        Event.LatencyCycles = static_cast<uint32_t>(Wide());
+      }
+    }
+    std::string Text = Data.serialize();
+    EXPECT_EQ(Text, referenceTraceSerialize(Data));
+    parsersAgree(Text);
+    // Wide numbers spelled out in full, past 32 bits where 32 belong.
+    std::string Widened = Text;
+    for (const char *Key : {"\"tid\":", "\"l\":"}) {
+      size_t At = Widened.find(Key);
+      if (At != std::string::npos)
+        Widened.insert(At + std::strlen(Key), std::to_string(Wide()));
+    }
+    parsersAgree(Widened);
+  }
+}
 
 TEST_P(TraceFuzzTest, HostileTraceInputNeverCrashes) {
   SplitMix64 Rng(GetParam() ^ 0x7ACE);
@@ -2200,9 +2276,45 @@ TEST(TraceFuzzTest, ParserMatchesTheTreeReferenceOnHandWrittenCases) {
       Head + R"("events":[{"k":"te","tid":1,"main":true,"t":2,"a":"junk"}]})",
       Head + R"("events":[{"k":"s","a":1,"tid":2,"w":true,"l":3,"t":4}],"x":[}]})",
       Head + R"("events":[{"k":"q\u00e9","a":1}]})",
+      // The canonical reader's edges: documents it reads (15 digits, zeros,
+      // 32-bit maxima, no events), and documents in the canonical layout
+      // but for one member or byte, which it must leave to the token path:
+      // a 16-digit number (read through a double as ...992), a leading
+      // zero, out-of-range values, a non-boolean flag, a trailing newline
+      // (what jq -c writes), space or brace, a repeated member.
+      Head + R"("events":[{"k":"s","a":9007199254740993,"tid":2,"w":true,"l":3,"t":4}]})",
+      Head + R"("events":[{"k":"s","a":999999999999999,"tid":2,"w":true,"l":3,"t":4}]})",
+      Head + R"("events":[{"k":"s","a":1000000000000000,"tid":2,"w":true,"l":3,"t":4}]})",
+      Head + R"("events":[{"k":"s","a":007,"tid":2,"w":true,"l":3,"t":4}]})",
+      Head + R"("events":[{"k":"s","a":0,"tid":0,"w":false,"l":0,"t":0}]})",
+      R"({"schema":"cheetah-trace-v1","sampling_period":0,"run_cycles":9,"events":[]})",
+      R"({"schema":"cheetah-trace-v1","sampling_period":01,"run_cycles":9,"events":[]})",
+      Head + R"("events":[{"k":"ts","tid":4294967296,"main":true,"t":4}]})",
+      Head + R"("events":[{"k":"te","tid":4294967295,"main":false,"t":4}]})",
+      Head + R"("events":[{"k":"s","a":1,"tid":2,"w":1,"l":3,"t":4}]})",
+      Head + R"("events":[{"k":"ts","tid":0,"main":true,"t":4}]})" + "\n",
+      Head + R"("events":[{"k":"s","a":1,"a":2,"tid":2,"w":true,"l":3,"t":4}]})",
+      Head + R"("events":[{"k":"s","a":1,"tid":2,"w":true,"l":3,"t":4,"t":5}]})",
+      R"({"schema":"cheetah-trace-v1","schema":"x","sampling_period":64,"run_cycles":9,"events":[]})",
+      Head + R"("events":[]})",
+      Head + R"("events":[]})" + " ",
+      Head + R"("events":[]}})",
+      Head + R"("events":[],"events":[]})",
+      Head + R"("events":[{"k":"ts","tid":0,"main":true,"t":4},]})",
   };
   for (const std::string &Text : Cases)
     parsersAgree(Text);
+
+  // A bad event after 1,000 canonical ones is still named by its index.
+  std::string Long = Head + R"("events":[)";
+  for (int I = 0; I < 1000; ++I)
+    Long += R"({"k":"s","a":1,"tid":2,"w":true,"l":3,"t":4},)";
+  Long += R"({"k":"s","a":1,"tid":2,"w":1,"l":3,"t":4}]})";
+  EXPECT_FALSE(parsersAgree(Long));
+  pmu::TraceData Rejected;
+  std::string Error;
+  EXPECT_FALSE(pmu::TraceData::parse(Long, Rejected, Error));
+  EXPECT_EQ(Error, "event 1000: field 'w' missing or not a boolean");
 }
 
 /// A trace whose lifecycle replay accepts: the main thread starts first,

@@ -22,6 +22,7 @@
 #include <filesystem>
 #include <limits>
 #include <map>
+#include <regex>
 #include <string_view>
 #include <type_traits>
 #include <vector>
@@ -636,6 +637,16 @@ TEST(JsonParserTest, ErrorsNameTheOffendingByte) {
       {"+1", "JSON error at offset 0: expected a value"},
       {"[1e5.5]", "JSON error at offset 6: malformed number"},
       {"-", "JSON error at offset 1: malformed number"},
+      // strtod reads these, JSON does not: a leading zero before a digit,
+      // a point without a digit on each side of it.
+      {"007", "JSON error at offset 3: malformed number"},
+      {"00", "JSON error at offset 2: malformed number"},
+      {"-01", "JSON error at offset 3: malformed number"},
+      {"[1, 00012]", "JSON error at offset 9: malformed number"},
+      {".5", "JSON error at offset 2: malformed number"},
+      {"-.5", "JSON error at offset 3: malformed number"},
+      {"1.", "JSON error at offset 2: malformed number"},
+      {"1.e5", "JSON error at offset 4: malformed number"},
       {"tru", "JSON error at offset 0: expected 'true'"},
       {"[nul]", "JSON error at offset 1: expected 'null'"},
       {"\"abc", "JSON error at offset 4: unterminated string"},
@@ -926,10 +937,10 @@ TEST(JsonReaderTest, NumberTable) {
       {"1.5", 1.5},
       {"-2.5e2", -250.0},
       {"1E+5", 1e5},
-      {"00012", 12.0},
-      {".5", 0.5},
-      {"1.", 1.0},
-      {"-.5", -0.5},
+      {"1E+2", 100.0},
+      {"1e05", 1e5},
+      {"-0.5", -0.5},
+      {"0e0", 0.0},
       {"0.1", 0.1},
       {"123456789012345", 123456789012345.0},
       {"9007199254740993", 9007199254740992.0}, // rounds to even
@@ -958,9 +969,12 @@ TEST(JsonReaderTest, NumberTable) {
 
 TEST(JsonReaderTest, NumbersMatchStrtodInTheCLocale) {
   // Every string of up to five characters over the number alphabet: the
-  // reader accepts exactly what strtod consumed whole (bar a leading '+',
-  // which JSON forbids), with the same bits.
+  // reader accepts exactly what strtod consumed whole and RFC 8259's number
+  // grammar allows (strtod also takes a leading '+', "01", ".5" and "1."),
+  // with the same bits.
   ASSERT_STREQ(std::setlocale(LC_NUMERIC, nullptr), "C");
+  const std::regex JsonNumber(
+      R"(-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?)");
   const std::string Alphabet = "019-+.e";
   std::vector<std::string> Level = {""};
   for (int Length = 1; Length <= 5; ++Length) {
@@ -971,7 +985,8 @@ TEST(JsonReaderTest, NumbersMatchStrtodInTheCLocale) {
     for (const std::string &Text : Longer) {
       char *End = nullptr;
       double Want = std::strtod(Text.c_str(), &End);
-      bool WantOk = Text[0] != '+' && End == Text.c_str() + Text.size();
+      bool WantOk = End == Text.c_str() + Text.size() &&
+                    std::regex_match(Text, JsonNumber);
       double Got = 0;
       bool GotOk = parseNumber(Text, Got);
       ASSERT_EQ(GotOk, WantOk) << Text;

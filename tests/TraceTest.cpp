@@ -86,6 +86,44 @@ TEST(TraceDataTest, SerializeParseRoundTripsEveryEventKind) {
   EXPECT_EQ(Parsed.serialize(), Text);
 }
 
+TEST(TraceDataTest, SerializeWritesThePinnedV1Bytes) {
+  // Every event kind, both values of each flag, and numbers at their
+  // edges: 0, the 32-bit maxima, a 15-digit address and 2^64 - 1.
+  pmu::TraceData Data;
+  Data.SamplingPeriod = 8192;
+  Data.RunCycles = 0;
+  pmu::TraceEvent Start;
+  Start.K = pmu::TraceEvent::Kind::ThreadStart;
+  Start.IsMain = true;
+  Data.Events.push_back(Start);
+  pmu::TraceEvent Wide;
+  Wide.K = pmu::TraceEvent::Kind::SamplePoint;
+  Wide.Address = 999999999999999;
+  Wide.Tid = 4294967295u;
+  Wide.IsWrite = true;
+  Wide.LatencyCycles = 4294967295u;
+  Wide.Time = 18446744073709551615ull;
+  Data.Events.push_back(Wide);
+  pmu::TraceEvent Zero;
+  Zero.K = pmu::TraceEvent::Kind::SamplePoint;
+  Data.Events.push_back(Zero);
+  pmu::TraceEvent End;
+  End.K = pmu::TraceEvent::Kind::ThreadEnd;
+  End.Tid = 4294967295u;
+  End.Time = 18446744073709551615ull;
+  Data.Events.push_back(End);
+
+  EXPECT_EQ(Data.serialize(),
+            R"({"schema":"cheetah-trace-v1","sampling_period":8192,)"
+            R"("run_cycles":0,"events":[)"
+            R"({"k":"ts","tid":0,"main":true,"t":0},)"
+            R"({"k":"s","a":999999999999999,"tid":4294967295,"w":true,)"
+            R"("l":4294967295,"t":18446744073709551615},)"
+            R"({"k":"s","a":0,"tid":0,"w":false,"l":0,"t":0},)"
+            R"({"k":"te","tid":4294967295,"main":false,)"
+            R"("t":18446744073709551615}]})");
+}
+
 TEST(TraceDataTest, SchemaIsCheckedBeforeStructure) {
   pmu::TraceData Data = sampleTrace();
   std::string Text = Data.serialize();
